@@ -64,21 +64,21 @@ fn bench_parallel_transpose_products(c: &mut Criterion) {
     }
 }
 
-fn bench_spawn_vs_pool_small_batches(c: &mut Criterion) {
-    // The persistent pool's reason to exist: at small row counts the
-    // per-call thread spawns of the scoped dispatch dominate the kernel, so
-    // the same policy is timed with and without the pool flag.
+fn bench_serial_vs_pool_small_batches(c: &mut Criterion) {
+    // Serving micro-batches, where dispatch overhead is comparable to the
+    // kernel itself: the same shapes timed serially and on the pool.
     let mut rng = ChaCha8Rng::seed_from_u64(13);
     let w = Matrix::random_normal(256, 256, 0.0, 1.0, &mut rng);
-    let spawn = ParallelPolicy::new(4).with_min_rows_per_thread(2);
-    let pooled = spawn.with_pool(true);
+    let serial = ParallelPolicy::serial();
+    let pooled = ParallelPolicy::new(4).with_min_rows_per_thread(2);
     // Warm the pool outside the timed region.
     let _ = sls_linalg::WorkerPool::global();
     for rows in [8usize, 32, 128] {
         let batch = Matrix::random_normal(rows, 256, 0.0, 1.0, &mut rng);
-        c.bench_function(&format!("parallel/small_batch_{rows}x256x256/spawn"), |b| {
-            b.iter(|| black_box(batch.matmul_with(&w, &spawn).unwrap()))
-        });
+        c.bench_function(
+            &format!("parallel/small_batch_{rows}x256x256/serial"),
+            |b| b.iter(|| black_box(batch.matmul_with(&w, &serial).unwrap())),
+        );
         c.bench_function(&format!("parallel/small_batch_{rows}x256x256/pool"), |b| {
             b.iter(|| black_box(batch.matmul_with(&w, &pooled).unwrap()))
         });
@@ -89,6 +89,6 @@ criterion_group!(
     benches,
     bench_parallel_matmul,
     bench_parallel_transpose_products,
-    bench_spawn_vs_pool_small_batches
+    bench_serial_vs_pool_small_batches
 );
 criterion_main!(benches);

@@ -15,16 +15,11 @@
 //! * `pipeline_transform` — full-dataset hidden-feature extraction, the
 //!   batch-transform / serving micro-batch shape;
 //! * `matmul`, `matmul_transpose_left`, `matmul_transpose_right` — the three
-//!   product kernels in isolation; at one thread and at the core count each
-//!   also runs with the SIMD layer forced to its scalar fallback
-//!   (`*_simd_off` modes), so the vectorisation win is measured rather than
-//!   asserted;
+//!   product kernels in isolation;
 //! * `small_batch_{8,32,128}` — the serving micro-batch hot path
-//!   (`hidden_probabilities` on 8/32/128-row batches), timed per call under
-//!   three dispatch modes: `serial`, `spawn` (scoped threads per call) and
-//!   `pool` (the persistent worker pool). At these row counts the thread
-//!   spawn overhead dominates the kernel, which is exactly what the pool
-//!   exists to remove;
+//!   (`hidden_probabilities` on 8/32/128-row batches), timed per call
+//!   `serial` and on the persistent worker `pool`. At these row counts
+//!   dispatch overhead is comparable to the kernel itself;
 //! * `skew_heavy_band` — a ragged map kernel where the last quarter of the
 //!   rows costs ~8x the rest: the straggler shape fixed-equal-band dispatch
 //!   loses to. `pool_fixed` pins the chunk size to one band per thread
@@ -37,31 +32,30 @@
 //!   chunks free one up after a short chunk, so small-scope latency under
 //!   load is the difference between the two;
 //! * `transpose_right_tiling` — `matmul_transpose_right` at the ROADMAP's
-//!   512x256x256 shape: scalar untiled (the pre-SIMD kernel), SIMD untiled,
-//!   SIMD tiled (the shipping configuration) and a same-shape `matmul`
-//!   reference — the acceptance bar is tiled `transpose_right` within 1.4x
-//!   of `matmul`;
+//!   512x256x256 shape: untiled, tiled (the shipping configuration) and a
+//!   same-shape `matmul` reference — the acceptance bar is tiled
+//!   `transpose_right` within 1.4x of `matmul`;
 //! * `consensus_full` / `consensus_align` / `consensus_vote` — the
 //!   supervision-construction pipeline on synthetic blobs, end to end
 //!   (DP + K-means + AP base clusterers through alignment and voting) and
-//!   per integration stage, under `serial`, `spawn` and `pool` dispatch;
+//!   per integration stage, `serial` and on the `pool`;
 //!   the pooled membership is asserted identical to the serial one before
 //!   the report is written.
 //!
-//! Every section runs serially and under 2, 4, 8 threads plus the machine's
-//! core count; speedups are relative to the serial run *on this machine*.
+//! The kernel sections run serially and on the pool under 2, 4, 8 threads
+//! plus the machine's core count; speedups are relative to the serial run *on this machine*.
 //! The report records `available_parallelism` — on a single-core box the
 //! honest speedup is ~1.0 and the multi-threaded numbers measure scheduling
 //! overhead, so read the speedup column together with that field. Outputs
-//! are bitwise identical across thread counts and SIMD arms (asserted here
+//! are bitwise identical across thread counts and tile sizes (asserted here
 //! too).
 //!
 //! `--gate TOL` turns the run into a regression gate: after measuring, the
 //! process exits non-zero if pooled dispatch is slower than serial on any
-//! small-batch section, if SIMD is slower than the scalar fallback, or if
-//! fanned-out dispatch at the core count is slower than serial — each
-//! beyond the tolerance factor `TOL` — or if tiled `transpose_right`
-//! misses the 1.4x-of-`matmul` bar, or if (with 4+ cores) work-stealing
+//! small-batch section, at the core count, or on `consensus_full`, or if
+//! tiled `transpose_right` is slower than untiled — each beyond the
+//! tolerance factor `TOL` — or if tiled `transpose_right` misses the
+//! 1.4x-of-`matmul` bar, or if (with 4+ cores) work-stealing
 //! dispatch on the skewed workload fails to beat the fixed-equal-band
 //! split by 1.5x. This is how CI turns the committed report into an
 //! enforced baseline instead of a snapshot.
@@ -73,7 +67,7 @@ use sls_consensus::{
     align_partitions_with, integrate_partitions_with, LocalSupervisionBuilder, VotingPolicy,
 };
 use sls_datasets::SyntheticBlobs;
-use sls_linalg::{Matrix, MatrixRandomExt, ParallelPolicy, SimdPolicy};
+use sls_linalg::{Matrix, MatrixRandomExt, ParallelPolicy};
 use sls_rbm_core::{base_clusterers, BoltzmannMachine, CdTrainer, Rbm, TrainConfig};
 use std::time::Instant;
 
@@ -84,11 +78,11 @@ struct Measurement {
     section: String,
     /// Thread budget of the policy (1 = serial).
     threads: usize,
-    /// Dispatch/execution mode: `serial`, `spawn` (scoped threads per
-    /// call) or `pool` (persistent worker pool); `serial_simd_off` /
-    /// `spawn_simd_off` for the scalar-fallback arms of the kernel
-    /// sections; `scalar_untiled` / `simd_untiled` / `simd_tiled` /
-    /// `matmul_ref` within the `transpose_right_tiling` section.
+    /// Dispatch/execution mode: `serial` or `pool` (persistent worker
+    /// pool); `pool_fixed` (one band-sized chunk per thread) in the skew
+    /// sections; `serial_unloaded` in `skew_mixed_scopes`; `simd_untiled`
+    /// / `simd_tiled` / `matmul_ref` within the `transpose_right_tiling`
+    /// section.
     mode: String,
     /// Best-of-`reps` wall-clock time in milliseconds (per call for the
     /// `small_batch_*` sections).
@@ -213,7 +207,7 @@ fn run(args: &[String]) -> Result<(), String> {
         } else {
             ParallelPolicy::new(threads).with_min_rows_per_thread(min_rows)
         };
-        let mode = if threads == 1 { "serial" } else { "spawn" };
+        let mode = if threads == 1 { "serial" } else { "pool" };
 
         // One CD training epoch, the end-to-end number.
         let cd_millis = best_of(reps, || {
@@ -247,63 +241,46 @@ fn run(args: &[String]) -> Result<(), String> {
             transform_millis,
         );
 
-        // The three product kernels in isolation, with the scalar-fallback
-        // SIMD arm measured alongside at one thread and at the core count
-        // (`*_simd_off` modes) so the vectorisation win shows up in the
-        // report.
-        let simd_arms: &[(SimdPolicy, &str)] = if threads == 1 || threads == cores {
-            &[(SimdPolicy::Lanes4, ""), (SimdPolicy::Scalar, "_simd_off")]
-        } else {
-            &[(SimdPolicy::Lanes4, "")]
-        };
-        for &(simd, suffix) in simd_arms {
-            let policy = policy.with_simd(simd);
-            let mode = format!("{mode}{suffix}");
-            let mm = best_of(reps, || {
-                let start = Instant::now();
-                let out = data.matmul_with(&weights, &policy).expect("matmul");
-                (start.elapsed(), out)
-            });
-            push(&mut results, "matmul", threads, &mode, mm);
-            let tl = best_of(reps, || {
-                let start = Instant::now();
-                let out = data
-                    .matmul_transpose_left_with(&hidden_like, &policy)
-                    .expect("matmul_transpose_left");
-                (start.elapsed(), out)
-            });
-            push(&mut results, "matmul_transpose_left", threads, &mode, tl);
-            let tr = best_of(reps, || {
-                let start = Instant::now();
-                // H·Wᵀ: both operands have `hidden` columns.
-                let out = hidden_like
-                    .matmul_transpose_right_with(&weights, &policy)
-                    .expect("matmul_transpose_right");
-                (start.elapsed(), out)
-            });
-            push(&mut results, "matmul_transpose_right", threads, &mode, tr);
-        }
+        // The three product kernels in isolation.
+        let mm = best_of(reps, || {
+            let start = Instant::now();
+            let out = data.matmul_with(&weights, &policy).expect("matmul");
+            (start.elapsed(), out)
+        });
+        push(&mut results, "matmul", threads, mode, mm);
+        let tl = best_of(reps, || {
+            let start = Instant::now();
+            let out = data
+                .matmul_transpose_left_with(&hidden_like, &policy)
+                .expect("matmul_transpose_left");
+            (start.elapsed(), out)
+        });
+        push(&mut results, "matmul_transpose_left", threads, mode, tl);
+        let tr = best_of(reps, || {
+            let start = Instant::now();
+            // H·Wᵀ: both operands have `hidden` columns.
+            let out = hidden_like
+                .matmul_transpose_right_with(&weights, &policy)
+                .expect("matmul_transpose_right");
+            (start.elapsed(), out)
+        });
+        push(&mut results, "matmul_transpose_right", threads, mode, tr);
     }
 
-    // Spawn-per-call vs persistent pool on serving micro-batches: the row
-    // counts where per-call thread spawns dominate the kernel itself. Each
-    // configuration is timed per call over a batch of iterations; the pool
-    // is warmed before timing so the numbers compare steady-state dispatch,
-    // not pool construction.
+    // Serial vs the persistent pool on serving micro-batches: the row
+    // counts where dispatch overhead is comparable to the kernel itself.
+    // Each configuration is timed per call over a batch of iterations; the
+    // pool is warmed before timing so the numbers compare steady-state
+    // dispatch, not pool construction.
     let small_threads = 4usize;
     let iters = if quick { 60 } else { 300 };
-    let spawn_policy = ParallelPolicy::new(small_threads).with_min_rows_per_thread(2);
-    let pool_policy = spawn_policy.with_pool(true);
+    let pool_policy = ParallelPolicy::new(small_threads).with_min_rows_per_thread(2);
     let _ = sls_linalg::WorkerPool::global();
     let model = Rbm::new(visible, hidden, &mut ChaCha8Rng::seed_from_u64(7));
     for &rows in &[8usize, 32, 128] {
         let batch = Matrix::random_bernoulli(rows, visible, 0.3, &mut rng);
         let section = format!("small_batch_{rows}");
-        for (mode, policy) in [
-            ("serial", ParallelPolicy::serial()),
-            ("spawn", spawn_policy),
-            ("pool", pool_policy),
-        ] {
+        for (mode, policy) in [("serial", ParallelPolicy::serial()), ("pool", pool_policy)] {
             let millis = best_of(reps, || {
                 let start = Instant::now();
                 let mut last = None;
@@ -343,9 +320,8 @@ fn run(args: &[String]) -> Result<(), String> {
         }
     };
     let fixed_chunk = skew_rows.div_ceil(small_threads);
-    let skew_modes: [(&str, ParallelPolicy); 4] = [
+    let skew_modes: [(&str, ParallelPolicy); 3] = [
         ("serial", ParallelPolicy::serial()),
-        ("spawn", spawn_policy),
         ("pool_fixed", pool_policy.with_chunk_rows(fixed_chunk)),
         ("pool", pool_policy),
     ];
@@ -429,18 +405,15 @@ fn run(args: &[String]) -> Result<(), String> {
     // The consensus (supervision-construction) pipeline: DP + K-means + AP
     // on synthetic blobs, end to end through `build_with_clusterers` and
     // per integration stage (`align_partitions_with`, the Hungarian label
-    // matching; `integrate_partitions_with`, alignment + voting), under
-    // serial, spawn and pooled dispatch. The base clusterers dominate, so
+    // matching; `integrate_partitions_with`, alignment + voting), serial
+    // and pooled. The base clusterers dominate, so
     // `consensus_full` minus `consensus_vote` reads as the clusterer stage.
     let (con_rows, con_dims, con_k) = if quick { (90, 6, 3) } else { (360, 12, 3) };
     let blobs = SyntheticBlobs::new(con_rows, con_dims, con_k)
         .separation(6.0)
         .generate(&mut ChaCha8Rng::seed_from_u64(13));
-    let consensus_modes: [(&str, ParallelPolicy); 3] = [
-        ("serial", ParallelPolicy::serial()),
-        ("spawn", spawn_policy),
-        ("pool", pool_policy),
-    ];
+    let consensus_modes: [(&str, ParallelPolicy); 2] =
+        [("serial", ParallelPolicy::serial()), ("pool", pool_policy)];
     for (mode, policy) in consensus_modes {
         let clusterers = base_clusterers(con_k, &policy);
         let builder = LocalSupervisionBuilder::new(con_k)
@@ -495,25 +468,15 @@ fn run(args: &[String]) -> Result<(), String> {
     // Tiled vs untiled `matmul_transpose_right` at the ROADMAP's
     // 512x256x256 shape (the one where the dot-product layout used to run
     // ~2.3x behind `matmul`), single-threaded so the kernel itself is
-    // measured rather than the fan-out. `scalar_untiled` is the pre-SIMD
-    // kernel and the section baseline; `simd_tiled` is the shipping
-    // configuration; `matmul_ref` is the same-shape `matmul` whose 1.4x
-    // envelope is the acceptance bar.
+    // measured rather than the fan-out. `simd_untiled` is the section
+    // baseline; `simd_tiled` is the shipping configuration; `matmul_ref` is
+    // the same-shape `matmul` whose 1.4x envelope is the acceptance bar.
     let (tile_n, tile_k, tile_m) = if quick { (64, 32, 32) } else { (512, 256, 256) };
     let tr_left = Matrix::random_normal(tile_n, tile_k, 0.0, 1.0, &mut rng);
     let tr_right = Matrix::random_normal(tile_m, tile_k, 0.0, 1.0, &mut rng);
     let mm_right = Matrix::random_normal(tile_k, tile_m, 0.0, 1.0, &mut rng);
     let serial_policy = ParallelPolicy::serial();
-    let scalar_policy = serial_policy.with_simd(SimdPolicy::Scalar);
     let tiling = "transpose_right_tiling";
-    let scalar_untiled = best_of(reps, || {
-        let start = Instant::now();
-        let out = tr_left
-            .matmul_transpose_right_tiled_with(&tr_right, &scalar_policy, usize::MAX)
-            .expect("transpose_right");
-        (start.elapsed(), out)
-    });
-    push(&mut results, tiling, 1, "scalar_untiled", scalar_untiled);
     let simd_untiled = best_of(reps, || {
         let start = Instant::now();
         let out = tr_left
@@ -539,12 +502,12 @@ fn run(args: &[String]) -> Result<(), String> {
     });
     push(&mut results, tiling, 1, "matmul_ref", matmul_ref);
 
-    // Reproducibility spot-check before writing the report: the parallel
+    // Reproducibility spot-check before writing the report: the pooled
     // product must equal the serial product bit for bit.
     let serial = data
         .matmul_with(&weights, &ParallelPolicy::serial())
         .expect("matmul");
-    let parallel = data
+    let pooled = data
         .matmul_with(
             &weights,
             &ParallelPolicy::new(*thread_counts.last().unwrap()).with_min_rows_per_thread(1),
@@ -552,43 +515,19 @@ fn run(args: &[String]) -> Result<(), String> {
         .expect("matmul");
     assert_eq!(
         serial.as_slice(),
-        parallel.as_slice(),
-        "parallel result diverged from serial"
-    );
-    let pooled = data
-        .matmul_with(
-            &weights,
-            &ParallelPolicy::new(*thread_counts.last().unwrap())
-                .with_min_rows_per_thread(1)
-                .with_pool(true),
-        )
-        .expect("matmul");
-    assert_eq!(
-        serial.as_slice(),
         pooled.as_slice(),
         "pooled result diverged from serial"
-    );
-    let scalar_fallback = data
-        .matmul_with(
-            &weights,
-            &ParallelPolicy::serial().with_simd(SimdPolicy::Scalar),
-        )
-        .expect("matmul");
-    assert_eq!(
-        serial.as_slice(),
-        scalar_fallback.as_slice(),
-        "scalar-fallback result diverged from the SIMD result"
     );
     let tiled = tr_left
         .matmul_transpose_right_with(&tr_right, &serial_policy)
         .expect("transpose_right");
-    let untiled_scalar = tr_left
-        .matmul_transpose_right_tiled_with(&tr_right, &scalar_policy, usize::MAX)
+    let untiled = tr_left
+        .matmul_transpose_right_tiled_with(&tr_right, &serial_policy, usize::MAX)
         .expect("transpose_right");
     assert_eq!(
         tiled.as_slice(),
-        untiled_scalar.as_slice(),
-        "tiled SIMD transpose_right diverged from untiled scalar"
+        untiled.as_slice(),
+        "tiled transpose_right diverged from untiled"
     );
     // The consensus invariant the whole PR leans on: pooled supervision
     // construction yields the identical membership to serial construction.
@@ -690,14 +629,6 @@ fn enforce_gate(report: &Report, tol: f64, cores: usize) -> Result<(), String> {
             find(&section, "serial", None).map(|s| s * tol),
         );
     }
-    // The SIMD layer must not lose to its own scalar fallback.
-    for section in ["matmul", "matmul_transpose_left", "matmul_transpose_right"] {
-        check(
-            format!("{section}: simd vs scalar fallback (x{tol})"),
-            find(section, "serial", Some(1)),
-            find(section, "serial_simd_off", Some(1)).map(|s| s * tol),
-        );
-    }
     // Fanned-out dispatch at the core count must not lose to serial (on a
     // single-core box the threads == cores entry *is* the serial run, so
     // this degenerates to a tautology rather than punishing the machine).
@@ -710,8 +641,8 @@ fn enforce_gate(report: &Report, tol: f64, cores: usize) -> Result<(), String> {
             "matmul_transpose_right",
         ] {
             check(
-                format!("{section}: spawn@{cores} threads vs serial (x{tol})"),
-                find(section, "spawn", Some(cores)),
+                format!("{section}: pool@{cores} threads vs serial (x{tol})"),
+                find(section, "pool", Some(cores)),
                 find(section, "serial", Some(1)).map(|s| s * tol),
             );
         }
@@ -739,12 +670,12 @@ fn enforce_gate(report: &Report, tol: f64, cores: usize) -> Result<(), String> {
             find("skew_heavy_band", "pool_fixed", None).map(|s| s / 1.5),
         );
     }
-    // Tiling + SIMD must beat (or at worst match) the old scalar untiled
-    // kernel, and land within the roadmap's 1.4x-of-matmul envelope.
+    // Tiling must beat (or at worst match) the untiled kernel, and land
+    // within the roadmap's 1.4x-of-matmul envelope.
     check(
-        format!("transpose_right_tiling: simd_tiled vs scalar_untiled (x{tol})"),
+        format!("transpose_right_tiling: simd_tiled vs simd_untiled (x{tol})"),
         find("transpose_right_tiling", "simd_tiled", None),
-        find("transpose_right_tiling", "scalar_untiled", None).map(|s| s * tol),
+        find("transpose_right_tiling", "simd_untiled", None).map(|s| s * tol),
     );
     check(
         "transpose_right_tiling: simd_tiled within 1.4x of matmul_ref".to_string(),

@@ -545,24 +545,20 @@ mod tests {
             .fit(ds.features())
             .unwrap();
         for threads in [2, 4, 8] {
-            for pool in [false, true] {
-                let policy = ParallelPolicy::new(threads)
-                    .with_min_rows_per_thread(1)
-                    .with_pool(pool);
-                let parallel = AffinityPropagation::default()
-                    .with_target_clusters(3)
-                    .with_parallel(policy)
-                    .fit(ds.features())
-                    .unwrap();
-                assert_eq!(serial.assignment.labels(), parallel.assignment.labels());
-                assert_eq!(serial.exemplars, parallel.exemplars);
-                assert_eq!(serial.iterations, parallel.iterations);
-                assert_eq!(
-                    serial.preference.to_bits(),
-                    parallel.preference.to_bits(),
-                    "bisection must follow the same trajectory"
-                );
-            }
+            let policy = ParallelPolicy::new(threads).with_min_rows_per_thread(1);
+            let parallel = AffinityPropagation::default()
+                .with_target_clusters(3)
+                .with_parallel(policy)
+                .fit(ds.features())
+                .unwrap();
+            assert_eq!(serial.assignment.labels(), parallel.assignment.labels());
+            assert_eq!(serial.exemplars, parallel.exemplars);
+            assert_eq!(serial.iterations, parallel.iterations);
+            assert_eq!(
+                serial.preference.to_bits(),
+                parallel.preference.to_bits(),
+                "bisection must follow the same trajectory"
+            );
         }
     }
 

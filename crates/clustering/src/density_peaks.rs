@@ -376,20 +376,16 @@ mod tests {
             .generate(&mut rng);
         let serial = DensityPeaks::new(3).fit(ds.features()).unwrap();
         for threads in [2, 4, 8] {
-            for pool in [false, true] {
-                let policy = ParallelPolicy::new(threads)
-                    .with_min_rows_per_thread(1)
-                    .with_pool(pool);
-                let parallel = DensityPeaks::new(3)
-                    .with_parallel(policy)
-                    .fit(ds.features())
-                    .unwrap();
-                assert_eq!(serial.assignment.labels(), parallel.assignment.labels());
-                assert_eq!(serial.center_indices, parallel.center_indices);
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&serial.densities), bits(&parallel.densities));
-                assert_eq!(bits(&serial.separations), bits(&parallel.separations));
-            }
+            let policy = ParallelPolicy::new(threads).with_min_rows_per_thread(1);
+            let parallel = DensityPeaks::new(3)
+                .with_parallel(policy)
+                .fit(ds.features())
+                .unwrap();
+            assert_eq!(serial.assignment.labels(), parallel.assignment.labels());
+            assert_eq!(serial.center_indices, parallel.center_indices);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&serial.densities), bits(&parallel.densities));
+            assert_eq!(bits(&serial.separations), bits(&parallel.separations));
         }
     }
 

@@ -411,21 +411,17 @@ mod tests {
             .generate(&mut rng());
         let serial = KMeans::new(3).fit(ds.features(), &mut rng()).unwrap();
         for threads in [2, 4, 8] {
-            for pool in [false, true] {
-                let policy = ParallelPolicy::new(threads)
-                    .with_min_rows_per_thread(1)
-                    .with_pool(pool);
-                let parallel = KMeans::new(3)
-                    .with_parallel(policy)
-                    .fit(ds.features(), &mut rng())
-                    .unwrap();
-                assert_eq!(serial.assignment.labels(), parallel.assignment.labels());
-                assert_eq!(
-                    serial.assignment.centers().as_slice(),
-                    parallel.assignment.centers().as_slice()
-                );
-                assert_eq!(serial.inertia.to_bits(), parallel.inertia.to_bits());
-            }
+            let policy = ParallelPolicy::new(threads).with_min_rows_per_thread(1);
+            let parallel = KMeans::new(3)
+                .with_parallel(policy)
+                .fit(ds.features(), &mut rng())
+                .unwrap();
+            assert_eq!(serial.assignment.labels(), parallel.assignment.labels());
+            assert_eq!(
+                serial.assignment.centers().as_slice(),
+                parallel.assignment.centers().as_slice()
+            );
+            assert_eq!(serial.inertia.to_bits(), parallel.inertia.to_bits());
         }
     }
 

@@ -72,7 +72,7 @@ pub fn align_partitions(partitions: &[Vec<usize>]) -> Result<Vec<Vec<usize>>> {
 /// the reference, and results are collected back in partition order, so
 /// the output — including *which* error surfaces when several partitions
 /// are invalid (always the lowest-index one) — is identical for every
-/// thread count and dispatch mode.
+/// thread count.
 ///
 /// # Errors
 ///
@@ -254,11 +254,9 @@ mod tests {
         }
         let serial = align_partitions(&partitions).unwrap();
         for threads in [2, 4, 8] {
-            for pool in [false, true] {
-                let policy = ParallelPolicy::new(threads).with_pool(pool);
-                let par = align_partitions_with(&partitions, &policy).unwrap();
-                assert_eq!(par, serial, "threads {threads} pool {pool}");
-            }
+            let policy = ParallelPolicy::new(threads);
+            let par = align_partitions_with(&partitions, &policy).unwrap();
+            assert_eq!(par, serial, "threads {threads}");
         }
     }
 }

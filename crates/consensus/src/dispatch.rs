@@ -2,89 +2,53 @@
 //!
 //! The linalg kernels partition *rows*; the consensus stages partition
 //! *tasks* — whole base clusterers and whole partition alignments. Tasks are
-//! few and heavy, so the `min_rows_per_thread` cutover that protects tiny
-//! matrices from spawn latency does not apply here: a policy with a thread
-//! budget above one always fans out (up to one thread per task).
+//! few and heavy, so the `min_rows_per_thread` cutover that keeps tiny
+//! matrices inline does not apply here: a policy with a thread budget above
+//! one always fans out onto the persistent worker pool.
 //!
 //! Determinism discipline matches the kernel layer: every task is a pure
 //! function of its index (any randomness comes from a pre-drawn sub-seed),
 //! results are collected back in index order, and the task bodies themselves
 //! only call bitwise-reproducible kernels — so the output is identical for
-//! every thread count and dispatch mode.
+//! every thread count.
 
 use sls_linalg::{ParallelPolicy, WorkerPool};
 
 /// Runs `task(0..n)` under `policy` and returns the results in index order.
 ///
-/// Dispatch mirrors the linalg kernels: inline when the policy is serial, or
-/// when already inside a pool job — nested dispatch runs inline regardless of
-/// the nested policy's `pool` flag, so a spawn-path policy invoked from a
-/// worker cannot stack fresh scoped threads on an already-saturated machine.
-/// Otherwise the pool path spawns *one job per task*: tasks are few and
-/// heavy (whole clusterers, whole alignments) with very unequal runtimes, so
+/// Dispatch mirrors the linalg kernels: inline when the policy is serial,
+/// when there is at most one task, or when already inside a pool job.
+/// Otherwise it spawns *one pool job per task*: tasks are few and heavy
+/// (whole clusterers, whole alignments) with very unequal runtimes, so
 /// per-task granularity lets the pool's work-stealing rebalance stragglers
-/// instead of pinning a fixed band to each thread. The spawn path keeps
-/// contiguous index bands — fresh threads are too expensive per task.
+/// instead of pinning a fixed band to each thread.
 pub(crate) fn run_indexed<T, F>(n: usize, policy: &ParallelPolicy, task: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let mut threads = if policy.is_serial() {
-        1
-    } else {
-        policy.threads.max(1).min(n)
-    };
-    if threads > 1 && WorkerPool::on_worker_thread() {
-        threads = 1;
-    }
-    if threads <= 1 {
+    if policy.is_serial() || n <= 1 || WorkerPool::on_worker_thread() {
         return (0..n).map(task).collect();
     }
 
     let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
     slots.resize_with(n, || None);
-    if policy.pool {
-        WorkerPool::global().scope(|scope| {
-            let mut rest = slots.as_mut_slice();
-            let mut first = None;
-            for i in 0..n {
-                let (slot, tail) = rest.split_first_mut().expect("n slots");
-                rest = tail;
-                if i == 0 {
-                    first = Some(slot);
-                } else {
-                    let task = &task;
-                    scope.spawn(move || *slot = Some(task(i)));
-                }
-            }
-            // The submitter runs task 0 itself, then helps drain the rest.
-            *first.expect("n >= 2 tasks") = Some(task(0));
-        });
-    } else {
-        let base = n / threads;
-        let extra = n % threads;
-        let mut bands = Vec::with_capacity(threads);
+    WorkerPool::global().scope(|scope| {
         let mut rest = slots.as_mut_slice();
-        let mut start = 0;
-        for t in 0..threads {
-            let len = base + usize::from(t < extra);
-            let (band, tail) = rest.split_at_mut(len);
+        let mut first = None;
+        for i in 0..n {
+            let (slot, tail) = rest.split_first_mut().expect("n slots");
             rest = tail;
-            bands.push((start, band));
-            start += len;
+            if i == 0 {
+                first = Some(slot);
+            } else {
+                let task = &task;
+                scope.spawn(move || *slot = Some(task(i)));
+            }
         }
-        let work = |start: usize, band: &mut [Option<T>]| {
-            for (offset, slot) in band.iter_mut().enumerate() {
-                *slot = Some(task(start + offset));
-            }
-        };
-        std::thread::scope(|scope| {
-            for (band_start, band) in bands {
-                scope.spawn(move || work(band_start, band));
-            }
-        });
-    }
+        // The submitter runs task 0 itself, then helps drain the rest.
+        *first.expect("n >= 2 tasks") = Some(task(0));
+    });
     slots
         .into_iter()
         .map(|slot| slot.expect("every task slot is filled"))
@@ -104,20 +68,14 @@ mod tests {
         let expected: Vec<usize> = (0..23).map(|i| i * i).collect();
         assert_eq!(squares(23, &ParallelPolicy::serial()), expected);
         for threads in [2, 3, 8, 64] {
-            for pool in [false, true] {
-                let policy = ParallelPolicy::new(threads).with_pool(pool);
-                assert_eq!(
-                    squares(23, &policy),
-                    expected,
-                    "threads {threads} pool {pool}"
-                );
-            }
+            let policy = ParallelPolicy::new(threads);
+            assert_eq!(squares(23, &policy), expected, "threads {threads}");
         }
     }
 
     #[test]
     fn degenerate_sizes_are_handled() {
-        let policy = ParallelPolicy::new(4).with_pool(true);
+        let policy = ParallelPolicy::new(4);
         assert_eq!(squares(0, &policy), Vec::<usize>::new());
         assert_eq!(squares(1, &policy), vec![0]);
     }

@@ -245,9 +245,9 @@ impl LocalSupervisionBuilder {
     /// consumes its own [`ChaCha8Rng`] seeded from that value. The caller's
     /// RNG therefore advances by exactly `clusterers.len()` draws no matter
     /// how the work is scheduled, and every clusterer sees the same random
-    /// stream whether it runs inline, on scoped threads or on the worker
-    /// pool — parallel output is *identical* to serial output by
-    /// construction (the same invariant discipline as the linalg kernels).
+    /// stream whether it runs inline or on the worker pool — parallel
+    /// output is *identical* to serial output by construction (the same
+    /// invariant discipline as the linalg kernels).
     ///
     /// # Errors
     ///

@@ -1,8 +1,7 @@
-//! Property suite for the PR's central invariant: consensus supervision
-//! built under ANY dispatch policy — serial, scoped spawns or the
-//! persistent worker pool, with the SIMD inner loops on or off, across
-//! thread budgets 1–8 — is *identical* to the serial build, and consumes
-//! the caller's RNG identically.
+//! Property suite for the parallel consensus invariant: supervision built
+//! under ANY policy — serial or on the persistent worker pool, across
+//! thread budgets 1–8 and chunk sizes — is *identical* to the serial build,
+//! and consumes the caller's RNG identically.
 //!
 //! The invariant holds by construction (per-clusterer sub-seeds are drawn
 //! serially before any clusterer runs; every per-row reduction keeps the
@@ -13,7 +12,7 @@ use rand_chacha::ChaCha8Rng;
 use sls_clustering::{AffinityPropagation, Clusterer, DensityPeaks, KMeans};
 use sls_consensus::{LocalSupervision, LocalSupervisionBuilder, VotingPolicy};
 use sls_datasets::SyntheticBlobs;
-use sls_linalg::{Matrix, ParallelPolicy, SimdPolicy};
+use sls_linalg::{Matrix, ParallelPolicy};
 
 const K: usize = 3;
 const SEED: u64 = 4242;
@@ -52,8 +51,8 @@ fn build(data: &Matrix, policy: ParallelPolicy, voting: VotingPolicy) -> (LocalS
     (supervision, rng.next_u64())
 }
 
-/// Every point of the {serial, spawn, pool} x {simd on, off} x threads 1–8
-/// grid must reproduce the serial supervision exactly: same membership,
+/// Every point of the threads 1–8 x {adaptive, single-row} chunking grid
+/// must reproduce the serial supervision exactly: same membership,
 /// same cluster count, same covered indices, same RNG consumption.
 #[test]
 fn consensus_is_identical_to_serial_across_the_policy_grid() {
@@ -63,34 +62,31 @@ fn consensus_is_identical_to_serial_across_the_policy_grid() {
     assert!(reference.n_clusters() > 0, "reference supervision is empty");
 
     for threads in 1..=8usize {
-        for pool in [false, true] {
-            for simd in [SimdPolicy::Lanes4, SimdPolicy::Scalar] {
-                let policy = ParallelPolicy::new(threads)
-                    .with_min_rows_per_thread(1)
-                    .with_pool(pool)
-                    .with_simd(simd);
-                let (supervision, draw) = build(&data, policy, VotingPolicy::Unanimous);
-                let label = format!("threads={threads} pool={pool} simd={simd:?}");
-                assert_eq!(
-                    supervision.membership(),
-                    reference.membership(),
-                    "membership diverged under {label}"
-                );
-                assert_eq!(
-                    supervision.n_clusters(),
-                    reference.n_clusters(),
-                    "cluster count diverged under {label}"
-                );
-                assert_eq!(
-                    supervision.covered_indices(),
-                    reference.covered_indices(),
-                    "coverage diverged under {label}"
-                );
-                assert_eq!(
-                    draw, reference_draw,
-                    "caller RNG consumption diverged under {label}"
-                );
-            }
+        for chunk_rows in [0, 1] {
+            let policy = ParallelPolicy::new(threads)
+                .with_min_rows_per_thread(1)
+                .with_chunk_rows(chunk_rows);
+            let (supervision, draw) = build(&data, policy, VotingPolicy::Unanimous);
+            let label = format!("threads={threads} chunk_rows={chunk_rows}");
+            assert_eq!(
+                supervision.membership(),
+                reference.membership(),
+                "membership diverged under {label}"
+            );
+            assert_eq!(
+                supervision.n_clusters(),
+                reference.n_clusters(),
+                "cluster count diverged under {label}"
+            );
+            assert_eq!(
+                supervision.covered_indices(),
+                reference.covered_indices(),
+                "coverage diverged under {label}"
+            );
+            assert_eq!(
+                draw, reference_draw,
+                "caller RNG consumption diverged under {label}"
+            );
         }
     }
 }
@@ -100,9 +96,7 @@ fn consensus_is_identical_to_serial_across_the_policy_grid() {
 #[test]
 fn pooled_consensus_matches_serial_for_every_voting_policy() {
     let data = blobs();
-    let pooled = ParallelPolicy::new(4)
-        .with_min_rows_per_thread(1)
-        .with_pool(true);
+    let pooled = ParallelPolicy::new(4).with_min_rows_per_thread(1);
     for voting in [
         VotingPolicy::Unanimous,
         VotingPolicy::Majority,

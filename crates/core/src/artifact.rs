@@ -438,9 +438,8 @@ impl PipelineArtifact {
         // Bias broadcast and sigmoid fused into one row-wise pass, matching
         // `BoltzmannMachine::hidden_probabilities_with` bit for bit.
         let bias = &self.params.hidden_bias;
-        let simd = parallel.simd;
         Ok(logits.map_rows_with(bias.len(), parallel, |_, row, out| {
-            sls_linalg::simd::fused_bias_sigmoid(row, bias, out, simd);
+            sls_linalg::simd::fused_bias_sigmoid(row, bias, out);
         }))
     }
 
@@ -751,18 +750,14 @@ mod tests {
             let serial = pre
                 .transform_with(&unseen, &ParallelPolicy::serial())
                 .unwrap();
-            for pool in [false, true] {
-                let policy = ParallelPolicy::new(4)
-                    .with_min_rows_per_thread(1)
-                    .with_pool(pool);
-                let par = pre.transform_with(&unseen, &policy).unwrap();
-                let same = serial
-                    .as_slice()
-                    .iter()
-                    .zip(par.as_slice())
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-                assert!(same, "{:?} pool = {pool}", pre.kind());
-            }
+            let policy = ParallelPolicy::new(4).with_min_rows_per_thread(1);
+            let par = pre.transform_with(&unseen, &policy).unwrap();
+            let same = serial
+                .as_slice()
+                .iter()
+                .zip(par.as_slice())
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "{:?}", pre.kind());
         }
     }
 
@@ -778,23 +773,18 @@ mod tests {
             .artifact
             .assign_with(&rows, &ParallelPolicy::serial())
             .unwrap();
-        for pool in [false, true] {
-            let policy = ParallelPolicy::new(4)
-                .with_min_rows_per_thread(1)
-                .with_pool(pool);
-            let par = f.artifact.features_with(&rows, &policy).unwrap();
-            let same = serial
-                .as_slice()
-                .iter()
-                .zip(par.as_slice())
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "pool = {pool}");
-            assert_eq!(
-                f.artifact.assign_with(&rows, &policy).unwrap(),
-                serial_assign,
-                "pool = {pool}"
-            );
-        }
+        let policy = ParallelPolicy::new(4).with_min_rows_per_thread(1);
+        let par = f.artifact.features_with(&rows, &policy).unwrap();
+        let same = serial
+            .as_slice()
+            .iter()
+            .zip(par.as_slice())
+            .all(|(a, b)| a.to_bits() == b.to_bits());
+        assert!(same);
+        assert_eq!(
+            f.artifact.assign_with(&rows, &policy).unwrap(),
+            serial_assign
+        );
     }
 
     #[test]

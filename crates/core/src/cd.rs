@@ -208,10 +208,9 @@ impl CdTrainer {
     }
 
     fn with_parallel_policy(config: TrainConfig, parallel: ParallelPolicy) -> Self {
-        if parallel.pool {
-            // Warm the persistent pool once at trainer construction: every
-            // mini-batch of every epoch then reuses the same workers instead
-            // of paying per-call thread spawns (or a first-batch pool start).
+        if !parallel.is_serial() {
+            // Warm the persistent pool once at trainer construction, so the
+            // first mini-batch does not pay the pool start.
             let _ = WorkerPool::global();
         }
         Self { config, parallel }
@@ -471,23 +470,10 @@ mod tests {
             ParallelPolicy::serial(),
             ParallelPolicy::new(4).with_min_rows_per_thread(1),
             ParallelPolicy::new(7).with_min_rows_per_thread(2),
-            // Persistent-pool dispatch: same identity contract, reusing the
-            // process-global workers across all epochs.
+            // Single-row chunks: the most aggressive stealing reorder.
             ParallelPolicy::new(4)
                 .with_min_rows_per_thread(1)
-                .with_pool(true),
-            ParallelPolicy::new(7)
-                .with_min_rows_per_thread(2)
-                .with_pool(true),
-            // The SIMD axis: the scalar fallback computes the same
-            // canonical reduction order as the unrolled default, so the
-            // trained parameters must stay identical with SIMD forced off,
-            // serial and fanned-out alike.
-            ParallelPolicy::serial().with_simd(sls_linalg::SimdPolicy::Scalar),
-            ParallelPolicy::new(4)
-                .with_min_rows_per_thread(1)
-                .with_pool(true)
-                .with_simd(sls_linalg::SimdPolicy::Scalar),
+                .with_chunk_rows(1),
         ] {
             let mut model = Rbm::new(6, 4, &mut rng());
             CdTrainer::new(config)

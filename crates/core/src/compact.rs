@@ -28,7 +28,7 @@
 //! [`Matrix::map_rows_with`] dispatch as the full path, with a scalar
 //! ascending-`k` accumulation per output element. Rows are independent and
 //! the reduction order is fixed, so compact results are **bitwise identical
-//! across {serial, spawn, pool} × {simd on, off}** by construction — the
+//! across serial and pooled execution** by construction — the
 //! serving layer's identity discipline holds for quantized models too.
 //!
 //! [`CompactParams`] is a *serving* form, not a persistence form: artifacts
@@ -116,7 +116,7 @@ impl CompactParams {
     ///
     /// Per output element the products accumulate in `f64` in ascending-`k`
     /// order and the sigmoid is the shared [`sls_linalg::simd::sigmoid`];
-    /// neither depends on the policy's thread count or simd knob, so the
+    /// neither depends on the policy's thread count or chunking, so the
     /// result is bitwise identical for every [`ParallelPolicy`].
     ///
     /// # Errors
@@ -309,28 +309,22 @@ mod tests {
         let serial_assign = compact
             .assign_with(&rows, &ParallelPolicy::serial())
             .unwrap();
-        for pool in [false, true] {
-            for simd in [
-                sls_linalg::SimdPolicy::Scalar,
-                sls_linalg::SimdPolicy::Lanes4,
-            ] {
-                let policy = ParallelPolicy::new(4)
-                    .with_min_rows_per_thread(1)
-                    .with_pool(pool)
-                    .with_simd(simd);
-                let par = compact.features_with(&rows, &policy).unwrap();
-                let same = serial
-                    .as_slice()
-                    .iter()
-                    .zip(par.as_slice())
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-                assert!(same, "pool = {pool}, simd = {simd:?}");
-                assert_eq!(
-                    compact.assign_with(&rows, &policy).unwrap(),
-                    serial_assign,
-                    "pool = {pool}, simd = {simd:?}"
-                );
-            }
+        for chunk_rows in [0, 1] {
+            let policy = ParallelPolicy::new(4)
+                .with_min_rows_per_thread(1)
+                .with_chunk_rows(chunk_rows);
+            let par = compact.features_with(&rows, &policy).unwrap();
+            let same = serial
+                .as_slice()
+                .iter()
+                .zip(par.as_slice())
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "chunk_rows = {chunk_rows}");
+            assert_eq!(
+                compact.assign_with(&rows, &policy).unwrap(),
+                serial_assign,
+                "chunk_rows = {chunk_rows}"
+            );
         }
     }
 

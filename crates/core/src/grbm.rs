@@ -56,11 +56,10 @@ impl BoltzmannMachine for Grbm {
     ) -> Result<Matrix> {
         let pre = hidden.matmul_transpose_right_with(&self.params.weights, parallel)?;
         // Linear mean `a + h Wᵀ`: bias broadcast as one row-wise pass
-        // through the simd layer (bitwise identical for either knob).
+        // through the simd layer.
         let bias = &self.params.visible_bias;
-        let simd = parallel.simd;
         Ok(pre.map_rows_with(bias.len(), parallel, |_, row, out| {
-            sls_linalg::simd::fused_bias_add(row, bias, out, simd);
+            sls_linalg::simd::fused_bias_add(row, bias, out);
         }))
     }
 }

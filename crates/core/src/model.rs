@@ -147,13 +147,10 @@ pub trait BoltzmannMachine {
         let pre = visible.matmul_with(&params.weights, parallel)?;
         // Bias broadcast and sigmoid fused into one row-wise pass: same
         // per-element arithmetic as broadcast-then-map, one less allocation.
-        // The pass runs through the simd layer under the policy's knob;
-        // results are bitwise identical either way.
         let n_hidden = params.n_hidden();
         let bias = &params.hidden_bias;
-        let simd = parallel.simd;
         Ok(pre.map_rows_with(n_hidden, parallel, |_, row, out| {
-            sls_linalg::simd::fused_bias_sigmoid(row, bias, out, simd);
+            sls_linalg::simd::fused_bias_sigmoid(row, bias, out);
         }))
     }
 

@@ -85,11 +85,10 @@ impl BoltzmannMachine for Rbm {
     ) -> Result<Matrix> {
         let pre = hidden.matmul_transpose_right_with(&self.params.weights, parallel)?;
         // Bias broadcast and sigmoid fused into one row-wise pass through
-        // the simd layer (bitwise identical for either knob setting).
+        // the simd layer.
         let bias = &self.params.visible_bias;
-        let simd = parallel.simd;
         Ok(pre.map_rows_with(bias.len(), parallel, |_, row, out| {
-            sls_linalg::simd::fused_bias_sigmoid(row, bias, out, simd);
+            sls_linalg::simd::fused_bias_sigmoid(row, bias, out);
         }))
     }
 }

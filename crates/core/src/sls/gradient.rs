@@ -217,8 +217,6 @@ mod tests {
     const POL: ParallelPolicy = ParallelPolicy {
         threads: 1,
         min_rows_per_thread: 64,
-        pool: false,
-        simd: sls_linalg::SimdPolicy::Lanes4,
         chunk_rows: 0,
     };
 
@@ -397,13 +395,10 @@ mod tests {
         let hidden = hidden_of(&params, &visible);
         let serial = sls_batch_gradients(&params, &visible, &hidden, &clusters, &POL).unwrap();
         for threads in [2, 4, 8] {
-            for simd in [
-                sls_linalg::SimdPolicy::Lanes4,
-                sls_linalg::SimdPolicy::Scalar,
-            ] {
+            for chunk_rows in [0, 1] {
                 let policy = ParallelPolicy::new(threads)
                     .with_min_rows_per_thread(1)
-                    .with_simd(simd);
+                    .with_chunk_rows(chunk_rows);
                 let par =
                     sls_batch_gradients(&params, &visible, &hidden, &clusters, &policy).unwrap();
                 assert_eq!(serial.dw.as_slice(), par.dw.as_slice(), "{policy:?}");

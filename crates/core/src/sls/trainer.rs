@@ -50,10 +50,10 @@ impl SlsTrainer {
     }
 
     /// Warms the persistent pool once at trainer construction when the
-    /// policy uses it, so every mini-batch of every epoch reuses the same
-    /// workers.
+    /// policy can fan out, so the first mini-batch does not pay the pool
+    /// start.
     fn warmed(self) -> Self {
-        if self.parallel.pool {
+        if !self.parallel.is_serial() {
             let _ = sls_linalg::WorkerPool::global();
         }
         self
@@ -334,28 +334,16 @@ mod tests {
         for threads in [2, 8] {
             let par = train_one(ParallelPolicy::new(threads).with_min_rows_per_thread(1));
             assert_eq!(serial.params(), par.params(), "threads = {threads}");
-            // Same identity through the persistent worker pool.
-            let pooled = train_one(
+            // Same identity with single-row chunks.
+            let chunked = train_one(
                 ParallelPolicy::new(threads)
                     .with_min_rows_per_thread(1)
-                    .with_pool(true),
+                    .with_chunk_rows(1),
             );
             assert_eq!(
                 serial.params(),
-                pooled.params(),
-                "pooled threads = {threads}"
-            );
-            // And with the SIMD layer forced to its scalar fallback: same
-            // canonical reduction order, identical trained parameters.
-            let scalar_simd = train_one(
-                ParallelPolicy::new(threads)
-                    .with_min_rows_per_thread(1)
-                    .with_simd(sls_linalg::SimdPolicy::Scalar),
-            );
-            assert_eq!(
-                serial.params(),
-                scalar_simd.params(),
-                "simd-off threads = {threads}"
+                chunked.params(),
+                "single-row chunks threads = {threads}"
             );
         }
     }

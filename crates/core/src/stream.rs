@@ -745,34 +745,30 @@ mod tests {
         let source = bernoulli_source(26, 6, 9, 13);
         let serial = straight_run(ModelKind::Grbm, &source, None, 2);
         for threads in [2, 4] {
-            for pool in [false, true] {
-                let policy = ParallelPolicy::new(threads)
-                    .with_min_rows_per_thread(1)
-                    .with_pool(pool);
-                let mut checkpoint = TrainCheckpoint::fresh(
-                    ModelKind::Grbm,
-                    source.n_features(),
-                    5,
-                    quick_config(2),
-                    99,
+            let policy = ParallelPolicy::new(threads).with_min_rows_per_thread(1);
+            let mut checkpoint = TrainCheckpoint::fresh(
+                ModelKind::Grbm,
+                source.n_features(),
+                5,
+                quick_config(2),
+                99,
+            )
+            .unwrap();
+            StreamTrainer::new()
+                .with_parallel(policy)
+                .advance(
+                    &mut checkpoint,
+                    &source,
+                    &FittedPreprocessor::Identity,
+                    None,
+                    StreamLimit::ToCompletion,
                 )
                 .unwrap();
-                StreamTrainer::new()
-                    .with_parallel(policy)
-                    .advance(
-                        &mut checkpoint,
-                        &source,
-                        &FittedPreprocessor::Identity,
-                        None,
-                        StreamLimit::ToCompletion,
-                    )
-                    .unwrap();
-                assert_eq!(
-                    serial.params.weights.as_slice(),
-                    checkpoint.params.weights.as_slice(),
-                    "threads={threads} pool={pool}"
-                );
-            }
+            assert_eq!(
+                serial.params.weights.as_slice(),
+                checkpoint.params.weights.as_slice(),
+                "threads={threads}"
+            );
         }
     }
 

@@ -3,7 +3,7 @@
 //! The serving contract for compact mode is documented in the `compact`
 //! module: every feature element stays within `1e-6 · (1 + |full|)` of the
 //! full-precision path, and the compact forward pass is bitwise identical
-//! across the {serial, spawn, pool} × {simd on, simd off} policy grid.
+//! across serial and pooled policies at every thread count and chunk size.
 //! These properties enforce both on randomly generated artifacts (weights,
 //! biases, preprocessors and cluster heads far rougher than anything
 //! training produces) and on every serving endpoint's compute: `/features`
@@ -12,7 +12,7 @@
 //! against quantization).
 
 use proptest::prelude::*;
-use sls_linalg::{Matrix, ParallelPolicy, SimdPolicy};
+use sls_linalg::{Matrix, ParallelPolicy};
 use sls_rbm_core::{
     ClusterHead, CompactArtifact, FittedPreprocessor, ModelKind, PipelineArtifact, Preprocessing,
     RbmParams,
@@ -26,19 +26,17 @@ struct Case {
     rows: Matrix,
 }
 
-/// The {serial, spawn, pool} × {simd on, simd off} grid the acceptance
-/// criteria name, with an eager cutover so the 4-thread policies really fan
-/// out on the generated row counts.
+/// The serial reference plus pooled policies with an eager cutover, so
+/// they really fan out on the generated row counts, at adaptive and
+/// single-row chunking.
 fn policy_grid() -> Vec<ParallelPolicy> {
-    let mut grid = Vec::new();
-    for simd in [SimdPolicy::Scalar, SimdPolicy::Lanes4] {
-        grid.push(ParallelPolicy::serial().with_simd(simd));
-        for pool in [false, true] {
+    let mut grid = vec![ParallelPolicy::serial()];
+    for threads in [2, 4] {
+        for chunk_rows in [0, 1] {
             grid.push(
-                ParallelPolicy::new(4)
+                ParallelPolicy::new(threads)
                     .with_min_rows_per_thread(1)
-                    .with_pool(pool)
-                    .with_simd(simd),
+                    .with_chunk_rows(chunk_rows),
             );
         }
     }

@@ -196,13 +196,9 @@ mod tests {
         let serial = b
             .transform_with(&unseen, &ParallelPolicy::serial())
             .unwrap();
-        for pool in [false, true] {
-            let policy = ParallelPolicy::new(4)
-                .with_min_rows_per_thread(1)
-                .with_pool(pool);
-            let par = b.transform_with(&unseen, &policy).unwrap();
-            assert_eq!(par, serial, "pool = {pool}");
-        }
+        let policy = ParallelPolicy::new(4).with_min_rows_per_thread(1);
+        let par = b.transform_with(&unseen, &policy).unwrap();
+        assert_eq!(par, serial);
     }
 
     #[test]

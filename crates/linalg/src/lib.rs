@@ -24,13 +24,11 @@
 //!   parallel variants behind [`ParallelPolicy`] (see the `*_with` methods);
 //!   parallel results are **bitwise identical** to serial ones, so turning
 //!   parallelism on never changes a reproduced number. Fanned-out kernels
-//!   run on scoped threads or, with the policy's `pool` flag, on the
-//!   persistent [`WorkerPool`] that removes per-call thread-spawn latency.
+//!   run on the persistent [`WorkerPool`], so no call pays thread-spawn
+//!   latency.
 //! * The kernel inner loops run through the [`mod@simd`] layer: manually
-//!   unrolled 4-lane building blocks (autovectorisable on stable Rust) with
-//!   a scalar fallback ([`SimdPolicy`], env `SLS_SIMD`) that computes the
-//!   same canonical reduction order — so the SIMD axis, like the thread
-//!   axis, never changes an output bit. `matmul_transpose_right` adds
+//!   unrolled 4-lane building blocks (autovectorisable on stable Rust) that
+//!   commit to one canonical reduction order. `matmul_transpose_right` adds
 //!   `j`-loop cache tiling on top (see
 //!   [`Matrix::matmul_transpose_right_tiled_with`]).
 //!
@@ -64,12 +62,9 @@ pub use matrix::Matrix;
 pub use norms::{
     euclidean_distance, pairwise_distances, pairwise_distances_with, squared_euclidean_distance,
 };
-pub use parallel::{
-    ParallelPolicy, DEFAULT_MIN_ROWS_PER_THREAD, ENV_MIN_ROWS, ENV_POOL, ENV_SIMD, ENV_THREADS,
-};
+pub use parallel::{ParallelPolicy, DEFAULT_MIN_ROWS_PER_THREAD, ENV_MIN_ROWS, ENV_THREADS};
 pub use pool::{PoolScope, WorkerPool};
 pub use random::MatrixRandomExt;
-pub use simd::SimdPolicy;
 pub use stats::{ColumnStats, Standardizer};
 pub use vector::{
     add_assign, axpy, dot, l1_norm, l2_norm, linf_norm, mean, scale, scale_assign, sub, variance,

@@ -133,13 +133,9 @@ mod tests {
         .unwrap();
         let serial = pairwise_distances(&data);
         for threads in [1, 2, 4, 8] {
-            for pool in [false, true] {
-                let policy = ParallelPolicy::new(threads)
-                    .with_min_rows_per_thread(1)
-                    .with_pool(pool);
-                let parallel = pairwise_distances_with(&data, &policy);
-                assert_eq!(serial.as_slice(), parallel.as_slice());
-            }
+            let policy = ParallelPolicy::new(threads).with_min_rows_per_thread(1);
+            let parallel = pairwise_distances_with(&data, &policy);
+            assert_eq!(serial.as_slice(), parallel.as_slice());
         }
     }
 

@@ -166,12 +166,8 @@ impl Matrix {
         }
         // Same canonical-order dot as `matmul_transpose_right`, so a
         // matrix-vector product stays bitwise-consistent with the one-row
-        // matrix product under every SIMD setting.
-        let simd = ParallelPolicy::global().simd;
-        Ok(self
-            .row_iter()
-            .map(|r| crate::simd::dot(r, x, simd))
-            .collect())
+        // matrix product.
+        Ok(self.row_iter().map(|r| crate::simd::dot(r, x)).collect())
     }
 
     /// Vector-matrix product `xᵀ · self` (row vector times matrix).
@@ -190,11 +186,10 @@ impl Matrix {
         let mut out = vec![0.0; self.cols()];
         // No zero-skip on `xi`: `0.0 × NaN` must stay NaN (IEEE) so a
         // diverged matrix is never masked by a sparse vector. The inner
-        // axpy is element-wise, so the SIMD layer keeps the accumulation
+        // axpy is element-wise, so its unrolling keeps the accumulation
         // order (ascending i) bit-for-bit.
-        let simd = ParallelPolicy::global().simd;
         for (i, &xi) in x.iter().enumerate() {
-            crate::simd::axpy(xi, self.row(i), &mut out, simd);
+            crate::simd::axpy(xi, self.row(i), &mut out);
         }
         Ok(out)
     }

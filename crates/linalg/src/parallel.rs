@@ -3,9 +3,8 @@
 //! Every product in the workspace's hot paths — `V·W` (visible → hidden
 //! pre-activations), `H·Wᵀ` (reconstruction) and `Vᵀ·H` (CD statistics) —
 //! writes each output row independently, so the natural parallel
-//! decomposition is to hand contiguous blocks of *output rows* to scoped
-//! threads ([`std::thread::scope`], no extra dependency, no `'static`
-//! bounds).
+//! decomposition is to hand contiguous chunks of *output rows* to the
+//! process-wide persistent [`WorkerPool`].
 //!
 //! ## Bitwise reproducibility
 //!
@@ -13,36 +12,30 @@
 //! element across threads: each output row is produced by exactly one
 //! thread running the exact serial inner loop, in the exact serial
 //! accumulation order. Parallel results are therefore **bitwise identical**
-//! to serial results for every thread count — the paper's tables reproduce
-//! identically whether a run used 1 thread or 16. The property tests in
-//! `tests/properties.rs` assert this across random shapes and policies.
+//! to serial results for every thread count and chunk size — the paper's
+//! tables reproduce identically whether a run used 1 thread or 16. The
+//! property tests in `tests/properties.rs` assert this across random shapes
+//! and policies.
 //!
 //! ## Policy
 //!
-//! [`ParallelPolicy`] carries the thread budget and a `min_rows_per_thread`
-//! cutover: a kernel only fans out when every thread would receive at least
-//! that many rows, so small matrices (single serving rows, tiny batches)
-//! never pay thread-spawn latency. The process-wide default policy is
-//! serial; it can be overridden programmatically
+//! [`ParallelPolicy`] carries the thread budget, a `min_rows_per_thread`
+//! cutover and a chunk size. A kernel only fans out when every thread would
+//! receive at least `min_rows_per_thread` rows, so small matrices (single
+//! serving rows, tiny batches) stay inline on the calling thread. With
+//! `threads > 1` a kernel always runs on the persistent [`WorkerPool`],
+//! which carries no per-call thread-spawn cost. The process-wide default
+//! policy is serial; it can be overridden programmatically
 //! ([`ParallelPolicy::set_global`]) or through the environment
-//! (`SLS_PARALLEL_THREADS`, `SLS_PARALLEL_MIN_ROWS`, `SLS_PARALLEL_POOL`),
-//! which is how CI runs the whole test suite with parallel kernels forced
-//! on.
-//!
-//! ## Dispatch: spawn-per-call vs the persistent pool
-//!
-//! A fanned-out kernel executes its row bands either on fresh scoped
-//! threads (`pool = false`, the spawn-per-call path) or on the process-wide
-//! persistent [`WorkerPool`] (`pool = true`), which removes the ~10–50 µs
-//! thread-spawn cost from every call — the difference that makes small
-//! serving micro-batches profitable to parallelise. Both paths run the
-//! identical per-row code, so the choice never changes a single output bit.
+//! (`SLS_PARALLEL_THREADS`, `SLS_PARALLEL_MIN_ROWS`,
+//! `SLS_PARALLEL_CHUNK_ROWS`), which is how CI runs the whole test suite
+//! with parallel kernels forced on.
 
 use crate::pool::WorkerPool;
-use crate::simd::{self, SimdPolicy};
+use crate::simd;
 use crate::{LinalgError, Matrix, Result};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Once;
 
 /// Default `min_rows_per_thread`: small enough that training-scale matrices
@@ -56,25 +49,13 @@ pub const ENV_THREADS: &str = "SLS_PARALLEL_THREADS";
 /// Environment variable overriding the global `min_rows_per_thread` cutover.
 pub const ENV_MIN_ROWS: &str = "SLS_PARALLEL_MIN_ROWS";
 
-/// Environment variable enabling the persistent worker pool for the global
-/// policy (`1`/`true` to enable, `0`/`false` to disable).
-pub const ENV_POOL: &str = "SLS_PARALLEL_POOL";
-
-/// Environment variable overriding the global pooled-dispatch chunk size
-/// (rows per chunk; `0` = adaptive — see [`ParallelPolicy::chunk_rows`]).
+/// Environment variable overriding the global chunk size (rows per chunk;
+/// `0` = adaptive — see [`ParallelPolicy::chunk_rows`]).
 pub const ENV_CHUNK_ROWS: &str = "SLS_PARALLEL_CHUNK_ROWS";
-
-/// Environment variable selecting the SIMD execution layer for the global
-/// policy (`1`/`true` for the unrolled 4-lane inner loops — the default —
-/// `0`/`false` for the scalar fallback). Outputs are bitwise identical
-/// either way; see [`SimdPolicy`].
-pub const ENV_SIMD: &str = "SLS_SIMD";
 
 static GLOBAL_INIT: Once = Once::new();
 static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(1);
 static GLOBAL_MIN_ROWS: AtomicUsize = AtomicUsize::new(DEFAULT_MIN_ROWS_PER_THREAD);
-static GLOBAL_POOL: AtomicBool = AtomicBool::new(false);
-static GLOBAL_SIMD: AtomicBool = AtomicBool::new(true);
 static GLOBAL_CHUNK_ROWS: AtomicUsize = AtomicUsize::new(0);
 
 /// How (and whether) the matrix kernels fan work out across threads.
@@ -86,41 +67,30 @@ static GLOBAL_CHUNK_ROWS: AtomicUsize = AtomicUsize::new(0);
 /// case around it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelPolicy {
-    /// Maximum number of worker threads a kernel may use (at least 1).
+    /// Maximum number of threads a kernel may use (at least 1). Above 1,
+    /// kernels run on the process-wide persistent [`WorkerPool`].
     pub threads: usize,
     /// A kernel stays serial unless every thread would receive at least
     /// this many output rows.
     pub min_rows_per_thread: usize,
-    /// Execute row bands on the process-wide persistent [`WorkerPool`]
-    /// instead of spawning scoped threads per call. Outputs are bitwise
-    /// identical either way; the pool only removes per-call spawn latency.
-    pub pool: bool,
-    /// Which inner-loop execution layer the kernels use: the unrolled
-    /// autovectorisable form ([`SimdPolicy::Lanes4`], the default) or the
-    /// scalar fallback. Both compute the same canonical reduction order, so
-    /// outputs are bitwise identical either way.
-    pub simd: SimdPolicy,
-    /// Rows per chunk for pooled dispatch; `0` (the default) sizes chunks
+    /// Rows per chunk for fanned-out calls; `0` (the default) sizes chunks
     /// adaptively from the row count and a per-row cost hint (see
-    /// [`ParallelPolicy::chunk_rows`]). Pooled kernel calls are split into
-    /// *more chunks than threads* so the pool's work-stealing can rebalance
-    /// ragged per-row costs; the chunk size only reorders *when* a row is
-    /// computed, never its accumulation order, so every value is bitwise
-    /// identical for every chunk size.
+    /// [`ParallelPolicy::chunk_rows`]). Fanned-out kernel calls are split
+    /// into *more chunks than threads* so the pool's work-stealing can
+    /// rebalance ragged per-row costs; the chunk size only reorders *when*
+    /// a row is computed, never its accumulation order, so every value is
+    /// bitwise identical for every chunk size.
     pub chunk_rows: usize,
 }
 
 // Hand-written (de)serialisation instead of the derive: `ParallelPolicy`
-// has been a public `Serialize`/`Deserialize` type since before the `pool`,
-// `simd` and `chunk_rows` fields existed, so policy JSON persisted by
-// earlier builds lacks them. The vendored derive treats every named field
-// as required (it skips attributes, so `#[serde(default)]` would be
-// silently ignored); these impls accept a missing `pool` as `false` — the
-// exact behaviour of the builds that wrote such documents — a missing
-// `simd` as enabled, and a missing `chunk_rows` as adaptive (`0`), the
-// crate-wide defaults (safe because neither the SIMD layer nor the chunk
-// size ever changes an output bit, unlike `pool = true` which would change
-// *which threads* run).
+// has been a public `Serialize`/`Deserialize` type since before
+// `chunk_rows` existed, and documents written by earlier builds may also
+// carry the retired `pool` / `simd` keys. The vendored derive treats every
+// named field as required (it skips attributes, so `#[serde(default)]`
+// would be silently ignored); these impls read a missing `chunk_rows` as
+// adaptive (`0`) and never look at `pool` / `simd`, neither of which ever
+// changed an output bit.
 impl serde::Serialize for ParallelPolicy {
     fn to_value(&self) -> serde::Value {
         serde::Value::Object(vec![
@@ -129,8 +99,6 @@ impl serde::Serialize for ParallelPolicy {
                 "min_rows_per_thread".to_string(),
                 self.min_rows_per_thread.to_value(),
             ),
-            ("pool".to_string(), self.pool.to_value()),
-            ("simd".to_string(), self.simd.is_enabled().to_value()),
             ("chunk_rows".to_string(), self.chunk_rows.to_value()),
         ])
     }
@@ -141,14 +109,6 @@ impl serde::Deserialize for ParallelPolicy {
         let entries = value
             .as_object()
             .ok_or_else(|| serde::DeError::mismatch("object", value))?;
-        let pool = match entries.iter().find(|(name, _)| name == "pool") {
-            Some((_, v)) => serde::Deserialize::from_value(v)?,
-            None => false,
-        };
-        let simd = match entries.iter().find(|(name, _)| name == "simd") {
-            Some((_, v)) => SimdPolicy::from_enabled(serde::Deserialize::from_value(v)?),
-            None => SimdPolicy::default(),
-        };
         let chunk_rows = match entries.iter().find(|(name, _)| name == "chunk_rows") {
             Some((_, v)) => serde::Deserialize::from_value(v)?,
             None => 0,
@@ -159,8 +119,6 @@ impl serde::Deserialize for ParallelPolicy {
                 entries,
                 "min_rows_per_thread",
             )?)?,
-            pool,
-            simd,
             chunk_rows,
         })
     }
@@ -179,8 +137,6 @@ impl ParallelPolicy {
         Self {
             threads: 1,
             min_rows_per_thread: DEFAULT_MIN_ROWS_PER_THREAD,
-            pool: false,
-            simd: SimdPolicy::default(),
             chunk_rows: 0,
         }
     }
@@ -191,8 +147,6 @@ impl ParallelPolicy {
         Self {
             threads: resolve_threads(threads),
             min_rows_per_thread: DEFAULT_MIN_ROWS_PER_THREAD,
-            pool: false,
-            simd: SimdPolicy::default(),
             chunk_rows: 0,
         }
     }
@@ -208,36 +162,27 @@ impl ParallelPolicy {
         self
     }
 
-    /// Routes fanned-out kernels through the process-wide persistent
-    /// [`WorkerPool`] instead of spawning scoped threads per call. Results
-    /// are bitwise identical either way.
-    pub fn with_pool(mut self, pool: bool) -> Self {
-        self.pool = pool;
+    /// Kept for source compatibility with callers written when kernels
+    /// could also run on per-call scoped threads: every fanned-out kernel
+    /// now runs on the persistent [`WorkerPool`], so this returns `self`
+    /// unchanged.
+    pub fn with_pool(self, _pool: bool) -> Self {
         self
     }
 
-    /// Selects the inner-loop execution layer (unrolled 4-lane vs scalar
-    /// fallback). Results are bitwise identical either way; see
-    /// [`SimdPolicy`].
-    pub fn with_simd(mut self, simd: SimdPolicy) -> Self {
-        self.simd = simd;
-        self
-    }
-
-    /// Fixes the pooled-dispatch chunk size to `chunk_rows` rows per chunk
-    /// (`0` restores the adaptive default). Results are bitwise identical
-    /// for every chunk size — the knob only trades scheduling overhead
-    /// against stealing granularity.
+    /// Fixes the chunk size to `chunk_rows` rows per chunk (`0` restores
+    /// the adaptive default). Results are bitwise identical for every chunk
+    /// size — the knob only trades scheduling overhead against stealing
+    /// granularity.
     pub fn with_chunk_rows(mut self, chunk_rows: usize) -> Self {
         self.chunk_rows = chunk_rows;
         self
     }
 
-    /// Parses the boolean spellings accepted wherever a pool flag is read —
-    /// the `SLS_PARALLEL_POOL` environment variable and CLI `--pool` flags:
+    /// Parses the boolean spellings accepted by the CLI's `0|1` flags:
     /// `1`/`true` and `0`/`false`, case-insensitively, ignoring surrounding
-    /// whitespace. One parser for every surface, so no spelling is accepted
-    /// in one place and rejected in another.
+    /// whitespace. One parser for every flag, so no spelling is accepted in
+    /// one place and rejected in another.
     pub fn parse_bool(raw: &str) -> Option<bool> {
         match raw.trim().to_ascii_lowercase().as_str() {
             "1" | "true" => Some(true),
@@ -261,7 +206,7 @@ impl ParallelPolicy {
         self.threads.max(1).min(rows / per_thread).max(1)
     }
 
-    /// Rows per chunk a pooled kernel call producing `rows` output rows
+    /// Rows per chunk a fanned-out kernel call producing `rows` output rows
     /// should be split into, given `threads` participating threads and a
     /// per-row cost hint (`row_cost`, roughly the number of f64 operations
     /// one output row performs).
@@ -305,12 +250,9 @@ impl ParallelPolicy {
     /// kernel methods.
     ///
     /// On first use it is initialised from the environment: `SLS_PARALLEL_THREADS`
-    /// (`0` = one thread per core), `SLS_PARALLEL_MIN_ROWS`,
-    /// `SLS_PARALLEL_POOL` (`1`/`true` routes kernels through the
-    /// persistent worker pool), `SLS_PARALLEL_CHUNK_ROWS` (rows per pooled
-    /// chunk; `0` = adaptive) and `SLS_SIMD` (`0`/`false` selects the
-    /// scalar fallback inner loops; default on). Without those variables
-    /// the default is serial with SIMD enabled and adaptive chunking.
+    /// (`0` = one thread per core), `SLS_PARALLEL_MIN_ROWS` and
+    /// `SLS_PARALLEL_CHUNK_ROWS` (rows per chunk; `0` = adaptive). Without
+    /// those variables the default is serial with adaptive chunking.
     ///
     /// # Panics
     ///
@@ -322,8 +264,6 @@ impl ParallelPolicy {
         Self {
             threads: GLOBAL_THREADS.load(Ordering::Relaxed),
             min_rows_per_thread: GLOBAL_MIN_ROWS.load(Ordering::Relaxed),
-            pool: GLOBAL_POOL.load(Ordering::Relaxed),
-            simd: SimdPolicy::from_enabled(GLOBAL_SIMD.load(Ordering::Relaxed)),
             chunk_rows: GLOBAL_CHUNK_ROWS.load(Ordering::Relaxed),
         }
     }
@@ -339,8 +279,6 @@ impl ParallelPolicy {
         GLOBAL_INIT.call_once(|| {});
         GLOBAL_THREADS.store(policy.threads.max(1), Ordering::Relaxed);
         GLOBAL_MIN_ROWS.store(policy.min_rows_per_thread.max(1), Ordering::Relaxed);
-        GLOBAL_POOL.store(policy.pool, Ordering::Relaxed);
-        GLOBAL_SIMD.store(policy.simd.is_enabled(), Ordering::Relaxed);
         GLOBAL_CHUNK_ROWS.store(policy.chunk_rows, Ordering::Relaxed);
     }
 }
@@ -364,12 +302,6 @@ fn init_global_from_env() {
         if let Some(min_rows) = read_env_usize(ENV_MIN_ROWS) {
             GLOBAL_MIN_ROWS.store(min_rows.max(1), Ordering::Relaxed);
         }
-        if let Some(pool) = read_env_bool(ENV_POOL) {
-            GLOBAL_POOL.store(pool, Ordering::Relaxed);
-        }
-        if let Some(simd) = read_env_bool(ENV_SIMD) {
-            GLOBAL_SIMD.store(simd, Ordering::Relaxed);
-        }
         if let Some(chunk_rows) = read_env_usize(ENV_CHUNK_ROWS) {
             GLOBAL_CHUNK_ROWS.store(chunk_rows, Ordering::Relaxed);
         }
@@ -388,43 +320,29 @@ fn read_env_usize(name: &str) -> Option<usize> {
     }
 }
 
-/// Reads a boolean environment variable (`1`/`true`/`0`/`false`), with the
-/// same set-but-unparsable panic policy as [`read_env_usize`].
-fn read_env_bool(name: &str) -> Option<bool> {
-    let raw = std::env::var(name).ok()?;
-    match ParallelPolicy::parse_bool(&raw) {
-        Some(value) => Some(value),
-        None => panic!("{name} must be one of 1/true/0/false, got `{raw}`"),
-    }
-}
-
-/// Splits `out` into contiguous row blocks and runs `work` on each block
+/// Splits `out` into contiguous row chunks and runs `work` on each chunk
 /// under `policy` — inline when the effective thread count is 1, otherwise
-/// on scoped threads (spawn-per-call, one equal band per thread) or the
-/// persistent [`WorkerPool`] (chunked, see below).
+/// on the persistent [`WorkerPool`].
 ///
 /// `work` receives the half-open range of row indices it owns and the
 /// mutable storage of exactly those rows. `row_cost` is the kernel's
 /// estimate of f64 operations per output row — the cost hint adaptive
 /// chunking sizes chunks with.
 ///
-/// On the pool path the call is split into *more chunks than threads*
+/// A fanned-out call is split into *more chunks than threads*
 /// ([`ParallelPolicy::chunk_rows`]): equal row counts are not equal costs
 /// once per-row work is ragged, and over-partitioning plus the pool's
 /// steal-half scheduling keeps every thread busy until the last chunk
 /// retires instead of idling behind one straggling band. Chunk boundaries
 /// never split a row's accumulation, so output is bitwise identical for
-/// every chunk size, thread count and dispatch mode. The calling thread
-/// executes the first chunk itself, then drains its scope's remaining
-/// chunks through the pool's help path.
+/// every chunk size and thread count. The calling thread executes the
+/// first chunk itself, then drains its scope's remaining chunks through the
+/// pool's help path.
 ///
 /// When already executing a pool job (a nested kernel inside a row closure
 /// — whether that closure runs on a worker thread or on a scope waiter's
-/// help path), the work runs inline *regardless of the nested policy's
-/// `pool` flag*: a nested pooled call would round-trip the queues for no
-/// win, and a nested spawn-path call would stack fresh scoped threads on
-/// top of already-busy workers — every pool thread is computing, so inline
-/// is both the cheapest and the only non-oversubscribing choice. The
+/// help path), the work runs inline: every pool thread is already
+/// computing, so a nested fan-out would only round-trip the queues. The
 /// inline result is bitwise identical anyway.
 fn for_each_row_block(
     out: &mut [f64],
@@ -434,56 +352,33 @@ fn for_each_row_block(
     policy: &ParallelPolicy,
     work: &(impl Fn(Range<usize>, &mut [f64]) + Sync),
 ) {
-    let mut threads = policy.effective_threads(rows);
-    if threads > 1 && WorkerPool::on_worker_thread() {
-        threads = 1;
-    }
-    if threads == 1 {
+    let threads = policy.effective_threads(rows);
+    if threads == 1 || WorkerPool::on_worker_thread() {
         work(0..rows, out);
         return;
     }
-    if policy.pool {
-        let chunk_rows = policy.chunk_rows(rows, row_cost, threads);
-        let mut blocks = Vec::with_capacity(rows.div_ceil(chunk_rows));
-        let mut rest = out;
-        let mut start = 0;
-        while start < rows {
-            let block_rows = chunk_rows.min(rows - start);
-            let (block, tail) = rest.split_at_mut(block_rows * row_width);
-            rest = tail;
-            blocks.push((start..start + block_rows, block));
-            start += block_rows;
-        }
-        WorkerPool::global().scope(|scope| {
-            let mut blocks = blocks.into_iter();
-            let (first_range, first_block) = blocks.next().expect("rows >= 1 chunk");
-            for (range, block) in blocks {
-                scope.spawn(move || work(range, block));
-            }
-            // The submitter is a full participant: it processes the first
-            // chunk while the workers process (and steal) the rest, then
-            // helps drain this scope's remaining chunks.
-            work(first_range, first_block);
-        });
-    } else {
-        let base = rows / threads;
-        let extra = rows % threads;
-        let mut blocks = Vec::with_capacity(threads);
-        let mut rest = out;
-        let mut start = 0;
-        for t in 0..threads {
-            let block_rows = base + usize::from(t < extra);
-            let (block, tail) = rest.split_at_mut(block_rows * row_width);
-            rest = tail;
-            blocks.push((start..start + block_rows, block));
-            start += block_rows;
-        }
-        std::thread::scope(|scope| {
-            for (range, block) in blocks {
-                scope.spawn(move || work(range, block));
-            }
-        });
+    let chunk_rows = policy.chunk_rows(rows, row_cost, threads);
+    let mut blocks = Vec::with_capacity(rows.div_ceil(chunk_rows));
+    let mut rest = out;
+    let mut start = 0;
+    while start < rows {
+        let block_rows = chunk_rows.min(rows - start);
+        let (block, tail) = rest.split_at_mut(block_rows * row_width);
+        rest = tail;
+        blocks.push((start..start + block_rows, block));
+        start += block_rows;
     }
+    WorkerPool::global().scope(|scope| {
+        let mut blocks = blocks.into_iter();
+        let (first_range, first_block) = blocks.next().expect("rows >= 1 chunk");
+        for (range, block) in blocks {
+            scope.spawn(move || work(range, block));
+        }
+        // The submitter is a full participant: it processes the first
+        // chunk while the workers process (and steal) the rest, then
+        // helps drain this scope's remaining chunks.
+        work(first_range, first_block);
+    });
 }
 
 impl Matrix {
@@ -507,7 +402,6 @@ impl Matrix {
         if n == 0 || m == 0 {
             return Ok(out);
         }
-        let simd = policy.simd;
         let row_cost = self.cols().saturating_mul(m);
         for_each_row_block(
             out.as_mut_slice(),
@@ -517,14 +411,14 @@ impl Matrix {
             policy,
             &|range, block| {
                 // i-p-j order keeps the inner loop contiguous over `other`'s rows
-                // and the output row; the inner axpy is element-wise, so the
-                // SIMD layer never changes its accumulation order. No zero-skip
+                // and the output row; the inner axpy is element-wise, so its
+                // unrolling never changes the accumulation order. No zero-skip
                 // on `a_ip`: `0.0 × NaN` must produce NaN (IEEE), so a diverged
                 // operand is never masked.
                 for (i, out_row) in range.zip(block.chunks_mut(m)) {
                     let a_row = self.row(i);
                     for (p, &a_ip) in a_row.iter().enumerate() {
-                        simd::axpy(a_ip, other.row(p), out_row, simd);
+                        simd::axpy(a_ip, other.row(p), out_row);
                     }
                 }
             },
@@ -595,7 +489,6 @@ impl Matrix {
             return Ok(out);
         }
         let tile = tile_rows.clamp(1, m);
-        let simd = policy.simd;
         let row_cost = m.saturating_mul(self.cols());
         for_each_row_block(
             out.as_mut_slice(),
@@ -609,7 +502,7 @@ impl Matrix {
                     for (i, out_row) in range.clone().zip(block.chunks_mut(m)) {
                         let a_row = self.row(i);
                         for (j, out_val) in (j0..j1).zip(out_row[j0..j1].iter_mut()) {
-                            *out_val = simd::dot(a_row, other.row(j), simd);
+                            *out_val = simd::dot(a_row, other.row(j));
                         }
                     }
                 }
@@ -644,7 +537,6 @@ impl Matrix {
         if n == 0 || m == 0 {
             return Ok(out);
         }
-        let simd = policy.simd;
         let row_cost = k.saturating_mul(m);
         for_each_row_block(
             out.as_mut_slice(),
@@ -656,7 +548,7 @@ impl Matrix {
                 // p-outer order keeps `other`'s rows streaming through cache;
                 // each thread touches only its own band of output rows. The
                 // per-element accumulation order (ascending p) matches serial
-                // exactly, and the inner axpy is element-wise so the SIMD layer
+                // exactly, and the inner axpy is element-wise so its unrolling
                 // preserves it. No zero-skip (IEEE NaN propagation, see
                 // `matmul_with`).
                 for p in 0..k {
@@ -665,7 +557,7 @@ impl Matrix {
                     for (local, i) in range.clone().enumerate() {
                         let a_pi = a_row[i];
                         let out_row = &mut block[local * m..(local + 1) * m];
-                        simd::axpy(a_pi, b_row, out_row, simd);
+                        simd::axpy(a_pi, b_row, out_row);
                     }
                 }
             },
@@ -757,17 +649,17 @@ mod tests {
         let p = ParallelPolicy::default();
         assert!(p.is_serial());
         assert_eq!(p.threads, 1);
-        assert!(!p.pool, "pooled dispatch must be opt-in");
-        assert_eq!(p.simd, SimdPolicy::Lanes4, "SIMD must be on by default");
+        assert_eq!(p.chunk_rows, 0, "chunking must default to adaptive");
         let q = ParallelPolicy::new(8)
             .with_min_rows_per_thread(16)
-            .with_pool(true)
-            .with_simd(SimdPolicy::Scalar);
+            .with_chunk_rows(3);
         assert_eq!(q.threads, 8);
         assert_eq!(q.min_rows_per_thread, 16);
-        assert!(q.pool);
-        assert_eq!(q.simd, SimdPolicy::Scalar);
+        assert_eq!(q.chunk_rows, 3);
         assert!(!q.is_serial());
+        // `with_pool` is a no-op kept for source compatibility.
+        assert_eq!(q.with_pool(true), q);
+        assert_eq!(q.with_pool(false), q);
         // 0 resolves to the core count, which is at least 1.
         assert!(ParallelPolicy::auto().threads >= 1);
         // min_rows_per_thread never drops below 1.
@@ -783,23 +675,30 @@ mod tests {
     fn policy_serde_round_trips_and_reads_pre_pool_documents() {
         let p = ParallelPolicy::new(3)
             .with_min_rows_per_thread(7)
-            .with_pool(true)
-            .with_simd(SimdPolicy::Scalar);
+            .with_chunk_rows(2);
         let json = serde_json::to_string(&p).unwrap();
         let back: ParallelPolicy = serde_json::from_str(&json).unwrap();
         assert_eq!(back, p);
-        // Policy JSON written before the `pool` / `simd` fields existed
-        // still loads: no pool (the old behaviour), SIMD on (the default —
-        // safe because the SIMD layer never changes an output bit).
+        // Policy JSON written before `chunk_rows` existed still loads, with
+        // adaptive chunking.
         let legacy = "{\"threads\": 5, \"min_rows_per_thread\": 2}";
         let back: ParallelPolicy = serde_json::from_str(legacy).unwrap();
-        assert_eq!(
-            back,
-            ParallelPolicy::new(5)
-                .with_min_rows_per_thread(2)
-                .with_pool(false)
-        );
-        assert_eq!(back.simd, SimdPolicy::Lanes4);
+        assert_eq!(back, ParallelPolicy::new(5).with_min_rows_per_thread(2));
+        // Documents carrying the retired `pool` / `simd` keys load too; the
+        // keys are ignored, whatever their value.
+        for (pool, simd) in [(true, false), (false, true)] {
+            let retired = format!(
+                "{{\"threads\": 4, \"min_rows_per_thread\": 3, \"pool\": {pool}, \
+                 \"simd\": {simd}, \"chunk_rows\": 8}}"
+            );
+            let back: ParallelPolicy = serde_json::from_str(&retired).unwrap();
+            assert_eq!(
+                back,
+                ParallelPolicy::new(4)
+                    .with_min_rows_per_thread(3)
+                    .with_chunk_rows(8)
+            );
+        }
     }
 
     #[test]
@@ -927,8 +826,6 @@ mod tests {
         let serial = a.matmul_with(&b, &ParallelPolicy::serial()).unwrap();
         let par = a.matmul_with(&b, &eager(16)).unwrap();
         assert!(bitwise_eq(&serial, &par));
-        let pooled = a.matmul_with(&b, &eager(16).with_pool(true)).unwrap();
-        assert!(bitwise_eq(&serial, &pooled));
     }
 
     #[test]
@@ -939,7 +836,7 @@ mod tests {
         let h = Matrix::random_normal(43, 9, 0.0, 1.0, &mut r);
         let serial = ParallelPolicy::serial();
         for threads in [2, 4, 8] {
-            let pooled = eager(threads).with_pool(true);
+            let pooled = eager(threads);
             assert!(bitwise_eq(
                 &a.matmul_with(&w, &serial).unwrap(),
                 &a.matmul_with(&w, &pooled).unwrap(),
@@ -974,19 +871,17 @@ mod tests {
         // The tile only reorders which output elements are computed when;
         // each element is still one full canonical-order dot, so any tile —
         // including "no tiling" (tile >= m) — must reproduce the default
-        // result bit for bit, under both SIMD arms.
+        // result bit for bit.
         let mut r = rng();
         let a = Matrix::random_normal(37, 21, 0.0, 1.0, &mut r);
         let b = Matrix::random_normal(29, 21, 0.0, 1.0, &mut r);
         let policy = eager(4);
         let reference = a.matmul_transpose_right_with(&b, &policy).unwrap();
         for tile in [1, 3, 8, 28, 29, usize::MAX] {
-            for simd in [SimdPolicy::Lanes4, SimdPolicy::Scalar] {
-                let tiled = a
-                    .matmul_transpose_right_tiled_with(&b, &policy.with_simd(simd), tile)
-                    .unwrap();
-                assert!(bitwise_eq(&reference, &tiled), "tile {tile} simd {simd:?}");
-            }
+            let tiled = a
+                .matmul_transpose_right_tiled_with(&b, &policy, tile)
+                .unwrap();
+            assert!(bitwise_eq(&reference, &tiled), "tile {tile}");
         }
     }
 
@@ -1002,23 +897,6 @@ mod tests {
     }
 
     #[test]
-    fn simd_arms_are_bitwise_identical_across_dispatch_modes() {
-        let mut r = rng();
-        let a = Matrix::random_normal(43, 19, 0.0, 1.0, &mut r);
-        let w = Matrix::random_normal(19, 9, 0.0, 1.0, &mut r);
-        let reference = a
-            .matmul_with(&w, &ParallelPolicy::serial().with_simd(SimdPolicy::Scalar))
-            .unwrap();
-        for pool in [false, true] {
-            for simd in [SimdPolicy::Scalar, SimdPolicy::Lanes4] {
-                let policy = eager(4).with_pool(pool).with_simd(simd);
-                let out = a.matmul_with(&w, &policy).unwrap();
-                assert!(bitwise_eq(&reference, &out), "pool {pool} simd {simd:?}");
-            }
-        }
-    }
-
-    #[test]
     fn nested_pooled_kernel_runs_inline_without_deadlock() {
         // A pooled kernel whose row closure itself invokes a pooled kernel
         // must not wait on the pool from a pool worker; the nested call runs
@@ -1027,7 +905,7 @@ mod tests {
         let mut r = rng();
         let m = Matrix::random_normal(24, 6, 0.0, 1.0, &mut r);
         let w = Matrix::random_normal(6, 3, 0.0, 1.0, &mut r);
-        let pooled = eager(4).with_pool(true);
+        let pooled = eager(4);
         let out = m.map_rows_with(3, &pooled, |i, _, out_row| {
             // Nested pooled product over the shared operands.
             let inner = m.matmul_with(&w, &pooled).unwrap();

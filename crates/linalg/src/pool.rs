@@ -1,10 +1,10 @@
 //! A persistent work-stealing worker pool for the parallel kernels.
 //!
-//! The scoped-thread dispatch in [`crate::ParallelPolicy`]'s kernels spawns
-//! OS threads on every call (~10–50 µs each), which erases the multi-core
-//! win exactly where it matters most: small serving micro-batches, where the
-//! kernel itself runs for comparable time. [`WorkerPool`] removes that cost
-//! by parking N long-lived workers on per-worker deques
+//! Spawning OS threads on every kernel call (~10–50 µs each) would erase the
+//! multi-core win exactly where it matters most: small serving
+//! micro-batches, where the kernel itself runs for comparable time. Every
+//! fanned-out kernel of [`crate::ParallelPolicy`] therefore runs on a
+//! [`WorkerPool`], which parks N long-lived workers on per-worker deques
 //! ([`std::sync::Mutex`] + [`std::sync::Condvar`], no new dependencies) and
 //! handing them row-chunk tasks through [`WorkerPool::scope`].
 //!
@@ -53,7 +53,7 @@
 //! A thread waiting on a scope does not merely sleep: it *helps*, draining
 //! its own scope's queued tasks until the scope completes. A nested `scope`
 //! on a pool worker — or a pooled kernel reached through an intermediate
-//! spawn-path scoped thread — therefore executes its tasks itself rather
+//! plain scoped thread — therefore executes its tasks itself rather
 //! than waiting for a worker that is blocked further up the same call
 //! stack, so no nesting shape can deadlock the pool. Helping is bounded to
 //! the waiting scope's *own* tasks: each scope's latch keeps its own list of
@@ -344,18 +344,16 @@ impl WorkerPool {
     ///
     /// Kernels use this to short-circuit nested dispatch: a task already
     /// executing on behalf of the pool runs nested row chunks inline instead
-    /// of round-tripping them through the queues — and that holds for *any*
-    /// nested policy, pooled or spawn-path, because spawning fresh scoped
-    /// threads from inside a pool task would oversubscribe the machine just
-    /// the same. This is an optimisation, not the liveness guarantee —
+    /// of round-tripping them through the queues. This is an optimisation,
+    /// not the liveness guarantee —
     /// waiting scopes help drain their own tasks, so even un-flagged nesting
     /// cannot deadlock.
     pub fn on_worker_thread() -> bool {
         ON_POOL_WORKER.with(Cell::get)
     }
 
-    /// The process-global pool used by the kernels when a
-    /// [`crate::ParallelPolicy`] has its `pool` flag set.
+    /// The process-global pool every fanned-out kernel runs on (any
+    /// [`crate::ParallelPolicy`] with `threads > 1`).
     ///
     /// Lazily started on first use with one worker per available core minus
     /// one (at least one) — the submitting thread always executes one row
@@ -428,7 +426,7 @@ impl WorkerPool {
 /// The helping is what makes `scope` deadlock-free under *any* nesting: a
 /// scope waited on from a pool worker (re-entrant `scope`), or from a
 /// thread a pool worker is itself blocked on (a pooled kernel reached
-/// through an intermediate spawn-path scoped thread), drains its own tasks
+/// through an intermediate plain scoped thread), drains its own tasks
 /// instead of waiting for a worker that will never come.
 ///
 /// Help is bounded to the waiting scope's own tasks on purpose: executing

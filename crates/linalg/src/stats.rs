@@ -239,17 +239,15 @@ mod tests {
         let d = Matrix::from_fn(37, 5, |i, j| (i as f64) * 0.7 - (j as f64) * 1.3);
         let s = Standardizer::fit(&d).unwrap();
         let serial = s.transform_with(&d, &ParallelPolicy::serial()).unwrap();
-        for pool in [false, true] {
-            let policy = ParallelPolicy::new(4)
-                .with_min_rows_per_thread(1)
-                .with_pool(pool);
+        for threads in [2, 4] {
+            let policy = ParallelPolicy::new(threads).with_min_rows_per_thread(1);
             let par = s.transform_with(&d, &policy).unwrap();
             let same = serial
                 .as_slice()
                 .iter()
                 .zip(par.as_slice())
                 .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "pool = {pool}");
+            assert!(same, "threads = {threads}");
         }
     }
 

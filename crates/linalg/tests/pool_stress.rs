@@ -101,9 +101,7 @@ fn many_threads_running_pooled_kernels_concurrently() {
     let reference = data
         .matmul_with(&weights, &ParallelPolicy::serial())
         .unwrap();
-    let pooled = ParallelPolicy::new(4)
-        .with_min_rows_per_thread(1)
-        .with_pool(true);
+    let pooled = ParallelPolicy::new(4).with_min_rows_per_thread(1);
     std::thread::scope(|s| {
         for _ in 0..6 {
             let (data, weights, reference, pooled) = (&data, &weights, &reference, &pooled);
@@ -221,25 +219,27 @@ fn panic_in_the_scope_closure_waits_for_spawned_tasks() {
 
 #[test]
 fn mixed_dispatch_nesting_cannot_deadlock() {
-    // The nastiest nesting shape: a pooled kernel's row closure runs a
-    // spawn-path kernel, whose scoped threads (which carry no pool-worker
-    // flag) each run a pooled kernel again. The intermediate scoped threads
-    // queue jobs while the pool's worker may be blocked further up this
-    // very call stack — only help-while-wait scheduling lets the scoped
-    // threads drain their own jobs. On a 1-worker global pool (1-core CI
-    // container) this deadlocked before that scheduling existed.
+    // The nastiest nesting shape: a pooled kernel's row closure starts
+    // plain scoped threads (which carry no pool-worker flag), and each of
+    // them runs a pooled kernel again. Those threads queue jobs while the
+    // pool's worker may be blocked further up this very call stack — only
+    // help-while-wait scheduling lets them drain their own jobs. On a
+    // 1-worker global pool (1-core CI container) this deadlocked before
+    // that scheduling existed.
     let mut rng = rand_seed();
     let m = Matrix::random_normal(8, 5, 0.0, 1.0, &mut rng);
     let w = Matrix::random_normal(5, 3, 0.0, 1.0, &mut rng);
-    let spawn = ParallelPolicy::new(2).with_min_rows_per_thread(1);
-    let pooled = spawn.with_pool(true);
+    let pooled = ParallelPolicy::new(2).with_min_rows_per_thread(1);
     let reference = m.matmul_with(&w, &ParallelPolicy::serial()).unwrap();
     let out = m.map_rows_with(3, &pooled, |i, _, out_row| {
-        // Spawn-path kernel: its scoped threads are not pool workers...
-        let inner = m.map_rows_with(3, &spawn, |j, _, inner_row| {
+        // Plain scoped threads: not pool workers...
+        let inner = std::thread::scope(|s| {
             // ...yet they submit pooled work again.
-            let prod = m.matmul_with(&w, &pooled).unwrap();
-            inner_row.copy_from_slice(prod.row(j));
+            let a = s.spawn(|| m.matmul_with(&w, &pooled).unwrap());
+            let b = s.spawn(|| m.matmul_with(&w, &pooled).unwrap());
+            let (a, b) = (a.join().unwrap(), b.join().unwrap());
+            assert!(bitwise_eq(&a, &b));
+            a
         });
         out_row.copy_from_slice(inner.row(i));
     });
@@ -252,9 +252,7 @@ fn pooled_kernel_panic_propagates_and_the_global_pool_survives() {
     // the calling thread, and the process-global pool must keep serving
     // kernels afterwards.
     let m = Matrix::from_fn(32, 4, |i, j| (i + j) as f64);
-    let pooled = ParallelPolicy::new(4)
-        .with_min_rows_per_thread(1)
-        .with_pool(true);
+    let pooled = ParallelPolicy::new(4).with_min_rows_per_thread(1);
     let result = catch_unwind(AssertUnwindSafe(|| {
         m.map_rows_with(4, &pooled, |i, row, out| {
             assert!(i < 16, "deliberate kernel panic on row {i}");
@@ -363,8 +361,7 @@ fn skewed_scopes_stay_isolated_under_stealing() {
 fn ragged_row_costs_are_bitwise_identical_across_dispatch_and_chunking() {
     // Ragged per-row work (each row's closure cost scales with the row
     // index, so early chunks are light and late chunks are heavy) across
-    // {serial, spawn, pool} × threads {1,2,4,8} × chunk sizes {adaptive, 1,
-    // 3, 64}: stealing may reorder *when* rows run, but every row's
+    // threads {1,2,4,8} × chunk sizes {adaptive, 1, 3, 64}: stealing may reorder *when* rows run, but every row's
     // accumulation order is fixed, so outputs must match serial bit for
     // bit.
     let mut rng = rand_seed();
@@ -385,18 +382,15 @@ fn ragged_row_costs_are_bitwise_identical_across_dispatch_and_chunking() {
     };
     let reference = data.map_rows_with(10, &ParallelPolicy::serial(), ragged);
     for threads in [1usize, 2, 4, 8] {
-        for pool in [false, true] {
-            for chunk_rows in [0usize, 1, 3, 64] {
-                let policy = ParallelPolicy::new(threads)
-                    .with_min_rows_per_thread(1)
-                    .with_pool(pool)
-                    .with_chunk_rows(chunk_rows);
-                let out = data.map_rows_with(10, &policy, ragged);
-                assert!(
-                    bitwise_eq(&out, &reference),
-                    "threads {threads} pool {pool} chunk_rows {chunk_rows}"
-                );
-            }
+        for chunk_rows in [0usize, 1, 3, 64] {
+            let policy = ParallelPolicy::new(threads)
+                .with_min_rows_per_thread(1)
+                .with_chunk_rows(chunk_rows);
+            let out = data.map_rows_with(10, &policy, ragged);
+            assert!(
+                bitwise_eq(&out, &reference),
+                "threads {threads} chunk_rows {chunk_rows}"
+            );
         }
     }
 }

@@ -5,9 +5,7 @@
 //! generated matrices rather than hand-picked examples.
 
 use proptest::prelude::*;
-use sls_linalg::{
-    euclidean_distance, pairwise_distances, Matrix, ParallelPolicy, SimdPolicy, Standardizer,
-};
+use sls_linalg::{euclidean_distance, pairwise_distances, Matrix, ParallelPolicy, Standardizer};
 
 /// Strategy producing a matrix with the given bounds on shape and values in
 /// [-10, 10].
@@ -43,28 +41,22 @@ fn large_matmul_pair() -> impl Strategy<Value = (Matrix, Matrix)> {
 
 /// Policies covering thread counts 1–8, cutovers around the partition
 /// boundaries (including `min_rows_per_thread` values that force serial
-/// execution for most shapes — the cutover itself is under test), both
-/// dispatch modes (spawn-per-call scoped threads and the persistent worker
-/// pool), both SIMD arms (unrolled 4-lane and scalar fallback) and chunk
+/// execution for most shapes — the cutover itself is under test) and chunk
 /// sizes from adaptive through single-row to larger-than-any-shape. Every
 /// bitwise-identity property below therefore holds across the full
-/// {serial, spawn, pool} × {simd on, simd off} × chunking grid.
+/// {serial, pooled} × chunking grid.
 fn policy_strategy() -> impl Strategy<Value = ParallelPolicy> {
-    (1..=8usize, 1..=9usize, 0..2usize, 0..2usize, 0..4usize).prop_map(
-        |(threads, min_rows, pool, simd, chunk)| {
-            // 9 maps to a cutover larger than any generated row count,
-            // forcing the serial path through the parallel entry points.
-            let min_rows = if min_rows == 9 { 64 } else { min_rows };
-            // 0 = adaptive; the rest pin extreme chunk sizes (chunking must
-            // be bitwise inert, so any value is as good as any other).
-            let chunk_rows = [0, 1, 2, 64][chunk];
-            ParallelPolicy::new(threads)
-                .with_min_rows_per_thread(min_rows)
-                .with_pool(pool == 1)
-                .with_simd(SimdPolicy::from_enabled(simd == 1))
-                .with_chunk_rows(chunk_rows)
-        },
-    )
+    (1..=8usize, 1..=9usize, 0..4usize).prop_map(|(threads, min_rows, chunk)| {
+        // 9 maps to a cutover larger than any generated row count,
+        // forcing the serial path through the parallel entry points.
+        let min_rows = if min_rows == 9 { 64 } else { min_rows };
+        // 0 = adaptive; the rest pin extreme chunk sizes (chunking must
+        // be bitwise inert, so any value is as good as any other).
+        let chunk_rows = [0, 1, 2, 64][chunk];
+        ParallelPolicy::new(threads)
+            .with_min_rows_per_thread(min_rows)
+            .with_chunk_rows(chunk_rows)
+    })
 }
 
 /// Operand pairs whose *inner* (dot/axpy) dimension is `16q + tail` with
@@ -82,30 +74,20 @@ fn tailed_matmul_pair() -> impl Strategy<Value = (Matrix, Matrix)> {
     })
 }
 
-/// The {serial, spawn, pool} × {simd on, simd off} grid the acceptance
-/// criteria name, with an eager cutover so multi-thread policies really fan
-/// out on the generated shapes.
+/// The serial reference plus pooled policies at several thread counts,
+/// with an eager cutover so they really fan out on the generated shapes.
+/// Single-row chunks maximise stealing and chunk reordering — the
+/// harshest test of chunking's bitwise inertness.
 fn policy_grid() -> Vec<ParallelPolicy> {
-    let mut grid = Vec::new();
-    for simd in [SimdPolicy::Scalar, SimdPolicy::Lanes4] {
-        grid.push(ParallelPolicy::serial().with_simd(simd));
-        for pool in [false, true] {
+    let mut grid = vec![ParallelPolicy::serial()];
+    for threads in [2, 4, 8] {
+        for chunk_rows in [0, 1] {
             grid.push(
-                ParallelPolicy::new(4)
+                ParallelPolicy::new(threads)
                     .with_min_rows_per_thread(1)
-                    .with_pool(pool)
-                    .with_simd(simd),
+                    .with_chunk_rows(chunk_rows),
             );
         }
-        // Single-row chunks on the pool path maximise stealing and chunk
-        // reordering — the harshest test of chunking's bitwise inertness.
-        grid.push(
-            ParallelPolicy::new(4)
-                .with_min_rows_per_thread(1)
-                .with_pool(true)
-                .with_simd(simd)
-                .with_chunk_rows(1),
-        );
     }
     grid
 }
@@ -214,15 +196,15 @@ proptest! {
     }
 
     #[test]
-    fn all_five_kernels_are_bitwise_identical_across_dispatch_and_simd(
+    fn all_five_kernels_are_bitwise_identical_across_threads_and_chunking(
         (a, b) in tailed_matmul_pair(),
     ) {
-        // The acceptance grid: every kernel, every dispatch mode, both SIMD
-        // arms, with the inner dimension sweeping tails 0..=15 so every
-        // ragged remainder after the 16-accumulator dot chunks is exercised
-        // on both sides of the chunk boundary. The reference is serial +
-        // scalar fallback.
-        let reference = ParallelPolicy::serial().with_simd(SimdPolicy::Scalar);
+        // The acceptance grid: every kernel, serial and pooled at every
+        // thread count and chunk size, with the inner dimension sweeping
+        // tails 0..=15 so every ragged remainder after the 16-accumulator
+        // dot chunks is exercised on both sides of the chunk boundary. The
+        // reference is serial.
+        let reference = ParallelPolicy::serial();
         let bt = b.transpose();
         let h = Matrix::from_fn(a.rows(), b.cols(), |i, j| {
             a.row(i).iter().sum::<f64>() * 0.25 + j as f64
@@ -270,18 +252,13 @@ proptest! {
         threads in 2..=8usize,
     ) {
         // Pin min_rows_per_thread exactly at / around the row count so the
-        // serial<->parallel decision flips within one test case — for both
-        // dispatch modes.
+        // serial<->parallel decision flips within one test case.
         let n = a.rows();
+        let serial = a.matmul_with(&b, &ParallelPolicy::serial()).unwrap();
         for min_rows in [n.saturating_sub(1).max(1), n, n + 1] {
-            for pool in [false, true] {
-                let policy = ParallelPolicy::new(threads)
-                    .with_min_rows_per_thread(min_rows)
-                    .with_pool(pool);
-                let serial = a.matmul_with(&b, &ParallelPolicy::serial()).unwrap();
-                let parallel = a.matmul_with(&b, &policy).unwrap();
-                prop_assert!(bitwise_eq(&serial, &parallel), "min_rows {min_rows} pool {pool}");
-            }
+            let policy = ParallelPolicy::new(threads).with_min_rows_per_thread(min_rows);
+            let parallel = a.matmul_with(&b, &policy).unwrap();
+            prop_assert!(bitwise_eq(&serial, &parallel), "min_rows {min_rows}");
         }
     }
 

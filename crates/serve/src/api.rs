@@ -141,6 +141,9 @@ pub mod code {
     pub const BODY_TOO_LARGE: &str = "body_too_large";
     /// The request could not be framed; the connection closes (400).
     pub const MALFORMED_REQUEST: &str = "malformed_request";
+    /// The request carried a `Transfer-Encoding` header, which this server
+    /// does not implement; the connection closes (501).
+    pub const UNSUPPORTED_TRANSFER_ENCODING: &str = "unsupported_transfer_encoding";
     /// The server is at its connection cap and shed this one (503).
     pub const OVER_CAPACITY: &str = "over_capacity";
     /// This node is draining: health checks fail while open connections

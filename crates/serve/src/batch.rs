@@ -20,8 +20,8 @@
 //! Every kernel behind `/features` and `/assign` (preprocessing, the
 //! matmul, the fused bias+sigmoid map, nearest-centroid lookup) computes
 //! each output row from its input row alone, in a canonical per-row
-//! accumulation order that the whole repo's `{serial, spawn, pool} ×
-//! {simd on, off}` identity suite pins down. Concatenating request rows
+//! accumulation order that the whole repo's serial-vs-pooled identity
+//! suites pin down. Concatenating request rows
 //! therefore changes *which* rows sit in one launch but not a single bit of
 //! any row's result — testable with `f64::to_bits`, and tested in
 //! `tests/batch_identity.rs`.

@@ -31,6 +31,13 @@ pub enum ServeError {
         /// Explanation of the violation.
         message: String,
     },
+    /// An HTTP request used a framing feature this crate deliberately does
+    /// not implement (a `Transfer-Encoding` header); servers answer `501`
+    /// and close the connection.
+    NotImplemented {
+        /// Explanation of the refused feature.
+        message: String,
+    },
     /// The server answered with a non-success status.
     Status {
         /// HTTP status code received.
@@ -61,6 +68,7 @@ impl fmt::Display for ServeError {
             }
             ServeError::BadRequest { message } => write!(f, "bad request: {message}"),
             ServeError::Protocol { message } => write!(f, "HTTP protocol error: {message}"),
+            ServeError::NotImplemented { message } => write!(f, "not implemented: {message}"),
             ServeError::Status { status, body } => {
                 write!(f, "server answered {status}: {body}")
             }
@@ -125,6 +133,11 @@ mod tests {
         }
         .to_string()
         .contains("request line"));
+        assert!(ServeError::NotImplemented {
+            message: "Transfer-Encoding".into()
+        }
+        .to_string()
+        .contains("Transfer-Encoding"));
         assert!(ServeError::Status {
             status: 404,
             body: "{}".into()

@@ -5,7 +5,10 @@
 //!
 //! * persistent connections: HTTP/1.1 keep-alive semantics (`Connection:
 //!   keep-alive`/`close` tokens honoured, HTTP/1.0 defaults to close);
-//! * bodies are framed by `Content-Length` (no chunked encoding);
+//! * bodies are framed by `Content-Length` only: a request carrying any
+//!   `Transfer-Encoding` is refused with [`ServeError::NotImplemented`]
+//!   (RFC 7230 §3.3.3) instead of being framed by a length a proxy in
+//!   front may not have used — the CL.TE request-smuggling desync;
 //! * header names are matched case-insensitively, values are trimmed;
 //! * oversized declared bodies are rejected *before* buffering — the reader
 //!   reports [`RequestRead::TooLarge`] instead of allocating, and drains the
@@ -146,6 +149,8 @@ struct HeaderBlock {
     close: bool,
     /// A `Connection` header carried a `keep-alive` token.
     keep_alive: bool,
+    /// The value of a `Transfer-Encoding` header, if any was sent.
+    transfer_encoding: Option<String>,
 }
 
 /// Reads headers until the blank line.
@@ -179,6 +184,8 @@ fn read_header_block(reader: &mut impl BufRead) -> Result<HeaderBlock> {
                     }
                     _ => block.content_length = Some(parsed),
                 }
+            } else if name.eq_ignore_ascii_case("transfer-encoding") {
+                block.transfer_encoding = Some(value.trim().to_string());
             } else if name.eq_ignore_ascii_case("connection") {
                 // `Connection` is a comma-separated token list; only the
                 // two tokens this subset understands matter.
@@ -237,8 +244,10 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Request> {
 ///
 /// # Errors
 ///
-/// Returns [`ServeError::Protocol`] on malformed framing and I/O errors on
-/// truncated streams.
+/// Returns [`ServeError::Protocol`] on malformed framing,
+/// [`ServeError::NotImplemented`] for a request carrying
+/// `Transfer-Encoding` (its body is left unread, so the caller must close),
+/// and I/O errors on truncated streams.
 pub fn read_request_limited(reader: &mut impl BufRead, limits: &HttpLimits) -> Result<RequestRead> {
     let Some(request_line) = read_limited_line(reader)? else {
         return Err(protocol_error("connection closed before request line"));
@@ -258,6 +267,11 @@ pub fn read_request_limited(reader: &mut impl BufRead, limits: &HttpLimits) -> R
         .next()
         .is_some_and(|v| v.eq_ignore_ascii_case("HTTP/1.0"));
     let block = read_header_block(reader)?;
+    if let Some(encoding) = block.transfer_encoding {
+        return Err(ServeError::NotImplemented {
+            message: format!("Transfer-Encoding `{encoding}` is not supported"),
+        });
+    }
     let close = block.close || (http10 && !block.keep_alive);
     let declared = block.content_length.unwrap_or(0);
     if declared > limits.max_body_bytes {
@@ -341,6 +355,7 @@ pub fn reason_phrase(status: u16) -> &'static str {
         409 => "Conflict",
         413 => "Payload Too Large",
         500 => "Internal Server Error",
+        501 => "Not Implemented",
         503 => "Service Unavailable",
         _ => "Unknown",
     }
@@ -447,6 +462,23 @@ mod tests {
         assert_eq!(resp.status, 200);
         assert!(resp.is_success());
         assert_eq!(resp.body, "{\"status\":\"ok\"}");
+    }
+
+    #[test]
+    fn transfer_encoding_is_refused_as_not_implemented() {
+        for headers in [
+            "Transfer-Encoding: chunked\r\n",
+            "transfer-encoding: gzip, chunked\r\nContent-Length: 5\r\n",
+        ] {
+            let wire = format!("POST /x HTTP/1.1\r\n{headers}\r\n0\r\n\r\n");
+            match read_request_limited(&mut wire.as_bytes(), &HttpLimits::default()) {
+                Err(ServeError::NotImplemented { message }) => {
+                    assert!(message.contains("Transfer-Encoding"), "{message}");
+                }
+                other => panic!("expected NotImplemented for {headers:?}, got {other:?}"),
+            }
+        }
+        assert_eq!(reason_phrase(501), "Not Implemented");
     }
 
     #[test]

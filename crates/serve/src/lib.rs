@@ -17,6 +17,7 @@
 //!   per-connection handler threads; HTTP/1.1 keep-alive with pipelining,
 //!   bodies framed by `Content-Length` and bounded before buffering. Rows
 //!   within a request are micro-batched through one matrix multiply.
+//!   [`route_live`] runs the same routing in process, without sockets.
 //! * [`batch`] — the cross-request micro-batcher: concurrent requests for
 //!   the same model coalesce into one fused launch inside a configurable
 //!   latency window, bitwise identical to serving them one by one.
@@ -109,9 +110,7 @@ pub use live::{LiveRegistry, RegistryGeneration, ReloadOutcome};
 pub use registry::{ModelRegistry, ServingModel};
 pub use retrain::{retrain, write_synthetic_csv, RetrainOptions, RetrainOutcome};
 pub use router::{replica_rank, Router, RouterConfig, RouterHandle};
-pub use server::{
-    route, route_live, route_with, route_with_batcher, ServeOptions, Server, ServerHandle,
-};
+pub use server::{route_live, ServeOptions, Server, ServerHandle};
 pub use stats::LatencySummary;
 
 /// Result alias used across the crate.

@@ -15,6 +15,12 @@
 //! must parse and validate or nothing swaps. A corrupt file leaves the old
 //! generation serving and reports a structured per-model result list, so an
 //! operator can see exactly which artifact blocked the rollout.
+//!
+//! Every load or reload attempt also records the directory fingerprint it
+//! started from, taken *before* any file is read. The server's directory
+//! watcher compares against that record, so a change that lands while (or
+//! right after) a generation loads is never mistaken for the state that
+//! generation was built from.
 
 use crate::api::ModelLoadResult;
 use crate::registry::{artifact_files, load_artifact, ModelRegistry};
@@ -22,6 +28,7 @@ use crate::Result;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::SystemTime;
 
 /// One immutable snapshot of the registry plus its generation number.
 #[derive(Debug)]
@@ -52,8 +59,10 @@ pub struct LiveRegistry {
     /// held for a pointer copy, never for artifact loading or inference.
     current: Mutex<Arc<RegistryGeneration>>,
     /// Serialises reload attempts so two concurrent `POST /admin/reload`
-    /// calls cannot interleave their load-then-swap sequences.
-    reload_lock: Mutex<()>,
+    /// calls cannot interleave their load-then-swap sequences, and holds
+    /// the source-directory fingerprint the last load or reload attempt —
+    /// successful or not — started from.
+    last_attempt: Mutex<DirFingerprint>,
     /// Artifact directory reloads re-scan; `None` for registries built in
     /// memory (reload then always rejects).
     source: Option<PathBuf>,
@@ -66,7 +75,7 @@ pub struct LiveRegistry {
 impl LiveRegistry {
     /// Wraps an in-memory registry as generation 1, with no reload source.
     pub fn new(registry: ModelRegistry) -> Self {
-        Self::with_source(registry, None, false)
+        Self::with_source(registry, None, Vec::new(), false)
     }
 
     /// Loads generation 1 from `dir` (in the representation selected by
@@ -78,21 +87,28 @@ impl LiveRegistry {
     /// there is no previous generation to keep serving at startup.
     pub fn from_dir(dir: impl AsRef<Path>, compact: bool) -> Result<Self> {
         let dir = dir.as_ref();
+        let fingerprint = dir_fingerprint(dir);
         let registry = ModelRegistry::load_dir_with(dir, compact)?;
         Ok(Self::with_source(
             registry,
             Some(dir.to_path_buf()),
+            fingerprint,
             compact,
         ))
     }
 
-    fn with_source(registry: ModelRegistry, source: Option<PathBuf>, compact: bool) -> Self {
+    fn with_source(
+        registry: ModelRegistry,
+        source: Option<PathBuf>,
+        fingerprint: DirFingerprint,
+        compact: bool,
+    ) -> Self {
         Self {
             current: Mutex::new(Arc::new(RegistryGeneration {
                 generation: 1,
                 registry,
             })),
-            reload_lock: Mutex::new(()),
+            last_attempt: Mutex::new(fingerprint),
             source,
             compact,
             swaps: AtomicU64::new(0),
@@ -138,7 +154,7 @@ impl LiveRegistry {
     /// failure (missing source, I/O error, corrupt or empty directory) the
     /// old generation stays current.
     pub fn reload(&self) -> ReloadOutcome {
-        let _serialised = self.reload_lock.lock().unwrap();
+        let mut last_attempt = self.last_attempt.lock().expect("a reload panicked");
         let Some(dir) = &self.source else {
             return self.rejected(
                 Vec::new(),
@@ -146,6 +162,29 @@ impl LiveRegistry {
                     .to_string(),
             );
         };
+        *last_attempt = dir_fingerprint(dir);
+        self.load_and_swap(dir)
+    }
+
+    /// [`Self::reload`], but only when the source directory's fingerprint
+    /// differs from the one the last load or reload attempt started from;
+    /// `None` when nothing changed (or there is no source directory). This
+    /// is the directory watcher's poll: a corrupt artifact is retried once
+    /// per change, not once per poll.
+    pub(crate) fn reload_if_changed(&self) -> Option<ReloadOutcome> {
+        let mut last_attempt = self.last_attempt.lock().expect("a reload panicked");
+        let dir = self.source.as_deref()?;
+        let fingerprint = dir_fingerprint(dir);
+        if fingerprint == *last_attempt {
+            return None;
+        }
+        *last_attempt = fingerprint;
+        Some(self.load_and_swap(dir))
+    }
+
+    /// Loads every artifact under `dir` and swaps them in as one new
+    /// generation. Callers hold `last_attempt`, which serialises reloads.
+    fn load_and_swap(&self, dir: &Path) -> ReloadOutcome {
         let files = match artifact_files(dir) {
             Ok(files) => files,
             Err(e) => return self.rejected(Vec::new(), e.to_string()),
@@ -213,6 +252,89 @@ impl LiveRegistry {
             error: Some(error),
         }
     }
+}
+
+/// One `(name, mtime, len, checksum)` entry per artifact file. Name, mtime
+/// and length alone miss a real case: a retrain exporting an equal-size
+/// artifact within the filesystem's mtime granularity (same second on many
+/// filesystems) looks identical and is silently never reloaded. The checksum
+/// closes that hole without hashing whole files — it folds the length plus
+/// the first and last [`FINGERPRINT_PROBE_BYTES`] of content through FNV-1a,
+/// and generation counters / trained weights live in exactly those regions
+/// of the JSON exports.
+type DirFingerprint = Vec<(String, Option<SystemTime>, u64, u64)>;
+
+/// How many bytes of head and of tail feed the fingerprint checksum.
+const FINGERPRINT_PROBE_BYTES: usize = 4096;
+
+/// FNV-1a over the file's length and its first/last
+/// [`FINGERPRINT_PROBE_BYTES`] bytes. Reads at most 8 KiB per artifact, so
+/// the poll stays cheap even for large exports.
+fn probe_checksum(path: &Path, len: u64) -> u64 {
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut hash = FNV_OFFSET;
+    let mut fold = |bytes: &[u8]| {
+        for &byte in bytes {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+        }
+    };
+    fold(&len.to_le_bytes());
+    let Ok(mut file) = std::fs::File::open(path) else {
+        return hash;
+    };
+    use std::io::{Read, Seek, SeekFrom};
+    // `read` may legally return fewer bytes than the buffer holds; a single
+    // call would make the checksum depend on how the kernel chunked the
+    // read, so the same unchanged file could hash differently across polls
+    // and trigger spurious reloads. Loop until the probe window is full or
+    // EOF.
+    fn read_probe(file: &mut std::fs::File, buf: &mut [u8]) -> usize {
+        let mut filled = 0;
+        while filled < buf.len() {
+            match file.read(&mut buf[filled..]) {
+                Ok(0) => break,
+                Ok(n) => filled += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => break,
+            }
+        }
+        filled
+    }
+    let mut head = [0u8; FINGERPRINT_PROBE_BYTES];
+    let read = read_probe(&mut file, &mut head);
+    fold(&head[..read]);
+    if len > FINGERPRINT_PROBE_BYTES as u64 {
+        let tail_start = len.saturating_sub(FINGERPRINT_PROBE_BYTES as u64);
+        let mut tail = [0u8; FINGERPRINT_PROBE_BYTES];
+        if file.seek(SeekFrom::Start(tail_start)).is_ok() {
+            let read = read_probe(&mut file, &mut tail);
+            fold(&tail[..read]);
+        }
+    }
+    hash
+}
+
+fn dir_fingerprint(dir: &Path) -> DirFingerprint {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return Vec::new();
+    };
+    let mut fingerprint: DirFingerprint = entries
+        .flatten()
+        .filter(|e| e.path().extension().is_some_and(|ext| ext == "json"))
+        .map(|e| {
+            let meta = e.metadata().ok();
+            let len = meta.as_ref().map_or(0, |m| m.len());
+            (
+                e.file_name().to_string_lossy().into_owned(),
+                meta.as_ref().and_then(|m| m.modified().ok()),
+                len,
+                probe_checksum(&e.path(), len),
+            )
+        })
+        .collect();
+    fingerprint.sort();
+    fingerprint
 }
 
 #[cfg(test)]
@@ -299,6 +421,33 @@ mod tests {
         std::fs::remove_file(dir.join("broken.json")).unwrap();
         assert!(live.reload().swapped);
         assert_eq!(live.generation(), 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn reload_if_changed_compares_against_the_last_attempt() {
+        let dir = unique_dir("changed");
+        artifact(1).save(dir.join("demo.json")).unwrap();
+        let live = LiveRegistry::from_dir(&dir, false).unwrap();
+        assert!(live.reload_if_changed().is_none(), "nothing changed yet");
+        // A rewrite after the load is a change, whenever it is polled.
+        artifact(2).save(dir.join("demo.json")).unwrap();
+        assert!(live.reload_if_changed().unwrap().swapped);
+        assert!(live.reload_if_changed().is_none());
+        // A failed attempt is recorded too: one retry per change.
+        std::fs::write(dir.join("broken.json"), "{ not json }").unwrap();
+        assert!(!live.reload_if_changed().unwrap().swapped);
+        for _ in 0..5 {
+            assert!(live.reload_if_changed().is_none());
+        }
+        assert_eq!(live.failed_reloads(), 1);
+        std::fs::remove_file(dir.join("broken.json")).unwrap();
+        assert!(live.reload_if_changed().unwrap().swapped);
+        assert_eq!((live.generation(), live.swaps()), (3, 2));
+        // An in-memory registry has no directory to watch.
+        assert!(LiveRegistry::new(ModelRegistry::new())
+            .reload_if_changed()
+            .is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -4,9 +4,9 @@
 //! ```sh
 //! sls-serve export --out artifacts [--name quick_demo] [--model sls-grbm]
 //!                  [--instances 90] [--dims 8] [--clusters 3] [--seed 2023]
-//!                  [--threads N] [--min-par-rows N] [--pool 0|1] [--simd 0|1]
+//!                  [--threads N] [--min-par-rows N]
 //! sls-serve serve  --dir artifacts [--addr 127.0.0.1:7878] [--workers 8]
-//!                  [--threads N] [--min-par-rows N] [--pool 0|1] [--simd 0|1]
+//!                  [--threads N] [--min-par-rows N]
 //!                  [--keep-alive 0|1] [--keepalive-timeout-ms N]
 //!                  [--max-conn-requests N] [--max-body-bytes N] [--max-conns N]
 //!                  [--batch-window-us N] [--batch-max-rows N]
@@ -18,12 +18,9 @@
 //!
 //! `--threads` sets the parallel linalg policy (`0` = one thread per core);
 //! `--min-par-rows` sets the serial cutover (matrices with fewer output rows
-//! per thread stay serial); `--pool 1` routes fanned-out kernels through the
-//! persistent worker pool (constructed at bind time, shared by all HTTP
-//! workers) instead of spawning threads per call, also reachable via
-//! `SLS_PARALLEL_POOL=1`; `--simd 0` selects the scalar fallback inner
-//! loops (`SLS_SIMD=0`), default on. Results are bitwise identical for
-//! every policy.
+//! per thread stay serial). Fanned-out kernels run on the persistent worker
+//! pool, which `serve` constructs at bind time and shares across all HTTP
+//! workers. Results are bitwise identical for every policy.
 //!
 //! Connection handling: `--keep-alive 0` restores one-request-per-connection;
 //! `--keepalive-timeout-ms` bounds how long an idle connection is held
@@ -48,16 +45,15 @@
 //! change. Export stamps artifacts with `trained_at`/`source` provenance,
 //! reported by `GET /models`.
 //!
-//! The two subcommands default differently when neither flags nor
-//! environment choose: `serve` runs one linalg thread per core with pooled
-//! dispatch — the serving-shaped policy whose pool path CI gates on
-//! multi-core runners — while `export` (training-scale, one-off calls)
-//! keeps the library default of serial spawn-per-call.
+//! The subcommands default differently when neither `--threads` nor
+//! `SLS_PARALLEL_THREADS` chooses: `serve` runs one linalg thread per core
+//! — the serving-shaped policy CI gates on multi-core runners — while
+//! `export` and `retrain` keep the library default of serial kernels.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use sls_datasets::SyntheticBlobs;
-use sls_linalg::{ParallelPolicy, SimdPolicy};
+use sls_linalg::ParallelPolicy;
 use sls_rbm_core::{ModelKind, PipelineArtifact, SlsConfig, SlsPipelineConfig};
 use sls_serve::{
     BatchConfig, LiveRegistry, RetrainOptions, Router, RouterConfig, ServeOptions, Server,
@@ -73,7 +69,7 @@ const ENV_COMPACT: &str = "SLS_COMPACT";
 const USAGE: &str = "usage:
   sls-serve export  --out DIR [--name NAME] [--model rbm|grbm|sls-rbm|sls-grbm]
                     [--instances N] [--dims N] [--clusters N] [--seed N]
-                    [--threads N] [--min-par-rows N] [--pool 0|1] [--simd 0|1]
+                    [--threads N] [--min-par-rows N]
   sls-serve synth   --out FILE [--instances N] [--dims N] [--clusters N]
                     [--separation X] [--seed N]
   sls-serve retrain --data FILE --out DIR [--name NAME]
@@ -81,9 +77,9 @@ const USAGE: &str = "usage:
                     [--chunk-size N] [--sample-rows N] [--epochs N] [--batch-size N]
                     [--learning-rate X] [--eta X] [--seed N]
                     [--checkpoint FILE] [--stop-after-epochs N] [--has-header 0|1]
-                    [--threads N] [--min-par-rows N] [--pool 0|1] [--simd 0|1]
+                    [--threads N] [--min-par-rows N]
   sls-serve serve   --dir DIR [--addr HOST:PORT] [--workers N]
-                    [--threads N] [--min-par-rows N] [--pool 0|1] [--simd 0|1]
+                    [--threads N] [--min-par-rows N]
                     [--keep-alive 0|1] [--keepalive-timeout-ms N]
                     [--max-conn-requests N] [--max-body-bytes N] [--max-conns N]
                     [--batch-window-us N] [--batch-max-rows N]
@@ -129,15 +125,14 @@ fn parse_flags(args: &[String], allowed: &[&str]) -> Result<BTreeMap<String, Str
     Ok(flags)
 }
 
-/// Builds the linalg parallel policy from `--threads` / `--min-par-rows` /
-/// `--pool` / `--simd`, falling back to the process-wide default (which
-/// honours `SLS_PARALLEL_THREADS` / `SLS_PARALLEL_MIN_ROWS` /
-/// `SLS_PARALLEL_POOL` / `SLS_SIMD`).
+/// Builds the linalg parallel policy from `--threads` / `--min-par-rows`,
+/// falling back to the process-wide default (which honours
+/// `SLS_PARALLEL_THREADS` / `SLS_PARALLEL_MIN_ROWS`).
 ///
-/// With `serving = true` (the `serve` subcommand) the silent defaults flip
-/// to the serving-shaped policy: one thread per core and pooled dispatch,
-/// each applied only when neither the flag nor its environment variable is
-/// present — an explicit choice on either surface always wins.
+/// With `serving = true` (the `serve` subcommand) the silent thread default
+/// flips to one thread per core, applied only when neither `--threads` nor
+/// `SLS_PARALLEL_THREADS` is present — an explicit choice on either surface
+/// always wins.
 fn parallel_policy(
     flags: &BTreeMap<String, String>,
     serving: bool,
@@ -148,42 +143,15 @@ fn parallel_policy(
             let threads: usize = raw
                 .parse()
                 .map_err(|_| format!("invalid value `{raw}` for --threads"))?;
-            ParallelPolicy::new(threads)
-                .with_min_rows_per_thread(global.min_rows_per_thread)
-                .with_pool(global.pool)
-                .with_simd(global.simd)
+            ParallelPolicy::new(threads).with_min_rows_per_thread(global.min_rows_per_thread)
         }
         // Serving default: one linalg thread per core.
         None if serving && std::env::var(sls_linalg::ENV_THREADS).is_err() => {
-            ParallelPolicy::new(0)
-                .with_min_rows_per_thread(global.min_rows_per_thread)
-                .with_pool(global.pool)
-                .with_simd(global.simd)
+            ParallelPolicy::new(0).with_min_rows_per_thread(global.min_rows_per_thread)
         }
         None => global,
     };
-    let pool = match flags.get("pool") {
-        // Serving default: persistent-pool dispatch (cheap per-call fan-out
-        // for small micro-batches; CI gates this path on multi-core
-        // runners).
-        None if serving && std::env::var(sls_linalg::ENV_POOL).is_err() => true,
-        None => policy.pool,
-        // Same parser as SLS_PARALLEL_POOL, so no spelling works in the
-        // environment but fails on the command line.
-        Some(raw) => ParallelPolicy::parse_bool(raw)
-            .ok_or_else(|| format!("invalid value `{raw}` for --pool (use 0/1/true/false)"))?,
-    };
-    let simd = match flags.get("simd") {
-        None => policy.simd,
-        Some(raw) => SimdPolicy::from_enabled(
-            ParallelPolicy::parse_bool(raw)
-                .ok_or_else(|| format!("invalid value `{raw}` for --simd (use 0/1/true/false)"))?,
-        ),
-    };
-    Ok(policy
-        .with_min_rows_per_thread(parsed(flags, "min-par-rows", policy.min_rows_per_thread)?)
-        .with_pool(pool)
-        .with_simd(simd))
+    Ok(policy.with_min_rows_per_thread(parsed(flags, "min-par-rows", policy.min_rows_per_thread)?))
 }
 
 fn parsed<T: std::str::FromStr>(
@@ -230,8 +198,6 @@ fn run_export(args: &[String]) -> Result<(), String> {
             "--seed",
             "--threads",
             "--min-par-rows",
-            "--pool",
-            "--simd",
         ],
     )?;
     let out = flags
@@ -354,8 +320,6 @@ fn run_retrain(args: &[String]) -> Result<(), String> {
             "--has-header",
             "--threads",
             "--min-par-rows",
-            "--pool",
-            "--simd",
         ],
     )?;
     let data = flags
@@ -474,8 +438,6 @@ fn run_serve(args: &[String]) -> Result<(), String> {
             "--workers",
             "--threads",
             "--min-par-rows",
-            "--pool",
-            "--simd",
             "--keep-alive",
             "--keepalive-timeout-ms",
             "--max-conn-requests",
@@ -568,15 +530,10 @@ fn run_serve(args: &[String]) -> Result<(), String> {
         .local_addr()
         .map_err(|e| format!("local address unavailable: {e}"))?;
     eprintln!(
-        "serving on http://{local} with {workers} acceptor(s), {} linalg thread(s) per request \
-         ({} dispatch), keep-alive {}, batch window {}us, {} registry, watch {} \
+        "serving on http://{local} with {workers} acceptor(s), {} linalg thread(s) per request, \
+         keep-alive {}, batch window {}us, {} registry, watch {} \
          (POST /admin/reload to hot swap, Ctrl-C to stop)",
         parallel.threads,
-        if parallel.pool {
-            "persistent-pool"
-        } else {
-            "spawn-per-call"
-        },
         if options.keep_alive { "on" } else { "off" },
         batch.window.as_micros(),
         if compact { "compact" } else { "full" },

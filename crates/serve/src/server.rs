@@ -39,7 +39,9 @@
 //! responses are written in request order) until the client sends
 //! `Connection: close`, the idle timeout elapses, the per-connection
 //! request cap is reached, or framing breaks (`400` + close, since a
-//! desynced stream cannot be trusted — the request-smuggling guard).
+//! desynced stream cannot be trusted — the request-smuggling guard). A
+//! request carrying `Transfer-Encoding` is answered `501` and the
+//! connection closes: bodies are framed by `Content-Length` only.
 //!
 //! ## Micro-batching
 //!
@@ -60,7 +62,7 @@ use crate::http::{
 };
 use crate::live::{LiveRegistry, RegistryGeneration};
 use crate::registry::ModelRegistry;
-use crate::Result;
+use crate::{Result, ServeError};
 use serde::Serialize;
 use sls_linalg::{ParallelPolicy, WorkerPool};
 use std::io::{BufRead, BufReader};
@@ -68,7 +70,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant, SystemTime};
+use std::time::{Duration, Instant};
 
 /// Per-request read/write timeout once a request has started arriving — a
 /// stalled client must not pin a handler thread forever.
@@ -156,9 +158,9 @@ impl Server {
     /// [`ServeOptions::from_env`] and batching to [`BatchConfig::from_env`]
     /// (`SLS_BATCH_WINDOW_US` / `SLS_BATCH_MAX_ROWS`, off by default).
     ///
-    /// When the policy enables pooled dispatch, the persistent linalg
-    /// [`WorkerPool`] is constructed here, at bind time: one pool, shared
-    /// by every connection for the server's lifetime.
+    /// When the policy can fan out, the persistent linalg [`WorkerPool`] is
+    /// constructed here, at bind time: one pool, shared by every connection
+    /// for the server's lifetime.
     ///
     /// # Errors
     ///
@@ -176,7 +178,7 @@ impl Server {
     /// Returns I/O errors from binding.
     pub fn bind_live(addr: impl ToSocketAddrs, live: LiveRegistry, workers: usize) -> Result<Self> {
         let parallel = ParallelPolicy::global();
-        if parallel.pool {
+        if !parallel.is_serial() {
             let _ = WorkerPool::global();
         }
         Ok(Self {
@@ -192,11 +194,11 @@ impl Server {
 
     /// Sets the parallel execution policy for inference micro-batches
     /// (the matrix multiply behind `/features` and `/assign`). Responses
-    /// are bitwise identical for every policy. A pooled policy starts the
-    /// shared persistent [`WorkerPool`] immediately, so the first request
-    /// never pays pool construction.
+    /// are bitwise identical for every policy. A policy that can fan out
+    /// starts the shared persistent [`WorkerPool`] immediately, so the
+    /// first request never pays pool construction.
     pub fn with_parallel(mut self, parallel: ParallelPolicy) -> Self {
-        if parallel.pool {
+        if !parallel.is_serial() {
             let _ = WorkerPool::global();
         }
         self.parallel = parallel;
@@ -320,11 +322,8 @@ struct Shared {
 
 impl RequestHandler for Shared {
     fn handle(&self, request: &Request) -> (u16, String) {
-        let current: Arc<RegistryGeneration> = self.live.current();
         route_inner(
-            &current.registry,
-            current.generation,
-            Some(&self.live),
+            &self.live,
             request,
             &self.parallel,
             Some(&self.batcher),
@@ -441,99 +440,13 @@ impl ServerHandle {
     }
 }
 
-/// One `(name, mtime, len, checksum)` entry per artifact file. Name, mtime
-/// and length alone miss a real case: a retrain exporting an equal-size
-/// artifact within the filesystem's mtime granularity (same second on many
-/// filesystems) looks identical and is silently never reloaded. The checksum
-/// closes that hole without hashing whole files — it folds the length plus
-/// the first and last [`FINGERPRINT_PROBE_BYTES`] of content through FNV-1a,
-/// and generation counters / trained weights live in exactly those regions
-/// of the JSON exports.
-type DirFingerprint = Vec<(String, Option<SystemTime>, u64, u64)>;
-
-/// How many bytes of head and of tail feed the fingerprint checksum.
-const FINGERPRINT_PROBE_BYTES: usize = 4096;
-
-/// FNV-1a over the file's length and its first/last
-/// [`FINGERPRINT_PROBE_BYTES`] bytes. Reads at most 8 KiB per artifact, so
-/// the poll stays cheap even for large exports.
-fn probe_checksum(path: &std::path::Path, len: u64) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = FNV_OFFSET;
-    let mut fold = |bytes: &[u8]| {
-        for &byte in bytes {
-            hash = (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-        }
-    };
-    fold(&len.to_le_bytes());
-    let Ok(mut file) = std::fs::File::open(path) else {
-        return hash;
-    };
-    use std::io::{Read, Seek, SeekFrom};
-    // `read` may legally return fewer bytes than the buffer holds; a single
-    // call would make the checksum depend on how the kernel chunked the
-    // read, so the same unchanged file could hash differently across polls
-    // and trigger spurious reloads. Loop until the probe window is full or
-    // EOF.
-    fn read_probe(file: &mut std::fs::File, buf: &mut [u8]) -> usize {
-        let mut filled = 0;
-        while filled < buf.len() {
-            match file.read(&mut buf[filled..]) {
-                Ok(0) => break,
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => break,
-            }
-        }
-        filled
-    }
-    let mut head = [0u8; FINGERPRINT_PROBE_BYTES];
-    let read = read_probe(&mut file, &mut head);
-    fold(&head[..read]);
-    if len > FINGERPRINT_PROBE_BYTES as u64 {
-        let tail_start = len.saturating_sub(FINGERPRINT_PROBE_BYTES as u64);
-        let mut tail = [0u8; FINGERPRINT_PROBE_BYTES];
-        if file.seek(SeekFrom::Start(tail_start)).is_ok() {
-            let read = read_probe(&mut file, &mut tail);
-            fold(&tail[..read]);
-        }
-    }
-    hash
-}
-
-fn dir_fingerprint(live: &LiveRegistry) -> DirFingerprint {
-    let Some(dir) = live.source() else {
-        return Vec::new();
-    };
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return Vec::new();
-    };
-    let mut fingerprint: DirFingerprint = entries
-        .flatten()
-        .filter(|e| e.path().extension().is_some_and(|ext| ext == "json"))
-        .map(|e| {
-            let meta = e.metadata().ok();
-            let len = meta.as_ref().map_or(0, |m| m.len());
-            (
-                e.file_name().to_string_lossy().into_owned(),
-                meta.as_ref().and_then(|m| m.modified().ok()),
-                len,
-                probe_checksum(&e.path(), len),
-            )
-        })
-        .collect();
-    fingerprint.sort();
-    fingerprint
-}
-
-/// Directory-watch thread: polls the artifact directory fingerprint every
-/// `interval` (in shutdown-aware steps) and triggers an atomic reload on
-/// change. A rejected reload (e.g. a half-written artifact) is retried on
-/// the *next* change, not every tick, so a corrupt file does not spin the
-/// failure counter.
+/// Directory-watch thread: every `interval` (in shutdown-aware steps) asks
+/// the registry to reload if the artifact directory's fingerprint differs
+/// from the one its last load or reload attempt started from. The registry
+/// records that fingerprint before reading any file, so a change that lands
+/// before the first poll is still reloaded, and a rejected reload (e.g. a
+/// half-written artifact) is retried on the *next* change, not every tick.
 fn watcher_loop(live: &LiveRegistry, shutdown: &AtomicBool, interval: Duration) {
-    let mut seen = dir_fingerprint(live);
     loop {
         let deadline = Instant::now() + interval;
         while Instant::now() < deadline {
@@ -544,11 +457,7 @@ fn watcher_loop(live: &LiveRegistry, shutdown: &AtomicBool, interval: Duration) 
                 SHUTDOWN_POLL.min(deadline.saturating_duration_since(Instant::now())),
             );
         }
-        let now = dir_fingerprint(live);
-        if now != seen {
-            let _ = live.reload();
-            seen = now;
-        }
+        let _ = live.reload_if_changed();
     }
 }
 
@@ -715,14 +624,20 @@ fn handle_connection<H: RequestHandler + ?Sized>(
                 }
             }
             Err(e) => {
-                // Broken framing: answer 400 and close — after a framing
-                // error the stream position is untrusted, and serving more
-                // requests from it is the request-smuggling primitive.
-                let (status, body) = error_body(
-                    400,
-                    code::MALFORMED_REQUEST,
-                    format!("malformed request: {e}"),
-                );
+                // Broken or refused framing: answer and close — after a
+                // framing error the stream position is untrusted, and
+                // serving more requests from it is the request-smuggling
+                // primitive.
+                let (status, body) = match &e {
+                    ServeError::NotImplemented { message } => {
+                        error_body(501, code::UNSUPPORTED_TRANSFER_ENCODING, message.clone())
+                    }
+                    _ => error_body(
+                        400,
+                        code::MALFORMED_REQUEST,
+                        format!("malformed request: {e}"),
+                    ),
+                };
                 let _ = write_response_keep_alive(&mut writer, status, &body, false);
                 return Err(e);
             }
@@ -730,60 +645,24 @@ fn handle_connection<H: RequestHandler + ?Sized>(
     }
 }
 
-/// Routes one parsed request to its handler under the process-wide
-/// [`ParallelPolicy::global`], returning `(status, body)`.
-///
-/// Exposed for direct unit testing without sockets.
-pub fn route(registry: &ModelRegistry, request: &Request) -> (u16, String) {
-    route_with(registry, request, &ParallelPolicy::global())
-}
-
-/// [`route`] under an explicit parallel execution policy for the inference
-/// micro-batches.
-pub fn route_with(
-    registry: &ModelRegistry,
-    request: &Request,
-    parallel: &ParallelPolicy,
-) -> (u16, String) {
-    route_with_batcher(registry, request, parallel, None)
-}
-
-/// [`route_with`] with an optional cross-request [`Batcher`]: inference
-/// requests go through its coalescing window, `GET /statz` reports its
-/// counters. With `None`, every request computes directly and `/statz`
+/// Routes one request against the current generation of a hot-swappable
+/// registry, returning `(status, body)`: the generation is resolved exactly
+/// once, the whole request is served from that snapshot, and
+/// `POST /admin/reload` is live. Inference requests go through `batcher`'s
+/// coalescing window when one is given, and `GET /statz` reports its
+/// counters; with `None`, every request computes directly and `/statz`
 /// reports a disabled batcher.
 ///
-/// Routing over a bare registry reports generation 1 and rejects
-/// `POST /admin/reload` with `409` — hot reload needs a [`LiveRegistry`]
-/// (see [`route_live`]).
-pub fn route_with_batcher(
-    registry: &ModelRegistry,
-    request: &Request,
-    parallel: &ParallelPolicy,
-    batcher: Option<&Batcher>,
-) -> (u16, String) {
-    route_inner(registry, 1, None, request, parallel, batcher, None)
-}
-
-/// Routes one request against the current generation of a hot-swappable
-/// registry: the generation is resolved exactly once, the whole request is
-/// served from that snapshot, and `POST /admin/reload` is live.
+/// The same routing the server's connections run, exposed for driving it
+/// in process without sockets. `POST /admin/drain` answers `409` here:
+/// draining is connection state only a running server has.
 pub fn route_live(
     live: &LiveRegistry,
     request: &Request,
     parallel: &ParallelPolicy,
     batcher: Option<&Batcher>,
 ) -> (u16, String) {
-    let current: Arc<RegistryGeneration> = live.current();
-    route_inner(
-        &current.registry,
-        current.generation,
-        Some(live),
-        request,
-        parallel,
-        batcher,
-        None,
-    )
+    route_inner(live, request, parallel, batcher, None)
 }
 
 /// Strips the `/v1` API-version prefix off a segmented path. The bare
@@ -813,16 +692,15 @@ fn is_version_prefix(segment: &str) -> bool {
         && segment[1..].bytes().all(|b| b.is_ascii_digit())
 }
 
-#[allow(clippy::too_many_arguments)]
 fn route_inner(
-    registry: &ModelRegistry,
-    generation: u64,
-    live: Option<&LiveRegistry>,
+    live: &LiveRegistry,
     request: &Request,
     parallel: &ParallelPolicy,
     batcher: Option<&Batcher>,
     draining: Option<&AtomicBool>,
 ) -> (u16, String) {
+    let current: Arc<RegistryGeneration> = live.current();
+    let (registry, generation) = (&current.registry, current.generation);
     let path = request.path.split('?').next().unwrap_or("");
     let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
     let rest = match api_segments(&segments) {
@@ -843,14 +721,15 @@ fn route_inner(
         ),
         // `/admin/statz` is canonical; top-level `/statz` is the deprecated
         // pre-v1 alias, kept byte-identical.
-        ("GET", ["statz"] | ["admin", "statz"]) => {
-            let (swaps, failed) = live.map_or((0, 0), |l| (l.swaps(), l.failed_reloads()));
-            json_body(
-                200,
-                &BatchStatsResponse::describe(batcher).with_registry(generation, swaps, failed),
-            )
-        }
-        ("POST", ["admin", "reload"]) => reload(generation, live),
+        ("GET", ["statz"] | ["admin", "statz"]) => json_body(
+            200,
+            &BatchStatsResponse::describe(batcher).with_registry(
+                generation,
+                live.swaps(),
+                live.failed_reloads(),
+            ),
+        ),
+        ("POST", ["admin", "reload"]) => reload(live),
         ("POST", ["admin", "drain"]) => drain(draining),
         ("POST", ["models", name, "features"]) => infer(
             registry,
@@ -901,8 +780,8 @@ fn health(registry: &ModelRegistry, draining: Option<&AtomicBool>) -> (u16, Stri
 }
 
 /// `POST /admin/drain`: flip the node into draining mode (idempotent).
-/// Only a socket-backed server carries the flag; the in-process routing
-/// helpers answer 409.
+/// Only a socket-backed server carries the flag; in-process routing
+/// ([`route_live`]) answers 409.
 fn drain(draining: Option<&AtomicBool>) -> (u16, String) {
     let Some(flag) = draining else {
         return error_body(
@@ -923,21 +802,7 @@ fn drain(draining: Option<&AtomicBool>) -> (u16, String) {
 
 /// `POST /admin/reload`: atomically swap in a new generation from the
 /// artifact directory, or report exactly why the old one keeps serving.
-fn reload(generation: u64, live: Option<&LiveRegistry>) -> (u16, String) {
-    let Some(live) = live else {
-        return json_body(
-            409,
-            &ReloadResponse {
-                status: "rejected".to_string(),
-                swapped: false,
-                generation,
-                models: Vec::new(),
-                error: Some(
-                    "hot reload is not enabled: server was built over a bare registry".to_string(),
-                ),
-            },
-        );
-    };
+fn reload(live: &LiveRegistry) -> (u16, String) {
     let outcome = live.reload();
     let status = if outcome.swapped { 200 } else { 409 };
     json_body(
@@ -1082,6 +947,16 @@ mod tests {
         registry
     }
 
+    /// The fixture registry as the live cell every route resolves through.
+    fn live() -> LiveRegistry {
+        LiveRegistry::new(registry())
+    }
+
+    /// Serial routing without a batcher.
+    fn route(live: &LiveRegistry, request: &Request) -> (u16, String) {
+        route_live(live, request, &ParallelPolicy::serial(), None)
+    }
+
     fn request(method: &str, path: &str, body: &str) -> Request {
         Request {
             method: method.to_string(),
@@ -1092,7 +967,7 @@ mod tests {
 
     #[test]
     fn healthz_reports_model_count() {
-        let (status, body) = route(&registry(), &request("GET", "/healthz", ""));
+        let (status, body) = route(&live(), &request("GET", "/healthz", ""));
         assert_eq!(status, 200);
         let health: HealthResponse = serde_json::from_str(&body).unwrap();
         assert_eq!(health.status, "ok");
@@ -1101,7 +976,7 @@ mod tests {
 
     #[test]
     fn models_lists_loaded_artifacts() {
-        let (status, body) = route(&registry(), &request("GET", "/models", ""));
+        let (status, body) = route(&live(), &request("GET", "/models", ""));
         assert_eq!(status, 200);
         let models: ModelsResponse = serde_json::from_str(&body).unwrap();
         assert_eq!(models.models.len(), 1);
@@ -1114,28 +989,28 @@ mod tests {
     #[test]
     fn statz_reports_batcher_counters() {
         // Without a batcher: the disabled shape.
-        let (status, body) = route(&registry(), &request("GET", "/statz", ""));
+        let (status, body) = route(&live(), &request("GET", "/statz", ""));
         assert_eq!(status, 200);
         let stats: BatchStatsResponse = serde_json::from_str(&body).unwrap();
         assert_eq!(stats.window_us, 0);
         assert_eq!(stats.batches, 0);
 
         // With one: config echoed, counters live.
-        let registry = registry();
+        let live = live();
         let batcher = Batcher::new(BatchConfig {
             window: Duration::from_micros(250),
             max_rows: 64,
         });
         let body = "{\"rows\":[[0.1,0.2,0.3,0.4]]}";
-        let (status, response) = route_with_batcher(
-            &registry,
+        let (status, response) = route_live(
+            &live,
             &request("POST", "/models/demo/features", body),
             &ParallelPolicy::serial(),
             Some(&batcher),
         );
         assert_eq!(status, 200, "{response}");
-        let (status, body) = route_with_batcher(
-            &registry,
+        let (status, body) = route_live(
+            &live,
             &request("GET", "/statz", ""),
             &ParallelPolicy::serial(),
             Some(&batcher),
@@ -1149,15 +1024,15 @@ mod tests {
 
     #[test]
     fn features_and_assign_answer_batches() {
-        let registry = registry();
+        let live = live();
         let body = "{\"rows\":[[0.1,0.2,0.3,0.4],[1.0,1.1,1.2,1.3],[2.0,2.1,2.2,2.3]]}";
-        let (status, response) = route(&registry, &request("POST", "/models/demo/features", body));
+        let (status, response) = route(&live, &request("POST", "/models/demo/features", body));
         assert_eq!(status, 200, "{response}");
         let features: FeaturesResponse = serde_json::from_str(&response).unwrap();
         assert_eq!(features.features.len(), 3);
         assert_eq!(features.features[0].len(), 4);
 
-        let (status, response) = route(&registry, &request("POST", "/models/demo/assign", body));
+        let (status, response) = route(&live, &request("POST", "/models/demo/assign", body));
         assert_eq!(status, 200, "{response}");
         let assign: AssignResponse = serde_json::from_str(&response).unwrap();
         assert_eq!(assign.assignments.len(), 3);
@@ -1168,7 +1043,7 @@ mod tests {
     fn batched_routing_answers_byte_identical_responses() {
         // One request through the coalescing window (it just times out
         // alone) must answer the exact bytes of the direct path.
-        let registry = registry();
+        let live = live();
         let batcher = Batcher::new(BatchConfig {
             window: Duration::from_micros(200),
             max_rows: 64,
@@ -1176,13 +1051,8 @@ mod tests {
         let body = "{\"rows\":[[0.1,0.2,0.3,0.4],[1.0,1.1,1.2,1.3]]}";
         for path in ["/models/demo/features", "/models/demo/assign"] {
             let request = request("POST", path, body);
-            let direct = route_with(&registry, &request, &ParallelPolicy::serial());
-            let batched = route_with_batcher(
-                &registry,
-                &request,
-                &ParallelPolicy::serial(),
-                Some(&batcher),
-            );
+            let direct = route_live(&live, &request, &ParallelPolicy::serial(), None);
+            let batched = route_live(&live, &request, &ParallelPolicy::serial(), Some(&batcher));
             assert_eq!(direct, batched, "path {path}");
             assert_eq!(direct.0, 200);
         }
@@ -1191,7 +1061,7 @@ mod tests {
     #[test]
     fn unknown_model_is_404() {
         let (status, body) = route(
-            &registry(),
+            &live(),
             &request("POST", "/models/ghost/features", "{\"rows\":[[1.0]]}"),
         );
         assert_eq!(status, 404);
@@ -1201,18 +1071,18 @@ mod tests {
 
     #[test]
     fn unknown_path_is_404_and_wrong_method_is_405() {
-        assert_eq!(route(&registry(), &request("GET", "/nope", "")).0, 404);
-        assert_eq!(route(&registry(), &request("POST", "/healthz", "")).0, 405);
-        assert_eq!(route(&registry(), &request("POST", "/statz", "")).0, 405);
+        assert_eq!(route(&live(), &request("GET", "/nope", "")).0, 404);
+        assert_eq!(route(&live(), &request("POST", "/healthz", "")).0, 405);
+        assert_eq!(route(&live(), &request("POST", "/statz", "")).0, 405);
         assert_eq!(
-            route(&registry(), &request("GET", "/models/demo/features", "")).0,
+            route(&live(), &request("GET", "/models/demo/features", "")).0,
             405
         );
     }
 
     #[test]
     fn bad_bodies_are_400() {
-        let registry = registry();
+        let live = live();
         for body in [
             "not json",
             "{\"rows\":[]}",
@@ -1220,8 +1090,7 @@ mod tests {
             // Wrong width for the 4-visible model.
             "{\"rows\":[[1.0,2.0]]}",
         ] {
-            let (status, response) =
-                route(&registry, &request("POST", "/models/demo/features", body));
+            let (status, response) = route(&live, &request("POST", "/models/demo/features", body));
             assert_eq!(status, 400, "body `{body}` answered {response}");
         }
     }
@@ -1230,7 +1099,7 @@ mod tests {
     fn bad_bodies_are_400_with_a_batcher_too() {
         // The malformed-request errors must be identical whether or not a
         // batch window is configured — doomed requests bypass coalescing.
-        let registry = registry();
+        let live = live();
         let batcher = Batcher::new(BatchConfig {
             window: Duration::from_micros(200),
             max_rows: 64,
@@ -1241,13 +1110,8 @@ mod tests {
             ("/models/ghost/assign", "{\"rows\":[[1.0]]}"),
         ] {
             let request = request("POST", path, body);
-            let direct = route_with(&registry, &request, &ParallelPolicy::serial());
-            let batched = route_with_batcher(
-                &registry,
-                &request,
-                &ParallelPolicy::serial(),
-                Some(&batcher),
-            );
+            let direct = route_live(&live, &request, &ParallelPolicy::serial(), None);
+            let batched = route_live(&live, &request, &ParallelPolicy::serial(), Some(&batcher));
             assert_eq!(direct, batched, "path {path} body `{body}`");
             assert!(!direct.1.is_empty());
         }
@@ -1260,7 +1124,7 @@ mod tests {
 
     #[test]
     fn query_strings_are_ignored_for_routing() {
-        let (status, _) = route(&registry(), &request("GET", "/healthz?verbose=1", ""));
+        let (status, _) = route(&live(), &request("GET", "/healthz?verbose=1", ""));
         assert_eq!(status, 200);
     }
 
@@ -1268,43 +1132,32 @@ mod tests {
     fn parallel_routing_answers_byte_identical_responses() {
         // The serving contract of the parallel layer: a client can never
         // tell from a response body how many threads computed it.
-        let registry = registry();
+        let live = live();
         let body = "{\"rows\":[[0.1,0.2,0.3,0.4],[1.0,1.1,1.2,1.3],[2.0,2.1,2.2,2.3]]}";
         for path in ["/models/demo/features", "/models/demo/assign"] {
             let request = request("POST", path, body);
-            let serial = route_with(&registry, &request, &ParallelPolicy::serial());
-            let parallel = route_with(
-                &registry,
+            let serial = route_live(&live, &request, &ParallelPolicy::serial(), None);
+            let parallel = route_live(
+                &live,
                 &request,
                 &ParallelPolicy::new(4).with_min_rows_per_thread(1),
+                None,
             );
             assert_eq!(serial, parallel, "path {path}");
             assert_eq!(serial.0, 200);
-            // Persistent-pool dispatch answers the same bytes too.
-            let pooled = route_with(
-                &registry,
-                &request,
-                &ParallelPolicy::new(4)
-                    .with_min_rows_per_thread(1)
-                    .with_pool(true),
-            );
-            assert_eq!(serial, pooled, "pooled path {path}");
         }
     }
 
     #[test]
     fn reload_on_a_bare_registry_is_409_with_structured_body() {
-        let (status, body) = route(&registry(), &request("POST", "/admin/reload", ""));
+        let (status, body) = route(&live(), &request("POST", "/admin/reload", ""));
         assert_eq!(status, 409);
         let reload: ReloadResponse = serde_json::from_str(&body).unwrap();
         assert!(!reload.swapped);
         assert_eq!(reload.generation, 1);
         assert!(reload.error.unwrap().contains("not enabled"));
         // Wrong method on the admin path is 405, like every known path.
-        assert_eq!(
-            route(&registry(), &request("GET", "/admin/reload", "")).0,
-            405
-        );
+        assert_eq!(route(&live(), &request("GET", "/admin/reload", "")).0, 405);
     }
 
     #[test]
@@ -1404,20 +1257,12 @@ mod tests {
         // sharing one linalg worker pool.
         let server = Server::bind("127.0.0.1:0", registry(), 2)
             .unwrap()
-            .with_parallel(
-                ParallelPolicy::new(4)
-                    .with_min_rows_per_thread(1)
-                    .with_pool(true),
-            );
+            .with_parallel(ParallelPolicy::new(4).with_min_rows_per_thread(1));
         let addr = server.local_addr().unwrap();
         let handle = server.start().unwrap();
         let client = crate::Client::new(addr);
         let body = "{\"rows\":[[0.1,0.2,0.3,0.4],[1.0,1.1,1.2,1.3],[2.0,2.1,2.2,2.3]]}";
-        let reference = route_with(
-            &registry(),
-            &request("POST", "/models/demo/features", body),
-            &ParallelPolicy::serial(),
-        );
+        let reference = route(&live(), &request("POST", "/models/demo/features", body));
         for _ in 0..4 {
             let response = client
                 .request("POST", "/models/demo/features", body)

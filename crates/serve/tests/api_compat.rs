@@ -7,14 +7,15 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use sls_datasets::SyntheticBlobs;
+use sls_linalg::ParallelPolicy;
 use sls_rbm_core::{ModelKind, PipelineArtifact, RbmParams, SlsPipelineConfig};
 use sls_serve::http::Request;
-use sls_serve::{route, ErrorResponse, ModelRegistry, ReloadResponse};
+use sls_serve::{route_live, ErrorResponse, LiveRegistry, ModelRegistry, ReloadResponse};
 
 const MODEL: &str = "demo";
 
 /// A trained model with a cluster head: both inference endpoints work.
-fn fitted_registry() -> ModelRegistry {
+fn fitted_registry() -> LiveRegistry {
     let mut rng = ChaCha8Rng::seed_from_u64(41);
     let ds = SyntheticBlobs::new(30, 4, 2)
         .separation(6.0)
@@ -30,30 +31,32 @@ fn fitted_registry() -> ModelRegistry {
     .expect("training succeeds");
     let mut registry = ModelRegistry::new();
     registry.insert(MODEL, fitted.artifact);
-    registry
+    LiveRegistry::new(registry)
 }
 
 /// Raw RBM parameters without a cluster head: `/assign` must refuse.
-fn headless_registry() -> ModelRegistry {
+fn headless_registry() -> LiveRegistry {
     let mut rng = ChaCha8Rng::seed_from_u64(7);
     let artifact = PipelineArtifact::from_params(RbmParams::init(4, 2, &mut rng), ModelKind::Rbm);
     let mut registry = ModelRegistry::new();
     registry.insert(MODEL, artifact);
-    registry
+    LiveRegistry::new(registry)
 }
 
-fn call(registry: &ModelRegistry, method: &str, path: &str, body: &str) -> (u16, String) {
-    route(
+fn call(registry: &LiveRegistry, method: &str, path: &str, body: &str) -> (u16, String) {
+    route_live(
         registry,
         &Request {
             method: method.to_string(),
             path: path.to_string(),
             body: body.to_string(),
         },
+        &ParallelPolicy::serial(),
+        None,
     )
 }
 
-fn error_code(registry: &ModelRegistry, method: &str, path: &str, body: &str) -> (u16, String) {
+fn error_code(registry: &LiveRegistry, method: &str, path: &str, body: &str) -> (u16, String) {
     let (status, body) = call(registry, method, path, body);
     let parsed: ErrorResponse = serde_json::from_str(&body).expect("error body parses");
     assert!(!parsed.error.is_empty(), "error message must not be empty");

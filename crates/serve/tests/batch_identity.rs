@@ -1,18 +1,18 @@
 //! Batcher identity suite: with the coalescing window open, concurrent
 //! clients must receive responses **bitwise identical** (`f64::to_bits`) to
-//! serial unbatched calls — across spawn/pool dispatch and SIMD on/off —
-//! and a mixed-model, mixed-endpoint stress run must never leak rows across
+//! serial unbatched calls — across thread counts and chunk sizes — and a
+//! mixed-model, mixed-endpoint stress run must never leak rows across
 //! requests or models.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use sls_datasets::SyntheticBlobs;
-use sls_linalg::{ParallelPolicy, SimdPolicy};
+use sls_linalg::ParallelPolicy;
 use sls_rbm_core::{ModelKind, PipelineArtifact, SlsPipelineConfig};
 use sls_serve::http::Request;
 use sls_serve::{
-    route_with, BatchConfig, BatchStatsResponse, Client, FeaturesResponse, ModelRegistry, Server,
-    ServerHandle,
+    route_live, BatchConfig, BatchStatsResponse, Client, FeaturesResponse, LiveRegistry,
+    ModelRegistry, Server, ServerHandle,
 };
 use std::sync::Barrier;
 use std::time::Duration;
@@ -93,8 +93,8 @@ fn body_for(model: &str, worker: usize, round: usize) -> (String, String) {
 
 /// The serial, unbatched reference body — what the batched server must
 /// reproduce byte for byte.
-fn serial_reference(registry: &ModelRegistry, method: &str, path: &str, body: &str) -> String {
-    let (status, reference) = route_with(
+fn serial_reference(registry: &LiveRegistry, method: &str, path: &str, body: &str) -> String {
+    let (status, reference) = route_live(
         registry,
         &Request {
             method: method.to_string(),
@@ -102,6 +102,7 @@ fn serial_reference(registry: &ModelRegistry, method: &str, path: &str, body: &s
             body: body.to_string(),
         },
         &ParallelPolicy::serial(),
+        None,
     );
     assert_eq!(status, 200, "reference request failed: {reference}");
     reference
@@ -120,18 +121,16 @@ fn feature_bits(body: &str) -> Vec<Vec<u64>> {
 
 #[test]
 fn batched_responses_are_bitwise_identical_across_policies() {
-    let registry = registry();
+    let registry = LiveRegistry::new(registry());
     let policies = [
-        ("spawn+simd", false, true),
-        ("spawn+scalar", false, false),
-        ("pool+simd", true, true),
-        ("pool+scalar", true, false),
+        ("2 threads", 2, 0),
+        ("4 threads", 4, 0),
+        ("4 threads, single-row chunks", 4, 1),
     ];
-    for (label, pool, simd) in policies {
-        let parallel = ParallelPolicy::new(4)
+    for (label, threads, chunk_rows) in policies {
+        let parallel = ParallelPolicy::new(threads)
             .with_min_rows_per_thread(1)
-            .with_pool(pool)
-            .with_simd(SimdPolicy::from_enabled(simd));
+            .with_chunk_rows(chunk_rows);
         let handle = start(parallel);
         let client = Client::new(handle.addr());
         let workers = 8usize;
@@ -181,12 +180,8 @@ fn batched_responses_are_bitwise_identical_across_policies() {
 
 #[test]
 fn mixed_models_and_endpoints_never_leak_rows() {
-    let registry = registry();
-    let handle = start(
-        ParallelPolicy::new(4)
-            .with_min_rows_per_thread(1)
-            .with_pool(true),
-    );
+    let registry = LiveRegistry::new(registry());
+    let handle = start(ParallelPolicy::new(4).with_min_rows_per_thread(1));
     let client = Client::new(handle.addr());
     let workers = 12usize;
     let barrier = Barrier::new(workers);

@@ -354,6 +354,94 @@ fn watcher_detects_same_size_same_mtime_rewrite() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A change that lands after the registry loaded but before the watcher's
+/// first poll must still be reloaded: the registry records the fingerprint
+/// it was built from, so the watcher cannot mistake the rewrite for its
+/// baseline. Deterministic — no watcher thread exists yet when the artifact
+/// is rewritten.
+#[test]
+fn watcher_reloads_a_change_made_before_start() {
+    let dir = unique_dir("prestart");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("{MODEL}.json"));
+    train(1).save(&path).unwrap();
+
+    let live = LiveRegistry::from_dir(&dir, false).expect("load artifact dir");
+    let server = Server::bind_live("127.0.0.1:0", live, 2)
+        .expect("bind")
+        .with_watch(Some(Duration::from_millis(25)));
+    train(2).save(&path).unwrap();
+    let handle = server.start().expect("server starts");
+    let live = handle.live();
+
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while live.generation() < 2 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "watcher never reloaded the artifact rewritten before start"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(live.swaps(), 1);
+    assert_eq!(live.failed_reloads(), 0);
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A corrupt artifact is retried once per change, not once per poll: many
+/// watcher ticks later `failed_reloads` is still 1, and fixing the file
+/// swaps on the next tick.
+#[test]
+fn watcher_retries_a_corrupt_artifact_once_per_change() {
+    let dir = unique_dir("corrupt_watch");
+    std::fs::create_dir_all(&dir).unwrap();
+    train(1).save(dir.join(format!("{MODEL}.json"))).unwrap();
+    let handle = Server::bind_live(
+        "127.0.0.1:0",
+        LiveRegistry::from_dir(&dir, false).expect("load artifact dir"),
+        2,
+    )
+    .expect("bind")
+    .with_watch(Some(Duration::from_millis(25)))
+    .start()
+    .expect("server starts");
+    let live = handle.live();
+
+    // Land the corrupt file atomically (rename), so no poll can observe a
+    // half-written state and count a second, distinct change.
+    let staging = dir.join("broken.tmp");
+    std::fs::write(&staging, "{ not json }").unwrap();
+    std::fs::rename(&staging, dir.join("broken.json")).unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while live.failed_reloads() < 1 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "watcher never attempted the corrupt artifact"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    // Ten watcher intervals with no further change.
+    std::thread::sleep(Duration::from_millis(250));
+    assert_eq!(
+        live.failed_reloads(),
+        1,
+        "a corrupt file was retried per tick"
+    );
+    assert_eq!(live.generation(), 1);
+
+    std::fs::remove_file(dir.join("broken.json")).unwrap();
+    while live.generation() < 2 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "watcher never reloaded after the corrupt artifact was removed"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(live.failed_reloads(), 1);
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A compact registry serves every endpoint over HTTP within the documented
 /// error bound of the full-precision registry, and advertises itself in
 /// `/models`.

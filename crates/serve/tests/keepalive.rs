@@ -1,8 +1,8 @@
 //! Keep-alive integration suite: connection reuse, pipelining, idle
 //! timeouts, per-connection request caps, and the framing guards that keep
-//! a reused connection immune to desync (oversized and malformed requests —
-//! the request-smuggling regression tests, extending the duplicate
-//! `Content-Length` coverage in `http.rs`).
+//! a reused connection immune to desync (oversized, malformed and
+//! `Transfer-Encoding` requests — the request-smuggling regression tests,
+//! extending the duplicate `Content-Length` coverage in `http.rs`).
 //!
 //! The raw-socket tests speak the wire format through the `http` module
 //! directly, so they observe the `Connection` response header and the exact
@@ -14,7 +14,10 @@ use sls_datasets::SyntheticBlobs;
 use sls_linalg::ParallelPolicy;
 use sls_rbm_core::{ModelKind, PipelineArtifact, SlsPipelineConfig};
 use sls_serve::http::{read_response_meta, write_request_keep_alive, Request};
-use sls_serve::{route_with, Client, ModelRegistry, ServeOptions, Server, ServerHandle};
+use sls_serve::{
+    route_live, Client, ErrorResponse, LiveRegistry, ModelRegistry, ServeOptions, Server,
+    ServerHandle,
+};
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -51,14 +54,15 @@ fn start(options: ServeOptions) -> ServerHandle {
 /// The response body the server must produce for `POST path body`, computed
 /// through the in-process router (the bitwise reference).
 fn reference(method: &str, path: &str, body: &str) -> (u16, String) {
-    route_with(
-        &registry(),
+    route_live(
+        &LiveRegistry::new(registry()),
         &Request {
             method: method.to_string(),
             path: path.to_string(),
             body: body.to_string(),
         },
         &ParallelPolicy::global(),
+        None,
     )
 }
 
@@ -266,6 +270,33 @@ fn malformed_request_on_a_reused_connection_closes_with_400() {
         response.body
     );
     assert!(close, "a desynced connection must never be reused");
+    assert_closed(&mut reader);
+    handle.shutdown();
+}
+
+#[test]
+fn transfer_encoding_on_a_reused_connection_closes_with_501() {
+    let handle = start(ServeOptions::default());
+    let (mut reader, mut writer) = connect(handle.addr());
+    write_request_keep_alive(&mut writer, "GET", "/healthz", "", true).unwrap();
+    let (_, close) = read_response_meta(&mut reader).unwrap();
+    assert!(!close);
+    // Transfer-Encoding plus Content-Length: framed by the length, the
+    // body is the 5-byte terminal chunk and a second request follows;
+    // framed by the chunked encoding, those bytes belong to another
+    // request entirely. The server must refuse both readings: 501, close,
+    // and the trailing `GET` is never parsed.
+    let wire = format!(
+        "POST /models/{MODEL}/features HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\
+         Content-Length: 5\r\n\r\n0\r\n\r\nGET /healthz HTTP/1.1\r\n\r\n"
+    );
+    writer.write_all(wire.as_bytes()).unwrap();
+    writer.flush().unwrap();
+    let (response, close) = read_response_meta(&mut reader).unwrap();
+    assert_eq!(response.status, 501, "{}", response.body);
+    let error: ErrorResponse = serde_json::from_str(&response.body).unwrap();
+    assert_eq!(error.code, "unsupported_transfer_encoding");
+    assert!(close, "a refused framing must never be reused");
     assert_closed(&mut reader);
     handle.shutdown();
 }

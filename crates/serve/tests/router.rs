@@ -2,17 +2,20 @@
 //! [`Router`], proving stable hash ownership, retry-on-another-owner when a
 //! replica dies, drain without dropping an in-flight response, and
 //! generation-consistent fan-out reload (converged, rejected-atomically,
-//! and torn rollouts).
+//! and torn rollouts), and the `Transfer-Encoding` refusal at the router.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use sls_datasets::SyntheticBlobs;
 use sls_rbm_core::{ModelKind, PipelineArtifact, SlsPipelineConfig};
+use sls_serve::http::{read_response_meta, write_request_keep_alive};
 use sls_serve::{
-    replica_rank, Client, LiveRegistry, ModelsResponse, Router, RouterConfig, RouterDrainResponse,
-    RouterHandle, RouterReloadResponse, RouterStatzResponse, ServeOptions, Server, ServerHandle,
+    replica_rank, Client, ErrorResponse, LiveRegistry, ModelsResponse, Router, RouterConfig,
+    RouterDrainResponse, RouterHandle, RouterReloadResponse, RouterStatzResponse, ServeOptions,
+    Server, ServerHandle,
 };
-use std::net::SocketAddr;
+use std::io::{BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -90,14 +93,40 @@ fn router_statz(client: &Client) -> RouterStatzResponse {
 
 const PROBE: &str = r#"{"rows": [[0.1, 0.2, 0.3, 0.4], [-1.5, 2.0, 0.25, -0.75]]}"#;
 
+/// Model names exported for the ownership tests. Replica ports are
+/// ephemeral, so which replica owns a name changes from run to run: five
+/// fixed names all land on one replica in 1 run of 16. The tests pick their
+/// five from this pool instead (see [`spread_models`]); all sixteen land on
+/// one replica in 1 run of 32768.
+const NAMES: [&str; 16] = [
+    "alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta", "iota", "kappa",
+    "lambda", "mu", "nu", "xi", "omicron", "pi",
+];
+
+/// Five of [`NAMES`], at least one of them ranked first on each replica.
+fn spread_models(addrs: &[SocketAddr]) -> Vec<&'static str> {
+    let owner = |name: &str| replica_rank(name, addrs)[0];
+    let mut models: Vec<&str> = (0..addrs.len())
+        .filter_map(|replica| NAMES.iter().copied().find(|&n| owner(n) == replica))
+        .collect();
+    let rest: Vec<&str> = NAMES
+        .iter()
+        .copied()
+        .filter(|n| !models.contains(n))
+        .take(5 - models.len())
+        .collect();
+    models.extend(rest);
+    models
+}
+
 #[test]
 fn ownership_is_stable_and_matches_the_published_hash() {
-    let models = ["alpha", "beta", "gamma", "delta", "epsilon"];
     let dir = unique_dir("ownership");
-    export(&dir, &train(1), &models);
+    export(&dir, &train(1), &NAMES);
     let replica_a = start_replica(&dir);
     let replica_b = start_replica(&dir);
     let addrs = vec![replica_a.addr(), replica_b.addr()];
+    let models = spread_models(&addrs);
     let router = start_router(addrs.clone(), 1);
     let client = Client::new(router.addr());
 
@@ -144,12 +173,12 @@ fn ownership_is_stable_and_matches_the_published_hash() {
 
 #[test]
 fn a_killed_replica_is_retried_on_the_other_owner() {
-    let models = ["alpha", "beta", "gamma", "delta", "epsilon"];
     let dir = unique_dir("retry");
-    export(&dir, &train(2), &models);
+    export(&dir, &train(2), &NAMES);
     let replica_a = start_replica(&dir);
     let replica_b = start_replica(&dir);
     let addrs = vec![replica_a.addr(), replica_b.addr()];
+    let models = spread_models(&addrs);
     let router = start_router(addrs.clone(), 2);
     let client = Client::new(router.addr());
 
@@ -421,4 +450,46 @@ fn a_torn_rollout_hides_the_model_until_generations_realign() {
     router.shutdown();
     replica_a.shutdown();
     replica_b.shutdown();
+}
+
+/// The router frames requests with the same reader as the replicas: a
+/// `Transfer-Encoding` request on a reused connection is answered `501`,
+/// the socket closes, and nothing after the header — neither the body nor
+/// the request smuggled behind it — is parsed or forwarded.
+#[test]
+fn transfer_encoding_through_the_router_closes_with_501() {
+    let dir = unique_dir("transfer_encoding");
+    export(&dir, &train(1), &["alpha"]);
+    let replica = start_replica(&dir);
+    let router = start_router(vec![replica.addr()], 1);
+
+    let stream = TcpStream::connect(router.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    write_request_keep_alive(&mut writer, "GET", "/healthz", "", true).unwrap();
+    let (_, close) = read_response_meta(&mut reader).unwrap();
+    assert!(!close);
+    let wire = "POST /models/alpha/features HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\
+                Content-Length: 5\r\n\r\n0\r\n\r\nGET /healthz HTTP/1.1\r\n\r\n";
+    writer.write_all(wire.as_bytes()).unwrap();
+    writer.flush().unwrap();
+    let (response, close) = read_response_meta(&mut reader).unwrap();
+    assert_eq!(response.status, 501, "{}", response.body);
+    let error: ErrorResponse = serde_json::from_str(&response.body).unwrap();
+    assert_eq!(error.code, "unsupported_transfer_encoding");
+    assert!(close, "a refused framing must never be reused");
+    let mut probe = [0u8; 1];
+    assert_eq!(
+        reader.read(&mut probe).expect("clean EOF"),
+        0,
+        "the smuggled request must never be answered"
+    );
+    assert_eq!(router_statz(&Client::new(router.addr())).forwards, 0);
+
+    router.shutdown();
+    replica.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
 }
