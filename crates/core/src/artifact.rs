@@ -26,10 +26,7 @@
 //! vector products, so a serving layer gets the linalg crate's blocked
 //! matmul for free.
 
-use crate::pipeline::{
-    GrbmPipeline, PipelineOutcome, Preprocessing, RbmPipeline, SlsGrbmPipeline, SlsPipelineConfig,
-    SlsRbmPipeline,
-};
+use crate::pipeline::{run_pipeline, PipelineOutcome, Preprocessing, SlsPipelineConfig};
 use crate::{RbmError, RbmParams, Result, VisibleKind};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -369,12 +366,7 @@ impl PipelineArtifact {
         data: &Matrix,
         rng: &mut impl Rng,
     ) -> Result<FittedPipeline> {
-        let outcome = match model_kind {
-            ModelKind::Rbm => RbmPipeline::new(config).run(data, rng)?,
-            ModelKind::Grbm => GrbmPipeline::new(config).run(data, rng)?,
-            ModelKind::SlsRbm => SlsRbmPipeline::new(config).run(data, rng)?,
-            ModelKind::SlsGrbm => SlsGrbmPipeline::new(config).run(data, rng)?,
-        };
+        let outcome = run_pipeline(model_kind, &config, data, rng)?;
         // Reuse the preprocessor the pipeline fitted during training — one
         // preprocessing path, so served transforms are the training-time
         // transforms by construction.
@@ -433,14 +425,7 @@ impl PipelineArtifact {
     /// Returns shape errors if `rows` does not match the visible layer.
     pub fn features_with(&self, rows: &Matrix, parallel: &ParallelPolicy) -> Result<Matrix> {
         let pre = self.preprocessor.transform_with(rows, parallel)?;
-        self.params.check_data(&pre)?;
-        let logits = pre.matmul_with(&self.params.weights, parallel)?;
-        // Bias broadcast and sigmoid fused into one row-wise pass, matching
-        // `BoltzmannMachine::hidden_probabilities_with` bit for bit.
-        let bias = &self.params.hidden_bias;
-        Ok(logits.map_rows_with(bias.len(), parallel, |_, row, out| {
-            sls_linalg::simd::fused_bias_sigmoid(row, bias, out);
-        }))
+        self.params.hidden_probabilities_with(&pre, parallel)
     }
 
     /// Cluster assignment for a batch of raw rows: [`Self::features`]
@@ -520,19 +505,14 @@ impl PipelineArtifact {
     }
 
     /// Writes the artifact as JSON, creating parent directories if needed.
+    /// The file is replaced atomically (temporary sibling, sync, rename), so
+    /// a server watching the directory never loads a half-written artifact.
     ///
     /// # Errors
     ///
     /// Returns I/O or serialisation errors.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        let path = path.as_ref();
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        std::fs::write(path, self.to_json_pretty()?)?;
-        Ok(())
+        crate::model_io::write_atomic(path.as_ref(), &self.to_json_pretty()?)
     }
 
     /// Reads an artifact (or a legacy param-only snapshot) from a JSON file.
@@ -635,6 +615,40 @@ mod tests {
         f.artifact.save(&path).unwrap();
         let back = PipelineArtifact::load(&path).unwrap();
         assert_eq!(back, f.artifact);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn save_replaces_the_file_instead_of_rewriting_it() {
+        // A second name for the old file keeps seeing the old bytes only if
+        // `save` renames a new file over the path; writing in place would
+        // change them under every reader of that inode.
+        let dir = std::env::temp_dir().join("sls_rbm_artifact_atomic_save");
+        std::fs::remove_dir_all(&dir).ok();
+        let path = dir.join("model.json");
+        let old = PipelineArtifact::from_params(RbmParams::init(4, 2, &mut rng()), ModelKind::Rbm);
+        old.save(&path).unwrap();
+        let old_bytes = std::fs::read(&path).unwrap();
+        let link = dir.join("model.link");
+        std::fs::hard_link(&path, &link).unwrap();
+
+        let new = fitted().artifact;
+        new.save(&path).unwrap();
+        assert!(
+            std::fs::read(&link).unwrap() == old_bytes,
+            "save rewrote the old file in place"
+        );
+        assert_eq!(PipelineArtifact::load(&path).unwrap(), new);
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        assert_eq!(
+            names,
+            ["model.json", "model.link"],
+            "no temporary file left"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,4 +1,5 @@
-//! Contrastive-divergence (CD-k) training for the plain RBM / GRBM baselines.
+//! Contrastive-divergence (CD-k) training and the one mini-batch update
+//! every trainer shares.
 //!
 //! The update rules are Eqs. 10–12 of the paper, with the standard practical
 //! additions of mini-batches, momentum and L2 weight decay (Hinton's
@@ -6,12 +7,20 @@
 //! *probabilities*; the Gibbs chain uses hidden *samples* for the downward
 //! pass and probabilities for the final upward pass, which is the customary
 //! low-variance CD-1 estimator.
+//!
+//! `minibatch_step` applies that rule to one mini-batch, plus the sls
+//! constrict/disperse term (Eqs. 33–35) when the run is guided by a local
+//! supervision. The in-memory trainers ([`CdTrainer`],
+//! [`crate::SlsTrainer`]) run it through one epoch loop;
+//! [`crate::StreamTrainer`] runs it chunk by chunk.
 
 use crate::model::BoltzmannMachine;
+use crate::sls::{clusters_in_batch, sls_batch_gradients, SlsConfig};
 use crate::{RbmError, Result, TrainConfig};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use sls_linalg::{Matrix, MatrixRandomExt, ParallelPolicy, WorkerPool};
+use sls_consensus::LocalSupervision;
+use sls_linalg::{Matrix, MatrixRandomExt, ParallelPolicy};
 
 /// Per-epoch training statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -74,8 +83,8 @@ pub(crate) struct CdBatchGradients {
 /// and the `Vᵀ·H` statistics) run under `parallel`; the Bernoulli sampling
 /// stays strictly serial so the RNG stream — and therefore every reproduced
 /// table — is independent of the thread count.
-pub(crate) fn cd_batch_gradients<M: BoltzmannMachine>(
-    model: &M,
+pub(crate) fn cd_batch_gradients(
+    model: &dyn BoltzmannMachine,
     batch: &Matrix,
     cd_steps: usize,
     parallel: &ParallelPolicy,
@@ -142,8 +151,8 @@ impl Velocity {
 
 /// Applies one momentum-smoothed update with the given gradients (already
 /// scaled by the learning rate by the caller).
-pub(crate) fn apply_update<M: BoltzmannMachine>(
-    model: &mut M,
+pub(crate) fn apply_update(
+    model: &mut dyn BoltzmannMachine,
     velocity: &mut Velocity,
     momentum: f64,
     step_w: &Matrix,
@@ -180,6 +189,170 @@ pub(crate) fn epoch_order(n: usize, shuffle: bool, rng: &mut impl Rng) -> Vec<us
     order
 }
 
+/// The supervision side of a guided run: the sls hyper-parameters and the
+/// local cluster of every supervised instance.
+#[derive(Debug, Clone)]
+pub(crate) struct Guidance {
+    sls: SlsConfig,
+    membership: Vec<Option<usize>>,
+    n_clusters: usize,
+}
+
+impl Guidance {
+    /// Checks `sls` and that `supervision` covers only instances below
+    /// `n_instances`, the number of rows the run will visit.
+    ///
+    /// # Errors
+    ///
+    /// * [`RbmError::InvalidConfig`] if `sls` is invalid.
+    /// * [`RbmError::SupervisionOutOfRange`] if the supervision references
+    ///   an instance at or beyond `n_instances`.
+    pub(crate) fn new(
+        supervision: &LocalSupervision,
+        sls: SlsConfig,
+        n_instances: usize,
+    ) -> Result<Self> {
+        sls.validate()?;
+        if let Some(&index) = supervision.covered_indices().last() {
+            if index >= n_instances {
+                return Err(RbmError::SupervisionOutOfRange {
+                    index,
+                    instances: n_instances,
+                });
+            }
+        }
+        Ok(Self {
+            sls,
+            membership: supervision.membership(),
+            n_clusters: supervision.n_clusters(),
+        })
+    }
+}
+
+/// What stays fixed across every mini-batch update of one run.
+pub(crate) struct UpdateRule<'a> {
+    /// CD hyper-parameters.
+    pub train: &'a TrainConfig,
+    /// The constrict/disperse term, `None` for plain CD.
+    pub guide: Option<&'a Guidance>,
+    /// Execution policy of the matrix products.
+    pub parallel: &'a ParallelPolicy,
+}
+
+/// Applies one mini-batch update: CD-k on rows `rows` of `data`, plus the
+/// constrict/disperse term when `rule.guide` is set. Row `r` of `data` is
+/// supervision instance `offset + r`.
+///
+/// Plain CD keeps its own step formula instead of reusing the guided one
+/// with η = 1: the two group the learning rate differently, so their f64
+/// results would differ in the last bits.
+pub(crate) fn minibatch_step(
+    model: &mut dyn BoltzmannMachine,
+    velocity: &mut Velocity,
+    rule: &UpdateRule<'_>,
+    data: &Matrix,
+    rows: &[usize],
+    offset: usize,
+    rng: &mut impl Rng,
+) -> Result<()> {
+    let batch = data.select_rows(rows)?;
+    let cd = cd_batch_gradients(model, &batch, rule.train.cd_steps, rule.parallel, rng)?;
+    let lr = rule.train.learning_rate;
+    let decay = model.params().weights.scale(-rule.train.weight_decay);
+    let (step_w, step_a, step_b): (Matrix, Vec<f64>, Vec<f64>) = match rule.guide {
+        // ε(<vh>_data - <vh>_recon) - ε·λ·w  (weight decay)
+        None => (
+            cd.dw.add(&decay)?.scale(lr),
+            cd.da.iter().map(|g| lr * g).collect(),
+            cd.db.iter().map(|g| lr * g).collect(),
+        ),
+        Some(guide) => {
+            // Supervision gradients on both phases (Eqs. 27–32): the data
+            // phase uses (V, H_data); the reconstruction phase uses
+            // (V_recon, H_recon) for the same instances.
+            let instances: Vec<usize> = rows.iter().map(|&r| offset + r).collect();
+            let clusters = clusters_in_batch(&instances, &guide.membership, guide.n_clusters);
+            let params = model.params();
+            let mut sls =
+                sls_batch_gradients(params, &batch, &cd.hidden_data, &clusters, rule.parallel)?;
+            sls.accumulate(&sls_batch_gradients(
+                params,
+                &cd.visible_recon,
+                &cd.hidden_recon,
+                &clusters,
+                rule.parallel,
+            )?)?;
+            // Ascend the CD objective (weight η·ε), descend the sls loss
+            // (weight (1-η)·ε_sls); the visible biases get only the CD term
+            // (Eq. 35).
+            let eta = guide.sls.eta;
+            let sls_lr = guide.sls.resolve_supervision_lr(lr);
+            (
+                cd.dw
+                    .scale(eta * lr)
+                    .add(&sls.dw.scale(-(1.0 - eta) * sls_lr))?
+                    .add(&decay.scale(lr))?,
+                cd.da.iter().map(|g| eta * lr * g).collect(),
+                cd.db
+                    .iter()
+                    .zip(&sls.db)
+                    .map(|(cd_g, sls_g)| eta * lr * cd_g - (1.0 - eta) * sls_lr * sls_g)
+                    .collect(),
+            )
+        }
+    };
+    apply_update(
+        model,
+        velocity,
+        rule.train.momentum,
+        &step_w,
+        &step_a,
+        &step_b,
+    )
+}
+
+/// The in-memory epoch loop of [`CdTrainer`] and [`crate::SlsTrainer`]:
+/// every epoch shuffles the rows (if configured), applies
+/// [`minibatch_step`] to each mini-batch, and records the reconstruction
+/// error over all of `data`.
+///
+/// # Errors
+///
+/// * [`RbmError::EmptyData`] / [`RbmError::VisibleSizeMismatch`] for bad
+///   input shapes.
+/// * [`RbmError::Diverged`] if parameters become non-finite.
+pub(crate) fn train_epochs(
+    model: &mut dyn BoltzmannMachine,
+    data: &Matrix,
+    cfg: &TrainConfig,
+    guide: Option<&Guidance>,
+    parallel: &ParallelPolicy,
+    rng: &mut impl Rng,
+) -> Result<TrainingHistory> {
+    let params = model.params();
+    params.check_data(data)?;
+    let mut velocity = Velocity::zeros(params.n_visible(), params.n_hidden());
+    let rule = UpdateRule {
+        train: cfg,
+        guide,
+        parallel,
+    };
+    let mut history = TrainingHistory::default();
+    for epoch in 0..cfg.epochs {
+        for rows in epoch_order(data.rows(), cfg.shuffle, rng).chunks(cfg.batch_size) {
+            minibatch_step(model, &mut velocity, &rule, data, rows, 0, rng)?;
+        }
+        if !model.params().is_finite() {
+            return Err(RbmError::Diverged { epoch });
+        }
+        history.epochs.push(EpochStats {
+            epoch,
+            reconstruction_error: model.reconstruction_error_with(data, parallel)?,
+        });
+    }
+    Ok(history)
+}
+
 /// Plain contrastive-divergence trainer for [`crate::Rbm`] and
 /// [`crate::Grbm`].
 #[derive(Debug, Clone)]
@@ -198,22 +371,16 @@ impl CdTrainer {
     /// Returns [`RbmError::InvalidConfig`] if the configuration is invalid.
     pub fn new(config: TrainConfig) -> Result<Self> {
         config.validate()?;
-        Ok(Self::with_parallel_policy(config, ParallelPolicy::global()))
+        Ok(Self {
+            config,
+            parallel: ParallelPolicy::global(),
+        })
     }
 
     /// Sets the parallel execution policy for the training hot path. Results
     /// are bitwise identical for every policy.
     pub fn with_parallel(self, parallel: ParallelPolicy) -> Self {
-        Self::with_parallel_policy(self.config, parallel)
-    }
-
-    fn with_parallel_policy(config: TrainConfig, parallel: ParallelPolicy) -> Self {
-        if !parallel.is_serial() {
-            // Warm the persistent pool once at trainer construction, so the
-            // first mini-batch does not pay the pool start.
-            let _ = WorkerPool::global();
-        }
-        Self { config, parallel }
+        Self { parallel, ..self }
     }
 
     /// The active configuration.
@@ -239,41 +406,7 @@ impl CdTrainer {
         data: &Matrix,
         rng: &mut impl Rng,
     ) -> Result<TrainingHistory> {
-        model.params().check_data(data)?;
-        let (n_visible, n_hidden) = (model.params().n_visible(), model.params().n_hidden());
-        let mut velocity = Velocity::zeros(n_visible, n_hidden);
-        let mut history = TrainingHistory::default();
-        let lr = self.config.learning_rate;
-
-        for epoch in 0..self.config.epochs {
-            let order = epoch_order(data.rows(), self.config.shuffle, rng);
-            for chunk in order.chunks(self.config.batch_size) {
-                let batch = data.select_rows(chunk)?;
-                let grads =
-                    cd_batch_gradients(model, &batch, self.config.cd_steps, &self.parallel, rng)?;
-                // ε(<vh>_data - <vh>_recon) - ε·λ·w  (weight decay)
-                let decay = model.params().weights.scale(-self.config.weight_decay);
-                let step_w = grads.dw.add(&decay)?.scale(lr);
-                let step_a: Vec<f64> = grads.da.iter().map(|g| lr * g).collect();
-                let step_b: Vec<f64> = grads.db.iter().map(|g| lr * g).collect();
-                apply_update(
-                    model,
-                    &mut velocity,
-                    self.config.momentum,
-                    &step_w,
-                    &step_a,
-                    &step_b,
-                )?;
-            }
-            if !model.params().is_finite() {
-                return Err(RbmError::Diverged { epoch });
-            }
-            history.epochs.push(EpochStats {
-                epoch,
-                reconstruction_error: model.reconstruction_error_with(data, &self.parallel)?,
-            });
-        }
-        Ok(history)
+        train_epochs(model, data, &self.config, None, &self.parallel, rng)
     }
 }
 

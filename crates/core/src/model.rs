@@ -78,6 +78,27 @@ impl RbmParams {
         Ok(())
     }
 
+    /// Hidden unit activation probabilities `sigmoid(v W + b)` for each row
+    /// of `visible`: one matrix product, then the bias broadcast and sigmoid
+    /// fused into one row-wise pass. Every hidden-feature path (training,
+    /// pipelines, served artifacts) goes through here.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `visible` has the wrong width or no rows.
+    pub fn hidden_probabilities_with(
+        &self,
+        visible: &Matrix,
+        parallel: &ParallelPolicy,
+    ) -> Result<Matrix> {
+        self.check_data(visible)?;
+        let pre = visible.matmul_with(&self.weights, parallel)?;
+        let bias = &self.hidden_bias;
+        Ok(pre.map_rows_with(bias.len(), parallel, |_, row, out| {
+            sls_linalg::simd::fused_bias_sigmoid(row, bias, out);
+        }))
+    }
+
     /// `true` if every parameter is finite.
     pub fn is_finite(&self) -> bool {
         self.weights.is_finite()
@@ -101,6 +122,16 @@ impl RbmParams {
             });
         }
         Ok(())
+    }
+}
+
+impl VisibleKind {
+    /// Wraps `params` in the energy model with this visible layer.
+    pub(crate) fn machine(self, params: RbmParams) -> Box<dyn BoltzmannMachine> {
+        match self {
+            VisibleKind::Binary => Box::new(crate::Rbm::from_params(params)),
+            VisibleKind::Gaussian => Box::new(crate::Grbm::from_params(params)),
+        }
     }
 }
 
@@ -142,16 +173,7 @@ pub trait BoltzmannMachine {
         visible: &Matrix,
         parallel: &ParallelPolicy,
     ) -> Result<Matrix> {
-        let params = self.params();
-        params.check_data(visible)?;
-        let pre = visible.matmul_with(&params.weights, parallel)?;
-        // Bias broadcast and sigmoid fused into one row-wise pass: same
-        // per-element arithmetic as broadcast-then-map, one less allocation.
-        let n_hidden = params.n_hidden();
-        let bias = &params.hidden_bias;
-        Ok(pre.map_rows_with(n_hidden, parallel, |_, row, out| {
-            sls_linalg::simd::fused_bias_sigmoid(row, bias, out);
-        }))
+        self.params().hidden_probabilities_with(visible, parallel)
     }
 
     /// Samples a binary hidden state from the probabilities.

@@ -11,10 +11,49 @@
 //! New code should use [`crate::PipelineArtifact`] directly: it additionally
 //! persists the fitted preprocessing statistics, model kind and cluster
 //! head, which are required to serve inference requests.
+//!
+//! Every file the crate writes (artifacts and training checkpoints) goes
+//! through `write_atomic`.
 
 use crate::artifact::{ModelKind, PipelineArtifact};
 use crate::{RbmParams, Result};
+use std::fs::File;
+use std::io::Write;
 use std::path::Path;
+
+/// Replaces the file at `path` with `contents` atomically, creating parent
+/// directories if needed. The bytes go to a temporary sibling whose
+/// extension is `.tmp` (directory scanners that load `*.json` never pick it
+/// up), are synced, and the sibling is renamed over `path`; the directory is
+/// synced last so the rename itself is durable. A concurrent reader sees
+/// either the old file or the new one, never a truncated mix.
+///
+/// # Errors
+///
+/// Returns I/O errors; the temporary file is removed if the write or the
+/// rename fails.
+pub(crate) fn write_atomic(path: &Path, contents: &str) -> Result<()> {
+    let dir = match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => parent,
+        _ => Path::new("."),
+    };
+    std::fs::create_dir_all(dir)?;
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".{}.tmp", std::process::id()));
+    let written = File::create(&tmp)
+        .and_then(|mut file| {
+            file.write_all(contents.as_bytes())?;
+            file.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if let Err(e) = written {
+        std::fs::remove_file(&tmp).ok();
+        return Err(e.into());
+    }
+    #[cfg(unix)]
+    File::open(dir)?.sync_all()?;
+    Ok(())
+}
 
 /// Serialises parameters to a JSON file, creating parent directories if
 /// needed.

@@ -13,10 +13,11 @@
 //!
 //! The pipeline types bundle stages 1–4 behind a single `run` call.
 
-use crate::artifact::FittedPreprocessor;
-use crate::model::{BoltzmannMachine, RbmParams};
-use crate::sls::{SlsConfig, SlsGrbm, SlsRbm};
-use crate::{CdTrainer, Grbm, Rbm, Result, TrainConfig, TrainingHistory};
+use crate::artifact::{FittedPreprocessor, ModelKind};
+use crate::cd::{train_epochs, Guidance};
+use crate::model::RbmParams;
+use crate::sls::SlsConfig;
+use crate::{Result, TrainConfig, TrainingHistory};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use sls_clustering::{AffinityPropagation, Clusterer, DensityPeaks, KMeans};
@@ -245,8 +246,61 @@ pub fn base_clusterers(k: usize, parallel: &ParallelPolicy) -> Vec<Box<dyn Clust
     ]
 }
 
-macro_rules! sls_pipeline {
-    ($(#[$doc:meta])* $name:ident, $model:ty) => {
+/// Runs the pipeline of `kind` on `data` (one row per instance):
+/// preprocessing, the consensus supervision (sls kinds only), training of
+/// the energy model with `kind`'s visible layer, and hidden-feature
+/// extraction.
+///
+/// # Errors
+///
+/// Propagates preprocessing, clustering, supervision and training errors.
+pub(crate) fn run_pipeline(
+    kind: ModelKind,
+    config: &SlsPipelineConfig,
+    data: &Matrix,
+    rng: &mut impl Rng,
+) -> Result<PipelineOutcome> {
+    config.train.validate()?;
+    let parallel = &config.parallel;
+    let (preprocessor, preprocessed) = preprocess(data, config.preprocessing, parallel)?;
+    let supervision = if kind.is_sls() {
+        let clusterers = base_clusterers(config.n_clusters, parallel);
+        Some(
+            LocalSupervisionBuilder::new(config.n_clusters)
+                .with_policy(config.voting)
+                .with_parallel(*parallel)
+                .build_with_clusterers(&clusterers, &preprocessed, rng)?,
+        )
+    } else {
+        None
+    };
+    let guide = supervision
+        .as_ref()
+        .map(|s| Guidance::new(s, config.sls, preprocessed.rows()))
+        .transpose()?;
+    let params = RbmParams::init(preprocessed.cols(), config.n_hidden, rng);
+    let mut model = kind.visible_kind().machine(params);
+    let history = train_epochs(
+        model.as_mut(),
+        &preprocessed,
+        &config.train,
+        guide.as_ref(),
+        parallel,
+        rng,
+    )?;
+    let model_params = model.params().clone();
+    Ok(PipelineOutcome {
+        hidden_features: model_params.hidden_probabilities_with(&preprocessed, parallel)?,
+        preprocessed,
+        history,
+        supervision: supervision.as_ref().map(|s| s.summary()),
+        model_params,
+        preprocessor,
+    })
+}
+
+macro_rules! pipeline {
+    ($(#[$doc:meta])* $name:ident, $kind:expr) => {
         $(#[$doc])*
         #[derive(Debug, Clone)]
         pub struct $name {
@@ -254,7 +308,8 @@ macro_rules! sls_pipeline {
         }
 
         impl $name {
-            /// Creates the pipeline with the given configuration.
+            /// Creates the pipeline with the given configuration (the
+            /// baseline pipelines ignore the `sls` and `voting` fields).
             pub fn new(config: SlsPipelineConfig) -> Self {
                 Self { config }
             }
@@ -264,121 +319,47 @@ macro_rules! sls_pipeline {
                 &self.config
             }
 
-            /// Runs preprocessing, supervision construction, training and
-            /// feature extraction on `data` (one row per instance).
+            /// Runs preprocessing, supervision construction (sls models
+            /// only), training and feature extraction on `data` (one row
+            /// per instance).
             ///
             /// # Errors
             ///
             /// Propagates preprocessing, clustering, supervision and training
             /// errors.
             pub fn run(&self, data: &Matrix, rng: &mut impl Rng) -> Result<PipelineOutcome> {
-                let (preprocessor, preprocessed) =
-                    preprocess(data, self.config.preprocessing, &self.config.parallel)?;
-                let clusterers =
-                    base_clusterers(self.config.n_clusters, &self.config.parallel);
-                let supervision = LocalSupervisionBuilder::new(self.config.n_clusters)
-                    .with_policy(self.config.voting)
-                    .with_parallel(self.config.parallel)
-                    .build_with_clusterers(&clusterers, &preprocessed, rng)?;
-                let mut model =
-                    <$model>::new(preprocessed.cols(), self.config.n_hidden, rng);
-                let history = model.train_with(
-                    &preprocessed,
-                    &supervision,
-                    self.config.train,
-                    self.config.sls,
-                    self.config.parallel,
-                    rng,
-                )?;
-                let hidden_features =
-                    model.hidden_features_with(&preprocessed, &self.config.parallel)?;
-                Ok(PipelineOutcome {
-                    hidden_features,
-                    preprocessed,
-                    history,
-                    supervision: Some(supervision.summary()),
-                    model_params: model.params().clone(),
-                    preprocessor,
-                })
+                run_pipeline($kind, &self.config, data, rng)
             }
         }
     };
 }
 
-macro_rules! baseline_pipeline {
-    ($(#[$doc:meta])* $name:ident, $model:ty) => {
-        $(#[$doc])*
-        #[derive(Debug, Clone)]
-        pub struct $name {
-            config: SlsPipelineConfig,
-        }
-
-        impl $name {
-            /// Creates the pipeline with the given configuration (the `sls`
-            /// and `voting` fields are ignored).
-            pub fn new(config: SlsPipelineConfig) -> Self {
-                Self { config }
-            }
-
-            /// The active configuration.
-            pub fn config(&self) -> &SlsPipelineConfig {
-                &self.config
-            }
-
-            /// Runs preprocessing, plain CD training and feature extraction.
-            ///
-            /// # Errors
-            ///
-            /// Propagates preprocessing and training errors.
-            pub fn run(&self, data: &Matrix, rng: &mut impl Rng) -> Result<PipelineOutcome> {
-                let (preprocessor, preprocessed) =
-                    preprocess(data, self.config.preprocessing, &self.config.parallel)?;
-                let mut model =
-                    <$model>::new(preprocessed.cols(), self.config.n_hidden, rng);
-                let history = CdTrainer::new(self.config.train)?
-                    .with_parallel(self.config.parallel)
-                    .train(&mut model, &preprocessed, rng)?;
-                let hidden_features =
-                    model.hidden_probabilities_with(&preprocessed, &self.config.parallel)?;
-                Ok(PipelineOutcome {
-                    hidden_features,
-                    preprocessed,
-                    history,
-                    supervision: None,
-                    model_params: model.params().clone(),
-                    preprocessor,
-                })
-            }
-        }
-    };
-}
-
-sls_pipeline!(
+pipeline!(
     /// Full slsGRBM pipeline: standardise → multi-clustering supervision →
     /// sls training of a Gaussian-visible model → hidden features.
     SlsGrbmPipeline,
-    SlsGrbm
+    ModelKind::SlsGrbm
 );
 
-sls_pipeline!(
+pipeline!(
     /// Full slsRBM pipeline: binarise → multi-clustering supervision → sls
     /// training of a binary model → hidden features.
     SlsRbmPipeline,
-    SlsRbm
+    ModelKind::SlsRbm
 );
 
-baseline_pipeline!(
+pipeline!(
     /// Baseline GRBM pipeline (plain CD, no supervision), the `X+GRBM`
     /// columns of Tables IV–VI.
     GrbmPipeline,
-    Grbm
+    ModelKind::Grbm
 );
 
-baseline_pipeline!(
+pipeline!(
     /// Baseline RBM pipeline (plain CD, no supervision), the `X+RBM` columns
     /// of Tables VII–IX.
     RbmPipeline,
-    Rbm
+    ModelKind::Rbm
 );
 
 #[cfg(test)]

@@ -12,10 +12,12 @@
 //! where `L_data` (Eq. 14) penalises the spread of hidden features within
 //! each local credible cluster and rewards the spread between cluster
 //! centres, and `L_recon` (Eq. 15) applies the same pressure to the hidden
-//! features of the *reconstructed* visible layer. The CD term is handled
-//! exactly as in the baselines; [`gradient`] implements the analytic
-//! gradients of `L_data` / `L_recon` (Eqs. 27–32) and [`SlsTrainer`] combines
-//! both into the parameter updates (Eqs. 33–35).
+//! features of the *reconstructed* visible layer. [`gradient`] implements
+//! the analytic gradients of `L_data` / `L_recon` (Eqs. 27–32). Combining
+//! them with the CD term into the parameter updates (Eqs. 33–35) is the
+//! guided branch of the crate's one mini-batch update, `cd::minibatch_step`,
+//! which also serves plain CD and the streaming trainer; [`SlsTrainer`] runs
+//! it over in-memory data.
 //!
 //! ## A note on the sign of the supervision term
 //!

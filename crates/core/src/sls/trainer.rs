@@ -1,10 +1,10 @@
-//! The sls training loop: CD-1 plus the constrict/disperse gradients
-//! (Eqs. 33–35).
+//! The in-memory sls trainer: the shared epoch loop with the
+//! constrict/disperse term of Eqs. 33–35 switched on.
 
-use crate::cd::{apply_update, cd_batch_gradients, epoch_order, Velocity};
+use crate::cd::{train_epochs, Guidance};
 use crate::model::BoltzmannMachine;
-use crate::sls::{sls_batch_gradients, SlsConfig};
-use crate::{EpochStats, RbmError, Result, TrainConfig, TrainingHistory};
+use crate::sls::SlsConfig;
+use crate::{Result, TrainConfig, TrainingHistory};
 use rand::Rng;
 use sls_consensus::LocalSupervision;
 use sls_linalg::{Matrix, ParallelPolicy};
@@ -29,8 +29,8 @@ impl SlsTrainer {
     ///
     /// # Errors
     ///
-    /// Returns [`RbmError::InvalidConfig`] if either configuration is
-    /// invalid.
+    /// Returns [`RbmError::InvalidConfig`](crate::RbmError::InvalidConfig)
+    /// if either configuration is invalid.
     pub fn new(train: TrainConfig, sls: SlsConfig) -> Result<Self> {
         train.validate()?;
         sls.validate()?;
@@ -38,25 +38,13 @@ impl SlsTrainer {
             train,
             sls,
             parallel: ParallelPolicy::global(),
-        }
-        .warmed())
+        })
     }
 
     /// Sets the parallel execution policy for the training hot path. Results
     /// are bitwise identical for every policy.
-    pub fn with_parallel(mut self, parallel: ParallelPolicy) -> Self {
-        self.parallel = parallel;
-        self.warmed()
-    }
-
-    /// Warms the persistent pool once at trainer construction when the
-    /// policy can fan out, so the first mini-batch does not pay the pool
-    /// start.
-    fn warmed(self) -> Self {
-        if !self.parallel.is_serial() {
-            let _ = sls_linalg::WorkerPool::global();
-        }
-        self
+    pub fn with_parallel(self, parallel: ParallelPolicy) -> Self {
+        Self { parallel, ..self }
     }
 
     /// The CD training configuration.
@@ -79,9 +67,10 @@ impl SlsTrainer {
     /// # Errors
     ///
     /// * Shape errors for incompatible data.
-    /// * [`RbmError::SupervisionOutOfRange`] if the supervision references
-    ///   instances that do not exist.
-    /// * [`RbmError::Diverged`] if parameters become non-finite.
+    /// * [`RbmError::SupervisionOutOfRange`](crate::RbmError::SupervisionOutOfRange)
+    ///   if the supervision references instances that do not exist.
+    /// * [`RbmError::Diverged`](crate::RbmError::Diverged) if parameters
+    ///   become non-finite.
     pub fn train<M: BoltzmannMachine>(
         &self,
         model: &mut M,
@@ -89,88 +78,8 @@ impl SlsTrainer {
         supervision: &LocalSupervision,
         rng: &mut impl Rng,
     ) -> Result<TrainingHistory> {
-        model.params().check_data(data)?;
-        if let Some(&max_index) = supervision.covered_indices().last() {
-            if max_index >= data.rows() {
-                return Err(RbmError::SupervisionOutOfRange {
-                    index: max_index,
-                    instances: data.rows(),
-                });
-            }
-        }
-
-        let membership = supervision.membership();
-        let n_local_clusters = supervision.n_clusters();
-        let (n_visible, n_hidden) = (model.params().n_visible(), model.params().n_hidden());
-        let mut velocity = Velocity::zeros(n_visible, n_hidden);
-        let mut history = TrainingHistory::default();
-
-        let eta = self.sls.eta;
-        let lr = self.train.learning_rate;
-        let sls_lr = self.sls.resolve_supervision_lr(lr);
-
-        for epoch in 0..self.train.epochs {
-            let order = epoch_order(data.rows(), self.train.shuffle, rng);
-            for chunk in order.chunks(self.train.batch_size) {
-                let batch = data.select_rows(chunk)?;
-                // Local clusters restricted to this batch, expressed as batch
-                // row indices.
-                let batch_clusters = clusters_in_batch(chunk, &membership, n_local_clusters);
-
-                let cd =
-                    cd_batch_gradients(model, &batch, self.train.cd_steps, &self.parallel, rng)?;
-
-                // Supervision gradients on both phases (Eqs. 27–32): the data
-                // phase uses (V, H_data); the reconstruction phase uses
-                // (V_recon, H_recon) for the same instances.
-                let mut sls_grads = sls_batch_gradients(
-                    model.params(),
-                    &batch,
-                    &cd.hidden_data,
-                    &batch_clusters,
-                    &self.parallel,
-                )?;
-                let recon_grads = sls_batch_gradients(
-                    model.params(),
-                    &cd.visible_recon,
-                    &cd.hidden_recon,
-                    &batch_clusters,
-                    &self.parallel,
-                )?;
-                sls_grads.accumulate(&recon_grads)?;
-
-                // Combine: ascend the CD objective, descend the sls loss.
-                let decay = model.params().weights.scale(-self.train.weight_decay);
-                let step_w = cd
-                    .dw
-                    .scale(eta * lr)
-                    .add(&sls_grads.dw.scale(-(1.0 - eta) * sls_lr))?
-                    .add(&decay.scale(lr))?;
-                let step_a: Vec<f64> = cd.da.iter().map(|g| eta * lr * g).collect();
-                let step_b: Vec<f64> = cd
-                    .db
-                    .iter()
-                    .zip(&sls_grads.db)
-                    .map(|(cd_g, sls_g)| eta * lr * cd_g - (1.0 - eta) * sls_lr * sls_g)
-                    .collect();
-                apply_update(
-                    model,
-                    &mut velocity,
-                    self.train.momentum,
-                    &step_w,
-                    &step_a,
-                    &step_b,
-                )?;
-            }
-            if !model.params().is_finite() {
-                return Err(RbmError::Diverged { epoch });
-            }
-            history.epochs.push(EpochStats {
-                epoch,
-                reconstruction_error: model.reconstruction_error_with(data, &self.parallel)?,
-            });
-        }
-        Ok(history)
+        let guide = Guidance::new(supervision, self.sls, data.rows())?;
+        train_epochs(model, data, &self.train, Some(&guide), &self.parallel, rng)
     }
 }
 
@@ -192,7 +101,7 @@ pub(crate) fn clusters_in_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Grbm, Rbm};
+    use crate::{Grbm, Rbm, RbmError};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use sls_consensus::{LocalSupervision, VotingPolicy};

@@ -4,10 +4,16 @@
 //! hold the whole dataset in one [`Matrix`]. For corpora that do not fit in
 //! memory (or for long runs that must survive interruption) this module
 //! trains against a [`ChunkSource`] instead: each epoch walks the source
-//! chunk by chunk, runs the usual mini-batch updates inside the chunk, and
-//! records its position in a [`TrainCheckpoint`] — a schema-versioned JSON
-//! artifact holding the model parameters, the momentum (optimizer) state and
-//! the ingest cursor.
+//! chunk by chunk, runs the mini-batch updates inside the chunk, and records
+//! its position in a [`TrainCheckpoint`] — a schema-versioned JSON artifact
+//! holding the model parameters, the momentum (optimizer) state and the
+//! ingest cursor.
+//!
+//! There is one mini-batch update in the crate, `cd::minibatch_step`, and
+//! all three trainers call it: [`CdTrainer`](crate::CdTrainer) and
+//! [`SlsTrainer`](crate::SlsTrainer) from their shared epoch loop, this
+//! module once per mini-batch of each chunk. The stream differs from the
+//! in-memory loop only in where rows, RNG streams and momentum come from.
 //!
 //! ## Bit-exact resume
 //!
@@ -35,16 +41,17 @@
 //! The sls models need a [`LocalSupervision`], which is built on an
 //! in-memory sample (see [`sls_datasets::leading_sample`]). Its instance
 //! indices are *global* stream indices; rows of chunk `c` have global
-//! indices `c * chunk_size + local`. Rows beyond the sampled prefix are not
-//! covered by any local cluster and receive only the CD gradient — exactly
-//! the semantics the in-memory trainer gives uncovered instances.
+//! indices `c * chunk_size + local`, which is the offset the stream hands
+//! the shared update. Rows beyond the sampled prefix are not covered by any
+//! local cluster and receive only the CD gradient, as uncovered instances
+//! do in memory.
 
-use crate::cd::{apply_update, cd_batch_gradients, epoch_order, Velocity};
+use crate::cd::{epoch_order, minibatch_step, Guidance, UpdateRule, Velocity};
 use crate::model::BoltzmannMachine;
-use crate::sls::{clusters_in_batch, sls_batch_gradients, SlsConfig};
+use crate::sls::SlsConfig;
 use crate::{
-    EpochStats, FittedPreprocessor, Grbm, ModelKind, Rbm, RbmError, RbmParams, Result, TrainConfig,
-    TrainingHistory, VisibleKind,
+    EpochStats, FittedPreprocessor, ModelKind, RbmError, RbmParams, Result, TrainConfig,
+    TrainingHistory,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -270,19 +277,14 @@ impl TrainCheckpoint {
     }
 
     /// Writes the checkpoint as JSON, creating parent directories if needed.
+    /// The file is replaced atomically, so a crash mid-save leaves the
+    /// previous checkpoint intact.
     ///
     /// # Errors
     ///
     /// Returns I/O or serialisation errors.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        let path = path.as_ref();
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        std::fs::write(path, self.to_json_pretty()?)?;
-        Ok(())
+        crate::model_io::write_atomic(path.as_ref(), &self.to_json_pretty()?)
     }
 
     /// Reads a checkpoint from a JSON file.
@@ -375,83 +377,53 @@ impl StreamTrainer {
         limit: StreamLimit,
     ) -> Result<TrainingHistory> {
         checkpoint.check_consistent()?;
-        match (checkpoint.model_kind.is_sls(), &supervision) {
-            (true, None) => {
-                return Err(RbmError::InvalidConfig {
-                    name: "supervision",
-                    message: format!(
-                        "model kind '{}' trains with the sls objective and needs a supervision",
-                        checkpoint.model_kind.as_str()
-                    ),
-                })
-            }
-            (false, Some(_)) => {
-                return Err(RbmError::InvalidConfig {
-                    name: "supervision",
-                    message: format!(
-                        "model kind '{}' trains with plain CD and ignores supervision; \
-                         pass None or pick an sls kind",
-                        checkpoint.model_kind.as_str()
-                    ),
-                })
-            }
-            _ => {}
+        let kind = checkpoint.model_kind;
+        if kind.is_sls() != supervision.is_some() {
+            let needs = if kind.is_sls() {
+                "trains with the sls objective and needs a supervision"
+            } else {
+                "trains with plain CD and ignores supervision; pass None or pick an sls kind"
+            };
+            return Err(RbmError::InvalidConfig {
+                name: "supervision",
+                message: format!("model kind '{}' {needs}", kind.as_str()),
+            });
         }
-        if let Some((sup, sls)) = supervision {
-            sls.validate()?;
-            if let Some(&max_index) = sup.covered_indices().last() {
-                if max_index >= source.n_instances() {
-                    return Err(RbmError::SupervisionOutOfRange {
-                        index: max_index,
-                        instances: source.n_instances(),
-                    });
-                }
-            }
-        }
-
-        match checkpoint.model_kind.visible_kind() {
-            VisibleKind::Binary => {
-                let mut model = Rbm::from_params(checkpoint.params.clone());
-                self.drive(
-                    &mut model,
-                    checkpoint,
-                    source,
-                    preprocessor,
-                    supervision,
-                    limit,
-                )
-            }
-            VisibleKind::Gaussian => {
-                let mut model = Grbm::from_params(checkpoint.params.clone());
-                self.drive(
-                    &mut model,
-                    checkpoint,
-                    source,
-                    preprocessor,
-                    supervision,
-                    limit,
-                )
-            }
-        }
+        let guide = supervision
+            .map(|(sup, sls)| Guidance::new(sup, *sls, source.n_instances()))
+            .transpose()?;
+        let mut model = kind.visible_kind().machine(checkpoint.params.clone());
+        self.drive(
+            model.as_mut(),
+            checkpoint,
+            source,
+            preprocessor,
+            guide.as_ref(),
+            limit,
+        )
     }
 
-    /// The generic driver loop. Commits parameters, velocity and cursor back
-    /// into the checkpoint after every chunk, so the checkpoint is always a
-    /// valid resume point even when a later chunk errors.
-    fn drive<M: BoltzmannMachine>(
+    /// The driver loop. Commits parameters, velocity and cursor back into
+    /// the checkpoint after every chunk, so the checkpoint is always a valid
+    /// resume point even when a later chunk errors.
+    fn drive(
         &self,
-        model: &mut M,
+        model: &mut dyn BoltzmannMachine,
         checkpoint: &mut TrainCheckpoint,
         source: &dyn ChunkSource,
         preprocessor: &FittedPreprocessor,
-        supervision: Option<(&LocalSupervision, &SlsConfig)>,
+        guide: Option<&Guidance>,
         limit: StreamLimit,
     ) -> Result<TrainingHistory> {
         let cfg = checkpoint.train_config;
         let base_seed = checkpoint.base_seed;
         let n_chunks = source.n_chunks();
         let chunk_cap = source.chunk_size();
-        let sup_data = supervision.map(|(sup, sls)| (sup.membership(), sup.n_clusters(), sls));
+        let rule = UpdateRule {
+            train: &cfg,
+            guide,
+            parallel: &self.parallel,
+        };
 
         let mut velocity = Velocity {
             w: checkpoint.velocity_w.clone(),
@@ -475,74 +447,11 @@ impl StreamTrainer {
                 let raw = source.read_chunk(chunk_index)?;
                 let data = preprocessor.transform_with(&raw, &self.parallel)?;
                 model.params().check_data(&data)?;
-                let global_start = chunk_index * chunk_cap;
-
+                // Rows of this chunk are stream instances `offset + row`.
+                let offset = chunk_index * chunk_cap;
                 let order = epoch_order(data.rows(), cfg.shuffle, &mut rng);
-                for batch_rows in order.chunks(cfg.batch_size) {
-                    let batch = data.select_rows(batch_rows)?;
-                    let cd =
-                        cd_batch_gradients(model, &batch, cfg.cd_steps, &self.parallel, &mut rng)?;
-                    let decay = model.params().weights.scale(-cfg.weight_decay);
-                    let (step_w, step_a, step_b) = match &sup_data {
-                        None => {
-                            // Plain CD, exactly as `CdTrainer`.
-                            let lr = cfg.learning_rate;
-                            (
-                                cd.dw.add(&decay)?.scale(lr),
-                                cd.da.iter().map(|g| lr * g).collect::<Vec<f64>>(),
-                                cd.db.iter().map(|g| lr * g).collect::<Vec<f64>>(),
-                            )
-                        }
-                        Some((membership, n_local_clusters, sls)) => {
-                            // Combined CD + constrict/disperse, exactly as
-                            // `SlsTrainer`, with batch rows mapped to their
-                            // global stream indices first.
-                            let global: Vec<usize> =
-                                batch_rows.iter().map(|&r| global_start + r).collect();
-                            let batch_clusters =
-                                clusters_in_batch(&global, membership, *n_local_clusters);
-                            let mut sls_grads = sls_batch_gradients(
-                                model.params(),
-                                &batch,
-                                &cd.hidden_data,
-                                &batch_clusters,
-                                &self.parallel,
-                            )?;
-                            let recon_grads = sls_batch_gradients(
-                                model.params(),
-                                &cd.visible_recon,
-                                &cd.hidden_recon,
-                                &batch_clusters,
-                                &self.parallel,
-                            )?;
-                            sls_grads.accumulate(&recon_grads)?;
-                            let eta = sls.eta;
-                            let lr = cfg.learning_rate;
-                            let sls_lr = sls.resolve_supervision_lr(lr);
-                            (
-                                cd.dw
-                                    .scale(eta * lr)
-                                    .add(&sls_grads.dw.scale(-(1.0 - eta) * sls_lr))?
-                                    .add(&decay.scale(lr))?,
-                                cd.da.iter().map(|g| eta * lr * g).collect::<Vec<f64>>(),
-                                cd.db
-                                    .iter()
-                                    .zip(&sls_grads.db)
-                                    .map(|(cd_g, sls_g)| {
-                                        eta * lr * cd_g - (1.0 - eta) * sls_lr * sls_g
-                                    })
-                                    .collect::<Vec<f64>>(),
-                            )
-                        }
-                    };
-                    apply_update(
-                        model,
-                        &mut velocity,
-                        cfg.momentum,
-                        &step_w,
-                        &step_a,
-                        &step_b,
-                    )?;
+                for rows in order.chunks(cfg.batch_size) {
+                    minibatch_step(model, &mut velocity, &rule, &data, rows, offset, &mut rng)?;
                 }
                 if !model.params().is_finite() {
                     return Err(RbmError::Diverged { epoch });
@@ -576,9 +485,9 @@ impl StreamTrainer {
     /// order differs from the in-memory one, so the value may differ from a
     /// whole-dataset evaluation in the last bits; it is a monitoring
     /// statistic, not part of the resume contract.
-    fn streaming_reconstruction_error<M: BoltzmannMachine>(
+    fn streaming_reconstruction_error(
         &self,
-        model: &M,
+        model: &dyn BoltzmannMachine,
         source: &dyn ChunkSource,
         preprocessor: &FittedPreprocessor,
     ) -> Result<f64> {

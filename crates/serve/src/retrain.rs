@@ -174,25 +174,7 @@ pub fn retrain(options: &RetrainOptions) -> sls_rbm_core::Result<RetrainOutcome>
 
     let (mut checkpoint, resumed) = if options.checkpoint.exists() {
         let checkpoint = TrainCheckpoint::load(&options.checkpoint)?;
-        if checkpoint.model_kind != options.model_kind
-            || checkpoint.params.n_visible() != source.n_features()
-            || checkpoint.params.n_hidden() != options.n_hidden
-        {
-            return Err(RbmError::InvalidConfig {
-                name: "checkpoint",
-                message: format!(
-                    "existing checkpoint at {} holds a {} model of shape {}x{}, but this run \
-                     requested a {} model of shape {}x{}; delete it to start fresh",
-                    options.checkpoint.display(),
-                    checkpoint.model_kind.as_str(),
-                    checkpoint.params.n_visible(),
-                    checkpoint.params.n_hidden(),
-                    options.model_kind.as_str(),
-                    source.n_features(),
-                    options.n_hidden,
-                ),
-            });
-        }
+        check_resumable(&checkpoint, options, source.n_features())?;
         (checkpoint, true)
     } else {
         let checkpoint = TrainCheckpoint::fresh(
@@ -250,6 +232,50 @@ pub fn retrain(options: &RetrainOptions) -> sls_rbm_core::Result<RetrainOutcome>
         supervision: supervision.as_ref().map(LocalSupervision::summary),
         artifact_path,
         checkpoint_path: options.checkpoint.clone(),
+    })
+}
+
+/// Refuses to resume from a checkpoint written by a different run: another
+/// model kind or shape, another training configuration, or another seed.
+/// Resuming across any of these would mix the checkpoint's run (its init
+/// seed, epoch count and hyper-parameters) with supervision and a cluster
+/// head built from the new options.
+fn check_resumable(
+    checkpoint: &TrainCheckpoint,
+    options: &RetrainOptions,
+    n_features: usize,
+) -> sls_rbm_core::Result<()> {
+    let shape = (checkpoint.params.n_visible(), checkpoint.params.n_hidden());
+    let mismatch =
+        if checkpoint.model_kind != options.model_kind || shape != (n_features, options.n_hidden) {
+            format!(
+                "holds a {} model of shape {}x{}, but this run requested a {} model of shape {}x{}",
+                checkpoint.model_kind.as_str(),
+                shape.0,
+                shape.1,
+                options.model_kind.as_str(),
+                n_features,
+                options.n_hidden,
+            )
+        } else if checkpoint.train_config != options.train {
+            format!(
+                "has train_config {:?}, but this run requested {:?}",
+                checkpoint.train_config, options.train
+            )
+        } else if checkpoint.base_seed != options.seed {
+            format!(
+                "has base_seed {}, but this run requested seed {}",
+                checkpoint.base_seed, options.seed
+            )
+        } else {
+            return Ok(());
+        };
+    Err(RbmError::InvalidConfig {
+        name: "checkpoint",
+        message: format!(
+            "existing checkpoint at {} {mismatch}; delete it to start fresh",
+            options.checkpoint.display()
+        ),
     })
 }
 
@@ -420,6 +446,21 @@ mod tests {
                 ..
             }
         ));
+        // Same kind and shape, but another epoch count or seed: resuming
+        // would train the checkpoint's run, not the requested one.
+        let mut more_epochs = options.clone();
+        more_epochs.train = more_epochs.train.with_epochs(5);
+        let mut reseeded = options.clone();
+        reseeded.seed = 99;
+        for (changed, field) in [(more_epochs, "train_config"), (reseeded, "base_seed")] {
+            match retrain(&changed) {
+                Err(RbmError::InvalidConfig {
+                    name: "checkpoint",
+                    message,
+                }) => assert!(message.contains(field), "{field}: {message}"),
+                other => panic!("{field}: expected a checkpoint refusal, got {other:?}"),
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
