@@ -20,9 +20,9 @@
 //!
 //! For the layer sizes this crate trains (hundreds of visible units,
 //! standardized inputs, |w| ≲ 1) that lands far below the **documented
-//! serving bound of `1e-6 · (1 + |full|)` per feature element**, which the
-//! property suite (`tests/compact_properties.rs`) enforces across every
-//! endpoint and parallel policy.
+//! serving bound of `1e-6 · (1 + |full|)` per feature element**, which
+//! `sls-serve`'s property suite (`tests/compact_properties.rs`) enforces
+//! across every endpoint and parallel policy.
 //!
 //! The compact forward pass runs through the same row-partitioned
 //! [`Matrix::map_rows_with`] dispatch as the full path, with a scalar
@@ -33,12 +33,11 @@
 //!
 //! [`CompactParams`] is a *serving* form, not a persistence form: artifacts
 //! on disk stay full-precision `f64` JSON (schema unchanged), and the
-//! registry quantizes at load time when compact mode is selected. Nothing
-//! lossy ever round-trips back to disk.
+//! `sls-serve` registry quantizes at load time when compact mode is
+//! selected, keeping the preprocessor, cluster head and metadata at full
+//! precision. Nothing lossy ever round-trips back to disk.
 
-use crate::{
-    ClusterHead, FittedPreprocessor, ModelKind, PipelineArtifact, RbmError, RbmParams, Result,
-};
+use crate::{RbmError, RbmParams, Result};
 use sls_linalg::{Matrix, ParallelPolicy};
 
 /// f32-quantized RBM parameters for serving: weights (row-major,
@@ -150,121 +149,15 @@ impl RbmParams {
     }
 }
 
-/// A [`PipelineArtifact`] quantized for serving: compact parameters plus the
-/// (small, still full-precision) preprocessor, cluster head and metadata.
-///
-/// Preprocessing statistics and centroids stay `f64` — they are a few
-/// vectors, not a matrix of `n_visible × n_hidden`, so quantizing them would
-/// save little and widen the error bound for nothing.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompactArtifact {
-    schema_version: u32,
-    model_kind: ModelKind,
-    params: CompactParams,
-    preprocessor: FittedPreprocessor,
-    cluster_head: Option<ClusterHead>,
-    trained_at: Option<String>,
-    source: Option<String>,
-}
-
-impl CompactArtifact {
-    /// Quantizes a loaded artifact for compact serving.
-    pub fn from_artifact(artifact: &PipelineArtifact) -> Self {
-        Self {
-            schema_version: artifact.schema_version,
-            model_kind: artifact.model_kind,
-            params: CompactParams::from_params(&artifact.params),
-            preprocessor: artifact.preprocessor.clone(),
-            cluster_head: artifact.cluster_head.clone(),
-            trained_at: artifact.trained_at.clone(),
-            source: artifact.source.clone(),
-        }
-    }
-
-    /// Schema version of the artifact this was quantized from.
-    pub fn schema_version(&self) -> u32 {
-        self.schema_version
-    }
-
-    /// Which model produced the weights.
-    pub fn model_kind(&self) -> ModelKind {
-        self.model_kind
-    }
-
-    /// Number of visible units (raw feature columns expected).
-    pub fn n_visible(&self) -> usize {
-        self.params.n_visible()
-    }
-
-    /// Number of hidden units (feature columns produced).
-    pub fn n_hidden(&self) -> usize {
-        self.params.n_hidden()
-    }
-
-    /// The fitted cluster head, if the source artifact carried one.
-    pub fn cluster_head(&self) -> Option<&ClusterHead> {
-        self.cluster_head.as_ref()
-    }
-
-    /// Training timestamp carried over from the source artifact.
-    pub fn trained_at(&self) -> Option<&str> {
-        self.trained_at.as_deref()
-    }
-
-    /// Provenance string carried over from the source artifact.
-    pub fn source(&self) -> Option<&str> {
-        self.source.as_deref()
-    }
-
-    /// Bytes of parameter payload (see [`CompactParams::param_bytes`]).
-    pub fn param_bytes(&self) -> usize {
-        self.params.param_bytes()
-    }
-
-    /// Hidden-feature extraction for a batch of raw rows: fitted
-    /// preprocessing (full `f64`) followed by the quantized upward pass.
-    ///
-    /// Within `1e-6 · (1 + |full|)` of [`PipelineArtifact::features_with`]
-    /// per element, and bitwise identical across parallel policies — see
-    /// the [module docs](self).
-    ///
-    /// # Errors
-    ///
-    /// Returns shape errors if `rows` does not match the visible layer.
-    pub fn features_with(&self, rows: &Matrix, parallel: &ParallelPolicy) -> Result<Matrix> {
-        let pre = self.preprocessor.transform_with(rows, parallel)?;
-        self.params.hidden_features_with(&pre, parallel)
-    }
-
-    /// Cluster assignment for a batch of raw rows: [`Self::features_with`]
-    /// followed by nearest-centroid lookup in the (full-precision) cluster
-    /// head.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RbmError::MissingArtifactPart`] if the source artifact had
-    /// no cluster head, and shape errors if `rows` does not match the
-    /// visible layer.
-    pub fn assign_with(&self, rows: &Matrix, parallel: &ParallelPolicy) -> Result<Vec<usize>> {
-        let head = self
-            .cluster_head
-            .as_ref()
-            .ok_or(RbmError::MissingArtifactPart {
-                part: "cluster head",
-            })?;
-        head.assign(&self.features_with(rows, parallel)?)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FittedPipeline, SlsPipelineConfig};
+    use crate::{ModelKind, PipelineArtifact, SlsPipelineConfig};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use sls_datasets::SyntheticBlobs;
 
-    fn fitted() -> FittedPipeline {
+    fn artifact() -> PipelineArtifact {
         let mut rng = ChaCha8Rng::seed_from_u64(606);
         let ds = SyntheticBlobs::new(45, 5, 3)
             .separation(6.0)
@@ -276,20 +169,30 @@ mod tests {
             &mut rng,
         )
         .unwrap()
+        .artifact
     }
 
-    fn request_rows() -> Matrix {
-        Matrix::from_fn(48, 5, |i, j| (i as f64) * 0.11 - (j as f64) * 0.7)
+    /// Request rows through the artifact's fitted preprocessor: the input
+    /// the upward pass sees when serving.
+    fn preprocessed(artifact: &PipelineArtifact) -> Matrix {
+        let rows = Matrix::from_fn(48, 5, |i, j| (i as f64) * 0.11 - (j as f64) * 0.7);
+        artifact
+            .preprocessor
+            .transform_with(&rows, &ParallelPolicy::serial())
+            .unwrap()
     }
 
     #[test]
     fn quantization_stays_within_the_documented_bound() {
-        let artifact = fitted().artifact;
-        let compact = CompactArtifact::from_artifact(&artifact);
-        let rows = request_rows();
+        let artifact = artifact();
+        let compact = CompactParams::from_params(&artifact.params);
+        let pre = preprocessed(&artifact);
         let policy = ParallelPolicy::serial();
-        let full = artifact.features_with(&rows, &policy).unwrap();
-        let quant = compact.features_with(&rows, &policy).unwrap();
+        let full = artifact
+            .params
+            .hidden_probabilities_with(&pre, &policy)
+            .unwrap();
+        let quant = compact.hidden_features_with(&pre, &policy).unwrap();
         assert_eq!(full.shape(), quant.shape());
         for (&f, &q) in full.as_slice().iter().zip(quant.as_slice()) {
             assert!(
@@ -301,100 +204,80 @@ mod tests {
 
     #[test]
     fn compact_path_is_bitwise_identical_across_policies() {
-        let compact = CompactArtifact::from_artifact(&fitted().artifact);
-        let rows = request_rows();
+        let artifact = artifact();
+        let compact = CompactParams::from_params(&artifact.params);
+        let pre = preprocessed(&artifact);
         let serial = compact
-            .features_with(&rows, &ParallelPolicy::serial())
-            .unwrap();
-        let serial_assign = compact
-            .assign_with(&rows, &ParallelPolicy::serial())
+            .hidden_features_with(&pre, &ParallelPolicy::serial())
             .unwrap();
         for chunk_rows in [0, 1] {
             let policy = ParallelPolicy::new(4)
                 .with_min_rows_per_thread(1)
                 .with_chunk_rows(chunk_rows);
-            let par = compact.features_with(&rows, &policy).unwrap();
+            let par = compact.hidden_features_with(&pre, &policy).unwrap();
             let same = serial
                 .as_slice()
                 .iter()
                 .zip(par.as_slice())
                 .all(|(a, b)| a.to_bits() == b.to_bits());
             assert!(same, "chunk_rows = {chunk_rows}");
-            assert_eq!(
-                compact.assign_with(&rows, &policy).unwrap(),
-                serial_assign,
-                "chunk_rows = {chunk_rows}"
-            );
         }
     }
 
     #[test]
-    fn assignments_agree_with_the_full_path_on_separated_data() {
-        let mut rng = ChaCha8Rng::seed_from_u64(606);
-        let ds = SyntheticBlobs::new(45, 5, 3)
-            .separation(6.0)
-            .generate(&mut rng);
-        let artifact = PipelineArtifact::fit(
-            ModelKind::SlsGrbm,
-            SlsPipelineConfig::quick_demo(),
-            ds.features(),
-            &mut rng,
-        )
-        .unwrap()
-        .artifact;
-        let compact = CompactArtifact::from_artifact(&artifact);
-        let policy = ParallelPolicy::serial();
-        assert_eq!(
-            compact.assign_with(ds.features(), &policy).unwrap(),
-            artifact.assign_with(ds.features(), &policy).unwrap()
-        );
-    }
-
-    #[test]
     fn compact_halves_parameter_bytes() {
-        let artifact = fitted().artifact;
-        let compact = CompactArtifact::from_artifact(&artifact);
-        assert!(compact.param_bytes() * 2 <= artifact.params.param_bytes());
+        let params = artifact().params;
+        let compact = CompactParams::from_params(&params);
+        assert!(compact.param_bytes() * 2 <= params.param_bytes());
         assert_eq!(
             compact.param_bytes(),
             (5 * 12 + 12) * std::mem::size_of::<f32>()
         );
+        assert_eq!((compact.n_visible(), compact.n_hidden()), (5, 12));
     }
 
     #[test]
     fn metadata_is_carried_over() {
-        let artifact = fitted()
-            .artifact
-            .with_provenance(Some("2026-08-07T00:00:00Z".into()), Some("test".into()));
-        let compact = CompactArtifact::from_artifact(&artifact);
-        assert_eq!(compact.schema_version(), artifact.schema_version);
-        assert_eq!(compact.model_kind(), ModelKind::SlsGrbm);
-        assert_eq!(compact.n_visible(), 5);
-        assert_eq!(compact.n_hidden(), 12);
-        assert_eq!(compact.trained_at(), Some("2026-08-07T00:00:00Z"));
-        assert_eq!(compact.source(), Some("test"));
-        assert!(compact.cluster_head().is_some());
+        let artifact = artifact();
+        let params = &artifact.params;
+        let compact = CompactParams::from_params(params);
+        assert_eq!(compact.n_visible(), params.n_visible());
+        assert_eq!(compact.n_hidden(), params.n_hidden());
+        assert_eq!((compact.n_visible(), compact.n_hidden()), (5, 12));
+        // Every carried value is the nearest f32 of its source, in the same
+        // row-major order.
+        assert_eq!(compact.weights.len(), params.weights.len());
+        for (&q, &w) in compact.weights.iter().zip(params.weights.as_slice()) {
+            assert_eq!(q.to_bits(), (w as f32).to_bits());
+        }
+        assert_eq!(compact.hidden_bias.len(), params.hidden_bias.len());
+        for (&q, &b) in compact.hidden_bias.iter().zip(params.hidden_bias.iter()) {
+            assert_eq!(q.to_bits(), (b as f32).to_bits());
+        }
+        // Quantizing is deterministic: the same params give the same form.
+        assert_eq!(compact, CompactParams::from_params(params));
     }
 
     #[test]
     fn shape_errors_mirror_the_full_path() {
-        let compact = CompactArtifact::from_artifact(&fitted().artifact);
+        let params = artifact().params;
+        let compact = CompactParams::from_params(&params);
         let policy = ParallelPolicy::serial();
+        for data in [Matrix::zeros(2, 9), Matrix::zeros(0, 5)] {
+            assert_eq!(
+                compact
+                    .hidden_features_with(&data, &policy)
+                    .unwrap_err()
+                    .to_string(),
+                params
+                    .hidden_probabilities_with(&data, &policy)
+                    .unwrap_err()
+                    .to_string()
+            );
+        }
         assert!(matches!(
-            compact.features_with(&Matrix::zeros(2, 9), &policy),
-            Err(RbmError::Linalg(_) | RbmError::VisibleSizeMismatch { .. })
-        ));
-        assert!(compact.assign_with(&Matrix::zeros(2, 9), &policy).is_err());
-        // No cluster head: features fine, assign errors.
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let bare = PipelineArtifact::from_params(RbmParams::init(4, 2, &mut rng), ModelKind::Rbm);
-        let bare_compact = CompactArtifact::from_artifact(&bare);
-        assert!(bare_compact
-            .features_with(&Matrix::zeros(3, 4), &policy)
-            .is_ok());
-        assert!(matches!(
-            bare_compact.assign_with(&Matrix::zeros(3, 4), &policy),
-            Err(RbmError::MissingArtifactPart { .. })
+            compact.check_data(&Matrix::zeros(2, 9)),
+            Err(RbmError::VisibleSizeMismatch { data: 9, model: 5 })
         ));
     }
 }

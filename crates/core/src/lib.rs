@@ -33,8 +33,8 @@
 //! — model kind, parameters, *fitted* preprocessing statistics and the
 //! fitted cluster head — so the `sls-serve` crate can reload it and answer
 //! hidden-feature and cluster-assignment requests without retraining.
-//! [`CompactArtifact`] is the memory-lean serving twin: f32-quantized
-//! weights with error-bounded f64 arithmetic, for nodes that hold many
+//! [`CompactParams`] is the memory-lean serving form of the weights:
+//! f32-quantized with error-bounded f64 arithmetic, for nodes that hold many
 //! models.
 //!
 //! ## Quickstart
@@ -75,7 +75,7 @@ pub use artifact::{
     ARTIFACT_SCHEMA_VERSION,
 };
 pub use cd::{CdTrainer, EpochStats, TrainingHistory};
-pub use compact::{CompactArtifact, CompactParams};
+pub use compact::CompactParams;
 pub use config::TrainConfig;
 pub use error::RbmError;
 pub use grbm::Grbm;

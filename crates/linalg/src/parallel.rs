@@ -179,18 +179,6 @@ impl ParallelPolicy {
         self
     }
 
-    /// Parses the boolean spellings accepted by the CLI's `0|1` flags:
-    /// `1`/`true` and `0`/`false`, case-insensitively, ignoring surrounding
-    /// whitespace. One parser for every flag, so no spelling is accepted in
-    /// one place and rejected in another.
-    pub fn parse_bool(raw: &str) -> Option<bool> {
-        match raw.trim().to_ascii_lowercase().as_str() {
-            "1" | "true" => Some(true),
-            "0" | "false" => Some(false),
-            _ => None,
-        }
-    }
-
     /// `true` if this policy can never fan out.
     pub fn is_serial(&self) -> bool {
         self.threads <= 1
@@ -699,18 +687,6 @@ mod tests {
                     .with_chunk_rows(8)
             );
         }
-    }
-
-    #[test]
-    fn pool_flag_bool_spellings() {
-        for raw in ["1", "true", "TRUE", " True "] {
-            assert_eq!(ParallelPolicy::parse_bool(raw), Some(true), "{raw}");
-        }
-        for raw in ["0", "false", "FALSE", " False "] {
-            assert_eq!(ParallelPolicy::parse_bool(raw), Some(false), "{raw}");
-        }
-        assert_eq!(ParallelPolicy::parse_bool("yes"), None);
-        assert_eq!(ParallelPolicy::parse_bool(""), None);
     }
 
     #[test]

@@ -154,6 +154,8 @@ pub mod code {
     pub const DRAIN_UNAVAILABLE: &str = "drain_unavailable";
     /// The router found no live replica to forward to (503).
     pub const REPLICA_UNAVAILABLE: &str = "replica_unavailable";
+    /// A replica's answer exceeds the response size the router reads (502).
+    pub const UPSTREAM_RESPONSE_TOO_LARGE: &str = "upstream_response_too_large";
     /// A drain request named an address outside the replica set (404).
     pub const REPLICA_NOT_FOUND: &str = "replica_not_found";
     /// A drain request targeted the only replica still taking traffic (409).

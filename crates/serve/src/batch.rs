@@ -33,13 +33,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Environment variable naming the batch window in microseconds
-/// (`0` disables cross-request batching).
-pub const ENV_BATCH_WINDOW_US: &str = "SLS_BATCH_WINDOW_US";
-
-/// Environment variable naming the maximum rows fused into one batch.
-pub const ENV_BATCH_MAX_ROWS: &str = "SLS_BATCH_MAX_ROWS";
-
 /// Default cap on rows fused into one kernel launch.
 pub const DEFAULT_MAX_BATCH_ROWS: usize = 256;
 
@@ -63,40 +56,10 @@ impl BatchConfig {
         }
     }
 
-    /// Config from `SLS_BATCH_WINDOW_US` / `SLS_BATCH_MAX_ROWS`, defaulting
-    /// to disabled (window 0) with the default row cap.
-    ///
-    /// # Panics
-    ///
-    /// Panics when either variable is set but unparsable — a typo must not
-    /// silently disable the path CI forces on.
-    pub fn from_env() -> Self {
-        let window_us = read_env_u64(ENV_BATCH_WINDOW_US).unwrap_or(0);
-        let max_rows = read_env_u64(ENV_BATCH_MAX_ROWS)
-            .map_or(DEFAULT_MAX_BATCH_ROWS, |v| (v as usize).max(1));
-        Self {
-            window: Duration::from_micros(window_us),
-            max_rows,
-        }
-    }
-
     /// Whether the batcher coalesces at all.
     pub fn enabled(&self) -> bool {
         !self.window.is_zero()
     }
-}
-
-fn read_env_u64(name: &str) -> Option<u64> {
-    let raw = std::env::var(name).ok()?;
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return None;
-    }
-    Some(
-        trimmed
-            .parse()
-            .unwrap_or_else(|_| panic!("{name} must be a non-negative integer, got `{raw}`")),
-    )
 }
 
 /// The two inference endpoints a batch can serve.
@@ -486,7 +449,7 @@ mod tests {
         let ds = SyntheticBlobs::new(30, 4, 2)
             .separation(6.0)
             .generate(&mut rng);
-        ServingModel::Full(
+        ServingModel::from_artifact(
             PipelineArtifact::fit(
                 ModelKind::Grbm,
                 SlsPipelineConfig::quick_demo()
@@ -497,6 +460,7 @@ mod tests {
             )
             .expect("training succeeds")
             .artifact,
+            false,
         )
     }
 

@@ -291,7 +291,9 @@ impl Connection {
     /// If a *reused* socket fails (the server idle-closed it while we were
     /// away — a benign race inherent to keep-alive), the request is retried
     /// once on a fresh connection. A failure on a fresh socket is returned
-    /// as-is: retrying there would mask real server trouble.
+    /// as-is: retrying there would mask real server trouble. So is
+    /// [`ServeError::ResponseTooLarge`]: the server answered, and asking
+    /// again would only make it compute the same answer.
     ///
     /// # Errors
     ///
@@ -300,7 +302,7 @@ impl Connection {
         let reused = self.stream.is_some() && self.served_on_stream > 0;
         match self.request_once(method, path, body) {
             Ok(response) => Ok(response),
-            Err(_stale) if reused => {
+            Err(stale) if reused && !matches!(stale, ServeError::ResponseTooLarge { .. }) => {
                 self.stream = None;
                 self.request_once(method, path, body)
             }

@@ -38,6 +38,13 @@ pub enum ServeError {
         /// Explanation of the refused feature.
         message: String,
     },
+    /// A response declared a body over [`crate::http::MAX_BODY_BYTES`].
+    /// The body is left unread, so the connection cannot be reused; the
+    /// server itself answered, so this is no sign of a broken peer.
+    ResponseTooLarge {
+        /// The `Content-Length` the response declared.
+        declared: usize,
+    },
     /// The server answered with a non-success status.
     Status {
         /// HTTP status code received.
@@ -69,6 +76,11 @@ impl fmt::Display for ServeError {
             ServeError::BadRequest { message } => write!(f, "bad request: {message}"),
             ServeError::Protocol { message } => write!(f, "HTTP protocol error: {message}"),
             ServeError::NotImplemented { message } => write!(f, "not implemented: {message}"),
+            ServeError::ResponseTooLarge { declared } => write!(
+                f,
+                "response body of {declared} bytes exceeds the {}-byte limit",
+                crate::http::MAX_BODY_BYTES
+            ),
             ServeError::Status { status, body } => {
                 write!(f, "server answered {status}: {body}")
             }
@@ -138,6 +150,9 @@ mod tests {
         }
         .to_string()
         .contains("Transfer-Encoding"));
+        assert!(ServeError::ResponseTooLarge { declared: 99 }
+            .to_string()
+            .contains("99 bytes"));
         assert!(ServeError::Status {
             status: 404,
             body: "{}".into()

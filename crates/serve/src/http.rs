@@ -212,28 +212,6 @@ fn read_body(reader: &mut impl BufRead, len: usize) -> Result<String> {
     String::from_utf8(body).map_err(|_| protocol_error("body is not valid UTF-8"))
 }
 
-/// Parses one request (request line, headers, `Content-Length` body) from
-/// `reader` under the default body limit, dropping the connection metadata.
-///
-/// # Errors
-///
-/// Returns [`ServeError::Protocol`] on malformed framing, on a declared body
-/// over [`MAX_BODY_BYTES`], and I/O errors on truncated streams.
-pub fn read_request(reader: &mut impl BufRead) -> Result<Request> {
-    // No draining: this entry point is for one-shot parsing where the
-    // stream is not reused after an oversized declaration.
-    let limits = HttpLimits {
-        max_body_bytes: MAX_BODY_BYTES,
-        drain_limit: 0,
-    };
-    match read_request_limited(reader, &limits)? {
-        RequestRead::Complete { request, .. } => Ok(request),
-        RequestRead::TooLarge { declared, .. } => Err(protocol_error(format!(
-            "body of {declared} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
-        ))),
-    }
-}
-
 /// Parses one request under explicit [`HttpLimits`], reporting keep-alive
 /// metadata and oversized bodies instead of buffering them.
 ///
@@ -306,8 +284,10 @@ fn drain_exact(reader: &mut impl BufRead, len: usize) -> bool {
 ///
 /// # Errors
 ///
-/// Returns [`ServeError::Protocol`] on malformed framing and I/O errors on
-/// truncated streams.
+/// Returns [`ServeError::Protocol`] on malformed framing,
+/// [`ServeError::ResponseTooLarge`] for a declared body over
+/// [`MAX_BODY_BYTES`] (left unread, so the caller must drop the
+/// connection), and I/O errors on truncated streams.
 pub fn read_response_meta(reader: &mut impl BufRead) -> Result<(Response, bool)> {
     let Some(status_line) = read_limited_line(reader)? else {
         return Err(protocol_error("connection closed before status line"));
@@ -327,22 +307,11 @@ pub fn read_response_meta(reader: &mut impl BufRead) -> Result<(Response, bool)>
     let block = read_header_block(reader)?;
     let len = block.content_length.unwrap_or(0);
     if len > MAX_BODY_BYTES {
-        return Err(protocol_error(format!(
-            "body of {len} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
-        )));
+        return Err(ServeError::ResponseTooLarge { declared: len });
     }
     let body = read_body(reader, len)?;
     let close = block.close || (http10 && !block.keep_alive);
     Ok((Response { status, body }, close))
-}
-
-/// Parses one response, dropping the connection metadata.
-///
-/// # Errors
-///
-/// Same as [`read_response_meta`].
-pub fn read_response(reader: &mut impl BufRead) -> Result<Response> {
-    read_response_meta(reader).map(|(response, _)| response)
 }
 
 /// Standard reason phrase for the status codes this crate emits.
@@ -356,6 +325,7 @@ pub fn reason_phrase(status: u16) -> &'static str {
         413 => "Payload Too Large",
         500 => "Internal Server Error",
         501 => "Not Implemented",
+        502 => "Bad Gateway",
         503 => "Service Unavailable",
         _ => "Unknown",
     }
@@ -397,15 +367,6 @@ pub fn write_response_keep_alive(
     Ok(())
 }
 
-/// Writes a complete `application/json` response with `Connection: close`.
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub fn write_response(writer: &mut impl Write, status: u16, body: &str) -> Result<()> {
-    write_response_keep_alive(writer, status, body, false)
-}
-
 /// Writes a complete request with an optional JSON body, advertising
 /// keep-alive or close in the `Connection` header.
 ///
@@ -430,25 +391,30 @@ pub fn write_request_keep_alive(
     Ok(())
 }
 
-/// Writes a complete request with an optional JSON body and
-/// `Connection: close`.
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub fn write_request(writer: &mut impl Write, method: &str, path: &str, body: &str) -> Result<()> {
-    write_request_keep_alive(writer, method, path, body, false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Reads one request under the default limits, expecting it complete.
+    fn read_complete(reader: &mut impl BufRead) -> Result<Request> {
+        match read_request_limited(reader, &HttpLimits::default())? {
+            RequestRead::Complete { request, .. } => Ok(request),
+            other => panic!("expected a complete request, got {other:?}"),
+        }
+    }
+
     #[test]
     fn request_round_trip() {
         let mut wire = Vec::new();
-        write_request(&mut wire, "POST", "/models/m/assign", "{\"rows\":[[1.0]]}").unwrap();
-        let req = read_request(&mut wire.as_slice()).unwrap();
+        write_request_keep_alive(
+            &mut wire,
+            "POST",
+            "/models/m/assign",
+            "{\"rows\":[[1.0]]}",
+            false,
+        )
+        .unwrap();
+        let req = read_complete(&mut wire.as_slice()).unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/models/m/assign");
         assert_eq!(req.body, "{\"rows\":[[1.0]]}");
@@ -457,8 +423,8 @@ mod tests {
     #[test]
     fn response_round_trip() {
         let mut wire = Vec::new();
-        write_response(&mut wire, 200, "{\"status\":\"ok\"}").unwrap();
-        let resp = read_response(&mut wire.as_slice()).unwrap();
+        write_response_keep_alive(&mut wire, 200, "{\"status\":\"ok\"}", false).unwrap();
+        let (resp, _) = read_response_meta(&mut wire.as_slice()).unwrap();
         assert_eq!(resp.status, 200);
         assert!(resp.is_success());
         assert_eq!(resp.body, "{\"status\":\"ok\"}");
@@ -535,7 +501,7 @@ mod tests {
     #[test]
     fn get_without_body_parses() {
         let wire = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n";
-        let req = read_request(&mut wire.as_slice()).unwrap();
+        let req = read_complete(&mut wire.as_slice()).unwrap();
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/healthz");
         assert!(req.body.is_empty());
@@ -544,24 +510,24 @@ mod tests {
     #[test]
     fn header_names_are_case_insensitive() {
         let wire = b"POST /x HTTP/1.1\r\ncontent-LENGTH: 2\r\n\r\nhi";
-        let req = read_request(&mut wire.as_slice()).unwrap();
+        let req = read_complete(&mut wire.as_slice()).unwrap();
         assert_eq!(req.body, "hi");
     }
 
     #[test]
     fn malformed_framing_errors() {
-        assert!(read_request(&mut b"".as_slice()).is_err());
-        assert!(read_request(&mut b"GARBAGE\r\n\r\n".as_slice()).is_err());
+        assert!(read_complete(&mut b"".as_slice()).is_err());
+        assert!(read_complete(&mut b"GARBAGE\r\n\r\n".as_slice()).is_err());
         assert!(
-            read_request(&mut b"POST /x HTTP/1.1\r\nContent-Length: abc\r\n\r\n".as_slice())
+            read_complete(&mut b"POST /x HTTP/1.1\r\nContent-Length: abc\r\n\r\n".as_slice())
                 .is_err()
         );
         // Declared body longer than the stream.
         assert!(
-            read_request(&mut b"POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nhi".as_slice())
+            read_complete(&mut b"POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nhi".as_slice())
                 .is_err()
         );
-        assert!(read_response(&mut b"HTTP/1.1 huh\r\n\r\n".as_slice()).is_err());
+        assert!(read_response_meta(&mut b"HTTP/1.1 huh\r\n\r\n".as_slice()).is_err());
     }
 
     #[test]
@@ -569,13 +535,13 @@ mod tests {
         // A "request" that never sends a newline must fail at the line
         // limit instead of buffering without bound.
         let wire = vec![b'A'; MAX_LINE_BYTES + 1];
-        assert!(read_request(&mut wire.as_slice()).is_err());
+        assert!(read_complete(&mut wire.as_slice()).is_err());
         let huge_header = [
             b"POST /x HTTP/1.1\r\nX-Junk: ".to_vec(),
             vec![b'j'; MAX_LINE_BYTES],
         ]
         .concat();
-        assert!(read_request(&mut huge_header.as_slice()).is_err());
+        assert!(read_complete(&mut huge_header.as_slice()).is_err());
     }
 
     #[test]
@@ -584,17 +550,17 @@ mod tests {
         // Content-Length values mean two parsers can disagree on where the
         // body ends — reject instead of letting the last value win.
         let wire = b"POST /x HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 5\r\n\r\nhi~~~";
-        let err = read_request(&mut wire.as_slice()).unwrap_err();
+        let err = read_complete(&mut wire.as_slice()).unwrap_err();
         assert!(err.to_string().contains("conflicting Content-Length"));
         // Same on the response side.
         let wire = b"HTTP/1.1 200 OK\r\nContent-Length: 1\r\nContent-Length: 2\r\n\r\nab";
-        assert!(read_response(&mut wire.as_slice()).is_err());
+        assert!(read_response_meta(&mut wire.as_slice()).is_err());
     }
 
     #[test]
     fn identical_duplicate_content_length_is_collapsed() {
         let wire = b"POST /x HTTP/1.1\r\nContent-Length: 2\r\ncontent-length: 2\r\n\r\nhi";
-        let req = read_request(&mut wire.as_slice()).unwrap();
+        let req = read_complete(&mut wire.as_slice()).unwrap();
         assert_eq!(req.body, "hi");
     }
 
@@ -603,7 +569,7 @@ mod tests {
         // `Content-Length: 5, 5` (folded duplicates) is not a valid usize —
         // it must error rather than parse as something surprising.
         let wire = b"POST /x HTTP/1.1\r\nContent-Length: 5, 5\r\n\r\nhello";
-        assert!(read_request(&mut wire.as_slice()).is_err());
+        assert!(read_complete(&mut wire.as_slice()).is_err());
     }
 
     #[test]
@@ -613,7 +579,7 @@ mod tests {
             wire.extend_from_slice(format!("X-H{i}: v\r\n").as_bytes());
         }
         wire.extend_from_slice(b"\r\n");
-        assert!(read_request(&mut wire.as_slice()).is_err());
+        assert!(read_complete(&mut wire.as_slice()).is_err());
     }
 
     #[test]
@@ -622,7 +588,18 @@ mod tests {
             "POST /x HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
             MAX_BODY_BYTES + 1
         );
-        assert!(read_request(&mut wire.as_bytes()).is_err());
+        assert!(matches!(
+            read_request_limited(&mut wire.as_bytes(), &HttpLimits::default()),
+            Ok(RequestRead::TooLarge { .. })
+        ));
+        let wire = format!(
+            "HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n",
+            MAX_BODY_BYTES + 1
+        );
+        assert!(matches!(
+            read_response_meta(&mut wire.as_bytes()),
+            Err(ServeError::ResponseTooLarge { declared }) if declared == MAX_BODY_BYTES + 1
+        ));
     }
 
     #[test]
@@ -645,7 +622,7 @@ mod tests {
             other => panic!("expected TooLarge, got {other:?}"),
         }
         // The follow-up request is framed correctly after the drain.
-        let next = read_request(&mut reader).unwrap();
+        let next = read_complete(&mut reader).unwrap();
         assert_eq!(next.path, "/healthz");
 
         // Beyond the drain allowance the bytes stay on the wire.
@@ -664,6 +641,7 @@ mod tests {
             (404, "Not Found"),
             (409, "Conflict"),
             (413, "Payload Too Large"),
+            (502, "Bad Gateway"),
             (503, "Service Unavailable"),
         ] {
             assert_eq!(reason_phrase(code), phrase);

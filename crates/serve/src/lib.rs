@@ -7,8 +7,9 @@
 //!
 //! ## Layers
 //!
-//! * [`registry`] — named models shared immutably across workers, served at
-//!   full precision or as f32-quantized compact artifacts (`--compact`).
+//! * [`registry`] — named models shared immutably across workers, each a
+//!   [`ServingModel`] with full-precision or f32-quantized weights
+//!   (`--compact`).
 //! * [`live`] — the hot-swap cell around the registry: `POST /admin/reload`
 //!   (and an optional directory watcher) atomically installs a new
 //!   generation while in-flight requests drain the old one; a corrupt

@@ -6,8 +6,7 @@
 //!                  [--instances 90] [--dims 8] [--clusters 3] [--seed 2023]
 //!                  [--threads N] [--min-par-rows N]
 //! sls-serve serve  --dir artifacts [--addr 127.0.0.1:7878] [--workers 8]
-//!                  [--threads N] [--min-par-rows N]
-//!                  [--keep-alive 0|1] [--keepalive-timeout-ms N]
+//!                  [--threads N] [--min-par-rows N] [--keepalive-timeout-ms N]
 //!                  [--max-conn-requests N] [--max-body-bytes N] [--max-conns N]
 //!                  [--batch-window-us N] [--batch-max-rows N]
 //!                  [--compact 0|1] [--watch-interval-ms N]
@@ -22,21 +21,22 @@
 //! pool, which `serve` constructs at bind time and shares across all HTTP
 //! workers. Results are bitwise identical for every policy.
 //!
-//! Connection handling: `--keep-alive 0` restores one-request-per-connection;
+//! Connection handling, the same four flags on `serve` and `route`:
 //! `--keepalive-timeout-ms` bounds how long an idle connection is held
 //! (default 5000); `--max-conn-requests` caps requests per connection
-//! (default 1000); `--max-body-bytes` caps the request body (default 16 MiB,
-//! env `SLS_MAX_BODY_BYTES`); `--max-conns` caps concurrent connections
-//! (default 1024, excess answered 503). Cross-request micro-batching:
-//! `--batch-window-us` (env `SLS_BATCH_WINDOW_US`, `0` = off, the default)
-//! coalesces concurrent same-model requests inside that window into one
-//! fused matmul, capped at `--batch-max-rows` rows (env
-//! `SLS_BATCH_MAX_ROWS`, default 256) — responses stay bitwise identical to
-//! unbatched serving.
+//! (default 1000; `1` serves one request per connection);
+//! `--max-body-bytes` caps the request body (default 16 MiB); `--max-conns`
+//! caps concurrent connections (default 1024, excess answered 503).
+//! Cross-request micro-batching: `--batch-window-us` (`0` = off, the
+//! default) coalesces concurrent same-model requests inside that window into
+//! one fused matmul, capped at `--batch-max-rows` rows (default 256) —
+//! responses stay bitwise identical to unbatched serving. Flags are the only
+//! way to set these; the environment only carries the process-wide linalg
+//! policy (`SLS_PARALLEL_*`).
 //!
-//! Registry lifecycle: `--compact 1` (env `SLS_COMPACT`) loads every
-//! artifact into the f32-quantized compact representation (about half the
-//! parameter bytes; features within `1e-6 · (1 + |x|)` of full precision);
+//! Registry lifecycle: `--compact 1` loads every artifact into the
+//! f32-quantized compact representation (about half the parameter bytes;
+//! features within `1e-6 · (1 + |x|)` of full precision);
 //! `POST /admin/reload` re-scans `--dir` and atomically swaps in a new
 //! registry generation without dropping in-flight requests or open
 //! keep-alive connections — a corrupt artifact rejects the whole reload and
@@ -62,9 +62,13 @@ use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::time::Duration;
 
-/// Environment variable selecting the compact (f32-quantized) serving
-/// representation; the `--compact` flag overrides it.
-const ENV_COMPACT: &str = "SLS_COMPACT";
+/// The connection flags `serve` and `route` share, read by [`serve_options`].
+const CONNECTION_FLAGS: [&str; 4] = [
+    "--keepalive-timeout-ms",
+    "--max-conn-requests",
+    "--max-body-bytes",
+    "--max-conns",
+];
 
 const USAGE: &str = "usage:
   sls-serve export  --out DIR [--name NAME] [--model rbm|grbm|sls-rbm|sls-grbm]
@@ -80,15 +84,15 @@ const USAGE: &str = "usage:
                     [--threads N] [--min-par-rows N]
   sls-serve serve   --dir DIR [--addr HOST:PORT] [--workers N]
                     [--threads N] [--min-par-rows N]
-                    [--keep-alive 0|1] [--keepalive-timeout-ms N]
-                    [--max-conn-requests N] [--max-body-bytes N] [--max-conns N]
                     [--batch-window-us N] [--batch-max-rows N]
-                    [--compact 0|1] [--watch-interval-ms N]
+                    [--compact 0|1] [--watch-interval-ms N] CONNECTION
   sls-serve route   --replicas HOST:PORT[,HOST:PORT...] [--addr HOST:PORT]
                     [--workers N] [--replication N] [--health-interval-ms N]
-                    [--upstream-timeout-ms N] [--keep-alive 0|1]
-                    [--keepalive-timeout-ms N] [--max-conn-requests N]
-                    [--max-body-bytes N] [--max-conns N]";
+                    [--upstream-timeout-ms N] CONNECTION
+
+  CONNECTION: [--keepalive-timeout-ms N] [--max-conn-requests N]
+              [--max-body-bytes N] [--max-conns N]
+              (--max-conn-requests 1 serves one request per connection)";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -152,6 +156,37 @@ fn parallel_policy(
         None => global,
     };
     Ok(policy.with_min_rows_per_thread(parsed(flags, "min-par-rows", policy.min_rows_per_thread)?))
+}
+
+/// The `0|1` flag spellings: `1`/`true` and `0`/`false`, case-insensitively,
+/// ignoring surrounding whitespace. One parser for every flag, so no
+/// spelling is accepted in one place and rejected in another.
+fn parse_bool(raw: &str) -> Option<bool> {
+    match raw.trim().to_ascii_lowercase().as_str() {
+        "1" | "true" => Some(true),
+        "0" | "false" => Some(false),
+        _ => None,
+    }
+}
+
+/// The connection options from [`CONNECTION_FLAGS`], defaulting each one to
+/// [`ServeOptions::default`].
+fn serve_options(flags: &BTreeMap<String, String>) -> Result<ServeOptions, String> {
+    let defaults = ServeOptions::default();
+    Ok(ServeOptions {
+        idle_timeout: Duration::from_millis(parsed(
+            flags,
+            "keepalive-timeout-ms",
+            defaults.idle_timeout.as_millis() as u64,
+        )?),
+        max_requests_per_connection: parsed(
+            flags,
+            "max-conn-requests",
+            defaults.max_requests_per_connection,
+        )?,
+        max_body_bytes: parsed(flags, "max-body-bytes", defaults.max_body_bytes)?,
+        max_connections: parsed(flags, "max-conns", defaults.max_connections)?,
+    })
 }
 
 fn parsed<T: std::str::FromStr>(
@@ -340,7 +375,7 @@ fn run_retrain(args: &[String]) -> Result<(), String> {
         })?;
     }
     if let Some(raw) = flags.get("has-header") {
-        options.csv.has_header = ParallelPolicy::parse_bool(raw).ok_or_else(|| {
+        options.csv.has_header = parse_bool(raw).ok_or_else(|| {
             format!("invalid value `{raw}` for --has-header (use 0/1/true/false)")
         })?;
     }
@@ -433,21 +468,20 @@ fn run_serve(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(
         args,
         &[
-            "--dir",
-            "--addr",
-            "--workers",
-            "--threads",
-            "--min-par-rows",
-            "--keep-alive",
-            "--keepalive-timeout-ms",
-            "--max-conn-requests",
-            "--max-body-bytes",
-            "--max-conns",
-            "--batch-window-us",
-            "--batch-max-rows",
-            "--compact",
-            "--watch-interval-ms",
-        ],
+            &[
+                "--dir",
+                "--addr",
+                "--workers",
+                "--threads",
+                "--min-par-rows",
+                "--batch-window-us",
+                "--batch-max-rows",
+                "--compact",
+                "--watch-interval-ms",
+            ][..],
+            &CONNECTION_FLAGS,
+        ]
+        .concat(),
     )?;
     let dir = flags
         .get("dir")
@@ -463,14 +497,9 @@ fn run_serve(args: &[String]) -> Result<(), String> {
         .min(16);
     let workers = parsed(&flags, "workers", default_workers)?;
     let compact = match flags.get("compact") {
-        Some(raw) => ParallelPolicy::parse_bool(raw)
+        Some(raw) => parse_bool(raw)
             .ok_or_else(|| format!("invalid value `{raw}` for --compact (use 0/1/true/false)"))?,
-        None => match std::env::var(ENV_COMPACT) {
-            Ok(raw) => ParallelPolicy::parse_bool(raw.trim()).ok_or_else(|| {
-                format!("{ENV_COMPACT} must be a boolean (0/1/true/false), got `{raw}`")
-            })?,
-            Err(_) => false,
-        },
+        None => false,
     };
     let watch_ms = parsed(&flags, "watch-interval-ms", 0u64)?;
 
@@ -493,48 +522,24 @@ fn run_serve(args: &[String]) -> Result<(), String> {
         );
     }
     let parallel = parallel_policy(&flags, true)?;
+    let batch = BatchConfig {
+        window: Duration::from_micros(parsed(&flags, "batch-window-us", 0u64)?),
+        max_rows: parsed(&flags, "batch-max-rows", BatchConfig::disabled().max_rows)?,
+    };
     let server = Server::bind_live(addr.as_str(), live, workers)
         .map_err(|e| format!("bind failed: {e}"))?
         .with_parallel(parallel)
-        .with_watch((watch_ms > 0).then(|| Duration::from_millis(watch_ms)));
-    // Connection and batching knobs: the bind defaults already honour the
-    // environment (SLS_MAX_BODY_BYTES, SLS_BATCH_WINDOW_US,
-    // SLS_BATCH_MAX_ROWS); explicit flags override them.
-    let mut options = ServeOptions::from_env();
-    if let Some(raw) = flags.get("keep-alive") {
-        options.keep_alive = ParallelPolicy::parse_bool(raw).ok_or_else(|| {
-            format!("invalid value `{raw}` for --keep-alive (use 0/1/true/false)")
-        })?;
-    }
-    options.idle_timeout = Duration::from_millis(parsed(
-        &flags,
-        "keepalive-timeout-ms",
-        options.idle_timeout.as_millis() as u64,
-    )?);
-    options.max_requests_per_connection = parsed(
-        &flags,
-        "max-conn-requests",
-        options.max_requests_per_connection,
-    )?;
-    options.max_body_bytes = parsed(&flags, "max-body-bytes", options.max_body_bytes)?;
-    options.max_connections = parsed(&flags, "max-conns", options.max_connections)?;
-    let mut batch = BatchConfig::from_env();
-    batch.window = Duration::from_micros(parsed(
-        &flags,
-        "batch-window-us",
-        batch.window.as_micros() as u64,
-    )?);
-    batch.max_rows = parsed(&flags, "batch-max-rows", batch.max_rows)?;
-    let server = server.with_options(options).with_batching(batch);
+        .with_watch((watch_ms > 0).then(|| Duration::from_millis(watch_ms)))
+        .with_options(serve_options(&flags)?)
+        .with_batching(batch);
     let local = server
         .local_addr()
         .map_err(|e| format!("local address unavailable: {e}"))?;
     eprintln!(
         "serving on http://{local} with {workers} acceptor(s), {} linalg thread(s) per request, \
-         keep-alive {}, batch window {}us, {} registry, watch {} \
+         batch window {}us, {} registry, watch {} \
          (POST /admin/reload to hot swap, Ctrl-C to stop)",
         parallel.threads,
-        if options.keep_alive { "on" } else { "off" },
         batch.window.as_micros(),
         if compact { "compact" } else { "full" },
         if watch_ms > 0 {
@@ -552,18 +557,17 @@ fn run_route(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(
         args,
         &[
-            "--replicas",
-            "--addr",
-            "--workers",
-            "--replication",
-            "--health-interval-ms",
-            "--upstream-timeout-ms",
-            "--keep-alive",
-            "--keepalive-timeout-ms",
-            "--max-conn-requests",
-            "--max-body-bytes",
-            "--max-conns",
-        ],
+            &[
+                "--replicas",
+                "--addr",
+                "--workers",
+                "--replication",
+                "--health-interval-ms",
+                "--upstream-timeout-ms",
+            ][..],
+            &CONNECTION_FLAGS,
+        ]
+        .concat(),
     )?;
     let raw_replicas = flags
         .get("replicas")
@@ -601,36 +605,17 @@ fn run_route(args: &[String]) -> Result<(), String> {
         10_000u64,
     )?));
     let replication = config.replication.min(replica_count).max(1);
-    let mut options = ServeOptions::from_env();
-    if let Some(raw) = flags.get("keep-alive") {
-        options.keep_alive = ParallelPolicy::parse_bool(raw).ok_or_else(|| {
-            format!("invalid value `{raw}` for --keep-alive (use 0/1/true/false)")
-        })?;
-    }
-    options.idle_timeout = Duration::from_millis(parsed(
-        &flags,
-        "keepalive-timeout-ms",
-        options.idle_timeout.as_millis() as u64,
-    )?);
-    options.max_requests_per_connection = parsed(
-        &flags,
-        "max-conn-requests",
-        options.max_requests_per_connection,
-    )?;
-    options.max_body_bytes = parsed(&flags, "max-body-bytes", options.max_body_bytes)?;
-    options.max_connections = parsed(&flags, "max-conns", options.max_connections)?;
     let router = Router::bind(addr.as_str(), config)
         .map_err(|e| format!("bind failed: {e}"))?
         .with_workers(workers)
-        .with_options(options);
+        .with_options(serve_options(&flags)?);
     let local = router
         .local_addr()
         .map_err(|e| format!("local address unavailable: {e}"))?;
     eprintln!(
         "routing on http://{local} across {replica_count} replica(s) ({raw_replicas}), \
-         replication {replication}, keep-alive {} \
-         (POST /admin/reload fans out, POST /admin/drain removes a replica, Ctrl-C to stop)",
-        if options.keep_alive { "on" } else { "off" },
+         replication {replication} \
+         (POST /admin/reload fans out, POST /admin/drain removes a replica, Ctrl-C to stop)"
     );
     let handle = router.start().map_err(|e| format!("start failed: {e}"))?;
     handle.join();
@@ -640,6 +625,33 @@ fn run_route(args: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bool_flag_spellings() {
+        for raw in ["1", "true", "TRUE", " True "] {
+            assert_eq!(parse_bool(raw), Some(true), "{raw}");
+        }
+        for raw in ["0", "false", "FALSE", " False "] {
+            assert_eq!(parse_bool(raw), Some(false), "{raw}");
+        }
+        assert_eq!(parse_bool("yes"), None);
+        assert_eq!(parse_bool(""), None);
+    }
+
+    #[test]
+    fn serve_and_route_share_the_connection_flags() {
+        let args: Vec<String> = ["--max-conn-requests", "1", "--max-conns", "8"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let flags = parse_flags(&args, &CONNECTION_FLAGS).unwrap();
+        let options = serve_options(&flags).unwrap();
+        assert_eq!(options.max_requests_per_connection, 1);
+        assert_eq!(options.max_connections, 8);
+        assert_eq!(options.idle_timeout, ServeOptions::default().idle_timeout);
+        let keep_alive = vec!["--keep-alive".to_string(), "0".to_string()];
+        assert!(parse_flags(&keep_alive, &CONNECTION_FLAGS).is_err());
+    }
 
     #[test]
     fn iso8601_matches_known_timestamps() {

@@ -1,11 +1,12 @@
 //! The model registry: named, loaded artifacts shared across server worker
 //! threads.
 //!
-//! Each entry is a [`ServingModel`] — either a full-precision
-//! [`PipelineArtifact`] or its f32-quantized [`CompactArtifact`] twin. The
-//! representation is chosen per registry load (`--compact 0|1`), so a node
-//! that holds many models can halve its parameter footprint without the
-//! request handlers caring which representation answers.
+//! Each entry is a [`ServingModel`]: an artifact's preprocessor, cluster
+//! head and metadata, plus its weights either at full `f64` precision or
+//! quantized to `f32` ([`CompactParams`]). The representation is chosen per
+//! registry load (`--compact 0|1`), so a node that holds many models can
+//! halve its parameter footprint without the request handlers caring which
+//! representation answers.
 //!
 //! A registry is immutable once built; worker threads share it behind a plain
 //! `Arc` with no locking on the request hot path. Hot swaps replace the whole
@@ -13,130 +14,159 @@
 
 use crate::{Result, ServeError};
 use sls_linalg::{Matrix, ParallelPolicy};
-use sls_rbm_core::{CompactArtifact, PipelineArtifact};
+use sls_rbm_core::{
+    ClusterHead, CompactParams, FittedPreprocessor, ModelKind, PipelineArtifact, RbmError,
+    RbmParams,
+};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// One loaded model in either serving representation.
+/// One loaded model in either weight representation.
 ///
-/// Request handlers talk to this enum instead of a concrete artifact type, so
-/// full-precision and compact registries serve through identical code paths.
+/// The preprocessor, cluster head and metadata are held once; only the
+/// upward pass differs between full-precision and compact weights, so both
+/// serve through identical code paths. Preprocessing statistics and
+/// centroids stay `f64` — a few vectors, not an `n_visible × n_hidden`
+/// matrix, so quantizing them would save little and widen the error bound.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ServingModel {
-    /// Full-precision f64 artifact, exactly as exported.
-    Full(PipelineArtifact),
-    /// f32-quantized artifact with error-bounded f64 arithmetic.
-    Compact(CompactArtifact),
+pub struct ServingModel {
+    schema_version: u32,
+    model_kind: ModelKind,
+    weights: Weights,
+    preprocessor: FittedPreprocessor,
+    cluster_head: Option<ClusterHead>,
+    trained_at: Option<String>,
+    source: Option<String>,
+}
+
+/// The upward-pass parameters in the representation the registry loaded.
+#[derive(Debug, Clone, PartialEq)]
+enum Weights {
+    /// Full-precision f64 parameters, exactly as exported.
+    Full(RbmParams),
+    /// f32-quantized parameters with error-bounded f64 arithmetic.
+    Compact(CompactParams),
 }
 
 impl ServingModel {
-    /// Wraps `artifact` in the representation selected by `compact`.
+    /// Takes `artifact` into the weight representation selected by
+    /// `compact`.
     pub fn from_artifact(artifact: PipelineArtifact, compact: bool) -> Self {
-        if compact {
-            ServingModel::Compact(CompactArtifact::from_artifact(&artifact))
+        let weights = if compact {
+            Weights::Compact(CompactParams::from_params(&artifact.params))
         } else {
-            ServingModel::Full(artifact)
+            Weights::Full(artifact.params)
+        };
+        Self {
+            schema_version: artifact.schema_version,
+            model_kind: artifact.model_kind,
+            weights,
+            preprocessor: artifact.preprocessor,
+            cluster_head: artifact.cluster_head,
+            trained_at: artifact.trained_at,
+            source: artifact.source,
         }
     }
 
     /// `true` for the f32-quantized representation.
     pub fn is_compact(&self) -> bool {
-        matches!(self, ServingModel::Compact(_))
+        matches!(self.weights, Weights::Compact(_))
     }
 
     /// Artifact schema version this model was loaded from.
     pub fn schema_version(&self) -> u32 {
-        match self {
-            ServingModel::Full(a) => a.schema_version,
-            ServingModel::Compact(a) => a.schema_version(),
-        }
+        self.schema_version
     }
 
     /// Model kind label (`"rbm"`, `"sls-grbm"`, ...).
     pub fn model_kind(&self) -> &'static str {
-        match self {
-            ServingModel::Full(a) => a.model_kind.as_str(),
-            ServingModel::Compact(a) => a.model_kind().as_str(),
-        }
+        self.model_kind.as_str()
     }
 
     /// Number of visible units (request row width).
     pub fn n_visible(&self) -> usize {
-        match self {
-            ServingModel::Full(a) => a.n_visible(),
-            ServingModel::Compact(a) => a.n_visible(),
+        match &self.weights {
+            Weights::Full(params) => params.n_visible(),
+            Weights::Compact(params) => params.n_visible(),
         }
     }
 
     /// Number of hidden units (feature row width).
     pub fn n_hidden(&self) -> usize {
-        match self {
-            ServingModel::Full(a) => a.n_hidden(),
-            ServingModel::Compact(a) => a.n_hidden(),
+        match &self.weights {
+            Weights::Full(params) => params.n_hidden(),
+            Weights::Compact(params) => params.n_hidden(),
         }
     }
 
     /// Number of clusters in the fitted head, if one is present.
     pub fn n_clusters(&self) -> Option<usize> {
-        match self {
-            ServingModel::Full(a) => a.cluster_head.as_ref().map(|h| h.n_clusters),
-            ServingModel::Compact(a) => a.cluster_head().map(|h| h.n_clusters),
-        }
+        self.cluster_head.as_ref().map(|head| head.n_clusters)
     }
 
     /// `true` when the artifact carries a cluster head (can serve `/assign`).
     pub fn has_cluster_head(&self) -> bool {
-        self.n_clusters().is_some()
+        self.cluster_head.is_some()
     }
 
     /// Bytes held by the model parameters (weights + biases) in this
     /// representation.
     pub fn param_bytes(&self) -> usize {
-        match self {
-            ServingModel::Full(a) => a.params.param_bytes(),
-            ServingModel::Compact(a) => a.param_bytes(),
+        match &self.weights {
+            Weights::Full(params) => params.param_bytes(),
+            Weights::Compact(params) => params.param_bytes(),
         }
     }
 
     /// Training timestamp recorded at export time, if any.
     pub fn trained_at(&self) -> Option<&str> {
-        match self {
-            ServingModel::Full(a) => a.trained_at.as_deref(),
-            ServingModel::Compact(a) => a.trained_at(),
-        }
+        self.trained_at.as_deref()
     }
 
     /// Provenance string recorded at export time, if any.
     pub fn source(&self) -> Option<&str> {
-        match self {
-            ServingModel::Full(a) => a.source.as_deref(),
-            ServingModel::Compact(a) => a.source(),
-        }
+        self.source.as_deref()
     }
 
-    /// Preprocesses `rows` and computes hidden features.
+    /// Preprocesses `rows` and computes hidden features. Full weights answer
+    /// exactly as [`PipelineArtifact::features_with`]; compact weights stay
+    /// within `1e-6 · (1 + |full|)` of it per element. Both are bitwise
+    /// identical across parallel policies.
+    ///
+    /// # Errors
+    ///
+    /// Returns shape errors if `rows` does not match the visible layer.
     pub fn features_with(
         &self,
         rows: &Matrix,
         parallel: &ParallelPolicy,
     ) -> sls_rbm_core::Result<Matrix> {
-        match self {
-            ServingModel::Full(a) => a.features_with(rows, parallel),
-            ServingModel::Compact(a) => a.features_with(rows, parallel),
+        let pre = self.preprocessor.transform_with(rows, parallel)?;
+        match &self.weights {
+            Weights::Full(params) => params.hidden_probabilities_with(&pre, parallel),
+            Weights::Compact(params) => params.hidden_features_with(&pre, parallel),
         }
     }
 
     /// Preprocesses `rows` and assigns each to its nearest centroid.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RbmError::MissingArtifactPart`] without a cluster head, and
+    /// shape errors if `rows` does not match the visible layer.
     pub fn assign_with(
         &self,
         rows: &Matrix,
         parallel: &ParallelPolicy,
     ) -> sls_rbm_core::Result<Vec<usize>> {
-        match self {
-            ServingModel::Full(a) => a.assign_with(rows, parallel),
-            ServingModel::Compact(a) => a.assign_with(rows, parallel),
-        }
+        let head = self
+            .cluster_head
+            .as_ref()
+            .ok_or(RbmError::MissingArtifactPart {
+                part: "cluster head",
+            })?;
+        head.assign(&self.features_with(rows, parallel)?)
     }
 }
 
@@ -192,7 +222,7 @@ impl ModelRegistry {
     /// Registers `artifact` at full precision under `name`, replacing any
     /// previous entry.
     pub fn insert(&mut self, name: impl Into<String>, artifact: PipelineArtifact) {
-        self.insert_model(name, ServingModel::Full(artifact));
+        self.insert_model(name, ServingModel::from_artifact(artifact, false));
     }
 
     /// Registers an already-built [`ServingModel`] under `name`.
@@ -265,12 +295,35 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-    use sls_rbm_core::{ModelKind, RbmParams};
+    use sls_datasets::{Dataset, SyntheticBlobs};
+    use sls_rbm_core::SlsPipelineConfig;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn artifact() -> PipelineArtifact {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         PipelineArtifact::from_params(RbmParams::init(4, 2, &mut rng), ModelKind::Rbm)
+    }
+
+    /// A trained 5 → 12 sls-GRBM with a 3-cluster head, plus its training
+    /// data.
+    fn fitted() -> (PipelineArtifact, Dataset) {
+        let mut rng = ChaCha8Rng::seed_from_u64(606);
+        let ds = SyntheticBlobs::new(45, 5, 3)
+            .separation(6.0)
+            .generate(&mut rng);
+        let artifact = PipelineArtifact::fit(
+            ModelKind::SlsGrbm,
+            SlsPipelineConfig::quick_demo(),
+            ds.features(),
+            &mut rng,
+        )
+        .unwrap()
+        .artifact;
+        (artifact, ds)
+    }
+
+    fn request_rows() -> Matrix {
+        Matrix::from_fn(48, 5, |i, j| (i as f64) * 0.11 - (j as f64) * 0.7)
     }
 
     /// A fresh per-test directory: pid plus a process-wide counter, so
@@ -359,7 +412,11 @@ mod tests {
         let full = full.get("m").unwrap();
         let compact = compact.get("m").unwrap();
         assert!(compact.is_compact());
-        assert!(compact.param_bytes() < full.param_bytes());
+        assert!(compact.param_bytes() * 2 <= full.param_bytes());
+        assert_eq!(
+            compact.param_bytes(),
+            (4 * 2 + 2) * std::mem::size_of::<f32>()
+        );
         let rows = Matrix::from_rows(&[vec![0.2, -0.4, 0.8, 0.1]]).unwrap();
         let policy = ParallelPolicy::serial();
         let f = full.features_with(&rows, &policy).unwrap();
@@ -396,5 +453,95 @@ mod tests {
             full.assign_with(&rows, &ParallelPolicy::serial()),
             Err(sls_rbm_core::RbmError::MissingArtifactPart { .. })
         ));
+
+        // A trained artifact's schema, kind and cluster head carry over too.
+        let (artifact, _) = fitted();
+        for compact in [false, true] {
+            let model = ServingModel::from_artifact(artifact.clone(), compact);
+            assert_eq!(model.schema_version(), artifact.schema_version);
+            assert_eq!(model.model_kind(), "sls-grbm");
+            assert_eq!((model.n_visible(), model.n_hidden()), (5, 12));
+            assert_eq!(model.n_clusters(), Some(3));
+            assert!(model.has_cluster_head());
+        }
+    }
+
+    #[test]
+    fn compact_model_is_bitwise_identical_across_policies() {
+        let compact = ServingModel::from_artifact(fitted().0, true);
+        let rows = request_rows();
+        let serial = compact
+            .features_with(&rows, &ParallelPolicy::serial())
+            .unwrap();
+        let serial_assign = compact
+            .assign_with(&rows, &ParallelPolicy::serial())
+            .unwrap();
+        for chunk_rows in [0, 1] {
+            let policy = ParallelPolicy::new(4)
+                .with_min_rows_per_thread(1)
+                .with_chunk_rows(chunk_rows);
+            let par = compact.features_with(&rows, &policy).unwrap();
+            let same = serial
+                .as_slice()
+                .iter()
+                .zip(par.as_slice())
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "chunk_rows = {chunk_rows}");
+            assert_eq!(
+                compact.assign_with(&rows, &policy).unwrap(),
+                serial_assign,
+                "chunk_rows = {chunk_rows}"
+            );
+        }
+    }
+
+    #[test]
+    fn full_model_answers_exactly_as_the_artifact() {
+        let (artifact, _) = fitted();
+        let full = ServingModel::from_artifact(artifact.clone(), false);
+        let rows = request_rows();
+        let policy = ParallelPolicy::serial();
+        assert_eq!(
+            full.features_with(&rows, &policy).unwrap(),
+            artifact.features_with(&rows, &policy).unwrap()
+        );
+        assert_eq!(
+            full.assign_with(&rows, &policy).unwrap(),
+            artifact.assign_with(&rows, &policy).unwrap()
+        );
+    }
+
+    #[test]
+    fn assignments_agree_with_the_full_path_on_separated_data() {
+        let (artifact, ds) = fitted();
+        let policy = ParallelPolicy::serial();
+        assert_eq!(
+            ServingModel::from_artifact(artifact.clone(), true)
+                .assign_with(ds.features(), &policy)
+                .unwrap(),
+            artifact.assign_with(ds.features(), &policy).unwrap()
+        );
+    }
+
+    #[test]
+    fn shape_errors_and_missing_heads_mirror_the_full_path() {
+        let policy = ParallelPolicy::serial();
+        let wide = Matrix::zeros(2, 9);
+        let (trained, _) = fitted();
+        for compact in [false, true] {
+            let model = ServingModel::from_artifact(trained.clone(), compact);
+            assert!(matches!(
+                model.features_with(&wide, &policy),
+                Err(RbmError::Linalg(_) | RbmError::VisibleSizeMismatch { .. })
+            ));
+            assert!(model.assign_with(&wide, &policy).is_err());
+            // No cluster head: features fine, assign errors.
+            let bare = ServingModel::from_artifact(artifact(), compact);
+            assert!(bare.features_with(&Matrix::zeros(3, 4), &policy).is_ok());
+            assert!(matches!(
+                bare.assign_with(&Matrix::zeros(3, 4), &policy),
+                Err(RbmError::MissingArtifactPart { .. })
+            ));
+        }
     }
 }

@@ -19,6 +19,9 @@
 //! pure read, so on transport failure the request is retried on the next
 //! owner (bounded by the owner list) and the failing replica is marked
 //! down; a background thread polls `/healthz` and marks replicas back up.
+//! A replica answer larger than the client reads is not a transport
+//! failure: it is answered `502 upstream_response_too_large` at once, with
+//! no retry and no mark-down.
 //!
 //! ## Rollout
 //!
@@ -37,12 +40,12 @@ use crate::api::{
     RouterDrainResponse, RouterHealthResponse, RouterReloadResponse, RouterStatzResponse,
 };
 use crate::client::{Client, Connection};
-use crate::http::Request;
+use crate::http::{Request, MAX_BODY_BYTES};
 use crate::server::{
-    api_segments, error_body, json_body, shutdown_acceptors, spawn_acceptors, ConnCore,
-    RequestHandler, ServeOptions, SHUTDOWN_POLL,
+    dispatch, error_body, every, json_body, shutdown_acceptors, spawn_acceptors, ConnCore,
+    RequestHandler, ServeOptions,
 };
-use crate::Result;
+use crate::{Result, ServeError};
 use std::collections::BTreeSet;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -273,6 +276,20 @@ impl RouterState {
                         self.retried_requests.fetch_add(1, Ordering::SeqCst);
                     }
                     return (response.status, response.body);
+                }
+                Err(ServeError::ResponseTooLarge { declared }) => {
+                    // The replica is healthy; its answer is just more than
+                    // this hop buffers, and every other owner would compute
+                    // the same bytes.
+                    return error_body(
+                        502,
+                        code::UPSTREAM_RESPONSE_TOO_LARGE,
+                        format!(
+                            "replica {} answered `{model}` with {declared} bytes, over the \
+                             {MAX_BODY_BYTES}-byte response limit",
+                            replica.addr
+                        ),
+                    );
                 }
                 Err(e) => {
                     replica.healthy.store(false, Ordering::SeqCst);
@@ -592,27 +609,17 @@ impl RouterState {
 
 impl RequestHandler for RouterState {
     fn handle(&self, request: &Request) -> (u16, String) {
-        let path = request.path.split('?').next().unwrap_or("");
-        let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-        let rest = match api_segments(&segments) {
-            Ok(rest) => rest,
-            Err(unsupported) => return unsupported,
-        };
-        match (request.method.as_str(), rest) {
-            ("GET", ["healthz"]) => self.health(),
-            ("GET", ["models"]) => self.models(),
-            ("GET", ["statz"] | ["admin", "statz"]) => self.statz(),
-            ("POST", ["admin", "reload"]) => self.reload(),
-            ("POST", ["admin", "drain"]) => self.drain(&request.body),
-            ("POST", ["models", name, "features" | "assign"]) => self.forward(name, request),
-            (_, ["healthz" | "models" | "statz"] | ["admin", "reload" | "statz" | "drain"])
-            | (_, ["models", _, "features" | "assign"]) => error_body(
-                405,
-                code::METHOD_NOT_ALLOWED,
-                format!("method {} not allowed here", request.method),
-            ),
-            _ => error_body(404, code::NOT_FOUND, format!("no route for `{path}`")),
-        }
+        dispatch(request, |method, rest| {
+            Some(match (method, rest) {
+                ("GET", ["healthz"]) => self.health(),
+                ("GET", ["models"]) => self.models(),
+                ("GET", ["statz"] | ["admin", "statz"]) => self.statz(),
+                ("POST", ["admin", "reload"]) => self.reload(),
+                ("POST", ["admin", "drain"]) => self.drain(&request.body),
+                ("POST", ["models", name, "features" | "assign"]) => self.forward(name, request),
+                _ => return None,
+            })
+        })
     }
 }
 
@@ -642,7 +649,7 @@ impl Router {
         Ok(Self {
             listener: TcpListener::bind(addr)?,
             config,
-            options: ServeOptions::from_env(),
+            options: ServeOptions::default(),
             workers: 2,
         })
     }
@@ -654,14 +661,12 @@ impl Router {
         self
     }
 
-    /// Overrides the frontend connection-handling knobs (keep-alive, idle
-    /// timeout, body/connection limits) — same contract as the server's.
+    /// Overrides the frontend connection-handling knobs (idle timeout,
+    /// request cap, body/connection limits) — same contract as the
+    /// server's.
     #[must_use]
     pub fn with_options(mut self, options: ServeOptions) -> Self {
-        self.options = ServeOptions {
-            max_requests_per_connection: options.max_requests_per_connection.max(1),
-            ..options
-        };
+        self.options = options;
         self
     }
 
@@ -688,13 +693,15 @@ impl Router {
         let state = Arc::new(RouterState::new(&self.config));
         state.health_pass();
         let acceptors = spawn_acceptors(&listener, &core, &state, self.workers)?;
+        // Background mark-down/mark-up: polls every non-drained replica's
+        // `/healthz` each interval.
         let health = {
             let state = Arc::clone(&state);
             let core = Arc::clone(&core);
             let interval = self.config.health_interval;
             std::thread::Builder::new()
                 .name("sls-route-health".to_string())
-                .spawn(move || health_loop(&state, &core, interval))?
+                .spawn(move || every(interval, &core.shutdown, || state.health_pass()))?
         };
         Ok(RouterHandle {
             addr,
@@ -702,23 +709,6 @@ impl Router {
             acceptors,
             health,
         })
-    }
-}
-
-/// Background mark-down/mark-up thread: polls every non-drained replica's
-/// `/healthz` each `interval`, in shutdown-aware steps.
-fn health_loop(state: &RouterState, core: &ConnCore, interval: Duration) {
-    loop {
-        let deadline = Instant::now() + interval;
-        while Instant::now() < deadline {
-            if core.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            std::thread::sleep(
-                SHUTDOWN_POLL.min(deadline.saturating_duration_since(Instant::now())),
-            );
-        }
-        state.health_pass();
     }
 }
 

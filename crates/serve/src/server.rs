@@ -47,7 +47,7 @@
 //!
 //! Rows within one request are always micro-batched through a single
 //! matrix multiply. With a batch window configured
-//! ([`BatchConfig`], `SLS_BATCH_WINDOW_US`), concurrent requests for the
+//! ([`BatchConfig`], `--batch-window-us`), concurrent requests for the
 //! same model are additionally coalesced into one fused launch — bitwise
 //! identical to serving them one by one (see [`crate::batch`]).
 
@@ -57,8 +57,8 @@ use crate::api::{
 };
 use crate::batch::{compute_direct, BatchConfig, BatchOutput, Batcher, Endpoint};
 use crate::http::{
-    read_request_limited, write_response, write_response_keep_alive, HttpLimits, Request,
-    RequestRead, MAX_BODY_BYTES,
+    read_request_limited, write_response_keep_alive, HttpLimits, Request, RequestRead,
+    MAX_BODY_BYTES,
 };
 use crate::live::{LiveRegistry, RegistryGeneration};
 use crate::registry::ModelRegistry;
@@ -78,61 +78,34 @@ const IO_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// How often an idle connection re-checks the shutdown flag while parked
 /// waiting for the next request.
-pub(crate) const SHUTDOWN_POLL: Duration = Duration::from_millis(100);
+const SHUTDOWN_POLL: Duration = Duration::from_millis(100);
 
-/// Environment variable overriding the request body size limit in bytes.
-pub const ENV_MAX_BODY_BYTES: &str = "SLS_MAX_BODY_BYTES";
-
-/// Connection-handling knobs of the [`Server`].
+/// Connection-handling knobs of the [`Server`] and the [`crate::Router`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeOptions {
-    /// Whether connections are kept alive between requests at all
-    /// (`false` restores one-request-per-connection).
-    pub keep_alive: bool,
     /// How long an idle keep-alive connection is held open waiting for its
     /// next request before the server closes it.
     pub idle_timeout: Duration,
     /// Requests served on one connection before the server closes it
-    /// (`Connection: close` on the capping response); clamped to ≥ 1.
+    /// (`Connection: close` on the capping response); clamped to ≥ 1, and
+    /// `1` serves one request per connection.
     pub max_requests_per_connection: usize,
     /// Largest request body buffered; larger declarations answer `413`
     /// before any body byte is allocated.
     pub max_body_bytes: usize,
-    /// Connections handled concurrently; excess connections are answered
-    /// `503` and closed immediately.
+    /// Connections handled concurrently (clamped to ≥ 1); excess
+    /// connections are answered `503` and closed immediately.
     pub max_connections: usize,
 }
 
 impl Default for ServeOptions {
     fn default() -> Self {
         Self {
-            keep_alive: true,
             idle_timeout: Duration::from_secs(5),
             max_requests_per_connection: 1000,
             max_body_bytes: MAX_BODY_BYTES,
             max_connections: 1024,
         }
-    }
-}
-
-impl ServeOptions {
-    /// Defaults with `SLS_MAX_BODY_BYTES` honoured when set.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the variable is set but unparsable — a typo must not
-    /// silently restore the unbounded default.
-    pub fn from_env() -> Self {
-        let mut options = Self::default();
-        if let Ok(raw) = std::env::var(ENV_MAX_BODY_BYTES) {
-            let trimmed = raw.trim();
-            if !trimmed.is_empty() {
-                options.max_body_bytes = trimmed.parse().unwrap_or_else(|_| {
-                    panic!("{ENV_MAX_BODY_BYTES} must be a byte count, got `{raw}`")
-                });
-            }
-        }
-        options
     }
 }
 
@@ -155,8 +128,7 @@ impl Server {
     /// [`ServeOptions::max_connections`]. Inference micro-batches run under
     /// the process-wide [`ParallelPolicy::global`] unless overridden with
     /// [`Server::with_parallel`]; connection handling defaults to
-    /// [`ServeOptions::from_env`] and batching to [`BatchConfig::from_env`]
-    /// (`SLS_BATCH_WINDOW_US` / `SLS_BATCH_MAX_ROWS`, off by default).
+    /// [`ServeOptions::default`] and batching to [`BatchConfig::disabled`].
     ///
     /// When the policy can fan out, the persistent linalg [`WorkerPool`] is
     /// constructed here, at bind time: one pool, shared by every connection
@@ -186,8 +158,8 @@ impl Server {
             live: Arc::new(live),
             workers: workers.max(1),
             parallel,
-            options: ServeOptions::from_env(),
-            batch: BatchConfig::from_env(),
+            options: ServeOptions::default(),
+            batch: BatchConfig::disabled(),
             watch: None,
         })
     }
@@ -205,13 +177,10 @@ impl Server {
         self
     }
 
-    /// Overrides the connection-handling knobs (keep-alive, timeouts,
+    /// Overrides the connection-handling knobs (timeouts, request cap,
     /// body/connection limits).
     pub fn with_options(mut self, options: ServeOptions) -> Self {
-        self.options = ServeOptions {
-            max_requests_per_connection: options.max_requests_per_connection.max(1),
-            ..options
-        };
+        self.options = options;
         self
     }
 
@@ -260,6 +229,11 @@ impl Server {
             draining: AtomicBool::new(false),
         });
         let acceptors = spawn_acceptors(&listener, &core, &shared, self.workers)?;
+        // The registry records the directory fingerprint each load or
+        // reload attempt started from, so a change that lands before the
+        // first poll is still reloaded, and a rejected reload (e.g. a
+        // half-written artifact) is retried on the *next* change, not every
+        // tick.
         let watcher = match self.watch {
             Some(interval) if shared.live.source().is_some() => {
                 let live = Arc::clone(&shared.live);
@@ -267,7 +241,11 @@ impl Server {
                 Some(
                     std::thread::Builder::new()
                         .name("sls-serve-watch".to_string())
-                        .spawn(move || watcher_loop(&live, &core.shutdown, interval))?,
+                        .spawn(move || {
+                            every(interval, &core.shutdown, || {
+                                let _ = live.reload_if_changed();
+                            });
+                        })?,
                 )
             }
             _ => None,
@@ -294,9 +272,15 @@ pub(crate) struct ConnCore {
 }
 
 impl ConnCore {
+    /// The one place both frontends clamp their options: a cap of zero
+    /// requests per connection or zero connections would refuse everything.
     pub(crate) fn new(options: ServeOptions) -> Self {
         Self {
-            options,
+            options: ServeOptions {
+                max_requests_per_connection: options.max_requests_per_connection.max(1),
+                max_connections: options.max_connections.max(1),
+                ..options
+            },
             shutdown: AtomicBool::new(false),
             active_connections: AtomicUsize::new(0),
         }
@@ -440,13 +424,10 @@ impl ServerHandle {
     }
 }
 
-/// Directory-watch thread: every `interval` (in shutdown-aware steps) asks
-/// the registry to reload if the artifact directory's fingerprint differs
-/// from the one its last load or reload attempt started from. The registry
-/// records that fingerprint before reading any file, so a change that lands
-/// before the first poll is still reloaded, and a rejected reload (e.g. a
-/// half-written artifact) is retried on the *next* change, not every tick.
-fn watcher_loop(live: &LiveRegistry, shutdown: &AtomicBool, interval: Duration) {
+/// Runs `task` every `interval` until `shutdown` is set, re-checking the
+/// flag at least every [`SHUTDOWN_POLL`]: the directory watcher and the
+/// router's health poll.
+pub(crate) fn every(interval: Duration, shutdown: &AtomicBool, mut task: impl FnMut()) {
     loop {
         let deadline = Instant::now() + interval;
         while Instant::now() < deadline {
@@ -457,7 +438,7 @@ fn watcher_loop(live: &LiveRegistry, shutdown: &AtomicBool, interval: Duration) 
                 SHUTDOWN_POLL.min(deadline.saturating_duration_since(Instant::now())),
             );
         }
-        let _ = live.reload_if_changed();
+        task();
     }
 }
 
@@ -490,7 +471,7 @@ fn acceptor_loop<H: RequestHandler>(
             // queueing a connection no handler will reach.
             let mut stream = stream;
             let (_, body) = error_body(503, code::OVER_CAPACITY, "server at connection capacity");
-            let _ = write_response(&mut stream, 503, &body);
+            let _ = write_response_keep_alive(&mut stream, 503, &body, false);
             continue;
         }
         core.active_connections.fetch_add(1, Ordering::SeqCst);
@@ -589,9 +570,8 @@ fn handle_connection<H: RequestHandler + ?Sized>(
         // socket, so setting it through the writer half covers the reader.
         writer.set_read_timeout(Some(IO_TIMEOUT))?;
         served += 1;
-        let may_keep_alive = options.keep_alive
-            && served < options.max_requests_per_connection
-            && !core.shutdown.load(Ordering::SeqCst);
+        let may_keep_alive =
+            served < options.max_requests_per_connection && !core.shutdown.load(Ordering::SeqCst);
         match read_request_limited(&mut reader, &limits) {
             Ok(RequestRead::Complete { request, close }) => {
                 let keep = may_keep_alive && !close;
@@ -665,22 +645,42 @@ pub fn route_live(
     route_inner(live, request, parallel, batcher, None)
 }
 
-/// Strips the `/v1` API-version prefix off a segmented path. The bare
-/// unversioned path is the legacy alias, so both spell the same routes;
-/// any *other* `/v{n}` prefix is answered with a structured 404 instead of
-/// falling through to route matching (a `/v2` client must learn it speaks
-/// the wrong version, not chase phantom 404s per route).
-pub(crate) fn api_segments<'a>(
-    segments: &'a [&'a str],
-) -> std::result::Result<&'a [&'a str], (u16, String)> {
-    match segments.split_first() {
-        Some((&"v1", rest)) => Ok(rest),
-        Some((&first, _)) if is_version_prefix(first) => Err(error_body(
-            404,
-            code::UNSUPPORTED_API_VERSION,
-            format!("API version `{first}` is not supported; this server speaks `/v1`"),
-        )),
-        _ => Ok(segments),
+/// The route table both frontends share. Splits the path (query string
+/// dropped) and strips the `/v1` API-version prefix: the bare unversioned
+/// path is the legacy alias, so both spell the same routes, while any
+/// *other* `/v{n}` prefix is answered with a structured 404 (a `/v2` client
+/// must learn it speaks the wrong version, not chase phantom 404s per
+/// route). `routes` then answers `(method, segments)`; whatever it leaves
+/// unanswered is a `405` on a known path and a `404` everywhere else.
+pub(crate) fn dispatch(
+    request: &Request,
+    routes: impl FnOnce(&str, &[&str]) -> Option<(u16, String)>,
+) -> (u16, String) {
+    let path = request.path.split('?').next().unwrap_or("");
+    let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
+    let rest = match segments.split_first() {
+        Some((&"v1", rest)) => rest,
+        Some((&first, _)) if is_version_prefix(first) => {
+            return error_body(
+                404,
+                code::UNSUPPORTED_API_VERSION,
+                format!("API version `{first}` is not supported; this server speaks `/v1`"),
+            )
+        }
+        _ => &segments,
+    };
+    if let Some(answer) = routes(request.method.as_str(), rest) {
+        return answer;
+    }
+    match rest {
+        ["healthz" | "models" | "statz"]
+        | ["admin", "reload" | "statz" | "drain"]
+        | ["models", _, "features" | "assign"] => error_body(
+            405,
+            code::METHOD_NOT_ALLOWED,
+            format!("method {} not allowed here", request.method),
+        ),
+        _ => error_body(404, code::NOT_FOUND, format!("no route for `{path}`")),
     }
 }
 
@@ -701,62 +701,47 @@ fn route_inner(
 ) -> (u16, String) {
     let current: Arc<RegistryGeneration> = live.current();
     let (registry, generation) = (&current.registry, current.generation);
-    let path = request.path.split('?').next().unwrap_or("");
-    let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-    let rest = match api_segments(&segments) {
-        Ok(rest) => rest,
-        Err(unsupported) => return unsupported,
+    let serve_rows = |name: &str, endpoint| {
+        infer(
+            registry,
+            generation,
+            name,
+            endpoint,
+            &request.body,
+            parallel,
+            batcher,
+        )
     };
-    match (request.method.as_str(), rest) {
-        ("GET", ["healthz"]) => health(registry, draining),
-        ("GET", ["models"]) => json_body(
-            200,
-            &ModelsResponse {
-                generation,
-                models: registry
-                    .iter()
-                    .map(|(name, model)| ModelInfo::describe(name, model))
-                    .collect(),
-            },
-        ),
-        // `/admin/statz` is canonical; top-level `/statz` is the deprecated
-        // pre-v1 alias, kept byte-identical.
-        ("GET", ["statz"] | ["admin", "statz"]) => json_body(
-            200,
-            &BatchStatsResponse::describe(batcher).with_registry(
-                generation,
-                live.swaps(),
-                live.failed_reloads(),
+    dispatch(request, |method, rest| {
+        Some(match (method, rest) {
+            ("GET", ["healthz"]) => health(registry, draining),
+            ("GET", ["models"]) => json_body(
+                200,
+                &ModelsResponse {
+                    generation,
+                    models: registry
+                        .iter()
+                        .map(|(name, model)| ModelInfo::describe(name, model))
+                        .collect(),
+                },
             ),
-        ),
-        ("POST", ["admin", "reload"]) => reload(live),
-        ("POST", ["admin", "drain"]) => drain(draining),
-        ("POST", ["models", name, "features"]) => infer(
-            registry,
-            generation,
-            name,
-            Endpoint::Features,
-            &request.body,
-            parallel,
-            batcher,
-        ),
-        ("POST", ["models", name, "assign"]) => infer(
-            registry,
-            generation,
-            name,
-            Endpoint::Assign,
-            &request.body,
-            parallel,
-            batcher,
-        ),
-        (_, ["healthz" | "models" | "statz"] | ["admin", "reload" | "statz" | "drain"])
-        | (_, ["models", _, "features" | "assign"]) => error_body(
-            405,
-            code::METHOD_NOT_ALLOWED,
-            format!("method {} not allowed here", request.method),
-        ),
-        _ => error_body(404, code::NOT_FOUND, format!("no route for `{path}`")),
-    }
+            // `/admin/statz` is canonical; top-level `/statz` is the
+            // deprecated pre-v1 alias, kept byte-identical.
+            ("GET", ["statz"] | ["admin", "statz"]) => json_body(
+                200,
+                &BatchStatsResponse::describe(batcher).with_registry(
+                    generation,
+                    live.swaps(),
+                    live.failed_reloads(),
+                ),
+            ),
+            ("POST", ["admin", "reload"]) => reload(live),
+            ("POST", ["admin", "drain"]) => drain(draining),
+            ("POST", ["models", name, "features"]) => serve_rows(name, Endpoint::Features),
+            ("POST", ["models", name, "assign"]) => serve_rows(name, Endpoint::Assign),
+            _ => return None,
+        })
+    })
 }
 
 /// `GET /healthz`: `200 ok` normally, `503 draining` once the node was

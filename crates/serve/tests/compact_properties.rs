@@ -1,8 +1,9 @@
 //! Property-based bounds on the compact (f32-quantized) serving path.
 //!
-//! The serving contract for compact mode is documented in the `compact`
-//! module: every feature element stays within `1e-6 · (1 + |full|)` of the
-//! full-precision path, and the compact forward pass is bitwise identical
+//! The serving contract for compact mode is documented in `sls-rbm-core`'s
+//! `compact` module: every feature element a [`ServingModel`] loaded with
+//! compact weights answers stays within `1e-6 · (1 + |full|)` of the same
+//! model loaded at full precision, and the compact forward pass is bitwise identical
 //! across serial and pooled policies at every thread count and chunk size.
 //! These properties enforce both on randomly generated artifacts (weights,
 //! biases, preprocessors and cluster heads far rougher than anything
@@ -14,9 +15,9 @@
 use proptest::prelude::*;
 use sls_linalg::{Matrix, ParallelPolicy};
 use sls_rbm_core::{
-    ClusterHead, CompactArtifact, FittedPreprocessor, ModelKind, PipelineArtifact, Preprocessing,
-    RbmParams,
+    ClusterHead, FittedPreprocessor, ModelKind, PipelineArtifact, Preprocessing, RbmParams,
 };
+use sls_serve::ServingModel;
 
 /// One generated serving scenario: an artifact (with cluster head) plus a
 /// request batch of raw rows.
@@ -24,6 +25,16 @@ use sls_rbm_core::{
 struct Case {
     artifact: PipelineArtifact,
     rows: Matrix,
+}
+
+impl Case {
+    /// The artifact served at full precision and with compact weights.
+    fn models(&self) -> (ServingModel, ServingModel) {
+        (
+            ServingModel::from_artifact(self.artifact.clone(), false),
+            ServingModel::from_artifact(self.artifact.clone(), true),
+        )
+    }
 }
 
 /// The serial reference plus pooled policies with an eager cutover, so
@@ -112,9 +123,9 @@ proptest! {
     /// policy in the grid.
     #[test]
     fn compact_features_stay_within_the_documented_bound(case in case_strategy()) {
-        let compact = CompactArtifact::from_artifact(&case.artifact);
+        let (full_model, compact) = case.models();
         for policy in policy_grid() {
-            let full = case.artifact.features_with(&case.rows, &policy).unwrap();
+            let full = full_model.features_with(&case.rows, &policy).unwrap();
             let quant = compact.features_with(&case.rows, &policy).unwrap();
             prop_assert_eq!(full.shape(), quant.shape());
             for (&f, &q) in full.as_slice().iter().zip(quant.as_slice()) {
@@ -131,7 +142,7 @@ proptest! {
     /// reproducibility contract.
     #[test]
     fn compact_path_is_bitwise_identical_across_the_policy_grid(case in case_strategy()) {
-        let compact = CompactArtifact::from_artifact(&case.artifact);
+        let (_, compact) = case.models();
         let reference = compact
             .features_with(&case.rows, &ParallelPolicy::serial())
             .unwrap();
@@ -160,11 +171,11 @@ proptest! {
     /// exactly, under every policy in the grid.
     #[test]
     fn compact_assignments_agree_outside_near_ties(case in case_strategy()) {
-        let compact = CompactArtifact::from_artifact(&case.artifact);
+        let (full_model, compact) = case.models();
         let head = case.artifact.cluster_head.as_ref().unwrap();
         for policy in policy_grid() {
-            let full_features = case.artifact.features_with(&case.rows, &policy).unwrap();
-            let full = case.artifact.assign_with(&case.rows, &policy).unwrap();
+            let full_features = full_model.features_with(&case.rows, &policy).unwrap();
+            let full = full_model.assign_with(&case.rows, &policy).unwrap();
             let quant = compact.assign_with(&case.rows, &policy).unwrap();
             prop_assert_eq!(full.len(), quant.len());
             for (i, (&f, &q)) in full.iter().zip(&quant).enumerate() {

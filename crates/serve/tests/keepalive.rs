@@ -6,7 +6,9 @@
 //!
 //! The raw-socket tests speak the wire format through the `http` module
 //! directly, so they observe the `Connection` response header and the exact
-//! close behaviour instead of trusting the client wrapper.
+//! close behaviour instead of trusting the client wrapper. The reuse and
+//! pipelining cases run with batching off and again with a batch window
+//! open, so coalesced answers are checked on a reused socket too.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -15,8 +17,8 @@ use sls_linalg::ParallelPolicy;
 use sls_rbm_core::{ModelKind, PipelineArtifact, SlsPipelineConfig};
 use sls_serve::http::{read_response_meta, write_request_keep_alive, Request};
 use sls_serve::{
-    route_live, Client, ErrorResponse, LiveRegistry, ModelRegistry, ServeOptions, Server,
-    ServerHandle,
+    route_live, BatchConfig, Client, ErrorResponse, LiveRegistry, ModelRegistry, ServeOptions,
+    Server, ServerHandle,
 };
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -44,11 +46,27 @@ fn registry() -> ModelRegistry {
 }
 
 fn start(options: ServeOptions) -> ServerHandle {
+    start_batched(options, BatchConfig::disabled())
+}
+
+fn start_batched(options: ServeOptions, batch: BatchConfig) -> ServerHandle {
     Server::bind("127.0.0.1:0", registry(), 2)
         .expect("bind ephemeral port")
         .with_options(options)
+        .with_batching(batch)
         .start()
         .expect("server starts")
+}
+
+/// Batching off, and a 300 µs window that coalesces concurrent requests.
+fn batch_configs() -> [BatchConfig; 2] {
+    [
+        BatchConfig::disabled(),
+        BatchConfig {
+            window: Duration::from_micros(300),
+            max_rows: 256,
+        },
+    ]
 }
 
 /// The response body the server must produce for `POST path body`, computed
@@ -102,41 +120,54 @@ fn assert_closed(reader: &mut BufReader<TcpStream>) {
 
 #[test]
 fn sequential_requests_share_one_connection() {
-    let handle = start(ServeOptions::default());
-    let (mut reader, mut writer) = connect(handle.addr());
-    for tag in 0..5 {
-        let body = features_body(tag);
-        let path = format!("/models/{MODEL}/features");
-        write_request_keep_alive(&mut writer, "POST", &path, &body, true).unwrap();
-        let (response, close) = read_response_meta(&mut reader).expect("response arrives");
-        assert!(!close, "request {tag}: server must keep the connection");
-        let (expected_status, expected_body) = reference("POST", &path, &body);
-        assert_eq!(response.status, expected_status, "request {tag}");
-        assert_eq!(response.body, expected_body, "request {tag}");
+    for batch in batch_configs() {
+        let handle = start_batched(ServeOptions::default(), batch);
+        let (mut reader, mut writer) = connect(handle.addr());
+        for tag in 0..5 {
+            let body = features_body(tag);
+            let path = format!("/models/{MODEL}/features");
+            write_request_keep_alive(&mut writer, "POST", &path, &body, true).unwrap();
+            let (response, close) = read_response_meta(&mut reader).expect("response arrives");
+            assert!(
+                !close,
+                "request {tag} ({batch:?}): server must keep the connection"
+            );
+            let (expected_status, expected_body) = reference("POST", &path, &body);
+            assert_eq!(
+                response.status, expected_status,
+                "request {tag} ({batch:?})"
+            );
+            assert_eq!(response.body, expected_body, "request {tag} ({batch:?})");
+        }
+        handle.shutdown();
     }
-    handle.shutdown();
 }
 
 #[test]
 fn pipelined_requests_answer_in_order() {
-    let handle = start(ServeOptions::default());
-    let (mut reader, mut writer) = connect(handle.addr());
-    let path = format!("/models/{MODEL}/features");
-    // All three requests hit the wire before any response is read.
-    let bodies: Vec<String> = (10..13).map(features_body).collect();
-    for body in &bodies {
-        write_request_keep_alive(&mut writer, "POST", &path, body, true).unwrap();
+    for batch in batch_configs() {
+        let handle = start_batched(ServeOptions::default(), batch);
+        let (mut reader, mut writer) = connect(handle.addr());
+        let path = format!("/models/{MODEL}/features");
+        // All three requests hit the wire before any response is read.
+        let bodies: Vec<String> = (10..13).map(features_body).collect();
+        for body in &bodies {
+            write_request_keep_alive(&mut writer, "POST", &path, body, true).unwrap();
+        }
+        for (i, body) in bodies.iter().enumerate() {
+            let (response, close) = read_response_meta(&mut reader).expect("pipelined response");
+            assert!(
+                !close,
+                "pipelined response {i} ({batch:?}) must keep the connection"
+            );
+            let (_, expected_body) = reference("POST", &path, body);
+            assert_eq!(
+                response.body, expected_body,
+                "pipelined response {i} ({batch:?}) out of order or corrupted"
+            );
+        }
+        handle.shutdown();
     }
-    for (i, body) in bodies.iter().enumerate() {
-        let (response, close) = read_response_meta(&mut reader).expect("pipelined response");
-        assert!(!close, "pipelined response {i} must keep the connection");
-        let (_, expected_body) = reference("POST", &path, body);
-        assert_eq!(
-            response.body, expected_body,
-            "pipelined response {i} out of order or corrupted"
-        );
-    }
-    handle.shutdown();
 }
 
 #[test]
@@ -342,8 +373,9 @@ fn client_connection_redials_after_server_side_close() {
 
 #[test]
 fn keep_alive_disabled_closes_after_every_request() {
+    // One request per connection is a request cap of 1.
     let handle = start(ServeOptions {
-        keep_alive: false,
+        max_requests_per_connection: 1,
         ..ServeOptions::default()
     });
     // Raw socket: the response must announce the close even though the
@@ -352,7 +384,10 @@ fn keep_alive_disabled_closes_after_every_request() {
     write_request_keep_alive(&mut writer, "GET", "/healthz", "", true).unwrap();
     let (response, close) = read_response_meta(&mut reader).unwrap();
     assert_eq!(response.status, 200);
-    assert!(close, "keep_alive=false must close every connection");
+    assert!(
+        close,
+        "max_requests_per_connection=1 must close every connection"
+    );
     assert_closed(&mut reader);
     // The reusing client keeps working — by redialing per request.
     let client = Client::new(handle.addr());
@@ -363,5 +398,20 @@ fn keep_alive_disabled_closes_after_every_request() {
             .expect("request");
     }
     assert_eq!(connection.connections_opened(), 3);
+    handle.shutdown();
+}
+
+#[test]
+fn zero_connection_cap_is_clamped_to_one() {
+    // `max_connections: 0` would shed every connection with a 503; like the
+    // request cap it is clamped to 1.
+    let handle = start(ServeOptions {
+        max_connections: 0,
+        ..ServeOptions::default()
+    });
+    let response = Client::new(handle.addr())
+        .request("GET", "/healthz", "")
+        .expect("healthz answers");
+    assert_eq!(response.status, 200, "{}", response.body);
     handle.shutdown();
 }

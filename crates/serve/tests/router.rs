@@ -2,7 +2,8 @@
 //! [`Router`], proving stable hash ownership, retry-on-another-owner when a
 //! replica dies, drain without dropping an in-flight response, and
 //! generation-consistent fan-out reload (converged, rejected-atomically,
-//! and torn rollouts), and the `Transfer-Encoding` refusal at the router.
+//! and torn rollouts), the `Transfer-Encoding` refusal at the router, and
+//! an oversized replica answer that must not count as a dead replica.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -32,6 +33,11 @@ fn unique_dir(tag: &str) -> PathBuf {
 /// Trains one quick artifact; `seed` varies the bits so reloads are
 /// observable.
 fn train(seed: u64) -> PipelineArtifact {
+    train_hidden(seed, 4)
+}
+
+/// [`train`] with `n_hidden` hidden units (features per answered row).
+fn train_hidden(seed: u64, n_hidden: usize) -> PipelineArtifact {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let ds = SyntheticBlobs::new(30, 4, 2)
         .separation(6.0)
@@ -40,7 +46,7 @@ fn train(seed: u64) -> PipelineArtifact {
         ModelKind::Grbm,
         SlsPipelineConfig::quick_demo()
             .with_clusters(2)
-            .with_hidden(4),
+            .with_hidden(n_hidden),
         ds.features(),
         &mut rng,
     )
@@ -491,5 +497,44 @@ fn transfer_encoding_through_the_router_closes_with_501() {
 
     router.shutdown();
     replica.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A replica answer over the client's response limit is the replica's
+/// answer, not its failure: the router answers `502` at once, with no retry
+/// on the other owner and no replica marked down.
+#[test]
+fn an_oversized_replica_answer_is_a_502_not_a_dead_replica() {
+    let dir = unique_dir("oversized");
+    export(&dir, &train_hidden(5, 64), &["wide"]);
+    let replica_a = start_replica(&dir);
+    let replica_b = start_replica(&dir);
+    let router = start_router(vec![replica_a.addr(), replica_b.addr()], 2);
+    let client = Client::new(router.addr());
+
+    // 64 features of ~19 bytes per row: 16 000 rows answer ~19 MB, over
+    // the 16 MiB response limit.
+    let rows = vec!["[0.1,0.2,0.3,0.4]"; 16_000].join(",");
+    let response = client
+        .request(
+            "POST",
+            "/v1/models/wide/features",
+            &format!("{{\"rows\":[{rows}]}}"),
+        )
+        .expect("the router answers");
+    assert_eq!(response.status, 502, "{}", response.body);
+    let error: ErrorResponse = serde_json::from_str(&response.body).unwrap();
+    assert_eq!(error.code, "upstream_response_too_large");
+
+    let statz = router_statz(&client);
+    assert_eq!(statz.retried_requests, 0);
+    for replica in &statz.replicas {
+        assert!(replica.healthy, "{} was marked down", replica.addr);
+        assert_eq!(replica.failures, 0, "{}", replica.addr);
+    }
+
+    router.shutdown();
+    replica_a.shutdown();
+    replica_b.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
