@@ -10,17 +10,23 @@
 //! Two implementations are provided:
 //!
 //! * [`ChunkedCsvReader`] — indexes the byte offsets of a CSV file's data
-//!   rows once at open time, then reads only the requested rows per chunk.
-//!   Row data is never held in memory beyond the current chunk.
+//!   rows once at open time, parses a chunk's rows the first time it is
+//!   read and spills the parsed values as raw little-endian `f64` to an
+//!   anonymous temporary file, so every later read of that chunk decodes
+//!   bytes instead of re-parsing text. Row data is never held in memory
+//!   beyond the current chunk.
 //! * [`InMemoryChunks`] — adapts an already-materialised feature matrix
 //!   (e.g. a generated UCI stand-in) to the same interface, so the training
 //!   driver is agnostic to where rows come from.
 
+use crate::csv::parse_feature;
 use crate::{CsvOptions, Dataset, DatasetError, Result};
 use sls_linalg::Matrix;
-use std::fs::File;
-use std::io::{BufRead, BufReader, Seek, SeekFrom};
+use std::fs::{File, OpenOptions};
+use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Random access to fixed-size row chunks of a feature source.
 ///
@@ -76,36 +82,58 @@ pub trait ChunkSource {
 /// Propagates the source's read errors.
 pub fn leading_sample(source: &dyn ChunkSource, max_rows: usize) -> Result<Matrix> {
     let max_rows = max_rows.max(1);
-    let mut rows: Vec<Vec<f64>> = Vec::new();
+    let cols = source.n_features();
+    let mut data: Vec<f64> = Vec::new();
+    let mut rows = 0;
     for index in 0..source.n_chunks() {
-        if rows.len() >= max_rows {
+        if rows >= max_rows {
             break;
         }
         let chunk = source.read_chunk(index)?;
-        for row in chunk.row_iter() {
-            if rows.len() >= max_rows {
-                break;
-            }
-            rows.push(row.to_vec());
-        }
+        let take = chunk.rows().min(max_rows - rows);
+        data.extend_from_slice(&chunk.as_slice()[..take * chunk.cols()]);
+        rows += take;
     }
-    if rows.is_empty() {
+    if rows == 0 {
         return Err(DatasetError::EmptyDataset);
     }
-    Ok(Matrix::from_rows(&rows)?)
+    Ok(Matrix::from_vec(rows, cols, data)?)
 }
 
 /// Chunked reader over a CSV file on disk.
 ///
 /// Opening the reader makes one pass over the file to record the byte
 /// offset and line number of every data row (header and blank lines are
-/// skipped); `read_chunk` then seeks straight to the first row of the
-/// requested chunk and parses only its rows. Field values are validated at
-/// read time, so a malformed row deep in the file surfaces when its chunk
-/// is first read, with its 1-based line number.
+/// skipped). The first `read_chunk(i)` then seeks straight to the first
+/// row of chunk `i` and parses only its rows. Field values are validated
+/// at that read, so a malformed or non-finite value deep in the file
+/// surfaces when its chunk is first read, with its 1-based line number.
 ///
 /// The label column (first or last, per [`CsvOptions`]) is skipped — the
 /// streaming trainer is unsupervised and consumes features only.
+///
+/// # Spill
+///
+/// Every chunk that parses cleanly is also written, as little-endian `f64`
+/// values in row-major order, to a spill file; later reads of that chunk
+/// decode those bytes instead of re-parsing the text, which is over an
+/// order of magnitude cheaper.
+///
+/// * **Where:** a file created by `open` under [`std::env::temp_dir`]
+///   (so `TMPDIR` on Unix) and unlinked straight away. Only the open
+///   handle keeps it alive, so nothing is left on disk when the reader is
+///   dropped or the process dies, even by `SIGKILL`.
+/// * **Size:** `8 × rows × features` bytes once every chunk has been read.
+///   Memory stays bounded by one chunk.
+/// * **Lifetime:** the reader's. A resumed run opens a new reader and so
+///   re-parses each chunk once.
+/// * **Snapshot:** edits to the CSV after a chunk's first read are not
+///   seen by this reader; it keeps answering with the first-read values.
+/// * **Failures:** if the spill file cannot be created or unlinked the
+///   reader parses on every read, as it would without a spill. A spill
+///   read or write error drops the spill and falls back to parsing; it
+///   never turns a good read into an error. A chunk that fails to parse
+///   is not spilled, so it fails again, with the same line, next time.
 #[derive(Debug)]
 pub struct ChunkedCsvReader {
     path: PathBuf,
@@ -114,6 +142,73 @@ pub struct ChunkedCsvReader {
     /// `(byte_offset, 1-based line number)` of every data row, in order.
     offsets: Vec<(u64, usize)>,
     n_features: usize,
+    /// The raw-`f64` copy of every chunk read so far (`None`: parse always).
+    spill: Mutex<Option<Spill>>,
+}
+
+/// An unlinked temporary file holding chunk `i`'s values at byte
+/// `i × chunk_size × n_features × 8`, so chunks spill in any order.
+#[derive(Debug)]
+struct Spill {
+    file: File,
+    /// Values in a full chunk (`chunk_size × n_features`).
+    chunk_values: usize,
+    /// Whether chunk `i` has been written.
+    spilled: Vec<bool>,
+}
+
+impl Spill {
+    /// Creates and unlinks a fresh file under the temp dir; `None` if
+    /// either step fails.
+    fn create(n_chunks: usize, chunk_values: usize) -> Option<Self> {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "sls-chunk-spill-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        let file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create_new(true)
+            .open(&path)
+            .ok()?;
+        std::fs::remove_file(&path).ok()?;
+        Some(Self {
+            file,
+            chunk_values,
+            spilled: vec![false; n_chunks],
+        })
+    }
+
+    fn seek_to(&mut self, index: usize) -> std::io::Result<()> {
+        let at = index as u64 * self.chunk_values as u64 * 8;
+        self.file.seek(SeekFrom::Start(at)).map(drop)
+    }
+
+    /// The `len` values of chunk `index`, or `None` if it was never written.
+    fn read(&mut self, index: usize, len: usize) -> std::io::Result<Option<Vec<f64>>> {
+        if !self.spilled[index] {
+            return Ok(None);
+        }
+        let mut bytes = vec![0u8; len * 8];
+        self.seek_to(index)?;
+        self.file.read_exact(&mut bytes)?;
+        Ok(Some(
+            bytes
+                .chunks_exact(8)
+                .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk")))
+                .collect(),
+        ))
+    }
+
+    fn write(&mut self, index: usize, values: &[f64]) -> std::io::Result<()> {
+        let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+        self.seek_to(index)?;
+        self.file.write_all(&bytes)?;
+        self.spilled[index] = true;
+        Ok(())
+    }
 }
 
 impl ChunkedCsvReader {
@@ -162,13 +257,69 @@ impl ChunkedCsvReader {
         if offsets.is_empty() {
             return Err(DatasetError::EmptyDataset);
         }
+        let chunk_size = chunk_size.max(1);
+        let n_features = n_features.expect("offsets is non-empty");
+        let spill = Spill::create(offsets.len().div_ceil(chunk_size), chunk_size * n_features);
         Ok(Self {
             path,
             options: options.clone(),
-            chunk_size: chunk_size.max(1),
+            chunk_size,
             offsets,
-            n_features: n_features.expect("offsets is non-empty"),
+            n_features,
+            spill: Mutex::new(spill),
         })
+    }
+
+    /// Runs `op` on the spill, if there still is one; an I/O error drops
+    /// the spill for good.
+    fn with_spill<T>(&self, op: impl FnOnce(&mut Spill) -> std::io::Result<T>) -> Option<T> {
+        // A poisoned spill is still consistent: a chunk is marked spilled
+        // only after all of its bytes were written.
+        let mut spill = self.spill.lock().unwrap_or_else(PoisonError::into_inner);
+        match op(spill.as_mut()?) {
+            Ok(value) => Some(value),
+            Err(_) => {
+                spill.take();
+                None
+            }
+        }
+    }
+
+    /// Parses chunk `index` from the CSV text into one row-major buffer.
+    fn parse_chunk(&self, index: usize) -> Result<Vec<f64>> {
+        let start_row = index * self.chunk_size;
+        let rows_here = self.rows_in_chunk(index);
+        let mut file = File::open(&self.path)?;
+        file.seek(SeekFrom::Start(self.offsets[start_row].0))?;
+        let mut reader = BufReader::new(file);
+        let mut line = String::new();
+        let mut line_no = self.offsets[start_row].1;
+        let mut values = Vec::with_capacity(rows_here * self.n_features);
+        let mut rows = 0;
+        while rows < rows_here {
+            line.clear();
+            let bytes = reader.read_line(&mut line)?;
+            if bytes == 0 {
+                // The file shrank since it was indexed.
+                return Err(DatasetError::CsvParse {
+                    line: line_no,
+                    message: "unexpected end of file (source changed since indexing?)".to_string(),
+                });
+            }
+            let trimmed = line.trim();
+            if !trimmed.is_empty() {
+                parse_feature_row(
+                    trimmed,
+                    line_no,
+                    self.n_features,
+                    &self.options,
+                    &mut values,
+                )?;
+                rows += 1;
+            }
+            line_no += 1;
+        }
+        Ok(values)
     }
 }
 
@@ -196,68 +347,48 @@ impl ChunkSource for ChunkedCsvReader {
                 chunks: self.n_chunks(),
             });
         }
-        let start_row = index * self.chunk_size;
-        let rows_here = self.rows_in_chunk(index);
-        let mut file = File::open(&self.path)?;
-        file.seek(SeekFrom::Start(self.offsets[start_row].0))?;
-        let mut reader = BufReader::new(file);
-        let mut line = String::new();
-        let mut line_no = self.offsets[start_row].1;
-        let mut rows: Vec<Vec<f64>> = Vec::with_capacity(rows_here);
-        while rows.len() < rows_here {
-            line.clear();
-            let bytes = reader.read_line(&mut line)?;
-            if bytes == 0 {
-                // The file shrank since it was indexed.
-                return Err(DatasetError::CsvParse {
-                    line: line_no,
-                    message: "unexpected end of file (source changed since indexing?)".to_string(),
-                });
+        let rows = self.rows_in_chunk(index);
+        let values = match self
+            .with_spill(|spill| spill.read(index, rows * self.n_features))
+            .flatten()
+        {
+            Some(values) => values,
+            None => {
+                let values = self.parse_chunk(index)?;
+                self.with_spill(|spill| spill.write(index, &values));
+                values
             }
-            let trimmed = line.trim();
-            if !trimmed.is_empty() {
-                rows.push(parse_feature_row(
-                    trimmed,
-                    line_no,
-                    self.n_features,
-                    &self.options,
-                )?);
-            }
-            line_no += 1;
-        }
-        Ok(Matrix::from_rows(&rows)?)
+        };
+        Ok(Matrix::from_vec(rows, self.n_features, values)?)
     }
 }
 
-/// Parses the feature fields of one data row, skipping the label column.
+/// Appends the feature fields of one data row to `out`, skipping the label
+/// column.
 fn parse_feature_row(
     trimmed: &str,
     line_no: usize,
     n_features: usize,
     options: &CsvOptions,
-) -> Result<Vec<f64>> {
-    let fields: Vec<&str> = trimmed.split(options.delimiter).map(str::trim).collect();
-    if fields.len() != n_features + 1 {
+    out: &mut Vec<f64>,
+) -> Result<()> {
+    let found = trimmed.split(options.delimiter).count();
+    if found != n_features + 1 {
         return Err(DatasetError::CsvRaggedRow {
             line: line_no,
             expected: n_features + 1,
-            found: fields.len(),
+            found,
         });
     }
-    let feature_fields = if options.label_last {
-        &fields[..n_features]
-    } else {
-        &fields[1..]
-    };
-    feature_fields
-        .iter()
-        .map(|f| {
-            f.parse::<f64>().map_err(|_| DatasetError::CsvParse {
-                line: line_no,
-                message: format!("cannot parse feature value '{f}' as a number"),
-            })
-        })
-        .collect()
+    let skip_label = usize::from(!options.label_last);
+    for field in trimmed
+        .split(options.delimiter)
+        .skip(skip_label)
+        .take(n_features)
+    {
+        out.push(parse_feature(field.trim(), line_no)?);
+    }
+    Ok(())
 }
 
 /// Chunked view over an already-materialised feature matrix.
@@ -323,11 +454,11 @@ impl ChunkSource for InMemoryChunks {
                 chunks: self.n_chunks(),
             });
         }
+        let cols = self.features.cols();
         let start = index * self.chunk_size;
-        let rows: Vec<Vec<f64>> = (start..start + self.rows_in_chunk(index))
-            .map(|i| self.features.row(i).to_vec())
-            .collect();
-        Ok(Matrix::from_rows(&rows)?)
+        let rows = self.rows_in_chunk(index);
+        let values = &self.features.as_slice()[start * cols..(start + rows) * cols];
+        Ok(Matrix::from_vec(rows, cols, values.to_vec())?)
     }
 }
 
@@ -432,6 +563,80 @@ mod tests {
             ),
             "{err}"
         );
+    }
+
+    #[test]
+    fn non_finite_values_error_with_absolute_line_numbers() {
+        for field in ["NaN", "inf", "1e400"] {
+            let path = temp_csv(
+                &format!("non_finite_{field}.csv"),
+                &format!("1.0,2.0,a\n\n3.0,{field},b\n"),
+            );
+            let reader = ChunkedCsvReader::open(&path, &CsvOptions::default(), 2).unwrap();
+            match reader.read_chunk(0) {
+                Err(DatasetError::CsvParse { line: 3, message }) => assert_eq!(
+                    message,
+                    format!("feature value '{field}' is not a finite number")
+                ),
+                other => panic!("{field}: expected a line-3 parse error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn spilled_rereads_are_bitwise_equal_to_the_full_parse() {
+        let path = temp_csv("spill_rereads.csv", SAMPLE);
+        let full = crate::parse_csv_dataset(SAMPLE, &CsvOptions::default()).unwrap();
+        let cols = full.n_features();
+        for chunk_size in [1, 2, 3, 5, 100] {
+            let reader = ChunkedCsvReader::open(&path, &CsvOptions::default(), chunk_size).unwrap();
+            let forwards = 0..reader.n_chunks();
+            let order: Vec<usize> = forwards.clone().chain(forwards.rev()).collect();
+            for _ in 0..3 {
+                for &i in &order {
+                    let start = i * chunk_size * cols;
+                    let end = start + reader.rows_in_chunk(i) * cols;
+                    let chunk = reader.read_chunk(i).unwrap();
+                    let bits: Vec<u64> = chunk.as_slice().iter().map(|v| v.to_bits()).collect();
+                    let expected: Vec<u64> = full.features().as_slice()[start..end]
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect();
+                    assert_eq!(bits, expected, "chunk size {chunk_size}, chunk {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_bad_chunk_is_not_spilled_and_fails_again() {
+        let path = temp_csv("bad_twice.csv", "1.0,2.0,a\n1.0,oops,a\n");
+        let reader = ChunkedCsvReader::open(&path, &CsvOptions::default(), 1).unwrap();
+        for _ in 0..2 {
+            let err = reader.read_chunk(1).unwrap_err();
+            assert!(
+                matches!(err, DatasetError::CsvParse { line: 2, .. }),
+                "{err}"
+            );
+        }
+        assert_eq!(reader.read_chunk(0).unwrap().row(0), &[1.0, 2.0]);
+    }
+
+    #[test]
+    fn a_reader_keeps_its_first_pass_snapshot() {
+        let path = temp_csv("snapshot.csv", SAMPLE);
+        let reader = ChunkedCsvReader::open(&path, &CsvOptions::default(), 2).unwrap();
+        let first: Vec<Matrix> = (0..reader.n_chunks())
+            .map(|i| reader.read_chunk(i).unwrap())
+            .collect();
+        // Same layout (byte offsets and lines), different values.
+        std::fs::write(&path, SAMPLE.replace('1', "7").replace('8', "6")).unwrap();
+        for (i, expected) in first.iter().enumerate() {
+            let chunk = reader.read_chunk(i).unwrap();
+            let bits: Vec<u64> = chunk.as_slice().iter().map(|v| v.to_bits()).collect();
+            let expected: Vec<u64> = expected.as_slice().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(bits, expected, "chunk {i}");
+        }
     }
 
     #[test]

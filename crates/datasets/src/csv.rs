@@ -49,7 +49,7 @@ pub fn load_csv_dataset(path: impl AsRef<Path>, options: &CsvOptions) -> Result<
 ///
 /// # Errors
 ///
-/// * [`DatasetError::CsvParse`] if a feature value is not a number.
+/// * [`DatasetError::CsvParse`] if a feature value is not a finite number.
 /// * [`DatasetError::CsvRaggedRow`] if rows have inconsistent column counts.
 /// * [`DatasetError::EmptyDataset`] if no data rows are present.
 pub fn parse_csv_dataset(content: &str, options: &CsvOptions) -> Result<Dataset> {
@@ -96,12 +96,7 @@ pub fn parse_csv_dataset(content: &str, options: &CsvOptions) -> Result<Dataset>
 
         let features: Vec<f64> = feature_fields
             .iter()
-            .map(|f| {
-                f.parse::<f64>().map_err(|_| DatasetError::CsvParse {
-                    line: line_no,
-                    message: format!("cannot parse feature value '{f}' as a number"),
-                })
-            })
+            .map(|f| parse_feature(f, line_no))
             .collect::<Result<Vec<f64>>>()?;
         let next_label = label_map.len();
         let label = *label_map
@@ -124,6 +119,31 @@ pub fn parse_csv_dataset(content: &str, options: &CsvOptions) -> Result<Dataset>
         label_map.len(),
     );
     Dataset::new(spec, features, labels)
+}
+
+/// Parses one feature field of CSV line `line`.
+///
+/// Non-finite values (`NaN`, `inf`, or a literal such as `1e400` that
+/// overflows to infinity) are rejected here, at parse time: every
+/// downstream stage assumes finite inputs.
+///
+/// # Errors
+///
+/// [`DatasetError::CsvParse`] naming the field if it is not a number or
+/// not finite.
+pub(crate) fn parse_feature(field: &str, line: usize) -> Result<f64> {
+    let value = field.parse::<f64>().map_err(|_| DatasetError::CsvParse {
+        line,
+        message: format!("cannot parse feature value '{field}' as a number"),
+    })?;
+    if value.is_finite() {
+        Ok(value)
+    } else {
+        Err(DatasetError::CsvParse {
+            line,
+            message: format!("feature value '{field}' is not a finite number"),
+        })
+    }
 }
 
 #[cfg(test)]
@@ -179,6 +199,20 @@ mod tests {
         let content = "1.0,notanumber,a\n";
         let err = parse_csv_dataset(content, &CsvOptions::default()).unwrap_err();
         assert!(matches!(err, DatasetError::CsvParse { line: 1, .. }));
+    }
+
+    #[test]
+    fn rejects_non_finite_values_with_their_line() {
+        for field in ["NaN", "inf", "-inf", "1e400"] {
+            let content = format!("1.0,2.0,a\n1.0,{field},a\n");
+            match parse_csv_dataset(&content, &CsvOptions::default()) {
+                Err(DatasetError::CsvParse { line: 2, message }) => assert_eq!(
+                    message,
+                    format!("feature value '{field}' is not a finite number")
+                ),
+                other => panic!("{field}: expected a line-2 parse error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

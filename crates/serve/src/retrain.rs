@@ -465,6 +465,34 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_training_values_are_an_error_not_a_panic() {
+        let dir = temp_dir("non_finite");
+        let options = quick_options(&dir, ModelKind::SlsGrbm, 1);
+        let clean = std::fs::read_to_string(&options.data).unwrap();
+        for field in ["NaN", "inf", "1e400"] {
+            // Line 4, first feature: inside the leading sample.
+            let mut lines: Vec<&str> = clean.lines().collect();
+            let poisoned = format!("{field}{}", &lines[3][lines[3].find(',').unwrap()..]);
+            lines[3] = &poisoned;
+            std::fs::write(&options.data, lines.join("\n")).unwrap();
+            match retrain(&options) {
+                Err(RbmError::Dataset(sls_datasets::DatasetError::CsvParse {
+                    line: 4,
+                    message,
+                })) => {
+                    assert!(message.contains(field), "{field}: {message}");
+                }
+                other => panic!("{field}: expected a line-4 parse error, got {other:?}"),
+            }
+            assert!(
+                !options.checkpoint.exists(),
+                "{field}: no checkpoint written"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn synthetic_csv_round_trips_through_the_chunked_reader() {
         let dir = temp_dir("synth");
         let path = dir.join("blobs.csv");

@@ -832,6 +832,16 @@ fn infer(
         Ok(matrix) => matrix,
         Err(message) => return error_body(400, code::BAD_ROW_WIDTH, message),
     };
+    // JSON has no NaN or infinity, but a literal like `1e400` overflows
+    // to one; the kernels would answer it with `null`s or a bogus label.
+    if let Some(at) = matrix.as_slice().iter().position(|v| !v.is_finite()) {
+        let (i, j) = (at / matrix.cols(), at % matrix.cols());
+        return error_body(
+            400,
+            code::INVALID_BODY,
+            format!("rows[{i}][{j}] is not a finite number"),
+        );
+    }
     // Doomed requests are rejected up front: they must fail with exactly
     // the error they would get alone, not poison a batch or inherit a
     // batch's error, and each failure class carries its own stable code.

@@ -142,6 +142,32 @@ fn server_reports_models_and_rejects_bad_requests() {
     handle.shutdown();
 }
 
+#[test]
+fn non_finite_rows_are_rejected_as_invalid_body() {
+    let (fitted, _) = fitted_with_rows();
+    let handle = start_server(&fitted.artifact, "non_finite");
+    let client = Client::new(handle.addr());
+    // `1e400` is valid JSON that overflows f64 to infinity.
+    let body = r#"{"rows":[[0,0,0,0,0,0],[-1e400,1e400,0,0,0,0]]}"#;
+    for endpoint in ["features", "assign"] {
+        let response = client
+            .request("POST", &format!("/v1/models/{MODEL}/{endpoint}"), body)
+            .expect("request completes");
+        assert_eq!(response.status, 400, "{endpoint}: {}", response.body);
+        assert!(
+            response.body.contains(r#""code":"invalid_body""#),
+            "{endpoint}: {}",
+            response.body
+        );
+        assert!(
+            response.body.contains("rows[1][0] is not a finite number"),
+            "{endpoint}: {}",
+            response.body
+        );
+    }
+    handle.shutdown();
+}
+
 /// Builds a matrix from row vectors (test-local helper to keep the linalg
 /// dependency explicit).
 fn sls_linalg_matrix(rows: &[Vec<f64>]) -> sls_linalg::Matrix {
