@@ -8,7 +8,7 @@ use sls_clustering::KMeans;
 use sls_consensus::{LocalSupervisionBuilder, VotingPolicy};
 use sls_datasets::{generate_msra_dataset, standardize_columns, MsraDatasetId};
 use sls_metrics::clustering_accuracy;
-use sls_rbm_core::{SlsConfig, SlsGrbm, TrainConfig};
+use sls_rbm_core::{CdTrainer, Rbm, SlsConfig, TrainConfig, VisibleKind};
 
 fn main() {
     let mut rng = ChaCha8Rng::seed_from_u64(7);
@@ -39,20 +39,25 @@ fn main() {
     println!("Ablation A1: k-means accuracy of slsGRBM hidden features vs eta");
     println!("{:>6} {:>10}", "eta", "accuracy");
     for eta in [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9] {
-        let mut model = SlsGrbm::new(data.cols(), 32, &mut ChaCha8Rng::seed_from_u64(99));
+        let mut model = Rbm::new(
+            VisibleKind::Gaussian,
+            data.cols(),
+            32,
+            &mut ChaCha8Rng::seed_from_u64(99),
+        );
         let train = TrainConfig::default()
             .with_learning_rate(5e-3)
             .with_epochs(15);
-        model
+        CdTrainer::new(train)
+            .unwrap()
             .train(
+                &mut model,
                 &data,
-                &supervision,
-                train,
-                SlsConfig::new(eta),
+                Some((&supervision, &SlsConfig::new(eta))),
                 &mut ChaCha8Rng::seed_from_u64(3),
             )
             .unwrap();
-        let hidden = model.hidden_features(&data).unwrap();
+        let hidden = model.hidden_probabilities(&data).unwrap();
         let assignment = KMeans::new(3)
             .fit(&hidden, &mut ChaCha8Rng::seed_from_u64(5))
             .unwrap()

@@ -6,7 +6,7 @@ use sls_clustering::KMeans;
 use sls_consensus::{LocalSupervisionBuilder, VotingPolicy};
 use sls_datasets::{generate_msra_dataset, standardize_columns, MsraDatasetId};
 use sls_metrics::clustering_accuracy;
-use sls_rbm_core::{SlsConfig, SlsGrbm, TrainConfig};
+use sls_rbm_core::{CdTrainer, Rbm, SlsConfig, TrainConfig, VisibleKind};
 
 fn main() {
     let mut rng = ChaCha8Rng::seed_from_u64(23);
@@ -35,20 +35,25 @@ fn main() {
     println!("Ablation A3: k-means accuracy of slsGRBM hidden features vs hidden width");
     println!("{:>8} {:>10}", "hidden", "accuracy");
     for n_hidden in [8usize, 16, 32, 64, 128, 256] {
-        let mut model = SlsGrbm::new(data.cols(), n_hidden, &mut ChaCha8Rng::seed_from_u64(99));
+        let mut model = Rbm::new(
+            VisibleKind::Gaussian,
+            data.cols(),
+            n_hidden,
+            &mut ChaCha8Rng::seed_from_u64(99),
+        );
         let train = TrainConfig::default()
             .with_learning_rate(5e-3)
             .with_epochs(15);
-        model
+        CdTrainer::new(train)
+            .unwrap()
             .train(
+                &mut model,
                 &data,
-                &supervision,
-                train,
-                SlsConfig::paper_grbm(),
+                Some((&supervision, &SlsConfig::paper_grbm())),
                 &mut ChaCha8Rng::seed_from_u64(3),
             )
             .unwrap();
-        let hidden = model.hidden_features(&data).unwrap();
+        let hidden = model.hidden_probabilities(&data).unwrap();
         let assignment = KMeans::new(3)
             .fit(&hidden, &mut ChaCha8Rng::seed_from_u64(5))
             .unwrap()

@@ -8,7 +8,7 @@ use sls_clustering::{AffinityPropagation, Clusterer, DensityPeaks, KMeans};
 use sls_consensus::{LocalSupervisionBuilder, VotingPolicy};
 use sls_datasets::{generate_msra_dataset, standardize_columns, MsraDatasetId};
 use sls_metrics::clustering_accuracy;
-use sls_rbm_core::{SlsConfig, SlsGrbm, TrainConfig};
+use sls_rbm_core::{CdTrainer, Rbm, SlsConfig, TrainConfig, VisibleKind};
 
 fn main() {
     let scale = ExperimentScale::from_env();
@@ -61,20 +61,25 @@ fn main() {
         }
         let supervision_purity = sls_metrics::purity(&covered_pred, &covered_truth).unwrap();
 
-        let mut model = SlsGrbm::new(data.cols(), 32, &mut ChaCha8Rng::seed_from_u64(11));
+        let mut model = Rbm::new(
+            VisibleKind::Gaussian,
+            data.cols(),
+            32,
+            &mut ChaCha8Rng::seed_from_u64(11),
+        );
         let train = TrainConfig::default()
             .with_learning_rate(5e-3)
             .with_epochs(15);
-        model
+        CdTrainer::new(train)
+            .unwrap()
             .train(
+                &mut model,
                 &data,
-                &supervision,
-                train,
-                SlsConfig::paper_grbm(),
+                Some((&supervision, &SlsConfig::paper_grbm())),
                 &mut ChaCha8Rng::seed_from_u64(2),
             )
             .unwrap();
-        let hidden = model.hidden_features(&data).unwrap();
+        let hidden = model.hidden_probabilities(&data).unwrap();
         let assignment = KMeans::new(3)
             .fit(&hidden, &mut ChaCha8Rng::seed_from_u64(5))
             .unwrap()

@@ -68,7 +68,7 @@ use sls_consensus::{
 };
 use sls_datasets::SyntheticBlobs;
 use sls_linalg::{Matrix, MatrixRandomExt, ParallelPolicy};
-use sls_rbm_core::{base_clusterers, BoltzmannMachine, CdTrainer, Rbm, TrainConfig};
+use sls_rbm_core::{base_clusterers, CdTrainer, Rbm, TrainConfig, VisibleKind};
 use std::time::Instant;
 
 /// One timed configuration of one section.
@@ -211,13 +211,18 @@ fn run(args: &[String]) -> Result<(), String> {
 
         // One CD training epoch, the end-to-end number.
         let cd_millis = best_of(reps, || {
-            let mut model = Rbm::new(visible, hidden, &mut ChaCha8Rng::seed_from_u64(7));
+            let mut model = Rbm::new(
+                VisibleKind::Binary,
+                visible,
+                hidden,
+                &mut ChaCha8Rng::seed_from_u64(7),
+            );
             let trainer = CdTrainer::new(train_config)
                 .expect("valid config")
                 .with_parallel(policy);
             let start = Instant::now();
             trainer
-                .train(&mut model, &data, &mut ChaCha8Rng::seed_from_u64(9))
+                .train(&mut model, &data, None, &mut ChaCha8Rng::seed_from_u64(9))
                 .expect("training");
             (start.elapsed(), model)
         });
@@ -225,7 +230,12 @@ fn run(args: &[String]) -> Result<(), String> {
 
         // Full-dataset feature extraction (pipeline transform / serving
         // micro-batch shape).
-        let model = Rbm::new(visible, hidden, &mut ChaCha8Rng::seed_from_u64(7));
+        let model = Rbm::new(
+            VisibleKind::Binary,
+            visible,
+            hidden,
+            &mut ChaCha8Rng::seed_from_u64(7),
+        );
         let transform_millis = best_of(reps, || {
             let start = Instant::now();
             let features = model
@@ -276,7 +286,12 @@ fn run(args: &[String]) -> Result<(), String> {
     let iters = if quick { 60 } else { 300 };
     let pool_policy = ParallelPolicy::new(small_threads).with_min_rows_per_thread(2);
     let _ = sls_linalg::WorkerPool::global();
-    let model = Rbm::new(visible, hidden, &mut ChaCha8Rng::seed_from_u64(7));
+    let model = Rbm::new(
+        VisibleKind::Binary,
+        visible,
+        hidden,
+        &mut ChaCha8Rng::seed_from_u64(7),
+    );
     for &rows in &[8usize, 32, 128] {
         let batch = Matrix::random_bernoulli(rows, visible, 0.3, &mut rng);
         let section = format!("small_batch_{rows}");

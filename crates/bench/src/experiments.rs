@@ -29,9 +29,7 @@ use sls_datasets::{
 };
 use sls_linalg::Matrix;
 use sls_metrics::EvaluationReport;
-use sls_rbm_core::{
-    BoltzmannMachine, CdTrainer, Grbm, Rbm, SlsConfig, SlsGrbm, SlsRbm, TrainConfig,
-};
+use sls_rbm_core::{CdTrainer, Rbm, SlsConfig, TrainConfig, VisibleKind};
 
 /// How much of the paper-scale workload to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -343,8 +341,11 @@ fn evaluate(
         .collect()
 }
 
-/// Runs the complete grid for one dataset of the Gaussian family.
-fn run_gaussian_dataset(
+/// Runs the complete grid for one dataset: the Gaussian family (datasets I)
+/// is standardised and trains GRBM / slsGRBM, the binary family (datasets
+/// II) is median-binarised and trains RBM / slsRBM.
+fn run_dataset(
+    visible: VisibleKind,
     ds: &Dataset,
     dataset_index: usize,
     scale: ExperimentScale,
@@ -354,129 +355,75 @@ fn run_gaussian_dataset(
     let ds = truncate_dataset(ds, scale);
     let k = ds.n_classes().max(2);
     let code = ds.spec().code.clone();
-    let data = standardize_columns(ds.features()).map_err(|e| e.to_string())?;
+    // The sls supervision rate is a per-family multiple of the CD rate.
+    let (data, n_hidden, train, sls_config) = match visible {
+        VisibleKind::Gaussian => {
+            let train = gaussian_train_config(scale);
+            (
+                standardize_columns(ds.features()).map_err(|e| e.to_string())?,
+                scale.gaussian_hidden(),
+                train,
+                SlsConfig::paper_grbm().with_supervision_learning_rate(train.learning_rate * 40.0),
+            )
+        }
+        VisibleKind::Binary => {
+            let train = binary_train_config(scale);
+            (
+                binarize_median(ds.features()),
+                scale.binary_hidden(),
+                train,
+                SlsConfig::paper_rbm().with_supervision_learning_rate(train.learning_rate * 10.0),
+            )
+        }
+    };
 
     // Raw clusterings double as the supervision's base partitions.
     let raw = cluster_all(&data, k, &mut rng)?;
     let mut results = evaluate(&raw, FeatureSpace::Raw, ds.labels(), &code, dataset_index)?;
-
-    // Baseline GRBM.
-    let train = gaussian_train_config(scale);
-    let mut grbm = Grbm::new(data.cols(), scale.gaussian_hidden(), &mut rng);
-    CdTrainer::new(train)
-        .map_err(|e| e.to_string())?
-        .train(&mut grbm, &data, &mut rng)
-        .map_err(|e| e.to_string())?;
-    let baseline_features = grbm
-        .hidden_probabilities(&data)
-        .map_err(|e| e.to_string())?;
-    let baseline = cluster_all(&baseline_features, k, &mut rng)?;
-    results.extend(evaluate(
-        &baseline,
-        FeatureSpace::Baseline,
-        ds.labels(),
-        &code,
-        dataset_index,
-    )?);
-
-    // slsGRBM guided by the unanimous vote of the raw clusterings.
     let partitions: Vec<Vec<usize>> = raw.iter().map(|(_, l)| l.clone()).collect();
     let supervision = LocalSupervisionBuilder::new(k)
         .with_policy(VotingPolicy::Unanimous)
         .build_from_partitions(&partitions)
         .map_err(|e| e.to_string())?;
-    let mut sls_model = SlsGrbm::new(data.cols(), scale.gaussian_hidden(), &mut rng);
-    let sls_config =
-        SlsConfig::paper_grbm().with_supervision_learning_rate(train.learning_rate * 40.0);
-    sls_model
-        .train(&data, &supervision, train, sls_config, &mut rng)
-        .map_err(|e| e.to_string())?;
-    let sls_features = sls_model
-        .hidden_features(&data)
-        .map_err(|e| e.to_string())?;
-    let sls = cluster_all(&sls_features, k, &mut rng)?;
-    results.extend(evaluate(
-        &sls,
-        FeatureSpace::Sls,
-        ds.labels(),
-        &code,
-        dataset_index,
-    )?);
+
+    // The baseline model with plain CD, then the sls model guided by the
+    // unanimous vote of the raw clusterings.
+    let trainer = CdTrainer::new(train).map_err(|e| e.to_string())?;
+    for (space, guide) in [
+        (FeatureSpace::Baseline, None),
+        (FeatureSpace::Sls, Some((&supervision, &sls_config))),
+    ] {
+        let mut model = Rbm::new(visible, data.cols(), n_hidden, &mut rng);
+        trainer
+            .train(&mut model, &data, guide, &mut rng)
+            .map_err(|e| e.to_string())?;
+        let features = model
+            .hidden_probabilities(&data)
+            .map_err(|e| e.to_string())?;
+        let partitions = cluster_all(&features, k, &mut rng)?;
+        results.extend(evaluate(
+            &partitions,
+            space,
+            ds.labels(),
+            &code,
+            dataset_index,
+        )?);
+    }
     Ok(results)
 }
 
-/// Runs the complete grid for one dataset of the binary family.
-fn run_binary_dataset(
-    ds: &Dataset,
-    dataset_index: usize,
-    scale: ExperimentScale,
-    seed: u64,
-) -> Result<Vec<PipelineResult>, String> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let ds = truncate_dataset(ds, scale);
-    let k = ds.n_classes().max(2);
-    let code = ds.spec().code.clone();
-    let data = binarize_median(ds.features());
-
-    let raw = cluster_all(&data, k, &mut rng)?;
-    let mut results = evaluate(&raw, FeatureSpace::Raw, ds.labels(), &code, dataset_index)?;
-
-    let train = binary_train_config(scale);
-    let mut rbm = Rbm::new(data.cols(), scale.binary_hidden(), &mut rng);
-    CdTrainer::new(train)
-        .map_err(|e| e.to_string())?
-        .train(&mut rbm, &data, &mut rng)
-        .map_err(|e| e.to_string())?;
-    let baseline_features = rbm.hidden_probabilities(&data).map_err(|e| e.to_string())?;
-    let baseline = cluster_all(&baseline_features, k, &mut rng)?;
-    results.extend(evaluate(
-        &baseline,
-        FeatureSpace::Baseline,
-        ds.labels(),
-        &code,
-        dataset_index,
-    )?);
-
-    let partitions: Vec<Vec<usize>> = raw.iter().map(|(_, l)| l.clone()).collect();
-    let supervision = LocalSupervisionBuilder::new(k)
-        .with_policy(VotingPolicy::Unanimous)
-        .build_from_partitions(&partitions)
-        .map_err(|e| e.to_string())?;
-    let mut sls_model = SlsRbm::new(data.cols(), scale.binary_hidden(), &mut rng);
-    let sls_config =
-        SlsConfig::paper_rbm().with_supervision_learning_rate(train.learning_rate * 10.0);
-    sls_model
-        .train(&data, &supervision, train, sls_config, &mut rng)
-        .map_err(|e| e.to_string())?;
-    let sls_features = sls_model
-        .hidden_features(&data)
-        .map_err(|e| e.to_string())?;
-    let sls = cluster_all(&sls_features, k, &mut rng)?;
-    results.extend(evaluate(
-        &sls,
-        FeatureSpace::Sls,
-        ds.labels(),
-        &code,
-        dataset_index,
-    )?);
-    Ok(results)
-}
-
-/// Generic driver: generates every dataset of a family and runs its grid on
-/// a worker thread per dataset. Per-dataset failures are collected and
+/// Runs the grid of every dataset of a family on a worker
+/// thread per dataset. Per-dataset failures are collected and
 /// propagated to the caller (annotated with the dataset code) instead of
 /// aborting the whole process.
-fn run_family<F>(
+fn run_family(
     family: &str,
     model_name: &str,
     datasets: Vec<(usize, Dataset)>,
     scale: ExperimentScale,
     seed: u64,
-    runner: F,
-) -> Result<FamilyResults, String>
-where
-    F: Fn(&Dataset, usize, ExperimentScale, u64) -> Result<Vec<PipelineResult>, String> + Sync,
-{
+    visible: VisibleKind,
+) -> Result<FamilyResults, String> {
     let dataset_codes: Vec<String> = datasets
         .iter()
         .map(|(_, d)| d.spec().code.clone())
@@ -487,8 +434,9 @@ where
         let handles: Vec<_> = datasets
             .iter()
             .map(|(index, ds)| {
-                let runner = &runner;
-                scope.spawn(move || runner(ds, *index, scale, seed.wrapping_add(*index as u64)))
+                scope.spawn(move || {
+                    run_dataset(visible, ds, *index, scale, seed.wrapping_add(*index as u64))
+                })
             })
             .collect();
         for (handle, (_, ds)) in handles.into_iter().zip(&datasets) {
@@ -533,7 +481,7 @@ pub fn run_datasets_i(scale: ExperimentScale, seed: u64) -> Result<FamilyResults
         datasets,
         scale,
         seed,
-        run_gaussian_dataset,
+        VisibleKind::Gaussian,
     )
 }
 
@@ -554,7 +502,7 @@ pub fn run_datasets_ii(scale: ExperimentScale, seed: u64) -> Result<FamilyResult
         datasets,
         scale,
         seed,
-        run_binary_dataset,
+        VisibleKind::Binary,
     )
 }
 
@@ -598,7 +546,7 @@ mod tests {
     fn smoke_scale_binary_dataset_grid_runs_end_to_end() {
         let mut rng = ChaCha8Rng::seed_from_u64(9);
         let ds = generate_uci_dataset(sls_datasets::UciDatasetId::Iris, &mut rng);
-        let results = run_binary_dataset(&ds, 6, ExperimentScale::Smoke, 42).unwrap();
+        let results = run_dataset(VisibleKind::Binary, &ds, 6, ExperimentScale::Smoke, 42).unwrap();
         // 3 clusterers x 3 feature spaces.
         assert_eq!(results.len(), 9);
         for r in &results {
@@ -611,7 +559,8 @@ mod tests {
     fn smoke_scale_gaussian_dataset_grid_runs_end_to_end() {
         let mut rng = ChaCha8Rng::seed_from_u64(10);
         let ds = generate_msra_dataset(sls_datasets::MsraDatasetId::Book, &mut rng);
-        let results = run_gaussian_dataset(&ds, 1, ExperimentScale::Smoke, 43).unwrap();
+        let results =
+            run_dataset(VisibleKind::Gaussian, &ds, 1, ExperimentScale::Smoke, 43).unwrap();
         assert_eq!(results.len(), 9);
         let spaces: std::collections::HashSet<_> =
             results.iter().map(|r| r.algorithm.space).collect();

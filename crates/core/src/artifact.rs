@@ -117,6 +117,18 @@ impl FittedPreprocessor {
         })
     }
 
+    /// `true` if every fitted statistic is finite.
+    fn is_finite(&self) -> bool {
+        match self {
+            FittedPreprocessor::Standardize(s) => {
+                let stats = s.stats();
+                stats.means.iter().chain(&stats.stds).all(|x| x.is_finite())
+            }
+            FittedPreprocessor::BinarizeMedian(b) => b.thresholds().iter().all(|x| x.is_finite()),
+            FittedPreprocessor::Identity => true,
+        }
+    }
+
     /// The corresponding (unfitted) [`Preprocessing`] step.
     pub fn kind(&self) -> Preprocessing {
         match self {
@@ -474,8 +486,9 @@ impl PipelineArtifact {
     ///
     /// Returns [`RbmError::UnsupportedSchemaVersion`] for artifacts written
     /// by a newer build, [`RbmError::InvalidConfig`] if the parameters'
-    /// bias lengths disagree with their weight matrix, and deserialisation
-    /// errors for malformed input.
+    /// bias lengths disagree with their weight matrix or any parameter,
+    /// preprocessing statistic or centroid is not finite, and
+    /// deserialisation errors for malformed input.
     pub fn from_json(text: &str) -> Result<Self> {
         /// Minimal probe: an object with a `schema_version` field is an
         /// artifact (extra fields are ignored by the facade's derive), while
@@ -493,10 +506,20 @@ impl PipelineArtifact {
                 });
             }
             let artifact = serde_json::from_str::<PipelineArtifact>(text)?;
-            // Reject bias/weight shape disagreements here, once, instead of
-            // panicking inside a fused activation pass on the first request
-            // served from the malformed file.
+            // Reject bias/weight shape disagreements and non-finite values
+            // here, once, instead of panicking inside a fused activation
+            // pass or serving NaN features from the malformed file.
             artifact.params.check_consistent()?;
+            let head_finite = artifact
+                .cluster_head
+                .as_ref()
+                .map_or(true, |head| head.centroids.is_finite());
+            if !(artifact.preprocessor.is_finite() && head_finite) {
+                return Err(RbmError::InvalidConfig {
+                    name: "artifact",
+                    message: "preprocessing statistics and centroids must be finite".into(),
+                });
+            }
             return Ok(artifact);
         }
         let params: RbmParams = serde_json::from_str(text)?;
@@ -681,6 +704,44 @@ mod tests {
         let mut params = RbmParams::init(4, 2, &mut rng());
         params.visible_bias.push(0.0);
         let legacy = serde_json::to_string(&params).unwrap();
+        assert!(matches!(
+            PipelineArtifact::from_json(&legacy),
+            Err(RbmError::InvalidConfig { name: "params", .. })
+        ));
+        // A value that parses to infinity (`1e400`) is rejected as well, in
+        // the weights, the preprocessing statistics and the centroids:
+        // loaded, it would serve NaN features.
+        let poisoned = |edit: &dyn Fn(&mut PipelineArtifact)| {
+            let mut artifact = fitted().artifact;
+            edit(&mut artifact);
+            let json = artifact.to_json_pretty().unwrap();
+            assert!(json.contains("12345.5"));
+            PipelineArtifact::from_json(&json.replace("12345.5", "1e400"))
+        };
+        assert!(matches!(
+            poisoned(&|a| a.params.weights[(0, 0)] = 12345.5),
+            Err(RbmError::InvalidConfig { name: "params", .. })
+        ));
+        let stats = Standardizer::fit(&Matrix::filled(2, 5, 12345.5)).unwrap();
+        assert!(matches!(
+            poisoned(&|a| a.preprocessor = FittedPreprocessor::Standardize(stats.clone())),
+            Err(RbmError::InvalidConfig {
+                name: "artifact",
+                ..
+            })
+        ));
+        assert!(matches!(
+            poisoned(&|a| a.cluster_head.as_mut().unwrap().centroids[(0, 0)] = 12345.5),
+            Err(RbmError::InvalidConfig {
+                name: "artifact",
+                ..
+            })
+        ));
+        params.visible_bias.pop();
+        params.visible_bias[0] = 12345.5;
+        let legacy = serde_json::to_string(&params)
+            .unwrap()
+            .replace("12345.5", "1e400");
         assert!(matches!(
             PipelineArtifact::from_json(&legacy),
             Err(RbmError::InvalidConfig { name: "params", .. })

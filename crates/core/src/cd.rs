@@ -10,13 +10,11 @@
 //!
 //! `minibatch_step` applies that rule to one mini-batch, plus the sls
 //! constrict/disperse term (Eqs. 33–35) when the run is guided by a local
-//! supervision. The in-memory trainers ([`CdTrainer`],
-//! [`crate::SlsTrainer`]) run it through one epoch loop;
+//! supervision. [`CdTrainer`] runs it over in-memory data, guided or not;
 //! [`crate::StreamTrainer`] runs it chunk by chunk.
 
-use crate::model::BoltzmannMachine;
 use crate::sls::{clusters_in_batch, sls_batch_gradients, SlsConfig};
-use crate::{RbmError, Result, TrainConfig};
+use crate::{Rbm, RbmError, Result, TrainConfig};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use sls_consensus::LocalSupervision;
@@ -60,7 +58,7 @@ impl TrainingHistory {
 }
 
 /// The CD gradient of one mini-batch, plus the intermediate quantities the
-/// sls trainer reuses (hidden probabilities and the reconstruction).
+/// guided update reuses (hidden probabilities and the reconstruction).
 #[derive(Debug, Clone)]
 pub(crate) struct CdBatchGradients {
     /// Gradient on the weights (`n_visible x n_hidden`), already averaged
@@ -84,7 +82,7 @@ pub(crate) struct CdBatchGradients {
 /// stays strictly serial so the RNG stream — and therefore every reproduced
 /// table — is independent of the thread count.
 pub(crate) fn cd_batch_gradients(
-    model: &dyn BoltzmannMachine,
+    model: &Rbm,
     batch: &Matrix,
     cd_steps: usize,
     parallel: &ParallelPolicy,
@@ -152,7 +150,7 @@ impl Velocity {
 /// Applies one momentum-smoothed update with the given gradients (already
 /// scaled by the learning rate by the caller).
 pub(crate) fn apply_update(
-    model: &mut dyn BoltzmannMachine,
+    model: &mut Rbm,
     velocity: &mut Velocity,
     momentum: f64,
     step_w: &Matrix,
@@ -247,7 +245,7 @@ pub(crate) struct UpdateRule<'a> {
 /// with η = 1: the two group the learning rate differently, so their f64
 /// results would differ in the last bits.
 pub(crate) fn minibatch_step(
-    model: &mut dyn BoltzmannMachine,
+    model: &mut Rbm,
     velocity: &mut Velocity,
     rule: &UpdateRule<'_>,
     data: &Matrix,
@@ -311,50 +309,13 @@ pub(crate) fn minibatch_step(
     )
 }
 
-/// The in-memory epoch loop of [`CdTrainer`] and [`crate::SlsTrainer`]:
-/// every epoch shuffles the rows (if configured), applies
-/// [`minibatch_step`] to each mini-batch, and records the reconstruction
-/// error over all of `data`.
-///
-/// # Errors
-///
-/// * [`RbmError::EmptyData`] / [`RbmError::VisibleSizeMismatch`] for bad
-///   input shapes.
-/// * [`RbmError::Diverged`] if parameters become non-finite.
-pub(crate) fn train_epochs(
-    model: &mut dyn BoltzmannMachine,
-    data: &Matrix,
-    cfg: &TrainConfig,
-    guide: Option<&Guidance>,
-    parallel: &ParallelPolicy,
-    rng: &mut impl Rng,
-) -> Result<TrainingHistory> {
-    let params = model.params();
-    params.check_data(data)?;
-    let mut velocity = Velocity::zeros(params.n_visible(), params.n_hidden());
-    let rule = UpdateRule {
-        train: cfg,
-        guide,
-        parallel,
-    };
-    let mut history = TrainingHistory::default();
-    for epoch in 0..cfg.epochs {
-        for rows in epoch_order(data.rows(), cfg.shuffle, rng).chunks(cfg.batch_size) {
-            minibatch_step(model, &mut velocity, &rule, data, rows, 0, rng)?;
-        }
-        if !model.params().is_finite() {
-            return Err(RbmError::Diverged { epoch });
-        }
-        history.epochs.push(EpochStats {
-            epoch,
-            reconstruction_error: model.reconstruction_error_with(data, parallel)?,
-        });
-    }
-    Ok(history)
-}
-
-/// Plain contrastive-divergence trainer for [`crate::Rbm`] and
-/// [`crate::Grbm`].
+/// The in-memory contrastive-divergence trainer for every model kind: plain
+/// CD for the RBM / GRBM baselines, and the paper's sls update for slsRBM /
+/// slsGRBM when [`CdTrainer::train`] is given a supervision. With one, the
+/// weight and hidden-bias updates combine the CD gradient (weight η·ε) with
+/// the descent direction of the constrict/disperse loss evaluated on both
+/// the data-driven and the reconstruction-driven hidden features (weight
+/// (1-η)·ε_sls); the visible biases receive only the CD term (Eq. 35).
 #[derive(Debug, Clone)]
 pub struct CdTrainer {
     config: TrainConfig,
@@ -393,27 +354,59 @@ impl CdTrainer {
         &self.parallel
     }
 
-    /// Trains `model` on `data` and returns the per-epoch history.
+    /// Trains `model` on `data`, guided by `supervision` if given, and
+    /// returns the per-epoch history. Every epoch shuffles the rows (if
+    /// configured), applies `minibatch_step` to each mini-batch, and
+    /// records the reconstruction error over all of `data`.
     ///
     /// # Errors
     ///
+    /// * [`RbmError::InvalidConfig`] if the sls configuration is invalid.
+    /// * [`RbmError::SupervisionOutOfRange`] if the supervision references
+    ///   instances that do not exist.
     /// * [`RbmError::EmptyData`] / [`RbmError::VisibleSizeMismatch`] for bad
     ///   input shapes.
     /// * [`RbmError::Diverged`] if parameters become non-finite.
-    pub fn train<M: BoltzmannMachine>(
+    pub fn train(
         &self,
-        model: &mut M,
+        model: &mut Rbm,
         data: &Matrix,
+        supervision: Option<(&LocalSupervision, &SlsConfig)>,
         rng: &mut impl Rng,
     ) -> Result<TrainingHistory> {
-        train_epochs(model, data, &self.config, None, &self.parallel, rng)
+        let guide = supervision
+            .map(|(sup, sls)| Guidance::new(sup, *sls, data.rows()))
+            .transpose()?;
+        let params = model.params();
+        params.check_data(data)?;
+        let mut velocity = Velocity::zeros(params.n_visible(), params.n_hidden());
+        let cfg = &self.config;
+        let rule = UpdateRule {
+            train: cfg,
+            guide: guide.as_ref(),
+            parallel: &self.parallel,
+        };
+        let mut history = TrainingHistory::default();
+        for epoch in 0..cfg.epochs {
+            for rows in epoch_order(data.rows(), cfg.shuffle, rng).chunks(cfg.batch_size) {
+                minibatch_step(model, &mut velocity, &rule, data, rows, 0, rng)?;
+            }
+            if !model.params().is_finite() {
+                return Err(RbmError::Diverged { epoch });
+            }
+            history.epochs.push(EpochStats {
+                epoch,
+                reconstruction_error: model.reconstruction_error_with(data, &self.parallel)?,
+            });
+        }
+        Ok(history)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Grbm, Rbm};
+    use crate::VisibleKind;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use sls_linalg::MatrixRandomExt;
@@ -448,12 +441,12 @@ mod tests {
     fn rbm_training_reduces_reconstruction_error() {
         let mut r = rng();
         let data = binary_prototype_data(&mut r);
-        let mut rbm = Rbm::new(6, 4, &mut r);
+        let mut rbm = Rbm::new(VisibleKind::Binary, 6, 4, &mut r);
         let before = rbm.reconstruction_error(&data).unwrap();
         let config = TrainConfig::quick().with_epochs(30).with_learning_rate(0.1);
         let history = CdTrainer::new(config)
             .unwrap()
-            .train(&mut rbm, &data, &mut r)
+            .train(&mut rbm, &data, None, &mut r)
             .unwrap();
         let after = rbm.reconstruction_error(&data).unwrap();
         assert!(
@@ -477,14 +470,14 @@ mod tests {
             rows.push(row);
         }
         let data = Matrix::from_rows(&rows).unwrap();
-        let mut grbm = Grbm::new(5, 3, &mut r);
+        let mut grbm = Rbm::new(VisibleKind::Gaussian, 5, 3, &mut r);
         let before = grbm.reconstruction_error(&data).unwrap();
         let config = TrainConfig::quick()
             .with_epochs(40)
             .with_learning_rate(0.01);
         CdTrainer::new(config)
             .unwrap()
-            .train(&mut grbm, &data, &mut r)
+            .train(&mut grbm, &data, None, &mut r)
             .unwrap();
         let after = grbm.reconstruction_error(&data).unwrap();
         assert!(after < before, "{before} -> {after}");
@@ -494,10 +487,10 @@ mod tests {
     fn history_records_every_epoch_in_order() {
         let mut r = rng();
         let data = Matrix::random_bernoulli(20, 4, 0.5, &mut r);
-        let mut rbm = Rbm::new(4, 2, &mut r);
+        let mut rbm = Rbm::new(VisibleKind::Binary, 4, 2, &mut r);
         let history = CdTrainer::new(TrainConfig::quick().with_epochs(7))
             .unwrap()
-            .train(&mut rbm, &data, &mut r)
+            .train(&mut rbm, &data, None, &mut r)
             .unwrap();
         assert_eq!(history.epochs.len(), 7);
         for (i, e) in history.epochs.iter().enumerate() {
@@ -511,19 +504,19 @@ mod tests {
     #[test]
     fn training_rejects_mismatched_data() {
         let mut r = rng();
-        let mut rbm = Rbm::new(4, 2, &mut r);
+        let mut rbm = Rbm::new(VisibleKind::Binary, 4, 2, &mut r);
         let wrong = Matrix::zeros(5, 6);
         assert!(matches!(
             CdTrainer::new(TrainConfig::quick())
                 .unwrap()
-                .train(&mut rbm, &wrong, &mut r),
+                .train(&mut rbm, &wrong, None, &mut r),
             Err(RbmError::VisibleSizeMismatch { .. })
         ));
         let empty = Matrix::zeros(0, 4);
         assert!(matches!(
             CdTrainer::new(TrainConfig::quick())
                 .unwrap()
-                .train(&mut rbm, &empty, &mut r),
+                .train(&mut rbm, &empty, None, &mut r),
             Err(RbmError::EmptyData)
         ));
     }
@@ -532,13 +525,13 @@ mod tests {
     fn excessive_learning_rate_is_reported_as_divergence() {
         let mut r = rng();
         let data = Matrix::random_normal(30, 4, 0.0, 1.0, &mut r).scale(1e3);
-        let mut grbm = Grbm::new(4, 3, &mut r);
+        let mut grbm = Rbm::new(VisibleKind::Gaussian, 4, 3, &mut r);
         let config = TrainConfig::quick()
             .with_learning_rate(1e12)
             .with_epochs(50);
         let result = CdTrainer::new(config)
             .unwrap()
-            .train(&mut grbm, &data, &mut r);
+            .train(&mut grbm, &data, None, &mut r);
         // Either it diverges (expected) or the reconstruction error is
         // finite; what must never happen is a silent NaN model.
         match result {
@@ -551,7 +544,7 @@ mod tests {
     #[test]
     fn cd_gradients_have_expected_shapes() {
         let mut r = rng();
-        let rbm = Rbm::new(6, 4, &mut r);
+        let rbm = Rbm::new(VisibleKind::Binary, 6, 4, &mut r);
         let batch = Matrix::random_bernoulli(10, 6, 0.5, &mut r);
         let grads = cd_batch_gradients(&rbm, &batch, 1, &ParallelPolicy::serial(), &mut r).unwrap();
         assert_eq!(grads.dw.shape(), (6, 4));
@@ -569,7 +562,7 @@ mod tests {
         // gradient on the weights vanishes in expectation. Use a fully
         // deterministic setup: all-ones data, huge positive visible bias.
         let mut r = rng();
-        let mut rbm = Rbm::new(3, 2, &mut r);
+        let mut rbm = Rbm::new(VisibleKind::Binary, 3, 2, &mut r);
         rbm.params_mut().weights = Matrix::zeros(3, 2);
         rbm.params_mut().visible_bias = vec![50.0, 50.0, 50.0];
         let data = Matrix::filled(8, 3, 1.0);
@@ -608,11 +601,11 @@ mod tests {
                 .with_min_rows_per_thread(1)
                 .with_chunk_rows(1),
         ] {
-            let mut model = Rbm::new(6, 4, &mut rng());
+            let mut model = Rbm::new(VisibleKind::Binary, 6, 4, &mut rng());
             CdTrainer::new(config)
                 .unwrap()
                 .with_parallel(parallel)
-                .train(&mut model, &data, &mut rng())
+                .train(&mut model, &data, None, &mut rng())
                 .unwrap();
             trained.push(model);
         }
@@ -629,7 +622,7 @@ mod tests {
     #[test]
     fn momentum_accumulates_velocity() {
         let mut r = rng();
-        let mut rbm = Rbm::new(2, 2, &mut r);
+        let mut rbm = Rbm::new(VisibleKind::Binary, 2, 2, &mut r);
         rbm.params_mut().weights = Matrix::zeros(2, 2);
         let mut velocity = Velocity::zeros(2, 2);
         let step = Matrix::filled(2, 2, 1.0);

@@ -1,75 +1,13 @@
-//! Gaussian-visible restricted Boltzmann machine (the paper's `GRBM`
-//! baseline, Section III-B).
-
-use crate::model::{BoltzmannMachine, RbmParams, VisibleKind};
-use crate::Result;
-use rand::Rng;
-use serde::{Deserialize, Serialize};
-use sls_linalg::{Matrix, ParallelPolicy};
-
-/// RBM with Gaussian linear visible units (unit variance) and binary hidden
-/// units, for real-valued data. The reconstruction of the visible layer is
-/// the linear mean `a + h Wᵀ` — "the reconstructed values of Gaussian linear
-/// visible units are equal to their top-down input from the binary hidden
-/// units plus their bias" (Section III-B).
-///
-/// Inputs are expected to be standardised column-wise to zero mean and unit
-/// variance (see `sls_datasets::standardize_columns`), matching the
-/// unit-variance assumption behind the simplified update rules.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Grbm {
-    params: RbmParams,
-}
-
-impl Grbm {
-    /// Creates a GRBM with `n_visible x n_hidden` randomly initialised
-    /// weights.
-    pub fn new(n_visible: usize, n_hidden: usize, rng: &mut impl Rng) -> Self {
-        Self {
-            params: RbmParams::init(n_visible, n_hidden, rng),
-        }
-    }
-
-    /// Wraps existing parameters (used when loading a persisted model).
-    pub fn from_params(params: RbmParams) -> Self {
-        Self { params }
-    }
-}
-
-impl BoltzmannMachine for Grbm {
-    fn params(&self) -> &RbmParams {
-        &self.params
-    }
-
-    fn params_mut(&mut self) -> &mut RbmParams {
-        &mut self.params
-    }
-
-    fn visible_kind(&self) -> VisibleKind {
-        VisibleKind::Gaussian
-    }
-
-    fn reconstruct_visible_with(
-        &self,
-        hidden: &Matrix,
-        parallel: &ParallelPolicy,
-    ) -> Result<Matrix> {
-        let pre = hidden.matmul_transpose_right_with(&self.params.weights, parallel)?;
-        // Linear mean `a + h Wᵀ`: bias broadcast as one row-wise pass
-        // through the simd layer.
-        let bias = &self.params.visible_bias;
-        Ok(pre.map_rows_with(bias.len(), parallel, |_, row, out| {
-            sls_linalg::simd::fused_bias_add(row, bias, out);
-        }))
-    }
-}
+//! Tests of [`Rbm`](crate::Rbm) with Gaussian visible units — the paper's
+//! GRBM baseline (Section III-B). The binary-visible tests live next to the
+//! model in `rbm.rs`.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{Rbm, VisibleKind};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-    use sls_linalg::MatrixRandomExt;
+    use sls_linalg::{Matrix, MatrixRandomExt};
 
     fn rng() -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(8)
@@ -78,7 +16,7 @@ mod tests {
     #[test]
     fn hidden_probabilities_are_probabilities() {
         let mut r = rng();
-        let grbm = Grbm::new(12, 5, &mut r);
+        let grbm = Rbm::new(VisibleKind::Gaussian, 12, 5, &mut r);
         let data = Matrix::random_normal(15, 12, 0.0, 1.0, &mut r);
         let h = grbm.hidden_probabilities(&data).unwrap();
         assert_eq!(h.shape(), (15, 5));
@@ -88,7 +26,7 @@ mod tests {
     #[test]
     fn reconstruction_is_linear_and_unbounded() {
         let mut r = rng();
-        let mut grbm = Grbm::new(3, 2, &mut r);
+        let mut grbm = Rbm::new(VisibleKind::Gaussian, 3, 2, &mut r);
         // With large weights the linear reconstruction exceeds [0, 1], which
         // a sigmoid reconstruction could never do.
         grbm.params_mut().weights = Matrix::filled(3, 2, 3.0);
@@ -101,7 +39,7 @@ mod tests {
     #[test]
     fn zero_hidden_reconstructs_to_bias() {
         let mut r = rng();
-        let mut grbm = Grbm::new(4, 3, &mut r);
+        let mut grbm = Rbm::new(VisibleKind::Gaussian, 4, 3, &mut r);
         grbm.params_mut().visible_bias = vec![0.5, -0.5, 1.5, 0.0];
         let hidden = Matrix::zeros(2, 3);
         let recon = grbm.reconstruct_visible(&hidden).unwrap();
@@ -116,10 +54,10 @@ mod tests {
         // a zero bias pays the full squared mean.
         let mut r = rng();
         let data = Matrix::filled(20, 4, 2.0);
-        let mut matched = Grbm::new(4, 3, &mut r);
+        let mut matched = Rbm::new(VisibleKind::Gaussian, 4, 3, &mut r);
         matched.params_mut().weights = Matrix::zeros(4, 3);
         matched.params_mut().visible_bias = vec![2.0; 4];
-        let mut unmatched = Grbm::new(4, 3, &mut r);
+        let mut unmatched = Rbm::new(VisibleKind::Gaussian, 4, 3, &mut r);
         unmatched.params_mut().weights = Matrix::zeros(4, 3);
         let err_matched = matched.reconstruction_error(&data).unwrap();
         let err_unmatched = unmatched.reconstruction_error(&data).unwrap();
@@ -129,23 +67,23 @@ mod tests {
 
     #[test]
     fn shape_mismatch_is_reported() {
-        let grbm = Grbm::new(6, 2, &mut rng());
+        let grbm = Rbm::new(VisibleKind::Gaussian, 6, 2, &mut rng());
         assert!(grbm.hidden_probabilities(&Matrix::zeros(3, 5)).is_err());
     }
 
     #[test]
     fn visible_kind_is_gaussian() {
         assert_eq!(
-            Grbm::new(2, 2, &mut rng()).visible_kind(),
+            Rbm::new(VisibleKind::Gaussian, 2, 2, &mut rng()).visible_kind(),
             VisibleKind::Gaussian
         );
     }
 
     #[test]
     fn serde_round_trip() {
-        let grbm = Grbm::new(5, 3, &mut rng());
+        let grbm = Rbm::new(VisibleKind::Gaussian, 5, 3, &mut rng());
         let json = serde_json::to_string(&grbm).unwrap();
-        let back: Grbm = serde_json::from_str(&json).unwrap();
+        let back: Rbm = serde_json::from_str(&json).unwrap();
         assert_eq!(back, grbm);
     }
 }

@@ -8,24 +8,26 @@
 //!
 //! ## Models
 //!
-//! | Type | Visible units | Reconstruction | Paper name |
-//! |------|---------------|----------------|------------|
-//! | [`Rbm`] | binary | sigmoid | RBM (baseline) |
-//! | [`Grbm`] | Gaussian (unit variance) | linear | GRBM (baseline) |
-//! | [`SlsRbm`] | binary | sigmoid | slsRBM |
-//! | [`SlsGrbm`] | Gaussian | linear | slsGRBM |
+//! One energy model, [`Rbm`], covers the paper's four: its [`VisibleKind`]
+//! picks the visible layer, and [`CdTrainer::train`] adds the
+//! constrict/disperse gradient of Eqs. 14–35 (see [`sls`]) when it is given
+//! a local supervision. Artifacts, checkpoints and the CLI name the four by
+//! [`ModelKind`]:
 //!
-//! The sls models wrap the corresponding baseline and add the
-//! constrict/disperse gradient of Eqs. 14–35 (see [`sls`]).
+//! | `ModelKind` | Visible units | Training | Paper name |
+//! |-------------|---------------|----------|------------|
+//! | `rbm` | binary | plain CD | RBM (baseline) |
+//! | `grbm` | Gaussian (unit variance) | plain CD | GRBM (baseline) |
+//! | `sls-rbm` | binary | CD + sls | slsRBM |
+//! | `sls-grbm` | Gaussian | CD + sls | slsGRBM |
 //!
 //! ## Pipelines
 //!
 //! The paper's experiments always follow the same four stages: preprocess →
 //! self-learning supervision (for sls models) → train the energy model →
-//! cluster the hidden features. [`SlsGrbmPipeline`], [`SlsRbmPipeline`],
-//! [`GrbmPipeline`] and [`RbmPipeline`] package those stages behind one
-//! `run` call so the experiment harness and downstream users do not have to
-//! re-assemble them.
+//! cluster the hidden features. [`run_pipeline`] runs the first three and
+//! extracts the hidden features for any [`ModelKind`], so the experiment
+//! harness and downstream users do not have to re-assemble them.
 //!
 //! ## Serving artifacts
 //!
@@ -43,12 +45,12 @@
 //! use rand::SeedableRng;
 //! use rand_chacha::ChaCha8Rng;
 //! use sls_datasets::SyntheticBlobs;
-//! use sls_rbm_core::{SlsGrbmPipeline, SlsPipelineConfig};
+//! use sls_rbm_core::{run_pipeline, ModelKind, SlsPipelineConfig};
 //!
 //! let mut rng = ChaCha8Rng::seed_from_u64(3);
 //! let dataset = SyntheticBlobs::new(60, 6, 3).separation(5.0).generate(&mut rng);
-//! let outcome = SlsGrbmPipeline::new(SlsPipelineConfig::quick_demo())
-//!     .run(dataset.features(), &mut rng)
+//! let config = SlsPipelineConfig::quick_demo();
+//! let outcome = run_pipeline(ModelKind::SlsGrbm, &config, dataset.features(), &mut rng)
 //!     .expect("pipeline runs");
 //! assert_eq!(outcome.hidden_features.rows(), 60);
 //! assert!(outcome.supervision.is_some());
@@ -62,6 +64,7 @@ mod cd;
 mod compact;
 mod config;
 mod error;
+// Tests only: the Gaussian-visible `Rbm` (the paper's GRBM).
 mod grbm;
 mod model;
 mod model_io;
@@ -78,15 +81,13 @@ pub use cd::{CdTrainer, EpochStats, TrainingHistory};
 pub use compact::CompactParams;
 pub use config::TrainConfig;
 pub use error::RbmError;
-pub use grbm::Grbm;
-pub use model::{BoltzmannMachine, RbmParams, VisibleKind};
+pub use model::{RbmParams, VisibleKind};
 pub use model_io::{load_params_json, save_params_json};
 pub use pipeline::{
-    base_clusterers, GrbmPipeline, PipelineOutcome, Preprocessing, RbmPipeline, SlsGrbmPipeline,
-    SlsPipelineConfig, SlsRbmPipeline,
+    base_clusterers, run_pipeline, PipelineOutcome, Preprocessing, SlsPipelineConfig,
 };
 pub use rbm::Rbm;
-pub use sls::{SlsConfig, SlsGrbm, SlsRbm, SlsTrainer};
+pub use sls::SlsConfig;
 pub use stream::{StreamLimit, StreamTrainer, TrainCheckpoint, CHECKPOINT_SCHEMA_VERSION};
 
 /// Result alias used across the crate.
@@ -107,9 +108,8 @@ mod tests {
         let ds = SyntheticBlobs::new(75, 8, 3)
             .separation(6.0)
             .generate(&mut rng);
-        let outcome = SlsGrbmPipeline::new(SlsPipelineConfig::quick_demo())
-            .run(ds.features(), &mut rng)
-            .unwrap();
+        let config = SlsPipelineConfig::quick_demo();
+        let outcome = run_pipeline(ModelKind::SlsGrbm, &config, ds.features(), &mut rng).unwrap();
         assert_eq!(outcome.hidden_features.rows(), 75);
         let assignment = sls_clustering::KMeans::new(3)
             .fit(&outcome.hidden_features, &mut rng)

@@ -1,4 +1,4 @@
-//! Shared parameter container and the [`BoltzmannMachine`] trait.
+//! The visible-layer kind and the parameter container of [`crate::Rbm`].
 
 use crate::{RbmError, Result};
 use rand::Rng;
@@ -48,19 +48,22 @@ impl RbmParams {
         self.weights.cols()
     }
 
-    /// Checks that the parameter shapes agree with each other: the bias
-    /// vectors must match the weight matrix's dimensions.
+    /// Checks that the parameter shapes agree with each other (the bias
+    /// vectors must match the weight matrix's dimensions) and that every
+    /// value is finite.
     ///
     /// Persisted parameters deserialise field by field with no cross-field
-    /// validation, so artifact loading calls this to reject a malformed
-    /// file once at load time — the fused activation passes assert these
-    /// lengths per call, and a panic there would cost a serving worker
-    /// thread per request instead of one clean load error.
+    /// validation, so artifact and checkpoint loading call this to reject a
+    /// malformed file once at load time — the fused activation passes
+    /// assert these lengths per call, and a panic there would cost a
+    /// serving worker thread per request instead of one clean load error.
+    /// A non-finite value (`1e400` parses to infinity) would load and then
+    /// serve `NaN` features.
     ///
     /// # Errors
     ///
     /// Returns [`RbmError::InvalidConfig`] if either bias length disagrees
-    /// with the weight matrix.
+    /// with the weight matrix or a value is not finite.
     pub fn check_consistent(&self) -> Result<()> {
         if self.visible_bias.len() != self.n_visible() || self.hidden_bias.len() != self.n_hidden()
         {
@@ -73,6 +76,12 @@ impl RbmParams {
                     self.n_visible(),
                     self.n_hidden()
                 ),
+            });
+        }
+        if !self.is_finite() {
+            return Err(RbmError::InvalidConfig {
+                name: "params",
+                message: "weights and biases must be finite".into(),
             });
         }
         Ok(())
@@ -122,156 +131,6 @@ impl RbmParams {
             });
         }
         Ok(())
-    }
-}
-
-impl VisibleKind {
-    /// Wraps `params` in the energy model with this visible layer.
-    pub(crate) fn machine(self, params: RbmParams) -> Box<dyn BoltzmannMachine> {
-        match self {
-            VisibleKind::Binary => Box::new(crate::Rbm::from_params(params)),
-            VisibleKind::Gaussian => Box::new(crate::Grbm::from_params(params)),
-        }
-    }
-}
-
-/// Behaviour common to the binary RBM and the Gaussian-visible GRBM.
-///
-/// The hidden layer is binary in both models, so `p(h_j = 1 | v)` is always a
-/// sigmoid (Eq. 2); models differ only in how the visible layer is
-/// reconstructed from hidden activity (Eq. 3 vs. Eq. 5).
-pub trait BoltzmannMachine {
-    /// Immutable access to the parameters.
-    fn params(&self) -> &RbmParams;
-
-    /// Mutable access to the parameters.
-    fn params_mut(&mut self) -> &mut RbmParams;
-
-    /// Which kind of visible layer this model has.
-    fn visible_kind(&self) -> VisibleKind;
-
-    /// Hidden unit activation probabilities `p(h_j = 1 | v)` for each row of
-    /// `visible` — the hidden features used for clustering. Runs under the
-    /// process-wide [`ParallelPolicy::global`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `visible` has the wrong width or no rows.
-    fn hidden_probabilities(&self, visible: &Matrix) -> Result<Matrix> {
-        self.hidden_probabilities_with(visible, &ParallelPolicy::global())
-    }
-
-    /// [`BoltzmannMachine::hidden_probabilities`] under an explicit
-    /// [`ParallelPolicy`] — the form the trainers and pipelines use so a
-    /// configured policy reaches the `V · W` product and the sigmoid map.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `visible` has the wrong width or no rows.
-    fn hidden_probabilities_with(
-        &self,
-        visible: &Matrix,
-        parallel: &ParallelPolicy,
-    ) -> Result<Matrix> {
-        self.params().hidden_probabilities_with(visible, parallel)
-    }
-
-    /// Samples a binary hidden state from the probabilities.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from [`BoltzmannMachine::hidden_probabilities`].
-    fn sample_hidden(&self, visible: &Matrix, rng: &mut impl Rng) -> Result<Matrix>
-    where
-        Self: Sized,
-    {
-        let probs = self.hidden_probabilities(visible)?;
-        Ok(Matrix::sample_bernoulli(&probs, rng))
-    }
-
-    /// Reconstructs the visible layer from hidden activities.
-    ///
-    /// For binary models this is `σ(a + h Wᵀ)`; for Gaussian models it is the
-    /// linear mean `a + h Wᵀ` (unit-variance, noise-free reconstruction).
-    /// Runs under the process-wide [`ParallelPolicy::global`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `hidden` has the wrong width.
-    fn reconstruct_visible(&self, hidden: &Matrix) -> Result<Matrix> {
-        self.reconstruct_visible_with(hidden, &ParallelPolicy::global())
-    }
-
-    /// [`BoltzmannMachine::reconstruct_visible`] under an explicit
-    /// [`ParallelPolicy`]. This is the one method models implement; the
-    /// policy-less form delegates here.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `hidden` has the wrong width.
-    fn reconstruct_visible_with(
-        &self,
-        hidden: &Matrix,
-        parallel: &ParallelPolicy,
-    ) -> Result<Matrix>;
-
-    /// One full Gibbs round trip `v -> h -> v̂` returning the reconstruction,
-    /// using hidden *samples* for the downward pass (CD-1 convention).
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from the individual passes.
-    fn reconstruct(&self, visible: &Matrix, rng: &mut impl Rng) -> Result<Matrix>
-    where
-        Self: Sized,
-    {
-        let hidden = self.sample_hidden(visible, rng)?;
-        self.reconstruct_visible(&hidden)
-    }
-
-    /// Mean squared reconstruction error of one deterministic round trip
-    /// (hidden probabilities instead of samples), a convenient progress
-    /// metric for training.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors.
-    fn reconstruction_error(&self, visible: &Matrix) -> Result<f64> {
-        self.reconstruction_error_with(visible, &ParallelPolicy::global())
-    }
-
-    /// [`BoltzmannMachine::reconstruction_error`] under an explicit
-    /// [`ParallelPolicy`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors.
-    fn reconstruction_error_with(
-        &self,
-        visible: &Matrix,
-        parallel: &ParallelPolicy,
-    ) -> Result<f64> {
-        let hidden = self.hidden_probabilities_with(visible, parallel)?;
-        let recon = self.reconstruct_visible_with(&hidden, parallel)?;
-        if visible.shape() != recon.shape() {
-            return Err(RbmError::VisibleSizeMismatch {
-                data: visible.cols(),
-                model: recon.cols(),
-            });
-        }
-        // Row-wise squared-error reduction: per-row sums run in parallel
-        // (each row is one unit, so the result is identical for every
-        // thread count), then combine serially in row order.
-        let per_row = visible.reduce_rows_with(parallel, |i, row| {
-            row.iter()
-                .zip(recon.row(i))
-                .map(|(&v, &r)| {
-                    let d = v - r;
-                    d * d
-                })
-                .sum()
-        });
-        Ok(per_row.iter().sum::<f64>() / visible.len() as f64)
     }
 }
 

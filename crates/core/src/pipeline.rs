@@ -11,13 +11,12 @@
 //! 4. **Extract** hidden features; a downstream clusterer (chosen by the
 //!    caller / the experiment harness) then clusters them.
 //!
-//! The pipeline types bundle stages 1–4 behind a single `run` call.
+//! [`run_pipeline`] bundles stages 1–4 behind a single call.
 
 use crate::artifact::{FittedPreprocessor, ModelKind};
-use crate::cd::{train_epochs, Guidance};
 use crate::model::RbmParams;
 use crate::sls::SlsConfig;
-use crate::{Result, TrainConfig, TrainingHistory};
+use crate::{CdTrainer, Rbm, Result, TrainConfig, TrainingHistory};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use sls_clustering::{AffinityPropagation, Clusterer, DensityPeaks, KMeans};
@@ -37,7 +36,7 @@ pub enum Preprocessing {
     None,
 }
 
-/// Configuration shared by all four pipelines.
+/// Configuration of [`run_pipeline`], shared by all four model kinds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SlsPipelineConfig {
     /// Number of hidden units of the energy model.
@@ -47,7 +46,7 @@ pub struct SlsPipelineConfig {
     pub n_clusters: usize,
     /// CD training hyper-parameters.
     pub train: TrainConfig,
-    /// sls hyper-parameters (ignored by the baseline pipelines).
+    /// sls hyper-parameters (ignored by the baseline kinds).
     pub sls: SlsConfig,
     /// Voting policy used to integrate the base clusterings.
     pub voting: VotingPolicy,
@@ -202,7 +201,7 @@ pub struct PipelineOutcome {
     /// Per-epoch training history.
     pub history: TrainingHistory,
     /// Summary of the self-learning supervision (`None` for the baseline
-    /// pipelines that do not build one).
+    /// kinds, which do not build one).
     pub supervision: Option<SupervisionSummary>,
     /// The trained model's parameters — everything needed to re-instantiate
     /// the energy model later (e.g. in a [`crate::PipelineArtifact`]).
@@ -249,19 +248,20 @@ pub fn base_clusterers(k: usize, parallel: &ParallelPolicy) -> Vec<Box<dyn Clust
 /// Runs the pipeline of `kind` on `data` (one row per instance):
 /// preprocessing, the consensus supervision (sls kinds only), training of
 /// the energy model with `kind`'s visible layer, and hidden-feature
-/// extraction.
+/// extraction. The baseline kinds ignore the `sls` and `voting` fields of
+/// `config`.
 ///
 /// # Errors
 ///
 /// Propagates preprocessing, clustering, supervision and training errors.
-pub(crate) fn run_pipeline(
+pub fn run_pipeline(
     kind: ModelKind,
     config: &SlsPipelineConfig,
     data: &Matrix,
     rng: &mut impl Rng,
 ) -> Result<PipelineOutcome> {
-    config.train.validate()?;
     let parallel = &config.parallel;
+    let trainer = CdTrainer::new(config.train)?.with_parallel(*parallel);
     let (preprocessor, preprocessed) = preprocess(data, config.preprocessing, parallel)?;
     let supervision = if kind.is_sls() {
         let clusterers = base_clusterers(config.n_clusters, parallel);
@@ -274,18 +274,16 @@ pub(crate) fn run_pipeline(
     } else {
         None
     };
-    let guide = supervision
-        .as_ref()
-        .map(|s| Guidance::new(s, config.sls, preprocessed.rows()))
-        .transpose()?;
-    let params = RbmParams::init(preprocessed.cols(), config.n_hidden, rng);
-    let mut model = kind.visible_kind().machine(params);
-    let history = train_epochs(
-        model.as_mut(),
+    let mut model = Rbm::new(
+        kind.visible_kind(),
+        preprocessed.cols(),
+        config.n_hidden,
+        rng,
+    );
+    let history = trainer.train(
+        &mut model,
         &preprocessed,
-        &config.train,
-        guide.as_ref(),
-        parallel,
+        supervision.as_ref().map(|s| (s, &config.sls)),
         rng,
     )?;
     let model_params = model.params().clone();
@@ -298,69 +296,6 @@ pub(crate) fn run_pipeline(
         preprocessor,
     })
 }
-
-macro_rules! pipeline {
-    ($(#[$doc:meta])* $name:ident, $kind:expr) => {
-        $(#[$doc])*
-        #[derive(Debug, Clone)]
-        pub struct $name {
-            config: SlsPipelineConfig,
-        }
-
-        impl $name {
-            /// Creates the pipeline with the given configuration (the
-            /// baseline pipelines ignore the `sls` and `voting` fields).
-            pub fn new(config: SlsPipelineConfig) -> Self {
-                Self { config }
-            }
-
-            /// The active configuration.
-            pub fn config(&self) -> &SlsPipelineConfig {
-                &self.config
-            }
-
-            /// Runs preprocessing, supervision construction (sls models
-            /// only), training and feature extraction on `data` (one row
-            /// per instance).
-            ///
-            /// # Errors
-            ///
-            /// Propagates preprocessing, clustering, supervision and training
-            /// errors.
-            pub fn run(&self, data: &Matrix, rng: &mut impl Rng) -> Result<PipelineOutcome> {
-                run_pipeline($kind, &self.config, data, rng)
-            }
-        }
-    };
-}
-
-pipeline!(
-    /// Full slsGRBM pipeline: standardise → multi-clustering supervision →
-    /// sls training of a Gaussian-visible model → hidden features.
-    SlsGrbmPipeline,
-    ModelKind::SlsGrbm
-);
-
-pipeline!(
-    /// Full slsRBM pipeline: binarise → multi-clustering supervision → sls
-    /// training of a binary model → hidden features.
-    SlsRbmPipeline,
-    ModelKind::SlsRbm
-);
-
-pipeline!(
-    /// Baseline GRBM pipeline (plain CD, no supervision), the `X+GRBM`
-    /// columns of Tables IV–VI.
-    GrbmPipeline,
-    ModelKind::Grbm
-);
-
-pipeline!(
-    /// Baseline RBM pipeline (plain CD, no supervision), the `X+RBM` columns
-    /// of Tables VII–IX.
-    RbmPipeline,
-    ModelKind::Rbm
-);
 
 #[cfg(test)]
 mod tests {
@@ -432,16 +367,20 @@ mod tests {
         // construction, sls training, feature extraction) must give the same
         // bits regardless of the thread count.
         let ds = dataset();
-        let serial = SlsGrbmPipeline::new(
-            SlsPipelineConfig::quick_demo().with_parallel(ParallelPolicy::serial()),
+        let serial = run_pipeline(
+            ModelKind::SlsGrbm,
+            &SlsPipelineConfig::quick_demo().with_parallel(ParallelPolicy::serial()),
+            ds.features(),
+            &mut rng(),
         )
-        .run(ds.features(), &mut rng())
         .unwrap();
-        let parallel = SlsGrbmPipeline::new(
-            SlsPipelineConfig::quick_demo()
+        let parallel = run_pipeline(
+            ModelKind::SlsGrbm,
+            &SlsPipelineConfig::quick_demo()
                 .with_parallel(ParallelPolicy::new(4).with_min_rows_per_thread(1)),
+            ds.features(),
+            &mut rng(),
         )
-        .run(ds.features(), &mut rng())
         .unwrap();
         assert_eq!(
             serial.hidden_features.as_slice(),
@@ -465,9 +404,13 @@ mod tests {
     #[test]
     fn sls_grbm_pipeline_produces_features_and_supervision() {
         let ds = dataset();
-        let outcome = SlsGrbmPipeline::new(SlsPipelineConfig::quick_demo())
-            .run(ds.features(), &mut rng())
-            .unwrap();
+        let outcome = run_pipeline(
+            ModelKind::SlsGrbm,
+            &SlsPipelineConfig::quick_demo(),
+            ds.features(),
+            &mut rng(),
+        )
+        .unwrap();
         assert_eq!(outcome.hidden_features.rows(), 60);
         assert_eq!(outcome.hidden_features.cols(), 12);
         assert!(outcome.supervision.is_some());
@@ -484,9 +427,7 @@ mod tests {
         let ds = dataset();
         let config =
             SlsPipelineConfig::quick_demo().with_preprocessing(Preprocessing::BinarizeMedian);
-        let outcome = SlsRbmPipeline::new(config)
-            .run(ds.features(), &mut rng())
-            .unwrap();
+        let outcome = run_pipeline(ModelKind::SlsRbm, &config, ds.features(), &mut rng()).unwrap();
         // Preprocessed data must be binary.
         assert!(outcome
             .preprocessed
@@ -506,15 +447,17 @@ mod tests {
     #[test]
     fn baseline_pipelines_have_no_supervision() {
         let ds = dataset();
-        let outcome = GrbmPipeline::new(SlsPipelineConfig::quick_demo())
-            .run(ds.features(), &mut rng())
-            .unwrap();
+        let outcome = run_pipeline(
+            ModelKind::Grbm,
+            &SlsPipelineConfig::quick_demo(),
+            ds.features(),
+            &mut rng(),
+        )
+        .unwrap();
         assert!(outcome.supervision.is_none());
         let config =
             SlsPipelineConfig::quick_demo().with_preprocessing(Preprocessing::BinarizeMedian);
-        let outcome = RbmPipeline::new(config)
-            .run(ds.features(), &mut rng())
-            .unwrap();
+        let outcome = run_pipeline(ModelKind::Rbm, &config, ds.features(), &mut rng()).unwrap();
         assert!(outcome.supervision.is_none());
         assert_eq!(outcome.hidden_features.rows(), 60);
     }
@@ -524,20 +467,7 @@ mod tests {
         let ds = dataset();
         let config =
             SlsPipelineConfig::quick_demo().with_train(TrainConfig::quick().with_epochs(0));
-        assert!(SlsGrbmPipeline::new(config)
-            .run(ds.features(), &mut rng())
-            .is_err());
-        assert!(GrbmPipeline::new(config)
-            .run(ds.features(), &mut rng())
-            .is_err());
-    }
-
-    #[test]
-    fn config_accessors_round_trip() {
-        let config = SlsPipelineConfig::quick_demo();
-        assert_eq!(SlsGrbmPipeline::new(config).config(), &config);
-        assert_eq!(SlsRbmPipeline::new(config).config(), &config);
-        assert_eq!(GrbmPipeline::new(config).config(), &config);
-        assert_eq!(RbmPipeline::new(config).config(), &config);
+        assert!(run_pipeline(ModelKind::SlsGrbm, &config, ds.features(), &mut rng()).is_err());
+        assert!(run_pipeline(ModelKind::Grbm, &config, ds.features(), &mut rng()).is_err());
     }
 }

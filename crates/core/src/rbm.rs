@@ -1,95 +1,181 @@
-//! Binary-binary restricted Boltzmann machine (the paper's `RBM` baseline).
+//! The paper's energy model: a restricted Boltzmann machine with binary
+//! hidden units and a binary (RBM, Section III-A) or Gaussian (GRBM,
+//! Section III-B) visible layer.
 
-use crate::model::{BoltzmannMachine, RbmParams, VisibleKind};
-use crate::Result;
+use crate::model::{RbmParams, VisibleKind};
+use crate::{RbmError, Result};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use sls_linalg::{Matrix, ParallelPolicy};
+use sls_linalg::{Matrix, MatrixRandomExt, ParallelPolicy};
 
-/// Restricted Boltzmann machine with binary visible and hidden units
-/// (Section III-A). The visible layer is reconstructed through a sigmoid
-/// (Eq. 3).
+/// Restricted Boltzmann machine whose visible layer is `visible`.
+///
+/// The hidden layer is binary for both kinds, so `p(h_j = 1 | v)` is always
+/// a sigmoid (Eq. 2); the kinds differ only in how the visible layer is
+/// reconstructed from hidden activity: through a sigmoid for binary units
+/// (Eq. 3), as the linear mean `a + h Wᵀ` for unit-variance Gaussian units
+/// (Eq. 5). Gaussian inputs are expected to be standardised column-wise.
+///
+/// The paper's slsRBM and slsGRBM are this same model; only their training
+/// differs (see [`crate::CdTrainer::train`] with a supervision).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Rbm {
+    visible: VisibleKind,
     params: RbmParams,
 }
 
 impl Rbm {
-    /// Creates an RBM with `n_visible x n_hidden` randomly initialised
-    /// weights.
-    pub fn new(n_visible: usize, n_hidden: usize, rng: &mut impl Rng) -> Self {
-        Self {
-            params: RbmParams::init(n_visible, n_hidden, rng),
-        }
+    /// Creates a model with `n_visible x n_hidden` weights drawn by
+    /// [`RbmParams::init`].
+    pub fn new(
+        visible: VisibleKind,
+        n_visible: usize,
+        n_hidden: usize,
+        rng: &mut impl Rng,
+    ) -> Self {
+        Self::from_params(visible, RbmParams::init(n_visible, n_hidden, rng))
     }
 
     /// Wraps existing parameters (used when loading a persisted model).
-    pub fn from_params(params: RbmParams) -> Self {
-        Self { params }
+    pub fn from_params(visible: VisibleKind, params: RbmParams) -> Self {
+        Self { visible, params }
     }
 
-    /// The (unnormalised) free energy `F(v) = -a·v - Σ_j log(1 + e^{b_j + v·w_j})`
-    /// of each row of `visible`. Lower is more probable under the model;
-    /// useful for monitoring and for comparing model fits.
+    /// Which kind of visible layer this model has.
+    pub fn visible_kind(&self) -> VisibleKind {
+        self.visible
+    }
+
+    /// Immutable access to the parameters.
+    pub fn params(&self) -> &RbmParams {
+        &self.params
+    }
+
+    /// Mutable access to the parameters.
+    pub fn params_mut(&mut self) -> &mut RbmParams {
+        &mut self.params
+    }
+
+    /// Hidden unit activation probabilities `p(h_j = 1 | v)` for each row of
+    /// `visible` — the hidden features used for clustering. Runs under the
+    /// process-wide [`ParallelPolicy::global`].
     ///
     /// # Errors
     ///
     /// Returns an error if `visible` has the wrong width or no rows.
-    pub fn free_energy(&self, visible: &Matrix) -> Result<Vec<f64>> {
-        self.params.check_data(visible)?;
-        let pre = visible
-            .matmul(&self.params.weights)?
-            .add_row_broadcast(&self.params.hidden_bias)?;
-        let mut energies = Vec::with_capacity(visible.rows());
-        for (i, row) in visible.row_iter().enumerate() {
-            let visible_term: f64 = row
-                .iter()
-                .zip(&self.params.visible_bias)
-                .map(|(&v, &a)| v * a)
-                .sum();
-            let hidden_term: f64 = pre.row(i).iter().map(|&x| softplus(x)).sum();
-            energies.push(-visible_term - hidden_term);
-        }
-        Ok(energies)
-    }
-}
-
-/// `log(1 + e^x)` computed without overflow.
-fn softplus(x: f64) -> f64 {
-    if x > 30.0 {
-        x
-    } else if x < -30.0 {
-        0.0
-    } else {
-        (1.0 + x.exp()).ln()
-    }
-}
-
-impl BoltzmannMachine for Rbm {
-    fn params(&self) -> &RbmParams {
-        &self.params
+    pub fn hidden_probabilities(&self, visible: &Matrix) -> Result<Matrix> {
+        self.hidden_probabilities_with(visible, &ParallelPolicy::global())
     }
 
-    fn params_mut(&mut self) -> &mut RbmParams {
-        &mut self.params
+    /// [`Self::hidden_probabilities`] under an explicit [`ParallelPolicy`].
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `visible` has the wrong width or no rows.
+    pub fn hidden_probabilities_with(
+        &self,
+        visible: &Matrix,
+        parallel: &ParallelPolicy,
+    ) -> Result<Matrix> {
+        self.params.hidden_probabilities_with(visible, parallel)
     }
 
-    fn visible_kind(&self) -> VisibleKind {
-        VisibleKind::Binary
+    /// Samples a binary hidden state from the probabilities.
+    ///
+    /// # Errors
+    ///
+    /// Propagates errors from [`Self::hidden_probabilities`].
+    pub fn sample_hidden(&self, visible: &Matrix, rng: &mut impl Rng) -> Result<Matrix> {
+        let probs = self.hidden_probabilities(visible)?;
+        Ok(Matrix::sample_bernoulli(&probs, rng))
     }
 
-    fn reconstruct_visible_with(
+    /// Reconstructs the visible layer from hidden activities under the
+    /// process-wide [`ParallelPolicy::global`].
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `hidden` has the wrong width.
+    pub fn reconstruct_visible(&self, hidden: &Matrix) -> Result<Matrix> {
+        self.reconstruct_visible_with(hidden, &ParallelPolicy::global())
+    }
+
+    /// [`Self::reconstruct_visible`] under an explicit [`ParallelPolicy`]:
+    /// `σ(a + h Wᵀ)` for binary units, `a + h Wᵀ` for Gaussian units, the
+    /// bias broadcast fused into one row-wise pass through the simd layer.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `hidden` has the wrong width.
+    pub fn reconstruct_visible_with(
         &self,
         hidden: &Matrix,
         parallel: &ParallelPolicy,
     ) -> Result<Matrix> {
         let pre = hidden.matmul_transpose_right_with(&self.params.weights, parallel)?;
-        // Bias broadcast and sigmoid fused into one row-wise pass through
-        // the simd layer.
         let bias = &self.params.visible_bias;
+        let fused = match self.visible {
+            VisibleKind::Binary => sls_linalg::simd::fused_bias_sigmoid,
+            VisibleKind::Gaussian => sls_linalg::simd::fused_bias_add,
+        };
         Ok(pre.map_rows_with(bias.len(), parallel, |_, row, out| {
-            sls_linalg::simd::fused_bias_sigmoid(row, bias, out);
+            fused(row, bias, out);
         }))
+    }
+
+    /// One Gibbs round trip `v -> h -> v̂` with hidden *samples* for the
+    /// downward pass (CD-1 convention), returning the reconstruction.
+    ///
+    /// # Errors
+    ///
+    /// Propagates shape errors from the individual passes.
+    pub fn reconstruct(&self, visible: &Matrix, rng: &mut impl Rng) -> Result<Matrix> {
+        let hidden = self.sample_hidden(visible, rng)?;
+        self.reconstruct_visible(&hidden)
+    }
+
+    /// Mean squared reconstruction error of one deterministic round trip
+    /// (hidden probabilities instead of samples), the training progress
+    /// metric. Runs under the process-wide [`ParallelPolicy::global`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates shape errors.
+    pub fn reconstruction_error(&self, visible: &Matrix) -> Result<f64> {
+        self.reconstruction_error_with(visible, &ParallelPolicy::global())
+    }
+
+    /// [`Self::reconstruction_error`] under an explicit [`ParallelPolicy`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates shape errors.
+    pub fn reconstruction_error_with(
+        &self,
+        visible: &Matrix,
+        parallel: &ParallelPolicy,
+    ) -> Result<f64> {
+        let hidden = self.hidden_probabilities_with(visible, parallel)?;
+        let recon = self.reconstruct_visible_with(&hidden, parallel)?;
+        if visible.shape() != recon.shape() {
+            return Err(RbmError::VisibleSizeMismatch {
+                data: visible.cols(),
+                model: recon.cols(),
+            });
+        }
+        // Row-wise squared-error reduction: per-row sums run in parallel
+        // (each row is one unit, so the result is identical for every
+        // thread count), then combine serially in row order.
+        let per_row = visible.reduce_rows_with(parallel, |i, row| {
+            row.iter()
+                .zip(recon.row(i))
+                .map(|(&v, &r)| {
+                    let d = v - r;
+                    d * d
+                })
+                .sum()
+        });
+        Ok(per_row.iter().sum::<f64>() / visible.len() as f64)
     }
 }
 
@@ -107,7 +193,7 @@ mod tests {
     #[test]
     fn hidden_probabilities_are_valid_probabilities() {
         let mut r = rng();
-        let rbm = Rbm::new(10, 6, &mut r);
+        let rbm = Rbm::new(VisibleKind::Binary, 10, 6, &mut r);
         let data = Matrix::random_bernoulli(20, 10, 0.5, &mut r);
         let h = rbm.hidden_probabilities(&data).unwrap();
         assert_eq!(h.shape(), (20, 6));
@@ -117,7 +203,7 @@ mod tests {
     #[test]
     fn zero_weights_give_half_probabilities() {
         let mut r = rng();
-        let mut rbm = Rbm::new(4, 3, &mut r);
+        let mut rbm = Rbm::new(VisibleKind::Binary, 4, 3, &mut r);
         rbm.params_mut().weights = Matrix::zeros(4, 3);
         rbm.params_mut().hidden_bias = vec![0.0; 3];
         let data = Matrix::random_bernoulli(5, 4, 0.5, &mut r);
@@ -128,7 +214,7 @@ mod tests {
     #[test]
     fn reconstruction_is_in_unit_interval() {
         let mut r = rng();
-        let rbm = Rbm::new(8, 4, &mut r);
+        let rbm = Rbm::new(VisibleKind::Binary, 8, 4, &mut r);
         let data = Matrix::random_bernoulli(10, 8, 0.3, &mut r);
         let recon = rbm.reconstruct(&data, &mut r).unwrap();
         assert_eq!(recon.shape(), (10, 8));
@@ -138,7 +224,7 @@ mod tests {
     #[test]
     fn sample_hidden_is_binary() {
         let mut r = rng();
-        let rbm = Rbm::new(8, 4, &mut r);
+        let rbm = Rbm::new(VisibleKind::Binary, 8, 4, &mut r);
         let data = Matrix::random_bernoulli(10, 8, 0.5, &mut r);
         let s = rbm.sample_hidden(&data, &mut r).unwrap();
         assert!(s.as_slice().iter().all(|&x| x == 0.0 || x == 1.0));
@@ -147,46 +233,22 @@ mod tests {
     #[test]
     fn shape_mismatch_is_reported() {
         let mut r = rng();
-        let rbm = Rbm::new(8, 4, &mut r);
+        let rbm = Rbm::new(VisibleKind::Binary, 8, 4, &mut r);
         let wrong = Matrix::zeros(5, 9);
         assert!(rbm.hidden_probabilities(&wrong).is_err());
         assert!(rbm.reconstruction_error(&wrong).is_err());
     }
 
     #[test]
-    fn free_energy_prefers_training_like_patterns() {
-        // Build an RBM whose weights strongly tie visible unit 0 to hidden
-        // unit 0; a vector with unit 0 on should have lower free energy than
-        // the all-zero vector when the visible bias favours it.
-        let mut r = rng();
-        let mut rbm = Rbm::new(3, 2, &mut r);
-        rbm.params_mut().weights =
-            Matrix::from_rows(&[vec![4.0, 0.0], vec![0.0, 0.0], vec![0.0, 0.0]]).unwrap();
-        rbm.params_mut().visible_bias = vec![2.0, 0.0, 0.0];
-        let on = Matrix::from_rows(&[vec![1.0, 0.0, 0.0]]).unwrap();
-        let off = Matrix::from_rows(&[vec![0.0, 0.0, 0.0]]).unwrap();
-        let e_on = rbm.free_energy(&on).unwrap()[0];
-        let e_off = rbm.free_energy(&off).unwrap()[0];
-        assert!(e_on < e_off);
-    }
-
-    #[test]
-    fn softplus_is_stable_at_extremes() {
-        assert_eq!(softplus(100.0), 100.0);
-        assert_eq!(softplus(-100.0), 0.0);
-        assert!((softplus(0.0) - 2.0_f64.ln()).abs() < 1e-12);
-    }
-
-    #[test]
     fn visible_kind_is_binary() {
-        let rbm = Rbm::new(2, 2, &mut rng());
+        let rbm = Rbm::new(VisibleKind::Binary, 2, 2, &mut rng());
         assert_eq!(rbm.visible_kind(), VisibleKind::Binary);
     }
 
     #[test]
     fn from_params_round_trips() {
         let params = RbmParams::init(5, 2, &mut rng());
-        let rbm = Rbm::from_params(params.clone());
+        let rbm = Rbm::from_params(VisibleKind::Binary, params.clone());
         assert_eq!(rbm.params(), &params);
     }
 }

@@ -1,9 +1,8 @@
 //! Self-learning local supervision (sls) training — the paper's
 //! contribution.
 //!
-//! The sls models have exactly the same architecture as their baselines
-//! ([`crate::Rbm`], [`crate::Grbm`]); what changes is the *objective*
-//! (Eq. 16):
+//! The sls models are the same [`crate::Rbm`] as their baselines; what
+//! changes is the *objective* (Eq. 16):
 //!
 //! ```text
 //! F(θ) = -(η/N) Σ log p(v; θ) + (1-η) [ L_data(θ) + L_recon(θ) ]
@@ -16,8 +15,8 @@
 //! the analytic gradients of `L_data` / `L_recon` (Eqs. 27–32). Combining
 //! them with the CD term into the parameter updates (Eqs. 33–35) is the
 //! guided branch of the crate's one mini-batch update, `cd::minibatch_step`,
-//! which also serves plain CD and the streaming trainer; [`SlsTrainer`] runs
-//! it over in-memory data.
+//! which [`crate::CdTrainer`] runs over in-memory data and
+//! [`crate::StreamTrainer`] chunk by chunk.
 //!
 //! ## A note on the sign of the supervision term
 //!
@@ -33,12 +32,11 @@
 
 mod config;
 mod gradient;
+// Tests only: slsRBM / slsGRBM trained through `CdTrainer`.
 mod models;
 mod trainer;
 
 pub use config::SlsConfig;
-pub use models::{SlsGrbm, SlsRbm};
-pub use trainer::SlsTrainer;
 
 pub(crate) use gradient::sls_batch_gradients;
 pub(crate) use trainer::clusters_in_batch;

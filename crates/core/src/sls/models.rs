@@ -1,190 +1,14 @@
-//! The slsRBM and slsGRBM model types.
-//!
-//! Architecturally these are the same energy models as [`crate::Rbm`] and
-//! [`crate::Grbm`]; the "sls" in their name refers to how they are trained.
-//! Wrapping them in dedicated types keeps the paper's terminology visible in
-//! downstream code and bundles the right trainer with the right model.
-
-use crate::model::{BoltzmannMachine, RbmParams, VisibleKind};
-use crate::sls::{SlsConfig, SlsTrainer};
-use crate::{Grbm, Rbm, Result, TrainConfig, TrainingHistory};
-use rand::Rng;
-use serde::{Deserialize, Serialize};
-use sls_consensus::LocalSupervision;
-use sls_linalg::{Matrix, ParallelPolicy};
-
-macro_rules! sls_model {
-    ($(#[$doc:meta])* $name:ident, $inner:ty, $default_train:expr, $default_sls:expr) => {
-        $(#[$doc])*
-        #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-        pub struct $name {
-            inner: $inner,
-        }
-
-        impl $name {
-            /// Creates a model with randomly initialised parameters.
-            pub fn new(n_visible: usize, n_hidden: usize, rng: &mut impl Rng) -> Self {
-                Self {
-                    inner: <$inner>::new(n_visible, n_hidden, rng),
-                }
-            }
-
-            /// Wraps existing parameters.
-            pub fn from_params(params: RbmParams) -> Self {
-                Self {
-                    inner: <$inner>::from_params(params),
-                }
-            }
-
-            /// Borrow the underlying energy model.
-            pub fn inner(&self) -> &$inner {
-                &self.inner
-            }
-
-            /// The paper's default hyper-parameters for this model.
-            pub fn paper_configs() -> (TrainConfig, SlsConfig) {
-                ($default_train, $default_sls)
-            }
-
-            /// Trains the model with the sls objective using explicit
-            /// configurations.
-            ///
-            /// # Errors
-            ///
-            /// Propagates configuration, shape and divergence errors from
-            /// [`SlsTrainer::train`].
-            pub fn train(
-                &mut self,
-                data: &Matrix,
-                supervision: &LocalSupervision,
-                train_config: TrainConfig,
-                sls_config: SlsConfig,
-                rng: &mut impl Rng,
-            ) -> Result<TrainingHistory> {
-                self.train_with(
-                    data,
-                    supervision,
-                    train_config,
-                    sls_config,
-                    ParallelPolicy::global(),
-                    rng,
-                )
-            }
-
-            /// [`Self::train`] under an explicit parallel execution policy.
-            /// Results are bitwise identical for every policy.
-            ///
-            /// # Errors
-            ///
-            /// Same as [`Self::train`].
-            pub fn train_with(
-                &mut self,
-                data: &Matrix,
-                supervision: &LocalSupervision,
-                train_config: TrainConfig,
-                sls_config: SlsConfig,
-                parallel: ParallelPolicy,
-                rng: &mut impl Rng,
-            ) -> Result<TrainingHistory> {
-                SlsTrainer::new(train_config, sls_config)?
-                    .with_parallel(parallel)
-                    .train(&mut self.inner, data, supervision, rng)
-            }
-
-            /// Trains with the paper's default hyper-parameters.
-            ///
-            /// # Errors
-            ///
-            /// Same as [`Self::train`].
-            pub fn train_with_paper_defaults(
-                &mut self,
-                data: &Matrix,
-                supervision: &LocalSupervision,
-                rng: &mut impl Rng,
-            ) -> Result<TrainingHistory> {
-                let (train, sls) = Self::paper_configs();
-                self.train(data, supervision, train, sls, rng)
-            }
-
-            /// Hidden-layer features (activation probabilities) of `data` —
-            /// the representation handed to the downstream clusterers.
-            ///
-            /// # Errors
-            ///
-            /// Returns a shape error if `data` does not match the visible
-            /// layer.
-            pub fn hidden_features(&self, data: &Matrix) -> Result<Matrix> {
-                self.inner.hidden_probabilities(data)
-            }
-
-            /// [`Self::hidden_features`] under an explicit parallel
-            /// execution policy.
-            ///
-            /// # Errors
-            ///
-            /// Returns a shape error if `data` does not match the visible
-            /// layer.
-            pub fn hidden_features_with(
-                &self,
-                data: &Matrix,
-                parallel: &ParallelPolicy,
-            ) -> Result<Matrix> {
-                self.inner.hidden_probabilities_with(data, parallel)
-            }
-        }
-
-        impl BoltzmannMachine for $name {
-            fn params(&self) -> &RbmParams {
-                self.inner.params()
-            }
-
-            fn params_mut(&mut self) -> &mut RbmParams {
-                self.inner.params_mut()
-            }
-
-            fn visible_kind(&self) -> VisibleKind {
-                self.inner.visible_kind()
-            }
-
-            fn reconstruct_visible_with(
-                &self,
-                hidden: &Matrix,
-                parallel: &ParallelPolicy,
-            ) -> Result<Matrix> {
-                self.inner.reconstruct_visible_with(hidden, parallel)
-            }
-        }
-    };
-}
-
-sls_model!(
-    /// Self-learning local supervision RBM (binary visible and hidden units,
-    /// sigmoid reconstruction) — the paper's **slsRBM** instantiation, used
-    /// for the UCI experiments with η = 0.5 and learning rate `1e-5`.
-    SlsRbm,
-    Rbm,
-    TrainConfig::paper_rbm(),
-    SlsConfig::paper_rbm()
-);
-
-sls_model!(
-    /// Self-learning local supervision GRBM (Gaussian linear visible units,
-    /// binary hidden units, linear reconstruction) — the paper's **slsGRBM**
-    /// instantiation, used for the MSRA-MM experiments with η = 0.4 and
-    /// learning rate `1e-4`.
-    SlsGrbm,
-    Grbm,
-    TrainConfig::paper_grbm(),
-    SlsConfig::paper_grbm()
-);
+//! Tests of the paper's slsRBM and slsGRBM: the same [`Rbm`](crate::Rbm) as
+//! the baselines, trained by [`CdTrainer`](crate::CdTrainer) with a local
+//! supervision and the Section V hyper-parameters.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{CdTrainer, Rbm, RbmParams, SlsConfig, TrainConfig, VisibleKind};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-    use sls_consensus::VotingPolicy;
-    use sls_linalg::MatrixRandomExt;
+    use sls_consensus::{LocalSupervision, VotingPolicy};
+    use sls_linalg::{Matrix, MatrixRandomExt};
 
     fn rng() -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(404)
@@ -197,30 +21,28 @@ mod tests {
 
     #[test]
     fn paper_configs_match_section_v() {
-        let (train, sls) = SlsGrbm::paper_configs();
-        assert_eq!(train.learning_rate, 1e-4);
-        assert_eq!(sls.eta, 0.4);
-        let (train, sls) = SlsRbm::paper_configs();
-        assert_eq!(train.learning_rate, 1e-5);
-        assert_eq!(sls.eta, 0.5);
+        assert_eq!(TrainConfig::paper_grbm().learning_rate, 1e-4);
+        assert_eq!(SlsConfig::paper_grbm().eta, 0.4);
+        assert_eq!(TrainConfig::paper_rbm().learning_rate, 1e-5);
+        assert_eq!(SlsConfig::paper_rbm().eta, 0.5);
     }
 
     #[test]
     fn sls_rbm_trains_and_extracts_features() {
         let mut r = rng();
         let data = Matrix::random_bernoulli(24, 10, 0.5, &mut r);
-        let mut model = SlsRbm::new(10, 4, &mut r);
-        let history = model
+        let mut model = Rbm::new(VisibleKind::Binary, 10, 4, &mut r);
+        let history = CdTrainer::new(TrainConfig::quick().with_epochs(3))
+            .unwrap()
             .train(
+                &mut model,
                 &data,
-                &simple_supervision(24),
-                TrainConfig::quick().with_epochs(3),
-                SlsConfig::new(0.5),
+                Some((&simple_supervision(24), &SlsConfig::new(0.5))),
                 &mut r,
             )
             .unwrap();
         assert_eq!(history.epochs.len(), 3);
-        let features = model.hidden_features(&data).unwrap();
+        let features = model.hidden_probabilities(&data).unwrap();
         assert_eq!(features.shape(), (24, 4));
         assert_eq!(model.visible_kind(), VisibleKind::Binary);
     }
@@ -229,17 +51,17 @@ mod tests {
     fn sls_grbm_trains_and_extracts_features() {
         let mut r = rng();
         let data = Matrix::random_normal(24, 10, 0.0, 1.0, &mut r);
-        let mut model = SlsGrbm::new(10, 4, &mut r);
-        model
+        let mut model = Rbm::new(VisibleKind::Gaussian, 10, 4, &mut r);
+        CdTrainer::new(TrainConfig::quick().with_epochs(3).with_learning_rate(0.01))
+            .unwrap()
             .train(
+                &mut model,
                 &data,
-                &simple_supervision(24),
-                TrainConfig::quick().with_epochs(3).with_learning_rate(0.01),
-                SlsConfig::new(0.4),
+                Some((&simple_supervision(24), &SlsConfig::new(0.4))),
                 &mut r,
             )
             .unwrap();
-        let features = model.hidden_features(&data).unwrap();
+        let features = model.hidden_probabilities(&data).unwrap();
         assert_eq!(features.shape(), (24, 4));
         assert_eq!(model.visible_kind(), VisibleKind::Gaussian);
     }
@@ -247,28 +69,34 @@ mod tests {
     #[test]
     fn from_params_preserves_parameters() {
         let params = RbmParams::init(6, 3, &mut rng());
-        let model = SlsGrbm::from_params(params.clone());
+        let model = Rbm::from_params(VisibleKind::Gaussian, params.clone());
         assert_eq!(model.params(), &params);
-        assert_eq!(model.inner().params(), &params);
+        assert_eq!(model.visible_kind(), VisibleKind::Gaussian);
     }
 
     #[test]
     fn train_with_paper_defaults_runs() {
         let mut r = rng();
         let data = Matrix::random_bernoulli(20, 6, 0.5, &mut r);
-        let mut model = SlsRbm::new(6, 3, &mut r);
+        let mut model = Rbm::new(VisibleKind::Binary, 6, 3, &mut r);
         // Paper defaults use 30 epochs; just make sure the call is wired up.
-        let history = model
-            .train_with_paper_defaults(&data, &simple_supervision(20), &mut r)
+        let history = CdTrainer::new(TrainConfig::paper_rbm())
+            .unwrap()
+            .train(
+                &mut model,
+                &data,
+                Some((&simple_supervision(20), &SlsConfig::paper_rbm())),
+                &mut r,
+            )
             .unwrap();
         assert_eq!(history.epochs.len(), TrainConfig::paper_rbm().epochs);
     }
 
     #[test]
     fn serde_round_trip() {
-        let model = SlsRbm::new(4, 2, &mut rng());
+        let model = Rbm::new(VisibleKind::Binary, 4, 2, &mut rng());
         let json = serde_json::to_string(&model).unwrap();
-        let back: SlsRbm = serde_json::from_str(&json).unwrap();
+        let back: Rbm = serde_json::from_str(&json).unwrap();
         assert_eq!(back, model);
     }
 }

@@ -1,87 +1,6 @@
-//! The in-memory sls trainer: the shared epoch loop with the
-//! constrict/disperse term of Eqs. 33–35 switched on.
-
-use crate::cd::{train_epochs, Guidance};
-use crate::model::BoltzmannMachine;
-use crate::sls::SlsConfig;
-use crate::{Result, TrainConfig, TrainingHistory};
-use rand::Rng;
-use sls_consensus::LocalSupervision;
-use sls_linalg::{Matrix, ParallelPolicy};
-
-/// Trainer implementing the paper's update rules: for each mini-batch the
-/// weight and hidden-bias updates combine the CD gradient (weight η·ε) with
-/// the descent direction of the constrict/disperse loss evaluated on both
-/// the data-driven hidden features and the reconstruction-driven hidden
-/// features (weight (1-η)·ε_sls); the visible biases receive only the CD
-/// term (Eq. 35).
-#[derive(Debug, Clone)]
-pub struct SlsTrainer {
-    train: TrainConfig,
-    sls: SlsConfig,
-    parallel: ParallelPolicy,
-}
-
-impl SlsTrainer {
-    /// Creates a trainer after validating both configurations. The trainer
-    /// starts with the process-wide [`ParallelPolicy::global`]; override it
-    /// with [`SlsTrainer::with_parallel`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RbmError::InvalidConfig`](crate::RbmError::InvalidConfig)
-    /// if either configuration is invalid.
-    pub fn new(train: TrainConfig, sls: SlsConfig) -> Result<Self> {
-        train.validate()?;
-        sls.validate()?;
-        Ok(Self {
-            train,
-            sls,
-            parallel: ParallelPolicy::global(),
-        })
-    }
-
-    /// Sets the parallel execution policy for the training hot path. Results
-    /// are bitwise identical for every policy.
-    pub fn with_parallel(self, parallel: ParallelPolicy) -> Self {
-        Self { parallel, ..self }
-    }
-
-    /// The CD training configuration.
-    pub fn train_config(&self) -> &TrainConfig {
-        &self.train
-    }
-
-    /// The sls configuration.
-    pub fn sls_config(&self) -> &SlsConfig {
-        &self.sls
-    }
-
-    /// The active parallel execution policy.
-    pub fn parallel(&self) -> &ParallelPolicy {
-        &self.parallel
-    }
-
-    /// Trains `model` on `data` guided by the local supervision.
-    ///
-    /// # Errors
-    ///
-    /// * Shape errors for incompatible data.
-    /// * [`RbmError::SupervisionOutOfRange`](crate::RbmError::SupervisionOutOfRange)
-    ///   if the supervision references instances that do not exist.
-    /// * [`RbmError::Diverged`](crate::RbmError::Diverged) if parameters
-    ///   become non-finite.
-    pub fn train<M: BoltzmannMachine>(
-        &self,
-        model: &mut M,
-        data: &Matrix,
-        supervision: &LocalSupervision,
-        rng: &mut impl Rng,
-    ) -> Result<TrainingHistory> {
-        let guide = Guidance::new(supervision, self.sls, data.rows())?;
-        train_epochs(model, data, &self.train, Some(&guide), &self.parallel, rng)
-    }
-}
+//! The supervision side of [`crate::CdTrainer`]: how a guided mini-batch
+//! finds the local clusters among its rows. The tests here train the
+//! paper's slsRBM / slsGRBM through the one trainer.
 
 /// Groups the positions of `chunk` (batch row indices) by local cluster.
 pub(crate) fn clusters_in_batch(
@@ -101,12 +20,12 @@ pub(crate) fn clusters_in_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Grbm, Rbm, RbmError};
+    use crate::{CdTrainer, Rbm, RbmError, SlsConfig, TrainConfig, VisibleKind};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use sls_consensus::{LocalSupervision, VotingPolicy};
     use sls_datasets::SyntheticBlobs;
-    use sls_linalg::MatrixRandomExt;
+    use sls_linalg::{Matrix, MatrixRandomExt, ParallelPolicy};
 
     fn rng() -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(200)
@@ -128,22 +47,34 @@ mod tests {
 
     #[test]
     fn trainer_validates_configs() {
-        assert!(SlsTrainer::new(TrainConfig::quick(), SlsConfig::new(0.5)).is_ok());
-        assert!(SlsTrainer::new(TrainConfig::quick(), SlsConfig::new(1.5)).is_err());
-        assert!(SlsTrainer::new(TrainConfig::quick().with_epochs(0), SlsConfig::new(0.5)).is_err());
+        let mut r = rng();
+        let data = Matrix::random_bernoulli(10, 6, 0.5, &mut r);
+        let supervision = supervision_from_labels(&[0, 1, 0, 1, 0, 1, 0, 1, 0, 1], 2);
+        let trainer = CdTrainer::new(TrainConfig::quick().with_epochs(1)).unwrap();
+        let mut train = |sls: SlsConfig| {
+            let mut rbm = Rbm::new(VisibleKind::Binary, 6, 4, &mut r);
+            trainer.train(&mut rbm, &data, Some((&supervision, &sls)), &mut r)
+        };
+        assert!(train(SlsConfig::new(0.5)).is_ok());
+        assert!(matches!(
+            train(SlsConfig::new(1.5)),
+            Err(RbmError::InvalidConfig { name: "eta", .. })
+        ));
+        assert!(CdTrainer::new(TrainConfig::quick().with_epochs(0)).is_err());
     }
 
     #[test]
     fn supervision_out_of_range_is_rejected() {
         let mut r = rng();
         let data = Matrix::random_bernoulli(10, 6, 0.5, &mut r);
-        let mut rbm = Rbm::new(6, 4, &mut r);
+        let mut rbm = Rbm::new(VisibleKind::Binary, 6, 4, &mut r);
         let consensus: Vec<Option<usize>> = (0..20).map(|i| Some(i % 2)).collect();
         let supervision =
             LocalSupervision::from_consensus(&consensus, VotingPolicy::Unanimous).unwrap();
-        let trainer = SlsTrainer::new(TrainConfig::quick(), SlsConfig::new(0.5)).unwrap();
+        let trainer = CdTrainer::new(TrainConfig::quick()).unwrap();
+        let sls = SlsConfig::new(0.5);
         assert!(matches!(
-            trainer.train(&mut rbm, &data, &supervision, &mut r),
+            trainer.train(&mut rbm, &data, Some((&supervision, &sls)), &mut r),
             Err(RbmError::SupervisionOutOfRange { .. })
         ));
     }
@@ -155,12 +86,12 @@ mod tests {
             .separation(3.0)
             .generate(&mut r);
         let supervision = supervision_from_labels(ds.labels(), 12);
-        let mut grbm = Grbm::new(8, 6, &mut r);
+        let mut grbm = Rbm::new(VisibleKind::Gaussian, 8, 6, &mut r);
         let config = TrainConfig::quick()
             .with_epochs(25)
             .with_learning_rate(0.05);
         let sls_config = SlsConfig::new(0.4).with_supervision_learning_rate(0.5);
-        let trainer = SlsTrainer::new(config, sls_config).unwrap();
+        let trainer = CdTrainer::new(config).unwrap();
 
         // Constriction is relative: after training, the average
         // within-cluster distance of the supervised instances should be small
@@ -168,7 +99,7 @@ mod tests {
         // absolute spread necessarily grows from initialisation (random small
         // weights put every hidden probability near 0.5), so the meaningful
         // quantity is the within/between ratio.
-        let spread_ratio = |model: &Grbm| {
+        let spread_ratio = |model: &Rbm| {
             let hidden = model.hidden_probabilities(ds.features()).unwrap();
             let mut within = 0.0;
             let mut count = 0.0;
@@ -194,7 +125,12 @@ mod tests {
 
         let before = spread_ratio(&grbm);
         trainer
-            .train(&mut grbm, ds.features(), &supervision, &mut r)
+            .train(
+                &mut grbm,
+                ds.features(),
+                Some((&supervision, &sls_config)),
+                &mut r,
+            )
             .unwrap();
         let after = spread_ratio(&grbm);
         assert!(
@@ -209,11 +145,15 @@ mod tests {
         let data = Matrix::random_bernoulli(60, 12, 0.4, &mut r);
         let labels: Vec<usize> = (0..60).map(|i| i % 2).collect();
         let supervision = supervision_from_labels(&labels, 10);
-        let mut rbm = Rbm::new(12, 5, &mut r);
-        let trainer =
-            SlsTrainer::new(TrainConfig::quick().with_epochs(10), SlsConfig::paper_rbm()).unwrap();
-        let history = trainer
-            .train(&mut rbm, &data, &supervision, &mut r)
+        let mut rbm = Rbm::new(VisibleKind::Binary, 12, 5, &mut r);
+        let history = CdTrainer::new(TrainConfig::quick().with_epochs(10))
+            .unwrap()
+            .train(
+                &mut rbm,
+                &data,
+                Some((&supervision, &SlsConfig::paper_rbm())),
+                &mut r,
+            )
             .unwrap();
         assert_eq!(history.epochs.len(), 10);
         assert!(rbm.params().is_finite());
@@ -226,14 +166,19 @@ mod tests {
         let labels: Vec<usize> = (0..50).map(|i| i % 3).collect();
         let supervision = supervision_from_labels(&labels, 8);
         let train_one = |parallel: ParallelPolicy| {
-            let mut model = Rbm::new(10, 4, &mut ChaCha8Rng::seed_from_u64(4));
-            SlsTrainer::new(TrainConfig::quick().with_epochs(4), SlsConfig::new(0.5))
+            let mut model = Rbm::new(
+                VisibleKind::Binary,
+                10,
+                4,
+                &mut ChaCha8Rng::seed_from_u64(4),
+            );
+            CdTrainer::new(TrainConfig::quick().with_epochs(4))
                 .unwrap()
                 .with_parallel(parallel)
                 .train(
                     &mut model,
                     &data,
-                    &supervision,
+                    Some((&supervision, &SlsConfig::new(0.5))),
                     &mut ChaCha8Rng::seed_from_u64(5),
                 )
                 .unwrap();
@@ -266,28 +211,32 @@ mod tests {
         let labels: Vec<usize> = (0..40).map(|i| i % 2).collect();
         let supervision = supervision_from_labels(&labels, 8);
 
-        let mut sls_model = Rbm::new(8, 4, &mut ChaCha8Rng::seed_from_u64(1));
-        let mut cd_model = Rbm::new(8, 4, &mut ChaCha8Rng::seed_from_u64(1));
+        let mut sls_model = Rbm::new(VisibleKind::Binary, 8, 4, &mut ChaCha8Rng::seed_from_u64(1));
+        let mut cd_model = Rbm::new(VisibleKind::Binary, 8, 4, &mut ChaCha8Rng::seed_from_u64(1));
         assert_eq!(sls_model.params(), cd_model.params());
 
         let config = TrainConfig::quick().with_epochs(3);
         let mut cfg_no_shuffle = config;
         cfg_no_shuffle.shuffle = false;
 
-        let trainer = SlsTrainer::new(cfg_no_shuffle, SlsConfig::new(0.999_999)).unwrap();
+        let trainer = CdTrainer::new(cfg_no_shuffle).unwrap();
         trainer
             .train(
                 &mut sls_model,
                 &data,
-                &supervision,
+                Some((&supervision, &SlsConfig::new(0.999_999))),
                 &mut ChaCha8Rng::seed_from_u64(9),
             )
             .unwrap();
         // Plain CD for comparison, but scaled: with η≈1 the CD term keeps its
         // full weight, so the two runs should be nearly identical.
-        let cd_trainer = crate::CdTrainer::new(cfg_no_shuffle).unwrap();
-        cd_trainer
-            .train(&mut cd_model, &data, &mut ChaCha8Rng::seed_from_u64(9))
+        trainer
+            .train(
+                &mut cd_model,
+                &data,
+                None,
+                &mut ChaCha8Rng::seed_from_u64(9),
+            )
             .unwrap();
         assert!(sls_model
             .params()
@@ -311,11 +260,15 @@ mod tests {
         let data = Matrix::random_bernoulli(30, 6, 0.5, &mut r);
         let labels: Vec<usize> = (0..30).map(|i| i % 3).collect();
         let supervision = supervision_from_labels(&labels, 5);
-        let mut rbm = Rbm::new(6, 3, &mut r);
-        let trainer =
-            SlsTrainer::new(TrainConfig::quick().with_epochs(4), SlsConfig::new(0.5)).unwrap();
-        let history = trainer
-            .train(&mut rbm, &data, &supervision, &mut r)
+        let mut rbm = Rbm::new(VisibleKind::Binary, 6, 3, &mut r);
+        let history = CdTrainer::new(TrainConfig::quick().with_epochs(4))
+            .unwrap()
+            .train(
+                &mut rbm,
+                &data,
+                Some((&supervision, &SlsConfig::new(0.5))),
+                &mut r,
+            )
             .unwrap();
         assert_eq!(history.epochs.len(), 4);
         assert!(history.final_error().unwrap().is_finite());

@@ -1,19 +1,18 @@
 //! Streaming mini-batch training with checkpoint-resume.
 //!
-//! [`CdTrainer`](crate::CdTrainer) and [`SlsTrainer`](crate::SlsTrainer)
-//! hold the whole dataset in one [`Matrix`]. For corpora that do not fit in
-//! memory (or for long runs that must survive interruption) this module
-//! trains against a [`ChunkSource`] instead: each epoch walks the source
-//! chunk by chunk, runs the mini-batch updates inside the chunk, and records
-//! its position in a [`TrainCheckpoint`] — a schema-versioned JSON artifact
-//! holding the model parameters, the momentum (optimizer) state and the
-//! ingest cursor.
+//! [`CdTrainer`](crate::CdTrainer) holds the whole dataset in one
+//! [`Matrix`]. For corpora that do not fit in memory (or for long runs that
+//! must survive interruption) this module trains against a [`ChunkSource`]
+//! instead: each epoch walks the source chunk by chunk, runs the mini-batch
+//! updates inside the chunk, and records its position in a
+//! [`TrainCheckpoint`] — a schema-versioned JSON artifact holding the model
+//! parameters, the momentum (optimizer) state and the ingest cursor.
 //!
 //! There is one mini-batch update in the crate, `cd::minibatch_step`, and
-//! all three trainers call it: [`CdTrainer`](crate::CdTrainer) and
-//! [`SlsTrainer`](crate::SlsTrainer) from their shared epoch loop, this
-//! module once per mini-batch of each chunk. The stream differs from the
-//! in-memory loop only in where rows, RNG streams and momentum come from.
+//! both trainers call it: [`CdTrainer`](crate::CdTrainer) from its epoch
+//! loop, this module once per mini-batch of each chunk. The stream differs
+//! from the in-memory loop only in where rows, RNG streams and momentum come
+//! from.
 //!
 //! ## Bit-exact resume
 //!
@@ -47,10 +46,9 @@
 //! do in memory.
 
 use crate::cd::{epoch_order, minibatch_step, Guidance, UpdateRule, Velocity};
-use crate::model::BoltzmannMachine;
 use crate::sls::SlsConfig;
 use crate::{
-    EpochStats, FittedPreprocessor, ModelKind, RbmError, RbmParams, Result, TrainConfig,
+    EpochStats, FittedPreprocessor, ModelKind, Rbm, RbmError, RbmParams, Result, TrainConfig,
     TrainingHistory,
 };
 use rand::SeedableRng;
@@ -213,11 +211,13 @@ impl TrainCheckpoint {
         self.epochs_done >= self.train_config.epochs
     }
 
-    /// Validates internal shape agreement (params vs velocity).
+    /// Validates internal shape agreement (params vs velocity) and that
+    /// every parameter and velocity is finite.
     ///
     /// # Errors
     ///
-    /// Returns [`RbmError::InvalidConfig`] on any disagreement.
+    /// Returns [`RbmError::InvalidConfig`] on any disagreement or
+    /// non-finite value.
     pub fn check_consistent(&self) -> Result<()> {
         self.params.check_consistent()?;
         self.train_config.validate()?;
@@ -235,6 +235,13 @@ impl TrainCheckpoint {
                     self.velocity_b.len(),
                     shape
                 ),
+            });
+        }
+        let velocity = self.velocity_a.iter().chain(&self.velocity_b);
+        if !(self.velocity_w.is_finite() && velocity.clone().all(|x| x.is_finite())) {
+            return Err(RbmError::InvalidConfig {
+                name: "checkpoint",
+                message: "momentum velocity must be finite".into(),
             });
         }
         Ok(())
@@ -392,9 +399,9 @@ impl StreamTrainer {
         let guide = supervision
             .map(|(sup, sls)| Guidance::new(sup, *sls, source.n_instances()))
             .transpose()?;
-        let mut model = kind.visible_kind().machine(checkpoint.params.clone());
+        let mut model = Rbm::from_params(kind.visible_kind(), checkpoint.params.clone());
         self.drive(
-            model.as_mut(),
+            &mut model,
             checkpoint,
             source,
             preprocessor,
@@ -408,7 +415,7 @@ impl StreamTrainer {
     /// resume point even when a later chunk errors.
     fn drive(
         &self,
-        model: &mut dyn BoltzmannMachine,
+        model: &mut Rbm,
         checkpoint: &mut TrainCheckpoint,
         source: &dyn ChunkSource,
         preprocessor: &FittedPreprocessor,
@@ -481,13 +488,13 @@ impl StreamTrainer {
 
     /// Row-weighted mean reconstruction error over every chunk of the
     /// source — the streaming counterpart of
-    /// [`BoltzmannMachine::reconstruction_error`]. The chunked summation
+    /// [`Rbm::reconstruction_error`]. The chunked summation
     /// order differs from the in-memory one, so the value may differ from a
     /// whole-dataset evaluation in the last bits; it is a monitoring
     /// statistic, not part of the resume contract.
     fn streaming_reconstruction_error(
         &self,
-        model: &dyn BoltzmannMachine,
+        model: &Rbm,
         source: &dyn ChunkSource,
         preprocessor: &FittedPreprocessor,
     ) -> Result<f64> {
@@ -862,6 +869,31 @@ mod tests {
             }
         }
         assert_ne!(init_seed(42), chunk_seed(42, 0, 0));
+    }
+
+    #[test]
+    fn non_finite_values_are_rejected_at_load() {
+        // `1e400` parses to infinity; neither parameters nor momentum may
+        // carry one into a resumed run.
+        let poisoned = |edit: &dyn Fn(&mut TrainCheckpoint)| {
+            let mut checkpoint =
+                TrainCheckpoint::fresh(ModelKind::Rbm, 4, 3, quick_config(1), 5).unwrap();
+            edit(&mut checkpoint);
+            let json = checkpoint.to_json_pretty().unwrap();
+            assert!(json.contains("12345.5"));
+            TrainCheckpoint::from_json(&json.replace("12345.5", "1e400"))
+        };
+        assert!(matches!(
+            poisoned(&|c| c.params.hidden_bias[1] = 12345.5),
+            Err(RbmError::InvalidConfig { name: "params", .. })
+        ));
+        assert!(matches!(
+            poisoned(&|c| c.velocity_w[(2, 0)] = 12345.5),
+            Err(RbmError::InvalidConfig {
+                name: "checkpoint",
+                ..
+            })
+        ));
     }
 
     #[test]

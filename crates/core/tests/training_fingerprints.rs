@@ -13,9 +13,8 @@ use sls_consensus::{LocalSupervision, VotingPolicy};
 use sls_datasets::{InMemoryChunks, SyntheticBlobs};
 use sls_linalg::{Matrix, MatrixRandomExt, ParallelPolicy};
 use sls_rbm_core::{
-    BoltzmannMachine, CdTrainer, FittedPreprocessor, Grbm, ModelKind, PipelineArtifact, Rbm,
-    RbmParams, SlsConfig, SlsPipelineConfig, SlsTrainer, StreamLimit, StreamTrainer,
-    TrainCheckpoint, TrainConfig,
+    CdTrainer, FittedPreprocessor, ModelKind, PipelineArtifact, Rbm, RbmParams, SlsConfig,
+    SlsPipelineConfig, StreamLimit, StreamTrainer, TrainCheckpoint, TrainConfig, VisibleKind,
 };
 
 /// FNV-1a over the bit patterns of `values`, folded into `hash`.
@@ -115,11 +114,11 @@ fn pipeline_fit_fingerprints() {
 fn cd_trainer_rbm_fingerprint() {
     let mut rng = ChaCha8Rng::seed_from_u64(51);
     let data = Matrix::random_bernoulli(45, 8, 0.4, &mut rng);
-    let mut rbm = Rbm::new(8, 5, &mut rng);
+    let mut rbm = Rbm::new(VisibleKind::Binary, 8, 5, &mut rng);
     CdTrainer::new(TrainConfig::quick().with_epochs(6).with_batch_size(7))
         .unwrap()
         .with_parallel(ParallelPolicy::serial())
-        .train(&mut rbm, &data, &mut rng)
+        .train(&mut rbm, &data, None, &mut rng)
         .unwrap();
     assert_eq!(params_hash(rbm.params()), 5_123_345_410_641_934_936);
 }
@@ -131,19 +130,22 @@ fn sls_trainer_grbm_fingerprint() {
         .separation(4.0)
         .generate(&mut rng);
     let supervision = partial_supervision(ds.labels(), 7);
-    let mut grbm = Grbm::new(6, 5, &mut rng);
+    let mut grbm = Rbm::new(VisibleKind::Gaussian, 6, 5, &mut rng);
     let config = TrainConfig::quick()
         .with_epochs(5)
         .with_batch_size(8)
         .with_learning_rate(0.01);
-    SlsTrainer::new(
-        config,
-        SlsConfig::new(0.4).with_supervision_learning_rate(0.05),
-    )
-    .unwrap()
-    .with_parallel(ParallelPolicy::serial())
-    .train(&mut grbm, ds.features(), &supervision, &mut rng)
-    .unwrap();
+    let sls = SlsConfig::new(0.4).with_supervision_learning_rate(0.05);
+    CdTrainer::new(config)
+        .unwrap()
+        .with_parallel(ParallelPolicy::serial())
+        .train(
+            &mut grbm,
+            ds.features(),
+            Some((&supervision, &sls)),
+            &mut rng,
+        )
+        .unwrap();
     assert_eq!(params_hash(grbm.params()), 9_865_825_524_790_905_534);
 }
 

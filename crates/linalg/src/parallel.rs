@@ -60,11 +60,11 @@ static GLOBAL_CHUNK_ROWS: AtomicUsize = AtomicUsize::new(0);
 
 /// How (and whether) the matrix kernels fan work out across threads.
 ///
-/// A policy is a plain value: cheap to copy, serialisable (though nothing
-/// in the workspace persists one — `SlsPipelineConfig` deliberately skips
-/// its policy so artifacts never bake in a machine's core count), and
-/// inert — `threads = 1` *is* the serial implementation, not a special
-/// case around it.
+/// A policy is a plain value: cheap to copy, process-local (nothing
+/// persists one — `SlsPipelineConfig` deliberately skips its policy so
+/// artifacts never bake in a machine's core count), and inert —
+/// `threads = 1` *is* the serial implementation, not a special case around
+/// it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelPolicy {
     /// Maximum number of threads a kernel may use (at least 1). Above 1,
@@ -81,47 +81,6 @@ pub struct ParallelPolicy {
     /// a row is computed, never its accumulation order, so every value is
     /// bitwise identical for every chunk size.
     pub chunk_rows: usize,
-}
-
-// Hand-written (de)serialisation instead of the derive: `ParallelPolicy`
-// has been a public `Serialize`/`Deserialize` type since before
-// `chunk_rows` existed, and documents written by earlier builds may also
-// carry the retired `pool` / `simd` keys. The vendored derive treats every
-// named field as required (it skips attributes, so `#[serde(default)]`
-// would be silently ignored); these impls read a missing `chunk_rows` as
-// adaptive (`0`) and never look at `pool` / `simd`, neither of which ever
-// changed an output bit.
-impl serde::Serialize for ParallelPolicy {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("threads".to_string(), self.threads.to_value()),
-            (
-                "min_rows_per_thread".to_string(),
-                self.min_rows_per_thread.to_value(),
-            ),
-            ("chunk_rows".to_string(), self.chunk_rows.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for ParallelPolicy {
-    fn from_value(value: &serde::Value) -> std::result::Result<Self, serde::DeError> {
-        let entries = value
-            .as_object()
-            .ok_or_else(|| serde::DeError::mismatch("object", value))?;
-        let chunk_rows = match entries.iter().find(|(name, _)| name == "chunk_rows") {
-            Some((_, v)) => serde::Deserialize::from_value(v)?,
-            None => 0,
-        };
-        Ok(Self {
-            threads: serde::Deserialize::from_value(serde::field(entries, "threads")?)?,
-            min_rows_per_thread: serde::Deserialize::from_value(serde::field(
-                entries,
-                "min_rows_per_thread",
-            )?)?,
-            chunk_rows,
-        })
-    }
 }
 
 impl Default for ParallelPolicy {
@@ -657,36 +616,6 @@ mod tests {
                 .min_rows_per_thread,
             1
         );
-    }
-
-    #[test]
-    fn policy_serde_round_trips_and_reads_pre_pool_documents() {
-        let p = ParallelPolicy::new(3)
-            .with_min_rows_per_thread(7)
-            .with_chunk_rows(2);
-        let json = serde_json::to_string(&p).unwrap();
-        let back: ParallelPolicy = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, p);
-        // Policy JSON written before `chunk_rows` existed still loads, with
-        // adaptive chunking.
-        let legacy = "{\"threads\": 5, \"min_rows_per_thread\": 2}";
-        let back: ParallelPolicy = serde_json::from_str(legacy).unwrap();
-        assert_eq!(back, ParallelPolicy::new(5).with_min_rows_per_thread(2));
-        // Documents carrying the retired `pool` / `simd` keys load too; the
-        // keys are ignored, whatever their value.
-        for (pool, simd) in [(true, false), (false, true)] {
-            let retired = format!(
-                "{{\"threads\": 4, \"min_rows_per_thread\": 3, \"pool\": {pool}, \
-                 \"simd\": {simd}, \"chunk_rows\": 8}}"
-            );
-            let back: ParallelPolicy = serde_json::from_str(&retired).unwrap();
-            assert_eq!(
-                back,
-                ParallelPolicy::new(4)
-                    .with_min_rows_per_thread(3)
-                    .with_chunk_rows(8)
-            );
-        }
     }
 
     #[test]

@@ -399,29 +399,40 @@ mod tests {
 
     #[test]
     fn corrupt_artifact_rejects_reload_and_keeps_old_generation() {
-        let dir = unique_dir("corrupt");
-        artifact(1).save(dir.join("demo.json")).unwrap();
-        let live = LiveRegistry::from_dir(&dir, false).unwrap();
-        let before = live.current();
-        std::fs::write(dir.join("broken.json"), "{ not json }").unwrap();
-        let outcome = live.reload();
-        assert!(!outcome.swapped);
-        assert_eq!(outcome.generation, 1);
-        assert!(outcome.error.unwrap().contains("1 artifact failed"));
-        let broken = outcome.models.iter().find(|m| m.name == "broken").unwrap();
-        assert!(!broken.loaded);
-        assert!(broken.message.is_some());
-        let demo = outcome.models.iter().find(|m| m.name == "demo").unwrap();
-        assert!(demo.loaded);
-        // The serving snapshot is untouched — same Arc, same generation.
-        let after = live.current();
-        assert!(Arc::ptr_eq(&before, &after));
-        assert_eq!(live.failed_reloads(), 1);
-        // Removing the corrupt file heals the next reload.
-        std::fs::remove_file(dir.join("broken.json")).unwrap();
-        assert!(live.reload().swapped);
-        assert_eq!(live.generation(), 2);
-        std::fs::remove_dir_all(&dir).ok();
+        // Unparseable JSON, and a well-formed artifact with a weight that
+        // parses to infinity (it would serve NaN features).
+        let mut poisoned = artifact(2);
+        poisoned.params.weights[(0, 0)] = 12345.5;
+        let poisoned = poisoned
+            .to_json_pretty()
+            .unwrap()
+            .replace("12345.5", "1e400");
+        assert!(poisoned.contains("1e400"));
+        for corrupt in ["{ not json }", poisoned.as_str()] {
+            let dir = unique_dir("corrupt");
+            artifact(1).save(dir.join("demo.json")).unwrap();
+            let live = LiveRegistry::from_dir(&dir, false).unwrap();
+            let before = live.current();
+            std::fs::write(dir.join("broken.json"), corrupt).unwrap();
+            let outcome = live.reload();
+            assert!(!outcome.swapped);
+            assert_eq!(outcome.generation, 1);
+            assert!(outcome.error.unwrap().contains("1 artifact failed"));
+            let broken = outcome.models.iter().find(|m| m.name == "broken").unwrap();
+            assert!(!broken.loaded);
+            assert!(broken.message.is_some());
+            let demo = outcome.models.iter().find(|m| m.name == "demo").unwrap();
+            assert!(demo.loaded);
+            // The serving snapshot is untouched — same Arc, same generation.
+            let after = live.current();
+            assert!(Arc::ptr_eq(&before, &after));
+            assert_eq!(live.failed_reloads(), 1);
+            // Removing the corrupt file heals the next reload.
+            std::fs::remove_file(dir.join("broken.json")).unwrap();
+            assert!(live.reload().swapped);
+            assert_eq!(live.generation(), 2);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use sls_rbm::consensus::{LocalSupervisionBuilder, VotingPolicy};
 use sls_rbm::datasets::{generate_msra_dataset, standardize_columns, MsraDatasetId};
 use sls_rbm::linalg::Matrix;
 use sls_rbm::metrics::EvaluationReport;
-use sls_rbm::rbm::{BoltzmannMachine, CdTrainer, Grbm, SlsConfig, SlsGrbm, TrainConfig};
+use sls_rbm::rbm::{CdTrainer, Rbm, SlsConfig, TrainConfig, VisibleKind};
 
 /// Keep the example fast: a 300 x 128 slice of the full 932 x 892 dataset,
 /// sampled with a column stride so the informative/irrelevant mix of the
@@ -68,10 +68,10 @@ fn main() {
     let train = TrainConfig::default()
         .with_learning_rate(5e-3)
         .with_epochs(15);
-    let mut grbm = Grbm::new(data.cols(), 32, &mut rng);
-    CdTrainer::new(train)
-        .unwrap()
-        .train(&mut grbm, &data, &mut rng)
+    let trainer = CdTrainer::new(train).expect("valid training config");
+    let mut grbm = Rbm::new(VisibleKind::Gaussian, data.cols(), 32, &mut rng);
+    trainer
+        .train(&mut grbm, &data, None, &mut rng)
         .expect("CD training");
     let grbm_features = grbm.hidden_probabilities(&data).expect("features");
     let km_grbm = KMeans::new(k)
@@ -100,11 +100,12 @@ fn main() {
         supervision.summary().coverage * 100.0
     );
 
-    let mut sls = SlsGrbm::new(data.cols(), 32, &mut rng);
+    let mut sls = Rbm::new(VisibleKind::Gaussian, data.cols(), 32, &mut rng);
     let sls_config = SlsConfig::paper_grbm().with_supervision_learning_rate(0.2);
-    sls.train(&data, &supervision, train, sls_config, &mut rng)
+    trainer
+        .train(&mut sls, &data, Some((&supervision, &sls_config)), &mut rng)
         .expect("sls training");
-    let sls_features = sls.hidden_features(&data).expect("features");
+    let sls_features = sls.hidden_probabilities(&data).expect("features");
     let km_sls = KMeans::new(k)
         .fit(&sls_features, &mut rng)
         .expect("K-means")

@@ -11,7 +11,7 @@ use rand_chacha::ChaCha8Rng;
 use sls_rbm::consensus::{LocalSupervision, VotingPolicy};
 use sls_rbm::datasets::{binarize_median, generate_uci_dataset, UciDatasetId};
 use sls_rbm::rbm::{
-    load_params_json, save_params_json, BoltzmannMachine, SlsConfig, SlsRbm, TrainConfig,
+    load_params_json, save_params_json, CdTrainer, Rbm, SlsConfig, TrainConfig, VisibleKind,
 };
 
 fn main() {
@@ -37,15 +37,16 @@ fn main() {
         .expect("supervision");
     print_supervision(&supervision);
 
-    let mut model = SlsRbm::new(data.cols(), 12, &mut rng);
-    let history = model
+    let mut model = Rbm::new(VisibleKind::Binary, data.cols(), 12, &mut rng);
+    let train = TrainConfig::default()
+        .with_learning_rate(0.05)
+        .with_epochs(10);
+    let history = CdTrainer::new(train)
+        .expect("valid training config")
         .train(
+            &mut model,
             &data,
-            &supervision,
-            TrainConfig::default()
-                .with_learning_rate(0.05)
-                .with_epochs(10),
-            SlsConfig::paper_rbm(),
+            Some((&supervision, &SlsConfig::paper_rbm())),
             &mut rng,
         )
         .expect("training");
@@ -61,9 +62,12 @@ fn main() {
     save_params_json(model.params(), &path).expect("save model");
     println!("model saved to {}", path.display());
 
-    let reloaded = SlsRbm::from_params(load_params_json(&path).expect("load model"));
-    let original_features = model.hidden_features(&data).expect("features");
-    let reloaded_features = reloaded.hidden_features(&data).expect("features");
+    let reloaded = Rbm::from_params(
+        VisibleKind::Binary,
+        load_params_json(&path).expect("load model"),
+    );
+    let original_features = model.hidden_probabilities(&data).expect("features");
+    let reloaded_features = reloaded.hidden_probabilities(&data).expect("features");
     assert!(original_features.approx_eq(&reloaded_features, 1e-12));
     println!(
         "reloaded model reproduces identical hidden features for {} instances x {} hidden units",

@@ -10,7 +10,7 @@ use rand_chacha::ChaCha8Rng;
 use sls_rbm::clustering::KMeans;
 use sls_rbm::datasets::SyntheticBlobs;
 use sls_rbm::metrics::EvaluationReport;
-use sls_rbm::rbm::{SlsGrbmPipeline, SlsPipelineConfig};
+use sls_rbm::rbm::{run_pipeline, ModelKind, SlsPipelineConfig};
 
 fn main() {
     // Everything is seeded, so the example prints the same numbers on every
@@ -39,8 +39,7 @@ fn main() {
     //    Gaussian-visible model with the constrict/disperse objective, and
     //    extract hidden features.
     let config = SlsPipelineConfig::quick_demo().with_hidden(16);
-    let outcome = SlsGrbmPipeline::new(config)
-        .run(dataset.features(), &mut rng)
+    let outcome = run_pipeline(ModelKind::SlsGrbm, &config, dataset.features(), &mut rng)
         .expect("slsGRBM pipeline");
     if let Some(supervision) = outcome.supervision {
         println!(

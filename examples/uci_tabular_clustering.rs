@@ -12,7 +12,7 @@ use sls_rbm::clustering::KMeans;
 use sls_rbm::consensus::VotingPolicy;
 use sls_rbm::datasets::{generate_uci_dataset, UciDatasetId};
 use sls_rbm::metrics::EvaluationReport;
-use sls_rbm::rbm::{Preprocessing, RbmPipeline, SlsPipelineConfig, SlsRbmPipeline, TrainConfig};
+use sls_rbm::rbm::{run_pipeline, ModelKind, Preprocessing, SlsPipelineConfig, TrainConfig};
 
 fn evaluate(name: &str, features: &sls_rbm::linalg::Matrix, truth: &[usize], k: usize) {
     let mut rng = ChaCha8Rng::seed_from_u64(31);
@@ -53,9 +53,8 @@ fn main() {
             .with_preprocessing(Preprocessing::BinarizeMedian);
 
         // Raw binarised features (what the conventional clusterers see).
-        let baseline = RbmPipeline::new(config)
-            .run(ds.features(), &mut rng)
-            .expect("RBM pipeline");
+        let baseline =
+            run_pipeline(ModelKind::Rbm, &config, ds.features(), &mut rng).expect("RBM pipeline");
         evaluate(
             "raw (binarised) + K-means",
             &baseline.preprocessed,
@@ -70,8 +69,7 @@ fn main() {
         );
 
         // Full slsRBM pipeline (supervision + constrict/disperse training).
-        let sls = SlsRbmPipeline::new(config)
-            .run(ds.features(), &mut rng)
+        let sls = run_pipeline(ModelKind::SlsRbm, &config, ds.features(), &mut rng)
             .expect("slsRBM pipeline");
         evaluate(
             "slsRBM features + K-means",

@@ -22,7 +22,7 @@
 //! | [`clustering`] | `sls-clustering` | k-means, density peaks, affinity propagation |
 //! | [`metrics`] | `sls-metrics` | accuracy, purity, Rand, FMI, NMI |
 //! | [`consensus`] | `sls-consensus` | label alignment, unanimous voting, local supervision |
-//! | [`rbm`] | `sls-rbm-core` | RBM, GRBM, slsRBM, slsGRBM, pipelines, artifacts |
+//! | [`rbm`] | `sls-rbm-core` | the RBM over binary or Gaussian visible units, its CD/sls trainer, the pipeline, artifacts |
 //! | [`serve`] | `sls-serve` | artifact registry, HTTP JSON inference server, client |
 //!
 //! ## Quickstart
@@ -31,13 +31,12 @@
 //! use rand::SeedableRng;
 //! use rand_chacha::ChaCha8Rng;
 //! use sls_rbm::datasets::SyntheticBlobs;
-//! use sls_rbm::rbm::{SlsGrbmPipeline, SlsPipelineConfig};
+//! use sls_rbm::rbm::{run_pipeline, ModelKind, SlsPipelineConfig};
 //!
 //! let mut rng = ChaCha8Rng::seed_from_u64(7);
 //! let dataset = SyntheticBlobs::new(90, 8, 3).separation(4.0).generate(&mut rng);
 //! let config = SlsPipelineConfig::quick_demo();
-//! let outcome = SlsGrbmPipeline::new(config)
-//!     .run(dataset.features(), &mut rng)
+//! let outcome = run_pipeline(ModelKind::SlsGrbm, &config, dataset.features(), &mut rng)
 //!     .expect("pipeline runs");
 //! assert_eq!(outcome.hidden_features.rows(), 90);
 //! ```
@@ -89,13 +88,11 @@ mod tests {
 
         use rand::SeedableRng;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
-        let model = rbm::Rbm::new(3, 2, &mut rng);
-        assert_eq!(rbm::BoltzmannMachine::params(&model).n_visible(), 3);
+        let model = rbm::Rbm::new(rbm::VisibleKind::Binary, 3, 2, &mut rng);
+        assert_eq!(model.params().n_visible(), 3);
 
-        let artifact = rbm::PipelineArtifact::from_params(
-            rbm::BoltzmannMachine::params(&model).clone(),
-            rbm::ModelKind::Rbm,
-        );
+        let artifact =
+            rbm::PipelineArtifact::from_params(model.params().clone(), rbm::ModelKind::Rbm);
         let mut registry = serve::ModelRegistry::new();
         registry.insert("smoke", artifact);
         assert_eq!(registry.len(), 1);

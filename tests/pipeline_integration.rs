@@ -9,8 +9,8 @@ use sls_rbm::consensus::{LocalSupervisionBuilder, VotingPolicy};
 use sls_rbm::datasets::{binarize_median, standardize_columns, SyntheticBlobs};
 use sls_rbm::metrics::{clustering_accuracy, EvaluationReport};
 use sls_rbm::rbm::{
-    BoltzmannMachine, CdTrainer, Grbm, GrbmPipeline, Preprocessing, Rbm, SlsConfig, SlsGrbm,
-    SlsGrbmPipeline, SlsPipelineConfig, SlsRbm, SlsRbmPipeline, TrainConfig,
+    run_pipeline, CdTrainer, ModelKind, Preprocessing, Rbm, SlsConfig, SlsPipelineConfig,
+    TrainConfig, VisibleKind,
 };
 
 fn rng(seed: u64) -> ChaCha8Rng {
@@ -52,11 +52,12 @@ fn full_gaussian_stack_improves_or_matches_raw_clustering() {
         .with_learning_rate(5e-3)
         .with_epochs(30);
     let sls_config = SlsConfig::paper_grbm();
-    let mut model = SlsGrbm::new(data.cols(), 24, &mut r);
-    model
-        .train(&data, &supervision, train, sls_config, &mut r)
+    let mut model = Rbm::new(VisibleKind::Gaussian, data.cols(), 24, &mut r);
+    CdTrainer::new(train)
+        .unwrap()
+        .train(&mut model, &data, Some((&supervision, &sls_config)), &mut r)
         .unwrap();
-    let hidden = model.hidden_features(&data).unwrap();
+    let hidden = model.hidden_probabilities(&data).unwrap();
     let assignment = KMeans::new(3).fit(&hidden, &mut r).unwrap().assignment;
     let sls_accuracy = clustering_accuracy(assignment.labels(), ds.labels()).unwrap();
 
@@ -91,20 +92,21 @@ fn full_binary_stack_runs_and_evaluates() {
         .build_from_partitions(&partitions)
         .unwrap();
 
-    let mut model = SlsRbm::new(data.cols(), 8, &mut r);
-    let history = model
+    let mut model = Rbm::new(VisibleKind::Binary, data.cols(), 8, &mut r);
+    let train = TrainConfig::default()
+        .with_learning_rate(0.05)
+        .with_epochs(10);
+    let history = CdTrainer::new(train)
+        .unwrap()
         .train(
+            &mut model,
             &data,
-            &supervision,
-            TrainConfig::default()
-                .with_learning_rate(0.05)
-                .with_epochs(10),
-            SlsConfig::paper_rbm(),
+            Some((&supervision, &SlsConfig::paper_rbm())),
             &mut r,
         )
         .unwrap();
     assert_eq!(history.epochs.len(), 10);
-    let hidden = model.hidden_features(&data).unwrap();
+    let hidden = model.hidden_probabilities(&data).unwrap();
     let report = EvaluationReport::evaluate(
         KMeans::new(2)
             .fit(&hidden, &mut r)
@@ -125,12 +127,8 @@ fn sls_pipeline_and_baseline_pipeline_share_preprocessing() {
         .separation(5.0)
         .generate(&mut r);
     let config = SlsPipelineConfig::quick_demo().with_hidden(10);
-    let sls = SlsGrbmPipeline::new(config)
-        .run(ds.features(), &mut rng(7))
-        .unwrap();
-    let baseline = GrbmPipeline::new(config)
-        .run(ds.features(), &mut rng(7))
-        .unwrap();
+    let sls = run_pipeline(ModelKind::SlsGrbm, &config, ds.features(), &mut rng(7)).unwrap();
+    let baseline = run_pipeline(ModelKind::Grbm, &config, ds.features(), &mut rng(7)).unwrap();
     // Preprocessing is deterministic, so both pipelines must see the same
     // standardised matrix.
     assert!(sls.preprocessed.approx_eq(&baseline.preprocessed, 1e-12));
@@ -150,9 +148,7 @@ fn binary_pipeline_binarizes_before_training() {
         .with_clusters(2)
         .with_hidden(6)
         .with_preprocessing(Preprocessing::BinarizeMedian);
-    let outcome = SlsRbmPipeline::new(config)
-        .run(ds.features(), &mut r)
-        .unwrap();
+    let outcome = run_pipeline(ModelKind::SlsRbm, &config, ds.features(), &mut r).unwrap();
     assert!(outcome
         .preprocessed
         .as_slice()
@@ -172,18 +168,18 @@ fn trained_baselines_are_reusable_across_crates() {
         .generate(&mut r);
 
     let binary = binarize_median(ds.features());
-    let mut rbm = Rbm::new(6, 4, &mut r);
+    let mut rbm = Rbm::new(VisibleKind::Binary, 6, 4, &mut r);
     CdTrainer::new(TrainConfig::quick())
         .unwrap()
-        .train(&mut rbm, &binary, &mut r)
+        .train(&mut rbm, &binary, None, &mut r)
         .unwrap();
     let rbm_features = rbm.hidden_probabilities(&binary).unwrap();
 
     let continuous = standardize_columns(ds.features()).unwrap();
-    let mut grbm = Grbm::new(6, 4, &mut r);
+    let mut grbm = Rbm::new(VisibleKind::Gaussian, 6, 4, &mut r);
     CdTrainer::new(TrainConfig::quick().with_learning_rate(0.01))
         .unwrap()
-        .train(&mut grbm, &continuous, &mut r)
+        .train(&mut grbm, &continuous, None, &mut r)
         .unwrap();
     let grbm_features = grbm.hidden_probabilities(&continuous).unwrap();
 
@@ -197,11 +193,14 @@ fn trained_baselines_are_reusable_across_crates() {
 #[test]
 fn model_persistence_round_trips_through_the_umbrella_crate() {
     let mut r = rng(6);
-    let model = SlsGrbm::new(9, 5, &mut r);
+    let model = Rbm::new(VisibleKind::Gaussian, 9, 5, &mut r);
     let dir = std::env::temp_dir().join("sls_rbm_integration_io");
     let path = dir.join("model.json");
     sls_rbm::rbm::save_params_json(model.params(), &path).unwrap();
-    let reloaded = SlsGrbm::from_params(sls_rbm::rbm::load_params_json(&path).unwrap());
+    let reloaded = Rbm::from_params(
+        VisibleKind::Gaussian,
+        sls_rbm::rbm::load_params_json(&path).unwrap(),
+    );
     assert_eq!(reloaded.params(), model.params());
     std::fs::remove_dir_all(&dir).ok();
 }
