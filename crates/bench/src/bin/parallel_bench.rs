@@ -23,13 +23,14 @@
 //! * `skew_heavy_band` — a ragged map kernel where the last quarter of the
 //!   rows costs ~8x the rest: the straggler shape fixed-equal-band dispatch
 //!   loses to. `pool_fixed` pins the chunk size to one band per thread
-//!   (emulating the pre-stealing split); `pool` is the shipping adaptive
-//!   chunking + work-stealing, which the CI gate requires to be >= 1.5x
-//!   faster on the 4-core runner;
+//!   (emulating the old fixed split); `pool` is the shipping adaptive
+//!   chunking, its chunks claimed one at a time by the caller and idle
+//!   workers, which the CI gate requires to be >= 1.5x faster on the
+//!   4-core runner;
 //! * `skew_mixed_scopes` — serving-sized 8-row feature batches timed while
 //!   a background thread saturates the same pool with training-sized
 //!   matmuls: band-sized chunks pin a worker for a whole band, adaptive
-//!   chunks free one up after a short chunk, so small-scope latency under
+//!   chunks free one up after a short chunk, so small-call latency under
 //!   load is the difference between the two;
 //! * `transpose_right_tiling` — `matmul_transpose_right` at the ROADMAP's
 //!   512x256x256 shape: untiled, tiled (the shipping configuration) and a
@@ -55,7 +56,7 @@
 //! small-batch section, at the core count, or on `consensus_full`, or if
 //! tiled `transpose_right` is slower than untiled — each beyond the
 //! tolerance factor `TOL` — or if tiled `transpose_right` misses the
-//! 1.4x-of-`matmul` bar, or if (with 4+ cores) work-stealing
+//! 1.4x-of-`matmul` bar, or if (with 4+ cores) adaptive chunked
 //! dispatch on the skewed workload fails to beat the fixed-equal-band
 //! split by 1.5x. This is how CI turns the committed report into an
 //! enforced baseline instead of a snapshot.
@@ -316,8 +317,8 @@ fn run(args: &[String]) -> Result<(), String> {
     // Skewed workloads: equal row counts are not equal costs. The last
     // quarter of the rows does ~8x the per-row work of the rest, so under
     // a fixed-equal-band split the whole call waits on the one heavy band
-    // while chunked work-stealing dispatch spreads the heavy chunks over
-    // every thread. `pool_fixed` emulates the old split by pinning the
+    // while adaptive chunks, claimed one at a time, spread the heavy rows
+    // over every thread. `pool_fixed` emulates the old split by pinning the
     // chunk size to one band (ceil(rows/threads)); `pool` is the shipping
     // adaptive chunking.
     let (skew_rows, skew_cols) = if quick { (128, 256) } else { (256, 512) };
@@ -350,7 +351,7 @@ fn run(args: &[String]) -> Result<(), String> {
         push(&mut results, "skew_heavy_band", threads, mode, millis);
     }
 
-    // Mixed scope sizes: serving-sized batches (8 rows) timed per call
+    // Mixed call sizes: serving-sized batches (8 rows) timed per call
     // while a background thread continuously pushes training-sized pooled
     // matmuls through the same pool. With band-sized chunks a worker is
     // pinned for a whole training band before it can pick up a serving
@@ -672,7 +673,7 @@ fn enforce_gate(report: &Report, tol: f64, cores: usize) -> Result<(), String> {
             find("consensus_full", "serial", None).map(|s| s * tol),
         );
     }
-    // On the skewed workload, chunked work-stealing dispatch must beat the
+    // On the skewed workload, adaptive chunked dispatch must beat the
     // fixed-equal-band split it replaced by a hard 1.5x (independent of
     // TOL — this is the PR's acceptance bar, not a drift tolerance). Below
     // 4 cores the straggler band cannot be spread far enough for the bar
@@ -680,7 +681,7 @@ fn enforce_gate(report: &Report, tol: f64, cores: usize) -> Result<(), String> {
     // bigger machines.
     if cores >= 4 {
         check(
-            "skew_heavy_band: pool (stealing) >= 1.5x faster than pool_fixed".to_string(),
+            "skew_heavy_band: pool (adaptive chunks) >= 1.5x faster than pool_fixed".to_string(),
             find("skew_heavy_band", "pool", None),
             find("skew_heavy_band", "pool_fixed", None).map(|s| s / 1.5),
         );

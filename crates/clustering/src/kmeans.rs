@@ -321,6 +321,17 @@ mod tests {
     }
 
     #[test]
+    fn zero_width_data_gets_one_label_per_row() {
+        // Rows without features are all at distance 0 from every centre;
+        // the assignment must still label each of them, not panic.
+        let data = Matrix::zeros(10, 0);
+        let outcome = KMeans::new(3).fit(&data, &mut rng()).unwrap();
+        let labels = outcome.assignment.labels();
+        assert_eq!(labels.len(), 10);
+        assert!(labels.iter().all(|&l| l < 3));
+    }
+
+    #[test]
     fn recovers_two_obvious_clusters() {
         let data = Matrix::from_rows(&[
             vec![0.0, 0.0],

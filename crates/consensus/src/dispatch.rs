@@ -16,39 +16,23 @@ use sls_linalg::{ParallelPolicy, WorkerPool};
 
 /// Runs `task(0..n)` under `policy` and returns the results in index order.
 ///
-/// Dispatch mirrors the linalg kernels: inline when the policy is serial,
-/// when there is at most one task, or when already inside a pool job.
-/// Otherwise it spawns *one pool job per task*: tasks are few and heavy
-/// (whole clusterers, whole alignments) with very unequal runtimes, so
-/// per-task granularity lets the pool's work-stealing rebalance stragglers
-/// instead of pinning a fixed band to each thread.
+/// Inline when the policy is serial. Otherwise every task is one item of a
+/// pool [`WorkerPool::for_each_mut`] call (which itself runs inline for at
+/// most one task or inside a pool job): tasks are few and heavy (whole
+/// clusterers, whole alignments) with very unequal runtimes, so handing
+/// them out one at a time lets the idle threads take the next task instead
+/// of pinning a fixed band to each thread.
 pub(crate) fn run_indexed<T, F>(n: usize, policy: &ParallelPolicy, task: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if policy.is_serial() || n <= 1 || WorkerPool::on_worker_thread() {
+    if policy.is_serial() {
         return (0..n).map(task).collect();
     }
-
     let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
     slots.resize_with(n, || None);
-    WorkerPool::global().scope(|scope| {
-        let mut rest = slots.as_mut_slice();
-        let mut first = None;
-        for i in 0..n {
-            let (slot, tail) = rest.split_first_mut().expect("n slots");
-            rest = tail;
-            if i == 0 {
-                first = Some(slot);
-            } else {
-                let task = &task;
-                scope.spawn(move || *slot = Some(task(i)));
-            }
-        }
-        // The submitter runs task 0 itself, then helps drain the rest.
-        *first.expect("n >= 2 tasks") = Some(task(0));
-    });
+    WorkerPool::global().for_each_mut(&mut slots, |i, slot| *slot = Some(task(i)));
     slots
         .into_iter()
         .map(|slot| slot.expect("every task slot is filled"))

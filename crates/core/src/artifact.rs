@@ -370,7 +370,8 @@ impl PipelineArtifact {
     ///
     /// # Errors
     ///
-    /// Propagates preprocessing, supervision, training and clustering
+    /// Returns [`RbmError::InvalidConfig`] if `config.n_hidden` is zero;
+    /// propagates preprocessing, supervision, training and clustering
     /// errors.
     pub fn fit(
         model_kind: ModelKind,
@@ -605,6 +606,32 @@ mod tests {
         assert_eq!(head.centroids.shape(), (3, 12));
         assert_eq!(a.train_config.unwrap().n_clusters, 3);
         assert_eq!(f.assignments.len(), 45);
+    }
+
+    #[test]
+    fn fit_rejects_a_model_without_hidden_units() {
+        let mut r = rng();
+        let ds = SyntheticBlobs::new(45, 5, 3)
+            .separation(6.0)
+            .generate(&mut r);
+        for kind in [ModelKind::Grbm, ModelKind::SlsGrbm] {
+            let fitted = PipelineArtifact::fit(
+                kind,
+                SlsPipelineConfig::quick_demo().with_hidden(0),
+                ds.features(),
+                &mut r,
+            );
+            assert!(
+                matches!(
+                    fitted,
+                    Err(RbmError::InvalidConfig {
+                        name: "n_hidden",
+                        ..
+                    })
+                ),
+                "{kind:?}"
+            );
+        }
     }
 
     #[test]

@@ -596,7 +596,7 @@ mod tests {
             ParallelPolicy::serial(),
             ParallelPolicy::new(4).with_min_rows_per_thread(1),
             ParallelPolicy::new(7).with_min_rows_per_thread(2),
-            // Single-row chunks: the most aggressive stealing reorder.
+            // Single-row chunks: the most aggressive claim reordering.
             ParallelPolicy::new(4)
                 .with_min_rows_per_thread(1)
                 .with_chunk_rows(1),

@@ -38,6 +38,24 @@ impl RbmParams {
         }
     }
 
+    /// Rejects a model without hidden units before any work is done: it
+    /// would train to an empty feature space that no cluster head can be
+    /// fitted on. Both training entry points ([`crate::run_pipeline`] and
+    /// [`crate::TrainCheckpoint::fresh`]) call this first.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RbmError::InvalidConfig`] if `n_hidden == 0`.
+    pub(crate) fn check_hidden_units(n_hidden: usize) -> Result<()> {
+        if n_hidden == 0 {
+            return Err(RbmError::InvalidConfig {
+                name: "n_hidden",
+                message: "a model needs at least one hidden unit".into(),
+            });
+        }
+        Ok(())
+    }
+
     /// Number of visible units.
     pub fn n_visible(&self) -> usize {
         self.weights.rows()

@@ -253,13 +253,16 @@ pub fn base_clusterers(k: usize, parallel: &ParallelPolicy) -> Vec<Box<dyn Clust
 ///
 /// # Errors
 ///
-/// Propagates preprocessing, clustering, supervision and training errors.
+/// Returns [`RbmError::InvalidConfig`](crate::RbmError::InvalidConfig) if
+/// `config.n_hidden` is zero; propagates preprocessing, clustering,
+/// supervision and training errors.
 pub fn run_pipeline(
     kind: ModelKind,
     config: &SlsPipelineConfig,
     data: &Matrix,
     rng: &mut impl Rng,
 ) -> Result<PipelineOutcome> {
+    RbmParams::check_hidden_units(config.n_hidden)?;
     let parallel = &config.parallel;
     let trainer = CdTrainer::new(config.train)?.with_parallel(*parallel);
     let (preprocessor, preprocessed) = preprocess(data, config.preprocessing, parallel)?;

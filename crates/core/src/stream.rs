@@ -175,7 +175,8 @@ impl TrainCheckpoint {
     ///
     /// # Errors
     ///
-    /// Returns [`RbmError::InvalidConfig`] if the configuration is invalid.
+    /// Returns [`RbmError::InvalidConfig`] if the configuration is invalid
+    /// or `n_hidden` is zero.
     pub fn fresh(
         model_kind: ModelKind,
         n_visible: usize,
@@ -183,6 +184,7 @@ impl TrainCheckpoint {
         train_config: TrainConfig,
         base_seed: u64,
     ) -> Result<Self> {
+        RbmParams::check_hidden_units(n_hidden)?;
         train_config.validate()?;
         let mut init_rng = ChaCha8Rng::seed_from_u64(init_seed(base_seed));
         Ok(Self {

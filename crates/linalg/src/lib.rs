@@ -63,7 +63,7 @@ pub use norms::{
     euclidean_distance, pairwise_distances, pairwise_distances_with, squared_euclidean_distance,
 };
 pub use parallel::{ParallelPolicy, DEFAULT_MIN_ROWS_PER_THREAD, ENV_MIN_ROWS, ENV_THREADS};
-pub use pool::{PoolScope, WorkerPool};
+pub use pool::WorkerPool;
 pub use random::MatrixRandomExt;
 pub use stats::{ColumnStats, Standardizer};
 pub use vector::{

@@ -200,9 +200,10 @@ impl Matrix {
         (0..self.rows).map(|i| self[(i, j)]).collect()
     }
 
-    /// Iterator over rows as slices.
+    /// Iterator over rows as slices: always [`Matrix::rows`] of them, empty
+    /// slices when the matrix has no columns.
     pub fn row_iter(&self) -> impl Iterator<Item = &[f64]> + '_ {
-        self.data.chunks_exact(self.cols.max(1))
+        (0..self.rows).map(move |i| &self.data[i * self.cols..(i + 1) * self.cols])
     }
 
     /// Returns a new matrix containing the selected rows, in order.
@@ -567,6 +568,10 @@ mod tests {
         let rows: Vec<&[f64]> = m.row_iter().collect();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[1], &[4.0, 5.0, 6.0]);
+        // A zero-width matrix still has its rows, each an empty slice.
+        let empty = Matrix::zeros(3, 0);
+        let rows: Vec<&[f64]> = empty.row_iter().collect();
+        assert_eq!(rows, vec![&[] as &[f64]; 3]);
     }
 
     #[test]

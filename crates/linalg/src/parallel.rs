@@ -76,10 +76,10 @@ pub struct ParallelPolicy {
     /// Rows per chunk for fanned-out calls; `0` (the default) sizes chunks
     /// adaptively from the row count and a per-row cost hint (see
     /// [`ParallelPolicy::chunk_rows`]). Fanned-out kernel calls are split
-    /// into *more chunks than threads* so the pool's work-stealing can
-    /// rebalance ragged per-row costs; the chunk size only reorders *when*
-    /// a row is computed, never its accumulation order, so every value is
-    /// bitwise identical for every chunk size.
+    /// into *more chunks than threads* so the pool, which hands out one
+    /// chunk at a time, can balance ragged per-row costs; the chunk size
+    /// only reorders *when* a row is computed, never its accumulation
+    /// order, so every value is bitwise identical for every chunk size.
     pub chunk_rows: usize,
 }
 
@@ -131,7 +131,7 @@ impl ParallelPolicy {
 
     /// Fixes the chunk size to `chunk_rows` rows per chunk (`0` restores
     /// the adaptive default). Results are bitwise identical for every chunk
-    /// size — the knob only trades scheduling overhead against stealing
+    /// size — the knob only trades scheduling overhead against balancing
     /// granularity.
     pub fn with_chunk_rows(mut self, chunk_rows: usize) -> Self {
         self.chunk_rows = chunk_rows;
@@ -160,12 +160,13 @@ impl ParallelPolicy {
     ///
     /// A fixed `chunk_rows` (set via [`ParallelPolicy::with_chunk_rows`] or
     /// `SLS_PARALLEL_CHUNK_ROWS`) wins outright. The adaptive default aims
-    /// for [`Self::CHUNKS_PER_THREAD`] chunks per thread — enough slack for
-    /// the pool's work-stealing to pull a straggling band apart — floored so
-    /// one chunk still carries at least [`Self::MIN_CHUNK_ROW_OPS`] worth of
-    /// row work (so tiny rows don't drown in scheduling overhead), and
-    /// capped at one equal band per thread (chunking must never *reduce*
-    /// the parallelism an equal split would get).
+    /// for [`Self::CHUNKS_PER_THREAD`] chunks per thread — enough slack
+    /// that the threads claiming chunks one at a time can work around a
+    /// straggling band — floored so one chunk still carries at least
+    /// [`Self::MIN_CHUNK_ROW_OPS`] worth of row work (so tiny rows don't
+    /// drown in scheduling overhead), and capped at one equal band per
+    /// thread (chunking must never *reduce* the parallelism an equal split
+    /// would get).
     ///
     /// Chunk boundaries never split a row, so every chunk size — adaptive,
     /// forced tiny, or forced band-sized — produces bitwise identical
@@ -183,8 +184,8 @@ impl ParallelPolicy {
     }
 
     /// Adaptive chunking targets this many chunks per participating thread:
-    /// enough over-partitioning that stealing can rebalance a band that
-    /// turns out ~8x heavier than its peers, small enough that per-chunk
+    /// enough over-partitioning that one-at-a-time claiming balances a band
+    /// that turns out ~8x heavier than its peers, small enough that per-chunk
     /// dispatch stays negligible against real row work.
     pub const CHUNKS_PER_THREAD: usize = 4;
 
@@ -278,19 +279,13 @@ fn read_env_usize(name: &str) -> Option<usize> {
 ///
 /// A fanned-out call is split into *more chunks than threads*
 /// ([`ParallelPolicy::chunk_rows`]): equal row counts are not equal costs
-/// once per-row work is ragged, and over-partitioning plus the pool's
-/// steal-half scheduling keeps every thread busy until the last chunk
-/// retires instead of idling behind one straggling band. Chunk boundaries
-/// never split a row's accumulation, so output is bitwise identical for
-/// every chunk size and thread count. The calling thread executes the
-/// first chunk itself, then drains its scope's remaining chunks through the
-/// pool's help path.
-///
-/// When already executing a pool job (a nested kernel inside a row closure
-/// — whether that closure runs on a worker thread or on a scope waiter's
-/// help path), the work runs inline: every pool thread is already
-/// computing, so a nested fan-out would only round-trip the queues. The
-/// inline result is bitwise identical anyway.
+/// once per-row work is ragged, and the pool's participants claim chunks
+/// one at a time, so a thread that finishes early takes the next chunk
+/// instead of idling behind one straggling band. Chunk boundaries never
+/// split a row's accumulation, so output is bitwise identical for every
+/// chunk size and thread count. The calling thread claims chunks too, and
+/// a call from inside a pool item (a nested kernel) runs its chunks inline
+/// (see [`WorkerPool::for_each_mut`]).
 fn for_each_row_block(
     out: &mut [f64],
     rows: usize,
@@ -300,31 +295,16 @@ fn for_each_row_block(
     work: &(impl Fn(Range<usize>, &mut [f64]) + Sync),
 ) {
     let threads = policy.effective_threads(rows);
-    if threads == 1 || WorkerPool::on_worker_thread() {
+    // A zero-width output has no storage to split into chunks.
+    if threads == 1 || row_width == 0 {
         work(0..rows, out);
         return;
     }
     let chunk_rows = policy.chunk_rows(rows, row_cost, threads);
-    let mut blocks = Vec::with_capacity(rows.div_ceil(chunk_rows));
-    let mut rest = out;
-    let mut start = 0;
-    while start < rows {
-        let block_rows = chunk_rows.min(rows - start);
-        let (block, tail) = rest.split_at_mut(block_rows * row_width);
-        rest = tail;
-        blocks.push((start..start + block_rows, block));
-        start += block_rows;
-    }
-    WorkerPool::global().scope(|scope| {
-        let mut blocks = blocks.into_iter();
-        let (first_range, first_block) = blocks.next().expect("rows >= 1 chunk");
-        for (range, block) in blocks {
-            scope.spawn(move || work(range, block));
-        }
-        // The submitter is a full participant: it processes the first
-        // chunk while the workers process (and steal) the rest, then
-        // helps drain this scope's remaining chunks.
-        work(first_range, first_block);
+    let mut blocks: Vec<&mut [f64]> = out.chunks_mut(chunk_rows * row_width).collect();
+    WorkerPool::global().for_each_mut(&mut blocks, |b, block| {
+        let start = b * chunk_rows;
+        work(start..start + block.len() / row_width, block);
     });
 }
 

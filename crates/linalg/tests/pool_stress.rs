@@ -1,17 +1,18 @@
 //! Concurrency stress tests for the persistent [`WorkerPool`].
 //!
 //! The pool replaces `std::thread::scope`'s compiler-enforced lifetime
-//! guarantees with hand-rolled synchronisation (Mutex + Condvar injector,
-//! completion latch, lifetime-erased closures), so this suite attacks the
-//! hand-rolled parts directly: many threads submitting concurrently,
-//! repeated construct/submit/drop cycles, panic propagation to the
-//! submitter, and pool usability after panics. The bitwise-identity
+//! guarantees with hand-rolled synchronisation (one Mutex + Condvar job
+//! queue, an atomic claim counter and a done count per call,
+//! lifetime-erased closures), so this suite attacks the hand-rolled parts
+//! directly: many threads calling [`WorkerPool::for_each_mut`]
+//! concurrently, repeated construct/call/drop cycles, panic propagation to
+//! the caller, and pool usability after panics. The bitwise-identity
 //! guarantees of the pooled *kernels* live in `properties.rs`; this file is
 //! about the pool machinery itself.
 
 use sls_linalg::{Matrix, MatrixRandomExt, ParallelPolicy, WorkerPool};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 fn bitwise_eq(a: &Matrix, b: &Matrix) -> bool {
     a.shape() == b.shape()
@@ -21,11 +22,24 @@ fn bitwise_eq(a: &Matrix, b: &Matrix) -> bool {
             .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
+/// Asserts that the current thread is a pool worker or `caller`.
+fn assert_on_pool_or(caller: std::thread::ThreadId) {
+    let current = std::thread::current();
+    let on_pool_worker = current
+        .name()
+        .is_some_and(|name| name.starts_with("sls-pool-worker-"));
+    assert!(
+        on_pool_worker || current.id() == caller,
+        "item ran on a foreign thread: {:?}",
+        current.name()
+    );
+}
+
 #[test]
 fn many_threads_submitting_scopes_concurrently() {
-    // 8 submitters × 50 scopes × 4 tasks, all against one 3-worker pool:
-    // the injector queue and latch bookkeeping must never lose or double-run
-    // a task.
+    // 8 callers × 50 calls × 4 items, all against one 3-worker pool: the
+    // job queue and the claim/done counters must never lose or double-run
+    // an item.
     let pool = WorkerPool::new(3);
     let total = AtomicUsize::new(0);
     std::thread::scope(|s| {
@@ -35,12 +49,7 @@ fn many_threads_submitting_scopes_concurrently() {
             s.spawn(move || {
                 for round in 0..50usize {
                     let mut parts = [0usize; 4];
-                    let mut slots: Vec<&mut usize> = parts.iter_mut().collect();
-                    pool.scope(|scope| {
-                        for (t, slot) in slots.iter_mut().enumerate() {
-                            scope.spawn(move || **slot = submitter + round + t);
-                        }
-                    });
+                    pool.for_each_mut(&mut parts, |t, part| *part += submitter + round + t);
                     for (t, part) in parts.iter().enumerate() {
                         assert_eq!(*part, submitter + round + t);
                     }
@@ -54,35 +63,20 @@ fn many_threads_submitting_scopes_concurrently() {
 
 #[test]
 fn help_is_bounded_to_the_submitters_own_scope() {
-    // A thread waiting on its scope helps only with that scope's jobs, so a
-    // task must execute either on a pool worker thread or on the thread
-    // that submitted it — never on an unrelated scope's waiting submitter
-    // (that cross-scope "help" is exactly what would let a long training
-    // band add unbounded latency to a small serving scope). With 8
-    // submitters hammering a 2-worker pool, cross-scope helping — if it
-    // existed — would trip this assertion readily.
+    // A caller only claims items of its own call, so an item must execute
+    // either on a pool worker thread or on the thread that called — never
+    // on an unrelated concurrent caller (that cross-call running is exactly
+    // what would let a long training band add unbounded latency to a small
+    // serving call). With 8 callers hammering a 2-worker pool, cross-call
+    // running — if it existed — would trip this assertion readily.
     let pool = WorkerPool::new(2);
     std::thread::scope(|s| {
         for _ in 0..8 {
             let pool = &pool;
             s.spawn(move || {
-                let submitter = std::thread::current().id();
+                let caller = std::thread::current().id();
                 for _ in 0..50 {
-                    pool.scope(|scope| {
-                        for _ in 0..4 {
-                            scope.spawn(move || {
-                                let current = std::thread::current();
-                                let on_pool_worker = current
-                                    .name()
-                                    .is_some_and(|name| name.starts_with("sls-pool-worker-"));
-                                assert!(
-                                    on_pool_worker || current.id() == submitter,
-                                    "task ran on a foreign thread: {:?}",
-                                    current.name()
-                                );
-                            });
-                        }
-                    });
+                    pool.for_each_mut(&mut [(); 4], |_, ()| assert_on_pool_or(caller));
                 }
             });
         }
@@ -117,18 +111,13 @@ fn many_threads_running_pooled_kernels_concurrently() {
 
 #[test]
 fn repeated_submit_and_drop_cycles() {
-    // Construct → submit → drop, many times over: shutdown must join every
-    // worker without stranding queued jobs, and a fresh pool must come up
-    // clean each time.
+    // Construct → call → drop, many times over: shutdown must join every
+    // worker, and a fresh pool must come up clean each time.
     for cycle in 0..40usize {
         let pool = WorkerPool::new(1 + cycle % 4);
         let counter = AtomicUsize::new(0);
-        pool.scope(|scope| {
-            for _ in 0..16 {
-                scope.spawn(|| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                });
-            }
+        pool.for_each_mut(&mut [(); 16], |_, ()| {
+            counter.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(counter.load(Ordering::Relaxed), 16, "cycle {cycle}");
         drop(pool);
@@ -139,11 +128,11 @@ fn repeated_submit_and_drop_cycles() {
 fn worker_panic_propagates_to_the_submitter() {
     let pool = WorkerPool::new(2);
     let result = catch_unwind(AssertUnwindSafe(|| {
-        pool.scope(|scope| {
-            scope.spawn(|| panic!("deliberate worker panic"));
+        pool.for_each_mut(&mut [(); 2], |i, ()| {
+            assert!(i != 1, "deliberate worker panic");
         });
     }));
-    let payload = result.expect_err("the task panic must reach the submitter");
+    let payload = result.expect_err("the item panic must reach the caller");
     let message = payload
         .downcast_ref::<&str>()
         .copied()
@@ -157,75 +146,81 @@ fn worker_panic_propagates_to_the_submitter() {
 
 #[test]
 fn pool_stays_usable_after_worker_panics() {
-    // Not poisoned: after (repeated) task panics the same pool must keep
-    // accepting and completing work, and the sibling tasks of a panicking
-    // scope must still run to completion before the panic is re-raised.
+    // Not poisoned: after (repeated) item panics the same pool must keep
+    // accepting and completing work, and the sibling items of a panicking
+    // call must still run to completion before the panic is re-raised.
     let pool = WorkerPool::new(2);
     for round in 0..5usize {
         let survivors = AtomicUsize::new(0);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|scope| {
-                scope.spawn(|| panic!("round {round}"));
-                for _ in 0..8 {
-                    scope.spawn(|| {
-                        survivors.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
+            pool.for_each_mut(&mut [(); 9], |i, ()| {
+                assert!(i != 0, "round {round}");
+                survivors.fetch_add(1, Ordering::Relaxed);
             });
         }));
         assert!(result.is_err(), "round {round}: panic must propagate");
         assert_eq!(
             survivors.load(Ordering::Relaxed),
             8,
-            "round {round}: sibling tasks must finish before the panic re-raises"
+            "round {round}: sibling items must finish before the panic re-raises"
         );
         // And the pool still does real work afterwards.
-        let sum = AtomicUsize::new(0);
-        pool.scope(|scope| {
-            for i in 0..10usize {
-                let sum = &sum;
-                scope.spawn(move || {
-                    sum.fetch_add(i + 1, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 55, "round {round}");
+        let mut values = [0usize; 10];
+        pool.for_each_mut(&mut values, |i, value| *value = i + 1);
+        assert_eq!(values.iter().sum::<usize>(), 55, "round {round}");
     }
 }
 
 #[test]
 fn panic_in_the_scope_closure_waits_for_spawned_tasks() {
-    // If the *submitting* closure panics after spawning, `scope` must still
-    // wait for the in-flight tasks (they borrow the submitter's stack)
-    // before unwinding.
+    // If an item the *caller* runs panics, `for_each_mut` must still wait
+    // for the items in flight on workers (they borrow the caller's stack)
+    // before unwinding. The caller's items panic only once a worker has
+    // started one, and worker items hold back until the caller has
+    // panicked, then run for a while, so the wait is really exercised.
     let pool = WorkerPool::new(2);
+    let caller = std::thread::current().id();
+    let caller_panicked = AtomicBool::new(false);
+    let started = AtomicUsize::new(0);
     let finished = AtomicUsize::new(0);
     let result = catch_unwind(AssertUnwindSafe(|| {
-        pool.scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    std::thread::sleep(std::time::Duration::from_millis(5));
-                    finished.fetch_add(1, Ordering::Relaxed);
-                });
+        pool.for_each_mut(&mut [(); 8], |_, ()| {
+            if std::thread::current().id() == caller {
+                while started.load(Ordering::SeqCst) == 0 {
+                    std::thread::yield_now();
+                }
+                caller_panicked.store(true, Ordering::SeqCst);
+                panic!("caller panic");
             }
-            panic!("submitter panic");
+            started.fetch_add(1, Ordering::SeqCst);
+            while !caller_panicked.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            finished.fetch_add(1, Ordering::SeqCst);
         });
     }));
     assert!(result.is_err());
-    assert_eq!(finished.load(Ordering::Relaxed), 4);
+    assert!(caller_panicked.load(Ordering::SeqCst));
+    assert!(started.load(Ordering::SeqCst) >= 1);
+    assert_eq!(
+        finished.load(Ordering::SeqCst),
+        started.load(Ordering::SeqCst),
+        "no item may still be running when the panic re-raises"
+    );
     // Pool is still alive.
-    pool.scope(|scope| scope.spawn(|| {}));
+    pool.for_each_mut(&mut [(); 2], |_, ()| {});
 }
 
 #[test]
 fn mixed_dispatch_nesting_cannot_deadlock() {
     // The nastiest nesting shape: a pooled kernel's row closure starts
     // plain scoped threads (which carry no pool-worker flag), and each of
-    // them runs a pooled kernel again. Those threads queue jobs while the
-    // pool's worker may be blocked further up this very call stack — only
-    // help-while-wait scheduling lets them drain their own jobs. On a
-    // 1-worker global pool (1-core CI container) this deadlocked before
-    // that scheduling existed.
+    // them runs a pooled kernel again. Those threads publish jobs while the
+    // pool's worker may be blocked further up this very call stack — they
+    // must claim and run their own items rather than wait for a worker. On
+    // a 1-worker global pool (1-core CI container) a pool whose callers
+    // only waited would deadlock here.
     let mut rng = rand_seed();
     let m = Matrix::random_normal(8, 5, 0.0, 1.0, &mut rng);
     let w = Matrix::random_normal(5, 3, 0.0, 1.0, &mut rng);
@@ -270,15 +265,10 @@ fn pooled_kernel_panic_propagates_and_the_global_pool_survives() {
 
 #[test]
 fn many_concurrent_scopes_help_without_scanning_each_other() {
-    // The O(queue²) regression shape: before jobs were indexed per scope,
-    // every helped job re-scanned the entire shared queue under the global
-    // lock, so many concurrent scopes × many chunks serialized all
-    // submitters. With per-latch job lists this load — 16 submitters × 25
-    // scopes × 64 jobs against 2 workers, far more jobs than the pool can
-    // drain, so nearly all of them retire through the submitters' help
-    // paths — completes quickly and correctly; under the old scan it
-    // visibly crawled. Correctness (no lost, double-run, or cross-scope
-    // job) is asserted exactly.
+    // Many concurrent callers × many items: 16 callers × 25 calls × 64
+    // items against 2 workers, far more items than the pool can drain, so
+    // nearly all of them run on their own callers. Correctness (no lost,
+    // double-run, or cross-call item) is asserted exactly.
     let pool = WorkerPool::new(2);
     let total = AtomicUsize::new(0);
     std::thread::scope(|s| {
@@ -287,17 +277,12 @@ fn many_concurrent_scopes_help_without_scanning_each_other() {
             let total = &total;
             s.spawn(move || {
                 for _ in 0..25usize {
-                    let scope_sum = AtomicUsize::new(0);
-                    pool.scope(|scope| {
-                        for job in 0..64usize {
-                            let scope_sum = &scope_sum;
-                            scope.spawn(move || {
-                                scope_sum.fetch_add(submitter * 1000 + job, Ordering::Relaxed);
-                            });
-                        }
+                    let call_sum = AtomicUsize::new(0);
+                    pool.for_each_mut(&mut [(); 64], |job, ()| {
+                        call_sum.fetch_add(submitter * 1000 + job, Ordering::Relaxed);
                     });
                     let expected: usize = (0..64).map(|job| submitter * 1000 + job).sum();
-                    assert_eq!(scope_sum.load(Ordering::Relaxed), expected);
+                    assert_eq!(call_sum.load(Ordering::Relaxed), expected);
                     total.fetch_add(64, Ordering::Relaxed);
                 }
             });
@@ -308,49 +293,29 @@ fn many_concurrent_scopes_help_without_scanning_each_other() {
 
 #[test]
 fn skewed_scopes_stay_isolated_under_stealing() {
-    // Work-stealing moves *chunks between workers*, never *across scopes on
-    // a waiting submitter*: while one submitter runs long heavy-row scopes,
-    // other submitters' small scopes must still execute only on pool
-    // workers or their own submitting thread. This is the straggler shape
-    // chunking exists for — if stealing had been implemented by letting
-    // waiters pull from a shared queue, the heavy scope's chunks would leak
-    // onto the small scopes' waiters and trip the thread-identity check.
+    // While one caller runs long heavy-item calls, other callers' small
+    // calls must still execute only on pool workers or their own calling
+    // thread. This is the straggler shape chunking exists for — if idle
+    // callers pulled from a shared queue, the heavy call's items would leak
+    // onto the small calls' threads and trip the thread-identity check.
     let pool = WorkerPool::new(2);
     std::thread::scope(|s| {
-        // One heavy submitter: scopes whose jobs spin long enough to overlap
-        // the small scopes' waits.
+        // One heavy caller: items that spin long enough to overlap the
+        // small calls.
         let heavy_pool = &pool;
         s.spawn(move || {
             for _ in 0..30 {
-                heavy_pool.scope(|scope| {
-                    for _ in 0..8 {
-                        scope.spawn(|| {
-                            std::hint::black_box((0..20_000).fold(0u64, |a, x| a ^ x));
-                        });
-                    }
+                heavy_pool.for_each_mut(&mut [(); 8], |_, ()| {
+                    std::hint::black_box((0..20_000).fold(0u64, |a, x| a ^ x));
                 });
             }
         });
         for _ in 0..6 {
             let pool = &pool;
             s.spawn(move || {
-                let submitter = std::thread::current().id();
+                let caller = std::thread::current().id();
                 for _ in 0..60 {
-                    pool.scope(|scope| {
-                        for _ in 0..3 {
-                            scope.spawn(move || {
-                                let current = std::thread::current();
-                                let on_pool_worker = current
-                                    .name()
-                                    .is_some_and(|name| name.starts_with("sls-pool-worker-"));
-                                assert!(
-                                    on_pool_worker || current.id() == submitter,
-                                    "a small scope's chunk ran on a foreign thread: {:?}",
-                                    current.name()
-                                );
-                            });
-                        }
-                    });
+                    pool.for_each_mut(&mut [(); 3], |_, ()| assert_on_pool_or(caller));
                 }
             });
         }
@@ -361,9 +326,9 @@ fn skewed_scopes_stay_isolated_under_stealing() {
 fn ragged_row_costs_are_bitwise_identical_across_dispatch_and_chunking() {
     // Ragged per-row work (each row's closure cost scales with the row
     // index, so early chunks are light and late chunks are heavy) across
-    // threads {1,2,4,8} × chunk sizes {adaptive, 1, 3, 64}: stealing may reorder *when* rows run, but every row's
-    // accumulation order is fixed, so outputs must match serial bit for
-    // bit.
+    // threads {1,2,4,8} × chunk sizes {adaptive, 1, 3, 64}: the pool may
+    // reorder *when* rows run, but every row's accumulation order is fixed,
+    // so outputs must match serial bit for bit.
     let mut rng = rand_seed();
     let data = Matrix::random_normal(96, 10, 0.0, 1.0, &mut rng);
     let ragged = |i: usize, row: &[f64], out: &mut [f64]| {

@@ -76,8 +76,8 @@ fn tailed_matmul_pair() -> impl Strategy<Value = (Matrix, Matrix)> {
 
 /// The serial reference plus pooled policies at several thread counts,
 /// with an eager cutover so they really fan out on the generated shapes.
-/// Single-row chunks maximise stealing and chunk reordering — the
-/// harshest test of chunking's bitwise inertness.
+/// Single-row chunks maximise the number of claims and the chunk
+/// reordering — the harshest test of chunking's bitwise inertness.
 fn policy_grid() -> Vec<ParallelPolicy> {
     let mut grid = vec![ParallelPolicy::serial()];
     for threads in [2, 4, 8] {

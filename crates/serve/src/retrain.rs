@@ -384,6 +384,26 @@ mod tests {
     }
 
     #[test]
+    fn zero_hidden_units_are_rejected_before_training() {
+        let dir = temp_dir("zero_hidden");
+        let mut options = quick_options(&dir, ModelKind::SlsGrbm, 3);
+        options.n_hidden = 0;
+        let err = retrain(&options).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                RbmError::InvalidConfig {
+                    name: "n_hidden",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert!(!options.checkpoint.exists(), "no checkpoint may be written");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn interrupted_retrain_resumes_to_identical_weights() {
         let dir = temp_dir("resume");
         let options = quick_options(&dir, ModelKind::SlsRbm, 4);
