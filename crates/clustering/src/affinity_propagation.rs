@@ -52,7 +52,7 @@ impl Default for AffinityPropagation {
             convergence_iterations: 15,
             preference: None,
             target_clusters: None,
-            parallel: ParallelPolicy::serial(),
+            parallel: ParallelPolicy::global(),
         }
     }
 }
@@ -101,7 +101,8 @@ impl AffinityPropagation {
     }
 
     /// Routes the similarity construction, responsibility updates and final
-    /// exemplar assignment through the shared row kernels under `parallel`.
+    /// exemplar assignment through the shared row kernels under `parallel`
+    /// (default: [`ParallelPolicy::global`]).
     ///
     /// Each of those steps is independent per row and keeps its serial
     /// accumulation order, so the result is bitwise identical to the serial
@@ -542,6 +543,7 @@ mod tests {
             .generate(&mut rng);
         let serial = AffinityPropagation::default()
             .with_target_clusters(3)
+            .with_parallel(ParallelPolicy::serial())
             .fit(ds.features())
             .unwrap();
         for threads in [2, 4, 8] {

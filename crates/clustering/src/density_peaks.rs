@@ -48,7 +48,7 @@ impl DensityPeaks {
             k,
             neighbor_fraction: 0.02,
             gaussian_kernel: true,
-            parallel: ParallelPolicy::serial(),
+            parallel: ParallelPolicy::global(),
         }
     }
 
@@ -69,7 +69,8 @@ impl DensityPeaks {
     }
 
     /// Routes the distance matrix, density and separation scans through the
-    /// shared row kernels under `parallel`.
+    /// shared row kernels under `parallel` (default:
+    /// [`ParallelPolicy::global`]).
     ///
     /// The per-row reductions keep their serial accumulation order, so the
     /// result is bitwise identical to the serial run. The cutoff quantile and
@@ -374,7 +375,10 @@ mod tests {
         let ds = SyntheticBlobs::new(80, 4, 3)
             .separation(3.0)
             .generate(&mut rng);
-        let serial = DensityPeaks::new(3).fit(ds.features()).unwrap();
+        let serial = DensityPeaks::new(3)
+            .with_parallel(ParallelPolicy::serial())
+            .fit(ds.features())
+            .unwrap();
         for threads in [2, 4, 8] {
             let policy = ParallelPolicy::new(threads).with_min_rows_per_thread(1);
             let parallel = DensityPeaks::new(3)

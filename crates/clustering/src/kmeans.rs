@@ -42,7 +42,7 @@ impl KMeans {
             max_iterations: 100,
             tolerance: 1e-6,
             restarts: 4,
-            parallel: ParallelPolicy::serial(),
+            parallel: ParallelPolicy::global(),
         }
     }
 
@@ -66,7 +66,8 @@ impl KMeans {
     }
 
     /// Routes the per-instance distance scans (assignment step and k-means++
-    /// seeding) through the shared row kernels under `parallel`.
+    /// seeding) through the shared row kernels under `parallel` (default:
+    /// [`ParallelPolicy::global`]).
     ///
     /// Every random draw stays on the caller's thread and the per-row work is
     /// read-only, so the result is bitwise identical to the serial run.
@@ -420,7 +421,10 @@ mod tests {
         let ds = SyntheticBlobs::new(70, 5, 3)
             .separation(2.0)
             .generate(&mut rng());
-        let serial = KMeans::new(3).fit(ds.features(), &mut rng()).unwrap();
+        let serial = KMeans::new(3)
+            .with_parallel(ParallelPolicy::serial())
+            .fit(ds.features(), &mut rng())
+            .unwrap();
         for threads in [2, 4, 8] {
             let policy = ParallelPolicy::new(threads).with_min_rows_per_thread(1);
             let parallel = KMeans::new(3)

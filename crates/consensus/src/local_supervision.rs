@@ -194,7 +194,7 @@ impl LocalSupervisionBuilder {
         Self {
             expected_clusters,
             policy: VotingPolicy::Unanimous,
-            parallel: ParallelPolicy::serial(),
+            parallel: ParallelPolicy::global(),
         }
     }
 
@@ -209,7 +209,8 @@ impl LocalSupervisionBuilder {
         self
     }
 
-    /// Sets the parallel execution policy (default: serial), the same way
+    /// Sets the parallel execution policy (default:
+    /// [`ParallelPolicy::global`]), the same way
     /// trainers accept one. Under a multi-threaded policy the base
     /// clusterers run concurrently and the pairwise alignment step fans out
     /// across threads; the result is identical to serial for every policy

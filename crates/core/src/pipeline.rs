@@ -37,7 +37,11 @@ pub enum Preprocessing {
 }
 
 /// Configuration of [`run_pipeline`], shared by all four model kinds.
-#[derive(Debug, Clone, Copy, PartialEq)]
+///
+/// It holds no parallel policy: the pipeline runs under the process-wide
+/// [`ParallelPolicy::global`], so an artifact never bakes in the exporting
+/// machine's core count.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SlsPipelineConfig {
     /// Number of hidden units of the energy model.
     pub n_hidden: usize,
@@ -52,49 +56,6 @@ pub struct SlsPipelineConfig {
     pub voting: VotingPolicy,
     /// Preprocessing applied before training.
     pub preprocessing: Preprocessing,
-    /// Parallel execution policy for the training and feature-extraction
-    /// hot paths. Results are bitwise identical for every policy, so this
-    /// only affects speed. **Process-local**: the field is skipped during
-    /// serialisation (an artifact must not bake in the exporting machine's
-    /// core count) and deserialises to the process-wide policy.
-    pub parallel: ParallelPolicy,
-}
-
-// Hand-written (de)serialisation instead of the derive: `parallel` is an
-// execution-speed knob, not model provenance — writing it would make
-// artifact bytes depend on the exporting machine (`--threads 0` resolves to
-// its core count) and carry that machine's policy into whichever process
-// later reloads the config. It is therefore omitted on output and filled
-// from the process-wide policy on input, which also keeps artifacts written
-// before the parallel layer loading unchanged.
-impl serde::Serialize for SlsPipelineConfig {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("n_hidden".to_string(), self.n_hidden.to_value()),
-            ("n_clusters".to_string(), self.n_clusters.to_value()),
-            ("train".to_string(), self.train.to_value()),
-            ("sls".to_string(), self.sls.to_value()),
-            ("voting".to_string(), self.voting.to_value()),
-            ("preprocessing".to_string(), self.preprocessing.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for SlsPipelineConfig {
-    fn from_value(value: &serde::Value) -> std::result::Result<Self, serde::DeError> {
-        let entries = value
-            .as_object()
-            .ok_or_else(|| serde::DeError::mismatch("object", value))?;
-        Ok(Self {
-            n_hidden: serde::Deserialize::from_value(serde::field(entries, "n_hidden")?)?,
-            n_clusters: serde::Deserialize::from_value(serde::field(entries, "n_clusters")?)?,
-            train: serde::Deserialize::from_value(serde::field(entries, "train")?)?,
-            sls: serde::Deserialize::from_value(serde::field(entries, "sls")?)?,
-            voting: serde::Deserialize::from_value(serde::field(entries, "voting")?)?,
-            preprocessing: serde::Deserialize::from_value(serde::field(entries, "preprocessing")?)?,
-            parallel: ParallelPolicy::global(),
-        })
-    }
 }
 
 impl SlsPipelineConfig {
@@ -108,7 +69,6 @@ impl SlsPipelineConfig {
             sls: SlsConfig::paper_grbm(),
             voting: VotingPolicy::Unanimous,
             preprocessing: Preprocessing::Standardize,
-            parallel: ParallelPolicy::global(),
         }
     }
 
@@ -122,7 +82,6 @@ impl SlsPipelineConfig {
             sls: SlsConfig::paper_rbm(),
             voting: VotingPolicy::Unanimous,
             preprocessing: Preprocessing::BinarizeMedian,
-            parallel: ParallelPolicy::global(),
         }
     }
 
@@ -142,7 +101,6 @@ impl SlsPipelineConfig {
             sls: SlsConfig::new(0.5),
             voting: VotingPolicy::Unanimous,
             preprocessing: Preprocessing::Standardize,
-            parallel: ParallelPolicy::global(),
         }
     }
 
@@ -179,13 +137,6 @@ impl SlsPipelineConfig {
     /// Overrides the preprocessing step.
     pub fn with_preprocessing(mut self, preprocessing: Preprocessing) -> Self {
         self.preprocessing = preprocessing;
-        self
-    }
-
-    /// Overrides the parallel execution policy used by training and feature
-    /// extraction. Outputs are bitwise identical for every policy.
-    pub fn with_parallel(mut self, parallel: ParallelPolicy) -> Self {
-        self.parallel = parallel;
         self
     }
 }
@@ -248,8 +199,8 @@ pub fn base_clusterers(k: usize, parallel: &ParallelPolicy) -> Vec<Box<dyn Clust
 /// Runs the pipeline of `kind` on `data` (one row per instance):
 /// preprocessing, the consensus supervision (sls kinds only), training of
 /// the energy model with `kind`'s visible layer, and hidden-feature
-/// extraction. The baseline kinds ignore the `sls` and `voting` fields of
-/// `config`.
+/// extraction, all under the process-wide [`ParallelPolicy::global`]. The
+/// baseline kinds ignore the `sls` and `voting` fields of `config`.
 ///
 /// # Errors
 ///
@@ -263,7 +214,7 @@ pub fn run_pipeline(
     rng: &mut impl Rng,
 ) -> Result<PipelineOutcome> {
     RbmParams::check_hidden_units(config.n_hidden)?;
-    let parallel = &config.parallel;
+    let parallel = &ParallelPolicy::global();
     let trainer = CdTrainer::new(config.train)?.with_parallel(*parallel);
     let (preprocessor, preprocessed) = preprocess(data, config.preprocessing, parallel)?;
     let supervision = if kind.is_sls() {
@@ -325,43 +276,52 @@ mod tests {
             .with_voting(VotingPolicy::Majority)
             .with_preprocessing(Preprocessing::None)
             .with_train(TrainConfig::quick().with_epochs(1))
-            .with_sls(SlsConfig::new(0.9))
-            .with_parallel(ParallelPolicy::new(2).with_min_rows_per_thread(8));
+            .with_sls(SlsConfig::new(0.9));
         assert_eq!(c.n_hidden, 5);
         assert_eq!(c.n_clusters, 4);
         assert_eq!(c.voting, VotingPolicy::Majority);
         assert_eq!(c.preprocessing, Preprocessing::None);
         assert_eq!(c.train.epochs, 1);
         assert_eq!(c.sls.eta, 0.9);
-        assert_eq!(c.parallel.threads, 2);
-        assert_eq!(c.parallel.min_rows_per_thread, 8);
     }
 
     #[test]
-    fn parallel_policy_is_process_local_not_persisted() {
-        // The policy is an execution-speed knob: serialised configs must be
-        // byte-identical across machines and thread settings, and a config
-        // (from any era, including pre-parallel-layer artifacts) must
-        // deserialise to the loading process's own policy.
-        let config = SlsPipelineConfig::quick_demo()
-            .with_parallel(ParallelPolicy::new(16).with_min_rows_per_thread(2));
-        let value = serde::Serialize::to_value(&config);
+    fn config_serialises_exactly_its_six_fields_in_order() {
+        // Artifacts embed this config, so its keys and their order are part
+        // of the artifact bytes; no execution policy is among them.
+        let value = serde::Serialize::to_value(&SlsPipelineConfig::quick_demo());
         let serde::Value::Object(entries) = &value else {
             panic!("config serialises to an object");
         };
-        assert!(
-            entries.iter().all(|(key, _)| key != "parallel"),
-            "the execution policy must not be baked into artifacts"
-        );
+        let keys: Vec<&str> = entries.iter().map(|(key, _)| key.as_str()).collect();
         assert_eq!(
-            value,
-            serde::Serialize::to_value(&config.with_parallel(ParallelPolicy::serial())),
-            "serialised bytes must not depend on the policy"
+            keys,
+            [
+                "n_hidden",
+                "n_clusters",
+                "train",
+                "sls",
+                "voting",
+                "preprocessing"
+            ]
         );
         let back = <SlsPipelineConfig as serde::Deserialize>::from_value(&value).unwrap();
-        assert_eq!(back.n_hidden, config.n_hidden);
-        assert_eq!(back.train, config.train);
-        assert_eq!(back.parallel, ParallelPolicy::global());
+        assert_eq!(back, SlsPipelineConfig::quick_demo());
+    }
+
+    /// Runs `run_pipeline` on `ds` with `policy` installed as the
+    /// process-wide policy, restoring the previous one afterwards.
+    fn pipeline_under(policy: ParallelPolicy, ds: &sls_datasets::Dataset) -> PipelineOutcome {
+        let before = ParallelPolicy::global();
+        ParallelPolicy::set_global(policy);
+        let outcome = run_pipeline(
+            ModelKind::SlsGrbm,
+            &SlsPipelineConfig::quick_demo(),
+            ds.features(),
+            &mut rng(),
+        );
+        ParallelPolicy::set_global(before);
+        outcome.unwrap()
     }
 
     #[test]
@@ -370,21 +330,8 @@ mod tests {
         // construction, sls training, feature extraction) must give the same
         // bits regardless of the thread count.
         let ds = dataset();
-        let serial = run_pipeline(
-            ModelKind::SlsGrbm,
-            &SlsPipelineConfig::quick_demo().with_parallel(ParallelPolicy::serial()),
-            ds.features(),
-            &mut rng(),
-        )
-        .unwrap();
-        let parallel = run_pipeline(
-            ModelKind::SlsGrbm,
-            &SlsPipelineConfig::quick_demo()
-                .with_parallel(ParallelPolicy::new(4).with_min_rows_per_thread(1)),
-            ds.features(),
-            &mut rng(),
-        )
-        .unwrap();
+        let serial = pipeline_under(ParallelPolicy::serial(), &ds);
+        let parallel = pipeline_under(ParallelPolicy::new(4).with_min_rows_per_thread(1), &ds);
         assert_eq!(
             serial.hidden_features.as_slice(),
             parallel.hidden_features.as_slice()

@@ -341,9 +341,7 @@ pub struct StreamTrainer {
 impl StreamTrainer {
     /// Creates a driver under the process-wide [`ParallelPolicy::global`].
     pub fn new() -> Self {
-        Self {
-            parallel: ParallelPolicy::global(),
-        }
+        Self::default()
     }
 
     /// Sets the parallel execution policy for the training hot path. Results

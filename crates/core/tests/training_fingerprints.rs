@@ -60,7 +60,7 @@ fn fit_hash(kind: ModelKind) -> u64 {
     let ds = SyntheticBlobs::new(60, 6, 3)
         .separation(5.0)
         .generate(&mut rng);
-    let config = SlsPipelineConfig::quick_demo().with_parallel(ParallelPolicy::serial());
+    let config = SlsPipelineConfig::quick_demo();
     let fitted = PipelineArtifact::fit(kind, config, ds.features(), &mut rng).unwrap();
     params_hash(&fitted.artifact.params)
 }

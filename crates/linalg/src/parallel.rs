@@ -19,14 +19,19 @@
 //!
 //! ## Policy
 //!
-//! [`ParallelPolicy`] carries the thread budget, a `min_rows_per_thread`
-//! cutover and a chunk size. A kernel only fans out when every thread would
-//! receive at least `min_rows_per_thread` rows, so small matrices (single
-//! serving rows, tiny batches) stay inline on the calling thread. With
-//! `threads > 1` a kernel always runs on the persistent [`WorkerPool`],
-//! which carries no per-call thread-spawn cost. The process-wide default
-//! policy is serial; it can be overridden programmatically
-//! ([`ParallelPolicy::set_global`]) or through the environment
+//! [`ParallelPolicy`] carries a thread count, a `min_rows_per_thread`
+//! cutover and a chunk size. A kernel only fans out when `threads > 1` and
+//! every planned thread would receive at least `min_rows_per_thread` rows,
+//! so small matrices (single serving rows, tiny batches) stay inline on the
+//! calling thread. A fanned-out kernel runs on the persistent
+//! [`WorkerPool`], split into about [`ParallelPolicy::CHUNKS_PER_THREAD`]
+//! chunks per planned thread; the caller and every idle pool worker claim
+//! them, so `threads` sets the chunk count, not how many threads run.
+//!
+//! A process has one policy, [`ParallelPolicy::global`], and everything
+//! that stores a policy starts from it ([`ParallelPolicy::default`] too).
+//! The library's global default is serial; a program overrides it once
+//! with [`ParallelPolicy::set_global`], or the environment does
 //! (`SLS_PARALLEL_THREADS`, `SLS_PARALLEL_MIN_ROWS`,
 //! `SLS_PARALLEL_CHUNK_ROWS`), which is how CI runs the whole test suite
 //! with parallel kernels forced on.
@@ -42,7 +47,7 @@ use std::sync::Once;
 /// fan out, large enough that single-row serving requests stay serial.
 pub const DEFAULT_MIN_ROWS_PER_THREAD: usize = 64;
 
-/// Environment variable naming the global thread budget (`0` = one thread
+/// Environment variable naming the global thread count (`0` = one thread
 /// per available core).
 pub const ENV_THREADS: &str = "SLS_PARALLEL_THREADS";
 
@@ -60,15 +65,17 @@ static GLOBAL_CHUNK_ROWS: AtomicUsize = AtomicUsize::new(0);
 
 /// How (and whether) the matrix kernels fan work out across threads.
 ///
-/// A policy is a plain value: cheap to copy, process-local (nothing
-/// persists one — `SlsPipelineConfig` deliberately skips its policy so
-/// artifacts never bake in a machine's core count), and inert —
-/// `threads = 1` *is* the serial implementation, not a special case around
-/// it.
+/// A policy is a plain value: cheap to copy, process-local (no config or
+/// artifact stores one, so artifacts never bake in a machine's core
+/// count), and inert — `threads = 1` *is* the serial implementation, not a
+/// special case around it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelPolicy {
-    /// Maximum number of threads a kernel may use (at least 1). Above 1,
-    /// kernels run on the process-wide persistent [`WorkerPool`].
+    /// Threads a kernel plans for (at least 1). Above 1, a kernel large
+    /// enough to pass the cutover runs on the process-wide [`WorkerPool`],
+    /// split into about [`ParallelPolicy::CHUNKS_PER_THREAD`] chunks per
+    /// planned thread. It is not a cap: the pool has one worker per core
+    /// minus one, and the caller and every idle worker claim chunks.
     pub threads: usize,
     /// A kernel stays serial unless every thread would receive at least
     /// this many output rows.
@@ -84,9 +91,9 @@ pub struct ParallelPolicy {
 }
 
 impl Default for ParallelPolicy {
-    /// The default policy is serial — parallelism is always opt-in.
+    /// The process-wide policy, [`ParallelPolicy::global`].
     fn default() -> Self {
-        Self::serial()
+        Self::global()
     }
 }
 
@@ -100,7 +107,7 @@ impl ParallelPolicy {
         }
     }
 
-    /// A policy with the given thread budget; `0` resolves to one thread
+    /// A policy planning for `threads` threads; `0` resolves to one thread
     /// per available core.
     pub fn new(threads: usize) -> Self {
         Self {
@@ -143,8 +150,8 @@ impl ParallelPolicy {
         self.threads <= 1
     }
 
-    /// Number of threads a kernel producing `rows` output rows should use
-    /// under this policy: capped by the thread budget and by the cutover
+    /// Number of threads a kernel producing `rows` output rows plans for
+    /// under this policy: capped by `threads` and by the cutover
     /// (`rows / min_rows_per_thread`), never below 1. The result is already
     /// clamped to `[1, rows]` (for `rows >= 1`), so callers need no further
     /// clamping.
@@ -571,9 +578,23 @@ mod tests {
         ParallelPolicy::new(threads).with_min_rows_per_thread(1)
     }
 
+    /// Serialises the tests that read or replace the process-wide policy,
+    /// so one never observes the other's temporary override.
+    static GLOBAL_POLICY: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn policy_defaults_and_builders() {
-        let p = ParallelPolicy::default();
+        {
+            let _guard = GLOBAL_POLICY.lock().unwrap_or_else(|e| e.into_inner());
+            assert_eq!(ParallelPolicy::default(), ParallelPolicy::global());
+            if std::env::var_os(ENV_THREADS).is_none() {
+                assert!(
+                    ParallelPolicy::global().is_serial(),
+                    "the library's global default stays serial"
+                );
+            }
+        }
+        let p = ParallelPolicy::serial();
         assert!(p.is_serial());
         assert_eq!(p.threads, 1);
         assert_eq!(p.chunk_rows, 0, "chunking must default to adaptive");
@@ -804,8 +825,9 @@ mod tests {
 
     #[test]
     fn global_policy_round_trips() {
-        // Safe to exercise concurrently with other tests: the global policy
-        // only chooses a thread count, never a numeric result.
+        // Safe to exercise concurrently with the kernel tests: the global
+        // policy only chooses a thread count, never a numeric result.
+        let _guard = GLOBAL_POLICY.lock().unwrap_or_else(|e| e.into_inner());
         let before = ParallelPolicy::global();
         ParallelPolicy::set_global(ParallelPolicy::new(3).with_min_rows_per_thread(7));
         let p = ParallelPolicy::global();

@@ -4,9 +4,9 @@
 //! ```sh
 //! sls-serve export --out artifacts [--name quick_demo] [--model sls-grbm]
 //!                  [--instances 90] [--dims 8] [--clusters 3] [--seed 2023]
-//!                  [--threads N] [--min-par-rows N]
+//!                  [--threads N]
 //! sls-serve serve  --dir artifacts [--addr 127.0.0.1:7878] [--workers 8]
-//!                  [--threads N] [--min-par-rows N] [--keepalive-timeout-ms N]
+//!                  [--threads N] [--keepalive-timeout-ms N]
 //!                  [--max-conn-requests N] [--max-body-bytes N] [--max-conns N]
 //!                  [--batch-window-us N] [--batch-max-rows N]
 //!                  [--compact 0|1] [--watch-interval-ms N]
@@ -15,11 +15,14 @@
 //!                  [--upstream-timeout-ms 10000] [--workers 2] ...
 //! ```
 //!
-//! `--threads` sets the parallel linalg policy (`0` = one thread per core);
-//! `--min-par-rows` sets the serial cutover (matrices with fewer output rows
-//! per thread stay serial). Fanned-out kernels run on the persistent worker
-//! pool, which `serve` constructs at bind time and shares across all HTTP
-//! workers. Results are bitwise identical for every policy.
+//! One linalg policy per process: `export`, `retrain` and `serve` install
+//! it before any work starts, from `--threads N`, else
+//! `SLS_PARALLEL_THREADS`, else one thread per core (`0`). `threads` turns
+//! fan-out on and sets the chunk count of a large kernel call (about four
+//! per thread); the caller and the persistent worker pool, which `serve`
+//! starts at bind time, claim the chunks. `SLS_PARALLEL_MIN_ROWS` and
+//! `SLS_PARALLEL_CHUNK_ROWS` carry over from the environment. Results are
+//! bitwise identical for every policy.
 //!
 //! Connection handling, the same four flags on `serve` and `route`:
 //! `--keepalive-timeout-ms` bounds how long an idle connection is held
@@ -44,11 +47,6 @@
 //! default) polls the directory fingerprint and triggers the same reload on
 //! change. Export stamps artifacts with `trained_at`/`source` provenance,
 //! reported by `GET /models`.
-//!
-//! The subcommands default differently when neither `--threads` nor
-//! `SLS_PARALLEL_THREADS` chooses: `serve` runs one linalg thread per core
-//! — the serving-shaped policy CI gates on multi-core runners — while
-//! `export` and `retrain` keep the library default of serial kernels.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -73,7 +71,7 @@ const CONNECTION_FLAGS: [&str; 4] = [
 const USAGE: &str = "usage:
   sls-serve export  --out DIR [--name NAME] [--model rbm|grbm|sls-rbm|sls-grbm]
                     [--instances N] [--dims N] [--clusters N] [--seed N]
-                    [--threads N] [--min-par-rows N]
+                    [--threads N]
   sls-serve synth   --out FILE [--instances N] [--dims N] [--clusters N]
                     [--separation X] [--seed N]
   sls-serve retrain --data FILE --out DIR [--name NAME]
@@ -81,9 +79,8 @@ const USAGE: &str = "usage:
                     [--chunk-size N] [--sample-rows N] [--epochs N] [--batch-size N]
                     [--learning-rate X] [--eta X] [--seed N]
                     [--checkpoint FILE] [--stop-after-epochs N] [--has-header 0|1]
-                    [--threads N] [--min-par-rows N]
-  sls-serve serve   --dir DIR [--addr HOST:PORT] [--workers N]
-                    [--threads N] [--min-par-rows N]
+                    [--threads N]
+  sls-serve serve   --dir DIR [--addr HOST:PORT] [--workers N] [--threads N]
                     [--batch-window-us N] [--batch-max-rows N]
                     [--compact 0|1] [--watch-interval-ms N] CONNECTION
   sls-serve route   --replicas HOST:PORT[,HOST:PORT...] [--addr HOST:PORT]
@@ -92,7 +89,8 @@ const USAGE: &str = "usage:
 
   CONNECTION: [--keepalive-timeout-ms N] [--max-conn-requests N]
               [--max-body-bytes N] [--max-conns N]
-              (--max-conn-requests 1 serves one request per connection)";
+              (--max-conn-requests 1 serves one request per connection)
+  --threads N: default SLS_PARALLEL_THREADS, else 0 (one per core)";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -113,7 +111,8 @@ fn main() -> ExitCode {
     }
 }
 
-/// Parses `--flag value` pairs into a map, rejecting unknown flags.
+/// Parses `--flag value` pairs into a map, rejecting unknown and repeated
+/// flags.
 fn parse_flags(args: &[String], allowed: &[&str]) -> Result<BTreeMap<String, String>, String> {
     let mut flags = BTreeMap::new();
     let mut iter = args.iter();
@@ -124,38 +123,28 @@ fn parse_flags(args: &[String], allowed: &[&str]) -> Result<BTreeMap<String, Str
         let value = iter
             .next()
             .ok_or_else(|| format!("flag `{flag}` needs a value\n{USAGE}"))?;
-        flags.insert(flag.trim_start_matches('-').to_string(), value.clone());
+        if flags
+            .insert(flag.trim_start_matches('-').to_string(), value.clone())
+            .is_some()
+        {
+            return Err(format!("flag `{flag}` given more than once"));
+        }
     }
     Ok(flags)
 }
 
-/// Builds the linalg parallel policy from `--threads` / `--min-par-rows`,
-/// falling back to the process-wide default (which honours
-/// `SLS_PARALLEL_THREADS` / `SLS_PARALLEL_MIN_ROWS`).
-///
-/// With `serving = true` (the `serve` subcommand) the silent thread default
-/// flips to one thread per core, applied only when neither `--threads` nor
-/// `SLS_PARALLEL_THREADS` is present — an explicit choice on either surface
-/// always wins.
-fn parallel_policy(
-    flags: &BTreeMap<String, String>,
-    serving: bool,
-) -> Result<ParallelPolicy, String> {
-    let global = ParallelPolicy::global();
-    let policy = match flags.get("threads") {
-        Some(raw) => {
-            let threads: usize = raw
-                .parse()
-                .map_err(|_| format!("invalid value `{raw}` for --threads"))?;
-            ParallelPolicy::new(threads).with_min_rows_per_thread(global.min_rows_per_thread)
-        }
-        // Serving default: one linalg thread per core.
-        None if serving && std::env::var(sls_linalg::ENV_THREADS).is_err() => {
-            ParallelPolicy::new(0).with_min_rows_per_thread(global.min_rows_per_thread)
-        }
-        None => global,
-    };
-    Ok(policy.with_min_rows_per_thread(parsed(flags, "min-par-rows", policy.min_rows_per_thread)?))
+/// Installs the process's one parallel policy, before anything reads it:
+/// `--threads N`, else `SLS_PARALLEL_THREADS`, else one thread per core,
+/// keeping the environment's cutover and chunk size. Everything downstream
+/// reads it back through [`ParallelPolicy::global`].
+fn install_parallel_policy(flags: &BTreeMap<String, String>) -> Result<ParallelPolicy, String> {
+    let env = ParallelPolicy::global();
+    let env_threads = std::env::var_os(sls_linalg::ENV_THREADS).map_or(0, |_| env.threads);
+    let policy = ParallelPolicy::new(parsed(flags, "threads", env_threads)?)
+        .with_min_rows_per_thread(env.min_rows_per_thread)
+        .with_chunk_rows(env.chunk_rows);
+    ParallelPolicy::set_global(policy);
+    Ok(policy)
 }
 
 /// The `0|1` flag spellings: `1`/`true` and `0`/`false`, case-insensitively,
@@ -202,6 +191,18 @@ fn parsed<T: std::str::FromStr>(
     }
 }
 
+/// [`parsed`] for a size that must be at least 1.
+fn parsed_positive(
+    flags: &BTreeMap<String, String>,
+    name: &str,
+    default: usize,
+) -> Result<usize, String> {
+    match parsed(flags, name, default)? {
+        0 => Err(format!("--{name} must be at least 1")),
+        n => Ok(n),
+    }
+}
+
 /// Formats seconds since the Unix epoch as `YYYY-MM-DDThh:mm:ssZ`, using
 /// the standard days-to-civil-date conversion (valid for any date after
 /// 1970, which Unix seconds guarantee here).
@@ -232,9 +233,9 @@ fn run_export(args: &[String]) -> Result<(), String> {
             "--clusters",
             "--seed",
             "--threads",
-            "--min-par-rows",
         ],
     )?;
+    let parallel = install_parallel_policy(&flags)?;
     let out = flags
         .get("out")
         .cloned()
@@ -249,19 +250,16 @@ fn run_export(args: &[String]) -> Result<(), String> {
         .unwrap_or_else(|| "sls-grbm".to_string());
     let kind = ModelKind::parse(&kind_name)
         .ok_or_else(|| format!("unknown model kind `{kind_name}` (rbm|grbm|sls-rbm|sls-grbm)"))?;
-    let instances = parsed(&flags, "instances", 90usize)?;
-    let dims = parsed(&flags, "dims", 8usize)?;
-    let clusters = parsed(&flags, "clusters", 3usize)?;
+    let instances = parsed_positive(&flags, "instances", 90)?;
+    let dims = parsed_positive(&flags, "dims", 8)?;
+    let clusters = parsed_positive(&flags, "clusters", 3)?;
     let seed = parsed(&flags, "seed", 2023u64)?;
 
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let dataset = SyntheticBlobs::new(instances, dims, clusters)
         .separation(5.0)
         .generate(&mut rng);
-    let parallel = parallel_policy(&flags, false)?;
-    let config = SlsPipelineConfig::quick_demo()
-        .with_clusters(clusters)
-        .with_parallel(parallel);
+    let config = SlsPipelineConfig::quick_demo().with_clusters(clusters);
     eprintln!(
         "training {} on {instances}x{dims} synthetic blobs ({clusters} clusters, seed {seed}, \
          {} linalg thread(s))...",
@@ -320,9 +318,9 @@ fn run_synth(args: &[String]) -> Result<(), String> {
         .get("out")
         .cloned()
         .ok_or_else(|| format!("synth needs --out FILE\n{USAGE}"))?;
-    let instances = parsed(&flags, "instances", 2000usize)?;
-    let dims = parsed(&flags, "dims", 8usize)?;
-    let clusters = parsed(&flags, "clusters", 3usize)?;
+    let instances = parsed_positive(&flags, "instances", 2000)?;
+    let dims = parsed_positive(&flags, "dims", 8)?;
+    let clusters = parsed_positive(&flags, "clusters", 3)?;
     let separation = parsed(&flags, "separation", 5.0f64)?;
     let seed = parsed(&flags, "seed", 2023u64)?;
     sls_serve::write_synthetic_csv(&out, instances, dims, clusters, separation, seed)
@@ -354,9 +352,9 @@ fn run_retrain(args: &[String]) -> Result<(), String> {
             "--stop-after-epochs",
             "--has-header",
             "--threads",
-            "--min-par-rows",
         ],
     )?;
+    install_parallel_policy(&flags)?;
     let data = flags
         .get("data")
         .cloned()
@@ -403,7 +401,6 @@ fn run_retrain(args: &[String]) -> Result<(), String> {
             .map_err(|_| format!("invalid value `{raw}` for --stop-after-epochs"))?;
         options.stop_after_epochs = Some(epochs);
     }
-    options.parallel = parallel_policy(&flags, false)?;
     options.trained_at = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .ok()
@@ -473,7 +470,6 @@ fn run_serve(args: &[String]) -> Result<(), String> {
                 "--addr",
                 "--workers",
                 "--threads",
-                "--min-par-rows",
                 "--batch-window-us",
                 "--batch-max-rows",
                 "--compact",
@@ -483,6 +479,7 @@ fn run_serve(args: &[String]) -> Result<(), String> {
         ]
         .concat(),
     )?;
+    let parallel = install_parallel_policy(&flags)?;
     let dir = flags
         .get("dir")
         .cloned()
@@ -521,14 +518,12 @@ fn run_serve(args: &[String]) -> Result<(), String> {
             model.param_bytes()
         );
     }
-    let parallel = parallel_policy(&flags, true)?;
     let batch = BatchConfig {
         window: Duration::from_micros(parsed(&flags, "batch-window-us", 0u64)?),
         max_rows: parsed(&flags, "batch-max-rows", BatchConfig::disabled().max_rows)?,
     };
     let server = Server::bind_live(addr.as_str(), live, workers)
         .map_err(|e| format!("bind failed: {e}"))?
-        .with_parallel(parallel)
         .with_watch((watch_ms > 0).then(|| Duration::from_millis(watch_ms)))
         .with_options(serve_options(&flags)?)
         .with_batching(batch);
@@ -651,6 +646,17 @@ mod tests {
         assert_eq!(options.idle_timeout, ServeOptions::default().idle_timeout);
         let keep_alive = vec!["--keep-alive".to_string(), "0".to_string()];
         assert!(parse_flags(&keep_alive, &CONNECTION_FLAGS).is_err());
+    }
+
+    #[test]
+    fn a_repeated_flag_is_rejected_by_name() {
+        let args: Vec<String> = ["--max-conns", "8", "--max-conns", "9"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let err = parse_flags(&args, &CONNECTION_FLAGS).unwrap_err();
+        assert!(err.contains("`--max-conns`"), "{err}");
+        assert!(err.contains("more than once"), "{err}");
     }
 
     #[test]
