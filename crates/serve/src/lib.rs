@@ -14,10 +14,11 @@
 //!   (and an optional directory watcher) atomically installs a new
 //!   generation while in-flight requests drain the old one; a corrupt
 //!   artifact rejects the whole reload and the old generation keeps serving.
-//! * [`server`] — `std::net::TcpListener` + acceptor threads dispatching to
-//!   per-connection handler threads; HTTP/1.1 keep-alive with pipelining,
-//!   bodies framed by `Content-Length` and bounded before buffering. Rows
-//!   within a request are micro-batched through one matrix multiply.
+//! * [`server`] — `std::net::TcpListener` + one acceptor thread handing
+//!   each connection to its own handler thread; HTTP/1.1 keep-alive with
+//!   pipelining, bodies framed by `Content-Length` and bounded before
+//!   buffering. Rows within a request are micro-batched through one
+//!   matrix multiply.
 //!   [`route_live`] runs the same routing in process, without sockets.
 //! * [`batch`] — the cross-request micro-batcher: concurrent requests for
 //!   the same model coalesce into one fused launch inside a configurable
@@ -29,7 +30,8 @@
 //!   model names across a static replica set, forwards inference over
 //!   pooled keep-alive connections with health-checked retry, fans
 //!   `/admin/reload` out generation-consistently, and drains replicas
-//!   without dropping a response.
+//!   without dropping a response. It starts and stops through the same
+//!   acceptor and [`ServerHandle`] as the server.
 //! * [`retrain`] — the one-command retrain path: chunked CSV ingestion →
 //!   consensus supervision on a leading sample → checkpoint-resumable
 //!   streaming training → artifact export into the watched directory, which
@@ -56,7 +58,8 @@
 //! use rand_chacha::ChaCha8Rng;
 //! use sls_datasets::SyntheticBlobs;
 //! use sls_rbm_core::{ModelKind, PipelineArtifact, SlsPipelineConfig};
-//! use sls_serve::{Client, ModelRegistry, Server};
+//! use sls_serve::{Client, LiveRegistry, ModelRegistry, Server};
+//! use std::sync::Arc;
 //!
 //! let mut rng = ChaCha8Rng::seed_from_u64(1);
 //! let ds = SyntheticBlobs::new(30, 4, 2).separation(6.0).generate(&mut rng);
@@ -70,7 +73,7 @@
 //!
 //! let mut registry = ModelRegistry::new();
 //! registry.insert("demo", fitted.artifact);
-//! let handle = Server::bind("127.0.0.1:0", registry, 2)
+//! let handle = Server::bind("127.0.0.1:0", Arc::new(LiveRegistry::new(registry)))
 //!     .expect("bind")
 //!     .start()
 //!     .expect("start");
@@ -110,7 +113,7 @@ pub use error::ServeError;
 pub use live::{LiveRegistry, RegistryGeneration, ReloadOutcome};
 pub use registry::{ModelRegistry, ServingModel};
 pub use retrain::{retrain, write_synthetic_csv, RetrainOptions, RetrainOutcome};
-pub use router::{replica_rank, Router, RouterConfig, RouterHandle};
+pub use router::{replica_rank, Router, RouterConfig};
 pub use server::{route_live, ServeOptions, Server, ServerHandle};
 pub use stats::LatencySummary;
 

@@ -5,15 +5,23 @@
 //! sls-serve export --out artifacts [--name quick_demo] [--model sls-grbm]
 //!                  [--instances 90] [--dims 8] [--clusters 3] [--seed 2023]
 //!                  [--threads N]
-//! sls-serve serve  --dir artifacts [--addr 127.0.0.1:7878] [--workers 8]
+//! sls-serve serve  --dir artifacts [--addr 127.0.0.1:7878]
 //!                  [--threads N] [--keepalive-timeout-ms N]
 //!                  [--max-conn-requests N] [--max-body-bytes N] [--max-conns N]
 //!                  [--batch-window-us N] [--batch-max-rows N]
 //!                  [--compact 0|1] [--watch-interval-ms N]
 //! sls-serve route  --replicas HOST:PORT,HOST:PORT [--addr 127.0.0.1:7900]
 //!                  [--replication 2] [--health-interval-ms 250]
-//!                  [--upstream-timeout-ms 10000] [--workers 2] ...
+//!                  [--upstream-timeout-ms 10000] ...
 //! ```
+//!
+//! `serve` and `route` each run one acceptor thread, which hands every
+//! connection to its own handler thread. Sizes and intervals that have no
+//! zero meaning (`--instances`, `--dims`, `--clusters` of `export` and
+//! `synth`, `--chunk-size`, `--sample-rows`, `--batch-max-rows`,
+//! `--replication`, `--health-interval-ms`, `--upstream-timeout-ms`) must
+//! be at least 1; a zero is rejected by name before any file is written or
+//! socket bound.
 //!
 //! One linalg policy per process: `export`, `retrain` and `serve` install
 //! it before any work starts, from `--threads N`, else
@@ -58,6 +66,7 @@ use sls_serve::{
 };
 use std::collections::BTreeMap;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The connection flags `serve` and `route` share, read by [`serve_options`].
@@ -80,11 +89,11 @@ const USAGE: &str = "usage:
                     [--learning-rate X] [--eta X] [--seed N]
                     [--checkpoint FILE] [--stop-after-epochs N] [--has-header 0|1]
                     [--threads N]
-  sls-serve serve   --dir DIR [--addr HOST:PORT] [--workers N] [--threads N]
+  sls-serve serve   --dir DIR [--addr HOST:PORT] [--threads N]
                     [--batch-window-us N] [--batch-max-rows N]
                     [--compact 0|1] [--watch-interval-ms N] CONNECTION
   sls-serve route   --replicas HOST:PORT[,HOST:PORT...] [--addr HOST:PORT]
-                    [--workers N] [--replication N] [--health-interval-ms N]
+                    [--replication N] [--health-interval-ms N]
                     [--upstream-timeout-ms N] CONNECTION
 
   CONNECTION: [--keepalive-timeout-ms N] [--max-conn-requests N]
@@ -191,16 +200,17 @@ fn parsed<T: std::str::FromStr>(
     }
 }
 
-/// [`parsed`] for a size that must be at least 1.
-fn parsed_positive(
+/// [`parsed`] for a size or duration that must be at least 1.
+fn parsed_positive<T: std::str::FromStr + PartialEq + From<u8>>(
     flags: &BTreeMap<String, String>,
     name: &str,
-    default: usize,
-) -> Result<usize, String> {
-    match parsed(flags, name, default)? {
-        0 => Err(format!("--{name} must be at least 1")),
-        n => Ok(n),
+    default: T,
+) -> Result<T, String> {
+    let value = parsed(flags, name, default)?;
+    if value == T::from(0) {
+        return Err(format!("--{name} must be at least 1"));
     }
+    Ok(value)
 }
 
 /// Formats seconds since the Unix epoch as `YYYY-MM-DDThh:mm:ssZ`, using
@@ -379,8 +389,8 @@ fn run_retrain(args: &[String]) -> Result<(), String> {
     }
     options.n_hidden = parsed(&flags, "hidden", options.n_hidden)?;
     options.n_clusters = parsed(&flags, "clusters", options.n_clusters)?;
-    options.chunk_size = parsed(&flags, "chunk-size", options.chunk_size)?;
-    options.sample_rows = parsed(&flags, "sample-rows", options.sample_rows)?;
+    options.chunk_size = parsed_positive(&flags, "chunk-size", options.chunk_size)?;
+    options.sample_rows = parsed_positive(&flags, "sample-rows", options.sample_rows)?;
     options.train = options
         .train
         .with_epochs(parsed(&flags, "epochs", options.train.epochs)?)
@@ -468,7 +478,6 @@ fn run_serve(args: &[String]) -> Result<(), String> {
             &[
                 "--dir",
                 "--addr",
-                "--workers",
                 "--threads",
                 "--batch-window-us",
                 "--batch-max-rows",
@@ -488,17 +497,17 @@ fn run_serve(args: &[String]) -> Result<(), String> {
         .get("addr")
         .cloned()
         .unwrap_or_else(|| "127.0.0.1:7878".to_string());
-    let default_workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(16);
-    let workers = parsed(&flags, "workers", default_workers)?;
     let compact = match flags.get("compact") {
         Some(raw) => parse_bool(raw)
             .ok_or_else(|| format!("invalid value `{raw}` for --compact (use 0/1/true/false)"))?,
         None => false,
     };
     let watch_ms = parsed(&flags, "watch-interval-ms", 0u64)?;
+    let batch = BatchConfig {
+        window: Duration::from_micros(parsed(&flags, "batch-window-us", 0u64)?),
+        max_rows: parsed_positive(&flags, "batch-max-rows", BatchConfig::disabled().max_rows)?,
+    };
+    let options = serve_options(&flags)?;
 
     let live = LiveRegistry::from_dir(&dir, compact)
         .map_err(|e| format!("loading artifacts failed: {e}"))?;
@@ -518,20 +527,16 @@ fn run_serve(args: &[String]) -> Result<(), String> {
             model.param_bytes()
         );
     }
-    let batch = BatchConfig {
-        window: Duration::from_micros(parsed(&flags, "batch-window-us", 0u64)?),
-        max_rows: parsed(&flags, "batch-max-rows", BatchConfig::disabled().max_rows)?,
-    };
-    let server = Server::bind_live(addr.as_str(), live, workers)
+    let server = Server::bind(addr.as_str(), Arc::new(live))
         .map_err(|e| format!("bind failed: {e}"))?
         .with_watch((watch_ms > 0).then(|| Duration::from_millis(watch_ms)))
-        .with_options(serve_options(&flags)?)
+        .with_options(options)
         .with_batching(batch);
     let local = server
         .local_addr()
         .map_err(|e| format!("local address unavailable: {e}"))?;
     eprintln!(
-        "serving on http://{local} with {workers} acceptor(s), {} linalg thread(s) per request, \
+        "serving on http://{local} with {} linalg thread(s) per request, \
          batch window {}us, {} registry, watch {} \
          (POST /admin/reload to hot swap, Ctrl-C to stop)",
         parallel.threads,
@@ -555,7 +560,6 @@ fn run_route(args: &[String]) -> Result<(), String> {
             &[
                 "--replicas",
                 "--addr",
-                "--workers",
                 "--replication",
                 "--health-interval-ms",
                 "--upstream-timeout-ms",
@@ -585,25 +589,24 @@ fn run_route(args: &[String]) -> Result<(), String> {
         .get("addr")
         .cloned()
         .unwrap_or_else(|| "127.0.0.1:7900".to_string());
-    let workers = parsed(&flags, "workers", 2usize)?;
     let replica_count = replicas.len();
-    let mut config = RouterConfig::new(replicas)
-        .with_replication(parsed(&flags, "replication", 2usize)?)
-        .with_health_interval(Duration::from_millis(parsed(
+    let config = RouterConfig::new(replicas)
+        .with_replication(parsed_positive(&flags, "replication", 2)?)
+        .with_health_interval(Duration::from_millis(parsed_positive(
             &flags,
             "health-interval-ms",
-            250u64,
+            250,
+        )?))
+        .with_upstream_timeout(Duration::from_millis(parsed_positive(
+            &flags,
+            "upstream-timeout-ms",
+            10_000,
         )?));
-    config = config.with_upstream_timeout(Duration::from_millis(parsed(
-        &flags,
-        "upstream-timeout-ms",
-        10_000u64,
-    )?));
-    let replication = config.replication.min(replica_count).max(1);
+    let replication = config.replication.min(replica_count);
+    let options = serve_options(&flags)?;
     let router = Router::bind(addr.as_str(), config)
         .map_err(|e| format!("bind failed: {e}"))?
-        .with_workers(workers)
-        .with_options(serve_options(&flags)?);
+        .with_options(options);
     let local = router
         .local_addr()
         .map_err(|e| format!("local address unavailable: {e}"))?;

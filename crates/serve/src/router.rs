@@ -42,15 +42,13 @@ use crate::api::{
 use crate::client::{Client, Connection};
 use crate::http::{Request, MAX_BODY_BYTES};
 use crate::server::{
-    dispatch, error_body, every, json_body, shutdown_acceptors, spawn_acceptors, ConnCore,
-    RequestHandler, ServeOptions,
+    dispatch, error_body, json_body, start_frontend, RequestHandler, ServeOptions, ServerHandle,
 };
 use crate::{Result, ServeError};
 use std::collections::BTreeSet;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Idle upstream connections kept per replica; checkouts beyond the cap
@@ -69,9 +67,10 @@ pub struct RouterConfig {
     /// With `>= 2`, a dead replica is survivable: reads retry on the next
     /// owner.
     pub replication: usize,
-    /// How often the background health thread polls each replica.
+    /// How often the background health thread polls each replica; must
+    /// be non-zero.
     pub health_interval: Duration,
-    /// Connect/read/write timeout for upstream requests.
+    /// Connect/read/write timeout for upstream requests; must be non-zero.
     pub upstream_timeout: Duration,
 }
 
@@ -629,7 +628,6 @@ pub struct Router {
     listener: TcpListener,
     config: RouterConfig,
     options: ServeOptions,
-    workers: usize,
 }
 
 impl Router {
@@ -638,27 +636,29 @@ impl Router {
     ///
     /// # Errors
     ///
-    /// Returns bind I/O errors, and `BadRequest` when `config.replicas` is
-    /// empty.
+    /// Returns `BadRequest` when `config.replicas` is empty or
+    /// `config.health_interval` or `config.upstream_timeout` is zero, and
+    /// bind I/O errors.
     pub fn bind(addr: impl ToSocketAddrs, config: RouterConfig) -> Result<Self> {
-        if config.replicas.is_empty() {
-            return Err(crate::ServeError::BadRequest {
-                message: "a router needs at least one replica".to_string(),
+        let invalid = if config.replicas.is_empty() {
+            Some("a router needs at least one replica")
+        } else if config.health_interval.is_zero() {
+            Some("a router's health_interval must be positive")
+        } else if config.upstream_timeout.is_zero() {
+            Some("a router's upstream_timeout must be positive")
+        } else {
+            None
+        };
+        if let Some(message) = invalid {
+            return Err(ServeError::BadRequest {
+                message: message.to_string(),
             });
         }
         Ok(Self {
             listener: TcpListener::bind(addr)?,
             config,
             options: ServeOptions::default(),
-            workers: 2,
         })
-    }
-
-    /// Overrides the acceptor thread count (clamped to at least 1).
-    #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
     }
 
     /// Overrides the frontend connection-handling knobs (idle timeout,
@@ -680,68 +680,19 @@ impl Router {
     }
 
     /// Runs one synchronous health pass (so the first request routes on
-    /// real data), spawns the acceptors and the health thread, and returns
-    /// the handle.
+    /// real data), starts the acceptor and the background health poll,
+    /// which marks every non-drained replica down or up each interval, and
+    /// returns the handle.
     ///
     /// # Errors
     ///
     /// Returns I/O errors from thread spawning.
-    pub fn start(self) -> Result<RouterHandle> {
-        let addr = self.listener.local_addr()?;
-        let listener = Arc::new(self.listener);
-        let core = Arc::new(ConnCore::new(self.options));
+    pub fn start(self) -> Result<ServerHandle> {
         let state = Arc::new(RouterState::new(&self.config));
         state.health_pass();
-        let acceptors = spawn_acceptors(&listener, &core, &state, self.workers)?;
-        // Background mark-down/mark-up: polls every non-drained replica's
-        // `/healthz` each interval.
-        let health = {
-            let state = Arc::clone(&state);
-            let core = Arc::clone(&core);
-            let interval = self.config.health_interval;
-            std::thread::Builder::new()
-                .name("sls-route-health".to_string())
-                .spawn(move || every(interval, &core.shutdown, || state.health_pass()))?
-        };
-        Ok(RouterHandle {
-            addr,
-            core,
-            acceptors,
-            health,
-        })
-    }
-}
-
-/// A running shard router.
-#[derive(Debug)]
-pub struct RouterHandle {
-    addr: SocketAddr,
-    core: Arc<ConnCore>,
-    acceptors: Vec<JoinHandle<()>>,
-    health: JoinHandle<()>,
-}
-
-impl RouterHandle {
-    /// The address the router accepts connections on.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Blocks until every acceptor exits — what the `sls-serve route`
-    /// binary wants.
-    pub fn join(self) {
-        for acceptor in self.acceptors {
-            let _ = acceptor.join();
-        }
-        let _ = self.health.join();
-    }
-
-    /// Stops the router: shutdown flag, health thread, acceptor nudges,
-    /// bounded connection drain (same discipline as [`crate::ServerHandle`]).
-    pub fn shutdown(self) {
-        self.core.shutdown.store(true, Ordering::SeqCst);
-        let _ = self.health.join();
-        shutdown_acceptors(self.addr, &self.core, self.acceptors);
+        let poll = Arc::clone(&state);
+        let health = (self.config.health_interval, move || poll.health_pass());
+        start_frontend(self.listener, self.options, state, Some(health))
     }
 }
 
@@ -829,5 +780,19 @@ mod tests {
         let config = RouterConfig::new(addrs(2)).with_replication(0);
         let state = RouterState::new(&config);
         assert_eq!(state.owners("demo").len(), 1);
+    }
+
+    #[test]
+    fn bind_rejects_a_zero_health_interval() {
+        let config = RouterConfig::new(addrs(1)).with_health_interval(Duration::ZERO);
+        let err = Router::bind("127.0.0.1:0", config).unwrap_err().to_string();
+        assert!(err.contains("health_interval"), "{err}");
+    }
+
+    #[test]
+    fn bind_rejects_a_zero_upstream_timeout() {
+        let config = RouterConfig::new(addrs(1)).with_upstream_timeout(Duration::ZERO);
+        let err = Router::bind("127.0.0.1:0", config).unwrap_err().to_string();
+        assert!(err.contains("upstream_timeout"), "{err}");
     }
 }

@@ -1,6 +1,8 @@
-//! The HTTP JSON inference server: acceptor threads draining a
+//! The HTTP JSON inference server: one acceptor thread draining a
 //! `TcpListener` into per-connection handler threads that share a
-//! hot-swappable [`LiveRegistry`] and one cross-request [`Batcher`].
+//! hot-swappable [`LiveRegistry`] and one cross-request [`Batcher`]. The
+//! shard router ([`crate::Router`]) starts and stops through the same
+//! acceptor and the same [`ServerHandle`].
 //!
 //! ## Endpoints
 //!
@@ -114,7 +116,6 @@ impl Default for ServeOptions {
 pub struct Server {
     listener: TcpListener,
     live: Arc<LiveRegistry>,
-    workers: usize,
     parallel: ParallelPolicy,
     options: ServeOptions,
     batch: BatchConfig,
@@ -122,12 +123,11 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds `addr` (use port `0` for an ephemeral port) with `workers`
-    /// acceptor threads (clamped to at least 1); each accepted connection
-    /// gets its own handler thread, bounded by
-    /// [`ServeOptions::max_connections`]. Inference micro-batches run under
-    /// the process-wide [`ParallelPolicy::global`] unless overridden with
-    /// [`Server::with_parallel`]; connection handling defaults to
+    /// Binds `addr` (use port `0` for an ephemeral port) to serve from
+    /// `live`. The caller keeps its own `Arc` to trigger reloads or read
+    /// swap counters while the server runs. Inference micro-batches run
+    /// under the process-wide [`ParallelPolicy::global`] unless overridden
+    /// with [`Server::with_parallel`]; connection handling defaults to
     /// [`ServeOptions::default`] and batching to [`BatchConfig::disabled`].
     ///
     /// When the policy can fan out, the persistent linalg [`WorkerPool`] is
@@ -137,26 +137,14 @@ impl Server {
     /// # Errors
     ///
     /// Returns I/O errors from binding.
-    pub fn bind(addr: impl ToSocketAddrs, registry: ModelRegistry, workers: usize) -> Result<Self> {
-        Self::bind_live(addr, LiveRegistry::new(registry), workers)
-    }
-
-    /// [`Server::bind`] over an already-built [`LiveRegistry`] — the form
-    /// the `serve` binary uses so `POST /admin/reload` (and the optional
-    /// directory watcher) can swap generations from the artifact directory.
-    ///
-    /// # Errors
-    ///
-    /// Returns I/O errors from binding.
-    pub fn bind_live(addr: impl ToSocketAddrs, live: LiveRegistry, workers: usize) -> Result<Self> {
+    pub fn bind(addr: impl ToSocketAddrs, live: Arc<LiveRegistry>) -> Result<Self> {
         let parallel = ParallelPolicy::global();
         if !parallel.is_serial() {
             let _ = WorkerPool::global();
         }
         Ok(Self {
             listener: TcpListener::bind(addr)?,
-            live: Arc::new(live),
-            workers: workers.max(1),
+            live,
             parallel,
             options: ServeOptions::default(),
             batch: BatchConfig::disabled(),
@@ -212,51 +200,34 @@ impl Server {
         Ok(self.listener.local_addr()?)
     }
 
-    /// Spawns the acceptor threads and returns a handle for address lookup
-    /// and shutdown.
+    /// Starts the acceptor (and the directory watcher, when enabled) and
+    /// returns a handle for address lookup and shutdown.
     ///
     /// # Errors
     ///
     /// Returns I/O errors from thread spawning.
     pub fn start(self) -> Result<ServerHandle> {
-        let addr = self.listener.local_addr()?;
-        let listener = Arc::new(self.listener);
-        let core = Arc::new(ConnCore::new(self.options));
         let shared = Arc::new(Shared {
             live: self.live,
             parallel: self.parallel,
             batcher: Batcher::new(self.batch),
             draining: AtomicBool::new(false),
         });
-        let acceptors = spawn_acceptors(&listener, &core, &shared, self.workers)?;
         // The registry records the directory fingerprint each load or
         // reload attempt started from, so a change that lands before the
         // first poll is still reloaded, and a rejected reload (e.g. a
         // half-written artifact) is retried on the *next* change, not every
         // tick.
-        let watcher = match self.watch {
-            Some(interval) if shared.live.source().is_some() => {
-                let live = Arc::clone(&shared.live);
-                let core = Arc::clone(&core);
-                Some(
-                    std::thread::Builder::new()
-                        .name("sls-serve-watch".to_string())
-                        .spawn(move || {
-                            every(interval, &core.shutdown, || {
-                                let _ = live.reload_if_changed();
-                            });
-                        })?,
-                )
-            }
-            _ => None,
-        };
-        Ok(ServerHandle {
-            addr,
-            core,
-            shared,
-            acceptors,
-            watcher,
-        })
+        let live = Arc::clone(&shared.live);
+        let watcher = self
+            .watch
+            .filter(|_| live.source().is_some())
+            .map(|interval| {
+                (interval, move || {
+                    let _ = live.reload_if_changed();
+                })
+            });
+        start_frontend(self.listener, self.options, shared, watcher)
     }
 }
 
@@ -326,117 +297,113 @@ impl Drop for ConnGuard {
     }
 }
 
-/// Spawns `workers` acceptor threads over one listener, all driving the
-/// same handler.
-pub(crate) fn spawn_acceptors<H: RequestHandler>(
-    listener: &Arc<TcpListener>,
-    core: &Arc<ConnCore>,
-    handler: &Arc<H>,
-    workers: usize,
-) -> Result<Vec<JoinHandle<()>>> {
-    let mut acceptors = Vec::with_capacity(workers);
-    for worker_id in 0..workers {
-        let listener = Arc::clone(listener);
-        let core = Arc::clone(core);
-        let handler = Arc::clone(handler);
-        acceptors.push(
-            std::thread::Builder::new()
-                .name(format!("sls-serve-accept-{worker_id}"))
-                .spawn(move || acceptor_loop(&listener, &core, &handler))?,
-        );
-    }
-    Ok(acceptors)
-}
-
-/// Stops an acceptor pool: sets the shutdown flag, nudges each still-blocked
-/// acceptor with a wake-up connection until it exits, then waits (bounded)
-/// for live connections to observe the flag and drain.
-pub(crate) fn shutdown_acceptors(
-    addr: SocketAddr,
-    core: &ConnCore,
-    acceptors: Vec<JoinHandle<()>>,
-) {
-    core.shutdown.store(true, Ordering::SeqCst);
-    for acceptor in acceptors {
-        // An acceptor can be blocked in `accept` (the wake-up connection
-        // unblocks it) or mid-dispatch (it re-checks the flag right
-        // after); keep nudging until this acceptor is done, since
-        // another acceptor may have consumed an earlier wake-up.
-        while !acceptor.is_finished() {
-            let _ = TcpStream::connect(addr);
-            std::thread::sleep(Duration::from_millis(1));
+/// The start path both frontends share: one acceptor thread over
+/// `listener` handing each connection to `handler`, plus at most one
+/// `(interval, task)` run through [`every`] on its own thread (the
+/// server's directory watcher, the router's health poll).
+pub(crate) fn start_frontend<H: RequestHandler>(
+    listener: TcpListener,
+    options: ServeOptions,
+    handler: Arc<H>,
+    periodic: Option<(Duration, impl FnMut() + Send + 'static)>,
+) -> Result<ServerHandle> {
+    let addr = listener.local_addr()?;
+    let core = Arc::new(ConnCore::new(options));
+    let periodic = match periodic {
+        Some((interval, task)) => {
+            let core = Arc::clone(&core);
+            Some(
+                std::thread::Builder::new()
+                    .name("sls-serve-periodic".to_string())
+                    .spawn(move || every(interval, &core.shutdown, task))?,
+            )
         }
-        let _ = acceptor.join();
-    }
-    // Idle keep-alive connections poll the flag every SHUTDOWN_POLL;
-    // give them a bounded window to drain instead of waiting forever on
-    // a connection wedged mid-request.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while core.active_connections.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(2));
-    }
+        None => None,
+    };
+    let acceptor_core = Arc::clone(&core);
+    let acceptor = std::thread::Builder::new()
+        .name("sls-serve-accept".to_string())
+        .spawn(move || acceptor_loop(&listener, &acceptor_core, &handler))
+        .map_err(|e| {
+            // Stops the periodic task that already started.
+            core.shutdown.store(true, Ordering::SeqCst);
+            e
+        })?;
+    Ok(ServerHandle {
+        addr,
+        core,
+        acceptor,
+        periodic,
+    })
 }
 
-/// A running server: the acceptor pool plus the shared shutdown flag.
+/// A running server or router: its acceptor thread, its optional periodic
+/// task, and the shutdown flag they share.
 #[derive(Debug)]
 pub struct ServerHandle {
     addr: SocketAddr,
     core: Arc<ConnCore>,
-    shared: Arc<Shared>,
-    acceptors: Vec<JoinHandle<()>>,
-    watcher: Option<JoinHandle<()>>,
+    acceptor: JoinHandle<()>,
+    periodic: Option<JoinHandle<()>>,
 }
 
 impl ServerHandle {
-    /// The address the server accepts connections on.
+    /// The address the frontend accepts connections on.
     pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 
-    /// The hot-swappable registry this server serves from — lets an
-    /// embedding process trigger reloads or read swap counters directly.
-    pub fn live(&self) -> Arc<LiveRegistry> {
-        Arc::clone(&self.shared.live)
-    }
-
-    /// Blocks the calling thread until every acceptor exits (effectively
-    /// forever unless another thread triggers shutdown) — what the
-    /// `sls-serve serve` binary wants.
+    /// Blocks the calling thread for as long as the acceptor runs, which
+    /// is until the process is killed — what the `sls-serve serve` and
+    /// `route` subcommands want.
     pub fn join(self) {
-        for acceptor in self.acceptors {
-            let _ = acceptor.join();
-        }
-        if let Some(watcher) = self.watcher {
-            let _ = watcher.join();
+        let _ = self.acceptor.join();
+        if let Some(periodic) = self.periodic {
+            let _ = periodic.join();
         }
     }
 
-    /// Stops the server: sets the shutdown flag, nudges each still-blocked
-    /// acceptor with a wake-up connection until it exits, then waits
-    /// (bounded) for live connections to observe the flag and drain.
+    /// Stops the frontend: sets the shutdown flag, joins the periodic task
+    /// (it polls the flag at least every [`SHUTDOWN_POLL`]), wakes the
+    /// acceptor, then waits (bounded) for live connections to observe the
+    /// flag and drain.
     pub fn shutdown(self) {
         self.core.shutdown.store(true, Ordering::SeqCst);
-        if let Some(watcher) = self.watcher {
-            // The watcher polls the flag at least every SHUTDOWN_POLL.
-            let _ = watcher.join();
+        if let Some(periodic) = self.periodic {
+            let _ = periodic.join();
         }
-        shutdown_acceptors(self.addr, &self.core, self.acceptors);
+        // The acceptor is blocked in `accept`, which a wake-up connection
+        // ends, or between accepts, where it re-checks the flag.
+        while !self.acceptor.is_finished() {
+            let _ = TcpStream::connect(self.addr);
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let _ = self.acceptor.join();
+        // Idle keep-alive connections poll the flag every SHUTDOWN_POLL;
+        // give them a bounded window to drain instead of waiting forever on
+        // a connection wedged mid-request.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while self.core.active_connections.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
     }
 }
 
-/// Runs `task` every `interval` until `shutdown` is set, re-checking the
-/// flag at least every [`SHUTDOWN_POLL`]: the directory watcher and the
-/// router's health poll.
+/// Runs `task` every `interval` until `shutdown` is set, checking the flag
+/// before each run and at least every [`SHUTDOWN_POLL`] while it waits:
+/// the directory watcher and the router's health poll.
 pub(crate) fn every(interval: Duration, shutdown: &AtomicBool, mut task: impl FnMut()) {
     loop {
         let deadline = Instant::now() + interval;
-        while Instant::now() < deadline {
+        loop {
             if shutdown.load(Ordering::SeqCst) {
                 return;
             }
-            std::thread::sleep(
-                SHUTDOWN_POLL.min(deadline.saturating_duration_since(Instant::now())),
-            );
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            std::thread::sleep(SHUTDOWN_POLL.min(left));
         }
         task();
     }
@@ -1235,7 +1202,7 @@ mod tests {
 
     #[test]
     fn server_binds_ephemeral_port_and_shuts_down() {
-        let server = Server::bind("127.0.0.1:0", registry(), 2)
+        let server = Server::bind("127.0.0.1:0", Arc::new(live()))
             .unwrap()
             .with_parallel(ParallelPolicy::new(2));
         let addr = server.local_addr().unwrap();
@@ -1250,7 +1217,7 @@ mod tests {
         // Bind-time pool construction plus real requests through the pooled
         // inference path, answered by concurrent connection handlers
         // sharing one linalg worker pool.
-        let server = Server::bind("127.0.0.1:0", registry(), 2)
+        let server = Server::bind("127.0.0.1:0", Arc::new(live()))
             .unwrap()
             .with_parallel(ParallelPolicy::new(4).with_min_rows_per_thread(1));
         let addr = server.local_addr().unwrap();
@@ -1266,5 +1233,22 @@ mod tests {
             assert_eq!(response.body, reference.1);
         }
         handle.shutdown();
+    }
+
+    #[test]
+    fn every_returns_at_once_when_the_flag_is_already_set() {
+        // Run on a thread: an `every` that never checks the flag would
+        // otherwise hang the suite instead of failing it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let shutdown = AtomicBool::new(true);
+            let mut runs = 0;
+            every(Duration::ZERO, &shutdown, || runs += 1);
+            let _ = tx.send(runs);
+        });
+        let runs = rx
+            .recv_timeout(Duration::from_secs(1))
+            .expect("every(0, ..) kept running with the shutdown flag set");
+        assert_eq!(runs, 0);
     }
 }

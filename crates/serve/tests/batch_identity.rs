@@ -14,7 +14,7 @@ use sls_serve::{
     route_live, BatchConfig, BatchStatsResponse, Client, FeaturesResponse, LiveRegistry,
     ModelRegistry, Server, ServerHandle,
 };
-use std::sync::Barrier;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 /// Two models with different visible widths, so cross-model leakage cannot
@@ -47,7 +47,7 @@ fn registry() -> ModelRegistry {
 }
 
 fn start(parallel: ParallelPolicy) -> ServerHandle {
-    Server::bind("127.0.0.1:0", registry(), 2)
+    Server::bind("127.0.0.1:0", Arc::new(LiveRegistry::new(registry())))
         .expect("bind ephemeral port")
         .with_parallel(parallel)
         .with_batching(BatchConfig {

@@ -1,19 +1,39 @@
-//! The `sls-serve` binary end to end: argument validation, and the one
-//! parallel policy every subcommand installs.
+//! The `sls-serve` binary end to end: argument validation, the one
+//! parallel policy every subcommand installs, and the address `serve` and
+//! `route` announce.
 
 use sls_linalg::ENV_THREADS;
+use sls_serve::Client;
+use std::io::{BufRead, BufReader};
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Child, ChildStderr, Command, Output, Stdio};
+use std::time::{Duration, Instant};
+
+/// How long a subcommand that should finish may run. A `serve` or `route`
+/// that starts instead of rejecting its flags is killed after this, so the
+/// test fails instead of hanging.
+const DEADLINE: Duration = Duration::from_secs(60);
 
 /// Runs `sls-serve args` with `SLS_PARALLEL_THREADS` set to `threads_env`,
 /// or removed from the child's environment when `None`.
 fn sls_serve(args: &[&str], threads_env: Option<&str>) -> Output {
     let mut command = Command::new(env!("CARGO_BIN_EXE_sls-serve"));
-    command.args(args).env_remove(ENV_THREADS);
+    command
+        .args(args)
+        .env_remove(ENV_THREADS)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped());
     if let Some(threads) = threads_env {
         command.env(ENV_THREADS, threads);
     }
-    command.output().expect("sls-serve runs")
+    let mut child = command.spawn().expect("sls-serve runs");
+    let deadline = Instant::now() + DEADLINE;
+    while child.try_wait().expect("sls-serve status").is_none() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let _ = child.kill();
+    child.wait_with_output().expect("sls-serve output")
 }
 
 fn stderr(output: &Output) -> String {
@@ -54,17 +74,79 @@ fn cores() -> usize {
 #[test]
 fn zero_sizes_are_rejected_before_any_file_is_written() {
     let dir = scratch("zero");
+    let csv = dir.join("blobs.csv");
+    let csv_arg = csv.to_str().unwrap();
+    let out = dir.join("artifacts");
+    let out_arg = out.to_str().unwrap();
     for flag in ["--instances", "--dims", "--clusters"] {
-        let csv = dir.join("blobs.csv");
-        let csv_arg = csv.to_str().unwrap();
         let synth = sls_serve(&["synth", "--out", csv_arg, flag, "0"], None);
         assert_rejected(&synth, flag);
         assert!(!csv.exists(), "synth {flag} 0 wrote {}", csv.display());
 
-        let out = dir.join("artifacts");
-        let export = sls_serve(&["export", "--out", out.to_str().unwrap(), flag, "0"], None);
+        let export = sls_serve(&["export", "--out", out_arg, flag, "0"], None);
         assert_rejected(&export, flag);
         assert!(!out.exists(), "export {flag} 0 wrote {}", out.display());
+    }
+
+    let synth = sls_serve(&["synth", "--out", csv_arg, "--instances", "60"], None);
+    assert!(synth.status.success(), "stderr: {}", stderr(&synth));
+    for flag in ["--chunk-size", "--sample-rows"] {
+        let retrain = sls_serve(
+            &[
+                "retrain", "--data", csv_arg, "--out", out_arg, "--epochs", "1", flag, "0",
+            ],
+            None,
+        );
+        assert_rejected(&retrain, flag);
+        assert!(!out.exists(), "retrain {flag} 0 wrote {}", out.display());
+    }
+
+    let served = dir.join("served");
+    let served_arg = served.to_str().unwrap();
+    let export = sls_serve(
+        &[
+            "export",
+            "--out",
+            served_arg,
+            "--instances",
+            "30",
+            "--dims",
+            "4",
+        ],
+        None,
+    );
+    assert!(export.status.success(), "stderr: {}", stderr(&export));
+    let serve = sls_serve(
+        &[
+            "serve",
+            "--dir",
+            served_arg,
+            "--addr",
+            "127.0.0.1:0",
+            "--batch-max-rows",
+            "0",
+        ],
+        None,
+    );
+    assert_rejected(&serve, "--batch-max-rows");
+    for flag in [
+        "--replication",
+        "--health-interval-ms",
+        "--upstream-timeout-ms",
+    ] {
+        let route = sls_serve(
+            &[
+                "route",
+                "--replicas",
+                "127.0.0.1:9",
+                "--addr",
+                "127.0.0.1:0",
+                flag,
+                "0",
+            ],
+            None,
+        );
+        assert_rejected(&route, flag);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -92,10 +174,88 @@ fn a_repeated_flag_is_rejected() {
 
 #[test]
 fn min_par_rows_is_an_unknown_flag() {
-    for subcommand in ["export", "retrain", "serve"] {
-        let output = sls_serve(&[subcommand, "--min-par-rows", "4"], None);
-        assert_rejected(&output, "unknown flag `--min-par-rows`");
+    for (subcommand, flag) in [
+        ("export", "--min-par-rows"),
+        ("retrain", "--min-par-rows"),
+        ("serve", "--min-par-rows"),
+        ("serve", "--workers"),
+        ("route", "--workers"),
+    ] {
+        let output = sls_serve(&[subcommand, flag, "4"], None);
+        assert_rejected(&output, &format!("unknown flag `{flag}`"));
     }
+}
+
+/// A running `serve` or `route` child, killed when dropped. It keeps its
+/// stderr pipe open so the child never writes into a closed pipe.
+struct Running {
+    child: Child,
+    stderr: BufReader<ChildStderr>,
+}
+
+impl Drop for Running {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// Starts `sls-serve args --addr 127.0.0.1:0` and reads the bound address
+/// after `announce`, the stderr prefix the end-to-end benchmark parses.
+fn start(args: &[&str], announce: &str) -> (Running, SocketAddr) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_sls-serve"))
+        .args(args)
+        .args(["--addr", "127.0.0.1:0"])
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("sls-serve starts");
+    let mut running = Running {
+        stderr: BufReader::new(child.stderr.take().expect("stderr is piped")),
+        child,
+    };
+    let mut line = String::new();
+    loop {
+        line.clear();
+        let read = running.stderr.read_line(&mut line).expect("stderr line");
+        assert!(
+            read > 0,
+            "`sls-serve {}` exited before `{announce}`",
+            args[0]
+        );
+        if let Some(rest) = line.strip_prefix(announce) {
+            let addr = rest.split_whitespace().next().and_then(|a| a.parse().ok());
+            let addr = addr.unwrap_or_else(|| panic!("no address in `{line}`"));
+            return (running, addr);
+        }
+    }
+}
+
+fn healthz_status(addr: SocketAddr) -> u16 {
+    Client::new(addr)
+        .request("GET", "/healthz", "")
+        .expect("healthz answers")
+        .status
+}
+
+#[test]
+fn serve_and_route_announce_an_address_that_answers_healthz() {
+    let dir = scratch("announce");
+    let artifacts = dir.join("artifacts");
+    let out = artifacts.to_str().unwrap();
+    let export = sls_serve(
+        &["export", "--out", out, "--instances", "30", "--dims", "4"],
+        None,
+    );
+    assert!(export.status.success(), "stderr: {}", stderr(&export));
+
+    let (_replica, replica) = start(&["serve", "--dir", out], "serving on http://");
+    assert_eq!(healthz_status(replica), 200);
+    let replicas = replica.to_string();
+    let (_router, router) = start(&["route", "--replicas", &replicas], "routing on http://");
+    assert_eq!(healthz_status(router), 200);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

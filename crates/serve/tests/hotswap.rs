@@ -87,20 +87,24 @@ fn expected(artifact: &PipelineArtifact, compact: bool) -> Expected {
     }
 }
 
-fn start_from_dir(dir: &PathBuf, batch_window: Duration) -> ServerHandle {
-    Server::bind_live(
-        "127.0.0.1:0",
-        LiveRegistry::from_dir(dir, false).expect("load artifact dir"),
-        WORKERS,
-    )
-    .expect("bind ephemeral port")
-    .with_options(ServeOptions::default())
-    .with_batching(BatchConfig {
-        window: batch_window,
-        ..BatchConfig::disabled()
-    })
-    .start()
-    .expect("server starts")
+/// A server bound to serve `dir`, plus the live registry it serves from.
+fn bind_dir(dir: &PathBuf, compact: bool) -> (Server, Arc<LiveRegistry>) {
+    let live = Arc::new(LiveRegistry::from_dir(dir, compact).expect("load artifact dir"));
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&live)).expect("bind ephemeral port");
+    (server, live)
+}
+
+fn start_from_dir(dir: &PathBuf, batch_window: Duration) -> (ServerHandle, Arc<LiveRegistry>) {
+    let (server, live) = bind_dir(dir, false);
+    let handle = server
+        .with_options(ServeOptions::default())
+        .with_batching(BatchConfig {
+            window: batch_window,
+            ..BatchConfig::disabled()
+        })
+        .start()
+        .expect("server starts");
+    (handle, live)
 }
 
 /// Ten atomic swaps under sustained keep-alive load: no request may fail,
@@ -122,8 +126,7 @@ fn ten_swaps_under_keep_alive_load_lose_nothing() {
     artifacts[0].save(&path).expect("save generation 1");
 
     // Force the micro-batch window on so swaps land while batches are open.
-    let handle = start_from_dir(&dir, Duration::from_micros(300));
-    let live = handle.live();
+    let (handle, live) = start_from_dir(&dir, Duration::from_micros(300));
     let client = Client::new(handle.addr());
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -213,7 +216,7 @@ fn corrupt_artifact_keeps_old_generation_serving_over_http() {
     let v1 = train(1);
     v1.save(&path).unwrap();
 
-    let handle = start_from_dir(&dir, Duration::ZERO);
+    let (handle, _) = start_from_dir(&dir, Duration::ZERO);
     let client = Client::new(handle.addr());
     let before = client.features(MODEL, &probe_rows()).expect("baseline");
 
@@ -263,16 +266,11 @@ fn directory_watcher_swaps_without_an_admin_call() {
     let path = dir.join(format!("{MODEL}.json"));
     train(1).save(&path).unwrap();
 
-    let handle = Server::bind_live(
-        "127.0.0.1:0",
-        LiveRegistry::from_dir(&dir, false).expect("load artifact dir"),
-        2,
-    )
-    .expect("bind")
-    .with_watch(Some(Duration::from_millis(25)))
-    .start()
-    .expect("server starts");
-    let live = handle.live();
+    let (server, live) = bind_dir(&dir, false);
+    let handle = server
+        .with_watch(Some(Duration::from_millis(25)))
+        .start()
+        .expect("server starts");
     assert_eq!(live.generation(), 1);
 
     train(2).save(&path).unwrap();
@@ -316,16 +314,11 @@ fn watcher_detects_same_size_same_mtime_rewrite() {
     std::fs::write(&path, &v1).unwrap();
     let mtime = std::fs::metadata(&path).unwrap().modified().unwrap();
 
-    let handle = Server::bind_live(
-        "127.0.0.1:0",
-        LiveRegistry::from_dir(&dir, false).expect("load artifact dir"),
-        2,
-    )
-    .expect("bind")
-    .with_watch(Some(Duration::from_millis(25)))
-    .start()
-    .expect("server starts");
-    let live = handle.live();
+    let (server, live) = bind_dir(&dir, false);
+    let handle = server
+        .with_watch(Some(Duration::from_millis(25)))
+        .start()
+        .expect("server starts");
     assert_eq!(live.generation(), 1);
 
     // Same-size rewrite with the mtime pinned back to the first export's —
@@ -366,13 +359,10 @@ fn watcher_reloads_a_change_made_before_start() {
     let path = dir.join(format!("{MODEL}.json"));
     train(1).save(&path).unwrap();
 
-    let live = LiveRegistry::from_dir(&dir, false).expect("load artifact dir");
-    let server = Server::bind_live("127.0.0.1:0", live, 2)
-        .expect("bind")
-        .with_watch(Some(Duration::from_millis(25)));
+    let (server, live) = bind_dir(&dir, false);
+    let server = server.with_watch(Some(Duration::from_millis(25)));
     train(2).save(&path).unwrap();
     let handle = server.start().expect("server starts");
-    let live = handle.live();
 
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     while live.generation() < 2 {
@@ -396,16 +386,11 @@ fn watcher_retries_a_corrupt_artifact_once_per_change() {
     let dir = unique_dir("corrupt_watch");
     std::fs::create_dir_all(&dir).unwrap();
     train(1).save(dir.join(format!("{MODEL}.json"))).unwrap();
-    let handle = Server::bind_live(
-        "127.0.0.1:0",
-        LiveRegistry::from_dir(&dir, false).expect("load artifact dir"),
-        2,
-    )
-    .expect("bind")
-    .with_watch(Some(Duration::from_millis(25)))
-    .start()
-    .expect("server starts");
-    let live = handle.live();
+    let (server, live) = bind_dir(&dir, false);
+    let handle = server
+        .with_watch(Some(Duration::from_millis(25)))
+        .start()
+        .expect("server starts");
 
     // Land the corrupt file atomically (rename), so no poll can observe a
     // half-written state and count a second, distinct change.
@@ -452,14 +437,8 @@ fn compact_registry_stays_within_bound_over_http() {
     let artifact = train(1);
     artifact.save(dir.join(format!("{MODEL}.json"))).unwrap();
 
-    let handle = Server::bind_live(
-        "127.0.0.1:0",
-        LiveRegistry::from_dir(&dir, true).expect("load compact dir"),
-        2,
-    )
-    .expect("bind")
-    .start()
-    .expect("server starts");
+    let (server, _) = bind_dir(&dir, true);
+    let handle = server.start().expect("server starts");
     let client = Client::new(handle.addr());
 
     let models = client.models().expect("models");

@@ -22,6 +22,7 @@ use sls_serve::{
 };
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
 use std::time::Duration;
 
 const MODEL: &str = "demo";
@@ -50,7 +51,7 @@ fn start(options: ServeOptions) -> ServerHandle {
 }
 
 fn start_batched(options: ServeOptions, batch: BatchConfig) -> ServerHandle {
-    Server::bind("127.0.0.1:0", registry(), 2)
+    Server::bind("127.0.0.1:0", Arc::new(LiveRegistry::new(registry())))
         .expect("bind ephemeral port")
         .with_options(options)
         .with_batching(batch)

@@ -12,8 +12,8 @@ use sls_rbm_core::{ModelKind, PipelineArtifact, SlsPipelineConfig};
 use sls_serve::http::{read_response_meta, write_request_keep_alive};
 use sls_serve::{
     replica_rank, Client, ErrorResponse, LiveRegistry, ModelsResponse, Router, RouterConfig,
-    RouterDrainResponse, RouterHandle, RouterReloadResponse, RouterStatzResponse, ServeOptions,
-    Server, ServerHandle,
+    RouterDrainResponse, RouterReloadResponse, RouterStatzResponse, ServeOptions, Server,
+    ServerHandle,
 };
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -66,18 +66,15 @@ fn export(dir: &PathBuf, artifact: &PipelineArtifact, models: &[&str]) {
 }
 
 fn start_replica(dir: &PathBuf) -> ServerHandle {
-    Server::bind_live(
-        "127.0.0.1:0",
-        LiveRegistry::from_dir(dir, false).expect("load artifact dir"),
-        2,
-    )
-    .expect("bind ephemeral port")
-    .with_options(ServeOptions::default())
-    .start()
-    .expect("replica starts")
+    let live = LiveRegistry::from_dir(dir, false).expect("load artifact dir");
+    Server::bind("127.0.0.1:0", Arc::new(live))
+        .expect("bind ephemeral port")
+        .with_options(ServeOptions::default())
+        .start()
+        .expect("replica starts")
 }
 
-fn start_router(replicas: Vec<SocketAddr>, replication: usize) -> RouterHandle {
+fn start_router(replicas: Vec<SocketAddr>, replication: usize) -> ServerHandle {
     Router::bind(
         "127.0.0.1:0",
         RouterConfig::new(replicas)

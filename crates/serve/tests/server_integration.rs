@@ -6,7 +6,8 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use sls_datasets::SyntheticBlobs;
 use sls_rbm_core::{FittedPipeline, ModelKind, PipelineArtifact, SlsPipelineConfig};
-use sls_serve::{Client, ModelRegistry, ServeError, Server};
+use sls_serve::{Client, LiveRegistry, ModelRegistry, ServeError, Server};
+use std::sync::Arc;
 
 const MODEL: &str = "quick_demo";
 
@@ -39,7 +40,7 @@ fn start_server(artifact: &PipelineArtifact, tag: &str) -> sls_serve::ServerHand
         .expect("artifact saves");
     let registry = ModelRegistry::load_dir(&dir).expect("artifacts load");
     std::fs::remove_dir_all(&dir).ok();
-    Server::bind("127.0.0.1:0", registry, 4)
+    Server::bind("127.0.0.1:0", Arc::new(LiveRegistry::new(registry)))
         .expect("bind ephemeral port")
         .start()
         .expect("server starts")
