@@ -20,24 +20,27 @@
 //! smoke gate and as a batching-identity check.
 //!
 //! In-process references follow the server's serving representation: the
-//! `/models` listing says whether the target is compact (f32-quantized),
+//! `/v1/models` listing says whether the target is compact (f32-quantized),
 //! and the reference is built through the same [`ServingModel`] path.
 //! `--compact 0|1` pins the expectation instead — the run fails fast when
 //! the server disagrees, catching a fleet rolled out with the wrong flag.
 //!
-//! `--keep-alive 1` gives every worker one reused connection instead of a
-//! connection per request; `--batch-report 1` samples `GET /statz` around
-//! the run and prints what the server's cross-request micro-batcher did.
-//! `--v1 1` pins every request to the versioned `/v1/...` paths (the
-//! responses are byte-identical aliases), exercising the prefix the shard
-//! router and forward-compatible clients use.
+//! Every request goes to the `/v1/...` API, so the same run works against
+//! `sls-serve serve` and `sls-serve route`. `--keep-alive 1` gives every
+//! worker one reused connection instead of a connection per request;
+//! `--batch-report 1` samples `GET /v1/admin/statz` around the run and
+//! prints what the server's cross-request micro-batcher did.
+//!
+//! `--requests`, `--concurrency` and `--rows` must be at least 1, and a
+//! flag given twice is an error: both exit non-zero, naming the flag,
+//! before any connection is made.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use sls_linalg::{Matrix, ParallelPolicy};
 use sls_rbm_core::PipelineArtifact;
 use sls_serve::{BatchStatsResponse, Client, Connection, LatencySummary, ServingModel};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::ToSocketAddrs;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -45,7 +48,7 @@ use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage: loadgen [--addr HOST:PORT] [--model NAME] [--requests N] \
 [--concurrency N] [--rows N] [--mode features|assign|mix] [--seed N] \
-[--keep-alive 0|1] [--batch-report 0|1] [--artifact PATH] [--compact 0|1] [--v1 0|1]";
+[--keep-alive 0|1] [--batch-report 0|1] [--artifact PATH] [--compact 0|1]";
 
 /// How many distinct row batches the workers cycle through. Small enough to
 /// precompute references cheaply, large enough that concurrent in-flight
@@ -63,10 +66,9 @@ struct Options {
     keep_alive: bool,
     batch_report: bool,
     artifact: Option<String>,
-    /// Expected serving representation; `None` trusts the `/models` listing.
+    /// Expected serving representation; `None` trusts the `/v1/models`
+    /// listing.
     compact: Option<bool>,
-    /// Pin requests to the versioned `/v1` path prefix.
-    v1: bool,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -123,24 +125,25 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         batch_report: false,
         artifact: None,
         compact: None,
-        v1: false,
     };
+    let mut seen = BTreeSet::new();
     let mut iter = args.iter();
     while let Some(flag) = iter.next() {
         let value = iter
             .next()
             .ok_or_else(|| format!("flag `{flag}` needs a value\n{USAGE}"))?;
-        let numeric = || {
-            value
-                .parse::<usize>()
-                .map_err(|_| format!("invalid value `{value}` for `{flag}`"))
+        // A size of zero has no meaning: reject it instead of running one.
+        let positive = || match value.parse::<usize>() {
+            Ok(0) => Err(format!("`{flag}` must be at least 1")),
+            Ok(n) => Ok(n),
+            Err(_) => Err(format!("invalid value `{value}` for `{flag}`")),
         };
         match flag.as_str() {
             "--addr" => options.addr = value.clone(),
             "--model" => options.model = value.clone(),
-            "--requests" => options.requests = numeric()?.max(1),
-            "--concurrency" => options.concurrency = numeric()?.max(1),
-            "--rows" => options.rows = numeric()?.max(1),
+            "--requests" => options.requests = positive()?,
+            "--concurrency" => options.concurrency = positive()?,
+            "--rows" => options.rows = positive()?,
             "--seed" => {
                 options.seed = value
                     .parse()
@@ -158,8 +161,10 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--batch-report" => options.batch_report = parse_bool(flag, value)?,
             "--artifact" => options.artifact = Some(value.clone()),
             "--compact" => options.compact = Some(parse_bool(flag, value)?),
-            "--v1" => options.v1 = parse_bool(flag, value)?,
             other => return Err(format!("unknown flag `{other}`\n{USAGE}")),
+        }
+        if !seen.insert(flag) {
+            return Err(format!("flag `{flag}` given more than once"));
         }
     }
     Ok(options)
@@ -248,10 +253,9 @@ fn build_references(
 
 /// Fetches the server's micro-batching counters.
 fn fetch_statz(client: &Client) -> Result<BatchStatsResponse, String> {
-    let response = client
-        .request_ok("GET", "/statz", "")
-        .map_err(|e| format!("GET /statz failed: {e}"))?;
-    serde_json::from_str(&response.body).map_err(|e| format!("statz body undecodable: {e}"))
+    client
+        .statz()
+        .map_err(|e| format!("GET /v1/admin/statz failed: {e}"))
 }
 
 fn verify_features(reference: &Reference, answered: &[Vec<f64>]) -> Result<(), String> {
@@ -282,10 +286,7 @@ fn run(options: &Options) -> Result<(), String> {
         .map_err(|e| format!("cannot resolve `{}`: {e}", options.addr))?
         .next()
         .ok_or_else(|| format!("`{}` resolved to no address", options.addr))?;
-    let client = Client::builder()
-        .timeout(Duration::from_secs(30))
-        .v1(options.v1)
-        .build(addr);
+    let client = Client::new(addr);
 
     let health = client
         .health()
@@ -335,11 +336,10 @@ fn run(options: &Options) -> Result<(), String> {
         }
     }
     println!(
-        "loadgen: {} requests x {} rows against http://{addr}{}/models/{} \
+        "loadgen: {} requests x {} rows against http://{addr}/v1/models/{} \
          ({} healthy models, concurrency {}, visible width {}, keep-alive {}, {})",
         options.requests,
         options.rows,
-        if options.v1 { "/v1" } else { "" },
         options.model,
         health.models,
         options.concurrency,
@@ -512,5 +512,56 @@ fn main() {
     if let Err(message) = result {
         eprintln!("{message}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The error `parse_options` answers `args` with.
+    fn rejection(args: &[&str]) -> String {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        match parse_options(&args) {
+            Ok(_) => panic!("{args:?} was accepted"),
+            Err(message) => message,
+        }
+    }
+
+    #[test]
+    fn zero_sizes_are_rejected_by_name() {
+        for flag in ["--requests", "--concurrency", "--rows"] {
+            let err = rejection(&[flag, "0"]);
+            assert!(
+                err.contains(&format!("`{flag}` must be at least 1")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_repeated_flag_is_rejected_by_name() {
+        let err = rejection(&["--rows", "4", "--seed", "1", "--rows", "8"]);
+        assert!(err.contains("`--rows`"), "{err}");
+        assert!(err.contains("more than once"), "{err}");
+    }
+
+    #[test]
+    fn v1_is_an_unknown_flag() {
+        let err = rejection(&["--v1", "1"]);
+        assert!(err.contains("unknown flag `--v1`"), "{err}");
+    }
+
+    #[test]
+    fn sizes_parse_as_given() {
+        let args: Vec<String> = ["--requests", "7", "--concurrency", "3", "--rows", "2"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let options = parse_options(&args).expect("valid flags");
+        assert_eq!(
+            (options.requests, options.concurrency, options.rows),
+            (7, 3, 2)
+        );
     }
 }

@@ -1,16 +1,15 @@
 //! Versioned pipeline artifacts: everything needed to *serve* a trained
 //! pipeline, not just its raw parameters.
 //!
-//! [`crate::save_params_json`] historically persisted bare [`RbmParams`],
-//! which cannot answer an inference request on its own: the preprocessing
-//! statistics fitted on the training data, the model kind and the fitted
-//! clustering head are all required to map a raw feature row to a hidden
-//! feature vector or a cluster assignment. [`PipelineArtifact`] bundles all
-//! of them behind a schema-versioned JSON file:
+//! Bare [`RbmParams`] cannot answer an inference request on their own: the
+//! preprocessing statistics fitted on the training data, the model kind and
+//! the fitted clustering head are all required to map a raw feature row to
+//! a hidden feature vector or a cluster assignment. [`PipelineArtifact`]
+//! bundles all of them behind a schema-versioned JSON file:
 //!
 //! * `schema_version` — integer, bumped on any breaking layout change; a
-//!   build refuses to load artifacts from a *newer* schema but keeps reading
-//!   every older one (including the pre-artifact param-only snapshots).
+//!   build reads every version up to its own, and refuses a *newer* one and
+//!   a file without the field.
 //! * `model_kind` — which of the paper's four models produced the weights.
 //! * `params` — the trained [`RbmParams`].
 //! * `preprocessor` — the *fitted* preprocessing statistics
@@ -19,7 +18,8 @@
 //! * `cluster_head` — the fitted downstream clusterer ([`ClusterHead`]):
 //!   centroids in hidden-feature space plus the clusterer configuration.
 //! * `train_config` — provenance: the [`SlsPipelineConfig`] used at training
-//!   time (`None` for artifacts converted from param-only snapshots).
+//!   time (`None` for artifacts wrapped around bare parameters by
+//!   [`PipelineArtifact::from_params`]).
 //!
 //! The inference path is deliberately batched: [`PipelineArtifact::features`]
 //! pushes *all* rows of a request through one matrix multiply instead of N
@@ -259,7 +259,7 @@ pub struct PipelineArtifact {
     /// features).
     pub cluster_head: Option<ClusterHead>,
     /// The configuration the pipeline was trained with (`None` for artifacts
-    /// converted from param-only snapshots).
+    /// built by [`PipelineArtifact::from_params`]).
     pub train_config: Option<SlsPipelineConfig>,
     /// When the pipeline was trained (free-form timestamp set by the
     /// exporter, e.g. `2026-08-07T12:00:00Z`). Optional and additive:
@@ -337,11 +337,8 @@ impl PipelineArtifact {
     /// Wraps bare parameters in a current-schema artifact with no fitted
     /// preprocessor and no cluster head.
     ///
-    /// Param-only snapshots do not record the model kind; callers that know
-    /// it should pass the right one, legacy loads default to
-    /// [`ModelKind::Rbm`] (the kind only affects metadata — hidden-feature
-    /// extraction is identical across kinds because the hidden layer is
-    /// always sigmoid).
+    /// The kind only affects metadata: hidden-feature extraction is
+    /// identical across kinds because the hidden layer is always sigmoid.
     pub fn from_params(params: RbmParams, model_kind: ModelKind) -> Self {
         Self {
             schema_version: ARTIFACT_SCHEMA_VERSION,
@@ -477,55 +474,50 @@ impl PipelineArtifact {
         Ok(serde_json::to_string_pretty(self)?)
     }
 
-    /// Parses an artifact from JSON text.
-    ///
-    /// Accepts both the current artifact schema (any version up to
-    /// [`ARTIFACT_SCHEMA_VERSION`]) and the legacy param-only snapshot
-    /// format, which is wrapped via [`Self::from_params`].
+    /// Parses an artifact from JSON text: any schema version up to
+    /// [`ARTIFACT_SCHEMA_VERSION`].
     ///
     /// # Errors
     ///
     /// Returns [`RbmError::UnsupportedSchemaVersion`] for artifacts written
-    /// by a newer build, [`RbmError::InvalidConfig`] if the parameters'
-    /// bias lengths disagree with their weight matrix or any parameter,
-    /// preprocessing statistic or centroid is not finite, and
-    /// deserialisation errors for malformed input.
+    /// by a newer build, a deserialisation error naming `schema_version` for
+    /// a file without the field (such as bare [`RbmParams`]),
+    /// [`RbmError::InvalidConfig`] if the parameters' bias lengths disagree
+    /// with their weight matrix or any parameter, preprocessing statistic or
+    /// centroid is not finite, and deserialisation errors for malformed
+    /// input.
     pub fn from_json(text: &str) -> Result<Self> {
-        /// Minimal probe: an object with a `schema_version` field is an
-        /// artifact (extra fields are ignored by the facade's derive), while
-        /// a legacy param-only snapshot lacks the field and fails the probe.
+        /// The version is read first, so a newer schema is refused by
+        /// number even when its layout no longer parses (extra fields are
+        /// ignored by the facade's derive).
         #[derive(Deserialize)]
         struct SchemaProbe {
             schema_version: u32,
         }
 
-        if let Ok(probe) = serde_json::from_str::<SchemaProbe>(text) {
-            if probe.schema_version > ARTIFACT_SCHEMA_VERSION {
-                return Err(RbmError::UnsupportedSchemaVersion {
-                    found: probe.schema_version,
-                    supported: ARTIFACT_SCHEMA_VERSION,
-                });
-            }
-            let artifact = serde_json::from_str::<PipelineArtifact>(text)?;
-            // Reject bias/weight shape disagreements and non-finite values
-            // here, once, instead of panicking inside a fused activation
-            // pass or serving NaN features from the malformed file.
-            artifact.params.check_consistent()?;
-            let head_finite = artifact
-                .cluster_head
-                .as_ref()
-                .map_or(true, |head| head.centroids.is_finite());
-            if !(artifact.preprocessor.is_finite() && head_finite) {
-                return Err(RbmError::InvalidConfig {
-                    name: "artifact",
-                    message: "preprocessing statistics and centroids must be finite".into(),
-                });
-            }
-            return Ok(artifact);
+        let probe: SchemaProbe = serde_json::from_str(text)?;
+        if probe.schema_version > ARTIFACT_SCHEMA_VERSION {
+            return Err(RbmError::UnsupportedSchemaVersion {
+                found: probe.schema_version,
+                supported: ARTIFACT_SCHEMA_VERSION,
+            });
         }
-        let params: RbmParams = serde_json::from_str(text)?;
-        params.check_consistent()?;
-        Ok(Self::from_params(params, ModelKind::Rbm))
+        let artifact = serde_json::from_str::<PipelineArtifact>(text)?;
+        // Reject bias/weight shape disagreements and non-finite values here,
+        // once, instead of panicking inside a fused activation pass or
+        // serving NaN features from the malformed file.
+        artifact.params.check_consistent()?;
+        let head_finite = artifact
+            .cluster_head
+            .as_ref()
+            .map_or(true, |head| head.centroids.is_finite());
+        if !(artifact.preprocessor.is_finite() && head_finite) {
+            return Err(RbmError::InvalidConfig {
+                name: "artifact",
+                message: "preprocessing statistics and centroids must be finite".into(),
+            });
+        }
+        Ok(artifact)
     }
 
     /// Writes the artifact as JSON, creating parent directories if needed.
@@ -539,7 +531,7 @@ impl PipelineArtifact {
         crate::model_io::write_atomic(path.as_ref(), &self.to_json_pretty()?)
     }
 
-    /// Reads an artifact (or a legacy param-only snapshot) from a JSON file.
+    /// Reads an artifact from a JSON file.
     ///
     /// # Errors
     ///
@@ -703,16 +695,17 @@ mod tests {
     }
 
     #[test]
-    fn legacy_param_only_snapshot_loads_as_artifact() {
+    fn param_only_snapshot_is_refused_naming_schema_version() {
+        // Bare `RbmParams` JSON, the format written before the artifact
+        // schema existed, has no `schema_version` and is not an artifact.
         let params = RbmParams::init(6, 3, &mut rng());
         let json = serde_json::to_string_pretty(&params).unwrap();
-        let a = PipelineArtifact::from_json(&json).unwrap();
-        assert_eq!(a.params, params);
-        assert_eq!(a.schema_version, ARTIFACT_SCHEMA_VERSION);
-        assert_eq!(a.model_kind, ModelKind::Rbm);
-        assert_eq!(a.preprocessor, FittedPreprocessor::Identity);
-        assert!(a.cluster_head.is_none());
-        assert!(a.train_config.is_none());
+        let err = PipelineArtifact::from_json(&json).unwrap_err();
+        assert!(matches!(err, RbmError::Serde(_)), "{err:?}");
+        assert!(
+            err.to_string().contains("missing field `schema_version`"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -725,14 +718,6 @@ mod tests {
         let json = artifact.to_json_pretty().unwrap();
         assert!(matches!(
             PipelineArtifact::from_json(&json),
-            Err(RbmError::InvalidConfig { name: "params", .. })
-        ));
-        // Legacy param-only snapshots get the same check.
-        let mut params = RbmParams::init(4, 2, &mut rng());
-        params.visible_bias.push(0.0);
-        let legacy = serde_json::to_string(&params).unwrap();
-        assert!(matches!(
-            PipelineArtifact::from_json(&legacy),
             Err(RbmError::InvalidConfig { name: "params", .. })
         ));
         // A value that parses to infinity (`1e400`) is rejected as well, in
@@ -763,15 +748,6 @@ mod tests {
                 name: "artifact",
                 ..
             })
-        ));
-        params.visible_bias.pop();
-        params.visible_bias[0] = 12345.5;
-        let legacy = serde_json::to_string(&params)
-            .unwrap()
-            .replace("12345.5", "1e400");
-        assert!(matches!(
-            PipelineArtifact::from_json(&legacy),
-            Err(RbmError::InvalidConfig { name: "params", .. })
         ));
     }
 

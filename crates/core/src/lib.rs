@@ -82,7 +82,6 @@ pub use compact::CompactParams;
 pub use config::TrainConfig;
 pub use error::RbmError;
 pub use model::{RbmParams, VisibleKind};
-pub use model_io::{load_params_json, save_params_json};
 pub use pipeline::{
     base_clusterers, run_pipeline, PipelineOutcome, Preprocessing, SlsPipelineConfig,
 };

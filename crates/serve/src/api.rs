@@ -5,7 +5,7 @@ use crate::ServingModel;
 use serde::{Deserialize, Serialize};
 use sls_linalg::Matrix;
 
-/// Body of `POST /models/{name}/features` and `POST /models/{name}/assign`:
+/// Body of `POST /v1/models/{name}/features` and `POST /v1/models/{name}/assign`:
 /// a batch of raw feature rows.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RowsRequest {
@@ -29,7 +29,7 @@ impl RowsRequest {
     }
 }
 
-/// Body of a successful `POST /models/{name}/features` response.
+/// Body of a successful `POST /v1/models/{name}/features` response.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FeaturesResponse {
     /// The model that served the request.
@@ -42,7 +42,7 @@ pub struct FeaturesResponse {
     pub features: Vec<Vec<f64>>,
 }
 
-/// Body of a successful `POST /models/{name}/assign` response.
+/// Body of a successful `POST /v1/models/{name}/assign` response.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AssignResponse {
     /// The model that served the request.
@@ -53,7 +53,7 @@ pub struct AssignResponse {
     pub assignments: Vec<usize>,
 }
 
-/// Body of `GET /healthz`.
+/// Body of `GET /v1/healthz`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HealthResponse {
     /// Always `"ok"` when the server answers at all.
@@ -62,7 +62,7 @@ pub struct HealthResponse {
     pub models: usize,
 }
 
-/// One entry of `GET /models`: everything a client needs to shape requests.
+/// One entry of `GET /v1/models`: everything a client needs to shape requests.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ModelInfo {
     /// Registry name (the `{name}` path segment).
@@ -108,7 +108,7 @@ impl ModelInfo {
     }
 }
 
-/// Body of `GET /models`.
+/// Body of `GET /v1/models`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ModelsResponse {
     /// Registry generation these entries were read from.
@@ -165,37 +165,16 @@ pub mod code {
 }
 
 /// Body of every non-2xx response.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ErrorResponse {
     /// Human-readable explanation of the failure.
     pub error: String,
     /// Stable machine-readable failure class, one of the [`code`] constants.
-    /// Defaults to empty when decoding bodies from servers predating the
-    /// field.
     pub code: String,
 }
 
-// Hand-written so `code` is optional on decode: bodies from servers
-// predating the field still parse (the vendored serde facade has no
-// `#[serde(default)]`).
-impl Deserialize for ErrorResponse {
-    fn from_value(value: &serde::Value) -> std::result::Result<Self, serde::DeError> {
-        let entries = value
-            .as_object()
-            .ok_or_else(|| serde::DeError::mismatch("object", value))?;
-        let error = String::from_value(serde::field(entries, "error")?)?;
-        let code = entries
-            .iter()
-            .find(|(key, _)| key == "code")
-            .map(|(_, v)| String::from_value(v))
-            .transpose()?
-            .unwrap_or_default();
-        Ok(Self { error, code })
-    }
-}
-
-/// Body of `GET /statz`: the cross-request micro-batching configuration and
-/// lifetime counters of the serving process.
+/// Body of `GET /v1/admin/statz`: the cross-request micro-batching
+/// configuration and lifetime counters of the serving process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BatchStatsResponse {
     /// Configured collection window in microseconds (`0` = coalescing off).
@@ -265,7 +244,7 @@ impl BatchStatsResponse {
     }
 }
 
-/// Per-artifact outcome inside a `POST /admin/reload` response.
+/// Per-artifact outcome inside a `POST /v1/admin/reload` response.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ModelLoadResult {
     /// Model name derived from the artifact file stem.
@@ -276,7 +255,7 @@ pub struct ModelLoadResult {
     pub message: Option<String>,
 }
 
-/// Body of `POST /admin/reload` (both the 200 swapped and 409 rejected
+/// Body of `POST /v1/admin/reload` (both the 200 swapped and 409 rejected
 /// shapes).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReloadResponse {
@@ -293,8 +272,8 @@ pub struct ReloadResponse {
     pub error: Option<String>,
 }
 
-/// Body of `POST /admin/drain` on a serving node: the node keeps answering
-/// requests on open connections but fails `/healthz` with 503 so routers
+/// Body of `POST /v1/admin/drain` on a serving node: the node keeps answering
+/// requests on open connections but fails `/v1/healthz` with 503 so routers
 /// and load balancers stop sending it new traffic.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DrainResponse {
@@ -304,7 +283,7 @@ pub struct DrainResponse {
     pub draining: bool,
 }
 
-/// Body of `POST /admin/drain` on the **router**: names the replica to
+/// Body of `POST /v1/admin/drain` on the **router**: names the replica to
 /// retire.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DrainRequest {
@@ -312,7 +291,7 @@ pub struct DrainRequest {
     pub replica: String,
 }
 
-/// Body of a successful router `POST /admin/drain`.
+/// Body of a successful router `POST /v1/admin/drain`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RouterDrainResponse {
     /// `"drained"` once in-flight forwards hit zero, `"draining"` if some
@@ -323,11 +302,11 @@ pub struct RouterDrainResponse {
     /// Forwards still in flight on the replica when the response was built.
     pub in_flight: usize,
     /// `true` when the replica itself acknowledged the forwarded drain (its
-    /// own `/healthz` now fails); `false` when it was unreachable.
+    /// own `/v1/healthz` now fails); `false` when it was unreachable.
     pub node_drained: bool,
 }
 
-/// Body of router `GET /healthz`: replica availability in one glance.
+/// Body of router `GET /v1/healthz`: replica availability in one glance.
 /// Decodes as a [`HealthResponse`] too (extra fields are ignored), so
 /// clients need not care whether they talk to a node or a router.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -342,7 +321,7 @@ pub struct RouterHealthResponse {
     pub available: usize,
 }
 
-/// One replica's row inside router `GET /admin/statz`.
+/// One replica's row inside router `GET /v1/admin/statz`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReplicaStatz {
     /// Replica address.
@@ -362,7 +341,7 @@ pub struct ReplicaStatz {
     pub failures: u64,
 }
 
-/// Body of router `GET /admin/statz` (and its `/statz` alias).
+/// Body of router `GET /v1/admin/statz`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RouterStatzResponse {
     /// Replicas each model name is hashed onto.
@@ -393,7 +372,7 @@ pub struct ReplicaReloadResult {
     pub error: Option<String>,
 }
 
-/// Body of router `POST /admin/reload`: the fan-out result. `200` only when
+/// Body of router `POST /v1/admin/reload`: the fan-out result. `200` only when
 /// **every** non-drained replica swapped onto the same generation; anything
 /// else is `409` with per-replica detail, and models whose owners disagree
 /// stop being advertised until generations re-align.
@@ -531,14 +510,13 @@ mod tests {
     }
 
     #[test]
-    fn error_response_decodes_with_and_without_code() {
-        let modern: ErrorResponse =
+    fn error_response_requires_a_code() {
+        let decoded: ErrorResponse =
             serde_json::from_str("{\"error\":\"no model\",\"code\":\"model_not_found\"}").unwrap();
-        assert_eq!(modern.code, code::MODEL_NOT_FOUND);
-        // Bodies from servers predating the `code` field still decode.
-        let legacy: ErrorResponse = serde_json::from_str("{\"error\":\"no model\"}").unwrap();
-        assert_eq!(legacy.code, "");
-        assert_eq!(legacy.error, "no model");
+        assert_eq!(decoded.code, code::MODEL_NOT_FOUND);
+        assert_eq!(decoded.error, "no model");
+        let err = serde_json::from_str::<ErrorResponse>("{\"error\":\"no model\"}").unwrap_err();
+        assert!(err.to_string().contains("missing field `code`"), "{err}");
     }
 
     #[test]

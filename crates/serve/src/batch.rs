@@ -65,9 +65,9 @@ impl BatchConfig {
 /// The two inference endpoints a batch can serve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Endpoint {
-    /// `POST /models/{name}/features`.
+    /// `POST /v1/models/{name}/features`.
     Features,
-    /// `POST /models/{name}/assign`.
+    /// `POST /v1/models/{name}/assign`.
     Assign,
 }
 
@@ -80,7 +80,7 @@ pub enum BatchOutput {
     Assign(Vec<usize>),
 }
 
-/// Counters the batcher exposes (served by `GET /statz`).
+/// Counters the batcher exposes (served by `GET /v1/admin/statz`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BatchStats {
     /// Fused kernel launches through the batcher (including size-1 batches

@@ -5,9 +5,9 @@
 //! [`Client`] opens a fresh connection per request (the conservative
 //! baseline); [`Connection`] (from [`Client::connect`]) keeps one socket
 //! alive across requests, reconnecting transparently when the server closes
-//! it (idle timeout, request cap, restart). Both are configured through one
-//! [`ClientBuilder`] (`Client::builder().timeout(..).v1(..).build(addr)`),
-//! and every typed endpoint helper is implemented exactly once, on
+//! it (idle timeout, request cap, restart). A client is built with
+//! [`Client::new`], optionally with [`Client::with_timeout`]. Every typed
+//! endpoint helper speaks `/v1` and is implemented exactly once, on
 //! [`Connection`] — `Client` delegates through a single-shot connection.
 
 use crate::api::{
@@ -21,69 +21,22 @@ use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-/// Configures a [`Client`] before binding it to an address.
-#[derive(Debug, Clone, Copy)]
-pub struct ClientBuilder {
-    timeout: Duration,
-    v1: bool,
-}
-
-impl Default for ClientBuilder {
-    fn default() -> Self {
-        Self {
-            timeout: Duration::from_secs(30),
-            v1: false,
-        }
-    }
-}
-
-impl ClientBuilder {
-    /// Sets the connect/read/write timeout (default 30 seconds).
-    #[must_use]
-    pub fn timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = timeout;
-        self
-    }
-
-    /// Speak the versioned `/v1` API instead of the legacy unversioned
-    /// aliases. Responses are byte-identical either way; this only changes
-    /// the request paths of the non-admin typed helpers (`/admin/*` is
-    /// unversioned by design).
-    #[must_use]
-    pub fn v1(mut self, versioned: bool) -> Self {
-        self.v1 = versioned;
-        self
-    }
-
-    /// Binds the configuration to a server address.
-    pub fn build(self, addr: SocketAddr) -> Client {
-        Client {
-            addr,
-            timeout: self.timeout,
-            prefix: if self.v1 { "/v1" } else { "" },
-        }
-    }
-}
-
 /// A client bound to one server address. Cheap to copy; every request opens
 /// a fresh connection and asks the server to close it (`Connection: close`).
 #[derive(Debug, Clone, Copy)]
 pub struct Client {
     addr: SocketAddr,
     timeout: Duration,
-    prefix: &'static str,
 }
 
 impl Client {
-    /// Creates a client for `addr` with the default configuration (legacy
-    /// paths, 30-second I/O timeout). Use [`Client::builder`] for more.
+    /// Creates a client for `addr` with a 30-second connect/read/write
+    /// timeout.
     pub fn new(addr: SocketAddr) -> Self {
-        Self::builder().build(addr)
-    }
-
-    /// Starts a [`ClientBuilder`].
-    pub fn builder() -> ClientBuilder {
-        ClientBuilder::default()
+        Self {
+            addr,
+            timeout: Duration::from_secs(30),
+        }
     }
 
     /// Overrides the connect/read/write timeout.
@@ -104,7 +57,6 @@ impl Client {
         Connection {
             addr: self.addr,
             timeout: self.timeout,
-            prefix: self.prefix,
             one_shot: false,
             stream: None,
             opened: 0,
@@ -122,7 +74,7 @@ impl Client {
     }
 
     /// Sends one request and reads the response, without interpreting the
-    /// status code. The path is sent verbatim (no version prefixing).
+    /// status code. The path is sent verbatim.
     ///
     /// # Errors
     ///
@@ -141,7 +93,7 @@ impl Client {
         self.once().request_ok(method, path, body)
     }
 
-    /// `GET /healthz`.
+    /// `GET /v1/healthz`.
     ///
     /// # Errors
     ///
@@ -150,7 +102,7 @@ impl Client {
         self.once().health()
     }
 
-    /// `GET /models`.
+    /// `GET /v1/models`.
     ///
     /// # Errors
     ///
@@ -159,7 +111,7 @@ impl Client {
         self.once().models()
     }
 
-    /// `GET /admin/statz`.
+    /// `GET /v1/admin/statz`.
     ///
     /// # Errors
     ///
@@ -168,7 +120,7 @@ impl Client {
         self.once().statz()
     }
 
-    /// `POST /admin/reload`. Both outcomes decode to a [`ReloadResponse`]:
+    /// `POST /v1/admin/reload`. Both outcomes decode to a [`ReloadResponse`]:
     /// `200` swapped and `409` rejected (old generation kept serving) — a
     /// rejection is an answer, not a transport failure.
     ///
@@ -180,8 +132,8 @@ impl Client {
         self.once().reload()
     }
 
-    /// `POST /admin/drain`: flips the node into draining mode, so its
-    /// `/healthz` fails while open connections keep being served.
+    /// `POST /v1/admin/drain`: flips the node into draining mode, so its
+    /// `/v1/healthz` fails while open connections keep being served.
     ///
     /// # Errors
     ///
@@ -190,7 +142,7 @@ impl Client {
         self.once().drain()
     }
 
-    /// `POST /models/{model}/features` for a batch of raw rows.
+    /// `POST /v1/models/{model}/features` for a batch of raw rows.
     ///
     /// # Errors
     ///
@@ -199,7 +151,7 @@ impl Client {
         self.once().features(model, rows)
     }
 
-    /// `POST /models/{model}/assign` for a batch of raw rows.
+    /// `POST /v1/models/{model}/assign` for a batch of raw rows.
     ///
     /// # Errors
     ///
@@ -224,7 +176,6 @@ struct Stream {
 pub struct Connection {
     addr: SocketAddr,
     timeout: Duration,
-    prefix: &'static str,
     /// Advertise `Connection: close` and drop the socket after every
     /// response — how [`Client`] reuses this type for its per-request mode.
     one_shot: bool,
@@ -243,12 +194,6 @@ impl Connection {
     /// request rode the same socket.
     pub fn connections_opened(&self) -> usize {
         self.opened
-    }
-
-    /// The typed-helper path for `suffix`: `/v1`-prefixed when the client
-    /// was built with [`ClientBuilder::v1`].
-    fn api_path(&self, suffix: &str) -> String {
-        format!("{}{suffix}", self.prefix)
     }
 
     fn dial(&mut self) -> Result<&mut Stream> {
@@ -337,43 +282,41 @@ impl Connection {
         )?)
     }
 
-    /// `GET /healthz`.
+    /// `GET /v1/healthz`.
     ///
     /// # Errors
     ///
     /// Connection, framing, status and decoding errors.
     pub fn health(&mut self) -> Result<HealthResponse> {
-        let path = self.api_path("/healthz");
-        self.get_json(&path)
+        self.get_json("/v1/healthz")
     }
 
-    /// `GET /models`.
+    /// `GET /v1/models`.
     ///
     /// # Errors
     ///
     /// Connection, framing, status and decoding errors.
     pub fn models(&mut self) -> Result<ModelsResponse> {
-        let path = self.api_path("/models");
-        self.get_json(&path)
+        self.get_json("/v1/models")
     }
 
-    /// `GET /admin/statz`.
+    /// `GET /v1/admin/statz`.
     ///
     /// # Errors
     ///
     /// Connection, framing, status and decoding errors.
     pub fn statz(&mut self) -> Result<BatchStatsResponse> {
-        self.get_json("/admin/statz")
+        self.get_json("/v1/admin/statz")
     }
 
-    /// `POST /admin/reload` — see [`Client::reload`].
+    /// `POST /v1/admin/reload` — see [`Client::reload`].
     ///
     /// # Errors
     ///
     /// Connection, framing and decoding errors, plus [`ServeError::Status`]
     /// for statuses other than 200/409.
     pub fn reload(&mut self) -> Result<ReloadResponse> {
-        let response = self.request("POST", "/admin/reload", "")?;
+        let response = self.request("POST", "/v1/admin/reload", "")?;
         if response.is_success() || response.status == 409 {
             Ok(serde_json::from_str(&response.body)?)
         } else {
@@ -384,17 +327,17 @@ impl Connection {
         }
     }
 
-    /// `POST /admin/drain` — see [`Client::drain`].
+    /// `POST /v1/admin/drain` — see [`Client::drain`].
     ///
     /// # Errors
     ///
     /// Connection, framing, status and decoding errors.
     pub fn drain(&mut self) -> Result<DrainResponse> {
-        let response = self.request_ok("POST", "/admin/drain", "")?;
+        let response = self.request_ok("POST", "/v1/admin/drain", "")?;
         Ok(serde_json::from_str(&response.body)?)
     }
 
-    /// `POST /models/{model}/features` over the kept-alive socket.
+    /// `POST /v1/models/{model}/features` over the kept-alive socket.
     ///
     /// # Errors
     ///
@@ -414,12 +357,11 @@ impl Connection {
         model: &str,
         rows: &[Vec<f64>],
     ) -> Result<FeaturesResponse> {
-        let path = self.api_path(&format!("/models/{model}/features"));
-        let response = self.post_rows(&path, rows)?;
+        let response = self.post_rows(&format!("/v1/models/{model}/features"), rows)?;
         Ok(serde_json::from_str(&response)?)
     }
 
-    /// `POST /models/{model}/assign` over the kept-alive socket.
+    /// `POST /v1/models/{model}/assign` over the kept-alive socket.
     ///
     /// # Errors
     ///
@@ -435,8 +377,7 @@ impl Connection {
     ///
     /// Connection, framing, status and decoding errors.
     pub fn assign_response(&mut self, model: &str, rows: &[Vec<f64>]) -> Result<AssignResponse> {
-        let path = self.api_path(&format!("/models/{model}/assign"));
-        let response = self.post_rows(&path, rows)?;
+        let response = self.post_rows(&format!("/v1/models/{model}/assign"), rows)?;
         Ok(serde_json::from_str(&response)?)
     }
 

@@ -69,7 +69,7 @@ impl Default for HttpLimits {
 pub struct Request {
     /// Upper-case method, e.g. `GET` or `POST`.
     pub method: String,
-    /// Request path, e.g. `/models/quick_demo/features`.
+    /// Request path, e.g. `/v1/models/quick_demo/features`.
     pub path: String,
     /// Raw request body (empty when no `Content-Length` was sent).
     pub body: String,

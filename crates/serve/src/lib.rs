@@ -10,7 +10,7 @@
 //! * [`registry`] — named models shared immutably across workers, each a
 //!   [`ServingModel`] with full-precision or f32-quantized weights
 //!   (`--compact`).
-//! * [`live`] — the hot-swap cell around the registry: `POST /admin/reload`
+//! * [`live`] — the hot-swap cell around the registry: `POST /v1/admin/reload`
 //!   (and an optional directory watcher) atomically installs a new
 //!   generation while in-flight requests drain the old one; a corrupt
 //!   artifact rejects the whole reload and the old generation keeps serving.
@@ -29,7 +29,7 @@
 //! * [`router`] — the shard router (`sls-serve route`): rendezvous-hashes
 //!   model names across a static replica set, forwards inference over
 //!   pooled keep-alive connections with health-checked retry, fans
-//!   `/admin/reload` out generation-consistently, and drains replicas
+//!   `/v1/admin/reload` out generation-consistently, and drains replicas
 //!   without dropping a response. It starts and stops through the same
 //!   acceptor and [`ServerHandle`] as the server.
 //! * [`retrain`] — the one-command retrain path: chunked CSV ingestion →
@@ -47,7 +47,7 @@
 //! ```sh
 //! sls-serve export --out artifacts
 //! sls-serve serve --dir artifacts --addr 127.0.0.1:7878
-//! curl -s -X POST 127.0.0.1:7878/models/quick_demo/assign \
+//! curl -s -X POST 127.0.0.1:7878/v1/models/quick_demo/assign \
 //!      -d '{"rows": [[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]]}'
 //! ```
 //!
@@ -108,7 +108,7 @@ pub use api::{
     RouterReloadResponse, RouterStatzResponse, RowsRequest,
 };
 pub use batch::{BatchConfig, BatchOutput, BatchStats, Batcher, Endpoint};
-pub use client::{Client, ClientBuilder, Connection};
+pub use client::{Client, Connection};
 pub use error::ServeError;
 pub use live::{LiveRegistry, RegistryGeneration, ReloadOutcome};
 pub use registry::{ModelRegistry, ServingModel};

@@ -58,7 +58,7 @@ pub struct LiveRegistry {
     /// The swap cell. Readers lock, clone the `Arc`, unlock — the lock is
     /// held for a pointer copy, never for artifact loading or inference.
     current: Mutex<Arc<RegistryGeneration>>,
-    /// Serialises reload attempts so two concurrent `POST /admin/reload`
+    /// Serialises reload attempts so two concurrent `POST /v1/admin/reload`
     /// calls cannot interleave their load-then-swap sequences, and holds
     /// the source-directory fingerprint the last load or reload attempt —
     /// successful or not — started from.

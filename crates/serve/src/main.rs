@@ -48,13 +48,13 @@
 //! Registry lifecycle: `--compact 1` loads every artifact into the
 //! f32-quantized compact representation (about half the parameter bytes;
 //! features within `1e-6 · (1 + |x|)` of full precision);
-//! `POST /admin/reload` re-scans `--dir` and atomically swaps in a new
+//! `POST /v1/admin/reload` re-scans `--dir` and atomically swaps in a new
 //! registry generation without dropping in-flight requests or open
 //! keep-alive connections — a corrupt artifact rejects the whole reload and
 //! the old generation keeps serving; `--watch-interval-ms N` (0 = off, the
 //! default) polls the directory fingerprint and triggers the same reload on
 //! change. Export stamps artifacts with `trained_at`/`source` provenance,
-//! reported by `GET /models`.
+//! reported by `GET /v1/models`.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -462,7 +462,7 @@ fn run_retrain(args: &[String]) -> Result<(), String> {
     match &outcome.artifact_path {
         Some(path) => eprintln!(
             "exported {} to {} — a watching `sls-serve serve` instance picks it up on its next \
-             poll, or immediately via POST /admin/reload",
+             poll, or immediately via POST /v1/admin/reload",
             options.name,
             path.display()
         ),
@@ -538,7 +538,7 @@ fn run_serve(args: &[String]) -> Result<(), String> {
     eprintln!(
         "serving on http://{local} with {} linalg thread(s) per request, \
          batch window {}us, {} registry, watch {} \
-         (POST /admin/reload to hot swap, Ctrl-C to stop)",
+         (POST /v1/admin/reload to hot swap, Ctrl-C to stop)",
         parallel.threads,
         batch.window.as_micros(),
         if compact { "compact" } else { "full" },
@@ -612,8 +612,8 @@ fn run_route(args: &[String]) -> Result<(), String> {
         .map_err(|e| format!("local address unavailable: {e}"))?;
     eprintln!(
         "routing on http://{local} across {replica_count} replica(s) ({raw_replicas}), \
-         replication {replication} \
-         (POST /admin/reload fans out, POST /admin/drain removes a replica, Ctrl-C to stop)"
+         replication {replication} (POST /v1/admin/reload fans out, \
+         POST /v1/admin/drain removes a replica, Ctrl-C to stop)"
     );
     let handle = router.start().map_err(|e| format!("start failed: {e}"))?;
     handle.join();

@@ -4,7 +4,7 @@
 //!
 //! This closes the loop with the serving layer: pointing `--out` at the
 //! directory a running `sls-serve serve --watch-interval-ms N` instance
-//! watches (or hitting `POST /admin/reload` after the export) hot-swaps the
+//! watches (or hitting `POST /v1/admin/reload` after the export) hot-swaps the
 //! freshly trained model into the live registry without a restart.
 //!
 //! The training itself is [`sls_rbm_core::StreamTrainer`]: the run is a pure

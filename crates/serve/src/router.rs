@@ -13,24 +13,24 @@
 //!
 //! ## Forwarding
 //!
-//! `POST /models/{name}/features` and `/assign` are forwarded verbatim
+//! `POST /v1/models/{name}/features` and `/assign` are forwarded verbatim
 //! (path, body, response bytes — upstream error codes included) over pooled
 //! keep-alive [`Connection`]s to the first healthy owner. Inference is a
 //! pure read, so on transport failure the request is retried on the next
 //! owner (bounded by the owner list) and the failing replica is marked
-//! down; a background thread polls `/healthz` and marks replicas back up.
+//! down; a background thread polls `/v1/healthz` and marks it back up.
 //! A replica answer larger than the client reads is not a transport
 //! failure: it is answered `502 upstream_response_too_large` at once, with
 //! no retry and no mark-down.
 //!
 //! ## Rollout
 //!
-//! `POST /admin/reload` fans out to every non-drained replica and reports
+//! `POST /v1/admin/reload` fans out to every non-drained replica and reports
 //! each replica's own [`ReloadResponse`]; it answers `200` only when all of
-//! them swapped onto one shared generation. `GET /models` refuses to
+//! them swapped onto one shared generation. `GET /v1/models` refuses to
 //! advertise a model while its reachable owners disagree on the generation,
 //! so a torn rollout is visible as a withdrawn model, never as mixed
-//! answers. `POST /admin/drain` retires one replica: it stops owning
+//! answers. `POST /v1/admin/drain` retires one replica: it stops owning
 //! models, in-flight forwards finish (none are dropped), the node itself is
 //! told to fail its health checks, and the last active replica refuses to
 //! drain.
@@ -171,7 +171,7 @@ impl Replica {
     /// models, statz, reload) — rare enough that pooling would only make
     /// them compete with the forward path.
     fn client(&self, timeout: Duration) -> Client {
-        Client::builder().timeout(timeout).build(self.addr)
+        Client::new(self.addr).with_timeout(timeout)
     }
 
     fn checkout(&self, timeout: Duration) -> Connection {
@@ -308,7 +308,7 @@ impl RouterState {
         )
     }
 
-    /// One `GET /models` snapshot per replica (`None` for drained or
+    /// One `GET /v1/models` snapshot per replica (`None` for drained or
     /// unreachable replicas).
     fn model_snapshots(&self) -> Vec<Option<ModelsResponse>> {
         self.replicas
@@ -368,7 +368,7 @@ impl RouterState {
         generations.all(|g| g == first).then_some(first)
     }
 
-    /// Router `GET /healthz`: `200` while at least one replica is routable.
+    /// Router `GET /v1/healthz`: `200` while at least one replica is routable.
     fn health(&self) -> (u16, String) {
         let available = self
             .replicas
@@ -394,7 +394,7 @@ impl RouterState {
         )
     }
 
-    /// Router `GET /models`: the aggregated, consistency-gated model list.
+    /// Router `GET /v1/models`: the aggregated, consistency-gated model list.
     /// `generation` is the shared replica generation, or `0` while replicas
     /// disagree (per-process generations start at 1, so `0` is unambiguous).
     fn models(&self) -> (u16, String) {
@@ -408,7 +408,7 @@ impl RouterState {
         )
     }
 
-    /// Router `GET /admin/statz` (and the `/statz` alias).
+    /// Router `GET /v1/admin/statz`.
     fn statz(&self) -> (u16, String) {
         let replicas: Vec<ReplicaStatz> = self
             .replicas
@@ -452,7 +452,7 @@ impl RouterState {
         )
     }
 
-    /// Router `POST /admin/reload`: fan out to every non-drained replica,
+    /// Router `POST /v1/admin/reload`: fan out to every non-drained replica,
     /// `200` only when all of them swapped onto one shared generation.
     fn reload(&self) -> (u16, String) {
         let mut results = Vec::new();
@@ -522,7 +522,7 @@ impl RouterState {
         )
     }
 
-    /// Router `POST /admin/drain`: retire one replica without dropping a
+    /// Router `POST /v1/admin/drain`: retire one replica without dropping a
     /// response. The replica is removed from every owner set first (new
     /// requests stop arriving), then its in-flight forwards get a bounded
     /// window to finish, its pooled connections are dropped, and the node
@@ -612,7 +612,7 @@ impl RequestHandler for RouterState {
             Some(match (method, rest) {
                 ("GET", ["healthz"]) => self.health(),
                 ("GET", ["models"]) => self.models(),
-                ("GET", ["statz"] | ["admin", "statz"]) => self.statz(),
+                ("GET", ["admin", "statz"]) => self.statz(),
                 ("POST", ["admin", "reload"]) => self.reload(),
                 ("POST", ["admin", "drain"]) => self.drain(&request.body),
                 ("POST", ["models", name, "features" | "assign"]) => self.forward(name, request),

@@ -6,19 +6,19 @@
 //!
 //! ## Endpoints
 //!
-//! The API is versioned under `/v1/`; the bare unversioned paths remain as
-//! byte-identical aliases. A `/v{n}` prefix other than `/v1` answers a
-//! structured `404`.
+//! Every route lives under `/v1/`. An unversioned path is not a route
+//! (`404 not_found`), and a `/v{n}` prefix other than `/v1` answers
+//! `404 unsupported_api_version`.
 //!
-//! | Method | Path (canonical) | Alias | Body | Success response |
-//! |--------|------------------|-------|------|------------------|
-//! | `GET` | `/v1/healthz` | `/healthz` | — | `{"status":"ok","models":N}` |
-//! | `GET` | `/v1/models` | `/models` | — | `{"generation":G,"models":[{name, kind, ...}]}` |
-//! | `POST` | `/v1/models/{name}/features` | `/models/{name}/features` | `{"rows":[[f64,...],...]}` | `{"model":name,"generation":G,"features":[[f64,...],...]}` |
-//! | `POST` | `/v1/models/{name}/assign` | `/models/{name}/assign` | `{"rows":[[f64,...],...]}` | `{"model":name,"generation":G,"assignments":[usize,...]}` |
-//! | `GET` | `/admin/statz` | `/statz` (deprecated) | — | batching + registry counters, see [`BatchStatsResponse`] |
-//! | `POST` | `/admin/reload` | — | — | [`ReloadResponse`] — `200` swapped, `409` rejected |
-//! | `POST` | `/admin/drain` | — | — | [`DrainResponse`] — `/healthz` fails from now on |
+//! | Method | Path | Body | Success response |
+//! |--------|------|------|------------------|
+//! | `GET` | `/v1/healthz` | — | `{"status":"ok","models":N}` |
+//! | `GET` | `/v1/models` | — | `{"generation":G,"models":[{name, kind, ...}]}` |
+//! | `POST` | `/v1/models/{name}/features` | `{"rows":[[f64,...],...]}` | `{"model":name,"generation":G,"features":[[f64,...],...]}` |
+//! | `POST` | `/v1/models/{name}/assign` | `{"rows":[[f64,...],...]}` | `{"model":name,"generation":G,"assignments":[usize,...]}` |
+//! | `GET` | `/v1/admin/statz` | — | batching + registry counters, see [`BatchStatsResponse`] |
+//! | `POST` | `/v1/admin/reload` | — | [`ReloadResponse`] — `200` swapped, `409` rejected |
+//! | `POST` | `/v1/admin/drain` | — | [`DrainResponse`] — `/v1/healthz` fails from now on |
 //!
 //! Unknown paths and model names answer `404`, malformed bodies and shape
 //! mismatches `400`, wrong methods on known paths `405`, oversized declared
@@ -29,7 +29,7 @@
 //! ## Hot reload
 //!
 //! Each request resolves the current [`RegistryGeneration`] exactly once and
-//! serves entirely from that snapshot, so a concurrent `POST /admin/reload`
+//! serves entirely from that snapshot, so a concurrent `POST /v1/admin/reload`
 //! (or `--watch-interval-ms` directory watcher) swap never fails or tears an
 //! in-flight request — the old generation drains and frees itself. See
 //! [`crate::live`].
@@ -184,7 +184,7 @@ impl Server {
     /// Enables directory-watch hot reload: every `interval` the artifact
     /// directory's `(name, mtime, len)` fingerprint is re-scanned off the
     /// request path, and a change triggers the same atomic reload as
-    /// `POST /admin/reload`. `None` (the default) disables the watcher; it
+    /// `POST /v1/admin/reload`. `None` (the default) disables the watcher; it
     /// is also inert when the registry has no source directory.
     pub fn with_watch(mut self, interval: Option<Duration>) -> Self {
         self.watch = interval.filter(|i| !i.is_zero());
@@ -595,13 +595,13 @@ fn handle_connection<H: RequestHandler + ?Sized>(
 /// Routes one request against the current generation of a hot-swappable
 /// registry, returning `(status, body)`: the generation is resolved exactly
 /// once, the whole request is served from that snapshot, and
-/// `POST /admin/reload` is live. Inference requests go through `batcher`'s
-/// coalescing window when one is given, and `GET /statz` reports its
-/// counters; with `None`, every request computes directly and `/statz`
-/// reports a disabled batcher.
+/// `POST /v1/admin/reload` is live. Inference requests go through
+/// `batcher`'s coalescing window when one is given, and
+/// `GET /v1/admin/statz` reports its counters; with `None`, every request
+/// computes directly and statz reports a disabled batcher.
 ///
 /// The same routing the server's connections run, exposed for driving it
-/// in process without sockets. `POST /admin/drain` answers `409` here:
+/// in process without sockets. `POST /v1/admin/drain` answers `409` here:
 /// draining is connection state only a running server has.
 pub fn route_live(
     live: &LiveRegistry,
@@ -613,12 +613,12 @@ pub fn route_live(
 }
 
 /// The route table both frontends share. Splits the path (query string
-/// dropped) and strips the `/v1` API-version prefix: the bare unversioned
-/// path is the legacy alias, so both spell the same routes, while any
-/// *other* `/v{n}` prefix is answered with a structured 404 (a `/v2` client
-/// must learn it speaks the wrong version, not chase phantom 404s per
-/// route). `routes` then answers `(method, segments)`; whatever it leaves
-/// unanswered is a `405` on a known path and a `404` everywhere else.
+/// dropped) and strips the `/v1` API-version prefix. Any *other* `/v{n}`
+/// prefix is answered with a structured 404 (a `/v2` client must learn it
+/// speaks the wrong version, not chase phantom 404s per route), and so is
+/// an unversioned path. `routes` then answers `(method, segments)`;
+/// whatever it leaves unanswered is a `405` on a known path and a `404`
+/// everywhere else.
 pub(crate) fn dispatch(
     request: &Request,
     routes: impl FnOnce(&str, &[&str]) -> Option<(u16, String)>,
@@ -634,21 +634,29 @@ pub(crate) fn dispatch(
                 format!("API version `{first}` is not supported; this server speaks `/v1`"),
             )
         }
-        _ => &segments,
+        _ => return not_found(path),
     };
     if let Some(answer) = routes(request.method.as_str(), rest) {
         return answer;
     }
     match rest {
-        ["healthz" | "models" | "statz"]
+        ["healthz" | "models"]
         | ["admin", "reload" | "statz" | "drain"]
         | ["models", _, "features" | "assign"] => error_body(
             405,
             code::METHOD_NOT_ALLOWED,
             format!("method {} not allowed here", request.method),
         ),
-        _ => error_body(404, code::NOT_FOUND, format!("no route for `{path}`")),
+        _ => not_found(path),
     }
+}
+
+fn not_found(path: &str) -> (u16, String) {
+    error_body(
+        404,
+        code::NOT_FOUND,
+        format!("no route for `{path}`; every route is under `/v1`"),
+    )
 }
 
 /// `v` followed by only digits — `v1`, `v2`, `v99`. A path like `/verbose`
@@ -692,9 +700,7 @@ fn route_inner(
                         .collect(),
                 },
             ),
-            // `/admin/statz` is canonical; top-level `/statz` is the
-            // deprecated pre-v1 alias, kept byte-identical.
-            ("GET", ["statz"] | ["admin", "statz"]) => json_body(
+            ("GET", ["admin", "statz"]) => json_body(
                 200,
                 &BatchStatsResponse::describe(batcher).with_registry(
                     generation,
@@ -711,7 +717,7 @@ fn route_inner(
     })
 }
 
-/// `GET /healthz`: `200 ok` normally, `503 draining` once the node was
+/// `GET /v1/healthz`: `200 ok` normally, `503 draining` once the node was
 /// drained — existing connections keep being served, but routers and load
 /// balancers must stop sending new traffic here.
 fn health(registry: &ModelRegistry, draining: Option<&AtomicBool>) -> (u16, String) {
@@ -731,7 +737,7 @@ fn health(registry: &ModelRegistry, draining: Option<&AtomicBool>) -> (u16, Stri
     )
 }
 
-/// `POST /admin/drain`: flip the node into draining mode (idempotent).
+/// `POST /v1/admin/drain`: flip the node into draining mode (idempotent).
 /// Only a socket-backed server carries the flag; in-process routing
 /// ([`route_live`]) answers 409.
 fn drain(draining: Option<&AtomicBool>) -> (u16, String) {
@@ -752,7 +758,7 @@ fn drain(draining: Option<&AtomicBool>) -> (u16, String) {
     )
 }
 
-/// `POST /admin/reload`: atomically swap in a new generation from the
+/// `POST /v1/admin/reload`: atomically swap in a new generation from the
 /// artifact directory, or report exactly why the old one keeps serving.
 fn reload(live: &LiveRegistry) -> (u16, String) {
     let outcome = live.reload();
@@ -929,7 +935,7 @@ mod tests {
 
     #[test]
     fn healthz_reports_model_count() {
-        let (status, body) = route(&live(), &request("GET", "/healthz", ""));
+        let (status, body) = route(&live(), &request("GET", "/v1/healthz", ""));
         assert_eq!(status, 200);
         let health: HealthResponse = serde_json::from_str(&body).unwrap();
         assert_eq!(health.status, "ok");
@@ -938,7 +944,7 @@ mod tests {
 
     #[test]
     fn models_lists_loaded_artifacts() {
-        let (status, body) = route(&live(), &request("GET", "/models", ""));
+        let (status, body) = route(&live(), &request("GET", "/v1/models", ""));
         assert_eq!(status, 200);
         let models: ModelsResponse = serde_json::from_str(&body).unwrap();
         assert_eq!(models.models.len(), 1);
@@ -951,7 +957,7 @@ mod tests {
     #[test]
     fn statz_reports_batcher_counters() {
         // Without a batcher: the disabled shape.
-        let (status, body) = route(&live(), &request("GET", "/statz", ""));
+        let (status, body) = route(&live(), &request("GET", "/v1/admin/statz", ""));
         assert_eq!(status, 200);
         let stats: BatchStatsResponse = serde_json::from_str(&body).unwrap();
         assert_eq!(stats.window_us, 0);
@@ -966,14 +972,14 @@ mod tests {
         let body = "{\"rows\":[[0.1,0.2,0.3,0.4]]}";
         let (status, response) = route_live(
             &live,
-            &request("POST", "/models/demo/features", body),
+            &request("POST", "/v1/models/demo/features", body),
             &ParallelPolicy::serial(),
             Some(&batcher),
         );
         assert_eq!(status, 200, "{response}");
         let (status, body) = route_live(
             &live,
-            &request("GET", "/statz", ""),
+            &request("GET", "/v1/admin/statz", ""),
             &ParallelPolicy::serial(),
             Some(&batcher),
         );
@@ -988,13 +994,13 @@ mod tests {
     fn features_and_assign_answer_batches() {
         let live = live();
         let body = "{\"rows\":[[0.1,0.2,0.3,0.4],[1.0,1.1,1.2,1.3],[2.0,2.1,2.2,2.3]]}";
-        let (status, response) = route(&live, &request("POST", "/models/demo/features", body));
+        let (status, response) = route(&live, &request("POST", "/v1/models/demo/features", body));
         assert_eq!(status, 200, "{response}");
         let features: FeaturesResponse = serde_json::from_str(&response).unwrap();
         assert_eq!(features.features.len(), 3);
         assert_eq!(features.features[0].len(), 4);
 
-        let (status, response) = route(&live, &request("POST", "/models/demo/assign", body));
+        let (status, response) = route(&live, &request("POST", "/v1/models/demo/assign", body));
         assert_eq!(status, 200, "{response}");
         let assign: AssignResponse = serde_json::from_str(&response).unwrap();
         assert_eq!(assign.assignments.len(), 3);
@@ -1011,7 +1017,7 @@ mod tests {
             max_rows: 64,
         });
         let body = "{\"rows\":[[0.1,0.2,0.3,0.4],[1.0,1.1,1.2,1.3]]}";
-        for path in ["/models/demo/features", "/models/demo/assign"] {
+        for path in ["/v1/models/demo/features", "/v1/models/demo/assign"] {
             let request = request("POST", path, body);
             let direct = route_live(&live, &request, &ParallelPolicy::serial(), None);
             let batched = route_live(&live, &request, &ParallelPolicy::serial(), Some(&batcher));
@@ -1024,7 +1030,7 @@ mod tests {
     fn unknown_model_is_404() {
         let (status, body) = route(
             &live(),
-            &request("POST", "/models/ghost/features", "{\"rows\":[[1.0]]}"),
+            &request("POST", "/v1/models/ghost/features", "{\"rows\":[[1.0]]}"),
         );
         assert_eq!(status, 404);
         let err: ErrorResponse = serde_json::from_str(&body).unwrap();
@@ -1034,10 +1040,13 @@ mod tests {
     #[test]
     fn unknown_path_is_404_and_wrong_method_is_405() {
         assert_eq!(route(&live(), &request("GET", "/nope", "")).0, 404);
-        assert_eq!(route(&live(), &request("POST", "/healthz", "")).0, 405);
-        assert_eq!(route(&live(), &request("POST", "/statz", "")).0, 405);
+        assert_eq!(route(&live(), &request("POST", "/v1/healthz", "")).0, 405);
         assert_eq!(
-            route(&live(), &request("GET", "/models/demo/features", "")).0,
+            route(&live(), &request("POST", "/v1/admin/statz", "")).0,
+            405
+        );
+        assert_eq!(
+            route(&live(), &request("GET", "/v1/models/demo/features", "")).0,
             405
         );
     }
@@ -1052,7 +1061,8 @@ mod tests {
             // Wrong width for the 4-visible model.
             "{\"rows\":[[1.0,2.0]]}",
         ] {
-            let (status, response) = route(&live, &request("POST", "/models/demo/features", body));
+            let (status, response) =
+                route(&live, &request("POST", "/v1/models/demo/features", body));
             assert_eq!(status, 400, "body `{body}` answered {response}");
         }
     }
@@ -1067,9 +1077,9 @@ mod tests {
             max_rows: 64,
         });
         for (path, body) in [
-            ("/models/demo/features", "{\"rows\":[[1.0,2.0]]}"),
-            ("/models/demo/features", "not json"),
-            ("/models/ghost/assign", "{\"rows\":[[1.0]]}"),
+            ("/v1/models/demo/features", "{\"rows\":[[1.0,2.0]]}"),
+            ("/v1/models/demo/features", "not json"),
+            ("/v1/models/ghost/assign", "{\"rows\":[[1.0]]}"),
         ] {
             let request = request("POST", path, body);
             let direct = route_live(&live, &request, &ParallelPolicy::serial(), None);
@@ -1086,7 +1096,7 @@ mod tests {
 
     #[test]
     fn query_strings_are_ignored_for_routing() {
-        let (status, _) = route(&live(), &request("GET", "/healthz?verbose=1", ""));
+        let (status, _) = route(&live(), &request("GET", "/v1/healthz?verbose=1", ""));
         assert_eq!(status, 200);
     }
 
@@ -1096,7 +1106,7 @@ mod tests {
         // tell from a response body how many threads computed it.
         let live = live();
         let body = "{\"rows\":[[0.1,0.2,0.3,0.4],[1.0,1.1,1.2,1.3],[2.0,2.1,2.2,2.3]]}";
-        for path in ["/models/demo/features", "/models/demo/assign"] {
+        for path in ["/v1/models/demo/features", "/v1/models/demo/assign"] {
             let request = request("POST", path, body);
             let serial = route_live(&live, &request, &ParallelPolicy::serial(), None);
             let parallel = route_live(
@@ -1112,14 +1122,17 @@ mod tests {
 
     #[test]
     fn reload_on_a_bare_registry_is_409_with_structured_body() {
-        let (status, body) = route(&live(), &request("POST", "/admin/reload", ""));
+        let (status, body) = route(&live(), &request("POST", "/v1/admin/reload", ""));
         assert_eq!(status, 409);
         let reload: ReloadResponse = serde_json::from_str(&body).unwrap();
         assert!(!reload.swapped);
         assert_eq!(reload.generation, 1);
         assert!(reload.error.unwrap().contains("not enabled"));
         // Wrong method on the admin path is 405, like every known path.
-        assert_eq!(route(&live(), &request("GET", "/admin/reload", "")).0, 405);
+        assert_eq!(
+            route(&live(), &request("GET", "/v1/admin/reload", "")).0,
+            405
+        );
     }
 
     #[test]
@@ -1147,7 +1160,7 @@ mod tests {
         let body = "{\"rows\":[[0.1,0.2,0.3,0.4]]}";
         let (status, response) = route_live(
             &live,
-            &request("POST", "/models/demo/features", body),
+            &request("POST", "/v1/models/demo/features", body),
             &policy,
             None,
         );
@@ -1167,8 +1180,12 @@ mod tests {
         )
         .unwrap();
         retrained.artifact.save(dir.join("demo.json")).unwrap();
-        let (status, response) =
-            route_live(&live, &request("POST", "/admin/reload", ""), &policy, None);
+        let (status, response) = route_live(
+            &live,
+            &request("POST", "/v1/admin/reload", ""),
+            &policy,
+            None,
+        );
         assert_eq!(status, 200, "{response}");
         let reload: ReloadResponse = serde_json::from_str(&response).unwrap();
         assert!(reload.swapped);
@@ -1177,7 +1194,7 @@ mod tests {
 
         let (_, response) = route_live(
             &live,
-            &request("POST", "/models/demo/features", body),
+            &request("POST", "/v1/models/demo/features", body),
             &policy,
             None,
         );
@@ -1188,11 +1205,12 @@ mod tests {
             "retrained model must answer differently"
         );
 
-        let (_, response) = route_live(&live, &request("GET", "/models", ""), &policy, None);
+        let (_, response) = route_live(&live, &request("GET", "/v1/models", ""), &policy, None);
         let models: ModelsResponse = serde_json::from_str(&response).unwrap();
         assert_eq!(models.generation, 2);
 
-        let (_, response) = route_live(&live, &request("GET", "/statz", ""), &policy, None);
+        let (_, response) =
+            route_live(&live, &request("GET", "/v1/admin/statz", ""), &policy, None);
         let stats: BatchStatsResponse = serde_json::from_str(&response).unwrap();
         assert_eq!(stats.generation, 2);
         assert_eq!(stats.registry_swaps, 1);
@@ -1224,10 +1242,10 @@ mod tests {
         let handle = server.start().unwrap();
         let client = crate::Client::new(addr);
         let body = "{\"rows\":[[0.1,0.2,0.3,0.4],[1.0,1.1,1.2,1.3],[2.0,2.1,2.2,2.3]]}";
-        let reference = route(&live(), &request("POST", "/models/demo/features", body));
+        let reference = route(&live(), &request("POST", "/v1/models/demo/features", body));
         for _ in 0..4 {
             let response = client
-                .request("POST", "/models/demo/features", body)
+                .request("POST", "/v1/models/demo/features", body)
                 .expect("pooled inference request");
             assert_eq!(response.status, 200);
             assert_eq!(response.body, reference.1);

@@ -1,8 +1,7 @@
-//! Versioned-API compatibility suite: every legacy route must stay a
-//! byte-identical alias of its `/v1` twin, unknown version prefixes must
-//! fail with a structured 404, and every failure class must carry its
-//! stable machine-readable `code` so clients can branch without parsing
-//! human-facing messages.
+//! Versioned-API suite: every route lives under `/v1`, an unversioned path
+//! and an unknown version prefix each fail with a structured 404, and every
+//! failure class carries its stable machine-readable `code` so clients can
+//! branch without parsing human-facing messages.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -66,9 +65,10 @@ fn error_code(registry: &LiveRegistry, method: &str, path: &str, body: &str) -> 
 const GOOD_BODY: &str = r#"{"rows": [[0.1, -0.2, 0.3, 0.4], [0.0, 1.0, -1.0, 0.5]]}"#;
 
 #[test]
-fn every_legacy_route_matches_its_v1_twin_byte_for_byte() {
+fn unversioned_paths_are_not_routes() {
     let registry = fitted_registry();
-    let twins: &[(&str, &str, &str, &str)] = &[
+    // Each former alias with the `/v1` route it used to answer for.
+    let former_aliases: &[(&str, &str, &str, &str)] = &[
         ("GET", "/healthz", "/v1/healthz", ""),
         ("GET", "/models", "/v1/models", ""),
         (
@@ -83,35 +83,34 @@ fn every_legacy_route_matches_its_v1_twin_byte_for_byte() {
             "/v1/models/demo/assign",
             GOOD_BODY,
         ),
-        // Error paths must alias too: clients pinning /v1 see the same
-        // failure bytes as legacy clients.
-        (
-            "POST",
-            "/models/nope/features",
-            "/v1/models/nope/features",
-            GOOD_BODY,
-        ),
-        (
-            "POST",
-            "/models/demo/features",
-            "/v1/models/demo/features",
-            "{not json",
-        ),
+        ("POST", "/admin/reload", "/v1/admin/reload", ""),
+        ("POST", "/admin/drain", "/v1/admin/drain", ""),
     ];
-    for &(method, legacy, v1, body) in twins {
-        let old = call(&registry, method, legacy, body);
-        let new = call(&registry, method, v1, body);
-        assert_eq!(old, new, "{method} {legacy} must alias {v1} byte-for-byte");
-    }
+    assert_aliases_are_gone(&registry, former_aliases);
 }
 
 #[test]
-fn statz_is_aliased_under_admin() {
+fn statz_answers_only_under_v1_admin() {
     let registry = fitted_registry();
-    let legacy = call(&registry, "GET", "/statz", "");
-    let admin = call(&registry, "GET", "/admin/statz", "");
-    assert_eq!(legacy.0, 200);
-    assert_eq!(legacy, admin, "/statz must alias /admin/statz");
+    assert_aliases_are_gone(
+        &registry,
+        &[
+            ("GET", "/statz", "/v1/admin/statz", ""),
+            ("GET", "/admin/statz", "/v1/admin/statz", ""),
+        ],
+    );
+}
+
+/// Each `(method, alias, route, body)`: the alias answers a structured
+/// `not_found` 404 while its `/v1` route still answers.
+fn assert_aliases_are_gone(registry: &LiveRegistry, former_aliases: &[(&str, &str, &str, &str)]) {
+    for &(method, alias, route, body) in former_aliases {
+        let (status, code) = error_code(registry, method, alias, body);
+        assert_eq!(status, 404, "{method} {alias} must 404");
+        assert_eq!(code, "not_found", "{method} {alias}");
+        let (status, answer) = call(registry, method, route, body);
+        assert_ne!(status, 404, "{method} {route} must stay a route: {answer}");
+    }
 }
 
 #[test]
@@ -135,28 +134,28 @@ fn each_failure_class_has_a_stable_code() {
     let cases: &[(&str, &str, &str, u16, &str)] = &[
         (
             "POST",
-            "/models/nope/features",
+            "/v1/models/nope/features",
             GOOD_BODY,
             404,
             "model_not_found",
         ),
         (
             "POST",
-            "/models/demo/features",
+            "/v1/models/demo/features",
             "{not json",
             400,
             "invalid_body",
         ),
         (
             "POST",
-            "/models/demo/features",
+            "/v1/models/demo/features",
             r#"{"rows": [[1.0, 2.0]]}"#,
             400,
             "bad_row_width",
         ),
         ("GET", "/nope", "", 404, "not_found"),
-        ("DELETE", "/models", "", 405, "method_not_allowed"),
-        ("POST", "/admin/drain", "", 409, "drain_unavailable"),
+        ("DELETE", "/v1/models", "", 405, "method_not_allowed"),
+        ("POST", "/v1/admin/drain", "", 409, "drain_unavailable"),
     ];
     for &(method, path, body, want_status, want_code) in cases {
         let (status, code) = error_code(&registry, method, path, body);
@@ -168,18 +167,18 @@ fn each_failure_class_has_a_stable_code() {
 #[test]
 fn assign_without_a_cluster_head_reports_no_cluster_head() {
     let registry = headless_registry();
-    let (status, code) = error_code(&registry, "POST", "/models/demo/assign", GOOD_BODY);
+    let (status, code) = error_code(&registry, "POST", "/v1/models/demo/assign", GOOD_BODY);
     assert_eq!(status, 400);
     assert_eq!(code, "no_cluster_head");
     // Features still work on the same model: only the assign head is gone.
-    let (status, _) = call(&registry, "POST", "/models/demo/features", GOOD_BODY);
+    let (status, _) = call(&registry, "POST", "/v1/models/demo/features", GOOD_BODY);
     assert_eq!(status, 200);
 }
 
 #[test]
 fn reload_over_a_bare_registry_rejects_with_409() {
     let registry = fitted_registry();
-    let (status, body) = call(&registry, "POST", "/admin/reload", "");
+    let (status, body) = call(&registry, "POST", "/v1/admin/reload", "");
     assert_eq!(status, 409);
     let parsed: ReloadResponse = serde_json::from_str(&body).expect("reload body parses");
     assert_eq!(parsed.status, "rejected");
@@ -192,7 +191,7 @@ fn error_bodies_keep_the_human_message_alongside_the_code() {
     // rides alongside. Check the 404 names the model and the 400 names the
     // expected width, so messages stay actionable.
     let registry = fitted_registry();
-    let (_, body) = call(&registry, "POST", "/models/nope/features", GOOD_BODY);
+    let (_, body) = call(&registry, "POST", "/v1/models/nope/features", GOOD_BODY);
     let parsed: ErrorResponse = serde_json::from_str(&body).unwrap();
     assert!(
         parsed.error.contains("nope"),
@@ -202,7 +201,7 @@ fn error_bodies_keep_the_human_message_alongside_the_code() {
     let (_, body) = call(
         &registry,
         "POST",
-        "/models/demo/features",
+        "/v1/models/demo/features",
         r#"{"rows": [[1.0]]}"#,
     );
     let parsed: ErrorResponse = serde_json::from_str(&body).unwrap();

@@ -86,7 +86,7 @@ fn body_for(model: &str, worker: usize, round: usize) -> (String, String) {
         })
         .collect();
     (
-        format!("/models/{model}/features"),
+        format!("/v1/models/{model}/features"),
         format!("{{\"rows\":[{}]}}", cells.join(",")),
     )
 }
@@ -166,7 +166,7 @@ fn batched_responses_are_bitwise_identical_across_policies() {
         // The window was open and 8 clients hammered one model: at least
         // one fused launch must have gone through the coalescing path.
         let statz = client
-            .request_ok("GET", "/statz", "")
+            .request_ok("GET", "/v1/admin/statz", "")
             .expect("statz answers");
         let stats: BatchStatsResponse = serde_json::from_str(&statz.body).unwrap();
         assert!(stats.batches >= 1, "{label}: no batch launched: {stats:?}");
@@ -206,7 +206,7 @@ fn mixed_models_and_endpoints_never_leak_rows() {
                         "assign"
                     };
                     let (_, body) = body_for(model, worker, round);
-                    let path = format!("/models/{model}/{endpoint}");
+                    let path = format!("/v1/models/{model}/{endpoint}");
                     let expected = serial_reference(registry, "POST", &path, &body);
                     barrier.wait();
                     let response = connection

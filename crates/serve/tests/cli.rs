@@ -232,10 +232,10 @@ fn start(args: &[&str], announce: &str) -> (Running, SocketAddr) {
     }
 }
 
-fn healthz_status(addr: SocketAddr) -> u16 {
+fn status(addr: SocketAddr, path: &str) -> u16 {
     Client::new(addr)
-        .request("GET", "/healthz", "")
-        .expect("healthz answers")
+        .request("GET", path, "")
+        .expect("the server answers")
         .status
 }
 
@@ -251,10 +251,12 @@ fn serve_and_route_announce_an_address_that_answers_healthz() {
     assert!(export.status.success(), "stderr: {}", stderr(&export));
 
     let (_replica, replica) = start(&["serve", "--dir", out], "serving on http://");
-    assert_eq!(healthz_status(replica), 200);
+    assert_eq!(status(replica, "/v1/healthz"), 200);
+    assert_eq!(status(replica, "/healthz"), 404);
     let replicas = replica.to_string();
     let (_router, router) = start(&["route", "--replicas", &replicas], "routing on http://");
-    assert_eq!(healthz_status(router), 200);
+    assert_eq!(status(router, "/v1/healthz"), 200);
+    assert_eq!(status(router, "/healthz"), 404);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -12,7 +12,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use sls_datasets::SyntheticBlobs;
 use sls_linalg::{Matrix, ParallelPolicy};
-use sls_rbm_core::{ModelKind, PipelineArtifact, SlsPipelineConfig};
+use sls_rbm_core::{ModelKind, PipelineArtifact, RbmParams, SlsPipelineConfig};
 use sls_serve::{
     BatchConfig, Client, LiveRegistry, ServeOptions, Server, ServerHandle, ServingModel,
 };
@@ -253,6 +253,41 @@ fn corrupt_artifact_keeps_old_generation_serving_over_http() {
     assert!(outcome.swapped, "{:?}", outcome.error);
     assert_eq!(outcome.generation, 2);
     assert_eq!(client.statz().expect("statz").failed_reloads, 1);
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A pre-artifact snapshot (bare `RbmParams` JSON, no `schema_version`) is
+/// not an artifact: `POST /v1/admin/reload` rejects the directory with a
+/// 409 that names the missing field, and the old generation keeps serving.
+#[test]
+fn pre_artifact_snapshot_is_refused_by_reload() {
+    let dir = unique_dir("pre_artifact");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("{MODEL}.json"));
+    train(1).save(&path).unwrap();
+
+    let (handle, _) = start_from_dir(&dir, Duration::ZERO);
+    let client = Client::new(handle.addr());
+    let before = client.features(MODEL, &probe_rows()).expect("baseline");
+
+    let params = RbmParams::init(4, 2, &mut ChaCha8Rng::seed_from_u64(3));
+    std::fs::write(&path, serde_json::to_string_pretty(&params).unwrap()).unwrap();
+    let response = client
+        .request("POST", "/v1/admin/reload", "")
+        .expect("reload answers");
+    assert_eq!(response.status, 409, "{}", response.body);
+    let outcome: sls_serve::ReloadResponse = serde_json::from_str(&response.body).unwrap();
+    assert!(!outcome.swapped);
+    assert_eq!(outcome.generation, 1, "old generation must be kept");
+    let message = outcome.models[0].message.clone().unwrap_or_default();
+    assert!(message.contains("schema_version"), "{message}");
+
+    let after = client
+        .features(MODEL, &probe_rows())
+        .expect("still serving");
+    assert_eq!(before, after);
+    assert_eq!(client.statz().expect("statz").generation, 1);
     handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -126,7 +126,7 @@ fn sequential_requests_share_one_connection() {
         let (mut reader, mut writer) = connect(handle.addr());
         for tag in 0..5 {
             let body = features_body(tag);
-            let path = format!("/models/{MODEL}/features");
+            let path = format!("/v1/models/{MODEL}/features");
             write_request_keep_alive(&mut writer, "POST", &path, &body, true).unwrap();
             let (response, close) = read_response_meta(&mut reader).expect("response arrives");
             assert!(
@@ -149,7 +149,7 @@ fn pipelined_requests_answer_in_order() {
     for batch in batch_configs() {
         let handle = start_batched(ServeOptions::default(), batch);
         let (mut reader, mut writer) = connect(handle.addr());
-        let path = format!("/models/{MODEL}/features");
+        let path = format!("/v1/models/{MODEL}/features");
         // All three requests hit the wire before any response is read.
         let bodies: Vec<String> = (10..13).map(features_body).collect();
         for body in &bodies {
@@ -178,7 +178,7 @@ fn idle_timeout_closes_the_connection() {
         ..ServeOptions::default()
     });
     let (mut reader, mut writer) = connect(handle.addr());
-    write_request_keep_alive(&mut writer, "GET", "/healthz", "", true).unwrap();
+    write_request_keep_alive(&mut writer, "GET", "/v1/healthz", "", true).unwrap();
     let (response, close) = read_response_meta(&mut reader).unwrap();
     assert_eq!(response.status, 200);
     assert!(!close);
@@ -193,11 +193,11 @@ fn connection_close_is_honored_mid_stream() {
     let handle = start(ServeOptions::default());
     let (mut reader, mut writer) = connect(handle.addr());
     // First request keeps the connection alive...
-    write_request_keep_alive(&mut writer, "GET", "/healthz", "", true).unwrap();
+    write_request_keep_alive(&mut writer, "GET", "/v1/healthz", "", true).unwrap();
     let (_, close) = read_response_meta(&mut reader).unwrap();
     assert!(!close);
     // ...the second asks to close, and the server must comply.
-    write_request_keep_alive(&mut writer, "GET", "/healthz", "", false).unwrap();
+    write_request_keep_alive(&mut writer, "GET", "/v1/healthz", "", false).unwrap();
     let (response, close) = read_response_meta(&mut reader).unwrap();
     assert_eq!(response.status, 200);
     assert!(close, "server must announce the close it was asked for");
@@ -213,7 +213,7 @@ fn request_cap_closes_the_connection() {
     });
     let (mut reader, mut writer) = connect(handle.addr());
     for served in 1..=3 {
-        write_request_keep_alive(&mut writer, "GET", "/healthz", "", true).unwrap();
+        write_request_keep_alive(&mut writer, "GET", "/v1/healthz", "", true).unwrap();
         let (response, close) = read_response_meta(&mut reader).unwrap();
         assert_eq!(response.status, 200);
         assert_eq!(
@@ -236,7 +236,7 @@ fn oversized_body_is_rejected_without_desyncing_the_connection() {
     // 8000 declared-and-sent bytes: over the limit but within the drain
     // allowance, so the connection must survive with valid framing.
     let huge = "x".repeat(8000);
-    let path = format!("/models/{MODEL}/features");
+    let path = format!("/v1/models/{MODEL}/features");
     write_request_keep_alive(&mut writer, "POST", &path, &huge, true).unwrap();
     let (response, close) = read_response_meta(&mut reader).unwrap();
     assert_eq!(response.status, 413, "{}", response.body);
@@ -266,7 +266,7 @@ fn undrainable_body_declaration_closes_the_connection() {
     // close, never waiting to buffer what was declared.
     write!(
         writer,
-        "POST /models/{MODEL}/features HTTP/1.1\r\nContent-Length: 100000000\r\n\r\n"
+        "POST /v1/models/{MODEL}/features HTTP/1.1\r\nContent-Length: 100000000\r\n\r\n"
     )
     .unwrap();
     writer.flush().unwrap();
@@ -283,14 +283,14 @@ fn malformed_request_on_a_reused_connection_closes_with_400() {
     let (mut reader, mut writer) = connect(handle.addr());
     // A healthy request first, so the malformed one arrives on a *reused*
     // connection.
-    write_request_keep_alive(&mut writer, "GET", "/healthz", "", true).unwrap();
+    write_request_keep_alive(&mut writer, "GET", "/v1/healthz", "", true).unwrap();
     let (_, close) = read_response_meta(&mut reader).unwrap();
     assert!(!close);
     // Conflicting Content-Length values: the parsers-disagree smuggling
     // vector. The server must refuse to guess and drop the connection.
     write!(
         writer,
-        "POST /models/{MODEL}/features HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 5\r\n\r\nhi~~~"
+        "POST /v1/models/{MODEL}/features HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 5\r\n\r\nhi~~~"
     )
     .unwrap();
     writer.flush().unwrap();
@@ -310,7 +310,7 @@ fn malformed_request_on_a_reused_connection_closes_with_400() {
 fn transfer_encoding_on_a_reused_connection_closes_with_501() {
     let handle = start(ServeOptions::default());
     let (mut reader, mut writer) = connect(handle.addr());
-    write_request_keep_alive(&mut writer, "GET", "/healthz", "", true).unwrap();
+    write_request_keep_alive(&mut writer, "GET", "/v1/healthz", "", true).unwrap();
     let (_, close) = read_response_meta(&mut reader).unwrap();
     assert!(!close);
     // Transfer-Encoding plus Content-Length: framed by the length, the
@@ -319,8 +319,8 @@ fn transfer_encoding_on_a_reused_connection_closes_with_501() {
     // request entirely. The server must refuse both readings: 501, close,
     // and the trailing `GET` is never parsed.
     let wire = format!(
-        "POST /models/{MODEL}/features HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\
-         Content-Length: 5\r\n\r\n0\r\n\r\nGET /healthz HTTP/1.1\r\n\r\n"
+        "POST /v1/models/{MODEL}/features HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\
+         Content-Length: 5\r\n\r\n0\r\n\r\nGET /v1/healthz HTTP/1.1\r\n\r\n"
     );
     writer.write_all(wire.as_bytes()).unwrap();
     writer.flush().unwrap();
@@ -382,7 +382,7 @@ fn keep_alive_disabled_closes_after_every_request() {
     // Raw socket: the response must announce the close even though the
     // client asked for keep-alive.
     let (mut reader, mut writer) = connect(handle.addr());
-    write_request_keep_alive(&mut writer, "GET", "/healthz", "", true).unwrap();
+    write_request_keep_alive(&mut writer, "GET", "/v1/healthz", "", true).unwrap();
     let (response, close) = read_response_meta(&mut reader).unwrap();
     assert_eq!(response.status, 200);
     assert!(
@@ -395,7 +395,7 @@ fn keep_alive_disabled_closes_after_every_request() {
     let mut connection = client.connect();
     for _ in 0..3 {
         connection
-            .request_ok("GET", "/healthz", "")
+            .request_ok("GET", "/v1/healthz", "")
             .expect("request");
     }
     assert_eq!(connection.connections_opened(), 3);
@@ -411,7 +411,7 @@ fn zero_connection_cap_is_clamped_to_one() {
         ..ServeOptions::default()
     });
     let response = Client::new(handle.addr())
-        .request("GET", "/healthz", "")
+        .request("GET", "/v1/healthz", "")
         .expect("healthz answers");
     assert_eq!(response.status, 200, "{}", response.body);
     handle.shutdown();

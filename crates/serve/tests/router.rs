@@ -88,7 +88,7 @@ fn start_router(replicas: Vec<SocketAddr>, replication: usize) -> ServerHandle {
 
 fn router_statz(client: &Client) -> RouterStatzResponse {
     let body = client
-        .request_ok("GET", "/admin/statz", "")
+        .request_ok("GET", "/v1/admin/statz", "")
         .expect("router statz")
         .body;
     serde_json::from_str(&body).expect("router statz parses")
@@ -142,12 +142,12 @@ fn ownership_is_stable_and_matches_the_published_hash() {
         let owner = replica_rank(model, &addrs)[0];
         expected[owner] += ROUNDS;
         let direct = Client::new(addrs[owner])
-            .request_ok("POST", &format!("/models/{model}/features"), PROBE)
+            .request_ok("POST", &format!("/v1/models/{model}/features"), PROBE)
             .expect("direct request")
             .body;
         for _ in 0..ROUNDS {
             let routed = client
-                .request_ok("POST", &format!("/models/{model}/features"), PROBE)
+                .request_ok("POST", &format!("/v1/models/{model}/features"), PROBE)
                 .expect("routed request")
                 .body;
             assert_eq!(routed, direct, "router must forward `{model}` verbatim");
@@ -201,7 +201,7 @@ fn a_killed_replica_is_retried_on_the_other_owner() {
         .iter()
         .map(|model| {
             Client::new(addrs[1])
-                .request_ok("POST", &format!("/models/{model}/features"), PROBE)
+                .request_ok("POST", &format!("/v1/models/{model}/features"), PROBE)
                 .expect("direct request")
                 .body
         })
@@ -210,7 +210,7 @@ fn a_killed_replica_is_retried_on_the_other_owner() {
 
     for (model, direct) in models.iter().zip(&reference) {
         let routed = client
-            .request_ok("POST", &format!("/models/{model}/features"), PROBE)
+            .request_ok("POST", &format!("/v1/models/{model}/features"), PROBE)
             .expect("routed request survives the kill");
         assert_eq!(&routed.body, direct, "`{model}` must come back bit-equal");
     }
@@ -246,7 +246,7 @@ fn drain_under_load_loses_no_request_and_freezes_the_replica() {
         .iter()
         .map(|model| {
             Client::new(addrs[0])
-                .request_ok("POST", &format!("/models/{model}/features"), PROBE)
+                .request_ok("POST", &format!("/v1/models/{model}/features"), PROBE)
                 .expect("direct request")
                 .body
         })
@@ -268,7 +268,7 @@ fn drain_under_load_loses_no_request_and_freezes_the_replica() {
                     let model = models[(worker + served as usize) % models.len()];
                     let index = (worker + served as usize) % models.len();
                     let response = connection
-                        .request_ok("POST", &format!("/models/{model}/features"), PROBE)
+                        .request_ok("POST", &format!("/v1/models/{model}/features"), PROBE)
                         .expect("no request may fail across the drain");
                     assert_eq!(response.body, reference[index], "`{model}` bit-equal");
                     served += 1;
@@ -280,7 +280,7 @@ fn drain_under_load_loses_no_request_and_freezes_the_replica() {
         std::thread::sleep(Duration::from_millis(100));
         let body = format!("{{\"replica\": \"{}\"}}", addrs[0]);
         let response = client
-            .request_ok("POST", "/admin/drain", &body)
+            .request_ok("POST", "/v1/admin/drain", &body)
             .expect("drain accepted");
         let drain: RouterDrainResponse =
             serde_json::from_str(&response.body).expect("drain body parses");
@@ -297,11 +297,11 @@ fn drain_under_load_loses_no_request_and_freezes_the_replica() {
     // serving: direct inference still answers, /healthz reports 503.
     let direct = Client::new(addrs[0]);
     let health = direct
-        .request("GET", "/healthz", "")
+        .request("GET", "/v1/healthz", "")
         .expect("socket answers");
     assert_eq!(health.status, 503, "drained node must fail health checks");
     let after = direct
-        .request_ok("POST", "/models/alpha/features", PROBE)
+        .request_ok("POST", "/v1/models/alpha/features", PROBE)
         .expect("drained node still serves in-flight style traffic")
         .body;
     assert_eq!(after, reference[0]);
@@ -313,7 +313,7 @@ fn drain_under_load_loses_no_request_and_freezes_the_replica() {
     let frozen = statz.replicas[0].forwards;
     for _ in 0..5 {
         client
-            .request_ok("POST", "/models/alpha/features", PROBE)
+            .request_ok("POST", "/v1/models/alpha/features", PROBE)
             .expect("post-drain request");
     }
     let statz = router_statz(&client);
@@ -326,7 +326,7 @@ fn drain_under_load_loses_no_request_and_freezes_the_replica() {
     // The survivor is the last active replica: draining it must be refused.
     let body = format!("{{\"replica\": \"{}\"}}", addrs[1]);
     let refused = client
-        .request("POST", "/admin/drain", &body)
+        .request("POST", "/v1/admin/drain", &body)
         .expect("socket answers");
     assert_eq!(refused.status, 409);
     assert!(refused.body.contains("last_replica"), "{}", refused.body);
@@ -350,7 +350,7 @@ fn fanout_reload_converges_or_rejects_atomically() {
     // Happy path: both replicas swap 1 -> 2 and agree.
     train(5).save(&path).expect("save generation 2");
     let response = client
-        .request_ok("POST", "/admin/reload", "")
+        .request_ok("POST", "/v1/admin/reload", "")
         .expect("fan-out reload");
     let reload: RouterReloadResponse =
         serde_json::from_str(&response.body).expect("reload body parses");
@@ -371,7 +371,7 @@ fn fanout_reload_converges_or_rejects_atomically() {
     // old generation keeps serving *and* being advertised.
     std::fs::write(&path, "{ not an artifact").expect("corrupt artifact");
     let response = client
-        .request("POST", "/admin/reload", "")
+        .request("POST", "/v1/admin/reload", "")
         .expect("socket answers");
     assert_eq!(response.status, 409);
     let reload: RouterReloadResponse =
@@ -381,7 +381,7 @@ fn fanout_reload_converges_or_rejects_atomically() {
     assert_eq!(reload.generation, Some(2), "old generation must survive");
     let models: ModelsResponse = serde_json::from_str(
         &client
-            .request_ok("GET", "/models", "")
+            .request_ok("GET", "/v1/models", "")
             .expect("router models")
             .body,
     )
@@ -419,7 +419,7 @@ fn a_torn_rollout_hides_the_model_until_generations_realign() {
     );
     let models: ModelsResponse = serde_json::from_str(
         &client
-            .request_ok("GET", "/models", "")
+            .request_ok("GET", "/v1/models", "")
             .expect("router models")
             .body,
     )
@@ -442,7 +442,7 @@ fn a_torn_rollout_hides_the_model_until_generations_realign() {
     assert_eq!(statz.consistent_generation, Some(2));
     let models: ModelsResponse = serde_json::from_str(
         &client
-            .request_ok("GET", "/models", "")
+            .request_ok("GET", "/v1/models", "")
             .expect("router models")
             .body,
     )
@@ -472,11 +472,11 @@ fn transfer_encoding_through_the_router_closes_with_501() {
         .unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut writer = stream;
-    write_request_keep_alive(&mut writer, "GET", "/healthz", "", true).unwrap();
+    write_request_keep_alive(&mut writer, "GET", "/v1/healthz", "", true).unwrap();
     let (_, close) = read_response_meta(&mut reader).unwrap();
     assert!(!close);
-    let wire = "POST /models/alpha/features HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\
-                Content-Length: 5\r\n\r\n0\r\n\r\nGET /healthz HTTP/1.1\r\n\r\n";
+    let wire = "POST /v1/models/alpha/features HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\
+                Content-Length: 5\r\n\r\n0\r\n\r\nGET /v1/healthz HTTP/1.1\r\n\r\n";
     writer.write_all(wire.as_bytes()).unwrap();
     writer.flush().unwrap();
     let (response, close) = read_response_meta(&mut reader).unwrap();
@@ -533,5 +533,53 @@ fn an_oversized_replica_answer_is_a_502_not_a_dead_replica() {
     router.shutdown();
     replica_a.shutdown();
     replica_b.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The router speaks only `/v1`: every former unversioned alias answers a
+/// structured 404 without reaching a replica, while its health poll, which
+/// runs every 50 ms here, keeps the replica up.
+#[test]
+fn unversioned_paths_are_not_routes_on_the_router() {
+    let dir = unique_dir("unversioned");
+    export(&dir, &train(1), &["alpha"]);
+    let replica = start_replica(&dir);
+    let router = start_router(vec![replica.addr()], 1);
+    let client = Client::new(router.addr());
+
+    for (method, path, body) in [
+        ("GET", "/healthz", ""),
+        ("GET", "/models", ""),
+        ("POST", "/models/alpha/features", PROBE),
+        ("POST", "/models/alpha/assign", PROBE),
+        ("GET", "/statz", ""),
+        ("GET", "/admin/statz", ""),
+        ("POST", "/admin/reload", ""),
+        ("POST", "/admin/drain", ""),
+    ] {
+        let response = client.request(method, path, body).expect("router answers");
+        assert_eq!(response.status, 404, "{method} {path}: {}", response.body);
+        let error: ErrorResponse = serde_json::from_str(&response.body).unwrap();
+        assert_eq!(error.code, "not_found", "{method} {path}");
+    }
+
+    std::thread::sleep(Duration::from_millis(200));
+    let statz = router_statz(&client);
+    assert_eq!(statz.forwards, 0, "an unversioned path reached a replica");
+    assert!(
+        statz.replicas[0].healthy,
+        "the health poll marked the replica down"
+    );
+    assert_eq!(client.health().expect("/v1/healthz answers").status, "ok");
+    assert_eq!(
+        client
+            .features("alpha", &[vec![0.1, 0.2, 0.3, 0.4]])
+            .unwrap()
+            .len(),
+        1
+    );
+
+    router.shutdown();
+    replica.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }

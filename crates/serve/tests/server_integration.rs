@@ -133,12 +133,15 @@ fn server_reports_models_and_rejects_bad_requests() {
     }
     // Malformed JSON body -> 400.
     let response = client
-        .request("POST", &format!("/models/{MODEL}/features"), "not json")
+        .request("POST", &format!("/v1/models/{MODEL}/features"), "not json")
         .expect("request completes");
     assert_eq!(response.status, 400);
     // Unknown path -> 404, wrong method -> 405.
     assert_eq!(client.request("GET", "/nope", "").unwrap().status, 404);
-    assert_eq!(client.request("POST", "/healthz", "").unwrap().status, 405);
+    assert_eq!(
+        client.request("POST", "/v1/healthz", "").unwrap().status,
+        405
+    );
 
     handle.shutdown();
 }

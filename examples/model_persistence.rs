@@ -11,7 +11,7 @@ use rand_chacha::ChaCha8Rng;
 use sls_rbm::consensus::{LocalSupervision, VotingPolicy};
 use sls_rbm::datasets::{binarize_median, generate_uci_dataset, UciDatasetId};
 use sls_rbm::rbm::{
-    load_params_json, save_params_json, CdTrainer, Rbm, SlsConfig, TrainConfig, VisibleKind,
+    CdTrainer, ModelKind, PipelineArtifact, Rbm, SlsConfig, TrainConfig, VisibleKind,
 };
 
 fn main() {
@@ -57,14 +57,17 @@ fn main() {
         history.final_error().unwrap()
     );
 
-    // Persist the parameters and reload them into a fresh model.
+    // Persist the parameters as an artifact and reload them into a fresh
+    // model.
     let path = std::env::temp_dir().join("sls_rbm_example_model.json");
-    save_params_json(model.params(), &path).expect("save model");
+    PipelineArtifact::from_params(model.params().clone(), ModelKind::SlsRbm)
+        .save(&path)
+        .expect("save model");
     println!("model saved to {}", path.display());
 
     let reloaded = Rbm::from_params(
         VisibleKind::Binary,
-        load_params_json(&path).expect("load model"),
+        PipelineArtifact::load(&path).expect("load model").params,
     );
     let original_features = model.hidden_probabilities(&data).expect("features");
     let reloaded_features = reloaded.hidden_probabilities(&data).expect("features");

@@ -9,8 +9,8 @@ use sls_rbm::consensus::{LocalSupervisionBuilder, VotingPolicy};
 use sls_rbm::datasets::{binarize_median, standardize_columns, SyntheticBlobs};
 use sls_rbm::metrics::{clustering_accuracy, EvaluationReport};
 use sls_rbm::rbm::{
-    run_pipeline, CdTrainer, ModelKind, Preprocessing, Rbm, SlsConfig, SlsPipelineConfig,
-    TrainConfig, VisibleKind,
+    run_pipeline, CdTrainer, ModelKind, PipelineArtifact, Preprocessing, Rbm, SlsConfig,
+    SlsPipelineConfig, TrainConfig, VisibleKind,
 };
 
 fn rng(seed: u64) -> ChaCha8Rng {
@@ -196,10 +196,12 @@ fn model_persistence_round_trips_through_the_umbrella_crate() {
     let model = Rbm::new(VisibleKind::Gaussian, 9, 5, &mut r);
     let dir = std::env::temp_dir().join("sls_rbm_integration_io");
     let path = dir.join("model.json");
-    sls_rbm::rbm::save_params_json(model.params(), &path).unwrap();
+    PipelineArtifact::from_params(model.params().clone(), ModelKind::Grbm)
+        .save(&path)
+        .unwrap();
     let reloaded = Rbm::from_params(
         VisibleKind::Gaussian,
-        sls_rbm::rbm::load_params_json(&path).unwrap(),
+        PipelineArtifact::load(&path).unwrap().params,
     );
     assert_eq!(reloaded.params(), model.params());
     std::fs::remove_dir_all(&dir).ok();
