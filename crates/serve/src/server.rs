@@ -26,6 +26,16 @@
 //! `{"error": "...", "code": "..."}` with a stable machine-readable code
 //! from [`crate::api::code`].
 //!
+//! ## Request decoding
+//!
+//! An inference body is decoded once, straight into the batch matrix, by
+//! [`api::decode_rows`]: a large body is cut into row bands of at least
+//! 32 KiB, parsed on the worker pool, with the same bits for every band
+//! count, and any body not of the plain `{"rows":[[...],...]}` shape takes
+//! the generic `serde_json` path, which words the errors. JSON nested
+//! deeper than 128 levels is refused as `invalid_body` rather than
+//! recursed into.
+//!
 //! ## Hot reload
 //!
 //! Each request resolves the current [`RegistryGeneration`] exactly once and
@@ -54,8 +64,8 @@
 //! identical to serving them one by one (see [`crate::batch`]).
 
 use crate::api::{
-    code, AssignResponse, BatchStatsResponse, DrainResponse, ErrorResponse, FeaturesResponse,
-    HealthResponse, ModelInfo, ModelsResponse, ReloadResponse, RowsRequest,
+    self, code, AssignResponse, BatchStatsResponse, DrainResponse, ErrorResponse, FeaturesResponse,
+    HealthResponse, ModelInfo, ModelsResponse, ReloadResponse,
 };
 use crate::batch::{compute_direct, BatchConfig, BatchOutput, Batcher, Endpoint};
 use crate::http::{
@@ -780,10 +790,10 @@ fn reload(live: &LiveRegistry) -> (u16, String) {
 }
 
 /// Shared scaffolding of the two inference endpoints: model lookup (404),
-/// body parsing and batch-matrix validation (400), then the fused or direct
-/// compute; any model error also maps to 400 since inference on an
-/// immutable artifact only fails on request-induced shape/capability
-/// mismatches.
+/// body decoding ([`api::decode_rows`]) and width checks (400), then the
+/// fused or direct compute; any model error also maps to 400 since
+/// inference on an immutable artifact only fails on request-induced
+/// shape/capability mismatches.
 fn infer(
     registry: &ModelRegistry,
     generation: u64,
@@ -797,24 +807,10 @@ fn infer(
         Ok(model) => model,
         Err(e) => return error_body(404, code::MODEL_NOT_FOUND, e.to_string()),
     };
-    let rows: RowsRequest = match serde_json::from_str(body) {
-        Ok(rows) => rows,
-        Err(e) => return error_body(400, code::INVALID_BODY, format!("invalid JSON body: {e}")),
-    };
-    let matrix = match rows.to_matrix() {
+    let matrix = match api::decode_rows(body, parallel) {
         Ok(matrix) => matrix,
-        Err(message) => return error_body(400, code::BAD_ROW_WIDTH, message),
+        Err(e) => return error_body(400, e.code, e.message),
     };
-    // JSON has no NaN or infinity, but a literal like `1e400` overflows
-    // to one; the kernels would answer it with `null`s or a bogus label.
-    if let Some(at) = matrix.as_slice().iter().position(|v| !v.is_finite()) {
-        let (i, j) = (at / matrix.cols(), at % matrix.cols());
-        return error_body(
-            400,
-            code::INVALID_BODY,
-            format!("rows[{i}][{j}] is not a finite number"),
-        );
-    }
     // Doomed requests are rejected up front: they must fail with exactly
     // the error they would get alone, not poison a batch or inherit a
     // batch's error, and each failure class carries its own stable code.

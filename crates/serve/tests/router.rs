@@ -2,8 +2,9 @@
 //! [`Router`], proving stable hash ownership, retry-on-another-owner when a
 //! replica dies, drain without dropping an in-flight response, and
 //! generation-consistent fan-out reload (converged, rejected-atomically,
-//! and torn rollouts), the `Transfer-Encoding` refusal at the router, and
-//! an oversized replica answer that must not count as a dead replica.
+//! and torn rollouts), the `Transfer-Encoding` refusal at the router, an
+//! oversized replica answer that must not count as a dead replica, and a
+//! deeply nested body that must not kill any replica.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -529,6 +530,60 @@ fn an_oversized_replica_answer_is_a_502_not_a_dead_replica() {
         assert!(replica.healthy, "{} was marked down", replica.addr);
         assert_eq!(replica.failures, 0, "{}", replica.addr);
     }
+
+    router.shutdown();
+    replica_a.shutdown();
+    replica_b.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A deeply nested body once aborted the replica that parsed it; the
+/// router took the dead replica for a transport error and replayed the body
+/// to the next owner, killing every owner. Now each replica answers `400`,
+/// which the router passes through without a retry, and the router's own
+/// drain body parser refuses the same nesting.
+#[test]
+fn a_deeply_nested_body_is_a_400_that_no_replica_dies_of() {
+    let dir = unique_dir("nested");
+    export(&dir, &train(1), &["alpha"]);
+    let replica_a = start_replica(&dir);
+    let replica_b = start_replica(&dir);
+    let router = start_router(vec![replica_a.addr(), replica_b.addr()], 2);
+    let client = Client::new(router.addr());
+    let before = router_statz(&client);
+
+    let nested = "[".repeat(10_000);
+    let response = client
+        .request(
+            "POST",
+            "/v1/models/alpha/assign",
+            &format!("{{\"rows\":{nested}"),
+        )
+        .expect("the router answers");
+    assert_eq!(response.status, 400, "{}", response.body);
+    let error: ErrorResponse = serde_json::from_str(&response.body).unwrap();
+    assert_eq!(error.code, "invalid_body");
+
+    let statz = router_statz(&client);
+    assert_eq!(statz.retried_requests, before.retried_requests);
+    assert_eq!(statz.unrouted, before.unrouted);
+    for replica in [&replica_a, &replica_b] {
+        let health = Client::new(replica.addr()).health().expect("replica alive");
+        assert_eq!(health.status, "ok");
+    }
+    assert!(statz.replicas.iter().all(|r| r.healthy && r.failures == 0));
+
+    let response = client
+        .request(
+            "POST",
+            "/v1/admin/drain",
+            &format!("{{\"replica\":{nested}"),
+        )
+        .expect("the router answers");
+    assert_eq!(response.status, 400, "{}", response.body);
+    let error: ErrorResponse = serde_json::from_str(&response.body).unwrap();
+    assert_eq!(error.code, "invalid_body");
+    assert_eq!(client.health().expect("router alive").status, "ok");
 
     router.shutdown();
     replica_a.shutdown();

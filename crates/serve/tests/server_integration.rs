@@ -172,6 +172,36 @@ fn non_finite_rows_are_rejected_as_invalid_body() {
     handle.shutdown();
 }
 
+/// 10,000 open brackets (~10 KB) once overflowed the handler thread's
+/// stack in the recursive JSON parser and aborted the whole server. The
+/// parser now stops at 128 levels with a parse error.
+#[test]
+fn a_deeply_nested_body_is_an_invalid_body_not_a_crash() {
+    let (fitted, _) = fitted_with_rows();
+    let handle = start_server(&fitted.artifact, "nested");
+    let client = Client::new(handle.addr());
+    let body = format!("{{\"rows\":{}", "[".repeat(10_000));
+    let response = client
+        .request("POST", &format!("/v1/models/{MODEL}/assign"), &body)
+        .expect("request completes");
+    assert_eq!(response.status, 400, "{}", response.body);
+    assert!(
+        response.body.contains(r#""code":"invalid_body""#),
+        "{}",
+        response.body
+    );
+    assert!(
+        response.body.contains("recursion limit exceeded"),
+        "{}",
+        response.body
+    );
+    let health = client
+        .request("GET", "/v1/healthz", "")
+        .expect("the server still answers");
+    assert_eq!(health.status, 200);
+    handle.shutdown();
+}
+
 /// Builds a matrix from row vectors (test-local helper to keep the linalg
 /// dependency explicit).
 fn sls_linalg_matrix(rows: &[Vec<f64>]) -> sls_linalg::Matrix {
