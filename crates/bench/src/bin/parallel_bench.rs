@@ -7,6 +7,8 @@
 //! parallel_bench [--out BENCH_parallel.json] [--quick] [--reps 3] [--gate TOL]
 //! ```
 //!
+//! `--reps` must be at least 1, and a flag given twice is rejected by name.
+//!
 //! Sections:
 //!
 //! * `cd_epoch` — one full contrastive-divergence training epoch on a
@@ -22,20 +24,21 @@
 //!   dispatch overhead is comparable to the kernel itself;
 //! * `skew_heavy_band` — a ragged map kernel where the last quarter of the
 //!   rows costs ~8x the rest: the straggler shape fixed-equal-band dispatch
-//!   loses to. `pool_fixed` pins the chunk size to one band per thread
-//!   (emulating the old fixed split); `pool` is the shipping adaptive
-//!   chunking, its chunks claimed one at a time by the caller and idle
-//!   workers, which the CI gate requires to be >= 1.5x faster on the
-//!   4-core runner;
+//!   loses to. `pool_fixed` is a bench-local reference that runs one
+//!   band-sized block per thread through `WorkerPool::for_each_mut` (the
+//!   old fixed split); `pool` is the shipping adaptive chunking, its chunks
+//!   claimed one at a time by the caller and idle workers, which the CI
+//!   gate requires to be >= 1.5x faster on the 4-core runner;
 //! * `skew_mixed_scopes` — serving-sized 8-row feature batches timed while
 //!   a background thread saturates the same pool with training-sized
-//!   matmuls: band-sized chunks pin a worker for a whole band, adaptive
-//!   chunks free one up after a short chunk, so small-call latency under
-//!   load is the difference between the two;
+//!   matmuls: band-sized blocks (`pool_fixed`, the same bench-local
+//!   reference) pin a worker for a whole band, adaptive chunks (`pool`)
+//!   free one up after a short chunk, so small-call latency under load is
+//!   the difference between the two;
 //! * `transpose_right_tiling` — `matmul_transpose_right` at the ROADMAP's
-//!   512x256x256 shape: untiled, tiled (the shipping configuration) and a
-//!   same-shape `matmul` reference — the acceptance bar is tiled
-//!   `transpose_right` within 1.4x of `matmul`;
+//!   512x256x256 shape: untiled (a plain `simd::dot` loop, bench-local),
+//!   tiled (the shipping kernel) and a same-shape `matmul` reference — the
+//!   acceptance bar is tiled `transpose_right` within 1.4x of `matmul`;
 //! * `consensus_full` / `consensus_align` / `consensus_vote` — the
 //!   supervision-construction pipeline on synthetic blobs, end to end
 //!   (DP + K-means + AP base clusterers through alignment and voting) and
@@ -48,8 +51,8 @@
 //! The report records `available_parallelism` — on a single-core box the
 //! honest speedup is ~1.0 and the multi-threaded numbers measure scheduling
 //! overhead, so read the speedup column together with that field. Outputs
-//! are bitwise identical across thread counts and tile sizes (asserted here
-//! too).
+//! are bitwise identical across thread counts, and the tiled kernel equals
+//! the untiled reference (asserted here too).
 //!
 //! `--gate TOL` turns the run into a regression gate: after measuring, the
 //! process exits non-zero if pooled dispatch is slower than serial on any
@@ -68,9 +71,12 @@ use sls_consensus::{
     align_partitions_with, integrate_partitions_with, LocalSupervisionBuilder, VotingPolicy,
 };
 use sls_datasets::SyntheticBlobs;
-use sls_linalg::{Matrix, MatrixRandomExt, ParallelPolicy};
+use sls_linalg::{simd, Matrix, MatrixRandomExt, ParallelPolicy, WorkerPool};
 use sls_rbm_core::{base_clusterers, CdTrainer, Rbm, TrainConfig, VisibleKind};
+use std::collections::BTreeSet;
 use std::time::Instant;
+
+const USAGE: &str = "usage: parallel_bench [--out PATH] [--quick] [--reps N] [--gate TOL]";
 
 /// One timed configuration of one section.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -128,48 +134,90 @@ fn main() -> std::process::ExitCode {
     }
 }
 
-fn run(args: &[String]) -> Result<(), String> {
-    let mut out = "BENCH_parallel.json".to_string();
-    let mut quick = false;
-    let mut reps = 3usize;
-    let mut gate: Option<f64> = None;
+/// The parsed command line.
+#[derive(Debug)]
+struct Options {
+    out: String,
+    quick: bool,
+    reps: usize,
+    gate: Option<f64>,
+}
+
+fn parse_options(args: &[String]) -> Result<Options, String> {
+    let mut options = Options {
+        out: "BENCH_parallel.json".to_string(),
+        quick: false,
+        reps: 3,
+        gate: None,
+    };
+    let mut seen = BTreeSet::new();
     let mut iter = args.iter();
     while let Some(flag) = iter.next() {
+        let mut value = || {
+            iter.next()
+                .ok_or_else(|| format!("flag `{flag}` needs a value\n{USAGE}"))
+        };
         match flag.as_str() {
-            "--out" => {
-                out = iter
-                    .next()
-                    .ok_or("--out needs a value".to_string())?
-                    .clone();
-            }
-            "--quick" => quick = true,
+            "--out" => options.out = value()?.clone(),
+            "--quick" => options.quick = true,
             "--reps" => {
-                reps = iter
-                    .next()
-                    .ok_or("--reps needs a value".to_string())?
-                    .parse()
-                    .map_err(|_| "invalid value for --reps".to_string())?;
+                options.reps = match value()?.parse::<usize>() {
+                    Ok(0) => return Err("`--reps` must be at least 1".to_string()),
+                    Ok(reps) => reps,
+                    Err(_) => return Err("invalid value for `--reps`".to_string()),
+                };
             }
             "--gate" => {
-                let tol: f64 = iter
-                    .next()
-                    .ok_or("--gate needs a tolerance factor (e.g. 1.25)".to_string())?
+                let tol: f64 = value()?
                     .parse()
-                    .map_err(|_| "invalid value for --gate".to_string())?;
+                    .map_err(|_| "invalid value for `--gate`".to_string())?;
                 if !tol.is_finite() || tol < 1.0 {
-                    return Err("--gate tolerance must be a finite factor >= 1.0".to_string());
+                    return Err("`--gate` tolerance must be a finite factor >= 1.0".to_string());
                 }
-                gate = Some(tol);
+                options.gate = Some(tol);
             }
-            other => {
-                return Err(format!(
-                    "unknown flag `{other}`\nusage: parallel_bench [--out PATH] [--quick] \
-                     [--reps N] [--gate TOL]"
-                ));
-            }
+            other => return Err(format!("unknown flag `{other}`\n{USAGE}")),
+        }
+        if !seen.insert(flag) {
+            return Err(format!("flag `{flag}` given more than once"));
         }
     }
-    let reps = reps.max(1);
+    Ok(options)
+}
+
+/// Computes a `rows x width` output one row at a time (`row(i, out_row)`),
+/// split into blocks of `band` rows that run through
+/// [`WorkerPool::for_each_mut`]: the fixed-equal-band schedule the adaptive
+/// chunking is measured against.
+fn fixed_bands(
+    rows: usize,
+    width: usize,
+    band: usize,
+    row: impl Fn(usize, &mut [f64]) + Sync,
+) -> Matrix {
+    let mut out = vec![0.0; rows * width];
+    let mut blocks: Vec<&mut [f64]> = out.chunks_mut(band * width).collect();
+    WorkerPool::global().for_each_mut(&mut blocks, |b, block| {
+        for (offset, out_row) in block.chunks_mut(width).enumerate() {
+            row(b * band + offset, out_row);
+        }
+    });
+    Matrix::from_vec(rows, width, out).expect("rows x width elements")
+}
+
+/// `a · bᵀ` as one [`simd::dot`] per output element, row after row with no
+/// tiling: the baseline the tiled `matmul_transpose_right` is gated on.
+fn untiled_transpose_right(a: &Matrix, b: &Matrix) -> Matrix {
+    Matrix::from_fn(a.rows(), b.rows(), |i, j| simd::dot(a.row(i), b.row(j)))
+}
+
+fn run(args: &[String]) -> Result<(), String> {
+    let Options {
+        out,
+        quick,
+        reps,
+        gate,
+    } = parse_options(args)?;
 
     // The acceptance workload: 2048x256 visible, 256 hidden; --quick keeps
     // the CI smoke run under a second.
@@ -318,9 +366,9 @@ fn run(args: &[String]) -> Result<(), String> {
     // quarter of the rows does ~8x the per-row work of the rest, so under
     // a fixed-equal-band split the whole call waits on the one heavy band
     // while adaptive chunks, claimed one at a time, spread the heavy rows
-    // over every thread. `pool_fixed` emulates the old split by pinning the
-    // chunk size to one band (ceil(rows/threads)); `pool` is the shipping
-    // adaptive chunking.
+    // over every thread. `pool_fixed` runs the old split, one band of
+    // ceil(rows/threads) rows per pool item (`fixed_bands`); `pool` is the
+    // shipping adaptive chunking.
     let (skew_rows, skew_cols) = if quick { (128, 256) } else { (256, 512) };
     let skew_data = Matrix::random_normal(skew_rows, skew_cols, 0.0, 1.0, &mut rng);
     let heavy_start = skew_rows - skew_rows / 4;
@@ -336,15 +384,21 @@ fn run(args: &[String]) -> Result<(), String> {
         }
     };
     let fixed_chunk = skew_rows.div_ceil(small_threads);
-    let skew_modes: [(&str, ParallelPolicy); 3] = [
-        ("serial", ParallelPolicy::serial()),
-        ("pool_fixed", pool_policy.with_chunk_rows(fixed_chunk)),
-        ("pool", pool_policy),
-    ];
-    for (mode, policy) in skew_modes {
+    let skew_fixed = || {
+        fixed_bands(skew_rows, skew_cols, fixed_chunk, |i, out| {
+            skew_work(i, skew_data.row(i), out)
+        })
+    };
+    for mode in ["serial", "pool_fixed", "pool"] {
         let millis = best_of(reps, || {
             let start = Instant::now();
-            let out = skew_data.map_rows_with(skew_cols, &policy, skew_work);
+            let out = match mode {
+                "serial" => {
+                    skew_data.map_rows_with(skew_cols, &ParallelPolicy::serial(), skew_work)
+                }
+                "pool_fixed" => skew_fixed(),
+                _ => skew_data.map_rows_with(skew_cols, &pool_policy, skew_work),
+            };
             (start.elapsed(), out)
         });
         let threads = if mode == "serial" { 1 } else { small_threads };
@@ -379,19 +433,24 @@ fn run(args: &[String]) -> Result<(), String> {
         small_serial,
     );
     let training_fixed_chunk = instances.div_ceil(small_threads);
-    for (mode, bg_policy) in [
-        (
-            "pool_fixed",
-            pool_policy.with_chunk_rows(training_fixed_chunk),
-        ),
-        ("pool", pool_policy),
-    ] {
+    let banded_matmul = || {
+        fixed_bands(instances, hidden, training_fixed_chunk, |i, out| {
+            for (p, &a_ip) in data.row(i).iter().enumerate() {
+                simd::axpy(a_ip, weights.row(p), out);
+            }
+        })
+    };
+    for mode in ["pool_fixed", "pool"] {
         let stop = std::sync::atomic::AtomicBool::new(false);
         let millis = std::thread::scope(|s| {
             s.spawn(|| {
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    let out = data.matmul_with(&weights, &bg_policy).expect("bg matmul");
-                    std::hint::black_box(&out);
+                    if mode == "pool_fixed" {
+                        std::hint::black_box(banded_matmul());
+                    } else {
+                        let out = data.matmul_with(&weights, &pool_policy).expect("bg matmul");
+                        std::hint::black_box(&out);
+                    }
                 }
             });
             let per_call = best_of(reps, || {
@@ -485,8 +544,10 @@ fn run(args: &[String]) -> Result<(), String> {
     // 512x256x256 shape (the one where the dot-product layout used to run
     // ~2.3x behind `matmul`), single-threaded so the kernel itself is
     // measured rather than the fan-out. `simd_untiled` is the section
-    // baseline; `simd_tiled` is the shipping configuration; `matmul_ref` is
-    // the same-shape `matmul` whose 1.4x envelope is the acceptance bar.
+    // baseline, one `simd::dot` per element with no tiling
+    // (`untiled_transpose_right`); `simd_tiled` is the shipping kernel;
+    // `matmul_ref` is the same-shape `matmul` whose 1.4x envelope is the
+    // acceptance bar.
     let (tile_n, tile_k, tile_m) = if quick { (64, 32, 32) } else { (512, 256, 256) };
     let tr_left = Matrix::random_normal(tile_n, tile_k, 0.0, 1.0, &mut rng);
     let tr_right = Matrix::random_normal(tile_m, tile_k, 0.0, 1.0, &mut rng);
@@ -495,9 +556,7 @@ fn run(args: &[String]) -> Result<(), String> {
     let tiling = "transpose_right_tiling";
     let simd_untiled = best_of(reps, || {
         let start = Instant::now();
-        let out = tr_left
-            .matmul_transpose_right_tiled_with(&tr_right, &serial_policy, usize::MAX)
-            .expect("transpose_right");
+        let out = untiled_transpose_right(&tr_left, &tr_right);
         (start.elapsed(), out)
     });
     push(&mut results, tiling, 1, "simd_untiled", simd_untiled);
@@ -537,13 +596,23 @@ fn run(args: &[String]) -> Result<(), String> {
     let tiled = tr_left
         .matmul_transpose_right_with(&tr_right, &serial_policy)
         .expect("transpose_right");
-    let untiled = tr_left
-        .matmul_transpose_right_tiled_with(&tr_right, &serial_policy, usize::MAX)
-        .expect("transpose_right");
     assert_eq!(
         tiled.as_slice(),
-        untiled.as_slice(),
+        untiled_transpose_right(&tr_left, &tr_right).as_slice(),
         "tiled transpose_right diverged from untiled"
+    );
+    let adaptive = skew_data.map_rows_with(skew_cols, &pool_policy, skew_work);
+    assert_eq!(
+        adaptive.as_slice(),
+        skew_fixed().as_slice(),
+        "adaptive chunks diverged from fixed bands"
+    );
+    assert_eq!(
+        data.matmul_with(&weights, &pool_policy)
+            .expect("matmul")
+            .as_slice(),
+        banded_matmul().as_slice(),
+        "pooled matmul diverged from fixed bands"
     );
     // The consensus invariant the whole PR leans on: pooled supervision
     // construction yields the identical membership to serial construction.
@@ -737,4 +806,48 @@ fn push(results: &mut Vec<Measurement>, section: &str, threads: usize, mode: &st
         millis,
         speedup_vs_serial: serial_millis / millis,
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The error `parse_options` answers `args` with.
+    fn rejection(args: &[&str]) -> String {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        match parse_options(&args) {
+            Ok(options) => panic!("{args:?} was accepted as {options:?}"),
+            Err(message) => message,
+        }
+    }
+
+    #[test]
+    fn zero_reps_are_rejected_by_name() {
+        let err = rejection(&["--quick", "--reps", "0"]);
+        assert!(err.contains("`--reps` must be at least 1"), "{err}");
+    }
+
+    #[test]
+    fn a_repeated_flag_is_rejected_by_name() {
+        let err = rejection(&["--reps", "2", "--quick", "--reps", "3"]);
+        assert!(err.contains("`--reps`"), "{err}");
+        assert!(err.contains("more than once"), "{err}");
+        let err = rejection(&["--quick", "--quick"]);
+        assert!(err.contains("`--quick` given more than once"), "{err}");
+    }
+
+    #[test]
+    fn flags_parse_as_given() {
+        let args: Vec<String> = ["--reps", "2", "--quick", "--gate", "1.5", "--out", "r.json"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let options = parse_options(&args).expect("valid flags");
+        assert_eq!(options.reps, 2);
+        assert!(options.quick);
+        assert_eq!(options.gate, Some(1.5));
+        assert_eq!(options.out, "r.json");
+        assert!(rejection(&["--gate", "0.5"]).contains("`--gate`"));
+        assert!(rejection(&["--bogus"]).contains("unknown flag `--bogus`"));
+    }
 }

@@ -492,7 +492,10 @@ mod tests {
         // A preference below the minimum pairwise similarity is the
         // documented way to push AP towards very few clusters.
         let min_sim = {
-            let d = sls_linalg::pairwise_distances(ds.features());
+            let d = sls_linalg::pairwise_distances(
+                ds.features(),
+                &sls_linalg::ParallelPolicy::serial(),
+            );
             -(d.max().unwrap() * d.max().unwrap())
         };
         let outcome = AffinityPropagation::default()

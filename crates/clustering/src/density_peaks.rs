@@ -14,7 +14,7 @@
 //!    cluster of their nearest higher-density neighbour.
 
 use crate::{ClusterAssignment, Clusterer, ClusteringError, Result};
-use sls_linalg::{pairwise_distances_with, Matrix, ParallelPolicy};
+use sls_linalg::{pairwise_distances, Matrix, ParallelPolicy};
 
 /// Configuration and entry point for density peaks clustering.
 #[derive(Debug, Clone)]
@@ -103,7 +103,7 @@ impl DensityPeaks {
             });
         }
 
-        let distances = pairwise_distances_with(data, &self.parallel);
+        let distances = pairwise_distances(data, &self.parallel);
         let cutoff = self.cutoff_distance(&distances);
         let densities = self.local_densities(&distances, cutoff);
         let (separations, nearest_higher) = separations(&distances, &densities, &self.parallel);

@@ -1,6 +1,6 @@
 //! Property suite for the parallel consensus invariant: supervision built
 //! under ANY policy — serial or on the persistent worker pool, across
-//! thread budgets 1–8 and chunk sizes — is *identical* to the serial build,
+//! thread budgets 1–8 — is *identical* to the serial build,
 //! and consumes the caller's RNG identically.
 //!
 //! The invariant holds by construction (per-clusterer sub-seeds are drawn
@@ -51,9 +51,9 @@ fn build(data: &Matrix, policy: ParallelPolicy, voting: VotingPolicy) -> (LocalS
     (supervision, rng.next_u64())
 }
 
-/// Every point of the threads 1–8 x {adaptive, single-row} chunking grid
-/// must reproduce the serial supervision exactly: same membership,
-/// same cluster count, same covered indices, same RNG consumption.
+/// Every thread count from 1 to 8 must reproduce the serial supervision
+/// exactly: same membership, same cluster count, same covered indices,
+/// same RNG consumption.
 #[test]
 fn consensus_is_identical_to_serial_across_the_policy_grid() {
     let data = blobs();
@@ -62,32 +62,28 @@ fn consensus_is_identical_to_serial_across_the_policy_grid() {
     assert!(reference.n_clusters() > 0, "reference supervision is empty");
 
     for threads in 1..=8usize {
-        for chunk_rows in [0, 1] {
-            let policy = ParallelPolicy::new(threads)
-                .with_min_rows_per_thread(1)
-                .with_chunk_rows(chunk_rows);
-            let (supervision, draw) = build(&data, policy, VotingPolicy::Unanimous);
-            let label = format!("threads={threads} chunk_rows={chunk_rows}");
-            assert_eq!(
-                supervision.membership(),
-                reference.membership(),
-                "membership diverged under {label}"
-            );
-            assert_eq!(
-                supervision.n_clusters(),
-                reference.n_clusters(),
-                "cluster count diverged under {label}"
-            );
-            assert_eq!(
-                supervision.covered_indices(),
-                reference.covered_indices(),
-                "coverage diverged under {label}"
-            );
-            assert_eq!(
-                draw, reference_draw,
-                "caller RNG consumption diverged under {label}"
-            );
-        }
+        let policy = ParallelPolicy::new(threads).with_min_rows_per_thread(1);
+        let (supervision, draw) = build(&data, policy, VotingPolicy::Unanimous);
+        let label = format!("threads={threads}");
+        assert_eq!(
+            supervision.membership(),
+            reference.membership(),
+            "membership diverged under {label}"
+        );
+        assert_eq!(
+            supervision.n_clusters(),
+            reference.n_clusters(),
+            "cluster count diverged under {label}"
+        );
+        assert_eq!(
+            supervision.covered_indices(),
+            reference.covered_indices(),
+            "coverage diverged under {label}"
+        );
+        assert_eq!(
+            draw, reference_draw,
+            "caller RNG consumption diverged under {label}"
+        );
     }
 }
 

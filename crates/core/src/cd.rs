@@ -596,10 +596,6 @@ mod tests {
             ParallelPolicy::serial(),
             ParallelPolicy::new(4).with_min_rows_per_thread(1),
             ParallelPolicy::new(7).with_min_rows_per_thread(2),
-            // Single-row chunks: the most aggressive claim reordering.
-            ParallelPolicy::new(4)
-                .with_min_rows_per_thread(1)
-                .with_chunk_rows(1),
         ] {
             let mut model = Rbm::new(VisibleKind::Binary, 6, 4, &mut rng());
             CdTrainer::new(config)

@@ -210,17 +210,15 @@ mod tests {
         let serial = compact
             .hidden_features_with(&pre, &ParallelPolicy::serial())
             .unwrap();
-        for chunk_rows in [0, 1] {
-            let policy = ParallelPolicy::new(4)
-                .with_min_rows_per_thread(1)
-                .with_chunk_rows(chunk_rows);
+        for threads in [2, 4] {
+            let policy = ParallelPolicy::new(threads).with_min_rows_per_thread(1);
             let par = compact.hidden_features_with(&pre, &policy).unwrap();
             let same = serial
                 .as_slice()
                 .iter()
                 .zip(par.as_slice())
                 .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "chunk_rows = {chunk_rows}");
+            assert!(same, "threads = {threads}");
         }
     }
 

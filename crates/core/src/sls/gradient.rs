@@ -217,7 +217,6 @@ mod tests {
     const POL: ParallelPolicy = ParallelPolicy {
         threads: 1,
         min_rows_per_thread: 64,
-        chunk_rows: 0,
     };
 
     fn setup() -> (RbmParams, Matrix, Vec<Vec<usize>>) {
@@ -395,15 +394,10 @@ mod tests {
         let hidden = hidden_of(&params, &visible);
         let serial = sls_batch_gradients(&params, &visible, &hidden, &clusters, &POL).unwrap();
         for threads in [2, 4, 8] {
-            for chunk_rows in [0, 1] {
-                let policy = ParallelPolicy::new(threads)
-                    .with_min_rows_per_thread(1)
-                    .with_chunk_rows(chunk_rows);
-                let par =
-                    sls_batch_gradients(&params, &visible, &hidden, &clusters, &policy).unwrap();
-                assert_eq!(serial.dw.as_slice(), par.dw.as_slice(), "{policy:?}");
-                assert_eq!(serial.db, par.db, "{policy:?}");
-            }
+            let policy = ParallelPolicy::new(threads).with_min_rows_per_thread(1);
+            let par = sls_batch_gradients(&params, &visible, &hidden, &clusters, &policy).unwrap();
+            assert_eq!(serial.dw.as_slice(), par.dw.as_slice(), "{policy:?}");
+            assert_eq!(serial.db, par.db, "{policy:?}");
         }
     }
 

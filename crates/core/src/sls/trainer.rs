@@ -188,17 +188,6 @@ mod tests {
         for threads in [2, 8] {
             let par = train_one(ParallelPolicy::new(threads).with_min_rows_per_thread(1));
             assert_eq!(serial.params(), par.params(), "threads = {threads}");
-            // Same identity with single-row chunks.
-            let chunked = train_one(
-                ParallelPolicy::new(threads)
-                    .with_min_rows_per_thread(1)
-                    .with_chunk_rows(1),
-            );
-            assert_eq!(
-                serial.params(),
-                chunked.params(),
-                "single-row chunks threads = {threads}"
-            );
         }
     }
 

@@ -48,6 +48,12 @@ pub enum LinalgError {
         /// Length of the axis.
         len: usize,
     },
+    /// A column's mean is not finite: its values sum past the `f64` range,
+    /// or one of them is infinite or NaN.
+    NonFiniteMean {
+        /// Index of the first such column.
+        column: usize,
+    },
 }
 
 impl fmt::Display for LinalgError {
@@ -78,6 +84,10 @@ impl fmt::Display for LinalgError {
             LinalgError::IndexOutOfBounds { axis, index, len } => {
                 write!(f, "{axis} index {index} out of bounds for length {len}")
             }
+            LinalgError::NonFiniteMean { column } => write!(
+                f,
+                "column {column} has no finite mean: a value is not finite or the column sum overflows f64"
+            ),
         }
     }
 }
@@ -132,6 +142,8 @@ mod tests {
             len: 3,
         };
         assert!(e.to_string().contains("row index 9"));
+        let e = LinalgError::NonFiniteMean { column: 4 };
+        assert!(e.to_string().starts_with("column 4 "));
     }
 
     #[test]

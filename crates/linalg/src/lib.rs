@@ -29,8 +29,8 @@
 //! * The kernel inner loops run through the [`mod@simd`] layer: manually
 //!   unrolled 4-lane building blocks (autovectorisable on stable Rust) that
 //!   commit to one canonical reduction order. `matmul_transpose_right` adds
-//!   `j`-loop cache tiling on top (see
-//!   [`Matrix::matmul_transpose_right_tiled_with`]).
+//!   a fixed, L1d-sized `j`-loop cache tile on top (see
+//!   [`Matrix::matmul_transpose_right_with`]).
 //!
 //! ## Quick example
 //!
@@ -55,20 +55,14 @@ mod pool;
 mod random;
 pub mod simd;
 mod stats;
-mod vector;
 
 pub use error::LinalgError;
 pub use matrix::Matrix;
-pub use norms::{
-    euclidean_distance, pairwise_distances, pairwise_distances_with, squared_euclidean_distance,
-};
+pub use norms::{euclidean_distance, pairwise_distances, squared_euclidean_distance};
 pub use parallel::{ParallelPolicy, DEFAULT_MIN_ROWS_PER_THREAD, ENV_MIN_ROWS, ENV_THREADS};
 pub use pool::WorkerPool;
 pub use random::MatrixRandomExt;
 pub use stats::{ColumnStats, Standardizer};
-pub use vector::{
-    add_assign, axpy, dot, l1_norm, l2_norm, linf_norm, mean, scale, scale_assign, sub, variance,
-};
 
 /// Result alias used across the crate.
 pub type Result<T> = std::result::Result<T, LinalgError>;

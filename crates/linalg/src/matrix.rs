@@ -143,11 +143,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns its row-major storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Borrow row `i` as a contiguous slice.
     ///
     /// # Panics
@@ -168,22 +163,6 @@ impl Matrix {
     pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
         assert!(i < self.rows, "row index {i} out of bounds ({})", self.rows);
         &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Checked row access.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::IndexOutOfBounds`] if the index is invalid.
-    pub fn try_row(&self, i: usize) -> Result<&[f64]> {
-        if i >= self.rows {
-            return Err(LinalgError::IndexOutOfBounds {
-                axis: "row",
-                index: i,
-                len: self.rows,
-            });
-        }
-        Ok(self.row(i))
     }
 
     /// Copies column `j` into a new `Vec`.
@@ -251,34 +230,6 @@ impl Matrix {
         })
     }
 
-    /// Vertically stacks `self` on top of `other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if the column counts differ.
-    pub fn vstack(&self, other: &Self) -> Result<Self> {
-        if self.cols != other.cols && !self.is_empty() && !other.is_empty() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "vstack",
-                left: self.shape(),
-                right: other.shape(),
-            });
-        }
-        let cols = if self.is_empty() {
-            other.cols
-        } else {
-            self.cols
-        };
-        let mut data = Vec::with_capacity(self.data.len() + other.data.len());
-        data.extend_from_slice(&self.data);
-        data.extend_from_slice(&other.data);
-        Ok(Self {
-            rows: self.rows + other.rows,
-            cols,
-            data,
-        })
-    }
-
     /// Returns the transpose of `self`.
     pub fn transpose(&self) -> Self {
         let mut out = Self::zeros(self.cols, self.rows);
@@ -296,13 +247,6 @@ impl Matrix {
             rows: self.rows,
             cols: self.cols,
             data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, mut f: impl FnMut(f64) -> f64) {
-        for x in &mut self.data {
-            *x = f(*x);
         }
     }
 
@@ -455,16 +399,6 @@ mod tests {
     }
 
     #[test]
-    fn try_row_out_of_bounds() {
-        let m = sample();
-        assert!(m.try_row(1).is_ok());
-        assert!(matches!(
-            m.try_row(5),
-            Err(LinalgError::IndexOutOfBounds { index: 5, .. })
-        ));
-    }
-
-    #[test]
     #[should_panic(expected = "row index")]
     fn row_panics_out_of_bounds() {
         sample().row(7);
@@ -498,16 +432,6 @@ mod tests {
     }
 
     #[test]
-    fn vstack_concatenates_rows() {
-        let m = sample();
-        let v = m.vstack(&m).unwrap();
-        assert_eq!(v.shape(), (4, 3));
-        assert_eq!(v.row(2), m.row(0));
-        let bad = Matrix::zeros(1, 2);
-        assert!(m.vstack(&bad).is_err());
-    }
-
-    #[test]
     fn transpose_round_trip() {
         let m = sample();
         let t = m.transpose();
@@ -517,13 +441,11 @@ mod tests {
     }
 
     #[test]
-    fn map_and_map_inplace() {
+    fn map_applies_to_every_element() {
         let m = sample();
         let doubled = m.map(|x| x * 2.0);
         assert_eq!(doubled[(1, 2)], 12.0);
-        let mut m2 = sample();
-        m2.map_inplace(|x| x + 1.0);
-        assert_eq!(m2[(0, 0)], 2.0);
+        assert_eq!(m[(1, 2)], 6.0, "map leaves its input alone");
     }
 
     #[test]

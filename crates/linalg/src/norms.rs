@@ -5,7 +5,7 @@
 //! These helpers centralise that logic so every clusterer measures distance
 //! identically.
 
-use crate::{vector, Matrix, ParallelPolicy};
+use crate::{Matrix, ParallelPolicy};
 
 /// Squared Euclidean distance between two equal-length slices.
 ///
@@ -28,30 +28,15 @@ pub fn euclidean_distance(a: &[f64], b: &[f64]) -> f64 {
     squared_euclidean_distance(a, b).sqrt()
 }
 
-/// Full symmetric pairwise Euclidean distance matrix of the rows of `data`.
+/// Full symmetric pairwise Euclidean distance matrix of the rows of `data`:
+/// an `n x n` matrix with zeros on the diagonal.
 ///
-/// The result is an `n x n` matrix with zeros on the diagonal.
-pub fn pairwise_distances(data: &Matrix) -> Matrix {
-    let n = data.rows();
-    let mut d = Matrix::zeros(n, n);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let dist = euclidean_distance(data.row(i), data.row(j));
-            d[(i, j)] = dist;
-            d[(j, i)] = dist;
-        }
-    }
-    d
-}
-
-/// Policy-aware variant of [`pairwise_distances`]: every output row is
-/// computed independently through the pooled row kernel.
-///
-/// Each ordered pair is evaluated from scratch (the parallel version does
-/// twice the arithmetic of the serial half-matrix fill), but the coordinate
-/// sum `Σ (xᵢ - yᵢ)²` is symmetric in its arguments, so the result is
-/// bitwise identical to [`pairwise_distances`].
-pub fn pairwise_distances_with(data: &Matrix, policy: &ParallelPolicy) -> Matrix {
+/// Every output row is computed independently through the pooled row kernel
+/// under `policy`, evaluating each ordered pair from scratch. The coordinate
+/// sum `Σ (xᵢ - yᵢ)²` is symmetric in its arguments, so `d[(i, j)]` and
+/// `d[(j, i)]` are the same bits, and the result is bitwise identical for
+/// every policy.
+pub fn pairwise_distances(data: &Matrix, policy: &ParallelPolicy) -> Matrix {
     let n = data.rows();
     data.map_rows_with(n, policy, |i, row, out| {
         for (j, slot) in out.iter_mut().enumerate() {
@@ -81,11 +66,6 @@ impl Matrix {
         }
         best.map(|(i, _)| i)
     }
-
-    /// Euclidean norm of each row.
-    pub fn row_norms(&self) -> Vec<f64> {
-        self.row_iter().map(vector::l2_norm).collect()
-    }
 }
 
 #[cfg(test)]
@@ -108,7 +88,7 @@ mod tests {
     #[test]
     fn pairwise_matrix_is_symmetric_with_zero_diagonal() {
         let data = Matrix::from_rows(&[vec![0.0, 0.0], vec![3.0, 4.0], vec![6.0, 8.0]]).unwrap();
-        let d = pairwise_distances(&data);
+        let d = pairwise_distances(&data, &ParallelPolicy::serial());
         assert_eq!(d.shape(), (3, 3));
         for i in 0..3 {
             assert_eq!(d[(i, i)], 0.0);
@@ -131,11 +111,21 @@ mod tests {
             vec![0.1, -0.7, 2.3],
         ])
         .unwrap();
-        let serial = pairwise_distances(&data);
-        for threads in [1, 2, 4, 8] {
+        let serial = pairwise_distances(&data, &ParallelPolicy::serial());
+        for threads in [2, 4, 8] {
             let policy = ParallelPolicy::new(threads).with_min_rows_per_thread(1);
-            let parallel = pairwise_distances_with(&data, &policy);
-            assert_eq!(serial.as_slice(), parallel.as_slice());
+            let parallel = pairwise_distances(&data, &policy);
+            let same = serial
+                .as_slice()
+                .iter()
+                .zip(parallel.as_slice())
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "threads = {threads}");
+        }
+        for i in 0..data.rows() {
+            for j in 0..data.rows() {
+                assert_eq!(serial[(i, j)].to_bits(), serial[(j, i)].to_bits());
+            }
         }
     }
 
@@ -151,11 +141,5 @@ mod tests {
     fn nearest_row_ties_prefer_first() {
         let centres = Matrix::from_rows(&[vec![1.0], vec![-1.0]]).unwrap();
         assert_eq!(centres.nearest_row(&[0.0]), Some(0));
-    }
-
-    #[test]
-    fn row_norms_per_row() {
-        let m = Matrix::from_rows(&[vec![3.0, 4.0], vec![0.0, 0.0]]).unwrap();
-        assert_eq!(m.row_norms(), vec![5.0, 0.0]);
     }
 }

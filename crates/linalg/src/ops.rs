@@ -71,15 +71,6 @@ impl Matrix {
         self.zip_with(other, "sub", |a, b| a - b)
     }
 
-    /// Element-wise (Hadamard) product.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if the shapes differ.
-    pub fn hadamard(&self, other: &Matrix) -> Result<Matrix> {
-        self.zip_with(other, "hadamard", |a, b| a * b)
-    }
-
     /// Combines two equally-shaped matrices element-wise with `f`.
     ///
     /// # Errors
@@ -107,25 +98,6 @@ impl Matrix {
         Matrix::from_vec(self.rows(), self.cols(), data)
     }
 
-    /// `self += alpha * other`, in place.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if the shapes differ.
-    pub fn add_scaled_assign(&mut self, alpha: f64, other: &Matrix) -> Result<()> {
-        if self.shape() != other.shape() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "add_scaled_assign",
-                left: self.shape(),
-                right: other.shape(),
-            });
-        }
-        for (a, b) in self.as_mut_slice().iter_mut().zip(other.as_slice()) {
-            *a += alpha * b;
-        }
-        Ok(())
-    }
-
     /// Multiplies every element by `alpha`, returning a new matrix.
     pub fn scale(&self, alpha: f64) -> Matrix {
         self.map(|x| alpha * x)
@@ -146,64 +118,20 @@ impl Matrix {
         }
         let mut out = self.clone();
         for i in 0..out.rows() {
-            crate::vector::add_assign(out.row_mut(i), row);
+            for (x, y) in out.row_mut(i).iter_mut().zip(row) {
+                *x += y;
+            }
         }
         Ok(out)
-    }
-
-    /// Matrix-vector product `self · x`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `x.len() != self.cols()`.
-    pub fn matvec(&self, x: &[f64]) -> Result<Vec<f64>> {
-        if x.len() != self.cols() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "matvec",
-                left: self.shape(),
-                right: (x.len(), 1),
-            });
-        }
-        // Same canonical-order dot as `matmul_transpose_right`, so a
-        // matrix-vector product stays bitwise-consistent with the one-row
-        // matrix product.
-        Ok(self.row_iter().map(|r| crate::simd::dot(r, x)).collect())
-    }
-
-    /// Vector-matrix product `xᵀ · self` (row vector times matrix).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `x.len() != self.rows()`.
-    pub fn vecmat(&self, x: &[f64]) -> Result<Vec<f64>> {
-        if x.len() != self.rows() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "vecmat",
-                left: (1, x.len()),
-                right: self.shape(),
-            });
-        }
-        let mut out = vec![0.0; self.cols()];
-        // No zero-skip on `xi`: `0.0 × NaN` must stay NaN (IEEE) so a
-        // diverged matrix is never masked by a sparse vector. The inner
-        // axpy is element-wise, so its unrolling keeps the accumulation
-        // order (ascending i) bit-for-bit.
-        for (i, &xi) in x.iter().enumerate() {
-            crate::simd::axpy(xi, self.row(i), &mut out);
-        }
-        Ok(out)
-    }
-
-    /// Outer product `a ⊗ b` of two vectors, as an `a.len() x b.len()` matrix.
-    pub fn outer(a: &[f64], b: &[f64]) -> Matrix {
-        Matrix::from_fn(a.len(), b.len(), |i, j| a[i] * b[j])
     }
 
     /// Column sums as a vector of length `cols`.
     pub fn column_sums(&self) -> Vec<f64> {
         let mut sums = vec![0.0; self.cols()];
         for row in self.row_iter() {
-            crate::vector::add_assign(&mut sums, row);
+            for (sum, x) in sums.iter_mut().zip(row) {
+                *sum += x;
+            }
         }
         sums
     }
@@ -213,9 +141,8 @@ impl Matrix {
         if self.rows() == 0 {
             return vec![0.0; self.cols()];
         }
-        let mut sums = self.column_sums();
-        crate::vector::scale_assign(1.0 / self.rows() as f64, &mut sums);
-        sums
+        let scale = 1.0 / self.rows() as f64;
+        self.column_sums().iter().map(|sum| sum * scale).collect()
     }
 }
 
@@ -282,18 +209,7 @@ mod tests {
         assert_eq!(sum[(2, 1)], 12.0);
         let diff = m.sub(&m).unwrap();
         assert_eq!(diff.sum(), 0.0);
-        let prod = m.hadamard(&m).unwrap();
-        assert_eq!(prod[(1, 0)], 9.0);
         assert!(m.add(&b()).is_err());
-    }
-
-    #[test]
-    fn add_scaled_assign_accumulates() {
-        let mut m = a();
-        let other = a();
-        m.add_scaled_assign(0.5, &other).unwrap();
-        assert_eq!(m[(0, 0)], 1.5);
-        assert!(m.add_scaled_assign(1.0, &b()).is_err());
     }
 
     #[test]
@@ -308,22 +224,6 @@ mod tests {
         assert_eq!(m[(0, 0)], 101.0);
         assert_eq!(m[(2, 1)], 206.0);
         assert!(a().add_row_broadcast(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn matvec_and_vecmat() {
-        let m = a();
-        assert_eq!(m.matvec(&[1.0, 1.0]).unwrap(), vec![3.0, 7.0, 11.0]);
-        assert_eq!(m.vecmat(&[1.0, 1.0, 1.0]).unwrap(), vec![9.0, 12.0]);
-        assert!(m.matvec(&[1.0]).is_err());
-        assert!(m.vecmat(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn outer_product() {
-        let o = Matrix::outer(&[1.0, 2.0], &[3.0, 4.0, 5.0]);
-        assert_eq!(o.shape(), (2, 3));
-        assert_eq!(o[(1, 2)], 10.0);
     }
 
     #[test]
@@ -366,10 +266,9 @@ mod tests {
     }
 
     #[test]
-    fn transpose_left_and_vecmat_propagate_nan_past_zero_entries() {
+    fn transpose_left_propagates_nan_past_zero_entries() {
         // `matmul_transpose_left` skipped on zeros of the (transposed) left
-        // operand; `vecmat` skipped on zeros of the vector. Both must
-        // propagate NaN from the other operand.
+        // operand; it must propagate NaN from the other operand.
         let left = Matrix::from_rows(&[vec![0.0, 1.0], vec![0.0, 2.0]]).unwrap();
         let mut right = Matrix::from_rows(&[vec![1.0], vec![f64::NAN]]).unwrap();
         let c = left.matmul_transpose_left(&right).unwrap();
@@ -377,9 +276,5 @@ mod tests {
         assert!(c[(1, 0)].is_nan());
         right[(1, 0)] = 1.0;
         assert!(left.matmul_transpose_left(&right).unwrap().is_finite());
-
-        let m = Matrix::from_rows(&[vec![f64::NAN, 1.0], vec![2.0, 3.0]]).unwrap();
-        let out = m.vecmat(&[0.0, 1.0]).unwrap();
-        assert!(out[0].is_nan(), "0.0 × NaN row must poison the output");
     }
 }

@@ -19,22 +19,22 @@
 //!
 //! ## Policy
 //!
-//! [`ParallelPolicy`] carries a thread count, a `min_rows_per_thread`
-//! cutover and a chunk size. A kernel only fans out when `threads > 1` and
-//! every planned thread would receive at least `min_rows_per_thread` rows,
-//! so small matrices (single serving rows, tiny batches) stay inline on the
-//! calling thread. A fanned-out kernel runs on the persistent
-//! [`WorkerPool`], split into about [`ParallelPolicy::CHUNKS_PER_THREAD`]
-//! chunks per planned thread; the caller and every idle pool worker claim
-//! them, so `threads` sets the chunk count, not how many threads run.
+//! [`ParallelPolicy`] carries two values: a thread count and a
+//! `min_rows_per_thread` cutover. A kernel only fans out when `threads > 1`
+//! and every planned thread would receive at least `min_rows_per_thread`
+//! rows, so small matrices (single serving rows, tiny batches) stay inline
+//! on the calling thread. A fanned-out kernel runs on the persistent
+//! [`WorkerPool`], split into about four chunks per planned thread, sized
+//! from the row count and a per-row cost hint; the caller and every idle
+//! pool worker claim them, so `threads` sets the chunk count, not how many
+//! threads run.
 //!
 //! A process has one policy, [`ParallelPolicy::global`], and everything
 //! that stores a policy starts from it ([`ParallelPolicy::default`] too).
 //! The library's global default is serial; a program overrides it once
 //! with [`ParallelPolicy::set_global`], or the environment does
-//! (`SLS_PARALLEL_THREADS`, `SLS_PARALLEL_MIN_ROWS`,
-//! `SLS_PARALLEL_CHUNK_ROWS`), which is how CI runs the whole test suite
-//! with parallel kernels forced on.
+//! (`SLS_PARALLEL_THREADS`, `SLS_PARALLEL_MIN_ROWS`), which is how CI runs
+//! the whole test suite with parallel kernels forced on.
 
 use crate::pool::WorkerPool;
 use crate::simd;
@@ -54,14 +54,9 @@ pub const ENV_THREADS: &str = "SLS_PARALLEL_THREADS";
 /// Environment variable overriding the global `min_rows_per_thread` cutover.
 pub const ENV_MIN_ROWS: &str = "SLS_PARALLEL_MIN_ROWS";
 
-/// Environment variable overriding the global chunk size (rows per chunk;
-/// `0` = adaptive — see [`ParallelPolicy::chunk_rows`]).
-pub const ENV_CHUNK_ROWS: &str = "SLS_PARALLEL_CHUNK_ROWS";
-
 static GLOBAL_INIT: Once = Once::new();
 static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(1);
 static GLOBAL_MIN_ROWS: AtomicUsize = AtomicUsize::new(DEFAULT_MIN_ROWS_PER_THREAD);
-static GLOBAL_CHUNK_ROWS: AtomicUsize = AtomicUsize::new(0);
 
 /// How (and whether) the matrix kernels fan work out across threads.
 ///
@@ -73,21 +68,13 @@ static GLOBAL_CHUNK_ROWS: AtomicUsize = AtomicUsize::new(0);
 pub struct ParallelPolicy {
     /// Threads a kernel plans for (at least 1). Above 1, a kernel large
     /// enough to pass the cutover runs on the process-wide [`WorkerPool`],
-    /// split into about [`ParallelPolicy::CHUNKS_PER_THREAD`] chunks per
-    /// planned thread. It is not a cap: the pool has one worker per core
-    /// minus one, and the caller and every idle worker claim chunks.
+    /// split into about four chunks per planned thread. It is not a cap:
+    /// the pool has one worker per core minus one, and the caller and every
+    /// idle worker claim chunks.
     pub threads: usize,
     /// A kernel stays serial unless every thread would receive at least
     /// this many output rows.
     pub min_rows_per_thread: usize,
-    /// Rows per chunk for fanned-out calls; `0` (the default) sizes chunks
-    /// adaptively from the row count and a per-row cost hint (see
-    /// [`ParallelPolicy::chunk_rows`]). Fanned-out kernel calls are split
-    /// into *more chunks than threads* so the pool, which hands out one
-    /// chunk at a time, can balance ragged per-row costs; the chunk size
-    /// only reorders *when* a row is computed, never its accumulation
-    /// order, so every value is bitwise identical for every chunk size.
-    pub chunk_rows: usize,
 }
 
 impl Default for ParallelPolicy {
@@ -103,7 +90,6 @@ impl ParallelPolicy {
         Self {
             threads: 1,
             min_rows_per_thread: DEFAULT_MIN_ROWS_PER_THREAD,
-            chunk_rows: 0,
         }
     }
 
@@ -113,13 +99,7 @@ impl ParallelPolicy {
         Self {
             threads: resolve_threads(threads),
             min_rows_per_thread: DEFAULT_MIN_ROWS_PER_THREAD,
-            chunk_rows: 0,
         }
-    }
-
-    /// One thread per available core.
-    pub fn auto() -> Self {
-        Self::new(0)
     }
 
     /// Overrides the serial cutover (clamped to at least 1 row per thread).
@@ -136,15 +116,6 @@ impl ParallelPolicy {
         self
     }
 
-    /// Fixes the chunk size to `chunk_rows` rows per chunk (`0` restores
-    /// the adaptive default). Results are bitwise identical for every chunk
-    /// size — the knob only trades scheduling overhead against balancing
-    /// granularity.
-    pub fn with_chunk_rows(mut self, chunk_rows: usize) -> Self {
-        self.chunk_rows = chunk_rows;
-        self
-    }
-
     /// `true` if this policy can never fan out.
     pub fn is_serial(&self) -> bool {
         self.threads <= 1
@@ -155,59 +126,17 @@ impl ParallelPolicy {
     /// (`rows / min_rows_per_thread`), never below 1. The result is already
     /// clamped to `[1, rows]` (for `rows >= 1`), so callers need no further
     /// clamping.
-    pub fn effective_threads(&self, rows: usize) -> usize {
+    fn effective_threads(&self, rows: usize) -> usize {
         let per_thread = self.min_rows_per_thread.max(1);
         self.threads.max(1).min(rows / per_thread).max(1)
     }
-
-    /// Rows per chunk a fanned-out kernel call producing `rows` output rows
-    /// should be split into, given `threads` participating threads and a
-    /// per-row cost hint (`row_cost`, roughly the number of f64 operations
-    /// one output row performs).
-    ///
-    /// A fixed `chunk_rows` (set via [`ParallelPolicy::with_chunk_rows`] or
-    /// `SLS_PARALLEL_CHUNK_ROWS`) wins outright. The adaptive default aims
-    /// for [`Self::CHUNKS_PER_THREAD`] chunks per thread — enough slack
-    /// that the threads claiming chunks one at a time can work around a
-    /// straggling band — floored so one chunk still carries at least
-    /// [`Self::MIN_CHUNK_ROW_OPS`] worth of row work (so tiny rows don't
-    /// drown in scheduling overhead), and capped at one equal band per
-    /// thread (chunking must never *reduce* the parallelism an equal split
-    /// would get).
-    ///
-    /// Chunk boundaries never split a row, so every chunk size — adaptive,
-    /// forced tiny, or forced band-sized — produces bitwise identical
-    /// output; only the straggler behaviour changes.
-    pub fn chunk_rows(&self, rows: usize, row_cost: usize, threads: usize) -> usize {
-        let band = rows.div_ceil(threads.max(1)).max(1);
-        if self.chunk_rows > 0 {
-            return self.chunk_rows.min(rows).max(1);
-        }
-        let by_split = rows
-            .div_ceil(threads.max(1) * Self::CHUNKS_PER_THREAD)
-            .max(1);
-        let by_cost = Self::MIN_CHUNK_ROW_OPS.div_ceil(row_cost.max(1)).max(1);
-        by_split.max(by_cost).min(band)
-    }
-
-    /// Adaptive chunking targets this many chunks per participating thread:
-    /// enough over-partitioning that one-at-a-time claiming balances a band
-    /// that turns out ~8x heavier than its peers, small enough that per-chunk
-    /// dispatch stays negligible against real row work.
-    pub const CHUNKS_PER_THREAD: usize = 4;
-
-    /// Adaptive chunking keeps at least this many estimated f64 operations
-    /// per chunk, so narrow rows get grouped until a chunk is worth
-    /// dispatching (~a few microseconds of work).
-    pub const MIN_CHUNK_ROW_OPS: usize = 16 * 1024;
 
     /// The process-wide default policy consulted by the plain (`_with`-less)
     /// kernel methods.
     ///
     /// On first use it is initialised from the environment: `SLS_PARALLEL_THREADS`
-    /// (`0` = one thread per core), `SLS_PARALLEL_MIN_ROWS` and
-    /// `SLS_PARALLEL_CHUNK_ROWS` (rows per chunk; `0` = adaptive). Without
-    /// those variables the default is serial with adaptive chunking.
+    /// (`0` = one thread per core) and `SLS_PARALLEL_MIN_ROWS`. Without
+    /// those variables the default is serial.
     ///
     /// # Panics
     ///
@@ -219,7 +148,6 @@ impl ParallelPolicy {
         Self {
             threads: GLOBAL_THREADS.load(Ordering::Relaxed),
             min_rows_per_thread: GLOBAL_MIN_ROWS.load(Ordering::Relaxed),
-            chunk_rows: GLOBAL_CHUNK_ROWS.load(Ordering::Relaxed),
         }
     }
 
@@ -234,7 +162,6 @@ impl ParallelPolicy {
         GLOBAL_INIT.call_once(|| {});
         GLOBAL_THREADS.store(policy.threads.max(1), Ordering::Relaxed);
         GLOBAL_MIN_ROWS.store(policy.min_rows_per_thread.max(1), Ordering::Relaxed);
-        GLOBAL_CHUNK_ROWS.store(policy.chunk_rows, Ordering::Relaxed);
     }
 }
 
@@ -257,9 +184,6 @@ fn init_global_from_env() {
         if let Some(min_rows) = read_env_usize(ENV_MIN_ROWS) {
             GLOBAL_MIN_ROWS.store(min_rows.max(1), Ordering::Relaxed);
         }
-        if let Some(chunk_rows) = read_env_usize(ENV_CHUNK_ROWS) {
-            GLOBAL_CHUNK_ROWS.store(chunk_rows, Ordering::Relaxed);
-        }
     });
 }
 
@@ -275,6 +199,37 @@ fn read_env_usize(name: &str) -> Option<usize> {
     }
 }
 
+/// Adaptive chunking targets this many chunks per participating thread:
+/// enough over-partitioning that one-at-a-time claiming balances a band
+/// that turns out ~8x heavier than its peers, small enough that per-chunk
+/// dispatch stays negligible against real row work.
+const CHUNKS_PER_THREAD: usize = 4;
+
+/// Adaptive chunking keeps at least this many estimated f64 operations per
+/// chunk, so narrow rows get grouped until a chunk is worth dispatching
+/// (~a few microseconds of work).
+const MIN_CHUNK_ROW_OPS: usize = 16 * 1024;
+
+/// Rows per chunk a fanned-out kernel call producing `rows` output rows is
+/// split into, given `threads` participating threads and a per-row cost
+/// hint (`row_cost`, roughly the number of f64 operations one output row
+/// performs).
+///
+/// The rule aims for [`CHUNKS_PER_THREAD`] chunks per thread — enough slack
+/// that the threads claiming chunks one at a time can work around a
+/// straggling band — floored so one chunk still carries at least
+/// [`MIN_CHUNK_ROW_OPS`] worth of row work (so tiny rows don't drown in
+/// scheduling overhead), and capped at one equal band per thread (chunking
+/// must never *reduce* the parallelism an equal split would get). Chunk
+/// boundaries never split a row, so every chunk size produces bitwise
+/// identical output; only the straggler behaviour changes.
+fn chunk_rows(rows: usize, row_cost: usize, threads: usize) -> usize {
+    let band = rows.div_ceil(threads.max(1)).max(1);
+    let by_split = rows.div_ceil(threads.max(1) * CHUNKS_PER_THREAD).max(1);
+    let by_cost = MIN_CHUNK_ROW_OPS.div_ceil(row_cost.max(1)).max(1);
+    by_split.max(by_cost).min(band)
+}
+
 /// Splits `out` into contiguous row chunks and runs `work` on each chunk
 /// under `policy` — inline when the effective thread count is 1, otherwise
 /// on the persistent [`WorkerPool`].
@@ -285,7 +240,7 @@ fn read_env_usize(name: &str) -> Option<usize> {
 /// chunking sizes chunks with.
 ///
 /// A fanned-out call is split into *more chunks than threads*
-/// ([`ParallelPolicy::chunk_rows`]): equal row counts are not equal costs
+/// ([`chunk_rows`]): equal row counts are not equal costs
 /// once per-row work is ragged, and the pool's participants claim chunks
 /// one at a time, so a thread that finishes early takes the next chunk
 /// instead of idling behind one straggling band. Chunk boundaries never
@@ -307,12 +262,20 @@ fn for_each_row_block(
         work(0..rows, out);
         return;
     }
-    let chunk_rows = policy.chunk_rows(rows, row_cost, threads);
+    let chunk_rows = chunk_rows(rows, row_cost, threads);
     let mut blocks: Vec<&mut [f64]> = out.chunks_mut(chunk_rows * row_width).collect();
     WorkerPool::global().for_each_mut(&mut blocks, |b, block| {
         let start = b * chunk_rows;
         work(start..start + block.len() / row_width, block);
     });
+}
+
+/// Default `j`-tile of [`Matrix::matmul_transpose_right_with`]: as many
+/// right-operand rows (of `cols` f64 elements each) as fit in ~32 KiB — an
+/// L1d-sized working set — clamped to `[8, 512]`.
+fn transpose_right_tile_rows(cols: usize) -> usize {
+    const TILE_BYTES: usize = 32 * 1024;
+    (TILE_BYTES / (cols.max(1) * std::mem::size_of::<f64>())).clamp(8, 512)
 }
 
 impl Matrix {
@@ -361,9 +324,15 @@ impl Matrix {
     }
 
     /// [`Matrix::matmul_transpose_right`] under an explicit
-    /// [`ParallelPolicy`]; bitwise identical to serial. Uses the default
-    /// cache tile ([`Matrix::transpose_right_tile_rows`]); see
-    /// [`Matrix::matmul_transpose_right_tiled_with`] for an explicit tile.
+    /// [`ParallelPolicy`]; bitwise identical to serial.
+    ///
+    /// The product is dot-product shaped: every output row walks *all* of
+    /// the right operand's rows, so without tiling a right operand larger
+    /// than cache is re-streamed from memory once per output row. The
+    /// kernel therefore processes output columns in tiles of as many
+    /// right-operand rows as fit in ~32 KiB (an L1d-sized working set,
+    /// clamped to 8–512 rows), keeping each group hot across the whole row
+    /// band before moving on.
     ///
     /// # Errors
     ///
@@ -373,38 +342,16 @@ impl Matrix {
         other: &Matrix,
         policy: &ParallelPolicy,
     ) -> Result<Matrix> {
-        self.matmul_transpose_right_tiled_with(
-            other,
-            policy,
-            Self::transpose_right_tile_rows(self.cols()),
-        )
-    }
-
-    /// Default `j`-tile for [`Matrix::matmul_transpose_right_with`]: as many
-    /// right-operand rows (of `cols` f64 elements each) as fit in ~32 KiB —
-    /// an L1d-sized working set — clamped to `[8, 512]`.
-    ///
-    /// This product is dot-product shaped: every output row walks *all* of
-    /// the right operand's rows, so without tiling a right operand larger
-    /// than cache is re-streamed from memory once per output row. Processing
-    /// output columns in tiles keeps each group of right-operand rows hot
-    /// across the whole row band before moving on.
-    pub fn transpose_right_tile_rows(cols: usize) -> usize {
-        const TILE_BYTES: usize = 32 * 1024;
-        (TILE_BYTES / (cols.max(1) * std::mem::size_of::<f64>())).clamp(8, 512)
+        self.matmul_transpose_right_tiled(other, policy, transpose_right_tile_rows(self.cols()))
     }
 
     /// [`Matrix::matmul_transpose_right_with`] with an explicit `j`-tile
     /// (`tile_rows` right-operand rows per tile; values `>= other.rows()`
-    /// disable tiling). Exposed as a tuning/benchmark knob — the tile only
-    /// reorders *which output elements are computed when*; every element is
-    /// still one full [`mod@crate::simd`] dot in the canonical order, so the
-    /// result is bitwise identical for every tile size.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `self.cols() != other.cols()`.
-    pub fn matmul_transpose_right_tiled_with(
+    /// disable tiling). The tile only reorders *which output elements are
+    /// computed when*; every element is still one full [`mod@crate::simd`]
+    /// dot in the canonical order, so the result is bitwise identical for
+    /// every tile size.
+    fn matmul_transpose_right_tiled(
         &self,
         other: &Matrix,
         policy: &ParallelPolicy,
@@ -597,19 +544,15 @@ mod tests {
         let p = ParallelPolicy::serial();
         assert!(p.is_serial());
         assert_eq!(p.threads, 1);
-        assert_eq!(p.chunk_rows, 0, "chunking must default to adaptive");
-        let q = ParallelPolicy::new(8)
-            .with_min_rows_per_thread(16)
-            .with_chunk_rows(3);
+        let q = ParallelPolicy::new(8).with_min_rows_per_thread(16);
         assert_eq!(q.threads, 8);
         assert_eq!(q.min_rows_per_thread, 16);
-        assert_eq!(q.chunk_rows, 3);
         assert!(!q.is_serial());
         // `with_pool` is a no-op kept for source compatibility.
         assert_eq!(q.with_pool(true), q);
         assert_eq!(q.with_pool(false), q);
         // 0 resolves to the core count, which is at least 1.
-        assert!(ParallelPolicy::auto().threads >= 1);
+        assert!(ParallelPolicy::new(0).threads >= 1);
         // min_rows_per_thread never drops below 1.
         assert_eq!(
             ParallelPolicy::serial()
@@ -627,6 +570,31 @@ mod tests {
         assert_eq!(p.effective_threads(128), 2); // 2 threads x 64 rows
         assert_eq!(p.effective_threads(100_000), 4); // capped by budget
         assert_eq!(ParallelPolicy::serial().effective_threads(100_000), 1);
+    }
+
+    #[test]
+    fn adaptive_chunks_of_the_identity_test_shapes_are_pinned() {
+        // The single-row and ragged chunkings that `tests/properties.rs`
+        // (`adaptive_single_row_chunks_are_bitwise_identical`) and
+        // `tests/pool_stress.rs` rely on come from the adaptive rule alone;
+        // a change to the rule that moved them would leave those tests
+        // checking a different split.
+        let threads = eager(4).effective_threads(8);
+        assert_eq!(threads, 4);
+        // 8x128 · 128x128 products: one 16384-op row per chunk.
+        assert_eq!(chunk_rows(8, 128 * 128, threads), 1);
+        // 37 rows of the same cost: chunks of 3, the last one a single row.
+        assert_eq!(chunk_rows(37, 128 * 128, eager(4).effective_threads(37)), 3);
+        // map_rows over 8x8192 -> 8192 and reduce_rows over 8x16384.
+        assert_eq!(chunk_rows(8, 8192 + 8192, threads), 1);
+        assert_eq!(chunk_rows(8, 16384, threads), 1);
+        // pool_stress's 30 ragged rows of 8192 -> 8192: chunks of 4 (last
+        // of 2), 2 and 1 rows at 2, 4 and 8 threads.
+        assert_eq!(chunk_rows(30, 8192 + 8192, 2), 4);
+        assert_eq!(chunk_rows(30, 8192 + 8192, 4), 2);
+        assert_eq!(chunk_rows(30, 8192 + 8192, 8), 1);
+        // Cheap rows are grouped up to one band per thread.
+        assert_eq!(chunk_rows(96, 20, 4), 24);
     }
 
     #[test]
@@ -784,9 +752,7 @@ mod tests {
         let policy = eager(4);
         let reference = a.matmul_transpose_right_with(&b, &policy).unwrap();
         for tile in [1, 3, 8, 28, 29, usize::MAX] {
-            let tiled = a
-                .matmul_transpose_right_tiled_with(&b, &policy, tile)
-                .unwrap();
+            let tiled = a.matmul_transpose_right_tiled(&b, &policy, tile).unwrap();
             assert!(bitwise_eq(&reference, &tiled), "tile {tile}");
         }
     }
@@ -795,11 +761,11 @@ mod tests {
     fn default_tile_tracks_operand_width() {
         // ~32 KiB working set: narrow operands get deep tiles, wide ones
         // shallow, clamped to [8, 512].
-        assert_eq!(Matrix::transpose_right_tile_rows(256), 16);
-        assert_eq!(Matrix::transpose_right_tile_rows(64), 64);
-        assert_eq!(Matrix::transpose_right_tile_rows(1), 512); // clamp high
-        assert_eq!(Matrix::transpose_right_tile_rows(0), 512); // no div-by-0
-        assert_eq!(Matrix::transpose_right_tile_rows(100_000), 8); // clamp low
+        assert_eq!(transpose_right_tile_rows(256), 16);
+        assert_eq!(transpose_right_tile_rows(64), 64);
+        assert_eq!(transpose_right_tile_rows(1), 512); // clamp high
+        assert_eq!(transpose_right_tile_rows(0), 512); // no div-by-0
+        assert_eq!(transpose_right_tile_rows(100_000), 8); // clamp low
     }
 
     #[test]

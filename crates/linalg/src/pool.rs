@@ -15,10 +15,10 @@
 //! time is the load balancing: equal row counts are not equal costs once
 //! sparsity is ragged, and a thread that drew a cheap item simply claims
 //! the next one while a straggler still runs. The kernels split each call
-//! into more chunks than threads to give the counter that slack (see
-//! [`crate::ParallelPolicy::chunk_rows`]); chunks only reorder *when* a row
-//! is computed, never its accumulation order, so output stays bitwise
-//! identical to serial.
+//! into more chunks than threads to give the counter that slack (about
+//! four per planned thread, see [`crate::ParallelPolicy`]); chunks only
+//! reorder *when* a row is computed, never its accumulation order, so
+//! output stays bitwise identical to serial.
 //!
 //! Items may borrow the caller's stack. [`std::thread::scope`] gets that
 //! from the compiler; a long-lived pool gets it by hand: `for_each_mut`

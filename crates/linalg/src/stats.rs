@@ -3,8 +3,7 @@
 //! The GRBM assumes unit-variance Gaussian visible units (Section III-B of
 //! the paper), so real-valued inputs are standardised column-wise before
 //! training. [`Standardizer`] is fit on a training matrix and can then be
-//! applied to any matrix with the same number of columns, including the
-//! reconstructed visible layer.
+//! applied to any matrix with the same number of columns.
 
 use crate::{LinalgError, Matrix, ParallelPolicy, Result};
 use serde::{Deserialize, Serialize};
@@ -23,7 +22,10 @@ impl ColumnStats {
     ///
     /// # Errors
     ///
-    /// Returns [`LinalgError::Empty`] if the matrix has no rows.
+    /// Returns [`LinalgError::Empty`] if the matrix has no rows, and
+    /// [`LinalgError::NonFiniteMean`] naming the first column whose mean is
+    /// not finite: finite values whose sum overflows `f64` would otherwise
+    /// turn every standardised value of that column into NaN.
     pub fn compute(data: &Matrix) -> Result<Self> {
         if data.rows() == 0 {
             return Err(LinalgError::Empty {
@@ -32,6 +34,9 @@ impl ColumnStats {
         }
         let n = data.rows() as f64;
         let means = data.column_means();
+        if let Some(column) = means.iter().position(|m| !m.is_finite()) {
+            return Err(LinalgError::NonFiniteMean { column });
+        }
         let mut stds = vec![0.0; data.cols()];
         for row in data.row_iter() {
             for (j, (&x, &m)) in row.iter().zip(&means).enumerate() {
@@ -59,7 +64,7 @@ impl Standardizer {
     ///
     /// # Errors
     ///
-    /// Returns [`LinalgError::Empty`] if the matrix has no rows.
+    /// As [`ColumnStats::compute`].
     pub fn fit(data: &Matrix) -> Result<Self> {
         Ok(Self {
             stats: ColumnStats::compute(data)?,
@@ -111,41 +116,11 @@ impl Standardizer {
         }))
     }
 
-    /// Inverts the transformation (used to map reconstructions back to the
-    /// original feature scale).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if the column count differs
-    /// from the fitted data.
-    pub fn inverse_transform(&self, data: &Matrix) -> Result<Matrix> {
-        if data.cols() != self.stats.means.len() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "Standardizer::inverse_transform",
-                left: data.shape(),
-                right: (1, self.stats.means.len()),
-            });
-        }
-        let mut out = data.clone();
-        for i in 0..out.rows() {
-            let row = out.row_mut(i);
-            for (j, x) in row.iter_mut().enumerate() {
-                let std = if self.stats.stds[j] > 0.0 {
-                    self.stats.stds[j]
-                } else {
-                    1.0
-                };
-                *x = *x * std + self.stats.means[j];
-            }
-        }
-        Ok(out)
-    }
-
     /// Convenience: fit on `data` and transform it in one call.
     ///
     /// # Errors
     ///
-    /// Returns [`LinalgError::Empty`] if the matrix has no rows.
+    /// As [`ColumnStats::compute`].
     pub fn fit_transform(data: &Matrix) -> Result<(Self, Matrix)> {
         let s = Self::fit(data)?;
         let t = s.transform(data)?;
@@ -206,7 +181,7 @@ mod tests {
         }
         // Column 0 should have unit population variance.
         let col: Vec<f64> = t.column(0);
-        let var = crate::vector::variance(&col);
+        let var = col.iter().map(|x| x * x).sum::<f64>() / col.len() as f64;
         assert!((var - 1.0).abs() < 1e-12);
     }
 
@@ -219,19 +194,32 @@ mod tests {
     }
 
     #[test]
-    fn standardizer_inverse_round_trips() {
-        let d = data();
-        let (s, t) = Standardizer::fit_transform(&d).unwrap();
-        let back = s.inverse_transform(&t).unwrap();
-        assert!(back.approx_eq(&d, 1e-9));
-    }
-
-    #[test]
     fn standardizer_shape_errors() {
         let s = Standardizer::fit(&data()).unwrap();
         let wrong = Matrix::zeros(2, 5);
         assert!(s.transform(&wrong).is_err());
-        assert!(s.inverse_transform(&wrong).is_err());
+    }
+
+    #[test]
+    fn a_column_whose_sum_overflows_is_rejected_by_name() {
+        // Every value is finite, but 1.7e308 + 1.7e308 is not: the mean of
+        // column 1 overflows, and standardising would make it all NaN.
+        let d = Matrix::from_rows(&[
+            vec![1.0, 1.7e308, 2.0],
+            vec![2.0, 1.7e308, 3.0],
+            vec![3.0, 0.0, 4.0],
+        ])
+        .unwrap();
+        for err in [
+            ColumnStats::compute(&d).unwrap_err(),
+            Standardizer::fit(&d).unwrap_err(),
+        ] {
+            assert!(err.to_string().contains("column 1"), "{err}");
+        }
+        // A lone huge value keeps a finite mean and fits as before.
+        let lone = Matrix::from_rows(&[vec![1e200, 1.0], vec![0.0, 2.0]]).unwrap();
+        let stats = ColumnStats::compute(&lone).unwrap();
+        assert_eq!(stats.means, vec![5e199, 1.5]);
     }
 
     #[test]

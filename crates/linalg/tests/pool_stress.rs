@@ -326,11 +326,14 @@ fn skewed_scopes_stay_isolated_under_stealing() {
 fn ragged_row_costs_are_bitwise_identical_across_dispatch_and_chunking() {
     // Ragged per-row work (each row's closure cost scales with the row
     // index, so early chunks are light and late chunks are heavy) across
-    // threads {1,2,4,8} × chunk sizes {adaptive, 1, 3, 64}: the pool may
-    // reorder *when* rows run, but every row's accumulation order is fixed,
-    // so outputs must match serial bit for bit.
+    // threads {1,2,4,8}. Rows of 8192 -> 8192 values are costly enough that
+    // the adaptive rule splits 30 of them into chunks of 4 (the last of 2),
+    // 2 and 1 rows at 2, 4 and 8 threads (pinned in `parallel.rs`): the
+    // pool may reorder *when* rows run, but every row's accumulation order
+    // is fixed, so outputs must match serial bit for bit.
+    const WIDTH: usize = 8192;
     let mut rng = rand_seed();
-    let data = Matrix::random_normal(96, 10, 0.0, 1.0, &mut rng);
+    let data = Matrix::random_normal(30, WIDTH, 0.0, 1.0, &mut rng);
     let ragged = |i: usize, row: &[f64], out: &mut [f64]| {
         // Cost grows with the row index: a late row re-accumulates its
         // values many more times than an early one (serial accumulation
@@ -345,18 +348,11 @@ fn ragged_row_costs_are_bitwise_identical_across_dispatch_and_chunking() {
             }
         }
     };
-    let reference = data.map_rows_with(10, &ParallelPolicy::serial(), ragged);
+    let reference = data.map_rows_with(WIDTH, &ParallelPolicy::serial(), ragged);
     for threads in [1usize, 2, 4, 8] {
-        for chunk_rows in [0usize, 1, 3, 64] {
-            let policy = ParallelPolicy::new(threads)
-                .with_min_rows_per_thread(1)
-                .with_chunk_rows(chunk_rows);
-            let out = data.map_rows_with(10, &policy, ragged);
-            assert!(
-                bitwise_eq(&out, &reference),
-                "threads {threads} chunk_rows {chunk_rows}"
-            );
-        }
+        let policy = ParallelPolicy::new(threads).with_min_rows_per_thread(1);
+        let out = data.map_rows_with(WIDTH, &policy, ragged);
+        assert!(bitwise_eq(&out, &reference), "threads {threads}");
     }
 }
 

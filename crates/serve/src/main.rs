@@ -28,8 +28,8 @@
 //! `SLS_PARALLEL_THREADS`, else one thread per core (`0`). `threads` turns
 //! fan-out on and sets the chunk count of a large kernel call (about four
 //! per thread); the caller and the persistent worker pool, which `serve`
-//! starts at bind time, claim the chunks. `SLS_PARALLEL_MIN_ROWS` and
-//! `SLS_PARALLEL_CHUNK_ROWS` carry over from the environment. Results are
+//! starts at bind time, claim the chunks. The cutover,
+//! `SLS_PARALLEL_MIN_ROWS`, carries over from the environment. Results are
 //! bitwise identical for every policy.
 //!
 //! Connection handling, the same four flags on `serve` and `route`:
@@ -144,14 +144,13 @@ fn parse_flags(args: &[String], allowed: &[&str]) -> Result<BTreeMap<String, Str
 
 /// Installs the process's one parallel policy, before anything reads it:
 /// `--threads N`, else `SLS_PARALLEL_THREADS`, else one thread per core,
-/// keeping the environment's cutover and chunk size. Everything downstream
-/// reads it back through [`ParallelPolicy::global`].
+/// keeping the environment's cutover (`SLS_PARALLEL_MIN_ROWS`). Everything
+/// downstream reads it back through [`ParallelPolicy::global`].
 fn install_parallel_policy(flags: &BTreeMap<String, String>) -> Result<ParallelPolicy, String> {
     let env = ParallelPolicy::global();
     let env_threads = std::env::var_os(sls_linalg::ENV_THREADS).map_or(0, |_| env.threads);
     let policy = ParallelPolicy::new(parsed(flags, "threads", env_threads)?)
-        .with_min_rows_per_thread(env.min_rows_per_thread)
-        .with_chunk_rows(env.chunk_rows);
+        .with_min_rows_per_thread(env.min_rows_per_thread);
     ParallelPolicy::set_global(policy);
     Ok(policy)
 }

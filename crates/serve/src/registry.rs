@@ -476,21 +476,19 @@ mod tests {
         let serial_assign = compact
             .assign_with(&rows, &ParallelPolicy::serial())
             .unwrap();
-        for chunk_rows in [0, 1] {
-            let policy = ParallelPolicy::new(4)
-                .with_min_rows_per_thread(1)
-                .with_chunk_rows(chunk_rows);
+        for threads in [2, 4] {
+            let policy = ParallelPolicy::new(threads).with_min_rows_per_thread(1);
             let par = compact.features_with(&rows, &policy).unwrap();
             let same = serial
                 .as_slice()
                 .iter()
                 .zip(par.as_slice())
                 .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "chunk_rows = {chunk_rows}");
+            assert!(same, "threads = {threads}");
             assert_eq!(
                 compact.assign_with(&rows, &policy).unwrap(),
                 serial_assign,
-                "chunk_rows = {chunk_rows}"
+                "threads = {threads}"
             );
         }
     }

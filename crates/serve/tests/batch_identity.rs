@@ -1,6 +1,6 @@
 //! Batcher identity suite: with the coalescing window open, concurrent
 //! clients must receive responses **bitwise identical** (`f64::to_bits`) to
-//! serial unbatched calls — across thread counts and chunk sizes — and a
+//! serial unbatched calls — across thread counts — and a
 //! mixed-model, mixed-endpoint stress run must never leak rows across
 //! requests or models.
 
@@ -122,15 +122,8 @@ fn feature_bits(body: &str) -> Vec<Vec<u64>> {
 #[test]
 fn batched_responses_are_bitwise_identical_across_policies() {
     let registry = LiveRegistry::new(registry());
-    let policies = [
-        ("2 threads", 2, 0),
-        ("4 threads", 4, 0),
-        ("4 threads, single-row chunks", 4, 1),
-    ];
-    for (label, threads, chunk_rows) in policies {
-        let parallel = ParallelPolicy::new(threads)
-            .with_min_rows_per_thread(1)
-            .with_chunk_rows(chunk_rows);
+    for (label, threads) in [("2 threads", 2), ("4 threads", 4)] {
+        let parallel = ParallelPolicy::new(threads).with_min_rows_per_thread(1);
         let handle = start(parallel);
         let client = Client::new(handle.addr());
         let workers = 8usize;

@@ -152,6 +152,52 @@ fn zero_sizes_are_rejected_before_any_file_is_written() {
 }
 
 #[test]
+fn a_column_whose_sum_overflows_fails_retrain_by_name() {
+    // Both values are finite, so the CSV parser accepts them, but their sum
+    // is not: the column mean overflowed to infinity and standardising
+    // turned the whole column into NaN, which density peaks panicked on.
+    let dir = scratch("overflow");
+    let csv = dir.join("blobs.csv");
+    let csv_arg = csv.to_str().unwrap();
+    let synth = sls_serve(
+        &[
+            "synth",
+            "--out",
+            csv_arg,
+            "--instances",
+            "300",
+            "--dims",
+            "6",
+            "--clusters",
+            "3",
+            "--seed",
+            "3",
+        ],
+        None,
+    );
+    assert!(synth.status.success(), "stderr: {}", stderr(&synth));
+    let text = std::fs::read_to_string(&csv).unwrap();
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    for line in &mut lines[5..7] {
+        let (_, rest) = line.split_once(',').unwrap();
+        *line = format!("1.7e308,{rest}");
+    }
+    std::fs::write(&csv, lines.join("\n") + "\n").unwrap();
+
+    let out = dir.join("artifacts");
+    let retrain = sls_serve(
+        &["retrain", "--data", csv_arg, "--out", out.to_str().unwrap()],
+        None,
+    );
+    assert_rejected(&retrain, "column 0");
+    assert!(
+        !out.join("retrained.json").exists(),
+        "a failed retrain exported an artifact"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn a_repeated_flag_is_rejected() {
     let dir = scratch("repeated");
     let out = dir.join("artifacts");

@@ -4,7 +4,7 @@
 //! `compact` module: every feature element a [`ServingModel`] loaded with
 //! compact weights answers stays within `1e-6 · (1 + |full|)` of the same
 //! model loaded at full precision, and the compact forward pass is bitwise identical
-//! across serial and pooled policies at every thread count and chunk size.
+//! across serial and pooled policies at every thread count.
 //! These properties enforce both on randomly generated artifacts (weights,
 //! biases, preprocessors and cluster heads far rougher than anything
 //! training produces) and on every serving endpoint's compute: `/features`
@@ -38,18 +38,11 @@ impl Case {
 }
 
 /// The serial reference plus pooled policies with an eager cutover, so
-/// they really fan out on the generated row counts, at adaptive and
-/// single-row chunking.
+/// they really fan out on the generated row counts.
 fn policy_grid() -> Vec<ParallelPolicy> {
     let mut grid = vec![ParallelPolicy::serial()];
     for threads in [2, 4] {
-        for chunk_rows in [0, 1] {
-            grid.push(
-                ParallelPolicy::new(threads)
-                    .with_min_rows_per_thread(1)
-                    .with_chunk_rows(chunk_rows),
-            );
-        }
+        grid.push(ParallelPolicy::new(threads).with_min_rows_per_thread(1));
     }
     grid
 }
