@@ -17,6 +17,9 @@
 use crate::{ClusterAssignment, Clusterer, ClusteringError, Result};
 use sls_linalg::{squared_euclidean_distance, Matrix, ParallelPolicy};
 
+#[cfg(test)]
+mod reference;
+
 /// Configuration and entry point for affinity propagation.
 #[derive(Debug, Clone)]
 pub struct AffinityPropagation {
@@ -100,13 +103,15 @@ impl AffinityPropagation {
         self
     }
 
-    /// Routes the similarity construction, responsibility updates and final
-    /// exemplar assignment through the shared row kernels under `parallel`
-    /// (default: [`ParallelPolicy::global`]).
+    /// Routes the similarity construction and the final exemplar
+    /// assignment through the shared row kernels under `parallel` (default:
+    /// [`ParallelPolicy::global`]). Both are independent per row and keep
+    /// their serial accumulation order, so the result is bitwise identical
+    /// to the serial run.
     ///
-    /// Each of those steps is independent per row and keeps its serial
-    /// accumulation order, so the result is bitwise identical to the serial
-    /// run. The availability update writes column-wise and stays serial.
+    /// The message passing itself runs as plain serial row loops. Every
+    /// product path calls affinity propagation from inside a consensus pool
+    /// job, where a pooled kernel would run inline anyway.
     pub fn with_parallel(mut self, parallel: ParallelPolicy) -> Self {
         self.parallel = parallel;
         self
@@ -136,15 +141,19 @@ impl AffinityPropagation {
         // deterministic jitter breaks the degenerate symmetries that make the
         // message-passing oscillate (Frey & Dueck add random noise for the
         // same reason; we keep it deterministic for reproducibility).
-        // The similarity rows are independent, so they go through the pooled
-        // row kernel; the diagonal stays zero until the preference is set.
+        // `(x-y)²` and `(y-x)²` are the same bits, so the pooled row kernel
+        // computes only the pairs `j > i` and the lower triangle is their
+        // mirror. The diagonal stays zero until a fit writes its preference.
         let mut similarities = data.map_rows_with(n, &self.parallel, |i, row, out| {
-            for (j, slot) in out.iter_mut().enumerate() {
-                if j != i {
-                    *slot = -squared_euclidean_distance(row, data.row(j));
-                }
+            for (j, slot) in out.iter_mut().enumerate().skip(i + 1) {
+                *slot = -squared_euclidean_distance(row, data.row(j));
             }
         });
+        for i in 1..n {
+            for j in 0..i {
+                similarities[(i, j)] = similarities[(j, i)];
+            }
+        }
         let max_abs = similarities
             .as_slice()
             .iter()
@@ -170,10 +179,11 @@ impl AffinityPropagation {
         }
         let median = median_off_diagonal(&similarities);
 
+        let mut buffers = Buffers::new(similarities);
         match (self.target_clusters, self.preference) {
-            (Some(k), _) => self.fit_with_target(data, &similarities, median, k),
-            (None, Some(p)) => self.fit_with_preference(data, &similarities, p),
-            (None, None) => self.fit_with_preference(data, &similarities, median),
+            (Some(k), _) => self.fit_with_target(data, &mut buffers, median, k),
+            (None, Some(p)) => self.fit_with_preference(data, &mut buffers, p),
+            (None, None) => self.fit_with_preference(data, &mut buffers, median),
         }
     }
 
@@ -183,7 +193,7 @@ impl AffinityPropagation {
     fn fit_with_target(
         &self,
         data: &Matrix,
-        similarities: &Matrix,
+        buffers: &mut Buffers,
         median: f64,
         k: usize,
     ) -> Result<AffinityPropagationOutcome> {
@@ -198,8 +208,10 @@ impl AffinityPropagation {
         // minimum similarity collapse to one cluster while preferences near
         // zero (the maximum, since similarities are negative) yield ~n
         // clusters. Staying within that range keeps the message passing in
-        // its stable regime.
-        let min_similarity = similarities
+        // its stable regime. No fit has written a preference onto the
+        // diagonal yet, so it still holds zeros here.
+        let min_similarity = buffers
+            .similarities
             .as_slice()
             .iter()
             .copied()
@@ -210,7 +222,7 @@ impl AffinityPropagation {
 
         for _ in 0..24 {
             let mid = 0.5 * (low + high);
-            let outcome = self.fit_with_preference(data, similarities, mid)?;
+            let outcome = self.fit_with_preference(data, buffers, mid)?;
             let found = outcome.exemplars.len();
             let better = match &best {
                 None => true,
@@ -231,23 +243,37 @@ impl AffinityPropagation {
         Ok(best.expect("at least one bisection iteration"))
     }
 
-    /// One affinity propagation run with a fixed preference.
+    /// One affinity propagation run with a fixed preference, written onto
+    /// the diagonal of `buffers.similarities`. The message buffers are
+    /// reset, not reallocated.
     fn fit_with_preference(
         &self,
         data: &Matrix,
-        similarities: &Matrix,
+        buffers: &mut Buffers,
         preference: f64,
     ) -> Result<AffinityPropagationOutcome> {
         let n = data.rows();
-        let mut s = similarities.clone();
+        let Buffers {
+            similarities: s,
+            responsibility,
+            availability,
+            positive_sums,
+            self_responsibility,
+            exemplars: current,
+            last_exemplars,
+        } = buffers;
         for i in 0..n {
             s[(i, i)] = preference;
         }
+        responsibility.as_mut_slice().fill(0.0);
+        availability.as_mut_slice().fill(0.0);
+        last_exemplars.clear();
 
-        let mut responsibility = Matrix::zeros(n, n);
-        let mut availability = Matrix::zeros(n, n);
         let lambda = self.damping;
-        let mut last_exemplars: Vec<usize> = Vec::new();
+        // The value `Iterator::<f64>::sum` starts from (`-0.0` on current
+        // toolchains). Each column sum below starts there too, so a column
+        // of `-0.0` terms sums to the bits an iterator sum over it gives.
+        let sum_start: f64 = std::iter::empty::<f64>().sum();
         let mut stable_for = 0usize;
         let mut iterations = 0usize;
         let mut converged = false;
@@ -256,17 +282,18 @@ impl AffinityPropagation {
             iterations = iter + 1;
             // Responsibility update:
             // r(i,k) <- s(i,k) - max_{k' != k} { a(i,k') + s(i,k') }
-            // Each row depends only on the same row of `s`, `availability`
-            // and the previous `responsibility`, so the rows fan out across
-            // the pool and are damped with identical arithmetic.
-            responsibility = s.map_rows_with(n, &self.parallel, |i, s_row, out| {
-                let a_row = availability.row(i);
-                let r_row = responsibility.row(i);
+            // Row i reads only row i of `s` and `availability`, and each
+            // entry's damping reads only its own old value, so the update
+            // runs in place. Every entry but `argmax1` competes with `max1`;
+            // that one is redone against `max2` from its saved old value,
+            // which keeps the main loop free of a per-entry branch.
+            for i in 0..n {
+                let s_row = s.row(i);
                 // Find the largest and second largest a+s over k'.
                 let mut max1 = f64::NEG_INFINITY;
                 let mut max2 = f64::NEG_INFINITY;
                 let mut argmax1 = 0usize;
-                for (k, (&a, &sv)) in a_row.iter().zip(s_row).enumerate() {
+                for (k, (&a, &sv)) in availability.row(i).iter().zip(s_row).enumerate() {
                     let v = a + sv;
                     if v > max1 {
                         max2 = max1;
@@ -276,41 +303,53 @@ impl AffinityPropagation {
                         max2 = v;
                     }
                 }
-                for (k, slot) in out.iter_mut().enumerate() {
-                    let competitor = if k == argmax1 { max2 } else { max1 };
-                    let new_r = s_row[k] - competitor;
-                    *slot = lambda * r_row[k] + (1.0 - lambda) * new_r;
+                let r_row = responsibility.row_mut(i);
+                let r_argmax = r_row[argmax1];
+                for (r, &sv) in r_row.iter_mut().zip(s_row) {
+                    *r = lambda * *r + (1.0 - lambda) * (sv - max1);
                 }
-            });
+                r_row[argmax1] = lambda * r_argmax + (1.0 - lambda) * (s_row[argmax1] - max2);
+            }
 
             // Availability update:
             // a(i,k) <- min(0, r(k,k) + sum_{i' not in {i,k}} max(0, r(i',k)))
             // a(k,k) <- sum_{i' != k} max(0, r(i',k))
-            // This one is column-oriented (every output column k reduces over
-            // the whole of responsibility's column k), so a row split would
-            // not help; it stays serial.
-            for k in 0..n {
-                let positive_sum: f64 = (0..n)
-                    .filter(|&i| i != k)
-                    .map(|i| responsibility[(i, k)].max(0.0))
-                    .sum();
-                for i in 0..n {
-                    let new_a = if i == k {
-                        positive_sum
-                    } else {
-                        let adjusted =
-                            positive_sum - responsibility[(i, k)].max(0.0) + responsibility[(k, k)];
-                        adjusted.min(0.0)
-                    };
-                    availability[(i, k)] = lambda * availability[(i, k)] + (1.0 - lambda) * new_a;
+            // One row-major pass accumulates every column's positive sum,
+            // adding rows in ascending i (the order of a column walk), and
+            // snapshots the diagonal r(k,k); row i's term is kept out of
+            // column i by restoring that sum after the row. A second
+            // row-major pass updates each row of `availability` from those
+            // sums and the same row of `responsibility`, then redoes the
+            // diagonal entry from its saved old value.
+            positive_sums.fill(sum_start);
+            for (i, r_row) in responsibility.row_iter().enumerate() {
+                let own_column = positive_sums[i];
+                for (sum, &r) in positive_sums.iter_mut().zip(r_row) {
+                    *sum += r.max(0.0);
                 }
+                positive_sums[i] = own_column;
+                self_responsibility[i] = r_row[i];
+            }
+            for i in 0..n {
+                let r_row = responsibility.row(i);
+                let a_row = availability.row_mut(i);
+                let a_self = a_row[i];
+                for (((a, &r), &sum), &r_kk) in a_row
+                    .iter_mut()
+                    .zip(r_row)
+                    .zip(&*positive_sums)
+                    .zip(&*self_responsibility)
+                {
+                    let new_a = (sum - r.max(0.0) + r_kk).min(0.0);
+                    *a = lambda * *a + (1.0 - lambda) * new_a;
+                }
+                a_row[i] = lambda * a_self + (1.0 - lambda) * positive_sums[i];
             }
 
             // Current exemplars: points where r(k,k) + a(k,k) > 0.
-            let exemplars: Vec<usize> = (0..n)
-                .filter(|&k| responsibility[(k, k)] + availability[(k, k)] > 0.0)
-                .collect();
-            if !exemplars.is_empty() && exemplars == last_exemplars {
+            current.clear();
+            current.extend((0..n).filter(|&k| responsibility[(k, k)] + availability[(k, k)] > 0.0));
+            if !current.is_empty() && current == last_exemplars {
                 stable_for += 1;
                 if stable_for >= self.convergence_iterations {
                     converged = true;
@@ -318,7 +357,7 @@ impl AffinityPropagation {
                 }
             } else {
                 stable_for = 0;
-                last_exemplars = exemplars;
+                std::mem::swap(current, last_exemplars);
             }
         }
 
@@ -371,6 +410,37 @@ impl AffinityPropagation {
     }
 }
 
+/// The similarity matrix and message buffers of one [`AffinityPropagation::fit`],
+/// shared by every fit of its preference bisection.
+struct Buffers {
+    /// Jittered similarities; each fit writes its preference on the diagonal.
+    similarities: Matrix,
+    responsibility: Matrix,
+    availability: Matrix,
+    /// Per column `k`: `Σ_{i != k} max(0, r(i,k))`.
+    positive_sums: Vec<f64>,
+    /// Per `k`: `r(k,k)`.
+    self_responsibility: Vec<f64>,
+    /// This iteration's exemplars and the last differing set.
+    exemplars: Vec<usize>,
+    last_exemplars: Vec<usize>,
+}
+
+impl Buffers {
+    fn new(similarities: Matrix) -> Self {
+        let n = similarities.rows();
+        Self {
+            similarities,
+            responsibility: Matrix::zeros(n, n),
+            availability: Matrix::zeros(n, n),
+            positive_sums: vec![0.0; n],
+            self_responsibility: vec![0.0; n],
+            exemplars: Vec::with_capacity(n),
+            last_exemplars: Vec::with_capacity(n),
+        }
+    }
+}
+
 /// Deterministic pseudo-random value in `(0, 1)` derived from the pair of
 /// indices, used to de-symmetrise the similarity matrix.
 fn deterministic_jitter(i: usize, j: usize) -> f64 {
@@ -382,22 +452,28 @@ fn deterministic_jitter(i: usize, j: usize) -> f64 {
     (x % 1_000_000) as f64 / 1_000_000.0
 }
 
-/// Median of the off-diagonal entries of a square matrix.
+/// Median (the upper one for an even count) of the off-diagonal entries of
+/// a square matrix, by selection. Jittered similarities are never `-0.0` or
+/// NaN, so equal values share their bits and the selected value is the one
+/// a full sort would put there.
 fn median_off_diagonal(m: &Matrix) -> f64 {
     let n = m.rows();
     let mut values: Vec<f64> = Vec::with_capacity(n * (n - 1));
-    for i in 0..n {
-        for j in 0..n {
-            if i != j {
-                values.push(m[(i, j)]);
-            }
-        }
+    for (i, row) in m.row_iter().enumerate() {
+        values.extend(
+            row.iter()
+                .enumerate()
+                .filter(|&(j, _)| j != i)
+                .map(|(_, &v)| v),
+        );
     }
     if values.is_empty() {
         return 0.0;
     }
-    values.sort_by(|a, b| a.partial_cmp(b).expect("finite similarities"));
-    values[values.len() / 2]
+    let mid = values.len() / 2;
+    *values
+        .select_nth_unstable_by(mid, |a, b| a.partial_cmp(b).expect("finite similarities"))
+        .1
 }
 
 impl Clusterer for AffinityPropagation {
@@ -572,5 +648,119 @@ mod tests {
         let data = Matrix::from_rows(&vec![vec![2.0, 2.0]; 5]).unwrap();
         let outcome = AffinityPropagation::default().fit(&data).unwrap();
         assert_eq!(outcome.assignment.n_occupied_clusters(), 1);
+    }
+
+    /// Runs `ap` and the column-wise reference on `data` and asserts the
+    /// two outcomes are the same to the bit; returns the outcome.
+    fn assert_matches_reference(
+        ap: &AffinityPropagation,
+        data: &Matrix,
+    ) -> AffinityPropagationOutcome {
+        let expected = reference::fit(ap, data).unwrap();
+        let got = ap.fit(data).unwrap();
+        assert_eq!(got.assignment.labels(), expected.assignment.labels());
+        assert_eq!(got.exemplars, expected.exemplars);
+        assert_eq!(got.iterations, expected.iterations);
+        assert_eq!(got.converged, expected.converged);
+        assert_eq!(got.preference.to_bits(), expected.preference.to_bits());
+        got
+    }
+
+    #[test]
+    fn two_points_match_the_column_wise_reference() {
+        let data = Matrix::from_rows(&[vec![0.0, 0.0], vec![1.0, 2.0]]).unwrap();
+        assert_matches_reference(&AffinityPropagation::default(), &data);
+        for k in [1, 2] {
+            assert_matches_reference(
+                &AffinityPropagation::default().with_target_clusters(k),
+                &data,
+            );
+        }
+    }
+
+    #[test]
+    fn duplicate_rows_match_the_column_wise_reference() {
+        // Duplicates give zero distances, which the jitter must keep away
+        // from `-0.0` for the selected median to carry the sorted bits.
+        let data = Matrix::from_rows(&[
+            vec![1.0, 1.0],
+            vec![1.0, 1.0],
+            vec![5.0, 5.0],
+            vec![5.0, 5.0],
+            vec![1.0, 1.0],
+            vec![9.0, 0.0],
+            vec![5.0, 5.0],
+        ])
+        .unwrap();
+        assert_matches_reference(&AffinityPropagation::default(), &data);
+        assert_matches_reference(
+            &AffinityPropagation::default().with_target_clusters(2),
+            &data,
+        );
+        assert_matches_reference(
+            &AffinityPropagation::default().with_target_clusters(3),
+            &data,
+        );
+    }
+
+    #[test]
+    fn blobs_with_a_target_match_the_column_wise_reference() {
+        let mut rng = ChaCha8Rng::seed_from_u64(35);
+        let ds = SyntheticBlobs::new(90, 5, 3)
+            .separation(3.0)
+            .generate(&mut rng);
+        for k in [2, 3, 5] {
+            let ap = AffinityPropagation::default().with_target_clusters(k);
+            assert_matches_reference(&ap, ds.features());
+            let policy = ParallelPolicy::new(4).with_min_rows_per_thread(1);
+            assert_matches_reference(&ap.with_parallel(policy), ds.features());
+        }
+    }
+
+    #[test]
+    fn a_preference_below_the_minimum_similarity_matches_the_reference_without_converging() {
+        // Five points evenly spaced on the unit circle: the message passing
+        // keeps trading exemplars around the ring and never holds one set
+        // for the 15 iterations convergence needs.
+        let data = Matrix::from_fn(5, 2, |i, j| {
+            let t = i as f64 * std::f64::consts::TAU / 5.0;
+            if j == 0 {
+                t.cos()
+            } else {
+                t.sin()
+            }
+        });
+        let d = sls_linalg::pairwise_distances(&data, &ParallelPolicy::serial());
+        let min_sim = -(d.max().unwrap() * d.max().unwrap());
+        let preference = -5.0;
+        assert!(preference < min_sim);
+        let ap = AffinityPropagation::default().with_preference(preference);
+        let outcome = assert_matches_reference(&ap, &data);
+        assert!(!outcome.converged);
+        assert_eq!(outcome.iterations, 200);
+    }
+
+    #[test]
+    #[ignore = "release-only: all 24 bisection fits on a 512-row sample, twice"]
+    fn the_seed_4_book_sample_matches_the_column_wise_reference() {
+        use rand::Rng;
+        // The 512-row leading sample `sls-serve retrain` standardises and
+        // clusters when the retrain benchmark shuffles the Book stand-in
+        // with seed 4.
+        let book = sls_datasets::generate_msra_dataset(
+            sls_datasets::MsraDatasetId::Book,
+            &mut ChaCha8Rng::seed_from_u64(2023),
+        );
+        let mut order: Vec<usize> = (0..book.n_instances()).collect();
+        let mut rng = ChaCha8Rng::seed_from_u64(4);
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.gen_range(0..i + 1));
+        }
+        let sample = book.features().select_rows(&order[..512]).unwrap();
+        let (_, standardised) = sls_linalg::Standardizer::fit_transform(&sample).unwrap();
+        let ap = AffinityPropagation::default().with_target_clusters(3);
+        let outcome = assert_matches_reference(&ap, &standardised);
+        // The bisection never finds 3 exemplars, so all 24 fits ran.
+        assert_ne!(outcome.exemplars.len(), 3);
     }
 }

@@ -54,6 +54,12 @@ pub enum LinalgError {
         /// Index of the first such column.
         column: usize,
     },
+    /// A column's standard deviation is not finite: its squared deviations
+    /// from a finite mean sum past the `f64` range.
+    NonFiniteStd {
+        /// Index of the first such column.
+        column: usize,
+    },
 }
 
 impl fmt::Display for LinalgError {
@@ -87,6 +93,10 @@ impl fmt::Display for LinalgError {
             LinalgError::NonFiniteMean { column } => write!(
                 f,
                 "column {column} has no finite mean: a value is not finite or the column sum overflows f64"
+            ),
+            LinalgError::NonFiniteStd { column } => write!(
+                f,
+                "column {column} has no finite standard deviation: its squared deviations overflow f64"
             ),
         }
     }
@@ -144,6 +154,8 @@ mod tests {
         assert!(e.to_string().contains("row index 9"));
         let e = LinalgError::NonFiniteMean { column: 4 };
         assert!(e.to_string().starts_with("column 4 "));
+        let e = LinalgError::NonFiniteStd { column: 2 };
+        assert!(e.to_string().starts_with("column 2 "));
     }
 
     #[test]

@@ -31,20 +31,24 @@ pub fn euclidean_distance(a: &[f64], b: &[f64]) -> f64 {
 /// Full symmetric pairwise Euclidean distance matrix of the rows of `data`:
 /// an `n x n` matrix with zeros on the diagonal.
 ///
-/// Every output row is computed independently through the pooled row kernel
-/// under `policy`, evaluating each ordered pair from scratch. The coordinate
-/// sum `Σ (xᵢ - yᵢ)²` is symmetric in its arguments, so `d[(i, j)]` and
-/// `d[(j, i)]` are the same bits, and the result is bitwise identical for
-/// every policy.
+/// The coordinate sum `Σ (xᵢ - yᵢ)²` is symmetric in its arguments to the
+/// bit, so only the pairs `j > i` are computed, each output row through the
+/// pooled row kernel under `policy`, and the lower triangle is their mirror.
+/// The result is bitwise identical for every policy, and to evaluating every
+/// ordered pair.
 pub fn pairwise_distances(data: &Matrix, policy: &ParallelPolicy) -> Matrix {
     let n = data.rows();
-    data.map_rows_with(n, policy, |i, row, out| {
-        for (j, slot) in out.iter_mut().enumerate() {
-            if j != i {
-                *slot = euclidean_distance(row, data.row(j));
-            }
+    let mut d = data.map_rows_with(n, policy, |i, row, out| {
+        for (j, slot) in out.iter_mut().enumerate().skip(i + 1) {
+            *slot = euclidean_distance(row, data.row(j));
         }
-    })
+    });
+    for i in 1..n {
+        for j in 0..i {
+            d[(i, j)] = d[(j, i)];
+        }
+    }
+    d
 }
 
 impl Matrix {
@@ -125,6 +129,18 @@ mod tests {
         for i in 0..data.rows() {
             for j in 0..data.rows() {
                 assert_eq!(serial[(i, j)].to_bits(), serial[(j, i)].to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn pairwise_mirror_matches_every_ordered_pair_bitwise() {
+        let data = Matrix::from_fn(9, 4, |i, j| ((i * 7 + j * 3) % 11) as f64 * 0.37 - 1.9);
+        let d = pairwise_distances(&data, &ParallelPolicy::serial());
+        for i in 0..data.rows() {
+            for j in 0..data.rows() {
+                let direct = euclidean_distance(data.row(i), data.row(j));
+                assert_eq!(d[(i, j)].to_bits(), direct.to_bits(), "({i}, {j})");
             }
         }
     }

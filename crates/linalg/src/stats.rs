@@ -22,10 +22,13 @@ impl ColumnStats {
     ///
     /// # Errors
     ///
-    /// Returns [`LinalgError::Empty`] if the matrix has no rows, and
+    /// Returns [`LinalgError::Empty`] if the matrix has no rows,
     /// [`LinalgError::NonFiniteMean`] naming the first column whose mean is
-    /// not finite: finite values whose sum overflows `f64` would otherwise
-    /// turn every standardised value of that column into NaN.
+    /// not finite (finite values whose sum overflows `f64` would otherwise
+    /// turn every standardised value of that column into NaN), and
+    /// [`LinalgError::NonFiniteStd`] naming the first column whose squared
+    /// deviations overflow (an infinite standard deviation would silently
+    /// map the column to ±0 and cannot be written as JSON).
     pub fn compute(data: &Matrix) -> Result<Self> {
         if data.rows() == 0 {
             return Err(LinalgError::Empty {
@@ -45,6 +48,9 @@ impl ColumnStats {
         }
         for s in &mut stds {
             *s = (*s / n).sqrt();
+        }
+        if let Some(column) = stds.iter().position(|s| !s.is_finite()) {
+            return Err(LinalgError::NonFiniteStd { column });
         }
         Ok(Self { means, stds })
     }
@@ -216,10 +222,26 @@ mod tests {
         ] {
             assert!(err.to_string().contains("column 1"), "{err}");
         }
-        // A lone huge value keeps a finite mean and fits as before.
-        let lone = Matrix::from_rows(&[vec![1e200, 1.0], vec![0.0, 2.0]]).unwrap();
+        // A lone huge value whose squared deviation stays finite keeps a
+        // finite mean and fits as before.
+        let lone = Matrix::from_rows(&[vec![1e150, 1.0], vec![0.0, 2.0]]).unwrap();
         let stats = ColumnStats::compute(&lone).unwrap();
-        assert_eq!(stats.means, vec![5e199, 1.5]);
+        assert_eq!(stats.means, vec![5e149, 1.5]);
+        assert_eq!(stats.stds, vec![5e149, 0.5]);
+    }
+
+    #[test]
+    fn a_column_whose_squared_deviations_overflow_is_rejected_by_name() {
+        // The mean of column 1 is a finite 5e199, but its squared deviation
+        // (5e199)² is not: the standard deviation would be infinite.
+        let d = Matrix::from_rows(&[vec![1.0, 1e200], vec![2.0, 0.0]]).unwrap();
+        for err in [
+            ColumnStats::compute(&d).unwrap_err(),
+            Standardizer::fit(&d).unwrap_err(),
+        ] {
+            assert_eq!(err, LinalgError::NonFiniteStd { column: 1 });
+            assert!(err.to_string().contains("column 1"), "{err}");
+        }
     }
 
     #[test]

@@ -151,12 +151,11 @@ fn zero_sizes_are_rejected_before_any_file_is_written() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn a_column_whose_sum_overflows_fails_retrain_by_name() {
-    // Both values are finite, so the CSV parser accepts them, but their sum
-    // is not: the column mean overflowed to infinity and standardising
-    // turned the whole column into NaN, which density peaks panicked on.
-    let dir = scratch("overflow");
+/// Retrains on a `synth` CSV whose first feature is `value` on data lines
+/// `lines` (0-based) and asserts that the retrain fails by naming column 0
+/// and exports no artifact.
+fn assert_retrain_rejects_column_0(tag: &str, lines: std::ops::Range<usize>, value: &str) {
+    let dir = scratch(tag);
     let csv = dir.join("blobs.csv");
     let csv_arg = csv.to_str().unwrap();
     let synth = sls_serve(
@@ -177,12 +176,12 @@ fn a_column_whose_sum_overflows_fails_retrain_by_name() {
     );
     assert!(synth.status.success(), "stderr: {}", stderr(&synth));
     let text = std::fs::read_to_string(&csv).unwrap();
-    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-    for line in &mut lines[5..7] {
+    let mut rows: Vec<String> = text.lines().map(str::to_string).collect();
+    for line in &mut rows[lines] {
         let (_, rest) = line.split_once(',').unwrap();
-        *line = format!("1.7e308,{rest}");
+        *line = format!("{value},{rest}");
     }
-    std::fs::write(&csv, lines.join("\n") + "\n").unwrap();
+    std::fs::write(&csv, rows.join("\n") + "\n").unwrap();
 
     let out = dir.join("artifacts");
     let retrain = sls_serve(
@@ -195,6 +194,22 @@ fn a_column_whose_sum_overflows_fails_retrain_by_name() {
         "a failed retrain exported an artifact"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_column_whose_sum_overflows_fails_retrain_by_name() {
+    // Both values are finite, so the CSV parser accepts them, but their sum
+    // is not: the column mean overflowed to infinity and standardising
+    // turned the whole column into NaN, which density peaks panicked on.
+    assert_retrain_rejects_column_0("overflow", 5..7, "1.7e308");
+}
+
+#[test]
+fn a_column_whose_std_overflows_fails_retrain_by_name() {
+    // A lone finite 1e200 keeps the mean finite, but its squared deviation
+    // is not: the column's standard deviation was infinite, and the
+    // exported `stds` entry was a JSON `null` that `serve` refused to load.
+    assert_retrain_rejects_column_0("std_overflow", 5..6, "1e200");
 }
 
 #[test]
