@@ -14,6 +14,15 @@
 //! * `cd_epoch` — one full contrastive-divergence training epoch on a
 //!   synthetic binary workload (default 2048x256 visible, 256 hidden,
 //!   batch 64), the end-to-end number the roadmap tracks;
+//! * `cd_epoch_retrain` — the same at the shape `sls-serve retrain` trains
+//!   by default: 896 instances (128 with `--quick`) of 892 Gaussian visible
+//!   units, 12 hidden, batch 32. `cd_epoch_retrain_{products,activations,
+//!   sampling}` split one serial epoch of that shape by phase, running the
+//!   library calls the trainer makes per mini-batch (`cd_phase_millis`):
+//!   the five products (`V·W`, `H·Wᵀ`, `V̂·W`, `Vᵀ·H`, `V̂ᵀ·Ĥ`), the fused
+//!   bias + activation maps, and Bernoulli sampling of the hidden layer.
+//!   The epoch also pays for the row gather, the parameter update and the
+//!   end-of-epoch reconstruction-error pass, which the split leaves out;
 //! * `pipeline_transform` — full-dataset hidden-feature extraction, the
 //!   batch-transform / serving micro-batch shape;
 //! * `matmul`, `matmul_transpose_left`, `matmul_transpose_right` — the three
@@ -74,7 +83,7 @@ use sls_datasets::SyntheticBlobs;
 use sls_linalg::{simd, Matrix, MatrixRandomExt, ParallelPolicy, WorkerPool};
 use sls_rbm_core::{base_clusterers, CdTrainer, Rbm, TrainConfig, VisibleKind};
 use std::collections::BTreeSet;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage: parallel_bench [--out PATH] [--quick] [--reps N] [--gate TOL]";
 
@@ -205,6 +214,81 @@ fn fixed_bands(
     Matrix::from_vec(rows, width, out).expect("rows x width elements")
 }
 
+/// Visible units, hidden units and mini-batch size of `sls-serve retrain`'s
+/// default model on the Book stand-in.
+const RETRAIN_SHAPE: (usize, usize, usize) = (892, 12, 32);
+
+/// Best-of-`reps` milliseconds of one serial CD-1 epoch of `model` over
+/// `data`, split into `[products, activation maps, Bernoulli sampling]`.
+///
+/// Each mini-batch makes the trainer's library calls in the trainer's
+/// order: `V·W` and a sigmoid map for `H`, a Bernoulli sample of `H`,
+/// `H·Wᵀ` and the visible map for `V̂`, `V̂·W` and a sigmoid map for `Ĥ`,
+/// then the `Vᵀ·H` and `V̂ᵀ·Ĥ` statistics. The weights are not updated, so
+/// every rep does the same work.
+fn cd_phase_millis(model: &Rbm, data: &Matrix, batch: usize, reps: usize) -> [f64; 3] {
+    let serial = ParallelPolicy::serial();
+    let params = model.params();
+    let (weights, hidden_bias, visible_bias) =
+        (&params.weights, &params.hidden_bias, &params.visible_bias);
+    let visible_map = match model.visible_kind() {
+        VisibleKind::Binary => simd::fused_bias_sigmoid,
+        VisibleKind::Gaussian => simd::fused_bias_add,
+    };
+    let mut best = [f64::INFINITY; 3];
+    for _ in 0..reps {
+        let mut rng = ChaCha8Rng::seed_from_u64(9);
+        let mut spent = [Duration::ZERO; 3];
+        let mut timed = |phase: usize, start: Instant| spent[phase] += start.elapsed();
+        let (products, activations, sampling) = (0, 1, 2);
+        for first in (0..data.rows()).step_by(batch) {
+            let v = data
+                .slice_rows(first, (first + batch).min(data.rows()))
+                .expect("rows in range");
+            let start = Instant::now();
+            let pre = v.matmul_with(weights, &serial).expect("V·W");
+            timed(products, start);
+            let start = Instant::now();
+            let h = pre.map_rows_with(hidden_bias.len(), &serial, |_, row, out| {
+                simd::fused_bias_sigmoid(row, hidden_bias, out)
+            });
+            timed(activations, start);
+            let start = Instant::now();
+            let h_sample = Matrix::sample_bernoulli(&h, &mut rng);
+            timed(sampling, start);
+            let start = Instant::now();
+            let pre = h_sample
+                .matmul_transpose_right_with(weights, &serial)
+                .expect("H·Wᵀ");
+            timed(products, start);
+            let start = Instant::now();
+            let v_recon = pre.map_rows_with(visible_bias.len(), &serial, |_, row, out| {
+                visible_map(row, visible_bias, out)
+            });
+            timed(activations, start);
+            let start = Instant::now();
+            let pre = v_recon.matmul_with(weights, &serial).expect("V̂·W");
+            timed(products, start);
+            let start = Instant::now();
+            let h_recon = pre.map_rows_with(hidden_bias.len(), &serial, |_, row, out| {
+                simd::fused_bias_sigmoid(row, hidden_bias, out)
+            });
+            timed(activations, start);
+            let start = Instant::now();
+            let positive = v.matmul_transpose_left_with(&h, &serial).expect("Vᵀ·H");
+            let negative = v_recon
+                .matmul_transpose_left_with(&h_recon, &serial)
+                .expect("V̂ᵀ·Ĥ");
+            timed(products, start);
+            std::hint::black_box((positive, negative));
+        }
+        for (best, spent) in best.iter_mut().zip(spent) {
+            *best = best.min(spent.as_secs_f64() * 1e3);
+        }
+    }
+    best
+}
+
 /// `a · bᵀ` as one [`simd::dot`] per output element, row after row with no
 /// tiling: the baseline the tiled `matmul_transpose_right` is gated on.
 fn untiled_transpose_right(a: &Matrix, b: &Matrix) -> Matrix {
@@ -248,6 +332,13 @@ fn run(args: &[String]) -> Result<(), String> {
     let train_config = TrainConfig::quick()
         .with_epochs(1)
         .with_batch_size(batch_size);
+    let (retrain_visible, retrain_hidden, retrain_batch) = RETRAIN_SHAPE;
+    let retrain_instances = if quick { 128 } else { 896 };
+    let retrain_data =
+        Matrix::random_normal(retrain_instances, retrain_visible, 0.0, 1.0, &mut rng);
+    let retrain_config = TrainConfig::quick()
+        .with_epochs(1)
+        .with_batch_size(retrain_batch);
 
     let mut results = Vec::new();
     for &threads in &thread_counts {
@@ -276,6 +367,36 @@ fn run(args: &[String]) -> Result<(), String> {
             (start.elapsed(), model)
         });
         push(&mut results, "cd_epoch", threads, mode, cd_millis);
+
+        // One CD epoch at the retrain shape.
+        let retrain_millis = best_of(reps, || {
+            let mut model = Rbm::new(
+                VisibleKind::Gaussian,
+                retrain_visible,
+                retrain_hidden,
+                &mut ChaCha8Rng::seed_from_u64(7),
+            );
+            let trainer = CdTrainer::new(retrain_config)
+                .expect("valid config")
+                .with_parallel(policy);
+            let start = Instant::now();
+            trainer
+                .train(
+                    &mut model,
+                    &retrain_data,
+                    None,
+                    &mut ChaCha8Rng::seed_from_u64(9),
+                )
+                .expect("training");
+            (start.elapsed(), model)
+        });
+        push(
+            &mut results,
+            "cd_epoch_retrain",
+            threads,
+            mode,
+            retrain_millis,
+        );
 
         // Full-dataset feature extraction (pipeline transform / serving
         // micro-batch shape).
@@ -324,6 +445,24 @@ fn run(args: &[String]) -> Result<(), String> {
             (start.elapsed(), out)
         });
         push(&mut results, "matmul_transpose_right", threads, mode, tr);
+    }
+
+    // The retrain-shape epoch by phase, serial.
+    let retrain_model = Rbm::new(
+        VisibleKind::Gaussian,
+        retrain_visible,
+        retrain_hidden,
+        &mut ChaCha8Rng::seed_from_u64(7),
+    );
+    let phases = cd_phase_millis(&retrain_model, &retrain_data, retrain_batch, reps);
+    for (phase, millis) in ["products", "activations", "sampling"].iter().zip(phases) {
+        push(
+            &mut results,
+            &format!("cd_epoch_retrain_{phase}"),
+            1,
+            "serial",
+            millis,
+        );
     }
 
     // Serial vs the persistent pool on serving micro-batches: the row
@@ -662,7 +801,7 @@ fn run(args: &[String]) -> Result<(), String> {
 
     for m in &report.results {
         eprintln!(
-            "  {:<24} threads={:<2} {:<16} {:>10.4} ms  ({:.2}x vs serial)",
+            "  {:<28} threads={:<2} {:<16} {:>10.4} ms  ({:.2}x vs serial)",
             m.section, m.threads, m.mode, m.millis, m.speedup_vs_serial
         );
     }

@@ -31,6 +31,15 @@
 //!   commit to one canonical reduction order. `matmul_transpose_right` adds
 //!   a fixed, L1d-sized `j`-loop cache tile on top (see
 //!   [`Matrix::matmul_transpose_right_with`]).
+//! * Products with a narrow output (up to 16 wide, the models' 12 hidden
+//!   units) and `matmul_transpose_right` with fewer than 16 columns run on
+//!   a private register-tiled micro-kernel instead: a 4×12 block of output
+//!   accumulators stays in registers for the whole sum. It adds each
+//!   element's terms in ascending order onto `+0.0`, as the row-streaming
+//!   loops and the short canonical dot do, so it changes no bit. An AVX2
+//!   build of the same body is picked at run time when the CPU has AVX2;
+//!   neither arm uses FMA, whose single rounding would make the bits depend
+//!   on the host.
 //!
 //! ## Quick example
 //!
@@ -47,6 +56,7 @@
 #![warn(rust_2018_idioms)]
 
 mod error;
+mod kernel;
 mod matrix;
 mod norms;
 mod ops;

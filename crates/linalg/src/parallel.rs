@@ -8,6 +8,14 @@
 //!
 //! ## Bitwise reproducibility
 //!
+//! Every product element has one summation order, whichever loop computes
+//! it: `matmul` and `matmul_transpose_left` add `a·b` terms in ascending
+//! shared index from `+0.0` (the register-tiled micro-kernel in `kernel.rs`
+//! on narrow outputs, a row-streaming `axpy` on wide ones), and
+//! `matmul_transpose_right` is one canonical [`simd::dot`] per element
+//! (which, below one 16-lane chunk, is that same ascending sum, so short
+//! dots run on the micro-kernel too).
+//!
 //! Row partitioning never splits the accumulation of a single output
 //! element across threads: each output row is produced by exactly one
 //! thread running the exact serial inner loop, in the exact serial
@@ -36,6 +44,7 @@
 //! (`SLS_PARALLEL_THREADS`, `SLS_PARALLEL_MIN_ROWS`), which is how CI runs
 //! the whole test suite with parallel kernels forced on.
 
+use crate::kernel::{self, Strided};
 use crate::pool::WorkerPool;
 use crate::simd;
 use crate::{LinalgError, Matrix, Result};
@@ -278,10 +287,48 @@ fn transpose_right_tile_rows(cols: usize) -> usize {
     (TILE_BYTES / (cols.max(1) * std::mem::size_of::<f64>())).clamp(8, 512)
 }
 
+/// Widest output `matmul` and `matmul_transpose_left` run on the
+/// register-tiled [`kernel`]: one full tile plus one remainder tile, which
+/// covers the 12-wide hidden layers every model here trains and serves.
+///
+/// Measured on a 2-core AVX2 Xeon, the tile wins at every width for `A·B`
+/// (2–4× at 12 wide, ~2× at 256). Wider outputs still stream rows: there,
+/// the faster `matmul` would leave the k ≥ 16 dot path of
+/// `matmul_transpose_right` behind, outside the 1.4×-of-`matmul` bar
+/// `parallel_bench --gate` holds it to.
+const TILE_MAX_WIDTH: usize = 16;
+
+/// Tallest shared dimension `matmul_transpose_left` runs the tile on. The
+/// tile reads the left operand down its columns, one row (on a wide
+/// operand, one page) per term, while the row-streaming loop reads it once
+/// in order. Measured on the same box, the tile won every shape up to 256
+/// terms (892–4096 output rows, 4–16 wide) and lost some from 384 on. CD's
+/// `Vᵀ·H` sums over one mini-batch, well below this.
+const TILE_MAX_TRANSPOSED_TERMS: usize = 256;
+
+/// `out = a · b` on the register-tiled [`kernel`], `out`'s row blocks split
+/// under `policy`: `a(i, p)` for `k` terms, `b` row-major `k x out.cols()`.
+fn tiled_product(a: Strided<'_>, b: &[f64], k: usize, out: &mut Matrix, policy: &ParallelPolicy) {
+    let (n, m) = out.shape();
+    for_each_row_block(
+        out.as_mut_slice(),
+        n,
+        m,
+        k.saturating_mul(m),
+        policy,
+        &|range, block| kernel::product(a, b, k, m, range, block),
+    );
+}
+
 impl Matrix {
     /// [`Matrix::matmul`] under an explicit [`ParallelPolicy`]: output rows
     /// are partitioned across threads; each row keeps the serial
     /// accumulation order, so the result is bitwise identical to serial.
+    ///
+    /// Outputs up to 16 wide run on the register-tiled micro-kernel
+    /// (`kernel.rs`); wider ones stream `other`'s rows through one output
+    /// row at a time with [`simd::axpy`]. Both sum each element in ascending
+    /// `p` from `+0.0`, so the two paths agree to the bit.
     ///
     /// # Errors
     ///
@@ -299,12 +346,17 @@ impl Matrix {
         if n == 0 || m == 0 {
             return Ok(out);
         }
-        let row_cost = self.cols().saturating_mul(m);
+        let k = self.cols();
+        if m <= TILE_MAX_WIDTH {
+            let a = Strided::rows(self.as_slice(), k);
+            tiled_product(a, other.as_slice(), k, &mut out, policy);
+            return Ok(out);
+        }
         for_each_row_block(
             out.as_mut_slice(),
             n,
             m,
-            row_cost,
+            k.saturating_mul(m),
             policy,
             &|range, block| {
                 // i-p-j order keeps the inner loop contiguous over `other`'s rows
@@ -333,6 +385,13 @@ impl Matrix {
     /// right-operand rows as fit in ~32 KiB (an L1d-sized working set,
     /// clamped to 8–512 rows), keeping each group hot across the whole row
     /// band before moving on.
+    ///
+    /// Below [`simd::DOT_ACCUMULATORS`] columns the canonical dot is the
+    /// plain ascending sum, which is the order of the register-tiled
+    /// micro-kernel (`kernel.rs`), so such products (CD's `H·Wᵀ`, `n_hidden`
+    /// columns) run on it over a transposed copy of `other`, made once per
+    /// call. Either way the result is bitwise identical to one
+    /// [`simd::dot`] per element.
     ///
     /// # Errors
     ///
@@ -369,13 +428,18 @@ impl Matrix {
         if n == 0 || m == 0 {
             return Ok(out);
         }
+        let k = self.cols();
+        if k < simd::DOT_ACCUMULATORS {
+            let (a, b) = (Strided::rows(self.as_slice(), k), other.transpose());
+            tiled_product(a, b.as_slice(), k, &mut out, policy);
+            return Ok(out);
+        }
         let tile = tile_rows.clamp(1, m);
-        let row_cost = m.saturating_mul(self.cols());
         for_each_row_block(
             out.as_mut_slice(),
             n,
             m,
-            row_cost,
+            m.saturating_mul(k),
             policy,
             &|range, block| {
                 for j0 in (0..m).step_by(tile) {
@@ -398,6 +462,12 @@ impl Matrix {
     /// rows in the serial order, so each output element accumulates in the
     /// serial order and the result is bitwise identical.
     ///
+    /// Outputs up to 16 wide over at most 256 shared rows run on the
+    /// register-tiled micro-kernel (`kernel.rs`), reading `self` down its
+    /// columns; the rest stream the shared rows with [`simd::axpy`]. Both sum
+    /// each element in ascending `p` from `+0.0`, so the two paths agree to
+    /// the bit.
+    ///
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `self.rows() != other.rows()`.
@@ -419,6 +489,11 @@ impl Matrix {
             return Ok(out);
         }
         let row_cost = k.saturating_mul(m);
+        if m <= TILE_MAX_WIDTH && k <= TILE_MAX_TRANSPOSED_TERMS {
+            let a = Strided::columns(self.as_slice(), n);
+            tiled_product(a, other.as_slice(), k, &mut out, policy);
+            return Ok(out);
+        }
         for_each_row_block(
             out.as_mut_slice(),
             n,
@@ -766,6 +841,41 @@ mod tests {
         assert_eq!(transpose_right_tile_rows(1), 512); // clamp high
         assert_eq!(transpose_right_tile_rows(0), 512); // no div-by-0
         assert_eq!(transpose_right_tile_rows(100_000), 8); // clamp low
+    }
+
+    #[test]
+    fn tiled_and_streaming_paths_agree_across_the_cut_overs() {
+        // Both sides of `TILE_MAX_WIDTH` and `TILE_MAX_TRANSPOSED_TERMS`
+        // against the ascending sum from +0.0, serial and pooled.
+        let ascending = |n: usize,
+                         k: usize,
+                         m: usize,
+                         x: &dyn Fn(usize, usize) -> f64,
+                         y: &dyn Fn(usize, usize) -> f64| {
+            Matrix::from_fn(n, m, |i, j| {
+                (0..k).fold(0.0, |sum, p| sum + x(i, p) * y(p, j))
+            })
+        };
+        let mut r = rng();
+        for policy in [ParallelPolicy::serial(), eager(3)] {
+            for m in [TILE_MAX_WIDTH - 1, TILE_MAX_WIDTH, TILE_MAX_WIDTH + 1] {
+                let a = Matrix::random_normal(9, 33, 0.0, 1.0, &mut r);
+                let b = Matrix::random_normal(33, m, 0.0, 1.0, &mut r);
+                let expected = ascending(9, 33, m, &|i, p| a[(i, p)], &|p, j| b[(p, j)]);
+                assert!(
+                    bitwise_eq(&expected, &a.matmul_with(&b, &policy).unwrap()),
+                    "m = {m}"
+                );
+            }
+            let terms = TILE_MAX_TRANSPOSED_TERMS;
+            for k in [terms - 1, terms, terms + 1] {
+                let v = Matrix::random_normal(k, 7, 0.0, 1.0, &mut r);
+                let h = Matrix::random_normal(k, 12, 0.0, 1.0, &mut r);
+                let expected = ascending(7, k, 12, &|i, p| v[(p, i)], &|p, j| h[(p, j)]);
+                let out = v.matmul_transpose_left_with(&h, &policy).unwrap();
+                assert!(bitwise_eq(&expected, &out), "k = {k}");
+            }
+        }
     }
 
     #[test]

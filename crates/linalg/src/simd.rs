@@ -32,6 +32,19 @@
 //!
 //! Element-wise passes (`axpy`, the fused bias+activation maps) have no
 //! cross-element reduction at all, so their unrolling only shapes codegen.
+//!
+//! The matrix products commit to one order per element too:
+//!
+//! * `matmul` and `matmul_transpose_left` add their terms `a · b` in
+//!   ascending shared index onto `+0.0`, one multiply and one add per term.
+//!   Narrow outputs run on the register-tiled micro-kernel (`kernel.rs`),
+//!   wide ones on a row-streaming [`axpy`] loop; both keep that order.
+//! * `matmul_transpose_right` is one [`dot`] per element. Below one
+//!   [`DOT_ACCUMULATORS`] chunk that dot is the same ascending sum, so
+//!   short products (CD's `H·Wᵀ`) run on the micro-kernel as well.
+//!
+//! No path uses a fused multiply-add: it rounds once where the order above
+//! rounds twice, so the output bits would depend on the host CPU.
 
 /// Unroll width of the element-wise building blocks (`axpy`, the fused
 /// bias+activation maps): four f64 lanes fill one AVX2 register (256 bits)

@@ -80,6 +80,62 @@ fn policy_grid() -> Vec<ParallelPolicy> {
     grid
 }
 
+/// A value near the products' edge cases: one in eight is `±0.0` or
+/// `±∞`, one in forty NaN, the rest in `[-4, 4)`.
+fn edge_value() -> impl Strategy<Value = f64> {
+    (0..40usize, -4.0..4.0f64).prop_map(|(tag, x)| match tag {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f64::INFINITY,
+        3 => f64::NEG_INFINITY,
+        4 => f64::NAN,
+        _ => x,
+    })
+}
+
+/// Operands for all three products around the register-tiled kernel's
+/// edges: `n` and `m` cross every tile remainder and the 16-wide cut-over
+/// to row streaming, and `k` crosses the 15/16/17 switch of
+/// `matmul_transpose_right`.
+fn kernel_edge_operands() -> impl Strategy<Value = (Matrix, Matrix, Matrix)> {
+    (0..10usize, 0..=40usize, 0..30usize).prop_flat_map(|(n, k, m)| {
+        let matrix = |rows: usize, cols: usize| {
+            proptest::collection::vec(edge_value(), rows * cols)
+                .prop_map(move |d| Matrix::from_vec(rows, cols, d).unwrap())
+        };
+        // `a` (n x k), `b` (k x m) and `c` (m x k).
+        (matrix(n, k), matrix(k, m), matrix(m, k))
+    })
+}
+
+/// `out(i, j) = Σ_p x(i, p) · y(p, j)` summed from `+0.0` in ascending `p`:
+/// the order contract of `matmul` and `matmul_transpose_left`.
+fn ascending_sum(
+    n: usize,
+    k: usize,
+    m: usize,
+    x: impl Fn(usize, usize) -> f64,
+    y: impl Fn(usize, usize) -> f64,
+) -> Matrix {
+    Matrix::from_fn(n, m, |i, j| {
+        let mut sum = 0.0;
+        for p in 0..k {
+            sum += x(i, p) * y(p, j);
+        }
+        sum
+    })
+}
+
+/// Bit equality where any NaN matches any NaN (Rust leaves the payload of
+/// a computed NaN unspecified).
+fn same_bits(a: &Matrix, b: &Matrix) -> bool {
+    a.shape() == b.shape()
+        && a.as_slice()
+            .iter()
+            .zip(b.as_slice())
+            .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+}
+
 /// Exact bitwise equality (`f64::to_bits`), stricter than `==` (which treats
 /// `0.0 == -0.0`): the reproducibility contract of the parallel layer.
 fn bitwise_eq(a: &Matrix, b: &Matrix) -> bool {
@@ -230,6 +286,34 @@ proptest! {
             prop_assert!(
                 red_ref.iter().zip(&red).all(|(x, y)| x.to_bits() == y.to_bits()),
                 "reduce_rows {policy:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn products_match_the_scalar_order_contract_on_kernel_edges(
+        (a, b, c) in kernel_edge_operands(),
+    ) {
+        // Each product against its order contract written as a plain loop,
+        // serial and pooled: ascending sums for `matmul` and
+        // `matmul_transpose_left`, one canonical `dot` per element for
+        // `matmul_transpose_right` (the ascending sum below 16 terms).
+        let (n, k, m) = (a.rows(), a.cols(), b.cols());
+        let mm = ascending_sum(n, k, m, |i, p| a[(i, p)], |p, j| b[(p, j)]);
+        // aᵀ-shaped: the shared rows are a's rows, the output is k x m from
+        // `a` (n x k) and `h` (n x m).
+        let h = Matrix::from_fn(n, m, |i, j| b.as_slice().get(i * m + j).copied().unwrap_or(0.5));
+        let tl = ascending_sum(k, n, m, |i, p| a[(p, i)], |p, j| h[(p, j)]);
+        let tr = Matrix::from_fn(n, m, |i, j| sls_linalg::simd::dot(a.row(i), c.row(j)));
+        for policy in policy_grid() {
+            prop_assert!(same_bits(&mm, &a.matmul_with(&b, &policy).unwrap()), "matmul {policy:?}");
+            prop_assert!(
+                same_bits(&tl, &a.matmul_transpose_left_with(&h, &policy).unwrap()),
+                "transpose_left {policy:?}"
+            );
+            prop_assert!(
+                same_bits(&tr, &a.matmul_transpose_right_with(&c, &policy).unwrap()),
+                "transpose_right {policy:?}"
             );
         }
     }
