@@ -1,7 +1,9 @@
 //! Bit-level fingerprints of every training entry point.
 //!
 //! Each test trains with fixed seeds and hashes the IEEE-754 bits of the
-//! resulting parameters (and, for the streamed runs, the weight momentum).
+//! resulting parameters (and, for the streamed runs, the weight momentum),
+//! and, where a run returns its history, of every epoch's reconstruction
+//! error.
 //! The constants pin the exact floating-point results across refactors of
 //! the training code: any change to the order or grouping of the update
 //! arithmetic changes a hash. A deliberate numerical change must update the
@@ -14,7 +16,8 @@ use sls_datasets::{InMemoryChunks, SyntheticBlobs};
 use sls_linalg::{Matrix, MatrixRandomExt, ParallelPolicy};
 use sls_rbm_core::{
     CdTrainer, FittedPreprocessor, ModelKind, PipelineArtifact, Rbm, RbmParams, SlsConfig,
-    SlsPipelineConfig, StreamLimit, StreamTrainer, TrainCheckpoint, TrainConfig, VisibleKind,
+    SlsPipelineConfig, StreamLimit, StreamTrainer, TrainCheckpoint, TrainConfig, TrainingHistory,
+    VisibleKind,
 };
 
 /// FNV-1a over the bit patterns of `values`, folded into `hash`.
@@ -32,6 +35,15 @@ fn params_hash(params: &RbmParams) -> u64 {
     let h = fold(FNV_OFFSET, params.weights.as_slice());
     let h = fold(h, &params.visible_bias);
     fold(h, &params.hidden_bias)
+}
+
+fn errors_hash(history: &TrainingHistory) -> u64 {
+    let errors: Vec<f64> = history
+        .epochs
+        .iter()
+        .map(|e| e.reconstruction_error)
+        .collect();
+    fold(FNV_OFFSET, &errors)
 }
 
 fn checkpoint_hash(checkpoint: &TrainCheckpoint) -> u64 {
@@ -65,7 +77,8 @@ fn fit_hash(kind: ModelKind) -> u64 {
     params_hash(&fitted.artifact.params)
 }
 
-fn streamed_hash(kind: ModelKind) -> u64 {
+/// Hashes of the streamed run's checkpoint and of its epoch errors.
+fn streamed_hash(kind: ModelKind) -> (u64, u64) {
     let mut rng = ChaCha8Rng::seed_from_u64(41);
     let ds = SyntheticBlobs::new(70, 5, 2)
         .separation(4.0)
@@ -80,7 +93,7 @@ fn streamed_hash(kind: ModelKind) -> u64 {
         .with_batch_size(6)
         .with_learning_rate(0.02);
     let mut checkpoint = TrainCheckpoint::fresh(kind, 5, 4, config, 77).unwrap();
-    StreamTrainer::new()
+    let history = StreamTrainer::new()
         .with_parallel(ParallelPolicy::serial())
         .advance(
             &mut checkpoint,
@@ -91,7 +104,7 @@ fn streamed_hash(kind: ModelKind) -> u64 {
         )
         .unwrap();
     assert!(checkpoint.is_complete());
-    checkpoint_hash(&checkpoint)
+    (checkpoint_hash(&checkpoint), errors_hash(&history))
 }
 
 #[test]
@@ -115,12 +128,13 @@ fn cd_trainer_rbm_fingerprint() {
     let mut rng = ChaCha8Rng::seed_from_u64(51);
     let data = Matrix::random_bernoulli(45, 8, 0.4, &mut rng);
     let mut rbm = Rbm::new(VisibleKind::Binary, 8, 5, &mut rng);
-    CdTrainer::new(TrainConfig::quick().with_epochs(6).with_batch_size(7))
+    let history = CdTrainer::new(TrainConfig::quick().with_epochs(6).with_batch_size(7))
         .unwrap()
         .with_parallel(ParallelPolicy::serial())
         .train(&mut rbm, &data, None, &mut rng)
         .unwrap();
     assert_eq!(params_hash(rbm.params()), 5_123_345_410_641_934_936);
+    assert_eq!(errors_hash(&history), 10_654_255_451_393_929_283, "errors");
 }
 
 #[test]
@@ -136,7 +150,7 @@ fn sls_trainer_grbm_fingerprint() {
         .with_batch_size(8)
         .with_learning_rate(0.01);
     let sls = SlsConfig::new(0.4).with_supervision_learning_rate(0.05);
-    CdTrainer::new(config)
+    let history = CdTrainer::new(config)
         .unwrap()
         .with_parallel(ParallelPolicy::serial())
         .train(
@@ -147,17 +161,19 @@ fn sls_trainer_grbm_fingerprint() {
         )
         .unwrap();
     assert_eq!(params_hash(grbm.params()), 9_865_825_524_790_905_534);
+    assert_eq!(errors_hash(&history), 3_271_753_670_796_426_570, "errors");
 }
 
 #[test]
 fn stream_trainer_grbm_fingerprint() {
-    assert_eq!(streamed_hash(ModelKind::Grbm), 5_859_157_114_484_407_816);
+    let (checkpoint, errors) = streamed_hash(ModelKind::Grbm);
+    assert_eq!(checkpoint, 5_859_157_114_484_407_816);
+    assert_eq!(errors, 10_829_017_440_748_477_161, "errors");
 }
 
 #[test]
 fn stream_trainer_sls_grbm_fingerprint() {
-    assert_eq!(
-        streamed_hash(ModelKind::SlsGrbm),
-        16_972_758_440_033_795_024
-    );
+    let (checkpoint, errors) = streamed_hash(ModelKind::SlsGrbm);
+    assert_eq!(checkpoint, 16_972_758_440_033_795_024);
+    assert_eq!(errors, 3_990_923_107_725_574_714, "errors");
 }
