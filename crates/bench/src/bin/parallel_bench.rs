@@ -21,8 +21,12 @@
 //!   library calls the trainer makes per mini-batch (`cd_phase_millis`):
 //!   the five products (`V·W`, `H·Wᵀ`, `V̂·W`, `Vᵀ·H`, `V̂ᵀ·Ĥ`), the fused
 //!   bias + activation maps, and Bernoulli sampling of the hidden layer.
-//!   The epoch also pays for the row gather, the parameter update and the
-//!   end-of-epoch reconstruction-error pass, which the split leaves out;
+//!   The epoch also pays for the row gather and the parameter update,
+//!   which the split leaves out, and for the end-of-epoch
+//!   reconstruction-error pass, which `cd_epoch_retrain_recon_error` times
+//!   alone (serial and pooled). `cd_epoch_retrain_guided` is the same epoch
+//!   guided by a supervision of 3 local clusters covering every instance,
+//!   the sls update `retrain` runs;
 //! * `pipeline_transform` — full-dataset hidden-feature extraction, the
 //!   batch-transform / serving micro-batch shape;
 //! * `matmul`, `matmul_transpose_left`, `matmul_transpose_right` — the three
@@ -77,11 +81,12 @@ use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use sls_consensus::{
-    align_partitions_with, integrate_partitions_with, LocalSupervisionBuilder, VotingPolicy,
+    align_partitions_with, integrate_partitions_with, LocalSupervision, LocalSupervisionBuilder,
+    VotingPolicy,
 };
 use sls_datasets::SyntheticBlobs;
 use sls_linalg::{simd, Matrix, MatrixRandomExt, ParallelPolicy, WorkerPool};
-use sls_rbm_core::{base_clusterers, CdTrainer, Rbm, TrainConfig, VisibleKind};
+use sls_rbm_core::{base_clusterers, CdTrainer, Rbm, SlsConfig, TrainConfig, VisibleKind};
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
@@ -339,6 +344,18 @@ fn run(args: &[String]) -> Result<(), String> {
     let retrain_config = TrainConfig::quick()
         .with_epochs(1)
         .with_batch_size(retrain_batch);
+    // The guided epoch's supervision: 3 local clusters covering every row.
+    let retrain_labels: Vec<Option<usize>> = (0..retrain_instances).map(|i| Some(i % 3)).collect();
+    let retrain_supervision =
+        LocalSupervision::from_consensus(&retrain_labels, VotingPolicy::Unanimous)
+            .map_err(|e| format!("retrain supervision: {e}"))?;
+    let retrain_sls = SlsConfig::new(0.5);
+    let retrain_model = Rbm::new(
+        VisibleKind::Gaussian,
+        retrain_visible,
+        retrain_hidden,
+        &mut ChaCha8Rng::seed_from_u64(7),
+    );
 
     let mut results = Vec::new();
     for &threads in &thread_counts {
@@ -368,34 +385,55 @@ fn run(args: &[String]) -> Result<(), String> {
         });
         push(&mut results, "cd_epoch", threads, mode, cd_millis);
 
-        // One CD epoch at the retrain shape.
-        let retrain_millis = best_of(reps, || {
-            let mut model = Rbm::new(
-                VisibleKind::Gaussian,
-                retrain_visible,
-                retrain_hidden,
-                &mut ChaCha8Rng::seed_from_u64(7),
-            );
-            let trainer = CdTrainer::new(retrain_config)
-                .expect("valid config")
-                .with_parallel(policy);
-            let start = Instant::now();
-            trainer
-                .train(
-                    &mut model,
-                    &retrain_data,
-                    None,
-                    &mut ChaCha8Rng::seed_from_u64(9),
-                )
-                .expect("training");
-            (start.elapsed(), model)
-        });
+        // One CD epoch at the retrain shape, plain and guided.
+        let retrain_epoch = |supervision: Option<(&LocalSupervision, &SlsConfig)>| {
+            best_of(reps, || {
+                let mut model = retrain_model.clone();
+                let trainer = CdTrainer::new(retrain_config)
+                    .expect("valid config")
+                    .with_parallel(policy);
+                let start = Instant::now();
+                trainer
+                    .train(
+                        &mut model,
+                        &retrain_data,
+                        supervision,
+                        &mut ChaCha8Rng::seed_from_u64(9),
+                    )
+                    .expect("training");
+                (start.elapsed(), model)
+            })
+        };
+        let retrain_millis = retrain_epoch(None);
         push(
             &mut results,
             "cd_epoch_retrain",
             threads,
             mode,
             retrain_millis,
+        );
+        let guided_millis = retrain_epoch(Some((&retrain_supervision, &retrain_sls)));
+        push(
+            &mut results,
+            "cd_epoch_retrain_guided",
+            threads,
+            mode,
+            guided_millis,
+        );
+        // The end-of-epoch reconstruction-error pass alone.
+        let recon_millis = best_of(reps, || {
+            let start = Instant::now();
+            let error = retrain_model
+                .reconstruction_error_with(&retrain_data, &policy)
+                .expect("reconstruction error");
+            (start.elapsed(), error)
+        });
+        push(
+            &mut results,
+            "cd_epoch_retrain_recon_error",
+            threads,
+            mode,
+            recon_millis,
         );
 
         // Full-dataset feature extraction (pipeline transform / serving
@@ -448,12 +486,6 @@ fn run(args: &[String]) -> Result<(), String> {
     }
 
     // The retrain-shape epoch by phase, serial.
-    let retrain_model = Rbm::new(
-        VisibleKind::Gaussian,
-        retrain_visible,
-        retrain_hidden,
-        &mut ChaCha8Rng::seed_from_u64(7),
-    );
     let phases = cd_phase_millis(&retrain_model, &retrain_data, retrain_batch, reps);
     for (phase, millis) in ["products", "activations", "sampling"].iter().zip(phases) {
         push(

@@ -14,7 +14,7 @@
 //! [`crate::StreamTrainer`] runs it chunk by chunk.
 
 use crate::sls::{clusters_in_batch, sls_batch_gradients, SlsConfig};
-use crate::{Rbm, RbmError, Result, TrainConfig};
+use crate::{Rbm, RbmError, RbmParams, Result, TrainConfig};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use sls_consensus::LocalSupervision;
@@ -92,19 +92,23 @@ pub(crate) fn cd_batch_gradients(
     let hidden_data = model.hidden_probabilities_with(batch, parallel)?;
 
     // Gibbs chain: sample the hidden layer, reconstruct, repeat.
-    let mut visible_recon = batch.clone();
-    let mut hidden_probs = hidden_data.clone();
-    for _ in 0..cd_steps.max(1) {
-        let hidden_sample = Matrix::sample_bernoulli(&hidden_probs, rng);
-        visible_recon = model.reconstruct_visible_with(&hidden_sample, parallel)?;
-        hidden_probs = model.hidden_probabilities_with(&visible_recon, parallel)?;
+    let gibbs_step = |hidden: &Matrix, rng: &mut _| -> Result<(Matrix, Matrix)> {
+        let hidden_sample = Matrix::sample_bernoulli(hidden, rng);
+        let visible = model.reconstruct_visible_with(&hidden_sample, parallel)?;
+        let hidden = model.hidden_probabilities_with(&visible, parallel)?;
+        Ok((visible, hidden))
+    };
+    let (mut visible_recon, mut hidden_recon) = gibbs_step(&hidden_data, rng)?;
+    for _ in 1..cd_steps {
+        (visible_recon, hidden_recon) = gibbs_step(&hidden_recon, rng)?;
     }
-    let hidden_recon = hidden_probs;
 
     // <v h>_data - <v h>_recon, averaged over the batch.
-    let positive = batch.matmul_transpose_left_with(&hidden_data, parallel)?;
+    let mut dw = batch.matmul_transpose_left_with(&hidden_data, parallel)?;
     let negative = visible_recon.matmul_transpose_left_with(&hidden_recon, parallel)?;
-    let dw = positive.sub(&negative)?.scale(1.0 / n);
+    for (d, q) in dw.as_mut_slice().iter_mut().zip(negative.as_slice()) {
+        *d = 1.0 / n * (*d - q);
+    }
 
     let da: Vec<f64> = batch
         .column_means()
@@ -147,32 +151,34 @@ impl Velocity {
     }
 }
 
-/// Applies one momentum-smoothed update with the given gradients (already
-/// scaled by the learning rate by the caller).
-pub(crate) fn apply_update(
-    model: &mut Rbm,
+/// Applies one momentum-smoothed update in place, element by element:
+/// `v = momentum·v + step`, then `p = p + v`. Each group's step is given
+/// the element's index and its value before the update.
+fn apply_update(
+    params: &mut RbmParams,
     velocity: &mut Velocity,
     momentum: f64,
-    step_w: &Matrix,
-    step_a: &[f64],
-    step_b: &[f64],
-) -> Result<()> {
-    velocity.w = velocity.w.scale(momentum).add(step_w)?;
-    for (v, s) in velocity.a.iter_mut().zip(step_a) {
-        *v = momentum * *v + s;
+    step_w: impl Fn(usize, f64) -> f64,
+    step_a: impl Fn(usize, f64) -> f64,
+    step_b: impl Fn(usize, f64) -> f64,
+) {
+    let weights = params.weights.as_mut_slice();
+    momentum_update(weights, velocity.w.as_mut_slice(), momentum, step_w);
+    momentum_update(&mut params.visible_bias, &mut velocity.a, momentum, step_a);
+    momentum_update(&mut params.hidden_bias, &mut velocity.b, momentum, step_b);
+}
+
+/// [`apply_update`] on one parameter group.
+fn momentum_update(
+    params: &mut [f64],
+    velocity: &mut [f64],
+    momentum: f64,
+    step: impl Fn(usize, f64) -> f64,
+) {
+    for (i, (p, v)) in params.iter_mut().zip(velocity).enumerate() {
+        *v = momentum * *v + step(i, *p);
+        *p += *v;
     }
-    for (v, s) in velocity.b.iter_mut().zip(step_b) {
-        *v = momentum * *v + s;
-    }
-    let params = model.params_mut();
-    params.weights = params.weights.add(&velocity.w)?;
-    for (p, v) in params.visible_bias.iter_mut().zip(&velocity.a) {
-        *p += v;
-    }
-    for (p, v) in params.hidden_bias.iter_mut().zip(&velocity.b) {
-        *p += v;
-    }
-    Ok(())
 }
 
 /// Shuffles (or not) the row order for one epoch.
@@ -256,13 +262,18 @@ pub(crate) fn minibatch_step(
     let batch = data.select_rows(rows)?;
     let cd = cd_batch_gradients(model, &batch, rule.train.cd_steps, rule.parallel, rng)?;
     let lr = rule.train.learning_rate;
-    let decay = model.params().weights.scale(-rule.train.weight_decay);
-    let (step_w, step_a, step_b): (Matrix, Vec<f64>, Vec<f64>) = match rule.guide {
+    let decay = -rule.train.weight_decay;
+    let momentum = rule.train.momentum;
+    let g = cd.dw.as_slice();
+    match rule.guide {
         // ε(<vh>_data - <vh>_recon) - ε·λ·w  (weight decay)
-        None => (
-            cd.dw.add(&decay)?.scale(lr),
-            cd.da.iter().map(|g| lr * g).collect(),
-            cd.db.iter().map(|g| lr * g).collect(),
+        None => apply_update(
+            model.params_mut(),
+            velocity,
+            momentum,
+            |i, w| lr * (g[i] + decay * w),
+            |i, _| lr * cd.da[i],
+            |i, _| lr * cd.db[i],
         ),
         Some(guide) => {
             // Supervision gradients on both phases (Eqs. 27–32): the data
@@ -279,34 +290,25 @@ pub(crate) fn minibatch_step(
                 &cd.hidden_recon,
                 &clusters,
                 rule.parallel,
-            )?)?;
+            )?);
             // Ascend the CD objective (weight η·ε), descend the sls loss
             // (weight (1-η)·ε_sls); the visible biases get only the CD term
             // (Eq. 35).
             let eta = guide.sls.eta;
             let sls_lr = guide.sls.resolve_supervision_lr(lr);
-            (
-                cd.dw
-                    .scale(eta * lr)
-                    .add(&sls.dw.scale(-(1.0 - eta) * sls_lr))?
-                    .add(&decay.scale(lr))?,
-                cd.da.iter().map(|g| eta * lr * g).collect(),
-                cd.db
-                    .iter()
-                    .zip(&sls.db)
-                    .map(|(cd_g, sls_g)| eta * lr * cd_g - (1.0 - eta) * sls_lr * sls_g)
-                    .collect(),
-            )
+            let (cd_lr, sls_rate) = (eta * lr, -(1.0 - eta) * sls_lr);
+            let s = sls.dw.as_slice();
+            apply_update(
+                model.params_mut(),
+                velocity,
+                momentum,
+                |i, w| (cd_lr * g[i] + sls_rate * s[i]) + lr * (decay * w),
+                |i, _| cd_lr * cd.da[i],
+                |i, _| cd_lr * cd.db[i] - (1.0 - eta) * sls_lr * sls.db[i],
+            );
         }
-    };
-    apply_update(
-        model,
-        velocity,
-        rule.train.momentum,
-        &step_w,
-        &step_a,
-        &step_b,
-    )
+    }
+    Ok(())
 }
 
 /// The in-memory contrastive-divergence trainer for every model kind: plain
@@ -621,25 +623,16 @@ mod tests {
         let mut rbm = Rbm::new(VisibleKind::Binary, 2, 2, &mut r);
         rbm.params_mut().weights = Matrix::zeros(2, 2);
         let mut velocity = Velocity::zeros(2, 2);
-        let step = Matrix::filled(2, 2, 1.0);
-        apply_update(
-            &mut rbm,
-            &mut velocity,
-            0.5,
-            &step,
-            &[0.0, 0.0],
-            &[0.0, 0.0],
-        )
-        .unwrap();
-        apply_update(
-            &mut rbm,
-            &mut velocity,
-            0.5,
-            &step,
-            &[0.0, 0.0],
-            &[0.0, 0.0],
-        )
-        .unwrap();
+        for _ in 0..2 {
+            apply_update(
+                rbm.params_mut(),
+                &mut velocity,
+                0.5,
+                |_, _| 1.0,
+                |_, _| 0.0,
+                |_, _| 0.0,
+            );
+        }
         // First update: +1, second: +1.5 (momentum carries half of the first).
         assert!((rbm.params().weights[(0, 0)] - 2.5).abs() < 1e-12);
     }

@@ -3,10 +3,14 @@
 //! Section III-B) visible layer.
 
 use crate::model::{RbmParams, VisibleKind};
-use crate::{RbmError, Result};
+use crate::Result;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use sls_linalg::{Matrix, MatrixRandomExt, ParallelPolicy};
+use sls_linalg::{Matrix, MatrixRandomExt, ParallelPolicy, WorkerPool};
+
+/// Rows per block of [`Rbm::reconstruction_error_with`]: at the retrain
+/// model's 892 visible units a block's reconstruction (228 KB) fits in L2.
+const ERROR_BLOCK_ROWS: usize = 32;
 
 /// Restricted Boltzmann machine whose visible layer is `visible`.
 ///
@@ -140,42 +144,69 @@ impl Rbm {
     ///
     /// # Errors
     ///
-    /// Propagates shape errors.
+    /// Returns an error if `visible` has the wrong width or no rows.
     pub fn reconstruction_error(&self, visible: &Matrix) -> Result<f64> {
         self.reconstruction_error_with(visible, &ParallelPolicy::global())
     }
 
     /// [`Self::reconstruction_error`] under an explicit [`ParallelPolicy`].
     ///
+    /// The pass walks blocks of [`ERROR_BLOCK_ROWS`] rows, whose hidden
+    /// probabilities and reconstruction stay in cache: each block computes
+    /// `σ(VW + b)`, `HWᵀ + a` (through `σ` for binary units) and one
+    /// squared-error sum per row, its products serial. The blocks are the
+    /// items of one [`WorkerPool::for_each_mut`] call when `parallel` fans
+    /// out over `visible`'s rows, and run inline otherwise. The row sums are
+    /// combined serially in row order, so the value has the same bits for
+    /// every thread count and block size.
+    ///
     /// # Errors
     ///
-    /// Propagates shape errors.
+    /// Returns an error if `visible` has the wrong width or no rows.
     pub fn reconstruction_error_with(
         &self,
         visible: &Matrix,
         parallel: &ParallelPolicy,
     ) -> Result<f64> {
-        let hidden = self.hidden_probabilities_with(visible, parallel)?;
-        let recon = self.reconstruct_visible_with(&hidden, parallel)?;
-        if visible.shape() != recon.shape() {
-            return Err(RbmError::VisibleSizeMismatch {
-                data: visible.cols(),
-                model: recon.cols(),
-            });
+        self.params.check_data(visible)?;
+        let rows = visible.rows();
+        let mut per_row = vec![0.0; rows];
+        let mut blocks: Vec<_> = per_row
+            .chunks_mut(ERROR_BLOCK_ROWS)
+            .map(|s| (s, Ok(())))
+            .collect();
+        let work = |b: usize, (sums, status): &mut (&mut [f64], Result<()>)| {
+            *status = self.block_errors(visible, b * ERROR_BLOCK_ROWS, sums);
+        };
+        if parallel.effective_threads(rows) > 1 {
+            WorkerPool::global().for_each_mut(&mut blocks, work);
+        } else {
+            for (b, item) in blocks.iter_mut().enumerate() {
+                work(b, item);
+            }
         }
-        // Row-wise squared-error reduction: per-row sums run in parallel
-        // (each row is one unit, so the result is identical for every
-        // thread count), then combine serially in row order.
-        let per_row = visible.reduce_rows_with(parallel, |i, row| {
-            row.iter()
-                .zip(recon.row(i))
+        blocks.into_iter().try_for_each(|(_, status)| status)?;
+        Ok(per_row.iter().sum::<f64>() / visible.len() as f64)
+    }
+
+    /// The squared reconstruction error of each row `first..first +
+    /// sums.len()` of `visible`, into `sums`, with serial products.
+    fn block_errors(&self, visible: &Matrix, first: usize, sums: &mut [f64]) -> Result<()> {
+        let serial = ParallelPolicy::serial();
+        let block = visible.slice_rows(first, first + sums.len())?;
+        let hidden = self.hidden_probabilities_with(&block, &serial)?;
+        let recon = self.reconstruct_visible_with(&hidden, &serial)?;
+        for ((sum, row), recon_row) in sums.iter_mut().zip(block.row_iter()).zip(recon.row_iter()) {
+            *sum = row
+                .iter()
+                .zip(recon_row)
                 .map(|(&v, &r)| {
                     let d = v - r;
                     d * d
                 })
-                .sum()
-        });
-        Ok(per_row.iter().sum::<f64>() / visible.len() as f64)
+                .sum();
+        }
+        Ok(())
     }
 }
 
@@ -228,6 +259,49 @@ mod tests {
         let data = Matrix::random_bernoulli(10, 8, 0.5, &mut r);
         let s = rbm.sample_hidden(&data, &mut r).unwrap();
         assert!(s.as_slice().iter().all(|&x| x == 0.0 || x == 1.0));
+    }
+
+    /// The reconstruction error the unblocked way: whole-matrix passes, one
+    /// squared-error sum per row, combined in row order.
+    fn unblocked_error(rbm: &Rbm, data: &Matrix) -> f64 {
+        let serial = ParallelPolicy::serial();
+        let hidden = rbm.hidden_probabilities_with(data, &serial).unwrap();
+        let recon = rbm.reconstruct_visible_with(&hidden, &serial).unwrap();
+        let per_row: Vec<f64> = data
+            .row_iter()
+            .zip(recon.row_iter())
+            .map(|(v, r)| v.iter().zip(r).map(|(&v, &r)| (v - r) * (v - r)).sum())
+            .collect();
+        per_row.iter().sum::<f64>() / data.len() as f64
+    }
+
+    #[test]
+    fn reconstruction_error_has_the_same_bits_for_every_policy() {
+        // 70 rows make blocks of 32 + 32 + 6; 1 row makes one short block.
+        let mut r = rng();
+        for kind in [VisibleKind::Binary, VisibleKind::Gaussian] {
+            let mut rbm = Rbm::new(kind, 9, 5, &mut r);
+            rbm.params_mut().weights = Matrix::random_normal(9, 5, 0.0, 0.5, &mut r);
+            for rows in [70, 1] {
+                let data = match kind {
+                    VisibleKind::Binary => Matrix::random_bernoulli(rows, 9, 0.4, &mut r),
+                    VisibleKind::Gaussian => Matrix::random_normal(rows, 9, 0.0, 1.0, &mut r),
+                };
+                let expected = unblocked_error(&rbm, &data).to_bits();
+                for policy in [
+                    ParallelPolicy::serial(),
+                    ParallelPolicy::new(2),
+                    ParallelPolicy::new(4).with_min_rows_per_thread(1),
+                ] {
+                    let error = rbm.reconstruction_error_with(&data, &policy).unwrap();
+                    assert_eq!(
+                        error.to_bits(),
+                        expected,
+                        "{kind:?}, {rows} rows, {policy:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -46,14 +46,13 @@ impl SlsBatchGradients {
         }
     }
 
-    /// Adds another gradient in place (used to combine the data-phase and
-    /// reconstruction-phase terms).
-    pub(crate) fn accumulate(&mut self, other: &SlsBatchGradients) -> Result<()> {
-        self.dw = self.dw.add(&other.dw)?;
-        for (a, b) in self.db.iter_mut().zip(&other.db) {
+    /// Adds another gradient of the same shape in place (used to combine
+    /// the data-phase and reconstruction-phase terms).
+    pub(crate) fn accumulate(&mut self, other: &SlsBatchGradients) {
+        let own = self.dw.as_mut_slice().iter_mut().chain(&mut self.db);
+        for (a, b) in own.zip(other.dw.as_slice().iter().chain(&other.db)) {
             *a += b;
         }
-        Ok(())
     }
 }
 
@@ -100,10 +99,10 @@ pub(crate) fn sls_batch_gradients(
             }
         }
         // ∂/∂W of Σ_{s<t} ‖h_s - h_t‖² = 2 m · VᵀE ; normalised by N_h.
-        let dw_k = v_rows
-            .matmul_transpose_left_with(&e, parallel)?
-            .scale(2.0 * m / nh);
-        grads.dw = grads.dw.add(&dw_k)?;
+        let vte = v_rows.matmul_transpose_left_with(&e, parallel)?;
+        for (d, x) in grads.dw.as_mut_slice().iter_mut().zip(vte.as_slice()) {
+            *d += 2.0 * m / nh * x;
+        }
         // ∂/∂b is the same expression without the v factor.
         for (j, col_sum) in e.column_sums().iter().enumerate() {
             grads.db[j] += 2.0 * m / nh * col_sum;
@@ -127,20 +126,26 @@ pub(crate) fn sls_batch_gradients(
             .add_row_broadcast(&params.hidden_bias)?
             .map(sigmoid);
 
+        // Per hidden unit of one pair: (2/N_C)·(C_p - C_q) and the two
+        // sigmoid derivatives. Rows of ∂L/∂W are then walked in order; every
+        // element still takes the pairs' terms in (p, q) order.
+        let mut coef = vec![(0.0, 0.0, 0.0); n_hidden];
         for p in 0..k {
             for q in (p + 1)..k {
-                for j in 0..n_hidden {
-                    let cp = centers_hidden[(p, j)];
-                    let cq = centers_hidden[(q, j)];
-                    let diff = cp - cq;
-                    let gp = cp * (1.0 - cp);
-                    let gq = cq * (1.0 - cq);
+                let (cp, cq) = (centers_hidden.row(p), centers_hidden.row(q));
+                for (j, c) in coef.iter_mut().enumerate() {
+                    let diff = cp[j] - cq[j];
+                    let gp = cp[j] * (1.0 - cp[j]);
+                    let gq = cq[j] * (1.0 - cq[j]);
                     // Minus sign: the centre term enters L with a minus.
                     grads.db[j] -= 2.0 / nc * diff * (gp - gq);
-                    for i in 0..n_visible {
-                        let opi = centers_visible[(p, i)];
-                        let oqi = centers_visible[(q, i)];
-                        grads.dw[(i, j)] -= 2.0 / nc * diff * (gp * opi - gq * oqi);
+                    *c = (2.0 / nc * diff, gp, gq);
+                }
+                let (op, oq) = (centers_visible.row(p), centers_visible.row(q));
+                for i in 0..n_visible {
+                    let dw_row = grads.dw.row_mut(i);
+                    for (d, &(c, gp, gq)) in dw_row.iter_mut().zip(&coef) {
+                        *d -= c * (gp * op[i] - gq * oq[i]);
                     }
                 }
             }
@@ -407,7 +412,7 @@ mod tests {
         let hidden = hidden_of(&params, &visible);
         let g1 = sls_batch_gradients(&params, &visible, &hidden, &clusters, &POL).unwrap();
         let mut total = sls_batch_gradients(&params, &visible, &hidden, &clusters, &POL).unwrap();
-        total.accumulate(&g1).unwrap();
+        total.accumulate(&g1);
         assert!(total.dw.approx_eq(&g1.dw.scale(2.0), 1e-12));
         for (t, g) in total.db.iter().zip(&g1.db) {
             assert!((t - 2.0 * g).abs() < 1e-12);

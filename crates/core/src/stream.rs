@@ -44,6 +44,13 @@
 //! the shared update. Rows beyond the sampled prefix are not covered by any
 //! local cluster and receive only the CD gradient, as uncovered instances
 //! do in memory.
+//!
+//! ## Progress monitoring
+//!
+//! After an epoch's last chunk the stream reads every chunk again for the
+//! row-weighted mean of [`Rbm::reconstruction_error_with`]: a pass over
+//! small row blocks, shared out on the worker pool when the policy fans
+//! out, whose value has the same bits for every thread count.
 
 use crate::cd::{epoch_order, minibatch_step, Guidance, UpdateRule, Velocity};
 use crate::sls::SlsConfig;
@@ -465,10 +472,19 @@ impl StreamTrainer {
                 }
 
                 // Commit the chunk: the checkpoint is a valid resume point.
-                checkpoint.params = model.params().clone();
-                checkpoint.velocity_w = velocity.w.clone();
-                checkpoint.velocity_a = velocity.a.clone();
-                checkpoint.velocity_b = velocity.b.clone();
+                let params = model.params();
+                checkpoint.params.weights.clone_from(&params.weights);
+                checkpoint
+                    .params
+                    .visible_bias
+                    .clone_from(&params.visible_bias);
+                checkpoint
+                    .params
+                    .hidden_bias
+                    .clone_from(&params.hidden_bias);
+                checkpoint.velocity_w.clone_from(&velocity.w);
+                checkpoint.velocity_a.clone_from(&velocity.a);
+                checkpoint.velocity_b.clone_from(&velocity.b);
                 checkpoint.chunks_done += 1;
                 chunks_run += 1;
             }

@@ -10,11 +10,29 @@ use std::ops::{Index, IndexMut};
 /// Rows are the unit of work throughout the workspace: one row is one data
 /// instance (a visible-layer vector, a hidden-feature vector, a reconstructed
 /// sample, ...). Row access therefore returns contiguous slices.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
+}
+
+impl Clone for Matrix {
+    fn clone(&self) -> Self {
+        Self {
+            rows: self.rows,
+            cols: self.cols,
+            data: self.data.clone(),
+        }
+    }
+
+    /// Copies `source` into `self`, reusing `self`'s storage when it is
+    /// large enough.
+    fn clone_from(&mut self, source: &Self) {
+        self.rows = source.rows;
+        self.cols = source.cols;
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl Matrix {

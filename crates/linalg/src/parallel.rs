@@ -134,8 +134,9 @@ impl ParallelPolicy {
     /// under this policy: capped by `threads` and by the cutover
     /// (`rows / min_rows_per_thread`), never below 1. The result is already
     /// clamped to `[1, rows]` (for `rows >= 1`), so callers need no further
-    /// clamping.
-    fn effective_threads(&self, rows: usize) -> usize {
+    /// clamping. A caller that fans out its own row blocks (as the RBM's
+    /// reconstruction-error pass does) asks this whether to.
+    pub fn effective_threads(&self, rows: usize) -> usize {
         let per_thread = self.min_rows_per_thread.max(1);
         self.threads.max(1).min(rows / per_thread).max(1)
     }
