@@ -472,16 +472,10 @@ impl StreamTrainer {
                 }
 
                 // Commit the chunk: the checkpoint is a valid resume point.
-                let params = model.params();
-                checkpoint.params.weights.clone_from(&params.weights);
-                checkpoint
-                    .params
-                    .visible_bias
-                    .clone_from(&params.visible_bias);
-                checkpoint
-                    .params
-                    .hidden_bias
-                    .clone_from(&params.hidden_bias);
+                let (params, committed) = (model.params(), &mut checkpoint.params);
+                committed.weights.clone_from(&params.weights);
+                committed.visible_bias.clone_from(&params.visible_bias);
+                committed.hidden_bias.clone_from(&params.hidden_bias);
                 checkpoint.velocity_w.clone_from(&velocity.w);
                 checkpoint.velocity_a.clone_from(&velocity.a);
                 checkpoint.velocity_b.clone_from(&velocity.b);

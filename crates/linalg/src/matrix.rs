@@ -372,6 +372,14 @@ mod tests {
     }
 
     #[test]
+    fn clone_from_takes_the_source_shape_and_values() {
+        let mut m = Matrix::filled(4, 4, 9.0);
+        m.clone_from(&sample());
+        assert_eq!(m, sample());
+        assert_eq!(m.shape(), (2, 3));
+    }
+
+    #[test]
     fn from_vec_checks_shape() {
         assert!(Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).is_ok());
         let err = Matrix::from_vec(2, 2, vec![1.0]).unwrap_err();
