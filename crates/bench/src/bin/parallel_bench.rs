@@ -33,8 +33,9 @@
 //!   product kernels in isolation;
 //! * `small_batch_{8,32,128}` — the serving micro-batch hot path
 //!   (`hidden_probabilities` on 8/32/128-row batches), timed per call
-//!   `serial` and on the persistent worker `pool`. At these row counts
-//!   dispatch overhead is comparable to the kernel itself;
+//!   `serial` and under a 4-thread `pool` policy. At these row counts
+//!   dispatch overhead is comparable to the kernel itself, so the policy's
+//!   work floor runs the 8-row call inline and fans out the larger ones;
 //! * `skew_heavy_band` — a ragged map kernel where the last quarter of the
 //!   rows costs ~8x the rest: the straggler shape fixed-equal-band dispatch
 //!   loses to. `pool_fixed` is a bench-local reference that runs one
@@ -42,12 +43,6 @@
 //!   old fixed split); `pool` is the shipping adaptive chunking, its chunks
 //!   claimed one at a time by the caller and idle workers, which the CI
 //!   gate requires to be >= 1.5x faster on the 4-core runner;
-//! * `skew_mixed_scopes` — serving-sized 8-row feature batches timed while
-//!   a background thread saturates the same pool with training-sized
-//!   matmuls: band-sized blocks (`pool_fixed`, the same bench-local
-//!   reference) pin a worker for a whole band, adaptive chunks (`pool`)
-//!   free one up after a short chunk, so small-call latency under load is
-//!   the difference between the two;
 //! * `transpose_right_tiling` — `matmul_transpose_right` at the ROADMAP's
 //!   512x256x256 shape: untiled (a plain `simd::dot` loop, bench-local),
 //!   tiled (the shipping kernel) and a same-shape `matmul` reference — the
@@ -55,12 +50,16 @@
 //! * `consensus_full` / `consensus_align` / `consensus_vote` — the
 //!   supervision-construction pipeline on synthetic blobs, end to end
 //!   (DP + K-means + AP base clusterers through alignment and voting) and
-//!   per integration stage, `serial` and on the `pool`;
-//!   the pooled membership is asserted identical to the serial one before
-//!   the report is written.
+//!   per integration stage, `serial` and on the `pool`. Consensus tasks
+//!   (whole clusterers, whole alignments) fan out whatever their size, so
+//!   `consensus_align`/`_vote` time that task-level dispatch on stages of
+//!   a few tens of microseconds; the pooled membership is asserted
+//!   identical to the serial one before the report is written.
 //!
-//! The kernel sections run serially and on the pool under 2, 4, 8 threads
-//! plus the machine's core count; speedups are relative to the serial run *on this machine*.
+//! The kernel sections run serially and under `ParallelPolicy::new` at 2,
+//! 4, 8 threads plus the machine's core count — the shipping rule, so a
+//! call below the work floor runs inline there too; speedups are relative
+//! to the serial run *on this machine*.
 //! The report records `available_parallelism` — on a single-core box the
 //! honest speedup is ~1.0 and the multi-threaded numbers measure scheduling
 //! overhead, so read the speedup column together with that field. Outputs
@@ -100,10 +99,9 @@ struct Measurement {
     /// Thread budget of the policy (1 = serial).
     threads: usize,
     /// Dispatch/execution mode: `serial` or `pool` (persistent worker
-    /// pool); `pool_fixed` (one band-sized chunk per thread) in the skew
-    /// sections; `serial_unloaded` in `skew_mixed_scopes`; `simd_untiled`
-    /// / `simd_tiled` / `matmul_ref` within the `transpose_right_tiling`
-    /// section.
+    /// pool); `pool_fixed` (one band-sized chunk per thread) in
+    /// `skew_heavy_band`; `simd_untiled` / `simd_tiled` / `matmul_ref`
+    /// within the `transpose_right_tiling` section.
     mode: String,
     /// Best-of-`reps` wall-clock time in milliseconds (per call for the
     /// `small_batch_*` sections).
@@ -132,8 +130,6 @@ struct Report {
     batch_size: usize,
     /// Timing repetitions per configuration (best is kept).
     reps: usize,
-    /// `min_rows_per_thread` used by every non-serial policy.
-    min_rows_per_thread: usize,
     /// All measurements, section by section.
     results: Vec<Measurement>,
 }
@@ -254,9 +250,12 @@ fn cd_phase_millis(model: &Rbm, data: &Matrix, batch: usize, reps: usize) -> [f6
             let pre = v.matmul_with(weights, &serial).expect("V·W");
             timed(products, start);
             let start = Instant::now();
-            let h = pre.map_rows_with(hidden_bias.len(), &serial, |_, row, out| {
-                simd::fused_bias_sigmoid(row, hidden_bias, out)
-            });
+            let h = pre.map_rows_with(
+                hidden_bias.len(),
+                2 * hidden_bias.len(),
+                &serial,
+                |_, row, out| simd::fused_bias_sigmoid(row, hidden_bias, out),
+            );
             timed(activations, start);
             let start = Instant::now();
             let h_sample = Matrix::sample_bernoulli(&h, &mut rng);
@@ -267,17 +266,23 @@ fn cd_phase_millis(model: &Rbm, data: &Matrix, batch: usize, reps: usize) -> [f6
                 .expect("H·Wᵀ");
             timed(products, start);
             let start = Instant::now();
-            let v_recon = pre.map_rows_with(visible_bias.len(), &serial, |_, row, out| {
-                visible_map(row, visible_bias, out)
-            });
+            let v_recon = pre.map_rows_with(
+                visible_bias.len(),
+                2 * visible_bias.len(),
+                &serial,
+                |_, row, out| visible_map(row, visible_bias, out),
+            );
             timed(activations, start);
             let start = Instant::now();
             let pre = v_recon.matmul_with(weights, &serial).expect("V̂·W");
             timed(products, start);
             let start = Instant::now();
-            let h_recon = pre.map_rows_with(hidden_bias.len(), &serial, |_, row, out| {
-                simd::fused_bias_sigmoid(row, hidden_bias, out)
-            });
+            let h_recon = pre.map_rows_with(
+                hidden_bias.len(),
+                2 * hidden_bias.len(),
+                &serial,
+                |_, row, out| simd::fused_bias_sigmoid(row, hidden_bias, out),
+            );
             timed(activations, start);
             let start = Instant::now();
             let positive = v.matmul_transpose_left_with(&h, &serial).expect("Vᵀ·H");
@@ -318,9 +323,6 @@ fn run(args: &[String]) -> Result<(), String> {
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    // Fan out as soon as there is any work to split: the bench wants to
-    // exercise the parallel code path even on the quick shape.
-    let min_rows = 8;
     let mut thread_counts = vec![1, 2, 4, 8, cores];
     thread_counts.sort_unstable();
     thread_counts.dedup();
@@ -362,7 +364,7 @@ fn run(args: &[String]) -> Result<(), String> {
         let policy = if threads == 1 {
             ParallelPolicy::serial()
         } else {
-            ParallelPolicy::new(threads).with_min_rows_per_thread(min_rows)
+            ParallelPolicy::new(threads)
         };
         let mode = if threads == 1 { "serial" } else { "pool" };
 
@@ -504,7 +506,7 @@ fn run(args: &[String]) -> Result<(), String> {
     // dispatch, not pool construction.
     let small_threads = 4usize;
     let iters = if quick { 60 } else { 300 };
-    let pool_policy = ParallelPolicy::new(small_threads).with_min_rows_per_thread(2);
+    let pool_policy = ParallelPolicy::new(small_threads);
     let _ = sls_linalg::WorkerPool::global();
     let model = Rbm::new(
         VisibleKind::Binary,
@@ -554,6 +556,8 @@ fn run(args: &[String]) -> Result<(), String> {
             }
         }
     };
+    // The mean row: three quarters at 20 passes, one quarter at 160.
+    let skew_cost = 55 * skew_cols;
     let fixed_chunk = skew_rows.div_ceil(small_threads);
     let skew_fixed = || {
         fixed_bands(skew_rows, skew_cols, fixed_chunk, |i, out| {
@@ -564,88 +568,19 @@ fn run(args: &[String]) -> Result<(), String> {
         let millis = best_of(reps, || {
             let start = Instant::now();
             let out = match mode {
-                "serial" => {
-                    skew_data.map_rows_with(skew_cols, &ParallelPolicy::serial(), skew_work)
-                }
+                "serial" => skew_data.map_rows_with(
+                    skew_cols,
+                    skew_cost,
+                    &ParallelPolicy::serial(),
+                    skew_work,
+                ),
                 "pool_fixed" => skew_fixed(),
-                _ => skew_data.map_rows_with(skew_cols, &pool_policy, skew_work),
+                _ => skew_data.map_rows_with(skew_cols, skew_cost, &pool_policy, skew_work),
             };
             (start.elapsed(), out)
         });
         let threads = if mode == "serial" { 1 } else { small_threads };
         push(&mut results, "skew_heavy_band", threads, mode, millis);
-    }
-
-    // Mixed call sizes: serving-sized batches (8 rows) timed per call
-    // while a background thread continuously pushes training-sized pooled
-    // matmuls through the same pool. With band-sized chunks a worker is
-    // pinned for a whole training band before it can pick up a serving
-    // job; adaptive chunks bound that head-of-line wait to one short
-    // chunk. `serial_unloaded` is the no-load serial floor for reference.
-    let skew_small = Matrix::random_bernoulli(8, visible, 0.3, &mut rng);
-    let mixed_iters = if quick { 40 } else { 200 };
-    let small_serial = best_of(reps, || {
-        let start = Instant::now();
-        let mut last = None;
-        for _ in 0..mixed_iters {
-            last = Some(
-                model
-                    .hidden_probabilities_with(&skew_small, &ParallelPolicy::serial())
-                    .expect("small-batch features"),
-            );
-        }
-        (start.elapsed(), last)
-    }) / mixed_iters as f64;
-    push(
-        &mut results,
-        "skew_mixed_scopes",
-        1,
-        "serial_unloaded",
-        small_serial,
-    );
-    let training_fixed_chunk = instances.div_ceil(small_threads);
-    let banded_matmul = || {
-        fixed_bands(instances, hidden, training_fixed_chunk, |i, out| {
-            for (p, &a_ip) in data.row(i).iter().enumerate() {
-                simd::axpy(a_ip, weights.row(p), out);
-            }
-        })
-    };
-    for mode in ["pool_fixed", "pool"] {
-        let stop = std::sync::atomic::AtomicBool::new(false);
-        let millis = std::thread::scope(|s| {
-            s.spawn(|| {
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    if mode == "pool_fixed" {
-                        std::hint::black_box(banded_matmul());
-                    } else {
-                        let out = data.matmul_with(&weights, &pool_policy).expect("bg matmul");
-                        std::hint::black_box(&out);
-                    }
-                }
-            });
-            let per_call = best_of(reps, || {
-                let start = Instant::now();
-                let mut last = None;
-                for _ in 0..mixed_iters {
-                    last = Some(
-                        model
-                            .hidden_probabilities_with(&skew_small, &pool_policy)
-                            .expect("small-batch features under load"),
-                    );
-                }
-                (start.elapsed(), last)
-            }) / mixed_iters as f64;
-            stop.store(true, std::sync::atomic::Ordering::Relaxed);
-            per_call
-        });
-        push(
-            &mut results,
-            "skew_mixed_scopes",
-            small_threads,
-            mode,
-            millis,
-        );
     }
 
     // The consensus (supervision-construction) pipeline: DP + K-means + AP
@@ -756,7 +691,7 @@ fn run(args: &[String]) -> Result<(), String> {
     let pooled = data
         .matmul_with(
             &weights,
-            &ParallelPolicy::new(*thread_counts.last().unwrap()).with_min_rows_per_thread(1),
+            &ParallelPolicy::new(*thread_counts.last().unwrap()),
         )
         .expect("matmul");
     assert_eq!(
@@ -772,18 +707,11 @@ fn run(args: &[String]) -> Result<(), String> {
         untiled_transpose_right(&tr_left, &tr_right).as_slice(),
         "tiled transpose_right diverged from untiled"
     );
-    let adaptive = skew_data.map_rows_with(skew_cols, &pool_policy, skew_work);
+    let adaptive = skew_data.map_rows_with(skew_cols, skew_cost, &pool_policy, skew_work);
     assert_eq!(
         adaptive.as_slice(),
         skew_fixed().as_slice(),
         "adaptive chunks diverged from fixed bands"
-    );
-    assert_eq!(
-        data.matmul_with(&weights, &pool_policy)
-            .expect("matmul")
-            .as_slice(),
-        banded_matmul().as_slice(),
-        "pooled matmul diverged from fixed bands"
     );
     // The consensus invariant the whole PR leans on: pooled supervision
     // construction yields the identical membership to serial construction.
@@ -825,7 +753,6 @@ fn run(args: &[String]) -> Result<(), String> {
         hidden,
         batch_size,
         reps,
-        min_rows_per_thread: min_rows,
         results,
     };
     let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;

@@ -144,7 +144,8 @@ impl AffinityPropagation {
         // `(x-y)²` and `(y-x)²` are the same bits, so the pooled row kernel
         // computes only the pairs `j > i` and the lower triangle is their
         // mirror. The diagonal stays zero until a fit writes its preference.
-        let mut similarities = data.map_rows_with(n, &self.parallel, |i, row, out| {
+        let row_cost = n * data.cols() / 2;
+        let mut similarities = data.map_rows_with(n, row_cost, &self.parallel, |i, row, out| {
             for (j, slot) in out.iter_mut().enumerate().skip(i + 1) {
                 *slot = -squared_euclidean_distance(row, data.row(j));
             }
@@ -381,7 +382,7 @@ impl AffinityPropagation {
         // to themselves. Exemplar positions fit in f64 exactly, so routing
         // the row scan through the pooled kernel is lossless.
         let labels: Vec<usize> = s
-            .reduce_rows_with(&self.parallel, |i, s_row| {
+            .reduce_rows_with(2 * exemplars.len(), &self.parallel, |i, s_row| {
                 if let Some(pos) = exemplars.iter().position(|&e| e == i) {
                     return pos as f64;
                 }
@@ -626,7 +627,7 @@ mod tests {
             .fit(ds.features())
             .unwrap();
         for threads in [2, 4, 8] {
-            let policy = ParallelPolicy::new(threads).with_min_rows_per_thread(1);
+            let policy = ParallelPolicy::eager(threads);
             let parallel = AffinityPropagation::default()
                 .with_target_clusters(3)
                 .with_parallel(policy)
@@ -712,7 +713,7 @@ mod tests {
         for k in [2, 3, 5] {
             let ap = AffinityPropagation::default().with_target_clusters(k);
             assert_matches_reference(&ap, ds.features());
-            let policy = ParallelPolicy::new(4).with_min_rows_per_thread(1);
+            let policy = ParallelPolicy::eager(4);
             assert_matches_reference(&ap.with_parallel(policy), ds.features());
         }
     }

@@ -25,7 +25,8 @@ pub(super) fn fit(ap: &AffinityPropagation, data: &Matrix) -> Result<AffinityPro
             preference: 0.0,
         });
     }
-    let mut similarities = data.map_rows_with(n, &ap.parallel, |i, row, out| {
+    let row_cost = n * data.cols();
+    let mut similarities = data.map_rows_with(n, row_cost, &ap.parallel, |i, row, out| {
         for (j, slot) in out.iter_mut().enumerate() {
             if j != i {
                 *slot = -squared_euclidean_distance(row, data.row(j));
@@ -130,7 +131,7 @@ fn fit_with_preference(
 
     for iter in 0..ap.max_iterations {
         iterations = iter + 1;
-        responsibility = s.map_rows_with(n, &ap.parallel, |i, s_row, out| {
+        responsibility = s.map_rows_with(n, 3 * n, &ap.parallel, |i, s_row, out| {
             let a_row = availability.row(i);
             let r_row = responsibility.row(i);
             let mut max1 = f64::NEG_INFINITY;
@@ -200,7 +201,7 @@ fn fit_with_preference(
     }
 
     let labels: Vec<usize> = s
-        .reduce_rows_with(&ap.parallel, |i, s_row| {
+        .reduce_rows_with(2 * exemplars.len(), &ap.parallel, |i, s_row| {
             if let Some(pos) = exemplars.iter().position(|&e| e == i) {
                 return pos as f64;
             }

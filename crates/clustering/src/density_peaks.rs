@@ -181,7 +181,7 @@ impl DensityPeaks {
     /// index order — the same order as the serial loop — so the parallel
     /// result is bitwise identical.
     fn local_densities(&self, distances: &Matrix, cutoff: f64) -> Vec<f64> {
-        distances.reduce_rows_with(&self.parallel, |i, drow| {
+        distances.reduce_rows_with(distances.cols(), &self.parallel, |i, drow| {
             drow.iter()
                 .enumerate()
                 .filter(|&(j, _)| j != i)
@@ -213,7 +213,7 @@ fn separations(
     parallel: &ParallelPolicy,
 ) -> (Vec<f64>, Vec<Option<usize>>) {
     let n = densities.len();
-    let packed = distances.map_rows_with(2, parallel, |i, drow, out| {
+    let packed = distances.map_rows_with(2, n, parallel, |i, drow, out| {
         let mut best: Option<(usize, f64)> = None;
         for (j, &d) in drow.iter().enumerate() {
             if j == i {
@@ -380,7 +380,7 @@ mod tests {
             .fit(ds.features())
             .unwrap();
         for threads in [2, 4, 8] {
-            let policy = ParallelPolicy::new(threads).with_min_rows_per_thread(1);
+            let policy = ParallelPolicy::eager(threads);
             let parallel = DensityPeaks::new(3)
                 .with_parallel(policy)
                 .fit(ds.features())

@@ -193,7 +193,7 @@ impl KMeans {
     /// kernel. Cluster indices round-trip through `f64` losslessly
     /// (`k <= n` is far below 2^53).
     fn assign_labels(&self, data: &Matrix, centers: &Matrix, labels: &mut [usize]) {
-        let nearest = data.reduce_rows_with(&self.parallel, |_, row| {
+        let nearest = data.reduce_rows_with(centers.len(), &self.parallel, |_, row| {
             centers
                 .nearest_row(row)
                 .expect("centers is non-empty because k >= 1") as f64
@@ -217,7 +217,7 @@ impl KMeans {
         let first = rng.gen_range(0..n);
         centers.row_mut(0).copy_from_slice(data.row(first));
 
-        let mut min_dists = data.reduce_rows_with(&self.parallel, |_, row| {
+        let mut min_dists = data.reduce_rows_with(data.cols(), &self.parallel, |_, row| {
             squared_euclidean_distance(row, centers.row(0))
         });
 
@@ -240,7 +240,7 @@ impl KMeans {
             };
             centers.row_mut(c).copy_from_slice(data.row(chosen));
             let center = centers.row(c);
-            min_dists = data.reduce_rows_with(&self.parallel, |i, row| {
+            min_dists = data.reduce_rows_with(data.cols(), &self.parallel, |i, row| {
                 let d = squared_euclidean_distance(row, center);
                 if d < min_dists[i] {
                     d
@@ -426,7 +426,7 @@ mod tests {
             .fit(ds.features(), &mut rng())
             .unwrap();
         for threads in [2, 4, 8] {
-            let policy = ParallelPolicy::new(threads).with_min_rows_per_thread(1);
+            let policy = ParallelPolicy::eager(threads);
             let parallel = KMeans::new(3)
                 .with_parallel(policy)
                 .fit(ds.features(), &mut rng())

@@ -2,9 +2,10 @@
 //!
 //! The linalg kernels partition *rows*; the consensus stages partition
 //! *tasks* — whole base clusterers and whole partition alignments. Tasks are
-//! few and heavy, so the `min_rows_per_thread` cutover that keeps tiny
-//! matrices inline does not apply here: a policy with a thread budget above
-//! one always fans out onto the persistent worker pool.
+//! few and heavy, and a task's cost is not known before it runs, so the
+//! kernels' work floor (a row count times a per-row cost) does not apply
+//! here: a policy with a thread budget above one always fans out onto the
+//! persistent worker pool.
 //!
 //! Determinism discipline matches the kernel layer: every task is a pure
 //! function of its index (any randomness comes from a pre-drawn sub-seed),
@@ -66,10 +67,13 @@ mod tests {
 
     #[test]
     fn ignores_min_rows_cutover_for_heavy_tasks() {
-        // Three clusterer-sized tasks must fan out even under the default
-        // 64-row kernel cutover; only the thread budget and task count cap
-        // the fan-out.
-        let policy = ParallelPolicy::new(8).with_min_rows_per_thread(1_000_000);
-        assert_eq!(squares(3, &policy), vec![0, 1, 4]);
+        // Tasks fan out whatever their size: the kernels' work floor does
+        // not apply, only the thread budget does. Items run with the pool
+        // flag raised only when their call went to the pool, so three tiny
+        // tasks under the shipping policy must all see it.
+        let on_pool = |policy| run_indexed(3, &policy, |_| WorkerPool::on_worker_thread());
+        assert_eq!(on_pool(ParallelPolicy::new(8)), vec![true; 3]);
+        assert_eq!(on_pool(ParallelPolicy::serial()), vec![false; 3]);
+        assert_eq!(squares(3, &ParallelPolicy::new(8)), vec![0, 1, 4]);
     }
 }

@@ -62,7 +62,7 @@ fn consensus_is_identical_to_serial_across_the_policy_grid() {
     assert!(reference.n_clusters() > 0, "reference supervision is empty");
 
     for threads in 1..=8usize {
-        let policy = ParallelPolicy::new(threads).with_min_rows_per_thread(1);
+        let policy = ParallelPolicy::eager(threads);
         let (supervision, draw) = build(&data, policy, VotingPolicy::Unanimous);
         let label = format!("threads={threads}");
         assert_eq!(
@@ -92,7 +92,7 @@ fn consensus_is_identical_to_serial_across_the_policy_grid() {
 #[test]
 fn pooled_consensus_matches_serial_for_every_voting_policy() {
     let data = blobs();
-    let pooled = ParallelPolicy::new(4).with_min_rows_per_thread(1);
+    let pooled = ParallelPolicy::eager(4);
     for voting in [
         VotingPolicy::Unanimous,
         VotingPolicy::Majority,

@@ -828,7 +828,7 @@ mod tests {
             let serial = pre
                 .transform_with(&unseen, &ParallelPolicy::serial())
                 .unwrap();
-            let policy = ParallelPolicy::new(4).with_min_rows_per_thread(1);
+            let policy = ParallelPolicy::eager(4);
             let par = pre.transform_with(&unseen, &policy).unwrap();
             let same = serial
                 .as_slice()
@@ -851,7 +851,7 @@ mod tests {
             .artifact
             .assign_with(&rows, &ParallelPolicy::serial())
             .unwrap();
-        let policy = ParallelPolicy::new(4).with_min_rows_per_thread(1);
+        let policy = ParallelPolicy::eager(4);
         let par = f.artifact.features_with(&rows, &policy).unwrap();
         let same = serial
             .as_slice()

@@ -596,8 +596,9 @@ mod tests {
         let mut trained = Vec::new();
         for parallel in [
             ParallelPolicy::serial(),
-            ParallelPolicy::new(4).with_min_rows_per_thread(1),
-            ParallelPolicy::new(7).with_min_rows_per_thread(2),
+            ParallelPolicy::eager(4),
+            ParallelPolicy::eager(7),
+            ParallelPolicy::new(7),
         ] {
             let mut model = Rbm::new(VisibleKind::Binary, 6, 4, &mut rng());
             CdTrainer::new(config)

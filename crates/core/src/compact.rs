@@ -126,7 +126,9 @@ impl CompactParams {
         let n_hidden = self.n_hidden;
         let weights = &self.weights;
         let bias = &self.hidden_bias;
-        Ok(pre.map_rows_with(n_hidden, parallel, |_, row, out| {
+        // Per row: the v·W multiply-adds, then one sigmoid per hidden unit.
+        let row_cost = self.n_visible * n_hidden + n_hidden;
+        let features = pre.map_rows_with(n_hidden, row_cost, parallel, |_, row, out| {
             for (k, &v) in row.iter().enumerate() {
                 let wrow = &weights[k * n_hidden..(k + 1) * n_hidden];
                 for (o, &w) in out.iter_mut().zip(wrow) {
@@ -136,7 +138,8 @@ impl CompactParams {
             for (o, &b) in out.iter_mut().zip(bias) {
                 *o = sls_linalg::simd::sigmoid(*o + f64::from(b));
             }
-        }))
+        });
+        Ok(features)
     }
 }
 
@@ -211,7 +214,7 @@ mod tests {
             .hidden_features_with(&pre, &ParallelPolicy::serial())
             .unwrap();
         for threads in [2, 4] {
-            let policy = ParallelPolicy::new(threads).with_min_rows_per_thread(1);
+            let policy = ParallelPolicy::eager(threads);
             let par = compact.hidden_features_with(&pre, &policy).unwrap();
             let same = serial
                 .as_slice()

@@ -121,9 +121,12 @@ impl RbmParams {
         self.check_data(visible)?;
         let pre = visible.matmul_with(&self.weights, parallel)?;
         let bias = &self.hidden_bias;
-        Ok(pre.map_rows_with(bias.len(), parallel, |_, row, out| {
-            sls_linalg::simd::fused_bias_sigmoid(row, bias, out);
-        }))
+        let width = bias.len();
+        Ok(
+            pre.map_rows_with(width, 2 * width, parallel, |_, row, out| {
+                sls_linalg::simd::fused_bias_sigmoid(row, bias, out);
+            }),
+        )
     }
 
     /// `true` if every parameter is finite.

@@ -331,7 +331,7 @@ mod tests {
         // bits regardless of the thread count.
         let ds = dataset();
         let serial = pipeline_under(ParallelPolicy::serial(), &ds);
-        let parallel = pipeline_under(ParallelPolicy::new(4).with_min_rows_per_thread(1), &ds);
+        let parallel = pipeline_under(ParallelPolicy::eager(4), &ds);
         assert_eq!(
             serial.hidden_features.as_slice(),
             parallel.hidden_features.as_slice()

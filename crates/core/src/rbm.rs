@@ -122,9 +122,12 @@ impl Rbm {
             VisibleKind::Binary => sls_linalg::simd::fused_bias_sigmoid,
             VisibleKind::Gaussian => sls_linalg::simd::fused_bias_add,
         };
-        Ok(pre.map_rows_with(bias.len(), parallel, |_, row, out| {
-            fused(row, bias, out);
-        }))
+        let width = bias.len();
+        Ok(
+            pre.map_rows_with(width, 2 * width, parallel, |_, row, out| {
+                fused(row, bias, out);
+            }),
+        )
     }
 
     /// One Gibbs round trip `v -> h -> v̂` with hidden *samples* for the
@@ -178,7 +181,10 @@ impl Rbm {
         let work = |b: usize, (sums, status): &mut (&mut [f64], Result<()>)| {
             *status = self.block_errors(visible, b * ERROR_BLOCK_ROWS, sums);
         };
-        if parallel.effective_threads(rows) > 1 {
+        // Per row: V·W, H·Wᵀ and the squared error.
+        let (n_visible, n_hidden) = self.params.weights.shape();
+        let row_cost = 2 * n_visible * n_hidden + n_visible;
+        if parallel.effective_threads(rows, row_cost) > 1 {
             WorkerPool::global().for_each_mut(&mut blocks, work);
         } else {
             for (b, item) in blocks.iter_mut().enumerate() {
@@ -291,7 +297,7 @@ mod tests {
                 for policy in [
                     ParallelPolicy::serial(),
                     ParallelPolicy::new(2),
-                    ParallelPolicy::new(4).with_min_rows_per_thread(1),
+                    ParallelPolicy::eager(4),
                 ] {
                     let error = rbm.reconstruction_error_with(&data, &policy).unwrap();
                     assert_eq!(

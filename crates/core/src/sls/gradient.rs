@@ -219,10 +219,7 @@ mod tests {
     use sls_linalg::MatrixRandomExt;
 
     /// Serial policy shared by the numeric tests.
-    const POL: ParallelPolicy = ParallelPolicy {
-        threads: 1,
-        min_rows_per_thread: 64,
-    };
+    const POL: ParallelPolicy = ParallelPolicy::serial();
 
     fn setup() -> (RbmParams, Matrix, Vec<Vec<usize>>) {
         let mut rng = ChaCha8Rng::seed_from_u64(55);
@@ -399,7 +396,7 @@ mod tests {
         let hidden = hidden_of(&params, &visible);
         let serial = sls_batch_gradients(&params, &visible, &hidden, &clusters, &POL).unwrap();
         for threads in [2, 4, 8] {
-            let policy = ParallelPolicy::new(threads).with_min_rows_per_thread(1);
+            let policy = ParallelPolicy::eager(threads);
             let par = sls_batch_gradients(&params, &visible, &hidden, &clusters, &policy).unwrap();
             assert_eq!(serial.dw.as_slice(), par.dw.as_slice(), "{policy:?}");
             assert_eq!(serial.db, par.db, "{policy:?}");

@@ -186,7 +186,7 @@ mod tests {
         };
         let serial = train_one(ParallelPolicy::serial());
         for threads in [2, 8] {
-            let par = train_one(ParallelPolicy::new(threads).with_min_rows_per_thread(1));
+            let par = train_one(ParallelPolicy::eager(threads));
             assert_eq!(serial.params(), par.params(), "threads = {threads}");
         }
     }

@@ -671,7 +671,7 @@ mod tests {
         let source = bernoulli_source(26, 6, 9, 13);
         let serial = straight_run(ModelKind::Grbm, &source, None, 2);
         for threads in [2, 4] {
-            let policy = ParallelPolicy::new(threads).with_min_rows_per_thread(1);
+            let policy = ParallelPolicy::eager(threads);
             let mut checkpoint = TrainCheckpoint::fresh(
                 ModelKind::Grbm,
                 source.n_features(),

@@ -106,7 +106,8 @@ impl MedianBinarizer {
             ));
         }
         let thresholds = &self.thresholds;
-        Ok(data.map_rows_with(data.cols(), policy, |_, row, out| {
+        let cols = data.cols();
+        Ok(data.map_rows_with(cols, cols, policy, |_, row, out| {
             for ((o, &x), &t) in out.iter_mut().zip(row).zip(thresholds) {
                 *o = if x > t { 1.0 } else { 0.0 };
             }
@@ -196,7 +197,7 @@ mod tests {
         let serial = b
             .transform_with(&unseen, &ParallelPolicy::serial())
             .unwrap();
-        let policy = ParallelPolicy::new(4).with_min_rows_per_thread(1);
+        let policy = ParallelPolicy::eager(4);
         let par = b.transform_with(&unseen, &policy).unwrap();
         assert_eq!(par, serial);
     }

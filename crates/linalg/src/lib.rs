@@ -69,7 +69,7 @@ mod stats;
 pub use error::LinalgError;
 pub use matrix::Matrix;
 pub use norms::{euclidean_distance, pairwise_distances, squared_euclidean_distance};
-pub use parallel::{ParallelPolicy, DEFAULT_MIN_ROWS_PER_THREAD, ENV_MIN_ROWS, ENV_THREADS};
+pub use parallel::{ParallelPolicy, ENV_THREADS};
 pub use pool::WorkerPool;
 pub use random::MatrixRandomExt;
 pub use stats::{ColumnStats, Standardizer};

@@ -33,12 +33,12 @@ pub fn euclidean_distance(a: &[f64], b: &[f64]) -> f64 {
 ///
 /// The coordinate sum `Σ (xᵢ - yᵢ)²` is symmetric in its arguments to the
 /// bit, so only the pairs `j > i` are computed, each output row through the
-/// pooled row kernel under `policy`, and the lower triangle is their mirror.
-/// The result is bitwise identical for every policy, and to evaluating every
-/// ordered pair.
+/// pooled row kernel under `policy` (`n/2` distances per row on average),
+/// and the lower triangle is their mirror. The result is bitwise identical
+/// for every policy, and to evaluating every ordered pair.
 pub fn pairwise_distances(data: &Matrix, policy: &ParallelPolicy) -> Matrix {
     let n = data.rows();
-    let mut d = data.map_rows_with(n, policy, |i, row, out| {
+    let mut d = data.map_rows_with(n, n * data.cols() / 2, policy, |i, row, out| {
         for (j, slot) in out.iter_mut().enumerate().skip(i + 1) {
             *slot = euclidean_distance(row, data.row(j));
         }
@@ -117,7 +117,7 @@ mod tests {
         .unwrap();
         let serial = pairwise_distances(&data, &ParallelPolicy::serial());
         for threads in [2, 4, 8] {
-            let policy = ParallelPolicy::new(threads).with_min_rows_per_thread(1);
+            let policy = ParallelPolicy::eager(threads);
             let parallel = pairwise_distances(&data, &policy);
             let same = serial
                 .as_slice()

@@ -27,22 +27,21 @@
 //!
 //! ## Policy
 //!
-//! [`ParallelPolicy`] carries two values: a thread count and a
-//! `min_rows_per_thread` cutover. A kernel only fans out when `threads > 1`
-//! and every planned thread would receive at least `min_rows_per_thread`
-//! rows, so small matrices (single serving rows, tiny batches) stay inline
-//! on the calling thread. A fanned-out kernel runs on the persistent
-//! [`WorkerPool`], split into about four chunks per planned thread, sized
-//! from the row count and a per-row cost hint; the caller and every idle
-//! pool worker claim them, so `threads` sets the chunk count, not how many
+//! [`ParallelPolicy`] carries one value, a thread count. A kernel call fans
+//! out only when `threads > 1` and its work (output rows times the per-row
+//! cost hint every caller passes) gives each planned thread at least
+//! [`MIN_THREAD_WORK`] operations; smaller calls (serving rows, CD
+//! mini-batch products) run inline on the calling thread. A fanned-out call
+//! runs on the persistent [`WorkerPool`], split into about four chunks per
+//! planned thread, sized from the same hint; the caller and every idle pool
+//! worker claim them, so `threads` sets the chunk count, not how many
 //! threads run.
 //!
 //! A process has one policy, [`ParallelPolicy::global`], and everything
 //! that stores a policy starts from it ([`ParallelPolicy::default`] too).
 //! The library's global default is serial; a program overrides it once
 //! with [`ParallelPolicy::set_global`], or the environment does
-//! (`SLS_PARALLEL_THREADS`, `SLS_PARALLEL_MIN_ROWS`), which is how CI runs
-//! the whole test suite with parallel kernels forced on.
+//! (`SLS_PARALLEL_THREADS`).
 
 use crate::kernel::{self, Strided};
 use crate::pool::WorkerPool;
@@ -52,20 +51,23 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Once;
 
-/// Default `min_rows_per_thread`: small enough that training-scale matrices
-/// fan out, large enough that single-row serving requests stay serial.
-pub const DEFAULT_MIN_ROWS_PER_THREAD: usize = 64;
-
 /// Environment variable naming the global thread count (`0` = one thread
 /// per available core).
 pub const ENV_THREADS: &str = "SLS_PARALLEL_THREADS";
 
-/// Environment variable overriding the global `min_rows_per_thread` cutover.
-pub const ENV_MIN_ROWS: &str = "SLS_PARALLEL_MIN_ROWS";
+/// Fewest estimated f64 operations (output rows × per-row cost hint) a
+/// kernel call gives each planned thread before it fans out. Measured on a
+/// 2-core AVX2 Xeon: 256-wide products lose on the pool below ~16 rows (1M
+/// operations; 8 rows ran at 0.68× of inline). `small_batch_32` (2.1M)
+/// wins on 2 planned threads, but on the 4 a 360k floor planned it failed
+/// `parallel_bench --gate 1.25` in 3 of 10 runs. Narrow products break even
+/// near 200k alone but lost inside the retrain epoch (0.75× of serial on 2
+/// threads), and a 256-row serving `V·W` (786k) traced the same
+/// `registry.kernel_us` inline or pooled (409–427 µs).
+const MIN_THREAD_WORK: usize = 720 * 1024;
 
 static GLOBAL_INIT: Once = Once::new();
 static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(1);
-static GLOBAL_MIN_ROWS: AtomicUsize = AtomicUsize::new(DEFAULT_MIN_ROWS_PER_THREAD);
 
 /// How (and whether) the matrix kernels fan work out across threads.
 ///
@@ -75,15 +77,15 @@ static GLOBAL_MIN_ROWS: AtomicUsize = AtomicUsize::new(DEFAULT_MIN_ROWS_PER_THRE
 /// special case around it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelPolicy {
-    /// Threads a kernel plans for (at least 1). Above 1, a kernel large
-    /// enough to pass the cutover runs on the process-wide [`WorkerPool`],
-    /// split into about four chunks per planned thread. It is not a cap:
-    /// the pool has one worker per core minus one, and the caller and every
-    /// idle worker claim chunks.
+    /// Threads a kernel plans for (at least 1). Above 1, a kernel call with
+    /// enough work runs on the process-wide [`WorkerPool`], split into
+    /// about four chunks per planned thread. It is not a cap: the pool has
+    /// one worker per core minus one, and the caller and every idle worker
+    /// claim chunks.
     pub threads: usize,
-    /// A kernel stays serial unless every thread would receive at least
-    /// this many output rows.
-    pub min_rows_per_thread: usize,
+    /// Fewest estimated operations per planned thread: [`MIN_THREAD_WORK`],
+    /// or 0 under the test-only `eager` builder.
+    min_thread_work: usize,
 }
 
 impl Default for ParallelPolicy {
@@ -95,10 +97,10 @@ impl Default for ParallelPolicy {
 
 impl ParallelPolicy {
     /// Strictly serial execution (1 thread).
-    pub fn serial() -> Self {
+    pub const fn serial() -> Self {
         Self {
             threads: 1,
-            min_rows_per_thread: DEFAULT_MIN_ROWS_PER_THREAD,
+            min_thread_work: MIN_THREAD_WORK,
         }
     }
 
@@ -107,20 +109,24 @@ impl ParallelPolicy {
     pub fn new(threads: usize) -> Self {
         Self {
             threads: resolve_threads(threads),
-            min_rows_per_thread: DEFAULT_MIN_ROWS_PER_THREAD,
+            ..Self::serial()
         }
     }
 
-    /// Overrides the serial cutover (clamped to at least 1 row per thread).
-    pub fn with_min_rows_per_thread(mut self, min_rows_per_thread: usize) -> Self {
-        self.min_rows_per_thread = min_rows_per_thread.max(1);
-        self
+    /// [`ParallelPolicy::new`] without the work floor, so identity tests run
+    /// tiny inputs on the pool. Test builds only: `cfg(test)`, or the
+    /// `eager-policy` feature that only `[dev-dependencies]` enable.
+    #[cfg(any(test, feature = "eager-policy"))]
+    pub fn eager(threads: usize) -> Self {
+        Self {
+            min_thread_work: 0,
+            ..Self::new(threads)
+        }
     }
 
-    /// Kept for source compatibility with callers written when kernels
-    /// could also run on per-call scoped threads: every fanned-out kernel
-    /// now runs on the persistent [`WorkerPool`], so this returns `self`
-    /// unchanged.
+    /// Kept only because the end-to-end benchmark (`slsbench`) calls it:
+    /// every fanned-out kernel runs on the persistent [`WorkerPool`], so
+    /// this returns `self` unchanged.
     pub fn with_pool(self, _pool: bool) -> Self {
         self
     }
@@ -130,38 +136,39 @@ impl ParallelPolicy {
         self.threads <= 1
     }
 
-    /// Number of threads a kernel producing `rows` output rows plans for
-    /// under this policy: capped by `threads` and by the cutover
-    /// (`rows / min_rows_per_thread`), never below 1. The result is already
-    /// clamped to `[1, rows]` (for `rows >= 1`), so callers need no further
-    /// clamping. A caller that fans out its own row blocks (as the RBM's
-    /// reconstruction-error pass does) asks this whether to.
-    pub fn effective_threads(&self, rows: usize) -> usize {
-        let per_thread = self.min_rows_per_thread.max(1);
-        self.threads.max(1).min(rows / per_thread).max(1)
+    /// Threads a call producing `rows` output rows of about `row_cost` f64
+    /// operations each plans for: `min(threads, rows, rows × row_cost /
+    /// MIN_THREAD_WORK)`, never below 1, so every planned thread gets at
+    /// least [`MIN_THREAD_WORK`] operations. A caller that fans out its own
+    /// row blocks (as the RBM's reconstruction-error pass does) asks this
+    /// whether to.
+    pub fn effective_threads(&self, rows: usize, row_cost: usize) -> usize {
+        let by_work = rows
+            .saturating_mul(row_cost)
+            .checked_div(self.min_thread_work);
+        self.threads.min(rows).min(by_work.unwrap_or(rows)).max(1)
     }
 
     /// The process-wide default policy consulted by the plain (`_with`-less)
     /// kernel methods.
     ///
-    /// On first use it is initialised from the environment: `SLS_PARALLEL_THREADS`
-    /// (`0` = one thread per core) and `SLS_PARALLEL_MIN_ROWS`. Without
-    /// those variables the default is serial.
+    /// On first use it is initialised from `SLS_PARALLEL_THREADS` (`0` =
+    /// one thread per core); without it the default is serial.
     ///
     /// # Panics
     ///
-    /// Panics on first use if any of the variables is set to an unparsable
-    /// value — a typo must not silently disable the parallel path the
-    /// variable was set to force.
+    /// Panics on first use if the variable is set to an unparsable value —
+    /// a typo must not silently disable the parallel path the variable was
+    /// set to force.
     pub fn global() -> Self {
         init_global_from_env();
         Self {
             threads: GLOBAL_THREADS.load(Ordering::Relaxed),
-            min_rows_per_thread: GLOBAL_MIN_ROWS.load(Ordering::Relaxed),
+            ..Self::serial()
         }
     }
 
-    /// Replaces the process-wide default policy.
+    /// Replaces the process-wide default thread count with `policy`'s.
     ///
     /// Because parallel results are bitwise identical to serial results,
     /// changing the global policy never changes any computed value — only
@@ -171,7 +178,6 @@ impl ParallelPolicy {
         // clobber an explicit override.
         GLOBAL_INIT.call_once(|| {});
         GLOBAL_THREADS.store(policy.threads.max(1), Ordering::Relaxed);
-        GLOBAL_MIN_ROWS.store(policy.min_rows_per_thread.max(1), Ordering::Relaxed);
     }
 }
 
@@ -186,27 +192,18 @@ fn resolve_threads(threads: usize) -> usize {
     }
 }
 
+/// Reads `SLS_PARALLEL_THREADS` once. A *set but unparsable* value panics
+/// instead of being silently ignored: a typo that quietly fell back to
+/// serial would make CI's pooled test pass test nothing.
 fn init_global_from_env() {
     GLOBAL_INIT.call_once(|| {
-        if let Some(threads) = read_env_usize(ENV_THREADS) {
+        if let Ok(raw) = std::env::var(ENV_THREADS) {
+            let threads = raw.trim().parse().unwrap_or_else(|_| {
+                panic!("{ENV_THREADS} must be a non-negative integer, got `{raw}`")
+            });
             GLOBAL_THREADS.store(resolve_threads(threads), Ordering::Relaxed);
         }
-        if let Some(min_rows) = read_env_usize(ENV_MIN_ROWS) {
-            GLOBAL_MIN_ROWS.store(min_rows.max(1), Ordering::Relaxed);
-        }
     });
-}
-
-/// Reads an integer environment variable. A *set but unparsable* value
-/// panics instead of being silently ignored: the variable's whole purpose
-/// is forcing the parallel path (e.g. CI's correctness gate), and a typo
-/// that quietly fell back to serial would make that gate test nothing.
-fn read_env_usize(name: &str) -> Option<usize> {
-    let raw = std::env::var(name).ok()?;
-    match raw.trim().parse() {
-        Ok(value) => Some(value),
-        Err(_) => panic!("{name} must be a non-negative integer, got `{raw}`"),
-    }
 }
 
 /// Adaptive chunking targets this many chunks per participating thread:
@@ -246,8 +243,8 @@ fn chunk_rows(rows: usize, row_cost: usize, threads: usize) -> usize {
 ///
 /// `work` receives the half-open range of row indices it owns and the
 /// mutable storage of exactly those rows. `row_cost` is the kernel's
-/// estimate of f64 operations per output row — the cost hint adaptive
-/// chunking sizes chunks with.
+/// estimate of f64 operations per output row, which decides the fan-out
+/// ([`ParallelPolicy::effective_threads`]) and the chunk size.
 ///
 /// A fanned-out call is split into *more chunks than threads*
 /// ([`chunk_rows`]): equal row counts are not equal costs
@@ -266,7 +263,7 @@ fn for_each_row_block(
     policy: &ParallelPolicy,
     work: &(impl Fn(Range<usize>, &mut [f64]) + Sync),
 ) {
-    let threads = policy.effective_threads(rows);
+    let threads = policy.effective_threads(rows, row_cost);
     // A zero-width output has no storage to split into chunks.
     if threads == 1 || row_width == 0 {
         work(0..rows, out);
@@ -528,9 +525,11 @@ impl Matrix {
     /// every thread count. This is the workhorse behind the fused
     /// bias-broadcast + activation passes in the RBM hot paths (an
     /// element-wise map is the `out_cols == self.cols()` special case).
+    /// `row_cost` estimates the f64 operations `f` does per row.
     pub fn map_rows_with(
         &self,
         out_cols: usize,
+        row_cost: usize,
         policy: &ParallelPolicy,
         f: impl Fn(usize, &[f64], &mut [f64]) + Sync,
     ) -> Matrix {
@@ -539,9 +538,6 @@ impl Matrix {
         if n == 0 || out_cols == 0 {
             return out;
         }
-        // The closure's cost is opaque; reading the input row and writing the
-        // output row is the floor, so use that as the hint.
-        let row_cost = self.cols().saturating_add(out_cols);
         for_each_row_block(
             out.as_mut_slice(),
             n,
@@ -559,8 +555,10 @@ impl Matrix {
 
     /// Row-wise reduction: one `f(i, row)` value per row, computed with rows
     /// partitioned across threads. Identical for every thread count.
+    /// `row_cost` estimates the f64 operations `f` does per row.
     pub fn reduce_rows_with(
         &self,
+        row_cost: usize,
         policy: &ParallelPolicy,
         f: impl Fn(usize, &[f64]) -> f64 + Sync,
     ) -> Vec<f64> {
@@ -569,7 +567,7 @@ impl Matrix {
         if n == 0 {
             return out;
         }
-        for_each_row_block(&mut out, n, 1, self.cols(), policy, &|range, block| {
+        for_each_row_block(&mut out, n, 1, row_cost, policy, &|range, block| {
             for (i, slot) in range.zip(block.iter_mut()) {
                 *slot = f(i, self.row(i));
             }
@@ -597,10 +595,6 @@ mod tests {
                 .all(|(x, y)| x.to_bits() == y.to_bits())
     }
 
-    fn eager(threads: usize) -> ParallelPolicy {
-        ParallelPolicy::new(threads).with_min_rows_per_thread(1)
-    }
-
     /// Serialises the tests that read or replace the process-wide policy,
     /// so one never observes the other's temporary override.
     static GLOBAL_POLICY: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -620,32 +614,62 @@ mod tests {
         let p = ParallelPolicy::serial();
         assert!(p.is_serial());
         assert_eq!(p.threads, 1);
-        let q = ParallelPolicy::new(8).with_min_rows_per_thread(16);
+        let q = ParallelPolicy::new(8);
         assert_eq!(q.threads, 8);
-        assert_eq!(q.min_rows_per_thread, 16);
+        assert_eq!(q.min_thread_work, MIN_THREAD_WORK);
         assert!(!q.is_serial());
-        // `with_pool` is a no-op kept for source compatibility.
+        // `with_pool` is a no-op kept for the end-to-end benchmark.
         assert_eq!(q.with_pool(true), q);
         assert_eq!(q.with_pool(false), q);
         // 0 resolves to the core count, which is at least 1.
         assert!(ParallelPolicy::new(0).threads >= 1);
-        // min_rows_per_thread never drops below 1.
-        assert_eq!(
-            ParallelPolicy::serial()
-                .with_min_rows_per_thread(0)
-                .min_rows_per_thread,
-            1
-        );
+        // The test-only eager builder keeps the thread count and drops the
+        // work floor.
+        let e = ParallelPolicy::eager(8);
+        assert_eq!((e.threads, e.min_thread_work), (8, 0));
+        assert_eq!(e.effective_threads(2, 0), 2);
     }
 
     #[test]
     fn effective_threads_respects_budget_and_cutover() {
-        let p = ParallelPolicy::new(4).with_min_rows_per_thread(64);
-        assert_eq!(p.effective_threads(0), 1);
-        assert_eq!(p.effective_threads(63), 1); // below cutover: serial
-        assert_eq!(p.effective_threads(128), 2); // 2 threads x 64 rows
-        assert_eq!(p.effective_threads(100_000), 4); // capped by budget
-        assert_eq!(ParallelPolicy::serial().effective_threads(100_000), 1);
+        // (call, output rows, operations per row, threads planned at 2 and
+        // 4 threads). The shapes are the calls `parallel_bench` and the
+        // retrain and serving paths make.
+        let (v, h) = (892, 12);
+        let table = [
+            // small_batch_8: 8x256 · 256x256, 524k multiply-adds.
+            ("small_batch_8", 8, 256 * 256, [1, 1]),
+            // The retrain mini-batch's Vᵀ·H (892x12 over 32 rows, 342k),
+            // and one cluster's Vᵀ·E over at most as many rows.
+            ("retrain Vᵀ·H", v, 32 * h, [1, 1]),
+            ("cluster Vᵀ·E", v, 20 * h, [1, 1]),
+            // The 896-row reconstruction-error pass: V·W, H·Wᵀ, the error.
+            ("reconstruction error", 896, 2 * v * h + v, [2, 4]),
+            // small_batch_32 and _128: 32 and 128 rows of 256x256.
+            ("small_batch_32", 32, 256 * 256, [2, 2]),
+            ("small_batch_128", 128, 256 * 256, [2, 4]),
+            // A 256-row serving request, 256 inputs to 12 hidden units
+            // (786k): compact (products + sigmoid) and route-assign-wide's
+            // full-precision V·W. Both run inline; 512 rows fan out.
+            ("compact forward", 256, 256 * 12 + 12, [1, 1]),
+            ("route-assign-wide V·W", 256, 256 * 12, [1, 1]),
+            ("compact forward, 512 rows", 512, 256 * 12 + 12, [2, 2]),
+        ];
+        for (call, rows, row_cost, planned) in table {
+            for (threads, expected) in [2, 4].into_iter().zip(planned) {
+                let got = ParallelPolicy::new(threads).effective_threads(rows, row_cost);
+                assert_eq!(got, expected, "{call} at {threads} threads");
+            }
+        }
+        let p = ParallelPolicy::new(4);
+        assert_eq!(p.effective_threads(0, 1 << 30), 1);
+        assert_eq!(p.effective_threads(1, 1 << 30), 1); // one row never splits
+        assert_eq!(p.effective_threads(100_000, 0), 1); // no work
+        assert_eq!(p.effective_threads(usize::MAX, usize::MAX), 4); // capped by budget
+        assert_eq!(
+            ParallelPolicy::serial().effective_threads(100_000, 1 << 20),
+            1
+        );
     }
 
     #[test]
@@ -655,12 +679,13 @@ mod tests {
         // `tests/pool_stress.rs` rely on come from the adaptive rule alone;
         // a change to the rule that moved them would leave those tests
         // checking a different split.
-        let threads = eager(4).effective_threads(8);
+        let threads = ParallelPolicy::eager(4).effective_threads(8, 128 * 128);
         assert_eq!(threads, 4);
         // 8x128 · 128x128 products: one 16384-op row per chunk.
         assert_eq!(chunk_rows(8, 128 * 128, threads), 1);
         // 37 rows of the same cost: chunks of 3, the last one a single row.
-        assert_eq!(chunk_rows(37, 128 * 128, eager(4).effective_threads(37)), 3);
+        let threads_37 = ParallelPolicy::eager(4).effective_threads(37, 128 * 128);
+        assert_eq!(chunk_rows(37, 128 * 128, threads_37), 3);
         // map_rows over 8x8192 -> 8192 and reduce_rows over 8x16384.
         assert_eq!(chunk_rows(8, 8192 + 8192, threads), 1);
         assert_eq!(chunk_rows(8, 16384, threads), 1);
@@ -680,7 +705,7 @@ mod tests {
         let b = Matrix::random_normal(19, 23, 0.0, 1.0, &mut r);
         let serial = a.matmul_with(&b, &ParallelPolicy::serial()).unwrap();
         for threads in [2, 3, 8] {
-            let par = a.matmul_with(&b, &eager(threads)).unwrap();
+            let par = a.matmul_with(&b, &ParallelPolicy::eager(threads)).unwrap();
             assert!(bitwise_eq(&serial, &par), "threads = {threads}");
         }
         assert!(bitwise_eq(&serial, &a.matmul(&b).unwrap()));
@@ -699,9 +724,13 @@ mod tests {
             .matmul_transpose_left_with(&h, &ParallelPolicy::serial())
             .unwrap();
         for threads in [2, 5, 8] {
-            let par_tr = a.matmul_transpose_right_with(&b, &eager(threads)).unwrap();
+            let par_tr = a
+                .matmul_transpose_right_with(&b, &ParallelPolicy::eager(threads))
+                .unwrap();
             assert!(bitwise_eq(&serial_tr, &par_tr), "tr threads = {threads}");
-            let par_tl = a.matmul_transpose_left_with(&h, &eager(threads)).unwrap();
+            let par_tl = a
+                .matmul_transpose_left_with(&h, &ParallelPolicy::eager(threads))
+                .unwrap();
             assert!(bitwise_eq(&serial_tl, &par_tl), "tl threads = {threads}");
         }
     }
@@ -709,7 +738,7 @@ mod tests {
     #[test]
     fn parallel_kernels_validate_shapes() {
         let a = Matrix::zeros(3, 4);
-        let p = eager(4);
+        let p = ParallelPolicy::eager(4);
         assert!(a.matmul_with(&Matrix::zeros(3, 3), &p).is_err());
         assert!(a
             .matmul_transpose_right_with(&Matrix::zeros(2, 3), &p)
@@ -721,7 +750,7 @@ mod tests {
 
     #[test]
     fn degenerate_shapes_are_handled() {
-        let p = eager(8);
+        let p = ParallelPolicy::eager(8);
         let empty = Matrix::zeros(0, 5);
         let b = Matrix::zeros(5, 3);
         assert_eq!(empty.matmul_with(&b, &p).unwrap().shape(), (0, 3));
@@ -730,10 +759,12 @@ mod tests {
             .unwrap();
         assert_eq!(no_cols.shape(), (4, 0));
         assert_eq!(
-            empty.map_rows_with(5, &p, |_, _, _| unreachable!()).shape(),
+            empty
+                .map_rows_with(5, 5, &p, |_, _, _| unreachable!())
+                .shape(),
             (0, 5)
         );
-        assert_eq!(empty.reduce_rows_with(&p, |_, r| r.len() as f64), vec![]);
+        assert_eq!(empty.reduce_rows_with(5, &p, |_, r| r.len() as f64), vec![]);
     }
 
     #[test]
@@ -742,7 +773,7 @@ mod tests {
         let m = Matrix::random_normal(33, 7, 0.0, 2.0, &mut r);
         let sigmoid = |x: f64| 1.0 / (1.0 + (-x).exp());
         let serial = m.map(sigmoid);
-        let par = m.map_rows_with(7, &eager(4), |_, row, out| {
+        let par = m.map_rows_with(7, 7, &ParallelPolicy::eager(4), |_, row, out| {
             for (o, &x) in out.iter_mut().zip(row) {
                 *o = sigmoid(x);
             }
@@ -754,17 +785,18 @@ mod tests {
     fn map_rows_and_reduce_rows_partition_correctly() {
         let mut r = rng();
         let m = Matrix::random_normal(25, 6, 0.0, 1.0, &mut r);
-        let doubled = m.map_rows_with(6, &eager(3), |_, row, out| {
+        let doubled = m.map_rows_with(6, 6, &ParallelPolicy::eager(3), |_, row, out| {
             for (o, &x) in out.iter_mut().zip(row) {
                 *o = 2.0 * x;
             }
         });
         assert!(bitwise_eq(&doubled, &m.scale(2.0)));
         // Row index is passed through correctly.
-        let idx = m.reduce_rows_with(&eager(5), |i, _| i as f64);
+        let idx = m.reduce_rows_with(6, &ParallelPolicy::eager(5), |i, _| i as f64);
         assert_eq!(idx, (0..25).map(|i| i as f64).collect::<Vec<_>>());
-        let sums = m.reduce_rows_with(&eager(5), |_, row| row.iter().sum());
-        let serial_sums = m.reduce_rows_with(&ParallelPolicy::serial(), |_, row| row.iter().sum());
+        let sums = m.reduce_rows_with(6, &ParallelPolicy::eager(5), |_, row| row.iter().sum());
+        let serial_sums =
+            m.reduce_rows_with(6, &ParallelPolicy::serial(), |_, row| row.iter().sum());
         assert_eq!(sums, serial_sums);
     }
 
@@ -774,7 +806,7 @@ mod tests {
         let a = Matrix::random_normal(3, 4, 0.0, 1.0, &mut r);
         let b = Matrix::random_normal(4, 2, 0.0, 1.0, &mut r);
         let serial = a.matmul_with(&b, &ParallelPolicy::serial()).unwrap();
-        let par = a.matmul_with(&b, &eager(16)).unwrap();
+        let par = a.matmul_with(&b, &ParallelPolicy::eager(16)).unwrap();
         assert!(bitwise_eq(&serial, &par));
     }
 
@@ -786,7 +818,7 @@ mod tests {
         let h = Matrix::random_normal(43, 9, 0.0, 1.0, &mut r);
         let serial = ParallelPolicy::serial();
         for threads in [2, 4, 8] {
-            let pooled = eager(threads);
+            let pooled = ParallelPolicy::eager(threads);
             assert!(bitwise_eq(
                 &a.matmul_with(&w, &serial).unwrap(),
                 &a.matmul_with(&w, &pooled).unwrap(),
@@ -806,12 +838,12 @@ mod tests {
                 }
             };
             assert!(bitwise_eq(
-                &a.map_rows_with(18, &serial, fused),
-                &a.map_rows_with(18, &pooled, fused),
+                &a.map_rows_with(18, 18, &serial, fused),
+                &a.map_rows_with(18, 18, &pooled, fused),
             ));
             let norm = |_: usize, row: &[f64]| row.iter().map(|x| x * x).sum::<f64>();
-            let s = a.reduce_rows_with(&serial, norm);
-            let p = a.reduce_rows_with(&pooled, norm);
+            let s = a.reduce_rows_with(18, &serial, norm);
+            let p = a.reduce_rows_with(18, &pooled, norm);
             assert!(s.iter().zip(&p).all(|(x, y)| x.to_bits() == y.to_bits()));
         }
     }
@@ -825,7 +857,7 @@ mod tests {
         let mut r = rng();
         let a = Matrix::random_normal(37, 21, 0.0, 1.0, &mut r);
         let b = Matrix::random_normal(29, 21, 0.0, 1.0, &mut r);
-        let policy = eager(4);
+        let policy = ParallelPolicy::eager(4);
         let reference = a.matmul_transpose_right_with(&b, &policy).unwrap();
         for tile in [1, 3, 8, 28, 29, usize::MAX] {
             let tiled = a.matmul_transpose_right_tiled(&b, &policy, tile).unwrap();
@@ -858,7 +890,7 @@ mod tests {
             })
         };
         let mut r = rng();
-        for policy in [ParallelPolicy::serial(), eager(3)] {
+        for policy in [ParallelPolicy::serial(), ParallelPolicy::eager(3)] {
             for m in [TILE_MAX_WIDTH - 1, TILE_MAX_WIDTH, TILE_MAX_WIDTH + 1] {
                 let a = Matrix::random_normal(9, 33, 0.0, 1.0, &mut r);
                 let b = Matrix::random_normal(33, m, 0.0, 1.0, &mut r);
@@ -888,8 +920,8 @@ mod tests {
         let mut r = rng();
         let m = Matrix::random_normal(24, 6, 0.0, 1.0, &mut r);
         let w = Matrix::random_normal(6, 3, 0.0, 1.0, &mut r);
-        let pooled = eager(4);
-        let out = m.map_rows_with(3, &pooled, |i, _, out_row| {
+        let pooled = ParallelPolicy::eager(4);
+        let out = m.map_rows_with(3, 24 * 6 * 3, &pooled, |i, _, out_row| {
             // Nested pooled product over the shared operands.
             let inner = m.matmul_with(&w, &pooled).unwrap();
             out_row.copy_from_slice(inner.row(i));
@@ -906,10 +938,10 @@ mod tests {
         // policy only chooses a thread count, never a numeric result.
         let _guard = GLOBAL_POLICY.lock().unwrap_or_else(|e| e.into_inner());
         let before = ParallelPolicy::global();
-        ParallelPolicy::set_global(ParallelPolicy::new(3).with_min_rows_per_thread(7));
-        let p = ParallelPolicy::global();
-        assert_eq!(p.threads, 3);
-        assert_eq!(p.min_rows_per_thread, 7);
+        // Only the thread count is process-wide: an eager policy comes back
+        // with the work floor.
+        ParallelPolicy::set_global(ParallelPolicy::eager(3));
+        assert_eq!(ParallelPolicy::global(), ParallelPolicy::new(3));
         ParallelPolicy::set_global(before);
         assert_eq!(ParallelPolicy::global(), before);
     }

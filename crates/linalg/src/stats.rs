@@ -114,7 +114,8 @@ impl Standardizer {
         }
         let means = &self.stats.means;
         let stds = &self.stats.stds;
-        Ok(data.map_rows_with(data.cols(), policy, |_, row, out| {
+        let cols = data.cols();
+        Ok(data.map_rows_with(cols, 2 * cols, policy, |_, row, out| {
             for (j, (o, &x)) in out.iter_mut().zip(row).enumerate() {
                 let std = if stds[j] > 0.0 { stds[j] } else { 1.0 };
                 *o = (x - means[j]) / std;
@@ -250,7 +251,7 @@ mod tests {
         let s = Standardizer::fit(&d).unwrap();
         let serial = s.transform_with(&d, &ParallelPolicy::serial()).unwrap();
         for threads in [2, 4] {
-            let policy = ParallelPolicy::new(threads).with_min_rows_per_thread(1);
+            let policy = ParallelPolicy::eager(threads);
             let par = s.transform_with(&d, &policy).unwrap();
             let same = serial
                 .as_slice()

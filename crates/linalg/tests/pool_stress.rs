@@ -95,7 +95,7 @@ fn many_threads_running_pooled_kernels_concurrently() {
     let reference = data
         .matmul_with(&weights, &ParallelPolicy::serial())
         .unwrap();
-    let pooled = ParallelPolicy::new(4).with_min_rows_per_thread(1);
+    let pooled = ParallelPolicy::eager(4);
     std::thread::scope(|s| {
         for _ in 0..6 {
             let (data, weights, reference, pooled) = (&data, &weights, &reference, &pooled);
@@ -224,9 +224,9 @@ fn mixed_dispatch_nesting_cannot_deadlock() {
     let mut rng = rand_seed();
     let m = Matrix::random_normal(8, 5, 0.0, 1.0, &mut rng);
     let w = Matrix::random_normal(5, 3, 0.0, 1.0, &mut rng);
-    let pooled = ParallelPolicy::new(2).with_min_rows_per_thread(1);
+    let pooled = ParallelPolicy::eager(2);
     let reference = m.matmul_with(&w, &ParallelPolicy::serial()).unwrap();
-    let out = m.map_rows_with(3, &pooled, |i, _, out_row| {
+    let out = m.map_rows_with(3, m.cols() * 3, &pooled, |i, _, out_row| {
         // Plain scoped threads: not pool workers...
         let inner = std::thread::scope(|s| {
             // ...yet they submit pooled work again.
@@ -247,15 +247,15 @@ fn pooled_kernel_panic_propagates_and_the_global_pool_survives() {
     // the calling thread, and the process-global pool must keep serving
     // kernels afterwards.
     let m = Matrix::from_fn(32, 4, |i, j| (i + j) as f64);
-    let pooled = ParallelPolicy::new(4).with_min_rows_per_thread(1);
+    let pooled = ParallelPolicy::eager(4);
     let result = catch_unwind(AssertUnwindSafe(|| {
-        m.map_rows_with(4, &pooled, |i, row, out| {
+        m.map_rows_with(4, 4, &pooled, |i, row, out| {
             assert!(i < 16, "deliberate kernel panic on row {i}");
             out.copy_from_slice(row);
         })
     }));
     assert!(result.is_err(), "row-closure panic must reach the caller");
-    let doubled = m.map_rows_with(4, &pooled, |_, row, out| {
+    let doubled = m.map_rows_with(4, 4, &pooled, |_, row, out| {
         for (o, &x) in out.iter_mut().zip(row) {
             *o = 2.0 * x;
         }
@@ -348,10 +348,12 @@ fn ragged_row_costs_are_bitwise_identical_across_dispatch_and_chunking() {
             }
         }
     };
-    let reference = data.map_rows_with(WIDTH, &ParallelPolicy::serial(), ragged);
+    // The cost hint is the one the chunk sizes are pinned under.
+    let row_cost = WIDTH + WIDTH;
+    let reference = data.map_rows_with(WIDTH, row_cost, &ParallelPolicy::serial(), ragged);
     for threads in [1usize, 2, 4, 8] {
-        let policy = ParallelPolicy::new(threads).with_min_rows_per_thread(1);
-        let out = data.map_rows_with(WIDTH, &policy, ragged);
+        let policy = ParallelPolicy::eager(threads);
+        let out = data.map_rows_with(WIDTH, row_cost, &policy, ragged);
         assert!(bitwise_eq(&out, &reference), "threads {threads}");
     }
 }

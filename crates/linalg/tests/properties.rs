@@ -29,8 +29,8 @@ fn matmul_pair() -> impl Strategy<Value = (Matrix, Matrix)> {
     })
 }
 
-/// Like [`matmul_pair`] but with row counts large enough to cross the
-/// serial/parallel cutover and give every thread multiple rows.
+/// Like [`matmul_pair`] but with row counts large enough to give every
+/// thread of an eager policy multiple rows.
 fn large_matmul_pair() -> impl Strategy<Value = (Matrix, Matrix)> {
     (1..40usize, 1..12usize, 1..12usize).prop_flat_map(|(n, k, m)| {
         let a = proptest::collection::vec(-5.0..5.0f64, n * k)
@@ -41,17 +41,18 @@ fn large_matmul_pair() -> impl Strategy<Value = (Matrix, Matrix)> {
     })
 }
 
-/// Policies covering thread counts 1–8 and cutovers around the partition
-/// boundaries (including `min_rows_per_thread` values that force serial
-/// execution for most shapes — the cutover itself is under test). Every
+/// Policies covering thread counts 1–8, eager (every call fans out) or,
+/// one time in nine, the shipping work floor, which keeps every generated
+/// shape inline — the serial path through the parallel entry points. Every
 /// bitwise-identity property below therefore holds across the
 /// {serial, pooled} grid.
 fn policy_strategy() -> impl Strategy<Value = ParallelPolicy> {
-    (1..=8usize, 1..=9usize).prop_map(|(threads, min_rows)| {
-        // 9 maps to a cutover larger than any generated row count,
-        // forcing the serial path through the parallel entry points.
-        let min_rows = if min_rows == 9 { 64 } else { min_rows };
-        ParallelPolicy::new(threads).with_min_rows_per_thread(min_rows)
+    (1..=8usize, 1..=9usize).prop_map(|(threads, pick)| {
+        if pick == 9 {
+            ParallelPolicy::new(threads)
+        } else {
+            ParallelPolicy::eager(threads)
+        }
     })
 }
 
@@ -71,11 +72,11 @@ fn tailed_matmul_pair() -> impl Strategy<Value = (Matrix, Matrix)> {
 }
 
 /// The serial reference plus pooled policies at several thread counts,
-/// with an eager cutover so they really fan out on the generated shapes.
+/// eager so they really fan out on the generated shapes.
 fn policy_grid() -> Vec<ParallelPolicy> {
     let mut grid = vec![ParallelPolicy::serial()];
     for threads in [2, 4, 8] {
-        grid.push(ParallelPolicy::new(threads).with_min_rows_per_thread(1));
+        grid.push(ParallelPolicy::eager(threads));
     }
     grid
 }
@@ -225,13 +226,13 @@ proptest! {
                 *o = sigmoid(x);
             }
         };
-        let serial_map = m.map_rows_with(cols, &ParallelPolicy::serial(), fused);
-        let parallel_map = m.map_rows_with(cols, &policy, fused);
+        let serial_map = m.map_rows_with(cols, cols, &ParallelPolicy::serial(), fused);
+        let parallel_map = m.map_rows_with(cols, cols, &policy, fused);
         prop_assert!(bitwise_eq(&serial_map, &parallel_map));
 
         let norm = |_: usize, row: &[f64]| row.iter().map(|x| x * x).sum::<f64>().sqrt();
-        let serial_reduce = m.reduce_rows_with(&ParallelPolicy::serial(), norm);
-        let parallel_reduce = m.reduce_rows_with(&policy, norm);
+        let serial_reduce = m.reduce_rows_with(cols, &ParallelPolicy::serial(), norm);
+        let parallel_reduce = m.reduce_rows_with(cols, &policy, norm);
         let same = serial_reduce
             .iter()
             .zip(&parallel_reduce)
@@ -263,8 +264,8 @@ proptest! {
         let mm_ref = a.matmul_with(&b, &reference).unwrap();
         let tr_ref = a.matmul_transpose_right_with(&bt, &reference).unwrap();
         let tl_ref = a.matmul_transpose_left_with(&h, &reference).unwrap();
-        let map_ref = a.map_rows_with(cols, &reference, fused);
-        let red_ref = a.reduce_rows_with(&reference, |_, row| row.iter().map(|x| x * x).sum());
+        let map_ref = a.map_rows_with(cols, cols, &reference, fused);
+        let red_ref = a.reduce_rows_with(cols, &reference, |_, row| row.iter().map(|x| x * x).sum());
         for policy in policy_grid() {
             prop_assert!(
                 bitwise_eq(&mm_ref, &a.matmul_with(&b, &policy).unwrap()),
@@ -279,10 +280,11 @@ proptest! {
                 "transpose_left {policy:?}"
             );
             prop_assert!(
-                bitwise_eq(&map_ref, &a.map_rows_with(cols, &policy, fused)),
+                bitwise_eq(&map_ref, &a.map_rows_with(cols, cols, &policy, fused)),
                 "map_rows {policy:?}"
             );
-            let red: Vec<f64> = a.reduce_rows_with(&policy, |_, row| row.iter().map(|x| x * x).sum());
+            let red: Vec<f64> =
+                a.reduce_rows_with(cols, &policy, |_, row| row.iter().map(|x| x * x).sum());
             prop_assert!(
                 red_ref.iter().zip(&red).all(|(x, y)| x.to_bits() == y.to_bits()),
                 "reduce_rows {policy:?}"
@@ -315,22 +317,6 @@ proptest! {
                 same_bits(&tr, &a.matmul_transpose_right_with(&c, &policy).unwrap()),
                 "transpose_right {policy:?}"
             );
-        }
-    }
-
-    #[test]
-    fn cutover_boundary_keeps_results_identical(
-        (a, b) in large_matmul_pair(),
-        threads in 2..=8usize,
-    ) {
-        // Pin min_rows_per_thread exactly at / around the row count so the
-        // serial<->parallel decision flips within one test case.
-        let n = a.rows();
-        let serial = a.matmul_with(&b, &ParallelPolicy::serial()).unwrap();
-        for min_rows in [n.saturating_sub(1).max(1), n, n + 1] {
-            let policy = ParallelPolicy::new(threads).with_min_rows_per_thread(min_rows);
-            let parallel = a.matmul_with(&b, &policy).unwrap();
-            prop_assert!(bitwise_eq(&serial, &parallel), "min_rows {min_rows}");
         }
     }
 
@@ -420,7 +406,7 @@ fn adaptive_single_row_chunks_are_bitwise_identical() {
     let mut random =
         |rows: usize, cols: usize| Matrix::random_normal(rows, cols, 0.0, 1.0, &mut rng);
     let serial = ParallelPolicy::serial();
-    let pooled = ParallelPolicy::new(4).with_min_rows_per_thread(1);
+    let pooled = ParallelPolicy::eager(4);
     let w = random(128, 128);
     let wide = random(8, 8192);
     let widest = random(8, 16384);
@@ -457,13 +443,40 @@ fn adaptive_single_row_chunks_are_bitwise_identical() {
         }
     }
     assert!(bitwise_eq(
-        &wide.map_rows_with(8192, &serial, sigmoid),
-        &wide.map_rows_with(8192, &pooled, sigmoid),
+        &wide.map_rows_with(8192, 8192 + 8192, &serial, sigmoid),
+        &wide.map_rows_with(8192, 8192 + 8192, &pooled, sigmoid),
     ));
-    let reference = widest.reduce_rows_with(&serial, square_sum);
-    let out = widest.reduce_rows_with(&pooled, square_sum);
+    let reference = widest.reduce_rows_with(16384, &serial, square_sum);
+    let out = widest.reduce_rows_with(16384, &pooled, square_sum);
     assert!(reference
         .iter()
         .zip(&out)
         .all(|(x, y)| x.to_bits() == y.to_bits()));
+}
+
+/// The shipping rule's serial/pooled decision flips at the work floor:
+/// products at one row below, at and above the first row count
+/// [`ParallelPolicy::effective_threads`] fans out, on the register tile
+/// (12 wide) and the row-streaming path (64 wide), equal serial to the bit.
+#[test]
+fn cutover_boundary_keeps_results_identical() {
+    let mut rng = <rand_chacha::ChaCha8Rng as rand::SeedableRng>::seed_from_u64(37);
+    for (k, m) in [(256, 12), (64, 64)] {
+        let b = Matrix::random_normal(k, m, 0.0, 1.0, &mut rng);
+        for threads in [2, 4] {
+            let policy = ParallelPolicy::new(threads);
+            let flip = (1..)
+                .find(|&n| policy.effective_threads(n, k * m) > 1)
+                .expect("some row count fans out");
+            for n in [flip - 1, flip, flip + 1] {
+                let a = Matrix::random_normal(n, k, 0.0, 1.0, &mut rng);
+                let serial = a.matmul_with(&b, &ParallelPolicy::serial()).unwrap();
+                let pooled = a.matmul_with(&b, &policy).unwrap();
+                assert!(
+                    bitwise_eq(&serial, &pooled),
+                    "{n}x{k}·{k}x{m} at {threads} threads"
+                );
+            }
+        }
+    }
 }

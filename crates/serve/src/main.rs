@@ -26,11 +26,10 @@
 //! One linalg policy per process: `export`, `retrain` and `serve` install
 //! it before any work starts, from `--threads N`, else
 //! `SLS_PARALLEL_THREADS`, else one thread per core (`0`). `threads` turns
-//! fan-out on and sets the chunk count of a large kernel call (about four
-//! per thread); the caller and the persistent worker pool, which `serve`
-//! starts at bind time, claim the chunks. The cutover,
-//! `SLS_PARALLEL_MIN_ROWS`, carries over from the environment. Results are
-//! bitwise identical for every policy.
+//! fan-out on and sets the chunk count of a kernel call with enough work to
+//! split (about four per thread); the caller and the persistent worker
+//! pool, which `serve` starts at bind time, claim the chunks. Smaller calls
+//! run inline. Results are bitwise identical for every policy.
 //!
 //! Connection handling, the same four flags on `serve` and `route`:
 //! `--keepalive-timeout-ms` bounds how long an idle connection is held
@@ -143,14 +142,12 @@ fn parse_flags(args: &[String], allowed: &[&str]) -> Result<BTreeMap<String, Str
 }
 
 /// Installs the process's one parallel policy, before anything reads it:
-/// `--threads N`, else `SLS_PARALLEL_THREADS`, else one thread per core,
-/// keeping the environment's cutover (`SLS_PARALLEL_MIN_ROWS`). Everything
-/// downstream reads it back through [`ParallelPolicy::global`].
+/// `--threads N`, else `SLS_PARALLEL_THREADS`, else one thread per core.
+/// Everything downstream reads it back through [`ParallelPolicy::global`].
 fn install_parallel_policy(flags: &BTreeMap<String, String>) -> Result<ParallelPolicy, String> {
-    let env = ParallelPolicy::global();
-    let env_threads = std::env::var_os(sls_linalg::ENV_THREADS).map_or(0, |_| env.threads);
-    let policy = ParallelPolicy::new(parsed(flags, "threads", env_threads)?)
-        .with_min_rows_per_thread(env.min_rows_per_thread);
+    let env_threads =
+        std::env::var_os(sls_linalg::ENV_THREADS).map_or(0, |_| ParallelPolicy::global().threads);
+    let policy = ParallelPolicy::new(parsed(flags, "threads", env_threads)?);
     ParallelPolicy::set_global(policy);
     Ok(policy)
 }

@@ -477,7 +477,7 @@ mod tests {
             .assign_with(&rows, &ParallelPolicy::serial())
             .unwrap();
         for threads in [2, 4] {
-            let policy = ParallelPolicy::new(threads).with_min_rows_per_thread(1);
+            let policy = ParallelPolicy::eager(threads);
             let par = compact.features_with(&rows, &policy).unwrap();
             let same = serial
                 .as_slice()

@@ -1105,12 +1105,7 @@ mod tests {
         for path in ["/v1/models/demo/features", "/v1/models/demo/assign"] {
             let request = request("POST", path, body);
             let serial = route_live(&live, &request, &ParallelPolicy::serial(), None);
-            let parallel = route_live(
-                &live,
-                &request,
-                &ParallelPolicy::new(4).with_min_rows_per_thread(1),
-                None,
-            );
+            let parallel = route_live(&live, &request, &ParallelPolicy::eager(4), None);
             assert_eq!(serial, parallel, "path {path}");
             assert_eq!(serial.0, 200);
         }
@@ -1233,7 +1228,7 @@ mod tests {
         // sharing one linalg worker pool.
         let server = Server::bind("127.0.0.1:0", Arc::new(live()))
             .unwrap()
-            .with_parallel(ParallelPolicy::new(4).with_min_rows_per_thread(1));
+            .with_parallel(ParallelPolicy::eager(4));
         let addr = server.local_addr().unwrap();
         let handle = server.start().unwrap();
         let client = crate::Client::new(addr);

@@ -123,7 +123,7 @@ fn feature_bits(body: &str) -> Vec<Vec<u64>> {
 fn batched_responses_are_bitwise_identical_across_policies() {
     let registry = LiveRegistry::new(registry());
     for (label, threads) in [("2 threads", 2), ("4 threads", 4)] {
-        let parallel = ParallelPolicy::new(threads).with_min_rows_per_thread(1);
+        let parallel = ParallelPolicy::eager(threads);
         let handle = start(parallel);
         let client = Client::new(handle.addr());
         let workers = 8usize;
@@ -174,7 +174,7 @@ fn batched_responses_are_bitwise_identical_across_policies() {
 #[test]
 fn mixed_models_and_endpoints_never_leak_rows() {
     let registry = LiveRegistry::new(registry());
-    let handle = start(ParallelPolicy::new(4).with_min_rows_per_thread(1));
+    let handle = start(ParallelPolicy::eager(4));
     let client = Client::new(handle.addr());
     let workers = 12usize;
     let barrier = Barrier::new(workers);

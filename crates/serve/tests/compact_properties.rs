@@ -37,12 +37,12 @@ impl Case {
     }
 }
 
-/// The serial reference plus pooled policies with an eager cutover, so
+/// The serial reference plus eager pooled policies, so
 /// they really fan out on the generated row counts.
 fn policy_grid() -> Vec<ParallelPolicy> {
     let mut grid = vec![ParallelPolicy::serial()];
     for threads in [2, 4] {
-        grid.push(ParallelPolicy::new(threads).with_min_rows_per_thread(1));
+        grid.push(ParallelPolicy::eager(threads));
     }
     grid
 }
