@@ -8,7 +8,7 @@
 //! sls-serve serve --dir artifacts --addr 127.0.0.1:7878 &
 //! cargo run --release -p sls-bench --bin loadgen -- \
 //!     --addr 127.0.0.1:7878 --model quick_demo --requests 400 --concurrency 100 \
-//!     --keep-alive 1 --batch-report 1 --artifact artifacts/quick_demo.json
+//!     --keep-alive 1 --artifact artifacts/quick_demo.json
 //! ```
 //!
 //! Requests cycle a fixed pool of deterministic row batches whose expected
@@ -17,7 +17,7 @@
 //! otherwise. Any response that is not bitwise identical (`f64::to_bits`)
 //! to its reference counts as an error, and any error (mismatch, transport
 //! failure, non-2xx status) exits non-zero, so CI can use the run both as a
-//! smoke gate and as a batching-identity check.
+//! smoke gate and as a bitwise-identity check.
 //!
 //! In-process references follow the server's serving representation: the
 //! `/v1/models` listing says whether the target is compact (f32-quantized),
@@ -27,9 +27,7 @@
 //!
 //! Every request goes to the `/v1/...` API, so the same run works against
 //! `sls-serve serve` and `sls-serve route`. `--keep-alive 1` gives every
-//! worker one reused connection instead of a connection per request;
-//! `--batch-report 1` samples `GET /v1/admin/statz` around the run and
-//! prints what the server's cross-request micro-batcher did.
+//! worker one reused connection instead of a connection per request.
 //!
 //! `--requests`, `--concurrency` and `--rows` must be at least 1, and a
 //! flag given twice is an error: both exit non-zero, naming the flag,
@@ -39,7 +37,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use sls_linalg::{Matrix, ParallelPolicy};
 use sls_rbm_core::PipelineArtifact;
-use sls_serve::{BatchStatsResponse, Client, Connection, LatencySummary, ServingModel};
+use sls_serve::{Client, Connection, LatencySummary, ServingModel};
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::ToSocketAddrs;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -48,7 +46,7 @@ use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage: loadgen [--addr HOST:PORT] [--model NAME] [--requests N] \
 [--concurrency N] [--rows N] [--mode features|assign|mix] [--seed N] \
-[--keep-alive 0|1] [--batch-report 0|1] [--artifact PATH] [--compact 0|1]";
+[--keep-alive 0|1] [--artifact PATH] [--compact 0|1]";
 
 /// How many distinct row batches the workers cycle through. Small enough to
 /// precompute references cheaply, large enough that concurrent in-flight
@@ -64,7 +62,6 @@ struct Options {
     mode: Mode,
     seed: u64,
     keep_alive: bool,
-    batch_report: bool,
     artifact: Option<String>,
     /// Expected serving representation; `None` trusts the `/v1/models`
     /// listing.
@@ -122,7 +119,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         mode: Mode::Mix,
         seed: 2023,
         keep_alive: false,
-        batch_report: false,
         artifact: None,
         compact: None,
     };
@@ -158,7 +154,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 };
             }
             "--keep-alive" => options.keep_alive = parse_bool(flag, value)?,
-            "--batch-report" => options.batch_report = parse_bool(flag, value)?,
             "--artifact" => options.artifact = Some(value.clone()),
             "--compact" => options.compact = Some(parse_bool(flag, value)?),
             other => return Err(format!("unknown flag `{other}`\n{USAGE}")),
@@ -225,7 +220,7 @@ fn build_references(
             .collect();
     }
     // No artifact: one serial warm-up request per payload defines the
-    // reference the concurrent (and possibly batched) run must reproduce.
+    // reference the concurrent run must reproduce.
     pool.into_iter()
         .map(|rows| {
             let features = client
@@ -249,13 +244,6 @@ fn build_references(
             })
         })
         .collect()
-}
-
-/// Fetches the server's micro-batching counters.
-fn fetch_statz(client: &Client) -> Result<BatchStatsResponse, String> {
-    client
-        .statz()
-        .map_err(|e| format!("GET /v1/admin/statz failed: {e}"))
 }
 
 fn verify_features(reference: &Reference, answered: &[Vec<f64>]) -> Result<(), String> {
@@ -369,12 +357,6 @@ fn run(options: &Options) -> Result<(), String> {
             "warm-up HTTP"
         }
     );
-    let statz_before = if options.batch_report {
-        Some(fetch_statz(&client)?)
-    } else {
-        None
-    };
-
     // Per-endpoint latency samples and error messages, appended by workers.
     let samples: Mutex<BTreeMap<&'static str, Vec<Duration>>> = Mutex::new(BTreeMap::new());
     let errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
@@ -474,22 +456,6 @@ fn run(options: &Options) -> Result<(), String> {
         connections_opened.load(Ordering::Relaxed),
         errors.len()
     );
-    if let Some(before) = statz_before {
-        let after = fetch_statz(&client)?;
-        println!(
-            "batch-report: window_us={} max_batch_rows={} batches=+{} batched_requests=+{} \
-             batched_rows=+{} largest_batch={} largest_batch_rows={}",
-            after.window_us,
-            after.max_batch_rows,
-            after.batches.saturating_sub(before.batches),
-            after
-                .batched_requests
-                .saturating_sub(before.batched_requests),
-            after.batched_rows.saturating_sub(before.batched_rows),
-            after.largest_batch,
-            after.largest_batch_rows,
-        );
-    }
     if !errors.is_empty() {
         for message in errors.iter().take(5) {
             eprintln!("error: {message}");
@@ -550,6 +516,12 @@ mod tests {
     fn v1_is_an_unknown_flag() {
         let err = rejection(&["--v1", "1"]);
         assert!(err.contains("unknown flag `--v1`"), "{err}");
+    }
+
+    #[test]
+    fn batch_report_is_an_unknown_flag() {
+        let err = rejection(&["--batch-report", "1"]);
+        assert!(err.contains("unknown flag `--batch-report`"), "{err}");
     }
 
     #[test]

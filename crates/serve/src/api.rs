@@ -3,7 +3,7 @@
 //!
 //! ## Decoding `rows` bodies
 //!
-//! [`decode_rows`] turns a `/features` or `/assign` body into the batch
+//! [`decode_rows`] turns a `/features` or `/assign` body into the request
 //! [`Matrix`] in one pass: the numbers of `{"rows":[[num,…],…]}` go
 //! straight into the matrix's flat buffer, with no `Value` tree and no
 //! `Vec<Vec<f64>>`. A body of at least [`MIN_BAND_BYTES`] per band is cut
@@ -70,7 +70,7 @@ impl RowsError {
 /// bodies decode inline.
 pub const MIN_BAND_BYTES: usize = 32 * 1024;
 
-/// Decodes a `{"rows":[[f64,...],...]}` body into the batch matrix.
+/// Decodes a `{"rows":[[f64,...],...]}` body into the request matrix.
 ///
 /// Refusals, checked in this order: a body that is not JSON of that shape
 /// (`invalid_body`), no rows or ragged rows (`bad_row_width`), then the
@@ -341,75 +341,16 @@ pub struct ErrorResponse {
     pub code: String,
 }
 
-/// Body of `GET /v1/admin/statz`: the cross-request micro-batching
-/// configuration and lifetime counters of the serving process.
+/// Body of `GET /v1/admin/statz` on a serving node: the live registry's
+/// counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BatchStatsResponse {
-    /// Configured collection window in microseconds (`0` = coalescing off).
-    pub window_us: u64,
-    /// Row cap per fused batch.
-    pub max_batch_rows: usize,
-    /// Fused batches launched through the coalescing window.
-    pub batches: u64,
-    /// Requests that went through those batches.
-    pub batched_requests: u64,
-    /// Total rows fused through those batches.
-    pub batched_rows: u64,
-    /// Most requests ever fused into one batch.
-    pub largest_batch: u64,
-    /// Most rows ever fused into one batch.
-    pub largest_batch_rows: u64,
+pub struct StatzResponse {
     /// Current registry generation (starts at 1, bumps on every swap).
     pub generation: u64,
     /// Successful hot swaps since the process started.
     pub registry_swaps: u64,
     /// Reload attempts that were rejected without swapping.
     pub failed_reloads: u64,
-}
-
-impl BatchStatsResponse {
-    /// Builds the response for an optional batcher (`None` reports the
-    /// all-zero disabled shape).
-    pub fn describe(batcher: Option<&crate::batch::Batcher>) -> Self {
-        let Some(batcher) = batcher else {
-            return Self {
-                window_us: 0,
-                max_batch_rows: 0,
-                batches: 0,
-                batched_requests: 0,
-                batched_rows: 0,
-                largest_batch: 0,
-                largest_batch_rows: 0,
-                generation: 1,
-                registry_swaps: 0,
-                failed_reloads: 0,
-            };
-        };
-        let config = batcher.config();
-        let stats = batcher.stats();
-        Self {
-            window_us: u64::try_from(config.window.as_micros()).unwrap_or(u64::MAX),
-            max_batch_rows: config.max_rows,
-            batches: stats.batches,
-            batched_requests: stats.batched_requests,
-            batched_rows: stats.batched_rows,
-            largest_batch: stats.largest_batch,
-            largest_batch_rows: stats.largest_batch_rows,
-            generation: 1,
-            registry_swaps: 0,
-            failed_reloads: 0,
-        }
-    }
-
-    /// Fills in the live-registry counters (the plain `describe` defaults to
-    /// generation 1 with zero swaps, matching a server without hot reload).
-    #[must_use]
-    pub fn with_registry(mut self, generation: u64, swaps: u64, failed_reloads: u64) -> Self {
-        self.generation = generation;
-        self.registry_swaps = swaps;
-        self.failed_reloads = failed_reloads;
-        self
-    }
 }
 
 /// Per-artifact outcome inside a `POST /v1/admin/reload` response.
@@ -749,34 +690,6 @@ mod tests {
         let json = serde_json::to_string(&resp).unwrap();
         let back: ReloadResponse = serde_json::from_str(&json).unwrap();
         assert_eq!(back, resp);
-    }
-
-    #[test]
-    fn batch_stats_describe_none_is_all_zero() {
-        let stats = BatchStatsResponse::describe(None);
-        assert_eq!(stats.window_us, 0);
-        assert_eq!(stats.max_batch_rows, 0);
-        assert_eq!(stats.batches, 0);
-        let json = serde_json::to_string(&stats).unwrap();
-        let back: BatchStatsResponse = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, stats);
-    }
-
-    #[test]
-    fn batch_stats_describe_echoes_config() {
-        let batcher = crate::batch::Batcher::new(crate::batch::BatchConfig {
-            window: std::time::Duration::from_micros(300),
-            max_rows: 128,
-        });
-        let stats = BatchStatsResponse::describe(Some(&batcher));
-        assert_eq!(stats.window_us, 300);
-        assert_eq!(stats.max_batch_rows, 128);
-        assert_eq!(stats.batched_requests, 0);
-        assert_eq!(stats.generation, 1);
-        let live = stats.with_registry(4, 3, 1);
-        assert_eq!(live.generation, 4);
-        assert_eq!(live.registry_swaps, 3);
-        assert_eq!(live.failed_reloads, 1);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! [`Connection`] — `Client` delegates through a single-shot connection.
 
 use crate::api::{
-    AssignResponse, BatchStatsResponse, DrainResponse, FeaturesResponse, HealthResponse,
-    ModelsResponse, ReloadResponse, RowsRequest,
+    AssignResponse, DrainResponse, FeaturesResponse, HealthResponse, ModelsResponse,
+    ReloadResponse, RowsRequest, StatzResponse,
 };
 use crate::http::{read_response_meta, write_request_keep_alive, Response};
 use crate::{Result, ServeError};
@@ -116,7 +116,7 @@ impl Client {
     /// # Errors
     ///
     /// Connection, framing, status and decoding errors.
-    pub fn statz(&self) -> Result<BatchStatsResponse> {
+    pub fn statz(&self) -> Result<StatzResponse> {
         self.once().statz()
     }
 
@@ -305,7 +305,7 @@ impl Connection {
     /// # Errors
     ///
     /// Connection, framing, status and decoding errors.
-    pub fn statz(&mut self) -> Result<BatchStatsResponse> {
+    pub fn statz(&mut self) -> Result<StatzResponse> {
         self.get_json("/v1/admin/statz")
     }
 

@@ -17,12 +17,9 @@
 //! * [`server`] — `std::net::TcpListener` + one acceptor thread handing
 //!   each connection to its own handler thread; HTTP/1.1 keep-alive with
 //!   pipelining, bodies framed by `Content-Length` and bounded before
-//!   buffering. Rows within a request are micro-batched through one
-//!   matrix multiply.
+//!   buffering. All of a request's rows run through one matrix product,
+//!   and each request computes on its own, never waiting for another.
 //!   [`route_live`] runs the same routing in process, without sockets.
-//! * [`batch`] — the cross-request micro-batcher: concurrent requests for
-//!   the same model coalesce into one fused launch inside a configurable
-//!   latency window, bitwise identical to serving them one by one.
 //! * [`client`] — a blocking client for the same API ([`Client`] per-request
 //!   connections, [`Connection`] keep-alive reuse), used by the integration
 //!   tests and the `loadgen` benchmark binary in `sls-bench`.
@@ -90,7 +87,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod api;
-pub mod batch;
 pub mod client;
 mod error;
 pub mod http;
@@ -102,19 +98,18 @@ pub mod server;
 pub mod stats;
 
 pub use api::{
-    AssignResponse, BatchStatsResponse, DrainResponse, ErrorResponse, FeaturesResponse,
-    HealthResponse, ModelInfo, ModelLoadResult, ModelsResponse, ReloadResponse,
-    ReplicaReloadResult, ReplicaStatz, RouterDrainResponse, RouterHealthResponse,
-    RouterReloadResponse, RouterStatzResponse, RowsRequest,
+    AssignResponse, DrainResponse, ErrorResponse, FeaturesResponse, HealthResponse, ModelInfo,
+    ModelLoadResult, ModelsResponse, ReloadResponse, ReplicaReloadResult, ReplicaStatz,
+    RouterDrainResponse, RouterHealthResponse, RouterReloadResponse, RouterStatzResponse,
+    RowsRequest, StatzResponse,
 };
-pub use batch::{BatchConfig, BatchOutput, BatchStats, Batcher, Endpoint};
 pub use client::{Client, Connection};
 pub use error::ServeError;
 pub use live::{LiveRegistry, RegistryGeneration, ReloadOutcome};
 pub use registry::{ModelRegistry, ServingModel};
 pub use retrain::{retrain, write_synthetic_csv, RetrainOptions, RetrainOutcome};
 pub use router::{replica_rank, Router, RouterConfig};
-pub use server::{route_live, ServeOptions, Server, ServerHandle};
+pub use server::{route_live, BatchConfig, Batcher, ServeOptions, Server, ServerHandle};
 pub use stats::LatencySummary;
 
 /// Result alias used across the crate.

@@ -6,10 +6,9 @@
 //! the lock — no I/O, parsing or model math ever happens under it, so the
 //! request hot path never blocks on a reload. Each swap installs a complete
 //! new [`RegistryGeneration`] with a monotonically increasing generation
-//! number; requests (and open micro-batch slots) that already resolved a
-//! generation keep their `Arc`, so a swap can never tear a batch or fail an
-//! in-flight request — the old generation simply drains and frees itself
-//! when its last holder finishes.
+//! number; requests that already resolved a generation keep their `Arc`,
+//! so a swap can never tear or fail an in-flight request — the old
+//! generation simply drains and frees itself when its last holder finishes.
 //!
 //! Reloads are **atomic per generation**: every artifact in the directory
 //! must parse and validate or nothing swaps. A corrupt file leaves the old

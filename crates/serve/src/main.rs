@@ -8,7 +8,6 @@
 //! sls-serve serve  --dir artifacts [--addr 127.0.0.1:7878]
 //!                  [--threads N] [--keepalive-timeout-ms N]
 //!                  [--max-conn-requests N] [--max-body-bytes N] [--max-conns N]
-//!                  [--batch-window-us N] [--batch-max-rows N]
 //!                  [--compact 0|1] [--watch-interval-ms N]
 //! sls-serve route  --replicas HOST:PORT,HOST:PORT [--addr 127.0.0.1:7900]
 //!                  [--replication 2] [--health-interval-ms 250]
@@ -18,10 +17,9 @@
 //! `serve` and `route` each run one acceptor thread, which hands every
 //! connection to its own handler thread. Sizes and intervals that have no
 //! zero meaning (`--instances`, `--dims`, `--clusters` of `export` and
-//! `synth`, `--chunk-size`, `--sample-rows`, `--batch-max-rows`,
-//! `--replication`, `--health-interval-ms`, `--upstream-timeout-ms`) must
-//! be at least 1; a zero is rejected by name before any file is written or
-//! socket bound.
+//! `synth`, `--chunk-size`, `--sample-rows`, `--replication`,
+//! `--health-interval-ms`, `--upstream-timeout-ms`) must be at least 1; a
+//! zero is rejected by name before any file is written or socket bound.
 //!
 //! One linalg policy per process: `export`, `retrain` and `serve` install
 //! it before any work starts, from `--threads N`, else
@@ -37,12 +35,9 @@
 //! (default 1000; `1` serves one request per connection);
 //! `--max-body-bytes` caps the request body (default 16 MiB); `--max-conns`
 //! caps concurrent connections (default 1024, excess answered 503).
-//! Cross-request micro-batching: `--batch-window-us` (`0` = off, the
-//! default) coalesces concurrent same-model requests inside that window into
-//! one fused matmul, capped at `--batch-max-rows` rows (default 256) —
-//! responses stay bitwise identical to unbatched serving. Flags are the only
-//! way to set these; the environment only carries the process-wide linalg
-//! policy (`SLS_PARALLEL_*`).
+//! Flags are the only way to set these; the environment only carries the
+//! process-wide linalg policy (`SLS_PARALLEL_*`). Each request computes on
+//! its own handler thread: all of its rows through one matrix product.
 //!
 //! Registry lifecycle: `--compact 1` loads every artifact into the
 //! f32-quantized compact representation (about half the parameter bytes;
@@ -60,9 +55,7 @@ use rand_chacha::ChaCha8Rng;
 use sls_datasets::SyntheticBlobs;
 use sls_linalg::ParallelPolicy;
 use sls_rbm_core::{ModelKind, PipelineArtifact, SlsConfig, SlsPipelineConfig};
-use sls_serve::{
-    BatchConfig, LiveRegistry, RetrainOptions, Router, RouterConfig, ServeOptions, Server,
-};
+use sls_serve::{LiveRegistry, RetrainOptions, Router, RouterConfig, ServeOptions, Server};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -89,7 +82,6 @@ const USAGE: &str = "usage:
                     [--checkpoint FILE] [--stop-after-epochs N] [--has-header 0|1]
                     [--threads N]
   sls-serve serve   --dir DIR [--addr HOST:PORT] [--threads N]
-                    [--batch-window-us N] [--batch-max-rows N]
                     [--compact 0|1] [--watch-interval-ms N] CONNECTION
   sls-serve route   --replicas HOST:PORT[,HOST:PORT...] [--addr HOST:PORT]
                     [--replication N] [--health-interval-ms N]
@@ -475,8 +467,6 @@ fn run_serve(args: &[String]) -> Result<(), String> {
                 "--dir",
                 "--addr",
                 "--threads",
-                "--batch-window-us",
-                "--batch-max-rows",
                 "--compact",
                 "--watch-interval-ms",
             ][..],
@@ -499,10 +489,6 @@ fn run_serve(args: &[String]) -> Result<(), String> {
         None => false,
     };
     let watch_ms = parsed(&flags, "watch-interval-ms", 0u64)?;
-    let batch = BatchConfig {
-        window: Duration::from_micros(parsed(&flags, "batch-window-us", 0u64)?),
-        max_rows: parsed_positive(&flags, "batch-max-rows", BatchConfig::disabled().max_rows)?,
-    };
     let options = serve_options(&flags)?;
 
     let live = LiveRegistry::from_dir(&dir, compact)
@@ -526,17 +512,14 @@ fn run_serve(args: &[String]) -> Result<(), String> {
     let server = Server::bind(addr.as_str(), Arc::new(live))
         .map_err(|e| format!("bind failed: {e}"))?
         .with_watch((watch_ms > 0).then(|| Duration::from_millis(watch_ms)))
-        .with_options(options)
-        .with_batching(batch);
+        .with_options(options);
     let local = server
         .local_addr()
         .map_err(|e| format!("local address unavailable: {e}"))?;
     eprintln!(
         "serving on http://{local} with {} linalg thread(s) per request, \
-         batch window {}us, {} registry, watch {} \
-         (POST /v1/admin/reload to hot swap, Ctrl-C to stop)",
+         {} registry, watch {} (POST /v1/admin/reload to hot swap, Ctrl-C to stop)",
         parallel.threads,
-        batch.window.as_micros(),
         if compact { "compact" } else { "full" },
         if watch_ms > 0 {
             format!("every {watch_ms}ms")

@@ -1,8 +1,8 @@
 //! The HTTP JSON inference server: one acceptor thread draining a
 //! `TcpListener` into per-connection handler threads that share a
-//! hot-swappable [`LiveRegistry`] and one cross-request [`Batcher`]. The
-//! shard router ([`crate::Router`]) starts and stops through the same
-//! acceptor and the same [`ServerHandle`].
+//! hot-swappable [`LiveRegistry`]. The shard router ([`crate::Router`])
+//! starts and stops through the same acceptor and the same
+//! [`ServerHandle`].
 //!
 //! ## Endpoints
 //!
@@ -16,7 +16,7 @@
 //! | `GET` | `/v1/models` | — | `{"generation":G,"models":[{name, kind, ...}]}` |
 //! | `POST` | `/v1/models/{name}/features` | `{"rows":[[f64,...],...]}` | `{"model":name,"generation":G,"features":[[f64,...],...]}` |
 //! | `POST` | `/v1/models/{name}/assign` | `{"rows":[[f64,...],...]}` | `{"model":name,"generation":G,"assignments":[usize,...]}` |
-//! | `GET` | `/v1/admin/statz` | — | batching + registry counters, see [`BatchStatsResponse`] |
+//! | `GET` | `/v1/admin/statz` | — | registry counters, see [`StatzResponse`] |
 //! | `POST` | `/v1/admin/reload` | — | [`ReloadResponse`] — `200` swapped, `409` rejected |
 //! | `POST` | `/v1/admin/drain` | — | [`DrainResponse`] — `/v1/healthz` fails from now on |
 //!
@@ -28,13 +28,15 @@
 //!
 //! ## Request decoding
 //!
-//! An inference body is decoded once, straight into the batch matrix, by
+//! An inference body is decoded once, straight into the request matrix, by
 //! [`api::decode_rows`]: a large body is cut into row bands of at least
 //! 32 KiB, parsed on the worker pool, with the same bits for every band
 //! count, and any body not of the plain `{"rows":[[...],...]}` shape takes
 //! the generic `serde_json` path, which words the errors. JSON nested
 //! deeper than 128 levels is refused as `invalid_body` rather than
-//! recursed into.
+//! recursed into. All of a request's rows then run through one matrix
+//! product on the handler thread that read it; requests never wait for
+//! each other.
 //!
 //! ## Hot reload
 //!
@@ -54,20 +56,11 @@
 //! desynced stream cannot be trusted — the request-smuggling guard). A
 //! request carrying `Transfer-Encoding` is answered `501` and the
 //! connection closes: bodies are framed by `Content-Length` only.
-//!
-//! ## Micro-batching
-//!
-//! Rows within one request are always micro-batched through a single
-//! matrix multiply. With a batch window configured
-//! ([`BatchConfig`], `--batch-window-us`), concurrent requests for the
-//! same model are additionally coalesced into one fused launch — bitwise
-//! identical to serving them one by one (see [`crate::batch`]).
 
 use crate::api::{
-    self, code, AssignResponse, BatchStatsResponse, DrainResponse, ErrorResponse, FeaturesResponse,
-    HealthResponse, ModelInfo, ModelsResponse, ReloadResponse,
+    self, code, AssignResponse, DrainResponse, ErrorResponse, FeaturesResponse, HealthResponse,
+    ModelInfo, ModelsResponse, ReloadResponse, StatzResponse,
 };
-use crate::batch::{compute_direct, BatchConfig, BatchOutput, Batcher, Endpoint};
 use crate::http::{
     read_request_limited, write_response_keep_alive, HttpLimits, Request, RequestRead,
     MAX_BODY_BYTES,
@@ -128,17 +121,16 @@ pub struct Server {
     live: Arc<LiveRegistry>,
     parallel: ParallelPolicy,
     options: ServeOptions,
-    batch: BatchConfig,
     watch: Option<Duration>,
 }
 
 impl Server {
     /// Binds `addr` (use port `0` for an ephemeral port) to serve from
     /// `live`. The caller keeps its own `Arc` to trigger reloads or read
-    /// swap counters while the server runs. Inference micro-batches run
-    /// under the process-wide [`ParallelPolicy::global`] unless overridden
-    /// with [`Server::with_parallel`]; connection handling defaults to
-    /// [`ServeOptions::default`] and batching to [`BatchConfig::disabled`].
+    /// swap counters while the server runs. Inference runs under the
+    /// process-wide [`ParallelPolicy::global`] unless overridden with
+    /// [`Server::with_parallel`]; connection handling defaults to
+    /// [`ServeOptions::default`].
     ///
     /// When the policy can fan out, the persistent linalg [`WorkerPool`] is
     /// constructed here, at bind time: one pool, shared by every connection
@@ -157,16 +149,15 @@ impl Server {
             live,
             parallel,
             options: ServeOptions::default(),
-            batch: BatchConfig::disabled(),
             watch: None,
         })
     }
 
-    /// Sets the parallel execution policy for inference micro-batches
-    /// (the matrix multiply behind `/features` and `/assign`). Responses
-    /// are bitwise identical for every policy. A policy that can fan out
-    /// starts the shared persistent [`WorkerPool`] immediately, so the
-    /// first request never pays pool construction.
+    /// Sets the parallel execution policy for inference (the matrix
+    /// product behind `/features` and `/assign`). Responses are bitwise
+    /// identical for every policy. A policy that can fan out starts the
+    /// shared persistent [`WorkerPool`] immediately, so the first request
+    /// never pays pool construction.
     pub fn with_parallel(mut self, parallel: ParallelPolicy) -> Self {
         if !parallel.is_serial() {
             let _ = WorkerPool::global();
@@ -179,15 +170,6 @@ impl Server {
     /// body/connection limits).
     pub fn with_options(mut self, options: ServeOptions) -> Self {
         self.options = options;
-        self
-    }
-
-    /// Overrides the cross-request batching knobs (window and row cap).
-    pub fn with_batching(mut self, batch: BatchConfig) -> Self {
-        self.batch = BatchConfig {
-            max_rows: batch.max_rows.max(1),
-            ..batch
-        };
         self
     }
 
@@ -220,7 +202,6 @@ impl Server {
         let shared = Arc::new(Shared {
             live: self.live,
             parallel: self.parallel,
-            batcher: Batcher::new(self.batch),
             draining: AtomicBool::new(false),
         });
         // The registry records the directory fingerprint each load or
@@ -281,19 +262,12 @@ pub(crate) trait RequestHandler: Send + Sync + 'static {
 struct Shared {
     live: Arc<LiveRegistry>,
     parallel: ParallelPolicy,
-    batcher: Batcher,
     draining: AtomicBool,
 }
 
 impl RequestHandler for Shared {
     fn handle(&self, request: &Request) -> (u16, String) {
-        route_inner(
-            &self.live,
-            request,
-            &self.parallel,
-            Some(&self.batcher),
-            Some(&self.draining),
-        )
+        route_inner(&self.live, request, &self.parallel, Some(&self.draining))
     }
 }
 
@@ -605,10 +579,8 @@ fn handle_connection<H: RequestHandler + ?Sized>(
 /// Routes one request against the current generation of a hot-swappable
 /// registry, returning `(status, body)`: the generation is resolved exactly
 /// once, the whole request is served from that snapshot, and
-/// `POST /v1/admin/reload` is live. Inference requests go through
-/// `batcher`'s coalescing window when one is given, and
-/// `GET /v1/admin/statz` reports its counters; with `None`, every request
-/// computes directly and statz reports a disabled batcher.
+/// `POST /v1/admin/reload` is live. The fourth argument is ignored: it is
+/// kept only because the `slsbench` benchmark package passes a [`Batcher`].
 ///
 /// The same routing the server's connections run, exposed for driving it
 /// in process without sockets. `POST /v1/admin/drain` answers `409` here:
@@ -617,9 +589,34 @@ pub fn route_live(
     live: &LiveRegistry,
     request: &Request,
     parallel: &ParallelPolicy,
-    batcher: Option<&Batcher>,
+    _batcher: Option<&Batcher>,
 ) -> (u16, String) {
-    route_inner(live, request, parallel, batcher, None)
+    route_inner(live, request, parallel, None)
+}
+
+/// Holds no state and does nothing: kept only because the `slsbench`
+/// benchmark package names it, as `Batcher::new(BatchConfig::disabled())`
+/// passed to [`route_live`].
+#[derive(Debug, Clone, Copy)]
+pub struct Batcher;
+
+impl Batcher {
+    /// The stateless value; the argument is ignored.
+    pub fn new(_config: BatchConfig) -> Self {
+        Self
+    }
+}
+
+/// Holds no state: kept only because the `slsbench` benchmark package
+/// names it, as the argument of [`Batcher::new`].
+#[derive(Debug, Clone, Copy)]
+pub struct BatchConfig;
+
+impl BatchConfig {
+    /// The stateless value.
+    pub fn disabled() -> Self {
+        Self
+    }
 }
 
 /// The route table both frontends share. Splits the path (query string
@@ -681,7 +678,6 @@ fn route_inner(
     live: &LiveRegistry,
     request: &Request,
     parallel: &ParallelPolicy,
-    batcher: Option<&Batcher>,
     draining: Option<&AtomicBool>,
 ) -> (u16, String) {
     let current: Arc<RegistryGeneration> = live.current();
@@ -694,7 +690,6 @@ fn route_inner(
             endpoint,
             &request.body,
             parallel,
-            batcher,
         )
     };
     dispatch(request, |method, rest| {
@@ -712,11 +707,11 @@ fn route_inner(
             ),
             ("GET", ["admin", "statz"]) => json_body(
                 200,
-                &BatchStatsResponse::describe(batcher).with_registry(
+                &StatzResponse {
                     generation,
-                    live.swaps(),
-                    live.failed_reloads(),
-                ),
+                    registry_swaps: live.swaps(),
+                    failed_reloads: live.failed_reloads(),
+                },
             ),
             ("POST", ["admin", "reload"]) => reload(live),
             ("POST", ["admin", "drain"]) => drain(draining),
@@ -789,11 +784,20 @@ fn reload(live: &LiveRegistry) -> (u16, String) {
     )
 }
 
+/// The two inference endpoints.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Endpoint {
+    /// `POST /v1/models/{name}/features`.
+    Features,
+    /// `POST /v1/models/{name}/assign`.
+    Assign,
+}
+
 /// Shared scaffolding of the two inference endpoints: model lookup (404),
 /// body decoding ([`api::decode_rows`]) and width checks (400), then the
-/// fused or direct compute; any model error also maps to 400 since
-/// inference on an immutable artifact only fails on request-induced
-/// shape/capability mismatches.
+/// compute; any model error also maps to 400 since inference on an
+/// immutable artifact only fails on request-induced shape/capability
+/// mismatches.
 fn infer(
     registry: &ModelRegistry,
     generation: u64,
@@ -801,7 +805,6 @@ fn infer(
     endpoint: Endpoint,
     body: &str,
     parallel: &ParallelPolicy,
-    batcher: Option<&Batcher>,
 ) -> (u16, String) {
     let model = match registry.get(name) {
         Ok(model) => model,
@@ -811,9 +814,7 @@ fn infer(
         Ok(matrix) => matrix,
         Err(e) => return error_body(400, e.code, e.message),
     };
-    // Doomed requests are rejected up front: they must fail with exactly
-    // the error they would get alone, not poison a batch or inherit a
-    // batch's error, and each failure class carries its own stable code.
+    // Checked up front so each failure class carries its own stable code.
     if matrix.cols() != model.n_visible() {
         return error_body(
             400,
@@ -832,32 +833,29 @@ fn infer(
             format!("model `{name}` has no cluster head; `/assign` is unavailable"),
         );
     }
-    // Only well-shaped requests reach this point, so everything may enter
-    // the coalescing window. The generation rides in the batch key, so a
-    // swap mid-window never fuses two model versions.
-    let result = match batcher {
-        Some(batcher) => batcher.submit(&model, name, generation, endpoint, &matrix, parallel),
-        None => compute_direct(&model, endpoint, &matrix, parallel),
+    let answer = match endpoint {
+        Endpoint::Features => model.features_with(&matrix, parallel).map(|features| {
+            json_body(
+                200,
+                &FeaturesResponse {
+                    model: name.to_string(),
+                    generation,
+                    features: api::matrix_to_rows(&features),
+                },
+            )
+        }),
+        Endpoint::Assign => model.assign_with(&matrix, parallel).map(|assignments| {
+            json_body(
+                200,
+                &AssignResponse {
+                    model: name.to_string(),
+                    generation,
+                    assignments,
+                },
+            )
+        }),
     };
-    match result {
-        Ok(BatchOutput::Features(features)) => json_body(
-            200,
-            &FeaturesResponse {
-                model: name.to_string(),
-                generation,
-                features,
-            },
-        ),
-        Ok(BatchOutput::Assign(assignments)) => json_body(
-            200,
-            &AssignResponse {
-                model: name.to_string(),
-                generation,
-                assignments,
-            },
-        ),
-        Err(message) => error_body(400, code::INFERENCE_FAILED, message),
-    }
+    answer.unwrap_or_else(|e| error_body(400, code::INFERENCE_FAILED, e.to_string()))
 }
 
 pub(crate) fn json_body<T: Serialize>(status: u16, value: &T) -> (u16, String) {
@@ -916,7 +914,7 @@ mod tests {
         LiveRegistry::new(registry())
     }
 
-    /// Serial routing without a batcher.
+    /// Serial routing.
     fn route(live: &LiveRegistry, request: &Request) -> (u16, String) {
         route_live(live, request, &ParallelPolicy::serial(), None)
     }
@@ -951,39 +949,28 @@ mod tests {
     }
 
     #[test]
-    fn statz_reports_batcher_counters() {
-        // Without a batcher: the disabled shape.
-        let (status, body) = route(&live(), &request("GET", "/v1/admin/statz", ""));
-        assert_eq!(status, 200);
-        let stats: BatchStatsResponse = serde_json::from_str(&body).unwrap();
-        assert_eq!(stats.window_us, 0);
-        assert_eq!(stats.batches, 0);
-
-        // With one: config echoed, counters live.
+    fn statz_reports_registry_counters() {
         let live = live();
-        let batcher = Batcher::new(BatchConfig {
-            window: Duration::from_micros(250),
-            max_rows: 64,
-        });
-        let body = "{\"rows\":[[0.1,0.2,0.3,0.4]]}";
-        let (status, response) = route_live(
-            &live,
-            &request("POST", "/v1/models/demo/features", body),
-            &ParallelPolicy::serial(),
-            Some(&batcher),
+        let statz = |live: &LiveRegistry| route(live, &request("GET", "/v1/admin/statz", ""));
+        assert_eq!(
+            statz(&live),
+            (
+                200,
+                r#"{"generation":1,"registry_swaps":0,"failed_reloads":0}"#.to_string()
+            )
         );
-        assert_eq!(status, 200, "{response}");
-        let (status, body) = route_live(
-            &live,
-            &request("GET", "/v1/admin/statz", ""),
-            &ParallelPolicy::serial(),
-            Some(&batcher),
+        // A bare registry rejects every reload, and statz counts it.
+        assert_eq!(
+            route(&live, &request("POST", "/v1/admin/reload", "")).0,
+            409
         );
-        assert_eq!(status, 200);
-        let stats: BatchStatsResponse = serde_json::from_str(&body).unwrap();
-        assert_eq!(stats.window_us, 250);
-        assert_eq!(stats.batches, 1);
-        assert_eq!(stats.batched_requests, 1);
+        assert_eq!(
+            statz(&live),
+            (
+                200,
+                r#"{"generation":1,"registry_swaps":0,"failed_reloads":1}"#.to_string()
+            )
+        );
     }
 
     #[test]
@@ -1001,25 +988,6 @@ mod tests {
         let assign: AssignResponse = serde_json::from_str(&response).unwrap();
         assert_eq!(assign.assignments.len(), 3);
         assert!(assign.assignments.iter().all(|&l| l < 2));
-    }
-
-    #[test]
-    fn batched_routing_answers_byte_identical_responses() {
-        // One request through the coalescing window (it just times out
-        // alone) must answer the exact bytes of the direct path.
-        let live = live();
-        let batcher = Batcher::new(BatchConfig {
-            window: Duration::from_micros(200),
-            max_rows: 64,
-        });
-        let body = "{\"rows\":[[0.1,0.2,0.3,0.4],[1.0,1.1,1.2,1.3]]}";
-        for path in ["/v1/models/demo/features", "/v1/models/demo/assign"] {
-            let request = request("POST", path, body);
-            let direct = route_live(&live, &request, &ParallelPolicy::serial(), None);
-            let batched = route_live(&live, &request, &ParallelPolicy::serial(), Some(&batcher));
-            assert_eq!(direct, batched, "path {path}");
-            assert_eq!(direct.0, 200);
-        }
     }
 
     #[test]
@@ -1061,33 +1029,6 @@ mod tests {
                 route(&live, &request("POST", "/v1/models/demo/features", body));
             assert_eq!(status, 400, "body `{body}` answered {response}");
         }
-    }
-
-    #[test]
-    fn bad_bodies_are_400_with_a_batcher_too() {
-        // The malformed-request errors must be identical whether or not a
-        // batch window is configured — doomed requests bypass coalescing.
-        let live = live();
-        let batcher = Batcher::new(BatchConfig {
-            window: Duration::from_micros(200),
-            max_rows: 64,
-        });
-        for (path, body) in [
-            ("/v1/models/demo/features", "{\"rows\":[[1.0,2.0]]}"),
-            ("/v1/models/demo/features", "not json"),
-            ("/v1/models/ghost/assign", "{\"rows\":[[1.0]]}"),
-        ] {
-            let request = request("POST", path, body);
-            let direct = route_live(&live, &request, &ParallelPolicy::serial(), None);
-            let batched = route_live(&live, &request, &ParallelPolicy::serial(), Some(&batcher));
-            assert_eq!(direct, batched, "path {path} body `{body}`");
-            assert!(!direct.1.is_empty());
-        }
-        assert_eq!(
-            batcher.stats().batches,
-            0,
-            "doomed requests must never enter the window"
-        );
     }
 
     #[test]
@@ -1202,7 +1143,7 @@ mod tests {
 
         let (_, response) =
             route_live(&live, &request("GET", "/v1/admin/statz", ""), &policy, None);
-        let stats: BatchStatsResponse = serde_json::from_str(&response).unwrap();
+        let stats: StatzResponse = serde_json::from_str(&response).unwrap();
         assert_eq!(stats.generation, 2);
         assert_eq!(stats.registry_swaps, 1);
         assert_eq!(stats.failed_reloads, 0);

@@ -101,34 +101,6 @@ fn zero_sizes_are_rejected_before_any_file_is_written() {
         assert!(!out.exists(), "retrain {flag} 0 wrote {}", out.display());
     }
 
-    let served = dir.join("served");
-    let served_arg = served.to_str().unwrap();
-    let export = sls_serve(
-        &[
-            "export",
-            "--out",
-            served_arg,
-            "--instances",
-            "30",
-            "--dims",
-            "4",
-        ],
-        None,
-    );
-    assert!(export.status.success(), "stderr: {}", stderr(&export));
-    let serve = sls_serve(
-        &[
-            "serve",
-            "--dir",
-            served_arg,
-            "--addr",
-            "127.0.0.1:0",
-            "--batch-max-rows",
-            "0",
-        ],
-        None,
-    );
-    assert_rejected(&serve, "--batch-max-rows");
     for flag in [
         "--replication",
         "--health-interval-ms",
@@ -149,6 +121,17 @@ fn zero_sizes_are_rejected_before_any_file_is_written() {
         assert_rejected(&route, flag);
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The cross-request batching flags are gone: a deployment script that
+/// still passes them fails at once, naming the flag, instead of serving
+/// without the setting it asked for.
+#[test]
+fn removed_batch_flags_fail_closed() {
+    for (flag, value) in [("--batch-window-us", "200"), ("--batch-max-rows", "256")] {
+        let serve = sls_serve(&["serve", "--addr", "127.0.0.1:0", flag, value], None);
+        assert_rejected(&serve, &format!("unknown flag `{flag}`"));
+    }
 }
 
 /// Retrains on a `synth` CSV whose first feature is `value` on data lines

@@ -4,18 +4,16 @@
 //!
 //! The centrepiece drives several keep-alive clients through `/features`
 //! and `/assign` while the main thread re-exports the artifact and swaps
-//! generations ten times with the micro-batch window forced on. Every
-//! response must decode, carry a known generation, and match — bitwise —
-//! the reference computed from the artifact that defined that generation.
+//! generations ten times. Every response must decode, carry a known
+//! generation, and match — bitwise — the reference computed from the
+//! artifact that defined that generation.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use sls_datasets::SyntheticBlobs;
 use sls_linalg::{Matrix, ParallelPolicy};
 use sls_rbm_core::{ModelKind, PipelineArtifact, RbmParams, SlsPipelineConfig};
-use sls_serve::{
-    BatchConfig, Client, LiveRegistry, ServeOptions, Server, ServerHandle, ServingModel,
-};
+use sls_serve::{Client, LiveRegistry, ServeOptions, Server, ServerHandle, ServingModel};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -94,16 +92,15 @@ fn bind_dir(dir: &PathBuf, compact: bool) -> (Server, Arc<LiveRegistry>) {
     (server, live)
 }
 
-fn start_from_dir(dir: &PathBuf, batch_window: Duration) -> (ServerHandle, Arc<LiveRegistry>) {
+/// Serves `dir` with no per-connection request cap, so only a swap could
+/// close a worker's keep-alive socket.
+fn start_from_dir(dir: &PathBuf) -> (ServerHandle, Arc<LiveRegistry>) {
     let (server, live) = bind_dir(dir, false);
-    let handle = server
-        .with_options(ServeOptions::default())
-        .with_batching(BatchConfig {
-            window: batch_window,
-            ..BatchConfig::disabled()
-        })
-        .start()
-        .expect("server starts");
+    let options = ServeOptions {
+        max_requests_per_connection: usize::MAX,
+        ..ServeOptions::default()
+    };
+    let handle = server.with_options(options).start().expect("server starts");
     (handle, live)
 }
 
@@ -125,8 +122,7 @@ fn ten_swaps_under_keep_alive_load_lose_nothing() {
         .collect();
     artifacts[0].save(&path).expect("save generation 1");
 
-    // Force the micro-batch window on so swaps land while batches are open.
-    let (handle, live) = start_from_dir(&dir, Duration::from_micros(300));
+    let (handle, live) = start_from_dir(&dir);
     let client = Client::new(handle.addr());
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -216,7 +212,7 @@ fn corrupt_artifact_keeps_old_generation_serving_over_http() {
     let v1 = train(1);
     v1.save(&path).unwrap();
 
-    let (handle, _) = start_from_dir(&dir, Duration::ZERO);
+    let (handle, _) = start_from_dir(&dir);
     let client = Client::new(handle.addr());
     let before = client.features(MODEL, &probe_rows()).expect("baseline");
 
@@ -267,7 +263,7 @@ fn pre_artifact_snapshot_is_refused_by_reload() {
     let path = dir.join(format!("{MODEL}.json"));
     train(1).save(&path).unwrap();
 
-    let (handle, _) = start_from_dir(&dir, Duration::ZERO);
+    let (handle, _) = start_from_dir(&dir);
     let client = Client::new(handle.addr());
     let before = client.features(MODEL, &probe_rows()).expect("baseline");
 
