@@ -19,11 +19,10 @@
 //! failure, non-2xx status) exits non-zero, so CI can use the run both as a
 //! smoke gate and as a bitwise-identity check.
 //!
-//! In-process references follow the server's serving representation: the
-//! `/v1/models` listing says whether the target is compact (f32-quantized),
-//! and the reference is built through the same [`ServingModel`] path.
-//! `--compact 0|1` pins the expectation instead — the run fails fast when
-//! the server disagrees, catching a fleet rolled out with the wrong flag.
+//! In-process references always come from the artifact at full precision:
+//! [`PipelineArtifact::features_with`] and
+//! [`PipelineArtifact::assign_with`] on its `f64` weights, the same calls
+//! the server answers with.
 //!
 //! Every request goes to the `/v1/...` API, so the same run works against
 //! `sls-serve serve` and `sls-serve route`. `--keep-alive 1` gives every
@@ -37,7 +36,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use sls_linalg::{Matrix, ParallelPolicy};
 use sls_rbm_core::PipelineArtifact;
-use sls_serve::{Client, Connection, LatencySummary, ServingModel};
+use sls_serve::{Client, Connection, LatencySummary};
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::ToSocketAddrs;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -46,7 +45,7 @@ use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage: loadgen [--addr HOST:PORT] [--model NAME] [--requests N] \
 [--concurrency N] [--rows N] [--mode features|assign|mix] [--seed N] \
-[--keep-alive 0|1] [--artifact PATH] [--compact 0|1]";
+[--keep-alive 0|1] [--artifact PATH]";
 
 /// How many distinct row batches the workers cycle through. Small enough to
 /// precompute references cheaply, large enough that concurrent in-flight
@@ -63,9 +62,6 @@ struct Options {
     seed: u64,
     keep_alive: bool,
     artifact: Option<String>,
-    /// Expected serving representation; `None` trusts the `/v1/models`
-    /// listing.
-    compact: Option<bool>,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -120,7 +116,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         seed: 2023,
         keep_alive: false,
         artifact: None,
-        compact: None,
     };
     let mut seen = BTreeSet::new();
     let mut iter = args.iter();
@@ -155,7 +150,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             }
             "--keep-alive" => options.keep_alive = parse_bool(flag, value)?,
             "--artifact" => options.artifact = Some(value.clone()),
-            "--compact" => options.compact = Some(parse_bool(flag, value)?),
             other => return Err(format!("unknown flag `{other}`\n{USAGE}")),
         }
         if !seen.insert(flag) {
@@ -185,13 +179,11 @@ fn build_references(
     client: &Client,
     pool: Vec<Vec<Vec<f64>>>,
     has_cluster_head: bool,
-    compact: bool,
 ) -> Result<Vec<Reference>, String> {
     let want_assign = options.mode != Mode::Features && has_cluster_head;
     if let Some(path) = &options.artifact {
-        let artifact =
+        let model =
             PipelineArtifact::load(path).map_err(|e| format!("loading `{path}` failed: {e}"))?;
-        let model = ServingModel::from_artifact(artifact, compact);
         let serial = ParallelPolicy::serial();
         return pool
             .into_iter()
@@ -304,28 +296,9 @@ fn run(options: &Options) -> Result<(), String> {
             options.model
         ));
     }
-    if let Some(expected) = options.compact {
-        if info.compact != expected {
-            return Err(format!(
-                "model `{}` is served {}, but --compact {} expects {}",
-                options.model,
-                if info.compact {
-                    "compact"
-                } else {
-                    "full-precision"
-                },
-                u8::from(expected),
-                if expected {
-                    "compact"
-                } else {
-                    "full-precision"
-                },
-            ));
-        }
-    }
     println!(
         "loadgen: {} requests x {} rows against http://{addr}/v1/models/{} \
-         ({} healthy models, concurrency {}, visible width {}, keep-alive {}, {})",
+         ({} healthy models, concurrency {}, visible width {}, keep-alive {})",
         options.requests,
         options.rows,
         options.model,
@@ -333,21 +306,10 @@ fn run(options: &Options) -> Result<(), String> {
         options.concurrency,
         info.n_visible,
         if options.keep_alive { "on" } else { "off" },
-        if info.compact {
-            "compact"
-        } else {
-            "full-precision"
-        },
     );
 
     let pool = payload_pool(options, info.n_visible);
-    let references = build_references(
-        options,
-        &client,
-        pool,
-        info.n_clusters.is_some(),
-        info.compact,
-    )?;
+    let references = build_references(options, &client, pool, info.n_clusters.is_some())?;
     println!(
         "  verifying against {} {} reference payloads",
         references.len(),
@@ -522,6 +484,12 @@ mod tests {
     fn batch_report_is_an_unknown_flag() {
         let err = rejection(&["--batch-report", "1"]);
         assert!(err.contains("unknown flag `--batch-report`"), "{err}");
+    }
+
+    #[test]
+    fn compact_is_an_unknown_flag() {
+        let err = rejection(&["--compact", "1"]);
+        assert!(err.contains("unknown flag `--compact`"), "{err}");
     }
 
     #[test]

@@ -243,8 +243,9 @@ impl ClusterHead {
 
 /// A trained pipeline packaged for persistence and serving.
 ///
-/// See the [module documentation](self) for the schema and versioning
-/// policy.
+/// Saved as schema-versioned JSON: a build reads every `schema_version` up
+/// to [`ARTIFACT_SCHEMA_VERSION`] and refuses a newer one or a file without
+/// the field.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineArtifact {
     /// Schema version the artifact was written with.
@@ -427,7 +428,7 @@ impl PipelineArtifact {
     }
 
     /// [`Self::features`] under an explicit parallel execution policy — the
-    /// serving micro-batch hot path. Results are bitwise identical for
+    /// serving hot path. Results are bitwise identical for
     /// every policy.
     ///
     /// # Errors

@@ -35,9 +35,8 @@
 //! — model kind, parameters, *fitted* preprocessing statistics and the
 //! fitted cluster head — so the `sls-serve` crate can reload it and answer
 //! hidden-feature and cluster-assignment requests without retraining.
-//! [`CompactParams`] is the memory-lean serving form of the weights:
-//! f32-quantized with error-bounded f64 arithmetic, for nodes that hold many
-//! models.
+//! Serving reads the same `f64` parameters training wrote, so a served
+//! feature is bit for bit the one [`PipelineArtifact::features`] computes.
 //!
 //! ## Quickstart
 //!
@@ -61,7 +60,6 @@
 
 mod artifact;
 mod cd;
-mod compact;
 mod config;
 mod error;
 // Tests only: the Gaussian-visible `Rbm` (the paper's GRBM).
@@ -78,7 +76,6 @@ pub use artifact::{
     ARTIFACT_SCHEMA_VERSION,
 };
 pub use cd::{CdTrainer, EpochStats, TrainingHistory};
-pub use compact::CompactParams;
 pub use config::TrainConfig;
 pub use error::RbmError;
 pub use model::{RbmParams, VisibleKind};

@@ -66,6 +66,12 @@ impl RbmParams {
         self.weights.cols()
     }
 
+    /// Bytes held by the `f64` weights and both bias vectors.
+    pub fn param_bytes(&self) -> usize {
+        (self.weights.len() + self.visible_bias.len() + self.hidden_bias.len())
+            * std::mem::size_of::<f64>()
+    }
+
     /// Checks that the parameter shapes agree with each other (the bias
     /// vectors must match the weight matrix's dimensions) and that every
     /// value is finite.

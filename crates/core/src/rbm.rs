@@ -154,7 +154,7 @@ impl Rbm {
 
     /// [`Self::reconstruction_error`] under an explicit [`ParallelPolicy`].
     ///
-    /// The pass walks blocks of [`ERROR_BLOCK_ROWS`] rows, whose hidden
+    /// The pass walks blocks of 32 rows (`ERROR_BLOCK_ROWS`), whose hidden
     /// probabilities and reconstruction stay in cache: each block computes
     /// `σ(VW + b)`, `HWᵀ + a` (through `σ` for binary units) and one
     /// squared-error sum per row, its products serial. The blocks are the

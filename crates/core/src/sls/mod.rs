@@ -11,9 +11,10 @@
 //! where `L_data` (Eq. 14) penalises the spread of hidden features within
 //! each local credible cluster and rewards the spread between cluster
 //! centres, and `L_recon` (Eq. 15) applies the same pressure to the hidden
-//! features of the *reconstructed* visible layer. [`gradient`] implements
-//! the analytic gradients of `L_data` / `L_recon` (Eqs. 27–32). Combining
-//! them with the CD term into the parameter updates (Eqs. 33–35) is the
+//! features of the *reconstructed* visible layer. The private `gradient`
+//! module implements the analytic gradients of `L_data` / `L_recon`
+//! (Eqs. 27–32). Combining them with the CD term into the parameter
+//! updates (Eqs. 33–35) is the
 //! guided branch of the crate's one mini-batch update, `cd::minibatch_step`,
 //! which [`crate::CdTrainer`] runs over in-memory data and
 //! [`crate::StreamTrainer`] chunk by chunk.

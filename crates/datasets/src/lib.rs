@@ -7,16 +7,17 @@
 //!   (Book, Water, Weddingring, Birthdaycake, Vegetable, Ambulances, Vista,
 //!   Wallpaper, Voituretuning), each ~800–950 instances, 892 or 899
 //!   real-valued features, 3 classes. MSRA-MM 2.0 is no longer distributed,
-//!   so [`msra`] generates synthetic Gaussian-mixture datasets with exactly
-//!   those shapes and per-dataset difficulty profiles calibrated to the
-//!   paper's reported baseline accuracies (0.40–0.55).
+//!   so [`generate_msra_dataset`] generates synthetic Gaussian-mixture
+//!   datasets with exactly those shapes and per-dataset difficulty profiles
+//!   calibrated to the paper's reported baseline accuracies (0.40–0.55).
 //! * **Datasets II** (Table III) — six UCI datasets. Iris is regenerated
 //!   deterministically from its published class statistics ([`iris`]); the
 //!   other five are simulated with matching shapes and can be replaced by
 //!   real CSV files via [`load_csv_dataset`].
 //!
-//! The central type is [`Dataset`]: a feature [`Matrix`] plus ground-truth
-//! class labels and a descriptive [`DatasetSpec`].
+//! The central type is [`Dataset`]: a feature
+//! [`Matrix`](sls_linalg::Matrix) plus ground-truth class labels and a
+//! descriptive [`DatasetSpec`].
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

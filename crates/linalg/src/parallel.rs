@@ -139,7 +139,7 @@ impl ParallelPolicy {
     /// Threads a call producing `rows` output rows of about `row_cost` f64
     /// operations each plans for: `min(threads, rows, rows × row_cost /
     /// MIN_THREAD_WORK)`, never below 1, so every planned thread gets at
-    /// least [`MIN_THREAD_WORK`] operations. A caller that fans out its own
+    /// least `MIN_THREAD_WORK` (720 Ki) operations. A caller that fans out its own
     /// row blocks (as the RBM's reconstruction-error pass does) asks this
     /// whether to.
     pub fn effective_threads(&self, rows: usize, row_cost: usize) -> usize {
@@ -648,12 +648,10 @@ mod tests {
             // small_batch_32 and _128: 32 and 128 rows of 256x256.
             ("small_batch_32", 32, 256 * 256, [2, 2]),
             ("small_batch_128", 128, 256 * 256, [2, 4]),
-            // A 256-row serving request, 256 inputs to 12 hidden units
-            // (786k): compact (products + sigmoid) and route-assign-wide's
-            // full-precision V·W. Both run inline; 512 rows fan out.
-            ("compact forward", 256, 256 * 12 + 12, [1, 1]),
+            // route-assign-wide's V·W, 256 inputs to 12 hidden units: a
+            // 256-row request (786k) runs inline, 512 rows fan out.
             ("route-assign-wide V·W", 256, 256 * 12, [1, 1]),
-            ("compact forward, 512 rows", 512, 256 * 12 + 12, [2, 2]),
+            ("route-assign-wide V·W, 512 rows", 512, 256 * 12, [2, 2]),
         ];
         for (call, rows, row_cost, planned) in table {
             for (threads, expected) in [2, 4].into_iter().zip(planned) {

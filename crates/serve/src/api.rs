@@ -14,10 +14,10 @@
 //! an escaped key) takes the generic path, `from_str::<RowsRequest>` then
 //! [`RowsRequest::to_matrix`], which produces the error text.
 
-use crate::ServingModel;
 use serde::{Deserialize, Serialize};
 use serde_json::NumberRows;
 use sls_linalg::{LinalgError, Matrix, ParallelPolicy, WorkerPool};
+use sls_rbm_core::PipelineArtifact;
 
 /// Body of `POST /v1/models/{name}/features` and `POST /v1/models/{name}/assign`:
 /// a batch of raw feature rows.
@@ -246,10 +246,7 @@ pub struct ModelInfo {
     /// Cluster count of the fitted head (`null` if the artifact has none,
     /// in which case `/assign` is unavailable for the model).
     pub n_clusters: Option<usize>,
-    /// `true` when the model serves through the f32-quantized compact
-    /// representation.
-    pub compact: bool,
-    /// Bytes held by the model parameters in the loaded representation.
+    /// Bytes held by the model's `f64` weights and biases.
     pub param_bytes: usize,
     /// Training timestamp recorded at export time (`null` for artifacts
     /// exported before provenance existed).
@@ -260,18 +257,17 @@ pub struct ModelInfo {
 
 impl ModelInfo {
     /// Builds the info entry for a registered model.
-    pub fn describe(name: &str, model: &ServingModel) -> Self {
+    pub fn describe(name: &str, model: &PipelineArtifact) -> Self {
         Self {
             name: name.to_string(),
-            kind: model.model_kind().to_string(),
-            schema_version: model.schema_version(),
+            kind: model.model_kind.as_str().to_string(),
+            schema_version: model.schema_version,
             n_visible: model.n_visible(),
             n_hidden: model.n_hidden(),
-            n_clusters: model.n_clusters(),
-            compact: model.is_compact(),
-            param_bytes: model.param_bytes(),
-            trained_at: model.trained_at().map(str::to_string),
-            source: model.source().map(str::to_string),
+            n_clusters: model.cluster_head.as_ref().map(|head| head.n_clusters),
+            param_bytes: model.params.param_bytes(),
+            trained_at: model.trained_at.clone(),
+            source: model.source.clone(),
         }
     }
 }
@@ -511,7 +507,7 @@ mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
-    use sls_rbm_core::{ModelKind, PipelineArtifact, RbmParams};
+    use sls_rbm_core::{ModelKind, RbmParams};
 
     #[test]
     fn rows_request_validates_shape() {
@@ -648,23 +644,18 @@ mod tests {
                     Some("2026-08-01T00:00:00Z".into()),
                     Some("unit test".into()),
                 );
-        let full = ServingModel::from_artifact(artifact.clone(), false);
-        let info = ModelInfo::describe("demo", &full);
+        let info = ModelInfo::describe("demo", &artifact);
         assert_eq!(info.name, "demo");
         assert_eq!(info.kind, "sls-grbm");
         assert_eq!(info.n_visible, 6);
         assert_eq!(info.n_hidden, 3);
         assert_eq!(info.n_clusters, None);
-        assert!(!info.compact);
         assert_eq!(info.param_bytes, (6 * 3 + 6 + 3) * 8);
         assert_eq!(info.trained_at.as_deref(), Some("2026-08-01T00:00:00Z"));
         assert_eq!(info.source.as_deref(), Some("unit test"));
-        let compact = ModelInfo::describe("demo", &ServingModel::from_artifact(artifact, true));
-        assert!(compact.compact);
-        assert_eq!(compact.param_bytes, (6 * 3 + 3) * 4);
-        let json = serde_json::to_string(&compact).unwrap();
+        let json = serde_json::to_string(&info).unwrap();
         let back: ModelInfo = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, compact);
+        assert_eq!(back, info);
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! ## Layers
 //!
 //! * [`registry`] — named models shared immutably across workers, each a
-//!   [`ServingModel`] with full-precision or f32-quantized weights
-//!   (`--compact`).
+//!   `PipelineArtifact` served with the `f64` weights it was exported with.
 //! * [`live`] — the hot-swap cell around the registry: `POST /v1/admin/reload`
 //!   (and an optional directory watcher) atomically installs a new
 //!   generation while in-flight requests drain the old one; a corrupt
@@ -29,7 +28,7 @@
 //!   `/v1/admin/reload` out generation-consistently, and drains replicas
 //!   without dropping a response. It starts and stops through the same
 //!   acceptor and [`ServerHandle`] as the server.
-//! * [`retrain`] — the one-command retrain path: chunked CSV ingestion →
+//! * [`retrain`](mod@retrain) — the one-command retrain path: chunked CSV ingestion →
 //!   consensus supervision on a leading sample → checkpoint-resumable
 //!   streaming training → artifact export into the watched directory, which
 //!   the live layer then hot-swaps into serving.

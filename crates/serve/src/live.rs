@@ -22,8 +22,9 @@
 //! generation was built from.
 
 use crate::api::ModelLoadResult;
-use crate::registry::{artifact_files, load_artifact, ModelRegistry};
-use crate::Result;
+use crate::registry::{artifact_files, ModelRegistry};
+use crate::{Result, ServeError};
+use sls_rbm_core::PipelineArtifact;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -65,8 +66,6 @@ pub struct LiveRegistry {
     /// Artifact directory reloads re-scan; `None` for registries built in
     /// memory (reload then always rejects).
     source: Option<PathBuf>,
-    /// Whether reloads quantize into the compact representation.
-    compact: bool,
     swaps: AtomicU64,
     failed_reloads: AtomicU64,
 }
@@ -74,25 +73,27 @@ pub struct LiveRegistry {
 impl LiveRegistry {
     /// Wraps an in-memory registry as generation 1, with no reload source.
     pub fn new(registry: ModelRegistry) -> Self {
-        Self::with_source(registry, None, Vec::new(), false)
+        Self::with_source(registry, None, Vec::new())
     }
 
-    /// Loads generation 1 from `dir` (in the representation selected by
-    /// `compact`) and remembers the directory for future reloads.
+    /// Loads generation 1 from `dir` and remembers the directory for future
+    /// reloads.
+    ///
+    /// The second argument is ignored. It holds no setting and is kept only
+    /// because the `slsbench` benchmark passes it.
     ///
     /// # Errors
     ///
-    /// Propagates [`ModelRegistry::load_dir_with`] errors — unlike a reload,
+    /// Propagates [`ModelRegistry::load_dir`] errors — unlike a reload,
     /// there is no previous generation to keep serving at startup.
-    pub fn from_dir(dir: impl AsRef<Path>, compact: bool) -> Result<Self> {
+    pub fn from_dir(dir: impl AsRef<Path>, _ignored: bool) -> Result<Self> {
         let dir = dir.as_ref();
         let fingerprint = dir_fingerprint(dir);
-        let registry = ModelRegistry::load_dir_with(dir, compact)?;
+        let registry = ModelRegistry::load_dir(dir)?;
         Ok(Self::with_source(
             registry,
             Some(dir.to_path_buf()),
             fingerprint,
-            compact,
         ))
     }
 
@@ -100,7 +101,6 @@ impl LiveRegistry {
         registry: ModelRegistry,
         source: Option<PathBuf>,
         fingerprint: DirFingerprint,
-        compact: bool,
     ) -> Self {
         Self {
             current: Mutex::new(Arc::new(RegistryGeneration {
@@ -109,7 +109,6 @@ impl LiveRegistry {
             })),
             last_attempt: Mutex::new(fingerprint),
             source,
-            compact,
             swaps: AtomicU64::new(0),
             failed_reloads: AtomicU64::new(0),
         }
@@ -128,11 +127,6 @@ impl LiveRegistry {
     /// Directory reloads re-scan, if one is configured.
     pub fn source(&self) -> Option<&Path> {
         self.source.as_deref()
-    }
-
-    /// `true` when reloads quantize into the compact representation.
-    pub fn compact(&self) -> bool {
-        self.compact
     }
 
     /// Successful swaps since construction.
@@ -198,14 +192,14 @@ impl LiveRegistry {
         let mut next = ModelRegistry::new();
         let mut failures = 0usize;
         for (name, path) in files {
-            match load_artifact(&path, self.compact) {
+            match PipelineArtifact::load(&path).map_err(ServeError::from) {
                 Ok(model) => {
                     models.push(ModelLoadResult {
                         name: name.clone(),
                         loaded: true,
                         message: None,
                     });
-                    next.insert_model(name, model);
+                    next.insert(name, model);
                 }
                 Err(e) => {
                     failures += 1;
@@ -341,7 +335,7 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-    use sls_rbm_core::{ModelKind, PipelineArtifact, RbmParams};
+    use sls_rbm_core::{ModelKind, RbmParams};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn artifact(seed: u64) -> PipelineArtifact {
@@ -471,19 +465,6 @@ mod tests {
         assert!(!outcome.swapped);
         assert!(outcome.error.unwrap().contains("no .json artifacts"));
         assert_eq!(live.current().registry.len(), 1);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn compact_mode_survives_reload() {
-        let dir = unique_dir("compact");
-        artifact(1).save(dir.join("demo.json")).unwrap();
-        let live = LiveRegistry::from_dir(&dir, true).unwrap();
-        assert!(live.compact());
-        assert!(live.current().registry.get("demo").unwrap().is_compact());
-        artifact(2).save(dir.join("demo.json")).unwrap();
-        assert!(live.reload().swapped);
-        assert!(live.current().registry.get("demo").unwrap().is_compact());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -8,7 +8,7 @@
 //! sls-serve serve  --dir artifacts [--addr 127.0.0.1:7878]
 //!                  [--threads N] [--keepalive-timeout-ms N]
 //!                  [--max-conn-requests N] [--max-body-bytes N] [--max-conns N]
-//!                  [--compact 0|1] [--watch-interval-ms N]
+//!                  [--watch-interval-ms N]
 //! sls-serve route  --replicas HOST:PORT,HOST:PORT [--addr 127.0.0.1:7900]
 //!                  [--replication 2] [--health-interval-ms 250]
 //!                  [--upstream-timeout-ms 10000] ...
@@ -39,16 +39,14 @@
 //! process-wide linalg policy (`SLS_PARALLEL_*`). Each request computes on
 //! its own handler thread: all of its rows through one matrix product.
 //!
-//! Registry lifecycle: `--compact 1` loads every artifact into the
-//! f32-quantized compact representation (about half the parameter bytes;
-//! features within `1e-6 · (1 + |x|)` of full precision);
-//! `POST /v1/admin/reload` re-scans `--dir` and atomically swaps in a new
-//! registry generation without dropping in-flight requests or open
-//! keep-alive connections — a corrupt artifact rejects the whole reload and
-//! the old generation keeps serving; `--watch-interval-ms N` (0 = off, the
-//! default) polls the directory fingerprint and triggers the same reload on
-//! change. Export stamps artifacts with `trained_at`/`source` provenance,
-//! reported by `GET /v1/models`.
+//! Registry lifecycle: every artifact serves with the `f64` weights it was
+//! exported with. `POST /v1/admin/reload` re-scans `--dir` and atomically
+//! swaps in a new registry generation without dropping in-flight requests
+//! or open keep-alive connections — a corrupt artifact rejects the whole
+//! reload and the old generation keeps serving; `--watch-interval-ms N`
+//! (0 = off, the default) polls the directory fingerprint and triggers the
+//! same reload on change. Export stamps artifacts with `trained_at`/`source`
+//! provenance, reported by `GET /v1/models`.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -82,7 +80,7 @@ const USAGE: &str = "usage:
                     [--checkpoint FILE] [--stop-after-epochs N] [--has-header 0|1]
                     [--threads N]
   sls-serve serve   --dir DIR [--addr HOST:PORT] [--threads N]
-                    [--compact 0|1] [--watch-interval-ms N] CONNECTION
+                    [--watch-interval-ms N] CONNECTION
   sls-serve route   --replicas HOST:PORT[,HOST:PORT...] [--addr HOST:PORT]
                     [--replication N] [--health-interval-ms N]
                     [--upstream-timeout-ms N] CONNECTION
@@ -463,13 +461,7 @@ fn run_serve(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(
         args,
         &[
-            &[
-                "--dir",
-                "--addr",
-                "--threads",
-                "--compact",
-                "--watch-interval-ms",
-            ][..],
+            &["--dir", "--addr", "--threads", "--watch-interval-ms"][..],
             &CONNECTION_FLAGS,
         ]
         .concat(),
@@ -483,30 +475,20 @@ fn run_serve(args: &[String]) -> Result<(), String> {
         .get("addr")
         .cloned()
         .unwrap_or_else(|| "127.0.0.1:7878".to_string());
-    let compact = match flags.get("compact") {
-        Some(raw) => parse_bool(raw)
-            .ok_or_else(|| format!("invalid value `{raw}` for --compact (use 0/1/true/false)"))?,
-        None => false,
-    };
     let watch_ms = parsed(&flags, "watch-interval-ms", 0u64)?;
     let options = serve_options(&flags)?;
 
-    let live = LiveRegistry::from_dir(&dir, compact)
+    let live = LiveRegistry::from_dir(&dir, false)
         .map_err(|e| format!("loading artifacts failed: {e}"))?;
     for (name, model) in live.current().registry.iter() {
         eprintln!(
-            "loaded {} ({}, schema v{}, {} visible -> {} hidden, {}, {} param bytes)",
+            "loaded {} ({}, schema v{}, {} visible -> {} hidden, {} param bytes)",
             name,
-            model.model_kind(),
-            model.schema_version(),
+            model.model_kind.as_str(),
+            model.schema_version,
             model.n_visible(),
             model.n_hidden(),
-            if model.is_compact() {
-                "compact f32"
-            } else {
-                "full f64"
-            },
-            model.param_bytes()
+            model.params.param_bytes()
         );
     }
     let server = Server::bind(addr.as_str(), Arc::new(live))
@@ -518,9 +500,8 @@ fn run_serve(args: &[String]) -> Result<(), String> {
         .map_err(|e| format!("local address unavailable: {e}"))?;
     eprintln!(
         "serving on http://{local} with {} linalg thread(s) per request, \
-         {} registry, watch {} (POST /v1/admin/reload to hot swap, Ctrl-C to stop)",
+         watch {} (POST /v1/admin/reload to hot swap, Ctrl-C to stop)",
         parallel.threads,
-        if compact { "compact" } else { "full" },
         if watch_ms > 0 {
             format!("every {watch_ms}ms")
         } else {

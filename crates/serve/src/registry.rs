@@ -1,179 +1,30 @@
 //! The model registry: named, loaded artifacts shared across server worker
 //! threads.
 //!
-//! Each entry is a [`ServingModel`]: an artifact's preprocessor, cluster
-//! head and metadata, plus its weights either at full `f64` precision or
-//! quantized to `f32` ([`CompactParams`]). The representation is chosen per
-//! registry load (`--compact 0|1`), so a node that holds many models can
-//! halve its parameter footprint without the request handlers caring which
-//! representation answers.
+//! Each entry is a [`PipelineArtifact`] exactly as exported, `f64` weights
+//! included: `/features` and `/assign` call its
+//! [`PipelineArtifact::features_with`] and
+//! [`PipelineArtifact::assign_with`], so a served answer is bit for bit the
+//! artifact's own.
 //!
 //! A registry is immutable once built; worker threads share it behind a plain
 //! `Arc` with no locking on the request hot path. Hot swaps replace the whole
 //! registry atomically via [`crate::LiveRegistry`].
 
 use crate::{Result, ServeError};
-use sls_linalg::{Matrix, ParallelPolicy};
-use sls_rbm_core::{
-    ClusterHead, CompactParams, FittedPreprocessor, ModelKind, PipelineArtifact, RbmError,
-    RbmParams,
-};
+use sls_rbm_core::PipelineArtifact;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// One loaded model in either weight representation.
-///
-/// The preprocessor, cluster head and metadata are held once; only the
-/// upward pass differs between full-precision and compact weights, so both
-/// serve through identical code paths. Preprocessing statistics and
-/// centroids stay `f64` — a few vectors, not an `n_visible × n_hidden`
-/// matrix, so quantizing them would save little and widen the error bound.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServingModel {
-    schema_version: u32,
-    model_kind: ModelKind,
-    weights: Weights,
-    preprocessor: FittedPreprocessor,
-    cluster_head: Option<ClusterHead>,
-    trained_at: Option<String>,
-    source: Option<String>,
-}
+/// The model type a registry entry holds. A plain alias with no state of
+/// its own, kept only because the `slsbench` benchmark names it.
+pub type ServingModel = PipelineArtifact;
 
-/// The upward-pass parameters in the representation the registry loaded.
-#[derive(Debug, Clone, PartialEq)]
-enum Weights {
-    /// Full-precision f64 parameters, exactly as exported.
-    Full(RbmParams),
-    /// f32-quantized parameters with error-bounded f64 arithmetic.
-    Compact(CompactParams),
-}
-
-impl ServingModel {
-    /// Takes `artifact` into the weight representation selected by
-    /// `compact`.
-    pub fn from_artifact(artifact: PipelineArtifact, compact: bool) -> Self {
-        let weights = if compact {
-            Weights::Compact(CompactParams::from_params(&artifact.params))
-        } else {
-            Weights::Full(artifact.params)
-        };
-        Self {
-            schema_version: artifact.schema_version,
-            model_kind: artifact.model_kind,
-            weights,
-            preprocessor: artifact.preprocessor,
-            cluster_head: artifact.cluster_head,
-            trained_at: artifact.trained_at,
-            source: artifact.source,
-        }
-    }
-
-    /// `true` for the f32-quantized representation.
-    pub fn is_compact(&self) -> bool {
-        matches!(self.weights, Weights::Compact(_))
-    }
-
-    /// Artifact schema version this model was loaded from.
-    pub fn schema_version(&self) -> u32 {
-        self.schema_version
-    }
-
-    /// Model kind label (`"rbm"`, `"sls-grbm"`, ...).
-    pub fn model_kind(&self) -> &'static str {
-        self.model_kind.as_str()
-    }
-
-    /// Number of visible units (request row width).
-    pub fn n_visible(&self) -> usize {
-        match &self.weights {
-            Weights::Full(params) => params.n_visible(),
-            Weights::Compact(params) => params.n_visible(),
-        }
-    }
-
-    /// Number of hidden units (feature row width).
-    pub fn n_hidden(&self) -> usize {
-        match &self.weights {
-            Weights::Full(params) => params.n_hidden(),
-            Weights::Compact(params) => params.n_hidden(),
-        }
-    }
-
-    /// Number of clusters in the fitted head, if one is present.
-    pub fn n_clusters(&self) -> Option<usize> {
-        self.cluster_head.as_ref().map(|head| head.n_clusters)
-    }
-
-    /// `true` when the artifact carries a cluster head (can serve `/assign`).
-    pub fn has_cluster_head(&self) -> bool {
-        self.cluster_head.is_some()
-    }
-
-    /// Bytes held by the model parameters (weights + biases) in this
-    /// representation.
-    pub fn param_bytes(&self) -> usize {
-        match &self.weights {
-            Weights::Full(params) => params.param_bytes(),
-            Weights::Compact(params) => params.param_bytes(),
-        }
-    }
-
-    /// Training timestamp recorded at export time, if any.
-    pub fn trained_at(&self) -> Option<&str> {
-        self.trained_at.as_deref()
-    }
-
-    /// Provenance string recorded at export time, if any.
-    pub fn source(&self) -> Option<&str> {
-        self.source.as_deref()
-    }
-
-    /// Preprocesses `rows` and computes hidden features. Full weights answer
-    /// exactly as [`PipelineArtifact::features_with`]; compact weights stay
-    /// within `1e-6 · (1 + |full|)` of it per element. Both are bitwise
-    /// identical across parallel policies.
-    ///
-    /// # Errors
-    ///
-    /// Returns shape errors if `rows` does not match the visible layer.
-    pub fn features_with(
-        &self,
-        rows: &Matrix,
-        parallel: &ParallelPolicy,
-    ) -> sls_rbm_core::Result<Matrix> {
-        let pre = self.preprocessor.transform_with(rows, parallel)?;
-        match &self.weights {
-            Weights::Full(params) => params.hidden_probabilities_with(&pre, parallel),
-            Weights::Compact(params) => params.hidden_features_with(&pre, parallel),
-        }
-    }
-
-    /// Preprocesses `rows` and assigns each to its nearest centroid.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RbmError::MissingArtifactPart`] without a cluster head, and
-    /// shape errors if `rows` does not match the visible layer.
-    pub fn assign_with(
-        &self,
-        rows: &Matrix,
-        parallel: &ParallelPolicy,
-    ) -> sls_rbm_core::Result<Vec<usize>> {
-        let head = self
-            .cluster_head
-            .as_ref()
-            .ok_or(RbmError::MissingArtifactPart {
-                part: "cluster head",
-            })?;
-        head.assign(&self.features_with(rows, parallel)?)
-    }
-}
-
-/// Maps model names to loaded serving models.
+/// Maps model names to loaded artifacts.
 #[derive(Debug, Default, Clone)]
 pub struct ModelRegistry {
-    models: BTreeMap<String, Arc<ServingModel>>,
+    models: BTreeMap<String, Arc<PipelineArtifact>>,
 }
 
 /// Lists the `*.json` artifact files under `dir` as `(model name, path)`
@@ -205,34 +56,19 @@ pub(crate) fn artifact_files(dir: &Path) -> Result<Vec<(String, PathBuf)>> {
         .collect()
 }
 
-/// Loads one artifact file into the representation selected by `compact`.
-pub(crate) fn load_artifact(path: &Path, compact: bool) -> Result<ServingModel> {
-    Ok(ServingModel::from_artifact(
-        PipelineArtifact::load(path)?,
-        compact,
-    ))
-}
-
 impl ModelRegistry {
     /// Creates an empty registry.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Registers `artifact` at full precision under `name`, replacing any
-    /// previous entry.
+    /// Registers `artifact` under `name`, replacing any previous entry.
     pub fn insert(&mut self, name: impl Into<String>, artifact: PipelineArtifact) {
-        self.insert_model(name, ServingModel::from_artifact(artifact, false));
+        self.models.insert(name.into(), Arc::new(artifact));
     }
 
-    /// Registers an already-built [`ServingModel`] under `name`.
-    pub fn insert_model(&mut self, name: impl Into<String>, model: ServingModel) {
-        self.models.insert(name.into(), Arc::new(model));
-    }
-
-    /// Loads every `*.json` artifact in `dir` at full precision; each model
-    /// is named after its file stem (`quick_demo.json` serves as
-    /// `quick_demo`).
+    /// Loads every `*.json` artifact in `dir`; each model is named after its
+    /// file stem (`quick_demo.json` serves as `quick_demo`).
     ///
     /// # Errors
     ///
@@ -241,16 +77,10 @@ impl ModelRegistry {
     /// [`ServeError::InvalidArtifactName`] for non-UTF-8 file stems and
     /// [`ServeError::EmptyRegistry`] if no artifact was found.
     pub fn load_dir(dir: impl AsRef<Path>) -> Result<Self> {
-        Self::load_dir_with(dir, false)
-    }
-
-    /// [`Self::load_dir`], loading into the representation selected by
-    /// `compact`.
-    pub fn load_dir_with(dir: impl AsRef<Path>, compact: bool) -> Result<Self> {
         let dir = dir.as_ref();
         let mut registry = Self::new();
         for (name, path) in artifact_files(dir)? {
-            registry.insert_model(name, load_artifact(&path, compact)?);
+            registry.insert(name, PipelineArtifact::load(&path)?);
         }
         if registry.is_empty() {
             return Err(ServeError::EmptyRegistry {
@@ -265,7 +95,7 @@ impl ModelRegistry {
     /// # Errors
     ///
     /// Returns [`ServeError::UnknownModel`] if the name is not registered.
-    pub fn get(&self, name: &str) -> Result<Arc<ServingModel>> {
+    pub fn get(&self, name: &str) -> Result<Arc<PipelineArtifact>> {
         self.models
             .get(name)
             .cloned()
@@ -275,7 +105,7 @@ impl ModelRegistry {
     }
 
     /// Iterates over `(name, model)` pairs in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Arc<ServingModel>)> {
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &Arc<PipelineArtifact>)> {
         self.models.iter().map(|(n, a)| (n.as_str(), a))
     }
 
@@ -296,7 +126,8 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use sls_datasets::{Dataset, SyntheticBlobs};
-    use sls_rbm_core::SlsPipelineConfig;
+    use sls_linalg::{Matrix, ParallelPolicy};
+    use sls_rbm_core::{FittedPipeline, ModelKind, RbmError, RbmParams, SlsPipelineConfig};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn artifact() -> PipelineArtifact {
@@ -306,20 +137,19 @@ mod tests {
 
     /// A trained 5 → 12 sls-GRBM with a 3-cluster head, plus its training
     /// data.
-    fn fitted() -> (PipelineArtifact, Dataset) {
+    fn fitted() -> (FittedPipeline, Dataset) {
         let mut rng = ChaCha8Rng::seed_from_u64(606);
         let ds = SyntheticBlobs::new(45, 5, 3)
             .separation(6.0)
             .generate(&mut rng);
-        let artifact = PipelineArtifact::fit(
+        let fitted = PipelineArtifact::fit(
             ModelKind::SlsGrbm,
             SlsPipelineConfig::quick_demo(),
             ds.features(),
             &mut rng,
         )
-        .unwrap()
-        .artifact;
-        (artifact, ds)
+        .unwrap();
+        (fitted, ds)
     }
 
     fn request_rows() -> Matrix {
@@ -365,7 +195,7 @@ mod tests {
         let r = ModelRegistry::load_dir(&dir).unwrap();
         assert_eq!(r.len(), 2);
         assert!(r.get("first").is_ok());
-        assert!(!r.get("second").unwrap().is_compact());
+        assert_eq!(*r.get("second").unwrap(), artifact());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -404,120 +234,64 @@ mod tests {
     }
 
     #[test]
-    fn compact_load_halves_params_and_stays_close() {
-        let dir = unique_dir("compact");
-        artifact().save(dir.join("m.json")).unwrap();
-        let full = ModelRegistry::load_dir_with(&dir, false).unwrap();
-        let compact = ModelRegistry::load_dir_with(&dir, true).unwrap();
-        let full = full.get("m").unwrap();
-        let compact = compact.get("m").unwrap();
-        assert!(compact.is_compact());
-        assert!(compact.param_bytes() * 2 <= full.param_bytes());
-        assert_eq!(
-            compact.param_bytes(),
-            (4 * 2 + 2) * std::mem::size_of::<f32>()
-        );
-        let rows = Matrix::from_rows(&[vec![0.2, -0.4, 0.8, 0.1]]).unwrap();
-        let policy = ParallelPolicy::serial();
-        let f = full.features_with(&rows, &policy).unwrap();
-        let c = compact.features_with(&rows, &policy).unwrap();
-        for (&a, &b) in f.as_slice().iter().zip(c.as_slice()) {
-            assert!((a - b).abs() <= 1e-6 * (1.0 + a.abs()));
+    fn serving_model_delegates_metadata() {
+        // A trained artifact's schema, kind, provenance and cluster head
+        // survive the registry's load from disk.
+        let dir = unique_dir("metadata");
+        let artifact = fitted().0.artifact;
+        let artifact =
+            artifact.with_provenance(Some("2026-01-01T00:00:00Z".into()), Some("test".into()));
+        artifact.save(dir.join("m.json")).unwrap();
+        let model = ModelRegistry::load_dir(&dir).unwrap().get("m").unwrap();
+        assert_eq!(*model, artifact);
+        assert_eq!(model.schema_version, artifact.schema_version);
+        assert_eq!(model.model_kind.as_str(), "sls-grbm");
+        assert_eq!((model.n_visible(), model.n_hidden()), (5, 12));
+        assert_eq!(model.cluster_head.as_ref().map(|h| h.n_clusters), Some(3));
+        assert_eq!(model.trained_at.as_deref(), Some("2026-01-01T00:00:00Z"));
+        assert_eq!(model.source.as_deref(), Some("test"));
+        assert_eq!(model.params.param_bytes(), (5 * 12 + 5 + 12) * 8);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn full_model_answers_exactly_as_the_artifact() {
+        // A model read back from disk answers with the in-memory artifact's
+        // bits, under the serial and the pooled policy alike.
+        let dir = unique_dir("exact");
+        let artifact = fitted().0.artifact;
+        artifact.save(dir.join("m.json")).unwrap();
+        let model = ModelRegistry::load_dir(&dir).unwrap().get("m").unwrap();
+        let rows = request_rows();
+        let serial = ParallelPolicy::serial();
+        let want = artifact.features_with(&rows, &serial).unwrap();
+        let want_assign = artifact.assign_with(&rows, &serial).unwrap();
+        for policy in [serial, ParallelPolicy::eager(2), ParallelPolicy::eager(4)] {
+            let got = model.features_with(&rows, &policy).unwrap();
+            let same = want
+                .as_slice()
+                .iter()
+                .zip(got.as_slice())
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same && got.shape() == want.shape());
+            assert_eq!(model.assign_with(&rows, &policy).unwrap(), want_assign);
         }
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn serving_model_delegates_metadata() {
-        let full = ServingModel::from_artifact(
-            artifact().with_provenance(Some("2026-01-01T00:00:00Z".into()), Some("test".into())),
-            false,
-        );
-        let compact = ServingModel::from_artifact(
-            artifact().with_provenance(Some("2026-01-01T00:00:00Z".into()), Some("test".into())),
-            true,
-        );
-        for model in [&full, &compact] {
-            assert_eq!(model.n_visible(), 4);
-            assert_eq!(model.n_hidden(), 2);
-            assert_eq!(model.model_kind(), "rbm");
-            assert_eq!(model.n_clusters(), None);
-            assert!(!model.has_cluster_head());
-            assert_eq!(model.trained_at(), Some("2026-01-01T00:00:00Z"));
-            assert_eq!(model.source(), Some("test"));
-        }
-        assert!(!full.is_compact());
-        assert!(compact.is_compact());
-        let rows = Matrix::from_rows(&[vec![1.0, 0.0, 1.0, 0.0]]).unwrap();
-        assert!(matches!(
-            full.assign_with(&rows, &ParallelPolicy::serial()),
-            Err(sls_rbm_core::RbmError::MissingArtifactPart { .. })
-        ));
-
-        // A trained artifact's schema, kind and cluster head carry over too.
-        let (artifact, _) = fitted();
-        for compact in [false, true] {
-            let model = ServingModel::from_artifact(artifact.clone(), compact);
-            assert_eq!(model.schema_version(), artifact.schema_version);
-            assert_eq!(model.model_kind(), "sls-grbm");
-            assert_eq!((model.n_visible(), model.n_hidden()), (5, 12));
-            assert_eq!(model.n_clusters(), Some(3));
-            assert!(model.has_cluster_head());
-        }
-    }
-
-    #[test]
-    fn compact_model_is_bitwise_identical_across_policies() {
-        let compact = ServingModel::from_artifact(fitted().0, true);
-        let rows = request_rows();
-        let serial = compact
-            .features_with(&rows, &ParallelPolicy::serial())
-            .unwrap();
-        let serial_assign = compact
-            .assign_with(&rows, &ParallelPolicy::serial())
-            .unwrap();
-        for threads in [2, 4] {
-            let policy = ParallelPolicy::eager(threads);
-            let par = compact.features_with(&rows, &policy).unwrap();
-            let same = serial
-                .as_slice()
-                .iter()
-                .zip(par.as_slice())
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "threads = {threads}");
-            assert_eq!(
-                compact.assign_with(&rows, &policy).unwrap(),
-                serial_assign,
-                "threads = {threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn full_model_answers_exactly_as_the_artifact() {
-        let (artifact, _) = fitted();
-        let full = ServingModel::from_artifact(artifact.clone(), false);
-        let rows = request_rows();
-        let policy = ParallelPolicy::serial();
-        assert_eq!(
-            full.features_with(&rows, &policy).unwrap(),
-            artifact.features_with(&rows, &policy).unwrap()
-        );
-        assert_eq!(
-            full.assign_with(&rows, &policy).unwrap(),
-            artifact.assign_with(&rows, &policy).unwrap()
-        );
-    }
-
-    #[test]
     fn assignments_agree_with_the_full_path_on_separated_data() {
-        let (artifact, ds) = fitted();
-        let policy = ParallelPolicy::serial();
+        // On well-separated data the served head labels the training rows
+        // exactly as the k-means run that fitted it.
+        let (pipeline, ds) = fitted();
+        let mut registry = ModelRegistry::new();
+        registry.insert("m", pipeline.artifact);
+        let model = registry.get("m").unwrap();
         assert_eq!(
-            ServingModel::from_artifact(artifact.clone(), true)
-                .assign_with(ds.features(), &policy)
+            model
+                .assign_with(ds.features(), &ParallelPolicy::serial())
                 .unwrap(),
-            artifact.assign_with(ds.features(), &policy).unwrap()
+            pipeline.assignments
         );
     }
 
@@ -525,21 +299,18 @@ mod tests {
     fn shape_errors_and_missing_heads_mirror_the_full_path() {
         let policy = ParallelPolicy::serial();
         let wide = Matrix::zeros(2, 9);
-        let (trained, _) = fitted();
-        for compact in [false, true] {
-            let model = ServingModel::from_artifact(trained.clone(), compact);
-            assert!(matches!(
-                model.features_with(&wide, &policy),
-                Err(RbmError::Linalg(_) | RbmError::VisibleSizeMismatch { .. })
-            ));
-            assert!(model.assign_with(&wide, &policy).is_err());
-            // No cluster head: features fine, assign errors.
-            let bare = ServingModel::from_artifact(artifact(), compact);
-            assert!(bare.features_with(&Matrix::zeros(3, 4), &policy).is_ok());
-            assert!(matches!(
-                bare.assign_with(&Matrix::zeros(3, 4), &policy),
-                Err(RbmError::MissingArtifactPart { .. })
-            ));
-        }
+        let model = fitted().0.artifact;
+        assert!(matches!(
+            model.features_with(&wide, &policy),
+            Err(RbmError::Linalg(_) | RbmError::VisibleSizeMismatch { .. })
+        ));
+        assert!(model.assign_with(&wide, &policy).is_err());
+        // No cluster head: features fine, assign errors.
+        let bare = artifact();
+        assert!(bare.features_with(&Matrix::zeros(3, 4), &policy).is_ok());
+        assert!(matches!(
+            bare.assign_with(&Matrix::zeros(3, 4), &policy),
+            Err(RbmError::MissingArtifactPart { .. })
+        ));
     }
 }

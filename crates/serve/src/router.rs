@@ -26,7 +26,7 @@
 //! ## Rollout
 //!
 //! `POST /v1/admin/reload` fans out to every non-drained replica and reports
-//! each replica's own [`ReloadResponse`]; it answers `200` only when all of
+//! each replica's own [`ReloadResponse`](crate::ReloadResponse); it answers `200` only when all of
 //! them swapped onto one shared generation. `GET /v1/models` refuses to
 //! advertise a model while its reachable owners disagree on the generation,
 //! so a torn rollout is visible as a withdrawn model, never as mixed

@@ -348,7 +348,7 @@ impl ServerHandle {
     }
 
     /// Stops the frontend: sets the shutdown flag, joins the periodic task
-    /// (it polls the flag at least every [`SHUTDOWN_POLL`]), wakes the
+    /// (it polls the flag at least every 100 ms), wakes the
     /// acceptor, then waits (bounded) for live connections to observe the
     /// flag and drain.
     pub fn shutdown(self) {
@@ -826,7 +826,7 @@ fn infer(
             ),
         );
     }
-    if endpoint == Endpoint::Assign && !model.has_cluster_head() {
+    if endpoint == Endpoint::Assign && model.cluster_head.is_none() {
         return error_body(
             400,
             code::NO_CLUSTER_HEAD,

@@ -123,12 +123,17 @@ fn zero_sizes_are_rejected_before_any_file_is_written() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The cross-request batching flags are gone: a deployment script that
-/// still passes them fails at once, naming the flag, instead of serving
-/// without the setting it asked for.
+/// Removed serving modes (cross-request batching, compact `f32` weights)
+/// have no flags left: a deployment script that still passes one fails at
+/// once, naming the flag, instead of serving without the setting it asked
+/// for.
 #[test]
-fn removed_batch_flags_fail_closed() {
-    for (flag, value) in [("--batch-window-us", "200"), ("--batch-max-rows", "256")] {
+fn removed_serving_flags_fail_closed() {
+    for (flag, value) in [
+        ("--batch-window-us", "200"),
+        ("--batch-max-rows", "256"),
+        ("--compact", "1"),
+    ] {
         let serve = sls_serve(&["serve", "--addr", "127.0.0.1:0", flag, value], None);
         assert_rejected(&serve, &format!("unknown flag `{flag}`"));
     }

@@ -1,6 +1,6 @@
 //! Hot-swap integration suite: zero-downtime generation swaps under
-//! keep-alive load, corrupt-artifact atomicity over HTTP, the directory
-//! watcher, and the compact registry's error bound end to end.
+//! keep-alive load, corrupt-artifact atomicity over HTTP, and the directory
+//! watcher.
 //!
 //! The centrepiece drives several keep-alive clients through `/features`
 //! and `/assign` while the main thread re-exports the artifact and swaps
@@ -13,7 +13,7 @@ use rand_chacha::ChaCha8Rng;
 use sls_datasets::SyntheticBlobs;
 use sls_linalg::{Matrix, ParallelPolicy};
 use sls_rbm_core::{ModelKind, PipelineArtifact, RbmParams, SlsPipelineConfig};
-use sls_serve::{Client, LiveRegistry, ServeOptions, Server, ServerHandle, ServingModel};
+use sls_serve::{Client, LiveRegistry, ServeOptions, Server, ServerHandle};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -60,16 +60,15 @@ fn probe_rows() -> Vec<Vec<f64>> {
 }
 
 /// What the server must answer for the probe rows under one generation:
-/// feature bit patterns plus assignments, computed from the defining
-/// artifact through the same `ServingModel` code path the server uses.
+/// feature bit patterns plus assignments, computed by the defining
+/// artifact itself, as the server computes them.
 #[derive(Debug, PartialEq, Eq)]
 struct Expected {
     feature_bits: Vec<Vec<u64>>,
     assignments: Vec<usize>,
 }
 
-fn expected(artifact: &PipelineArtifact, compact: bool) -> Expected {
-    let model = ServingModel::from_artifact(artifact.clone(), compact);
+fn expected(model: &PipelineArtifact) -> Expected {
     let matrix = Matrix::from_rows(&probe_rows()).expect("probe rows are rectangular");
     let parallel = ParallelPolicy::global();
     let features = model
@@ -86,8 +85,8 @@ fn expected(artifact: &PipelineArtifact, compact: bool) -> Expected {
 }
 
 /// A server bound to serve `dir`, plus the live registry it serves from.
-fn bind_dir(dir: &PathBuf, compact: bool) -> (Server, Arc<LiveRegistry>) {
-    let live = Arc::new(LiveRegistry::from_dir(dir, compact).expect("load artifact dir"));
+fn bind_dir(dir: &PathBuf) -> (Server, Arc<LiveRegistry>) {
+    let live = Arc::new(LiveRegistry::from_dir(dir, false).expect("load artifact dir"));
     let server = Server::bind("127.0.0.1:0", Arc::clone(&live)).expect("bind ephemeral port");
     (server, live)
 }
@@ -95,7 +94,7 @@ fn bind_dir(dir: &PathBuf, compact: bool) -> (Server, Arc<LiveRegistry>) {
 /// Serves `dir` with no per-connection request cap, so only a swap could
 /// close a worker's keep-alive socket.
 fn start_from_dir(dir: &PathBuf) -> (ServerHandle, Arc<LiveRegistry>) {
-    let (server, live) = bind_dir(dir, false);
+    let (server, live) = bind_dir(dir);
     let options = ServeOptions {
         max_requests_per_connection: usize::MAX,
         ..ServeOptions::default()
@@ -118,7 +117,7 @@ fn ten_swaps_under_keep_alive_load_lose_nothing() {
     let references: BTreeMap<u64, Expected> = artifacts
         .iter()
         .enumerate()
-        .map(|(i, a)| (i as u64 + 1, expected(a, false)))
+        .map(|(i, a)| (i as u64 + 1, expected(a)))
         .collect();
     artifacts[0].save(&path).expect("save generation 1");
 
@@ -297,7 +296,7 @@ fn directory_watcher_swaps_without_an_admin_call() {
     let path = dir.join(format!("{MODEL}.json"));
     train(1).save(&path).unwrap();
 
-    let (server, live) = bind_dir(&dir, false);
+    let (server, live) = bind_dir(&dir);
     let handle = server
         .with_watch(Some(Duration::from_millis(25)))
         .start()
@@ -345,7 +344,7 @@ fn watcher_detects_same_size_same_mtime_rewrite() {
     std::fs::write(&path, &v1).unwrap();
     let mtime = std::fs::metadata(&path).unwrap().modified().unwrap();
 
-    let (server, live) = bind_dir(&dir, false);
+    let (server, live) = bind_dir(&dir);
     let handle = server
         .with_watch(Some(Duration::from_millis(25)))
         .start()
@@ -390,7 +389,7 @@ fn watcher_reloads_a_change_made_before_start() {
     let path = dir.join(format!("{MODEL}.json"));
     train(1).save(&path).unwrap();
 
-    let (server, live) = bind_dir(&dir, false);
+    let (server, live) = bind_dir(&dir);
     let server = server.with_watch(Some(Duration::from_millis(25)));
     train(2).save(&path).unwrap();
     let handle = server.start().expect("server starts");
@@ -417,7 +416,7 @@ fn watcher_retries_a_corrupt_artifact_once_per_change() {
     let dir = unique_dir("corrupt_watch");
     std::fs::create_dir_all(&dir).unwrap();
     train(1).save(dir.join(format!("{MODEL}.json"))).unwrap();
-    let (server, live) = bind_dir(&dir, false);
+    let (server, live) = bind_dir(&dir);
     let handle = server
         .with_watch(Some(Duration::from_millis(25)))
         .start()
@@ -454,58 +453,6 @@ fn watcher_retries_a_corrupt_artifact_once_per_change() {
         std::thread::sleep(Duration::from_millis(10));
     }
     assert_eq!(live.failed_reloads(), 1);
-    handle.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A compact registry serves every endpoint over HTTP within the documented
-/// error bound of the full-precision registry, and advertises itself in
-/// `/models`.
-#[test]
-fn compact_registry_stays_within_bound_over_http() {
-    let dir = unique_dir("compact");
-    std::fs::create_dir_all(&dir).unwrap();
-    let artifact = train(1);
-    artifact.save(dir.join(format!("{MODEL}.json"))).unwrap();
-
-    let (server, _) = bind_dir(&dir, true);
-    let handle = server.start().expect("server starts");
-    let client = Client::new(handle.addr());
-
-    let models = client.models().expect("models");
-    assert_eq!(models.models.len(), 1);
-    assert!(models.models[0].compact);
-    assert_eq!(
-        models.models[0].param_bytes,
-        ServingModel::from_artifact(artifact.clone(), true).param_bytes()
-    );
-
-    let served = client.features(MODEL, &probe_rows()).expect("features");
-    let matrix = Matrix::from_rows(&probe_rows()).unwrap();
-    let full = ServingModel::from_artifact(artifact.clone(), false)
-        .features_with(&matrix, &ParallelPolicy::global())
-        .expect("full-precision reference");
-    for (r, row) in served.iter().enumerate() {
-        for (c, &got) in row.iter().enumerate() {
-            let want = full.row(r)[c];
-            assert!(
-                (got - want).abs() <= 1e-6 * (1.0 + want.abs()),
-                "feature [{r}][{c}] drifted: compact {got} vs full {want}"
-            );
-        }
-    }
-
-    // The compact reference predicts the served bits exactly.
-    let reference = expected(&artifact, true);
-    let served_bits: Vec<Vec<u64>> = served
-        .iter()
-        .map(|row| row.iter().map(|v| v.to_bits()).collect())
-        .collect();
-    assert_eq!(served_bits, reference.feature_bits);
-    assert_eq!(
-        client.assign(MODEL, &probe_rows()).expect("assign"),
-        reference.assignments
-    );
     handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
