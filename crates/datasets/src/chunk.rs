@@ -584,6 +584,57 @@ mod tests {
     }
 
     #[test]
+    fn a_file_that_shrank_since_open_errors_at_the_first_missing_row() {
+        let content = "1.0,2.0,a\n1.5,2.5,a\n8.0,9.0,b\n8.5,9.5,b\n";
+        let kept = "1.0,2.0,a\n1.5,2.5,a\n".len() as u64;
+        // (chunk size, chunk read, line of its first missing row)
+        for (chunk_size, index, line) in [(4, 0, 3), (2, 1, 3), (3, 1, 4)] {
+            let path = temp_csv(&format!("shrank_{chunk_size}.csv"), content);
+            let reader = ChunkedCsvReader::open(&path, &CsvOptions::default(), chunk_size).unwrap();
+            File::options()
+                .write(true)
+                .open(&path)
+                .unwrap()
+                .set_len(kept)
+                .unwrap();
+            match reader.read_chunk(index) {
+                Err(DatasetError::CsvParse { line: at, message }) => {
+                    assert_eq!(at, line, "chunk size {chunk_size}");
+                    assert_eq!(
+                        message,
+                        "unexpected end of file (source changed since indexing?)"
+                    );
+                }
+                other => panic!("chunk size {chunk_size}: expected a parse error, got {other:?}"),
+            }
+            if chunk_size == 2 {
+                // Chunk 0 (lines 1-2) is still whole.
+                assert_eq!(reader.read_chunk(0).unwrap().row(1), &[1.5, 2.5]);
+            }
+        }
+    }
+
+    #[test]
+    fn non_utf8_text_is_an_io_error_at_open_and_at_read() {
+        let path = temp_csv("non_utf8_open.csv", "1.0,2.0,a\n");
+        std::fs::write(&path, b"1.0,2.0,a\n\xff.5,2.5,a\n").unwrap();
+        let err = ChunkedCsvReader::open(&path, &CsvOptions::default(), 2).unwrap_err();
+        assert!(matches!(err, DatasetError::Io(_)), "{err}");
+
+        // Same layout, so only the chunk read sees the bad byte.
+        let path = temp_csv("non_utf8_read.csv", "1.0,2.0,a\n1.5,2.5,a\n");
+        let reader = ChunkedCsvReader::open(&path, &CsvOptions::default(), 2).unwrap();
+        std::fs::write(&path, b"1.0,2.0,a\n\xff.5,2.5,a\n").unwrap();
+        match reader.read_chunk(0) {
+            Err(DatasetError::Io(e)) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+                assert_eq!(e.to_string(), "stream did not contain valid UTF-8");
+            }
+            other => panic!("expected an I/O error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn spilled_rereads_are_bitwise_equal_to_the_full_parse() {
         let path = temp_csv("spill_rereads.csv", SAMPLE);
         let full = crate::parse_csv_dataset(SAMPLE, &CsvOptions::default()).unwrap();
