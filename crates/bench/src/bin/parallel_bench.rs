@@ -83,8 +83,10 @@ use sls_consensus::{
     align_partitions_with, integrate_partitions_with, LocalSupervision, LocalSupervisionBuilder,
     VotingPolicy,
 };
-use sls_datasets::SyntheticBlobs;
-use sls_linalg::{simd, Matrix, MatrixRandomExt, ParallelPolicy, WorkerPool};
+use sls_datasets::{
+    generate_msra_dataset, ChunkSource, ChunkedCsvReader, CsvOptions, MsraDatasetId, SyntheticBlobs,
+};
+use sls_linalg::{simd, Matrix, MatrixRandomExt, ParallelPolicy, Standardizer, WorkerPool};
 use sls_rbm_core::{base_clusterers, CdTrainer, Rbm, SlsConfig, TrainConfig, VisibleKind};
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
@@ -297,6 +299,87 @@ fn cd_phase_millis(model: &Rbm, data: &Matrix, batch: usize, reps: usize) -> [f6
         }
     }
     best
+}
+
+/// Times the retrain's data path on the Book stand-in written as the CSV
+/// `sls-serve retrain` reads (896 × 892, 128 rows with `--quick`), in
+/// chunks of 256 rows: `csv_first_read` (every chunk parsed, serial and
+/// with the global policy at `pool_threads`), `csv_spill_reread` (one
+/// pass over the spilled chunks) and `standardize` (one
+/// `Standardizer::transform_with` pass over the chunks, serial and pooled).
+fn ingest_sections(
+    quick: bool,
+    reps: usize,
+    pool_threads: usize,
+    results: &mut Vec<Measurement>,
+) -> Result<(), String> {
+    const CHUNK_ROWS: usize = 256;
+    let pool = ParallelPolicy::new(pool_threads);
+    let book = generate_msra_dataset(MsraDatasetId::Book, &mut ChaCha8Rng::seed_from_u64(2023));
+    let rows: Vec<usize> = (0..if quick { 128 } else { book.n_instances() }).collect();
+    let book = book.subset(&rows).map_err(|e| e.to_string())?;
+    let csv = std::env::temp_dir().join(format!("parallel_bench_{}.csv", std::process::id()));
+    sls_serve::retrain::write_dataset_csv(&csv, &book)
+        .map_err(|e| format!("writing {}: {e}", csv.display()))?;
+    let open = || {
+        ChunkedCsvReader::open(&csv, &CsvOptions::default(), CHUNK_ROWS).expect("indexing the CSV")
+    };
+    let read_all = |reader: &ChunkedCsvReader| -> Vec<Matrix> {
+        (0..reader.n_chunks())
+            .map(|i| reader.read_chunk(i).expect("reading a chunk"))
+            .collect()
+    };
+
+    let mut first_reads = Vec::new();
+    for (mode, policy) in [("serial", ParallelPolicy::serial()), ("pool", pool)] {
+        ParallelPolicy::set_global(policy);
+        let millis = best_of(reps, || {
+            let reader = open();
+            let start = Instant::now();
+            let chunks = read_all(&reader);
+            (start.elapsed(), chunks)
+        });
+        let threads = if mode == "serial" { 1 } else { pool_threads };
+        push(results, "csv_first_read", threads, mode, millis);
+        first_reads.push(read_all(&open()));
+    }
+    ParallelPolicy::set_global(ParallelPolicy::serial());
+    assert!(
+        first_reads[0].iter().zip(&first_reads[1]).all(|(a, b)| a
+            .as_slice()
+            .iter()
+            .map(|v| v.to_bits())
+            .eq(b.as_slice().iter().map(|v| v.to_bits()))),
+        "pooled CSV parse diverged from serial"
+    );
+
+    let reader = open();
+    let chunks = read_all(&reader);
+    let millis = best_of(reps, || {
+        let start = Instant::now();
+        let chunks = read_all(&reader);
+        (start.elapsed(), chunks)
+    });
+    push(results, "csv_spill_reread", 1, "serial", millis);
+
+    let standardizer = Standardizer::fit(&chunks[0]).map_err(|e| e.to_string())?;
+    for (mode, policy) in [("serial", ParallelPolicy::serial()), ("pool", pool)] {
+        let millis = best_of(reps, || {
+            let start = Instant::now();
+            let out: Vec<Matrix> = chunks
+                .iter()
+                .map(|chunk| {
+                    standardizer
+                        .transform_with(chunk, &policy)
+                        .expect("standardizing")
+                })
+                .collect();
+            (start.elapsed(), out)
+        });
+        let threads = if mode == "serial" { 1 } else { pool_threads };
+        push(results, "standardize", threads, mode, millis);
+    }
+    std::fs::remove_file(&csv).map_err(|e| format!("removing {}: {e}", csv.display()))
 }
 
 /// `a · bᵀ` as one [`simd::dot`] per output element, row after row with no
@@ -645,6 +728,8 @@ fn run(args: &[String]) -> Result<(), String> {
         });
         push(&mut results, "consensus_vote", threads, mode, vote);
     }
+
+    ingest_sections(quick, reps, small_threads, &mut results)?;
 
     // Tiled vs untiled `matmul_transpose_right` at the ROADMAP's
     // 512x256x256 shape (the one where the dot-product layout used to run

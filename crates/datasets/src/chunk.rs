@@ -9,21 +9,23 @@
 //!
 //! Two implementations are provided:
 //!
-//! * [`ChunkedCsvReader`] — indexes the byte offsets of a CSV file's data
-//!   rows once at open time, parses a chunk's rows the first time it is
-//!   read and spills the parsed values as raw little-endian `f64` to an
-//!   anonymous temporary file, so every later read of that chunk decodes
-//!   bytes instead of re-parsing text. Row data is never held in memory
-//!   beyond the current chunk.
+//! * [`ChunkedCsvReader`] — indexes the byte offset of every data row of a
+//!   CSV file once at open time. The first read of a chunk reads the
+//!   chunk's byte range in one call and parses its rows in row bands on the
+//!   worker pool, then spills the values as raw native-endian `f64` to an
+//!   anonymous temporary file, so every later read of that chunk is one
+//!   `read_exact` straight into the chunk's matrix instead of a re-parse.
+//!   Memory stays bounded by one chunk's text plus its values.
 //! * [`InMemoryChunks`] — adapts an already-materialised feature matrix
 //!   (e.g. a generated UCI stand-in) to the same interface, so the training
 //!   driver is agnostic to where rows come from.
 
 use crate::csv::parse_feature;
 use crate::{CsvOptions, Dataset, DatasetError, Result};
-use sls_linalg::Matrix;
+use sls_linalg::{Matrix, ParallelPolicy, WorkerPool};
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -104,27 +106,34 @@ pub fn leading_sample(source: &dyn ChunkSource, max_rows: usize) -> Result<Matri
 ///
 /// Opening the reader makes one pass over the file to record the byte
 /// offset and line number of every data row (header and blank lines are
-/// skipped). The first `read_chunk(i)` then seeks straight to the first
-/// row of chunk `i` and parses only its rows. Field values are validated
-/// at that read, so a malformed or non-finite value deep in the file
-/// surfaces when its chunk is first read, with its 1-based line number.
+/// skipped). The first `read_chunk(i)` then reads chunk `i`'s byte range,
+/// from its first row's offset to the next chunk's (or to the end of the
+/// file), in one call. Each row is the text from its offset to the next
+/// row's, so rows parse independently: a chunk with enough fields for
+/// [`ParallelPolicy::global`] to fan out parses in row bands on the
+/// [`WorkerPool`], with the serial parse's values and the earliest line's
+/// error. Field values are validated at that read, so a malformed or
+/// non-finite value deep in the file surfaces when its chunk is first
+/// read, with its 1-based line number.
 ///
 /// The label column (first or last, per [`CsvOptions`]) is skipped — the
 /// streaming trainer is unsupervised and consumes features only.
 ///
 /// # Spill
 ///
-/// Every chunk that parses cleanly is also written, as little-endian `f64`
+/// Every chunk that parses cleanly is also written, as native-endian `f64`
 /// values in row-major order, to a spill file; later reads of that chunk
-/// decode those bytes instead of re-parsing the text, which is over an
-/// order of magnitude cheaper.
+/// read those bytes straight into the chunk's matrix instead of
+/// re-parsing the text, which is over an order of magnitude cheaper. Only
+/// the process that wrote the file ever reads it, so the byte order never
+/// crosses machines.
 ///
 /// * **Where:** a file created by `open` under [`std::env::temp_dir`]
 ///   (so `TMPDIR` on Unix) and unlinked straight away. Only the open
 ///   handle keeps it alive, so nothing is left on disk when the reader is
 ///   dropped or the process dies, even by `SIGKILL`.
 /// * **Size:** `8 × rows × features` bytes once every chunk has been read.
-///   Memory stays bounded by one chunk.
+///   Memory stays bounded by one chunk's text plus its values.
 /// * **Lifetime:** the reader's. A resumed run opens a new reader and so
 ///   re-parses each chunk once.
 /// * **Snapshot:** edits to the CSV after a chunk's first read are not
@@ -191,23 +200,34 @@ impl Spill {
         if !self.spilled[index] {
             return Ok(None);
         }
-        let mut bytes = vec![0u8; len * 8];
+        let mut values = vec![0.0; len];
         self.seek_to(index)?;
-        self.file.read_exact(&mut bytes)?;
-        Ok(Some(
-            bytes
-                .chunks_exact(8)
-                .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk")))
-                .collect(),
-        ))
+        self.file.read_exact(ne_bytes(&mut values))?;
+        Ok(Some(values))
     }
 
-    fn write(&mut self, index: usize, values: &[f64]) -> std::io::Result<()> {
-        let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+    /// Writes chunk `index`'s values; `values` is only borrowed mutably
+    /// for the byte view and is left unchanged.
+    fn write(&mut self, index: usize, values: &mut [f64]) -> std::io::Result<()> {
         self.seek_to(index)?;
-        self.file.write_all(&bytes)?;
+        self.file.write_all(ne_bytes(values))?;
         self.spilled[index] = true;
         Ok(())
+    }
+}
+
+/// `values` as their native-endian bytes: the spill's format, written and
+/// read back by the same process.
+fn ne_bytes(values: &mut [f64]) -> &mut [u8] {
+    // SAFETY: the view covers exactly the `size_of_val(values)` bytes of
+    // the slice and holds its exclusive borrow. `u8` has alignment 1, and
+    // every byte pattern is a valid `u8` and every 8-byte pattern a valid
+    // `f64`, so bytes written through the view leave valid values behind.
+    unsafe {
+        std::slice::from_raw_parts_mut(
+            values.as_mut_ptr().cast::<u8>(),
+            std::mem::size_of_val(values),
+        )
     }
 }
 
@@ -285,41 +305,22 @@ impl ChunkedCsvReader {
         }
     }
 
-    /// Parses chunk `index` from the CSV text into one row-major buffer.
-    fn parse_chunk(&self, index: usize) -> Result<Vec<f64>> {
-        let start_row = index * self.chunk_size;
-        let rows_here = self.rows_in_chunk(index);
+    /// Parses chunk `index` from the CSV text into one row-major buffer,
+    /// under `policy` (see [`parse_rows`]).
+    fn parse_chunk(&self, index: usize, policy: &ParallelPolicy) -> Result<Vec<f64>> {
+        let first = index * self.chunk_size;
+        let rows = &self.offsets[first..first + self.rows_in_chunk(index)];
+        let start = rows[0].0;
         let mut file = File::open(&self.path)?;
-        file.seek(SeekFrom::Start(self.offsets[start_row].0))?;
-        let mut reader = BufReader::new(file);
-        let mut line = String::new();
-        let mut line_no = self.offsets[start_row].1;
-        let mut values = Vec::with_capacity(rows_here * self.n_features);
-        let mut rows = 0;
-        while rows < rows_here {
-            line.clear();
-            let bytes = reader.read_line(&mut line)?;
-            if bytes == 0 {
-                // The file shrank since it was indexed.
-                return Err(DatasetError::CsvParse {
-                    line: line_no,
-                    message: "unexpected end of file (source changed since indexing?)".to_string(),
-                });
-            }
-            let trimmed = line.trim();
-            if !trimmed.is_empty() {
-                parse_feature_row(
-                    trimmed,
-                    line_no,
-                    self.n_features,
-                    &self.options,
-                    &mut values,
-                )?;
-                rows += 1;
-            }
-            line_no += 1;
-        }
-        Ok(values)
+        let end = match self.offsets.get(first + rows.len()) {
+            Some(&(next_chunk, _)) => next_chunk,
+            None => file.metadata()?.len(),
+        };
+        file.seek(SeekFrom::Start(start))?;
+        let len = end.saturating_sub(start);
+        let mut text = Vec::with_capacity(len as usize);
+        file.take(len).read_to_end(&mut text)?;
+        parse_rows(&text, rows, self.n_features, &self.options, policy)
     }
 }
 
@@ -354,8 +355,8 @@ impl ChunkSource for ChunkedCsvReader {
         {
             Some(values) => values,
             None => {
-                let values = self.parse_chunk(index)?;
-                self.with_spill(|spill| spill.write(index, &values));
+                let mut values = self.parse_chunk(index, &ParallelPolicy::global())?;
+                self.with_spill(|spill| spill.write(index, &mut values));
                 values
             }
         };
@@ -363,32 +364,121 @@ impl ChunkSource for ChunkedCsvReader {
     }
 }
 
-/// Appends the feature fields of one data row to `out`, skipping the label
-/// column.
-fn parse_feature_row(
-    trimmed: &str,
-    line_no: usize,
+/// Estimated cost of one CSV field (scan, trim and `str::parse`) in the
+/// f64-operation units [`ParallelPolicy::effective_threads`] plans with.
+/// Measured on a 2-core AVX2 Xeon with `parallel_bench`: the first serial
+/// read of the 892-feature Book CSV parses its 800,128 fields in 49–66 ms
+/// (`csv_first_read`, 61–83 ns a field), while a product's multiply-add
+/// takes about 0.26 ns (`matmul`: 134M in 34–38 ms), so a field weighs
+/// about 240 operations.
+const FIELD_COST: usize = 240;
+
+/// Parses the data rows indexed by `rows` (`(byte offset, line)`, in file
+/// order) out of `text`, the file's bytes from the first row's offset up
+/// to the end of the chunk, into one row-major buffer.
+///
+/// Row `r` is the text from its offset to row `r + 1`'s (the end of `text`
+/// for the last row), so the blank lines between rows trim away and every
+/// row parses on its own. When `policy` plans more than one thread for the
+/// chunk, contiguous row bands parse as items of one
+/// [`WorkerPool::for_each_mut`] call, each writing its rows' slice of the
+/// buffer. Every band stops at its first error and the earliest band's
+/// error is returned, so the result is the serial parse's, values and
+/// error alike, for every policy.
+fn parse_rows(
+    text: &[u8],
+    rows: &[(u64, usize)],
     n_features: usize,
     options: &CsvOptions,
-    out: &mut Vec<f64>,
+    policy: &ParallelPolicy,
+) -> Result<Vec<f64>> {
+    let mut values = vec![0.0; rows.len() * n_features];
+    let threads = policy.effective_threads(rows.len(), (n_features + 1) * FIELD_COST);
+    if threads == 1 {
+        parse_band(text, rows, 0..rows.len(), options, &mut values)?;
+        return Ok(values);
+    }
+    let band_rows = rows.len().div_ceil(threads);
+    let mut bands: Vec<(&mut [f64], Result<()>)> = values
+        .chunks_mut(band_rows * n_features)
+        .map(|band| (band, Ok(())))
+        .collect();
+    WorkerPool::global().for_each_mut(&mut bands, |b, (band, result)| {
+        let first = b * band_rows;
+        *result = parse_band(
+            text,
+            rows,
+            first..first + band.len() / n_features,
+            options,
+            band,
+        );
+    });
+    bands.into_iter().try_for_each(|(_, result)| result)?;
+    Ok(values)
+}
+
+/// Parses the chunk's rows `band` into `out` (their features, row-major),
+/// stopping at the first bad row.
+fn parse_band(
+    text: &[u8],
+    rows: &[(u64, usize)],
+    band: Range<usize>,
+    options: &CsvOptions,
+    out: &mut [f64],
 ) -> Result<()> {
-    let found = trimmed.split(options.delimiter).count();
-    if found != n_features + 1 {
+    let base = rows[0].0;
+    let at = |r: usize| {
+        rows.get(r)
+            .map_or(text.len(), |&(offset, _)| (offset - base) as usize)
+    };
+    let n_features = out.len() / band.len();
+    for (r, out) in band.zip(out.chunks_exact_mut(n_features)) {
+        let (from, line) = (at(r), rows[r].1);
+        if from >= text.len() {
+            // The file shrank since it was indexed.
+            return Err(DatasetError::CsvParse {
+                line,
+                message: "unexpected end of file (source changed since indexing?)".to_string(),
+            });
+        }
+        let row = std::str::from_utf8(&text[from..at(r + 1).min(text.len())]).map_err(|_| {
+            std::io::Error::new(ErrorKind::InvalidData, "stream did not contain valid UTF-8")
+        })?;
+        parse_feature_row(row.trim(), line, options, out)?;
+    }
+    Ok(())
+}
+
+/// Parses the feature fields of one data row into `out`, skipping the label
+/// column, in one scan that counts the fields as it parses them. A ragged
+/// row is reported ahead of a bad value in it.
+fn parse_feature_row(
+    trimmed: &str,
+    line: usize,
+    options: &CsvOptions,
+    out: &mut [f64],
+) -> Result<()> {
+    let skip_label = usize::from(!options.label_last);
+    let mut found = 0usize;
+    let mut bad = None;
+    for field in trimmed.split(options.delimiter) {
+        let slot = found.checked_sub(skip_label).and_then(|j| out.get_mut(j));
+        if let (Some(slot), None) = (slot, &bad) {
+            match parse_feature(field.trim(), line) {
+                Ok(value) => *slot = value,
+                Err(e) => bad = Some(e),
+            }
+        }
+        found += 1;
+    }
+    if found != out.len() + 1 {
         return Err(DatasetError::CsvRaggedRow {
-            line: line_no,
-            expected: n_features + 1,
+            line,
+            expected: out.len() + 1,
             found,
         });
     }
-    let skip_label = usize::from(!options.label_last);
-    for field in trimmed
-        .split(options.delimiter)
-        .skip(skip_label)
-        .take(n_features)
-    {
-        out.push(parse_feature(field.trim(), line_no)?);
-    }
-    Ok(())
+    bad.map_or(Ok(()), Err)
 }
 
 /// Chunked view over an already-materialised feature matrix.
@@ -474,6 +564,29 @@ mod tests {
 8.5,9.5,b
 3.0,4.0,a
 ";
+
+    /// Decimal spellings whose `f64` bits a round trip must keep: negative
+    /// zero, the smallest subnormal, the largest finite value and a value
+    /// one ulp off its short spelling.
+    const EXTREME_VALUES: [&str; 4] = [
+        "-0",
+        "5e-324",
+        "1.7976931348623157e308",
+        "0.30000000000000004",
+    ];
+
+    const EXTREMES: &str = "\
+-0,5e-324,a
+1.7976931348623157e308,0.30000000000000004,b
+
+-1.7976931348623157e308,-5e-324,a
+0.1,-0.0,b
+2.2250738585072014e-308,4.9406564584124654e-324,a
+";
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
 
     fn temp_csv(name: &str, content: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("sls_datasets_chunk_test");
@@ -636,27 +749,212 @@ mod tests {
 
     #[test]
     fn spilled_rereads_are_bitwise_equal_to_the_full_parse() {
-        let path = temp_csv("spill_rereads.csv", SAMPLE);
-        let full = crate::parse_csv_dataset(SAMPLE, &CsvOptions::default()).unwrap();
-        let cols = full.n_features();
-        for chunk_size in [1, 2, 3, 5, 100] {
-            let reader = ChunkedCsvReader::open(&path, &CsvOptions::default(), chunk_size).unwrap();
-            let forwards = 0..reader.n_chunks();
-            let order: Vec<usize> = forwards.clone().chain(forwards.rev()).collect();
-            for _ in 0..3 {
-                for &i in &order {
-                    let start = i * chunk_size * cols;
-                    let end = start + reader.rows_in_chunk(i) * cols;
-                    let chunk = reader.read_chunk(i).unwrap();
-                    let bits: Vec<u64> = chunk.as_slice().iter().map(|v| v.to_bits()).collect();
-                    let expected: Vec<u64> = full.features().as_slice()[start..end]
-                        .iter()
-                        .map(|v| v.to_bits())
-                        .collect();
-                    assert_eq!(bits, expected, "chunk size {chunk_size}, chunk {i}");
+        for (name, content) in [("sample", SAMPLE), ("extremes", EXTREMES)] {
+            let path = temp_csv(&format!("spill_rereads_{name}.csv"), content);
+            let full = crate::parse_csv_dataset(content, &CsvOptions::default()).unwrap();
+            let cols = full.n_features();
+            for chunk_size in [1, 2, 3, 5, 100] {
+                let reader =
+                    ChunkedCsvReader::open(&path, &CsvOptions::default(), chunk_size).unwrap();
+                let forwards = 0..reader.n_chunks();
+                let order: Vec<usize> = forwards.clone().chain(forwards.rev()).collect();
+                for _ in 0..3 {
+                    for &i in &order {
+                        let start = i * chunk_size * cols;
+                        let end = start + reader.rows_in_chunk(i) * cols;
+                        let chunk = reader.read_chunk(i).unwrap();
+                        assert_eq!(
+                            bits(chunk.as_slice()),
+                            bits(&full.features().as_slice()[start..end]),
+                            "{name}: chunk size {chunk_size}, chunk {i}"
+                        );
+                    }
                 }
             }
         }
+    }
+
+    /// The shapes a data row comes in: CRLF line ends, blank and
+    /// whitespace-only lines between rows, a header, the label first,
+    /// padded fields and values at the edges of `f64`.
+    fn varied_csv(rows: usize, crlf: bool, header: bool, label_first: bool) -> String {
+        let end = if crlf { "\r\n" } else { "\n" };
+        let mut text = String::new();
+        if header {
+            text += &format!("f1,f2,f3,class{end}");
+        }
+        for i in 0..rows {
+            let mut fields: Vec<String> = (0..3)
+                .map(|j| match (i + j) % 6 {
+                    0..=3 => EXTREME_VALUES[(i + j) % 6].to_string(),
+                    4 => format!(" {} ", i as f64 * 0.37 + j as f64),
+                    _ => format!("-{i}e-{j}"),
+                })
+                .collect();
+            let label = format!("c{}", i % 3);
+            if label_first {
+                fields.insert(0, label);
+            } else {
+                fields.push(label);
+            }
+            text += &fields.join(",");
+            text += end;
+            if i % 4 == 1 {
+                text += end;
+            }
+            if i % 7 == 3 {
+                text += &format!("  \t{end}");
+            }
+        }
+        text
+    }
+
+    #[test]
+    fn the_band_parse_is_bitwise_the_serial_parse() {
+        for (case, (crlf, header, label_first)) in [
+            (false, false, false),
+            (true, false, false),
+            (false, true, false),
+            (false, false, true),
+            (true, true, true),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let content = varied_csv(29, crlf, header, label_first);
+            let options = CsvOptions {
+                has_header: header,
+                label_last: !label_first,
+                ..CsvOptions::default()
+            };
+            let path = temp_csv(&format!("bands_{case}.csv"), &content);
+            let full = crate::parse_csv_dataset(&content, &options).unwrap();
+            for chunk_size in [1, 7, 29] {
+                let reader = ChunkedCsvReader::open(&path, &options, chunk_size).unwrap();
+                let mut joined = Vec::new();
+                for i in 0..reader.n_chunks() {
+                    let serial = reader.parse_chunk(i, &ParallelPolicy::serial()).unwrap();
+                    for threads in 1..=4 {
+                        let banded = reader.parse_chunk(i, &ParallelPolicy::eager(threads));
+                        assert_eq!(
+                            bits(&banded.unwrap()),
+                            bits(&serial),
+                            "case {case}, chunk size {chunk_size}, chunk {i}, {threads} threads"
+                        );
+                    }
+                    joined.extend(serial);
+                }
+                assert_eq!(
+                    bits(&joined),
+                    bits(full.features().as_slice()),
+                    "case {case}"
+                );
+            }
+        }
+    }
+
+    /// The error of parsing `content` as one chunk, the same under the
+    /// serial policy and every band split.
+    fn chunk_error(name: &str, content: &str) -> DatasetError {
+        let path = temp_csv(name, content);
+        let reader = ChunkedCsvReader::open(&path, &CsvOptions::default(), 100).unwrap();
+        let serial = reader
+            .parse_chunk(0, &ParallelPolicy::serial())
+            .unwrap_err();
+        for threads in 1..=4 {
+            let banded = reader
+                .parse_chunk(0, &ParallelPolicy::eager(threads))
+                .unwrap_err();
+            assert_eq!(
+                format!("{banded:?}"),
+                format!("{serial:?}"),
+                "{name}, {threads} threads"
+            );
+        }
+        serial
+    }
+
+    /// Twelve good rows (lines 1-12: four bands of three under four
+    /// threads) with line `line` replaced by `row`.
+    fn with_row(line: usize, row: &str) -> String {
+        (1..=12)
+            .map(|l| {
+                if l == line {
+                    format!("{row}\n")
+                } else {
+                    format!("{l}.0,{l}.5,a\n")
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_band_parse_reports_the_serial_parse_errors() {
+        let ragged = chunk_error("parity_ragged.csv", &with_row(6, "1.0,a"));
+        assert!(
+            matches!(
+                ragged,
+                DatasetError::CsvRaggedRow {
+                    line: 6,
+                    expected: 3,
+                    found: 2
+                }
+            ),
+            "{ragged:?}"
+        );
+        let long = chunk_error("parity_long.csv", &with_row(6, "1.0,2.0,3.0,a"));
+        assert!(
+            matches!(
+                long,
+                DatasetError::CsvRaggedRow {
+                    line: 6,
+                    found: 4,
+                    ..
+                }
+            ),
+            "{long:?}"
+        );
+        match chunk_error("parity_bad.csv", &with_row(7, "1.0,oops,a")) {
+            DatasetError::CsvParse { line: 7, message } => {
+                assert_eq!(message, "cannot parse feature value 'oops' as a number");
+            }
+            other => panic!("expected a line-7 parse error, got {other:?}"),
+        }
+        for field in ["NaN", "inf", "1e400"] {
+            match chunk_error(
+                &format!("parity_{field}.csv"),
+                &with_row(9, &format!("{field},1.0,a")),
+            ) {
+                DatasetError::CsvParse { line: 9, message } => assert_eq!(
+                    message,
+                    format!("feature value '{field}' is not a finite number")
+                ),
+                other => panic!("{field}: expected a line-9 parse error, got {other:?}"),
+            }
+        }
+        // Ragged wins over a bad value in the same row, whichever comes
+        // first in it.
+        for row in ["oops,1.0,2.0,a", "1.0,2.0,oops,a", "oops,a"] {
+            let err = chunk_error("parity_ragged_and_bad.csv", &with_row(5, row));
+            assert!(
+                matches!(err, DatasetError::CsvRaggedRow { line: 5, .. }),
+                "{row}: {err:?}"
+            );
+        }
+        // Bad rows in two bands: the earlier line wins, whatever its kind.
+        let two = with_row(2, "1.0,oops,a").replace("11.0,11.5,a", "11.0,a");
+        match chunk_error("parity_two_bands.csv", &two) {
+            DatasetError::CsvParse { line: 2, message } => {
+                assert_eq!(message, "cannot parse feature value 'oops' as a number");
+            }
+            other => panic!("expected a line-2 parse error, got {other:?}"),
+        }
+        let two = with_row(3, "1.0,a").replace("10.0,10.5,a", "10.0,oops,a");
+        let err = chunk_error("parity_two_bands_ragged.csv", &two);
+        assert!(
+            matches!(err, DatasetError::CsvRaggedRow { line: 3, .. }),
+            "{err:?}"
+        );
     }
 
     #[test]
