@@ -54,7 +54,14 @@
 //!   (whole clusterers, whole alignments) fan out whatever their size, so
 //!   `consensus_align`/`_vote` time that task-level dispatch on stages of
 //!   a few tens of microseconds; the pooled membership is asserted
-//!   identical to the serial one before the report is written.
+//!   identical to the serial one before the report is written;
+//! * `csv_first_read` / `csv_spill_reread` / `standardize` — the retrain's
+//!   data path on the Book stand-in written as the CSV `sls-serve retrain`
+//!   reads (896x892, 128 rows with `--quick`, 256-row chunks): the first
+//!   read of every chunk (the parse, `serial` and in pooled row bands),
+//!   one pass re-reading the spilled chunks, and one standardize pass over
+//!   the chunks (`serial` and `pool`). The pooled parse is asserted
+//!   identical to the serial one. These sections carry no gate bar.
 //!
 //! The kernel sections run serially and under `ParallelPolicy::new` at 2,
 //! 4, 8 threads plus the machine's core count — the shipping rule, so a

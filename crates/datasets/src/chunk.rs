@@ -427,9 +427,12 @@ fn parse_band(
     out: &mut [f64],
 ) -> Result<()> {
     let base = rows[0].0;
+    // Where row `r` starts in `text`; an offset past the end (of a file that
+    // shrank) stays past it.
     let at = |r: usize| {
-        rows.get(r)
-            .map_or(text.len(), |&(offset, _)| (offset - base) as usize)
+        rows.get(r).map_or(text.len(), |&(offset, _)| {
+            usize::try_from(offset - base).unwrap_or(usize::MAX)
+        })
     };
     let n_features = out.len() / band.len();
     for (r, out) in band.zip(out.chunks_exact_mut(n_features)) {
