@@ -351,12 +351,16 @@ fn ingest_sections(
         first_reads.push(read_all(&open()));
     }
     ParallelPolicy::set_global(ParallelPolicy::serial());
-    assert!(
-        first_reads[0].iter().zip(&first_reads[1]).all(|(a, b)| a
-            .as_slice()
+    let bits = |chunks: &[Matrix]| -> Vec<u64> {
+        chunks
             .iter()
+            .flat_map(Matrix::as_slice)
             .map(|v| v.to_bits())
-            .eq(b.as_slice().iter().map(|v| v.to_bits()))),
+            .collect()
+    };
+    assert_eq!(
+        bits(&first_reads[0]),
+        bits(&first_reads[1]),
         "pooled CSV parse diverged from serial"
     );
 

@@ -395,6 +395,7 @@ fn parse_rows(
     let mut values = vec![0.0; rows.len() * n_features];
     let threads = policy.effective_threads(rows.len(), (n_features + 1) * FIELD_COST);
     if threads == 1 {
+        // Inline, without starting the global pool.
         parse_band(text, rows, 0..rows.len(), options, &mut values)?;
         return Ok(values);
     }
