@@ -21,12 +21,12 @@
 //!   library calls the trainer makes per mini-batch (`cd_phase_millis`):
 //!   the five products (`V·W`, `H·Wᵀ`, `V̂·W`, `Vᵀ·H`, `V̂ᵀ·Ĥ`), the fused
 //!   bias + activation maps, and Bernoulli sampling of the hidden layer.
-//!   The epoch also pays for the row gather and the parameter update,
-//!   which the split leaves out, and for the end-of-epoch
-//!   reconstruction-error pass, which `cd_epoch_retrain_recon_error` times
-//!   alone (serial and pooled). `cd_epoch_retrain_guided` is the same epoch
-//!   guided by a supervision of 3 local clusters covering every instance,
-//!   the sls update `retrain` runs;
+//!   The epoch also pays for the row gather, the per-row squared error
+//!   against the CD reconstruction (the epoch's reported error) and the
+//!   parameter update, which the split leaves out.
+//!   `cd_epoch_retrain_guided` is the same epoch guided by a supervision of
+//!   3 local clusters covering every instance, the sls update `retrain`
+//!   runs;
 //! * `pipeline_transform` — full-dataset hidden-feature extraction, the
 //!   batch-transform / serving micro-batch shape;
 //! * `matmul`, `matmul_transpose_left`, `matmul_transpose_right` — the three
@@ -515,21 +515,6 @@ fn run(args: &[String]) -> Result<(), String> {
             threads,
             mode,
             guided_millis,
-        );
-        // The end-of-epoch reconstruction-error pass alone.
-        let recon_millis = best_of(reps, || {
-            let start = Instant::now();
-            let error = retrain_model
-                .reconstruction_error_with(&retrain_data, &policy)
-                .expect("reconstruction error");
-            (start.elapsed(), error)
-        });
-        push(
-            &mut results,
-            "cd_epoch_retrain_recon_error",
-            threads,
-            mode,
-            recon_millis,
         );
 
         // Full-dataset feature extraction (pipeline transform / serving

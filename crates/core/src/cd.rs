@@ -13,6 +13,7 @@
 //! supervision. [`CdTrainer`] runs it over in-memory data, guided or not;
 //! [`crate::StreamTrainer`] runs it chunk by chunk.
 
+use crate::rbm::squared_error;
 use crate::sls::{clusters_in_batch, sls_batch_gradients, SlsConfig};
 use crate::{Rbm, RbmError, RbmParams, Result, TrainConfig};
 use rand::Rng;
@@ -25,8 +26,10 @@ use sls_linalg::{Matrix, MatrixRandomExt, ParallelPolicy};
 pub struct EpochStats {
     /// Epoch index (0-based).
     pub epoch: usize,
-    /// Mean squared reconstruction error over the full dataset at the end of
-    /// the epoch.
+    /// Mean squared error between each row the epoch trained on and its
+    /// CD reconstruction, taken under the parameters its mini-batch update
+    /// started from: Hinton's rough progress signal, not a held-out
+    /// evaluation (that is [`Rbm::reconstruction_error`]).
     pub reconstruction_error: f64,
 }
 
@@ -245,7 +248,9 @@ pub(crate) struct UpdateRule<'a> {
 
 /// Applies one mini-batch update: CD-k on rows `rows` of `data`, plus the
 /// constrict/disperse term when `rule.guide` is set. Row `r` of `data` is
-/// supervision instance `offset + r`.
+/// supervision instance `offset + r`. Returns the batch's squared error
+/// against its CD reconstruction (`V_recon`) under the parameters the
+/// update starts from: each row summed first, the rows added in visit order.
 ///
 /// Plain CD keeps its own step formula instead of reusing the guided one
 /// with η = 1: the two group the learning rate differently, so their f64
@@ -258,9 +263,14 @@ pub(crate) fn minibatch_step(
     rows: &[usize],
     offset: usize,
     rng: &mut impl Rng,
-) -> Result<()> {
+) -> Result<f64> {
     let batch = data.select_rows(rows)?;
     let cd = cd_batch_gradients(model, &batch, rule.train.cd_steps, rule.parallel, rng)?;
+    let error = batch
+        .row_iter()
+        .zip(cd.visible_recon.row_iter())
+        .map(|(row, recon)| squared_error(row, recon))
+        .sum();
     let lr = rule.train.learning_rate;
     let decay = -rule.train.weight_decay;
     let momentum = rule.train.momentum;
@@ -308,7 +318,7 @@ pub(crate) fn minibatch_step(
             );
         }
     }
-    Ok(())
+    Ok(error)
 }
 
 /// The in-memory contrastive-divergence trainer for every model kind: plain
@@ -359,7 +369,8 @@ impl CdTrainer {
     /// Trains `model` on `data`, guided by `supervision` if given, and
     /// returns the per-epoch history. Every epoch shuffles the rows (if
     /// configured), applies `minibatch_step` to each mini-batch, and
-    /// records the reconstruction error over all of `data`.
+    /// records the mean of the batches' reconstruction errors (see
+    /// [`EpochStats::reconstruction_error`]).
     ///
     /// # Errors
     ///
@@ -390,15 +401,16 @@ impl CdTrainer {
         };
         let mut history = TrainingHistory::default();
         for epoch in 0..cfg.epochs {
+            let mut error = 0.0;
             for rows in epoch_order(data.rows(), cfg.shuffle, rng).chunks(cfg.batch_size) {
-                minibatch_step(model, &mut velocity, &rule, data, rows, 0, rng)?;
+                error += minibatch_step(model, &mut velocity, &rule, data, rows, 0, rng)?;
             }
             if !model.params().is_finite() {
                 return Err(RbmError::Diverged { epoch });
             }
             history.epochs.push(EpochStats {
                 epoch,
-                reconstruction_error: model.reconstruction_error_with(data, &self.parallel)?,
+                reconstruction_error: error / data.len() as f64,
             });
         }
         Ok(history)
@@ -590,31 +602,34 @@ mod tests {
         // The reproducibility contract of the parallel layer: identical
         // seeds give identical parameters for every thread count, because
         // the kernels are bitwise deterministic and the RNG is only consumed
-        // by strictly serial sampling.
+        // by strictly serial sampling. The epoch errors, summed per row and
+        // then in visit order, share those bits.
         let data = binary_prototype_data(&mut rng());
         let config = TrainConfig::quick().with_epochs(5);
         let mut trained = Vec::new();
         for parallel in [
             ParallelPolicy::serial(),
+            ParallelPolicy::eager(2),
             ParallelPolicy::eager(4),
             ParallelPolicy::eager(7),
             ParallelPolicy::new(7),
         ] {
             let mut model = Rbm::new(VisibleKind::Binary, 6, 4, &mut rng());
-            CdTrainer::new(config)
+            let history = CdTrainer::new(config)
                 .unwrap()
                 .with_parallel(parallel)
                 .train(&mut model, &data, None, &mut rng())
                 .unwrap();
-            trained.push(model);
+            trained.push((model, history));
         }
-        let reference = trained[0].params();
-        for model in &trained[1..] {
-            assert_eq!(model.params(), reference);
+        let (reference, reference_history) = &trained[0];
+        for (model, history) in &trained[1..] {
+            assert_eq!(model.params(), reference.params());
             assert_eq!(
                 model.params().weights.as_slice(),
-                reference.weights.as_slice()
+                reference.params().weights.as_slice()
             );
+            assert_eq!(history, reference_history);
         }
     }
 

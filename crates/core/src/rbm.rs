@@ -203,17 +203,22 @@ impl Rbm {
         let hidden = self.hidden_probabilities_with(&block, &serial)?;
         let recon = self.reconstruct_visible_with(&hidden, &serial)?;
         for ((sum, row), recon_row) in sums.iter_mut().zip(block.row_iter()).zip(recon.row_iter()) {
-            *sum = row
-                .iter()
-                .zip(recon_row)
-                .map(|(&v, &r)| {
-                    let d = v - r;
-                    d * d
-                })
-                .sum();
+            *sum = squared_error(row, recon_row);
         }
         Ok(())
     }
+}
+
+/// The squared error between a visible row and its reconstruction, summed
+/// left to right.
+pub(crate) fn squared_error(row: &[f64], recon: &[f64]) -> f64 {
+    row.iter()
+        .zip(recon)
+        .map(|(&v, &r)| {
+            let d = v - r;
+            d * d
+        })
+        .sum()
 }
 
 #[cfg(test)]

@@ -172,7 +172,7 @@ mod tests {
                 4,
                 &mut ChaCha8Rng::seed_from_u64(4),
             );
-            CdTrainer::new(TrainConfig::quick().with_epochs(4))
+            let history = CdTrainer::new(TrainConfig::quick().with_epochs(4))
                 .unwrap()
                 .with_parallel(parallel)
                 .train(
@@ -182,12 +182,13 @@ mod tests {
                     &mut ChaCha8Rng::seed_from_u64(5),
                 )
                 .unwrap();
-            model
+            (model, history)
         };
-        let serial = train_one(ParallelPolicy::serial());
+        let (serial, serial_history) = train_one(ParallelPolicy::serial());
         for threads in [2, 8] {
-            let par = train_one(ParallelPolicy::eager(threads));
+            let (par, history) = train_one(ParallelPolicy::eager(threads));
             assert_eq!(serial.params(), par.params(), "threads = {threads}");
+            assert_eq!(serial_history, history, "threads = {threads}");
         }
     }
 

@@ -47,10 +47,14 @@
 //!
 //! ## Progress monitoring
 //!
-//! After an epoch's last chunk the stream reads every chunk again for the
-//! row-weighted mean of [`Rbm::reconstruction_error_with`]: a pass over
-//! small row blocks, shared out on the worker pool when the policy fans
-//! out, whose value has the same bits for every thread count.
+//! Each chunk is read once per epoch. An epoch's error is the mean squared
+//! error between the rows trained and their CD reconstructions, which
+//! every mini-batch update returns (see
+//! [`EpochStats::reconstruction_error`]); it never feeds back into
+//! training. It covers the rows *one* [`StreamTrainer::advance`] call
+//! trained in that epoch: a resume at an epoch boundary reports exactly
+//! what an uninterrupted run reports, while the first epoch after a
+//! mid-epoch resume covers only the chunks run since the resume.
 
 use crate::cd::{epoch_order, minibatch_step, Guidance, UpdateRule, Velocity};
 use crate::sls::SlsConfig;
@@ -371,8 +375,9 @@ impl StreamTrainer {
     /// trainers: plain CD for [`ModelKind::Rbm`] / [`ModelKind::Grbm`], the
     /// combined CD + constrict/disperse step for the sls kinds (which
     /// require `supervision`). Returns the per-epoch history of the epochs
-    /// *completed by this call*; the reconstruction error is the row-weighted
-    /// mean over all chunks.
+    /// *completed by this call*; each epoch's reconstruction error is the
+    /// mean over the rows this call trained in it (see the module's
+    /// "Progress monitoring").
     ///
     /// # Errors
     ///
@@ -455,6 +460,7 @@ impl StreamTrainer {
 
         while checkpoint.epochs_done < cfg.epochs && budget_left(epochs_run, chunks_run) {
             let epoch = checkpoint.epochs_done;
+            let (mut error, mut values) = (0.0, 0usize);
             while checkpoint.chunks_done < n_chunks && budget_left(epochs_run, chunks_run) {
                 let chunk_index = checkpoint.chunks_done;
                 let mut rng = ChaCha8Rng::seed_from_u64(chunk_seed(base_seed, epoch, chunk_index));
@@ -465,8 +471,10 @@ impl StreamTrainer {
                 let offset = chunk_index * chunk_cap;
                 let order = epoch_order(data.rows(), cfg.shuffle, &mut rng);
                 for rows in order.chunks(cfg.batch_size) {
-                    minibatch_step(model, &mut velocity, &rule, &data, rows, offset, &mut rng)?;
+                    error +=
+                        minibatch_step(model, &mut velocity, &rule, &data, rows, offset, &mut rng)?;
                 }
+                values += data.len();
                 if !model.params().is_finite() {
                     return Err(RbmError::Diverged { epoch });
                 }
@@ -483,10 +491,12 @@ impl StreamTrainer {
                 chunks_run += 1;
             }
             if checkpoint.chunks_done == n_chunks {
-                let error = self.streaming_reconstruction_error(model, source, preprocessor)?;
+                if values == 0 {
+                    return Err(RbmError::EmptyData);
+                }
                 history.epochs.push(EpochStats {
                     epoch,
-                    reconstruction_error: error,
+                    reconstruction_error: error / values as f64,
                 });
                 checkpoint.epochs_done += 1;
                 checkpoint.chunks_done = 0;
@@ -494,33 +504,6 @@ impl StreamTrainer {
             }
         }
         Ok(history)
-    }
-
-    /// Row-weighted mean reconstruction error over every chunk of the
-    /// source — the streaming counterpart of
-    /// [`Rbm::reconstruction_error`]. The chunked summation
-    /// order differs from the in-memory one, so the value may differ from a
-    /// whole-dataset evaluation in the last bits; it is a monitoring
-    /// statistic, not part of the resume contract.
-    fn streaming_reconstruction_error(
-        &self,
-        model: &Rbm,
-        source: &dyn ChunkSource,
-        preprocessor: &FittedPreprocessor,
-    ) -> Result<f64> {
-        let mut weighted = 0.0;
-        let mut rows = 0usize;
-        for index in 0..source.n_chunks() {
-            let raw = source.read_chunk(index)?;
-            let data = preprocessor.transform_with(&raw, &self.parallel)?;
-            weighted +=
-                model.reconstruction_error_with(&data, &self.parallel)? * data.rows() as f64;
-            rows += data.rows();
-        }
-        if rows == 0 {
-            return Err(RbmError::EmptyData);
-        }
-        Ok(weighted / rows as f64)
     }
 }
 
@@ -532,6 +515,7 @@ mod tests {
     use sls_consensus::{LocalSupervision, VotingPolicy};
     use sls_datasets::InMemoryChunks;
     use sls_linalg::MatrixRandomExt;
+    use std::cell::Cell;
 
     fn bernoulli_source(rows: usize, cols: usize, chunk_size: usize, seed: u64) -> InMemoryChunks {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -555,16 +539,19 @@ mod tests {
         LocalSupervision::from_consensus(&consensus, VotingPolicy::default()).unwrap()
     }
 
+    /// An uninterrupted run of `epochs` epochs under `parallel`: the final
+    /// checkpoint and the history.
     fn straight_run(
         kind: ModelKind,
-        source: &InMemoryChunks,
+        source: &dyn ChunkSource,
         supervision: Option<(&LocalSupervision, &SlsConfig)>,
         epochs: usize,
-    ) -> TrainCheckpoint {
+        parallel: ParallelPolicy,
+    ) -> (TrainCheckpoint, TrainingHistory) {
         let mut checkpoint =
             TrainCheckpoint::fresh(kind, source.n_features(), 5, quick_config(epochs), 99).unwrap();
-        StreamTrainer::new()
-            .with_parallel(ParallelPolicy::serial())
+        let history = StreamTrainer::new()
+            .with_parallel(parallel)
             .advance(
                 &mut checkpoint,
                 source,
@@ -573,7 +560,32 @@ mod tests {
                 StreamLimit::ToCompletion,
             )
             .unwrap();
-        checkpoint
+        (checkpoint, history)
+    }
+
+    /// A source that counts its `read_chunk` calls.
+    struct CountingSource<'a> {
+        inner: &'a InMemoryChunks,
+        reads: Cell<usize>,
+    }
+
+    impl ChunkSource for CountingSource<'_> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn n_features(&self) -> usize {
+            self.inner.n_features()
+        }
+        fn n_instances(&self) -> usize {
+            self.inner.n_instances()
+        }
+        fn chunk_size(&self) -> usize {
+            self.inner.chunk_size()
+        }
+        fn read_chunk(&self, index: usize) -> sls_datasets::Result<Matrix> {
+            self.reads.set(self.reads.get() + 1);
+            self.inner.read_chunk(index)
+        }
     }
 
     #[test]
@@ -589,7 +601,8 @@ mod tests {
     #[test]
     fn interrupted_resume_is_bitwise_identical_cd() {
         let source = bernoulli_source(30, 6, 7, 11);
-        let reference = straight_run(ModelKind::Rbm, &source, None, 3);
+        let (reference, _) =
+            straight_run(ModelKind::Rbm, &source, None, 3, ParallelPolicy::serial());
         assert!(reference.is_complete());
 
         // Same run, interrupted every 3 chunks with a JSON round-trip in
@@ -630,7 +643,13 @@ mod tests {
         let source = bernoulli_source(30, 6, 7, 12);
         let supervision = leading_supervision(14, 30);
         let sls = SlsConfig::paper_rbm();
-        let reference = straight_run(ModelKind::SlsRbm, &source, Some((&supervision, &sls)), 2);
+        let (reference, _) = straight_run(
+            ModelKind::SlsRbm,
+            &source,
+            Some((&supervision, &sls)),
+            2,
+            ParallelPolicy::serial(),
+        );
         assert!(reference.is_complete());
 
         let mut checkpoint = TrainCheckpoint::fresh(
@@ -669,33 +688,115 @@ mod tests {
     #[test]
     fn streaming_is_invariant_to_parallel_policy() {
         let source = bernoulli_source(26, 6, 9, 13);
-        let serial = straight_run(ModelKind::Grbm, &source, None, 2);
-        for threads in [2, 4] {
-            let policy = ParallelPolicy::eager(threads);
-            let mut checkpoint = TrainCheckpoint::fresh(
-                ModelKind::Grbm,
-                source.n_features(),
-                5,
-                quick_config(2),
-                99,
-            )
-            .unwrap();
-            StreamTrainer::new()
-                .with_parallel(policy)
+        let supervision = leading_supervision(14, 26);
+        let sls = SlsConfig::new(0.5);
+        for (kind, supervision) in [
+            (ModelKind::Grbm, None),
+            (ModelKind::SlsGrbm, Some((&supervision, &sls))),
+        ] {
+            let (serial, serial_history) =
+                straight_run(kind, &source, supervision, 2, ParallelPolicy::serial());
+            assert_eq!(serial_history.epochs.len(), 2);
+            for threads in [2, 4] {
+                let policy = ParallelPolicy::eager(threads);
+                let (checkpoint, history) = straight_run(kind, &source, supervision, 2, policy);
+                assert_eq!(
+                    serial.params.weights.as_slice(),
+                    checkpoint.params.weights.as_slice(),
+                    "{kind:?} threads={threads}"
+                );
+                assert_eq!(serial_history, history, "{kind:?} threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn each_chunk_is_read_once_per_epoch() {
+        let inner = bernoulli_source(30, 6, 7, 18); // 5 chunks
+        let source = CountingSource {
+            inner: &inner,
+            reads: Cell::new(0),
+        };
+        let (checkpoint, history) =
+            straight_run(ModelKind::Rbm, &source, None, 3, ParallelPolicy::serial());
+        assert!(checkpoint.is_complete());
+        assert_eq!(history.epochs.len(), 3);
+        assert_eq!(source.reads.get(), inner.n_chunks() * 3);
+    }
+
+    #[test]
+    fn epoch_boundary_resume_reports_the_uninterrupted_history() {
+        let source = bernoulli_source(30, 6, 7, 20);
+        let (reference, reference_history) =
+            straight_run(ModelKind::Rbm, &source, None, 3, ParallelPolicy::serial());
+        let mut checkpoint =
+            TrainCheckpoint::fresh(ModelKind::Rbm, source.n_features(), 5, quick_config(3), 99)
+                .unwrap();
+        let trainer = StreamTrainer::new().with_parallel(ParallelPolicy::serial());
+        let mut history = TrainingHistory::default();
+        while !checkpoint.is_complete() {
+            let part = trainer
                 .advance(
                     &mut checkpoint,
                     &source,
                     &FittedPreprocessor::Identity,
                     None,
-                    StreamLimit::ToCompletion,
+                    StreamLimit::Epochs(1),
                 )
                 .unwrap();
-            assert_eq!(
-                serial.params.weights.as_slice(),
-                checkpoint.params.weights.as_slice(),
-                "threads={threads}"
-            );
+            history.epochs.extend(part.epochs);
+            checkpoint = TrainCheckpoint::from_json(&checkpoint.to_json_pretty().unwrap()).unwrap();
         }
+        assert_eq!(checkpoint.params, reference.params);
+        assert_eq!(history, reference_history);
+    }
+
+    #[test]
+    fn mid_epoch_resume_reports_the_chunks_run_since_the_resume() {
+        // 5 chunks of 7 rows; the run stops after 2 of them. A source of
+        // just those 2 chunks trains them identically (same chunk indices,
+        // so the same RNG streams) and reports their error alone.
+        let features = Matrix::random_bernoulli(35, 6, 0.5, &mut ChaCha8Rng::seed_from_u64(21));
+        let source = InMemoryChunks::new(features.clone(), 7, "full").unwrap();
+        let head = InMemoryChunks::new(features.slice_rows(0, 14).unwrap(), 7, "head").unwrap();
+        let serial = ParallelPolicy::serial;
+        let (_, full) = straight_run(ModelKind::Rbm, &source, None, 1, serial());
+        let (head_run, first) = straight_run(ModelKind::Rbm, &head, None, 1, serial());
+
+        let mut checkpoint =
+            TrainCheckpoint::fresh(ModelKind::Rbm, 6, 5, quick_config(1), 99).unwrap();
+        let trainer = StreamTrainer::new().with_parallel(serial());
+        let pre = FittedPreprocessor::Identity;
+        let h = trainer
+            .advance(&mut checkpoint, &source, &pre, None, StreamLimit::Chunks(2))
+            .unwrap();
+        assert!(h.epochs.is_empty());
+        assert_eq!(checkpoint.params, head_run.params);
+        let rest = trainer
+            .advance(
+                &mut checkpoint,
+                &source,
+                &pre,
+                None,
+                StreamLimit::ToCompletion,
+            )
+            .unwrap();
+        assert_eq!(rest.epochs.len(), 1);
+        assert_eq!(rest.epochs[0].epoch, 0);
+
+        // The resumed entry covers chunks 2..5 (21 rows): weighted with the
+        // first 14 rows' error it gives the uninterrupted epoch's value.
+        let (first, rest, full) = (
+            first.epochs[0].reconstruction_error,
+            rest.epochs[0].reconstruction_error,
+            full.epochs[0].reconstruction_error,
+        );
+        assert_ne!(rest, full);
+        let combined = (first * 14.0 + rest * 21.0) / 35.0;
+        assert!(
+            (combined - full).abs() <= 1e-12 * full,
+            "{combined} vs {full}"
+        );
     }
 
     #[test]
