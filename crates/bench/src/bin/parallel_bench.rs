@@ -16,7 +16,9 @@
 //!   batch 64), the end-to-end number the roadmap tracks;
 //! * `cd_epoch_retrain` — the same at the shape `sls-serve retrain` trains
 //!   by default: 896 instances (128 with `--quick`) of 892 Gaussian visible
-//!   units, 12 hidden, batch 32. `cd_epoch_retrain_{products,activations,
+//!   units, 12 hidden, batch 32, serial only (no product at that shape
+//!   reaches the policy's work floor, so a pooled policy would run the same
+//!   inline calls). `cd_epoch_retrain_{products,activations,
 //!   sampling}` split one serial epoch of that shape by phase, running the
 //!   library calls the trainer makes per mini-batch (`cd_phase_millis`):
 //!   the five products (`V·W`, `H·Wᵀ`, `V̂·W`, `Vᵀ·H`, `V̂ᵀ·Ĥ`), the fused
@@ -26,7 +28,7 @@
 //!   parameter update, which the split leaves out.
 //!   `cd_epoch_retrain_guided` is the same epoch guided by a supervision of
 //!   3 local clusters covering every instance, the sls update `retrain`
-//!   runs;
+//!   runs, also serial only;
 //! * `pipeline_transform` — full-dataset hidden-feature extraction, the
 //!   batch-transform / serving micro-batch shape;
 //! * `matmul`, `matmul_transpose_left`, `matmul_transpose_right` — the three
@@ -63,8 +65,9 @@
 //!   the chunks (`serial` and `pool`). The pooled parse is asserted
 //!   identical to the serial one. These sections carry no gate bar.
 //!
-//! The kernel sections run serially and under `ParallelPolicy::new` at 2,
-//! 4, 8 threads plus the machine's core count — the shipping rule, so a
+//! `cd_epoch`, `pipeline_transform` and the three product kernels run
+//! serially and under `ParallelPolicy::new` at 2, 4, 8 threads plus the
+//! machine's core count — the shipping rule, so a
 //! call below the work floor runs inline there too; speedups are relative
 //! to the serial run *on this machine*.
 //! The report records `available_parallelism` — on a single-core box the
@@ -481,42 +484,6 @@ fn run(args: &[String]) -> Result<(), String> {
         });
         push(&mut results, "cd_epoch", threads, mode, cd_millis);
 
-        // One CD epoch at the retrain shape, plain and guided.
-        let retrain_epoch = |supervision: Option<(&LocalSupervision, &SlsConfig)>| {
-            best_of(reps, || {
-                let mut model = retrain_model.clone();
-                let trainer = CdTrainer::new(retrain_config)
-                    .expect("valid config")
-                    .with_parallel(policy);
-                let start = Instant::now();
-                trainer
-                    .train(
-                        &mut model,
-                        &retrain_data,
-                        supervision,
-                        &mut ChaCha8Rng::seed_from_u64(9),
-                    )
-                    .expect("training");
-                (start.elapsed(), model)
-            })
-        };
-        let retrain_millis = retrain_epoch(None);
-        push(
-            &mut results,
-            "cd_epoch_retrain",
-            threads,
-            mode,
-            retrain_millis,
-        );
-        let guided_millis = retrain_epoch(Some((&retrain_supervision, &retrain_sls)));
-        push(
-            &mut results,
-            "cd_epoch_retrain_guided",
-            threads,
-            mode,
-            guided_millis,
-        );
-
         // Full-dataset feature extraction (pipeline transform / serving
         // micro-batch shape).
         let model = Rbm::new(
@@ -565,6 +532,44 @@ fn run(args: &[String]) -> Result<(), String> {
         });
         push(&mut results, "matmul_transpose_right", threads, mode, tr);
     }
+
+    // One CD epoch at the retrain shape, plain and guided, serial only: no
+    // product at this shape reaches the work floor, so every policy would
+    // time the same inline calls.
+    let retrain_epoch = |supervision: Option<(&LocalSupervision, &SlsConfig)>| {
+        best_of(reps, || {
+            let mut model = retrain_model.clone();
+            let trainer = CdTrainer::new(retrain_config)
+                .expect("valid config")
+                .with_parallel(ParallelPolicy::serial());
+            let start = Instant::now();
+            trainer
+                .train(
+                    &mut model,
+                    &retrain_data,
+                    supervision,
+                    &mut ChaCha8Rng::seed_from_u64(9),
+                )
+                .expect("training");
+            (start.elapsed(), model)
+        })
+    };
+    let retrain_millis = retrain_epoch(None);
+    push(
+        &mut results,
+        "cd_epoch_retrain",
+        1,
+        "serial",
+        retrain_millis,
+    );
+    let guided_millis = retrain_epoch(Some((&retrain_supervision, &retrain_sls)));
+    push(
+        &mut results,
+        "cd_epoch_retrain_guided",
+        1,
+        "serial",
+        guided_millis,
+    );
 
     // The retrain-shape epoch by phase, serial.
     let phases = cd_phase_millis(&retrain_model, &retrain_data, retrain_batch, reps);

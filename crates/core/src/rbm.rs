@@ -6,11 +6,7 @@ use crate::model::{RbmParams, VisibleKind};
 use crate::Result;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use sls_linalg::{Matrix, MatrixRandomExt, ParallelPolicy, WorkerPool};
-
-/// Rows per block of [`Rbm::reconstruction_error_with`]: at the retrain
-/// model's 892 visible units a block's reconstruction (228 KB) fits in L2.
-const ERROR_BLOCK_ROWS: usize = 32;
+use sls_linalg::{Matrix, MatrixRandomExt, ParallelPolicy};
 
 /// Restricted Boltzmann machine whose visible layer is `visible`.
 ///
@@ -152,16 +148,11 @@ impl Rbm {
         self.reconstruction_error_with(visible, &ParallelPolicy::global())
     }
 
-    /// [`Self::reconstruction_error`] under an explicit [`ParallelPolicy`].
-    ///
-    /// The pass walks blocks of 32 rows (`ERROR_BLOCK_ROWS`), whose hidden
-    /// probabilities and reconstruction stay in cache: each block computes
-    /// `σ(VW + b)`, `HWᵀ + a` (through `σ` for binary units) and one
-    /// squared-error sum per row, its products serial. The blocks are the
-    /// items of one [`WorkerPool::for_each_mut`] call when `parallel` fans
-    /// out over `visible`'s rows, and run inline otherwise. The row sums are
-    /// combined serially in row order, so the value has the same bits for
-    /// every thread count and block size.
+    /// [`Self::reconstruction_error`] under an explicit [`ParallelPolicy`]:
+    /// the hidden probabilities and the reconstruction of the whole input,
+    /// each product and map under `parallel`, then one squared-error sum per
+    /// row, added in row order. Every value has one summation order, so the
+    /// error has the same bits for every thread count.
     ///
     /// # Errors
     ///
@@ -171,41 +162,14 @@ impl Rbm {
         visible: &Matrix,
         parallel: &ParallelPolicy,
     ) -> Result<f64> {
-        self.params.check_data(visible)?;
-        let rows = visible.rows();
-        let mut per_row = vec![0.0; rows];
-        let mut blocks: Vec<_> = per_row
-            .chunks_mut(ERROR_BLOCK_ROWS)
-            .map(|s| (s, Ok(())))
-            .collect();
-        let work = |b: usize, (sums, status): &mut (&mut [f64], Result<()>)| {
-            *status = self.block_errors(visible, b * ERROR_BLOCK_ROWS, sums);
-        };
-        // Per row: V·W, H·Wᵀ and the squared error.
-        let (n_visible, n_hidden) = self.params.weights.shape();
-        let row_cost = 2 * n_visible * n_hidden + n_visible;
-        if parallel.effective_threads(rows, row_cost) > 1 {
-            WorkerPool::global().for_each_mut(&mut blocks, work);
-        } else {
-            for (b, item) in blocks.iter_mut().enumerate() {
-                work(b, item);
-            }
-        }
-        blocks.into_iter().try_for_each(|(_, status)| status)?;
-        Ok(per_row.iter().sum::<f64>() / visible.len() as f64)
-    }
-
-    /// The squared reconstruction error of each row `first..first +
-    /// sums.len()` of `visible`, into `sums`, with serial products.
-    fn block_errors(&self, visible: &Matrix, first: usize, sums: &mut [f64]) -> Result<()> {
-        let serial = ParallelPolicy::serial();
-        let block = visible.slice_rows(first, first + sums.len())?;
-        let hidden = self.hidden_probabilities_with(&block, &serial)?;
-        let recon = self.reconstruct_visible_with(&hidden, &serial)?;
-        for ((sum, row), recon_row) in sums.iter_mut().zip(block.row_iter()).zip(recon.row_iter()) {
-            *sum = squared_error(row, recon_row);
-        }
-        Ok(())
+        let hidden = self.hidden_probabilities_with(visible, parallel)?;
+        let recon = self.reconstruct_visible_with(&hidden, parallel)?;
+        let sum: f64 = visible
+            .row_iter()
+            .zip(recon.row_iter())
+            .map(|(row, recon_row)| squared_error(row, recon_row))
+            .sum();
+        Ok(sum / visible.len() as f64)
     }
 }
 

@@ -1,37 +1,58 @@
-//! The register-tiled micro-kernel behind the narrow matrix products.
+//! The matrix products' two inner kernels, each compiled for two
+//! instruction sets.
 //!
-//! One body computes `out(i, j) = Σ_p a(i, p) · b(p, j)` for a band of
-//! output rows, holding an `R×C` [`Tile`] of output accumulators in
-//! registers across the whole `p` loop. Against a row-streaming `axpy`
-//! (which loads and stores the output row once per `p`) or one short dot
-//! per element (one serial add chain per element), the tile keeps `R·C`
-//! independent add chains in flight and touches the output once.
+//! * [`product`], a register-tiled micro-kernel, computes `out(i, j) = Σ_p
+//!   a(i, p) · b(p, j)` for a band of output rows, holding an `R×C`
+//!   [`Tile`] of output accumulators in registers across the `p` loop. It
+//!   runs `matmul`, `matmul_transpose_left` and the short-dot
+//!   `matmul_transpose_right` at every width. Against a row-streaming
+//!   `axpy` (which loads and stores the output row once per `p`) or one
+//!   short dot per element (one serial add chain per element), the tile
+//!   keeps `R·C` independent add chains in flight and touches the output
+//!   once per reduction block.
+//! * [`dot_rows`] runs `matmul_transpose_right` over 16 or more shared
+//!   columns: one [`simd::dot`] per element, in `j`-tiles of right-operand
+//!   rows that stay in L1d across the band.
 //!
 //! ## Order contract
 //!
-//! Every element accumulates `a(i, p) · b(p, j)` in ascending `p`, starting
-//! from `+0.0`, one multiply and one add per term. That is the order of the
-//! row-streaming products (zero the output row, then `out += a_ip · b_p` for
-//! ascending `p`), and the order of [`crate::simd::dot`] on vectors shorter
-//! than [`crate::simd::DOT_ACCUMULATORS`] (its lanes all stay `+0.0` and the
-//! tail is summed in order). The tile shape, the remainder tiles and the
-//! instruction set only decide which elements are computed together, so
-//! the output is the same to the bit on every path. There is no FMA: a
-//! fused multiply-add rounds once instead of twice, so output bits would
-//! depend on the host CPU.
+//! Every element of [`product`] accumulates `a(i, p) · b(p, j)` in ascending
+//! `p`, starting from `+0.0`, one multiply and one add per term. That is the
+//! order of [`simd::dot`] on vectors shorter than [`simd::DOT_ACCUMULATORS`]
+//! (its lanes all stay `+0.0` and the tail is summed in order). The tile
+//! shape, the remainder tiles, the reduction blocks and the instruction set
+//! only decide which elements and terms are computed together, so the
+//! output is the same to the bit on every path. [`dot_rows`] keeps the
+//! canonical 16-lane order of [`simd::dot`]. There is no FMA: a fused
+//! multiply-add rounds once instead of twice, so output bits would depend
+//! on the host CPU.
 //!
-//! The left operand is read through two strides ([`Strided`]), so the same
-//! body serves `A·B` (`a(i, p) = A[i][p]`), `Aᵀ·B` (`a(i, p) = A[p][i]`) and
-//! `A·Bᵀ` on a transposed copy of `B`.
+//! The left operand of [`product`] is read through two strides
+//! ([`Strided`]), so the same body serves `A·B` (`a(i, p) = A[i][p]`),
+//! `Aᵀ·B` (`a(i, p) = A[p][i]`) and `A·Bᵀ` on a transposed copy of `B`.
+//!
+//! ## Reduction blocks
+//!
+//! Over more than [`REDUCTION_BLOCK`] terms, [`product`] runs the whole row
+//! band once per block of shared indices, storing each tile's partial sums
+//! into the output and reloading them for the next block (Goto & van de
+//! Geijn, "Anatomy of High-Performance Matrix Multiplication", 2008). A
+//! block of `b` (and, for `Aᵀ·B`, of the left operand's rows) then stays in
+//! cache across the band instead of being streamed from memory once per
+//! row band. A stored partial sum is an `f64` like the register it came
+//! from, so each element is still the one ascending sum from `+0.0`. At
+//! most one block's terms, the body is the plain tile loop.
 //!
 //! ## Instruction sets
 //!
-//! The body is `#[inline(always)]` and instantiated twice: once for the
-//! compilation target (SSE2 on stock x86-64) and, on x86-64, once more
-//! inside a `#[target_feature(enable = "avx2")]` function, which doubles
-//! the vector width. [`product`] picks the AVX2 arm at run time with
-//! `is_x86_feature_detected!`; nothing else selects it.
+//! Each kernel is one `#[inline(always)]` body that `kernel_arms!`
+//! instantiates twice: once for the compilation target (SSE2 on stock
+//! x86-64) and, on x86-64, once more inside a `#[target_feature(enable =
+//! "avx2")]` function, which doubles the vector width. [`product`] and
+//! [`dot_rows`] pick the AVX2 arm at run time with
+//! `is_x86_feature_detected!`, once per row block; nothing else selects it.
 
+use crate::simd;
 use std::ops::Range;
 
 /// Output rows per full tile.
@@ -44,6 +65,13 @@ const TILE_COLS: usize = 12;
 /// Output columns per tile of the ragged column remainder, one 4-lane AVX2
 /// register per row; anything narrower runs one column at a time.
 const REMAINDER_COLS: usize = 4;
+
+/// Shared indices per reduction block of [`product`]. Measured on a 2-core
+/// AVX2 Xeon, a 2048-term `Aᵀ·B` into 256×256 ran 40 → 19 ms against the
+/// unblocked tile (128 and 512 ran alike); one block also covers every
+/// mini-batch `Vᵀ·H` and every `V·W` of a model up to 256 visible units,
+/// which keep the plain loop.
+pub(crate) const REDUCTION_BLOCK: usize = 256;
 
 /// The left operand of a product, read as `a(i, p) = data[i * row_stride +
 /// p * col_stride]`.
@@ -91,6 +119,17 @@ impl<const R: usize, const C: usize> Tile<R, C> {
         Self([[0.0; C]; R])
     }
 
+    /// The partial sums of a previous reduction block, read back from
+    /// `out` (rows of `width` elements) at column `j0`.
+    #[inline(always)]
+    fn load(out: &[f64], width: usize, j0: usize) -> Self {
+        Self(std::array::from_fn(|r| {
+            out[r * width + j0..r * width + j0 + C]
+                .try_into()
+                .expect("a C-wide slice")
+        }))
+    }
+
     /// `self(r, c) += a[r] · b[c]`: a separate multiply and add, never fused.
     #[inline(always)]
     fn accumulate(&mut self, a: [f64; R], b: &[f64; C]) {
@@ -110,56 +149,64 @@ impl<const R: usize, const C: usize> Tile<R, C> {
     }
 }
 
-/// One `R×C` tile: output rows `i..i + R` (global indices into `a`), columns
-/// `j0..j0 + C`, written to `out` whose first row is output row `i`.
+/// One `R×C` tile over the shared indices `terms`: output rows `i..i + R`
+/// (global indices into `a`), columns `j0..j0 + C`, written to `out` whose
+/// first row is output row `i`. The first block starts from `+0.0`, a later
+/// one from the sums the block before it stored.
 #[inline(always)]
-fn tile<const R: usize, const C: usize>(
+fn tile<const R: usize, const C: usize, const CARRY: bool>(
     a: Strided<'_>,
     b: &[f64],
-    k: usize,
+    terms: Range<usize>,
     m: usize,
     i: usize,
     j0: usize,
     out: &mut [f64],
 ) {
-    let mut acc = Tile::<R, C>::zeros();
-    for p in 0..k {
-        let b_p: &[f64; C] = b[p * m + j0..p * m + j0 + C]
-            .try_into()
-            .expect("a C-wide slice");
+    let mut acc = if CARRY {
+        Tile::<R, C>::load(out, m, j0)
+    } else {
+        Tile::<R, C>::zeros()
+    };
+    let b_rows = b[terms.start * m..terms.end * m].chunks_exact(m);
+    for (p, b_row) in terms.zip(b_rows) {
+        let b_p: &[f64; C] = b_row[j0..j0 + C].try_into().expect("a C-wide slice");
         acc.accumulate(std::array::from_fn(|r| a.at(i + r, p)), b_p);
     }
     acc.store(out, m, j0);
 }
 
-/// Output rows `i..i + R` across all `m` columns: full-width tiles, then
-/// narrower ones for the ragged column remainder.
+/// Output rows `i..i + R` across all `m` columns over the shared indices
+/// `terms`: full-width tiles, then narrower ones for the ragged column
+/// remainder.
 #[inline(always)]
-fn row_band<const R: usize>(
+fn row_band<const R: usize, const CARRY: bool>(
     a: Strided<'_>,
     b: &[f64],
-    k: usize,
+    terms: Range<usize>,
     m: usize,
     i: usize,
     out: &mut [f64],
 ) {
     let mut j0 = 0;
     while j0 + TILE_COLS <= m {
-        tile::<R, TILE_COLS>(a, b, k, m, i, j0, out);
+        tile::<R, TILE_COLS, CARRY>(a, b, terms.clone(), m, i, j0, out);
         j0 += TILE_COLS;
     }
     while j0 + REMAINDER_COLS <= m {
-        tile::<R, REMAINDER_COLS>(a, b, k, m, i, j0, out);
+        tile::<R, REMAINDER_COLS, CARRY>(a, b, terms.clone(), m, i, j0, out);
         j0 += REMAINDER_COLS;
     }
     while j0 < m {
-        tile::<R, 1>(a, b, k, m, i, j0, out);
+        tile::<R, 1, CARRY>(a, b, terms.clone(), m, i, j0, out);
         j0 += 1;
     }
 }
 
-/// The kernel body both instruction-set arms instantiate: full-height row
-/// bands, then one shorter band for the ragged row remainder.
+/// The kernel body both instruction-set arms instantiate: the first
+/// reduction block from `+0.0`, then each later one from the sums the
+/// block before it stored. No terms still make one block, which stores
+/// zeros.
 #[inline(always)]
 fn product_body(
     a: Strided<'_>,
@@ -169,74 +216,113 @@ fn product_body(
     rows: Range<usize>,
     out: &mut [f64],
 ) {
+    debug_assert_eq!(b.len(), k * m);
+    debug_assert_eq!(out.len(), rows.len() * m);
+    bands::<false>(a, b, 0..k.min(REDUCTION_BLOCK), m, rows.clone(), out);
+    for p0 in (REDUCTION_BLOCK..k).step_by(REDUCTION_BLOCK) {
+        bands::<true>(a, b, p0..k.min(p0 + REDUCTION_BLOCK), m, rows.clone(), out);
+    }
+}
+
+/// One reduction block over `rows`: full-height row bands, then one shorter
+/// band for the ragged row remainder.
+#[inline(always)]
+fn bands<const CARRY: bool>(
+    a: Strided<'_>,
+    b: &[f64],
+    terms: Range<usize>,
+    m: usize,
+    rows: Range<usize>,
+    out: &mut [f64],
+) {
     let mut i = rows.start;
     while i + TILE_ROWS <= rows.end {
         let local = (i - rows.start) * m;
-        row_band::<TILE_ROWS>(a, b, k, m, i, &mut out[local..]);
+        row_band::<TILE_ROWS, CARRY>(a, b, terms.clone(), m, i, &mut out[local..]);
         i += TILE_ROWS;
     }
     let local = (i - rows.start) * m;
     let out = &mut out[local..];
     match rows.end - i {
         0 => {}
-        1 => row_band::<1>(a, b, k, m, i, out),
-        2 => row_band::<2>(a, b, k, m, i, out),
-        3 => row_band::<3>(a, b, k, m, i, out),
+        1 => row_band::<1, CARRY>(a, b, terms, m, i, out),
+        2 => row_band::<2, CARRY>(a, b, terms, m, i, out),
+        3 => row_band::<3, CARRY>(a, b, terms, m, i, out),
         _ => unreachable!("fewer than {TILE_ROWS} rows remain"),
     }
 }
 
-/// The kernel compiled for the build target's baseline instruction set.
-pub(crate) fn product_portable(
-    a: Strided<'_>,
-    b: &[f64],
-    k: usize,
-    m: usize,
-    rows: Range<usize>,
-    out: &mut [f64],
-) {
-    product_body(a, b, k, m, rows, out);
+/// Defines a kernel from its `#[inline(always)]` body: `$portable`, the body
+/// compiled for the build target's baseline instruction set (SSE2 on stock
+/// x86-64); on x86-64, `$avx2`, the body compiled with AVX2 enabled (and
+/// FMA not: see the module docs); and `$name`, which runs the AVX2 arm when
+/// `is_x86_feature_detected!` finds AVX2 and the portable arm otherwise.
+macro_rules! kernel_arms {
+    ($(#[$doc:meta])* $name:ident, $portable:ident, $avx2:ident, $body:ident,
+     ($($arg:ident: $ty:ty),*)) => {
+        /// The kernel compiled for the baseline instruction set.
+        pub(crate) fn $portable($($arg: $ty),*) {
+            $body($($arg),*);
+        }
+
+        /// The kernel compiled with AVX2 enabled.
+        ///
+        /// # Safety
+        ///
+        /// The CPU must support AVX2.
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx2")]
+        pub(crate) unsafe fn $avx2($($arg: $ty),*) {
+            $body($($arg),*);
+        }
+
+        $(#[$doc])*
+        pub(crate) fn $name($($arg: $ty),*) {
+            #[cfg(target_arch = "x86_64")]
+            if std::is_x86_feature_detected!("avx2") {
+                // SAFETY: the CPU supports AVX2, checked just above.
+                return unsafe { $avx2($($arg),*) };
+            }
+            $portable($($arg),*);
+        }
+    };
 }
 
-/// The kernel compiled with AVX2 enabled (and FMA not: see the module docs).
-///
-/// # Safety
-///
-/// The CPU must support AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn product_avx2(
-    a: Strided<'_>,
-    b: &[f64],
-    k: usize,
-    m: usize,
-    rows: Range<usize>,
-    out: &mut [f64],
-) {
-    product_body(a, b, k, m, rows, out);
-}
+kernel_arms!(
+    /// `out(i, j) = Σ_p a(i, p) · b(p, j)` for `i` in `rows`, `j` in `0..m`,
+    /// where `b` is a row-major `k x m` matrix and `out` holds exactly the
+    /// rows in `rows` (`rows.len() x m`, row-major). Bitwise identical on
+    /// every arm; see the module docs for the order.
+    product, product_portable, product_avx2, product_body,
+    (a: Strided<'_>, b: &[f64], k: usize, m: usize, rows: Range<usize>, out: &mut [f64])
+);
 
-/// `out(i, j) = Σ_p a(i, p) · b(p, j)` for `i` in `rows`, `j` in `0..m`,
-/// where `b` is a row-major `k x m` matrix and `out` holds exactly the rows
-/// in `rows` (`rows.len() x m`, row-major). Bitwise identical on every
-/// arm; see the module docs for the order.
-pub(crate) fn product(
-    a: Strided<'_>,
-    b: &[f64],
-    k: usize,
-    m: usize,
-    rows: Range<usize>,
-    out: &mut [f64],
-) {
-    debug_assert_eq!(b.len(), k * m);
+/// The dot loop: for each `j`-tile of `tile` right-operand rows, every
+/// output row of the band, one canonical [`simd::dot`] per element.
+#[inline(always)]
+fn dot_rows_body(a: &[f64], b: &[f64], k: usize, tile: usize, rows: Range<usize>, out: &mut [f64]) {
+    let m = b.len() / k;
     debug_assert_eq!(out.len(), rows.len() * m);
-    #[cfg(target_arch = "x86_64")]
-    if std::is_x86_feature_detected!("avx2") {
-        // SAFETY: the CPU supports AVX2, checked just above.
-        return unsafe { product_avx2(a, b, k, m, rows, out) };
+    for j0 in (0..m).step_by(tile) {
+        let j1 = (j0 + tile).min(m);
+        for (i, out_row) in rows.clone().zip(out.chunks_mut(m)) {
+            let a_row = &a[i * k..(i + 1) * k];
+            for (j, out_val) in (j0..j1).zip(&mut out_row[j0..j1]) {
+                *out_val = simd::dot(a_row, &b[j * k..(j + 1) * k]);
+            }
+        }
     }
-    product_portable(a, b, k, m, rows, out);
 }
+
+kernel_arms!(
+    /// `out(i, j) = simd::dot(a_i, b_j)` for `i` in `rows`, `j` in `0..m`,
+    /// where `a` and `b` are row-major with `k > 0` columns, `b` has `m` rows
+    /// and `out` holds exactly the rows in `rows` (`rows.len() x m`,
+    /// row-major), in `j`-tiles of `tile > 0` right-operand rows. Bitwise
+    /// identical on every arm and for every tile.
+    dot_rows, dot_rows_portable, dot_rows_avx2, dot_rows_body,
+    (a: &[f64], b: &[f64], k: usize, tile: usize, rows: Range<usize>, out: &mut [f64])
+);
 
 #[cfg(test)]
 mod tests {
@@ -356,6 +442,21 @@ mod tests {
         let b = random(k * m, &mut rng);
         for rows in [0..23, 5..11, 3..4, 22..23, 7..7, 1..20] {
             check_all(&a, n, k, &b, m, rows);
+        }
+    }
+
+    #[test]
+    fn reduction_blocks_carry_the_partial_sums() {
+        // k across one and two block boundaries on every arm and both
+        // layouts; 7 rows and 17 columns make every tile shape carry.
+        let mut rng = ChaCha8Rng::seed_from_u64(8);
+        let (n, m) = (7, 17);
+        let block = REDUCTION_BLOCK;
+        for k in [block - 1, block, block + 1, 2 * block + 1] {
+            let a = random(n * k, &mut rng);
+            let b = random(k * m, &mut rng);
+            check_all(&a, n, k, &b, m, 0..n);
+            check_all(&a, n, k, &b, m, 2..5);
         }
     }
 

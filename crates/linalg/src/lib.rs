@@ -28,19 +28,21 @@
 //!   latency.
 //! * The kernel inner loops run through the [`mod@simd`] layer: manually
 //!   unrolled 4-lane building blocks (autovectorisable on stable Rust) that
-//!   commit to one canonical reduction order. `matmul_transpose_right` adds
-//!   a fixed, L1d-sized `j`-loop cache tile on top (see
-//!   [`Matrix::matmul_transpose_right_with`]).
-//! * Products with a narrow output (up to 16 wide, the models' 12 hidden
-//!   units) and `matmul_transpose_right` with fewer than 16 columns run on
-//!   a private register-tiled micro-kernel instead: a 4×12 block of output
-//!   accumulators stays in registers for the whole sum. It adds each
-//!   element's terms in ascending order onto `+0.0`, as the row-streaming
-//!   loops and the short canonical dot do, so it changes no bit. An AVX2
-//!   build of the same body is picked at run time when the CPU has AVX2;
-//!   neither arm uses FMA, whose single rounding would make the bits depend
-//!   on the host.
-//!
+//!   commit to one canonical reduction order.
+//! * `matmul` and `matmul_transpose_left` at every width, and
+//!   `matmul_transpose_right` below 16 columns, run on a private
+//!   register-tiled micro-kernel: a 4×12 block of output accumulators stays
+//!   in registers while it sums up to 256 terms, and longer sums carry
+//!   their partial sums from one block of 256 terms to the next. It adds
+//!   each element's terms in ascending order onto `+0.0`, as the short
+//!   canonical dot does, so it changes no bit. `matmul_transpose_right`
+//!   over 16 or more columns runs one canonical dot per element under a
+//!   fixed, L1d-sized `j`-loop cache tile (see
+//!   [`Matrix::matmul_transpose_right_with`]). Both loops have an AVX2
+//!   build of the same body, picked at run time when the CPU has AVX2;
+//!   neither uses FMA, whose single rounding would make the bits depend on
+//!   the host.
+
 //! ## Quick example
 //!
 //! ```

@@ -8,11 +8,10 @@
 //!
 //! ## Bitwise reproducibility
 //!
-//! Every product element has one summation order, whichever loop computes
-//! it: `matmul` and `matmul_transpose_left` add `a·b` terms in ascending
-//! shared index from `+0.0` (the register-tiled micro-kernel in `kernel.rs`
-//! on narrow outputs, a row-streaming `axpy` on wide ones), and
-//! `matmul_transpose_right` is one canonical [`simd::dot`] per element
+//! Every product element has one summation order: `matmul` and
+//! `matmul_transpose_left` add `a·b` terms in ascending shared index from
+//! `+0.0` on the register-tiled micro-kernel in `kernel.rs`, at every width,
+//! and `matmul_transpose_right` is one canonical [`simd::dot`] per element
 //! (which, below one 16-lane chunk, is that same ascending sum, so short
 //! dots run on the micro-kernel too).
 //!
@@ -140,8 +139,8 @@ impl ParallelPolicy {
     /// operations each plans for: `min(threads, rows, rows × row_cost /
     /// MIN_THREAD_WORK)`, never below 1, so every planned thread gets at
     /// least `MIN_THREAD_WORK` (720 Ki) operations. A caller that fans out its own
-    /// row blocks (as the RBM's reconstruction-error pass does) asks this
-    /// whether to.
+    /// row blocks (as the CSV reader's pooled parse does) asks this whether
+    /// to.
     pub fn effective_threads(&self, rows: usize, row_cost: usize) -> usize {
         let by_work = rows
             .saturating_mul(row_cost)
@@ -285,37 +284,20 @@ fn transpose_right_tile_rows(cols: usize) -> usize {
     (TILE_BYTES / (cols.max(1) * std::mem::size_of::<f64>())).clamp(8, 512)
 }
 
-/// Widest output `matmul` and `matmul_transpose_left` run on the
-/// register-tiled [`kernel`]: one full tile plus one remainder tile, which
-/// covers the 12-wide hidden layers every model here trains and serves.
-///
-/// Measured on a 2-core AVX2 Xeon, the tile wins at every width for `A·B`
-/// (2–4× at 12 wide, ~2× at 256). Wider outputs still stream rows: there,
-/// the faster `matmul` would leave the k ≥ 16 dot path of
-/// `matmul_transpose_right` behind, outside the 1.4×-of-`matmul` bar
-/// `parallel_bench --gate` holds it to.
-const TILE_MAX_WIDTH: usize = 16;
-
-/// Tallest shared dimension `matmul_transpose_left` runs the tile on. The
-/// tile reads the left operand down its columns, one row (on a wide
-/// operand, one page) per term, while the row-streaming loop reads it once
-/// in order. Measured on the same box, the tile won every shape up to 256
-/// terms (892–4096 output rows, 4–16 wide) and lost some from 384 on. CD's
-/// `Vᵀ·H` sums over one mini-batch, well below this.
-const TILE_MAX_TRANSPOSED_TERMS: usize = 256;
-
-/// `out = a · b` on the register-tiled [`kernel`], `out`'s row blocks split
-/// under `policy`: `a(i, p)` for `k` terms, `b` row-major `k x out.cols()`.
-fn tiled_product(a: Strided<'_>, b: &[f64], k: usize, out: &mut Matrix, policy: &ParallelPolicy) {
-    let (n, m) = out.shape();
+/// `a · b` into `n` rows on the register-tiled [`kernel`], the rows split
+/// under `policy`: `a(i, p)` for `b.rows()` terms.
+fn tiled_product(a: Strided<'_>, b: &Matrix, n: usize, policy: &ParallelPolicy) -> Matrix {
+    let (k, m) = b.shape();
+    let mut out = Matrix::zeros(n, m);
     for_each_row_block(
         out.as_mut_slice(),
         n,
         m,
         k.saturating_mul(m),
         policy,
-        &|range, block| kernel::product(a, b, k, m, range, block),
+        &|range, block| kernel::product(a, b.as_slice(), k, m, range, block),
     );
+    out
 }
 
 impl Matrix {
@@ -323,10 +305,8 @@ impl Matrix {
     /// are partitioned across threads; each row keeps the serial
     /// accumulation order, so the result is bitwise identical to serial.
     ///
-    /// Outputs up to 16 wide run on the register-tiled micro-kernel
-    /// (`kernel.rs`); wider ones stream `other`'s rows through one output
-    /// row at a time with [`simd::axpy`]. Both sum each element in ascending
-    /// `p` from `+0.0`, so the two paths agree to the bit.
+    /// Runs on the register-tiled micro-kernel (`kernel.rs`), which sums
+    /// each element in ascending `p` from `+0.0`.
     ///
     /// # Errors
     ///
@@ -339,38 +319,8 @@ impl Matrix {
                 right: other.shape(),
             });
         }
-        let (n, m) = (self.rows(), other.cols());
-        let mut out = Matrix::zeros(n, m);
-        if n == 0 || m == 0 {
-            return Ok(out);
-        }
-        let k = self.cols();
-        if m <= TILE_MAX_WIDTH {
-            let a = Strided::rows(self.as_slice(), k);
-            tiled_product(a, other.as_slice(), k, &mut out, policy);
-            return Ok(out);
-        }
-        for_each_row_block(
-            out.as_mut_slice(),
-            n,
-            m,
-            k.saturating_mul(m),
-            policy,
-            &|range, block| {
-                // i-p-j order keeps the inner loop contiguous over `other`'s rows
-                // and the output row; the inner axpy is element-wise, so its
-                // unrolling never changes the accumulation order. No zero-skip
-                // on `a_ip`: `0.0 × NaN` must produce NaN (IEEE), so a diverged
-                // operand is never masked.
-                for (i, out_row) in range.zip(block.chunks_mut(m)) {
-                    let a_row = self.row(i);
-                    for (p, &a_ip) in a_row.iter().enumerate() {
-                        simd::axpy(a_ip, other.row(p), out_row);
-                    }
-                }
-            },
-        );
-        Ok(out)
+        let a = Strided::rows(self.as_slice(), self.cols());
+        Ok(tiled_product(a, other, self.rows(), policy))
     }
 
     /// [`Matrix::matmul_transpose_right`] under an explicit
@@ -388,8 +338,9 @@ impl Matrix {
     /// plain ascending sum, which is the order of the register-tiled
     /// micro-kernel (`kernel.rs`), so such products (CD's `H·Wᵀ`, `n_hidden`
     /// columns) run on it over a transposed copy of `other`, made once per
-    /// call. Either way the result is bitwise identical to one
-    /// [`simd::dot`] per element.
+    /// call. Wider ones run the dot loop in `kernel.rs`, whose AVX2 arm is
+    /// picked at run time like the micro-kernel's. Either way the result is
+    /// bitwise identical to one [`simd::dot`] per element.
     ///
     /// # Errors
     ///
@@ -421,15 +372,13 @@ impl Matrix {
                 right: other.shape(),
             });
         }
-        let (n, m) = (self.rows(), other.rows());
+        let (n, m, k) = (self.rows(), other.rows(), self.cols());
+        if k < simd::DOT_ACCUMULATORS {
+            let a = Strided::rows(self.as_slice(), k);
+            return Ok(tiled_product(a, &other.transpose(), n, policy));
+        }
         let mut out = Matrix::zeros(n, m);
         if n == 0 || m == 0 {
-            return Ok(out);
-        }
-        let k = self.cols();
-        if k < simd::DOT_ACCUMULATORS {
-            let (a, b) = (Strided::rows(self.as_slice(), k), other.transpose());
-            tiled_product(a, b.as_slice(), k, &mut out, policy);
             return Ok(out);
         }
         let tile = tile_rows.clamp(1, m);
@@ -440,15 +389,7 @@ impl Matrix {
             m.saturating_mul(k),
             policy,
             &|range, block| {
-                for j0 in (0..m).step_by(tile) {
-                    let j1 = (j0 + tile).min(m);
-                    for (i, out_row) in range.clone().zip(block.chunks_mut(m)) {
-                        let a_row = self.row(i);
-                        for (j, out_val) in (j0..j1).zip(out_row[j0..j1].iter_mut()) {
-                            *out_val = simd::dot(a_row, other.row(j));
-                        }
-                    }
-                }
+                kernel::dot_rows(self.as_slice(), other.as_slice(), k, tile, range, block);
             },
         );
         Ok(out)
@@ -460,11 +401,10 @@ impl Matrix {
     /// rows in the serial order, so each output element accumulates in the
     /// serial order and the result is bitwise identical.
     ///
-    /// Outputs up to 16 wide over at most 256 shared rows run on the
-    /// register-tiled micro-kernel (`kernel.rs`), reading `self` down its
-    /// columns; the rest stream the shared rows with [`simd::axpy`]. Both sum
-    /// each element in ascending `p` from `+0.0`, so the two paths agree to
-    /// the bit.
+    /// Runs on the register-tiled micro-kernel (`kernel.rs`), reading
+    /// `self` down its columns and summing each element in ascending `p`
+    /// from `+0.0`. Over more than 256 shared rows it sums in blocks of 256,
+    /// carrying the partial sums, so the left operand's block stays in cache.
     ///
     /// # Errors
     ///
@@ -481,42 +421,8 @@ impl Matrix {
                 right: other.shape(),
             });
         }
-        let (k, n, m) = (self.rows(), self.cols(), other.cols());
-        let mut out = Matrix::zeros(n, m);
-        if n == 0 || m == 0 {
-            return Ok(out);
-        }
-        let row_cost = k.saturating_mul(m);
-        if m <= TILE_MAX_WIDTH && k <= TILE_MAX_TRANSPOSED_TERMS {
-            let a = Strided::columns(self.as_slice(), n);
-            tiled_product(a, other.as_slice(), k, &mut out, policy);
-            return Ok(out);
-        }
-        for_each_row_block(
-            out.as_mut_slice(),
-            n,
-            m,
-            row_cost,
-            policy,
-            &|range, block| {
-                // p-outer order keeps `other`'s rows streaming through cache;
-                // each thread touches only its own band of output rows. The
-                // per-element accumulation order (ascending p) matches serial
-                // exactly, and the inner axpy is element-wise so its unrolling
-                // preserves it. No zero-skip (IEEE NaN propagation, see
-                // `matmul_with`).
-                for p in 0..k {
-                    let a_row = self.row(p);
-                    let b_row = other.row(p);
-                    for (local, i) in range.clone().enumerate() {
-                        let a_pi = a_row[i];
-                        let out_row = &mut block[local * m..(local + 1) * m];
-                        simd::axpy(a_pi, b_row, out_row);
-                    }
-                }
-            },
-        );
-        Ok(out)
+        let a = Strided::columns(self.as_slice(), self.cols());
+        Ok(tiled_product(a, other, self.cols(), policy))
     }
 
     /// Row-wise map: builds an `rows x out_cols` matrix where row `i` is
@@ -643,8 +549,8 @@ mod tests {
             // and one cluster's Vᵀ·E over at most as many rows.
             ("retrain Vᵀ·H", v, 32 * h, [1, 1]),
             ("cluster Vᵀ·E", v, 20 * h, [1, 1]),
-            // The 896-row reconstruction-error pass: V·W, H·Wᵀ, the error.
-            ("reconstruction error", 896, 2 * v * h + v, [2, 4]),
+            // The 896-row reconstruction-error pass's V·W.
+            ("reconstruction error V·W", 896, v * h, [2, 4]),
             // small_batch_32 and _128: 32 and 128 rows of 256x256.
             ("small_batch_32", 32, 256 * 256, [2, 2]),
             ("small_batch_128", 128, 256 * 256, [2, 4]),
@@ -875,9 +781,12 @@ mod tests {
     }
 
     #[test]
-    fn tiled_and_streaming_paths_agree_across_the_cut_overs() {
-        // Both sides of `TILE_MAX_WIDTH` and `TILE_MAX_TRANSPOSED_TERMS`
-        // against the ascending sum from +0.0, serial and pooled.
+    fn reduction_blocks_agree_with_the_ascending_sum() {
+        // One term short of a reduction block, one block, one past it and
+        // two blocks and one term, for `A·B` (the left operand read along
+        // its rows) and `Aᵀ·B` (down its columns), against the ascending sum
+        // from +0.0, serial and pooled. The widths cover one full tile, every
+        // column remainder and a wide output.
         let ascending = |n: usize,
                          k: usize,
                          m: usize,
@@ -887,24 +796,21 @@ mod tests {
                 (0..k).fold(0.0, |sum, p| sum + x(i, p) * y(p, j))
             })
         };
+        let block = kernel::REDUCTION_BLOCK;
         let mut r = rng();
-        for policy in [ParallelPolicy::serial(), ParallelPolicy::eager(3)] {
-            for m in [TILE_MAX_WIDTH - 1, TILE_MAX_WIDTH, TILE_MAX_WIDTH + 1] {
-                let a = Matrix::random_normal(9, 33, 0.0, 1.0, &mut r);
-                let b = Matrix::random_normal(33, m, 0.0, 1.0, &mut r);
-                let expected = ascending(9, 33, m, &|i, p| a[(i, p)], &|p, j| b[(p, j)]);
-                assert!(
-                    bitwise_eq(&expected, &a.matmul_with(&b, &policy).unwrap()),
-                    "m = {m}"
-                );
-            }
-            let terms = TILE_MAX_TRANSPOSED_TERMS;
-            for k in [terms - 1, terms, terms + 1] {
+        for k in [block - 1, block, block + 1, 2 * block + 1] {
+            for m in [12, 13, 17, 256] {
+                let a = Matrix::random_normal(9, k, 0.0, 1.0, &mut r);
                 let v = Matrix::random_normal(k, 7, 0.0, 1.0, &mut r);
-                let h = Matrix::random_normal(k, 12, 0.0, 1.0, &mut r);
-                let expected = ascending(7, k, 12, &|i, p| v[(p, i)], &|p, j| h[(p, j)]);
-                let out = v.matmul_transpose_left_with(&h, &policy).unwrap();
-                assert!(bitwise_eq(&expected, &out), "k = {k}");
+                let b = Matrix::random_normal(k, m, 0.0, 1.0, &mut r);
+                let rows = ascending(9, k, m, &|i, p| a[(i, p)], &|p, j| b[(p, j)]);
+                let columns = ascending(7, k, m, &|i, p| v[(p, i)], &|p, j| b[(p, j)]);
+                for policy in [ParallelPolicy::serial(), ParallelPolicy::eager(3)] {
+                    let out = a.matmul_with(&b, &policy).unwrap();
+                    assert!(bitwise_eq(&rows, &out), "A·B, k = {k}, m = {m}");
+                    let out = v.matmul_transpose_left_with(&b, &policy).unwrap();
+                    assert!(bitwise_eq(&columns, &out), "Aᵀ·B, k = {k}, m = {m}");
+                }
             }
         }
     }

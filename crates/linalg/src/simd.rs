@@ -25,20 +25,20 @@
 //! * the ragged tail (`len % DOT_ACCUMULATORS` trailing elements) is added
 //!   sequentially onto the combined sum, in ascending order.
 //!
-//! The unit tests check [`dot`] bit for bit against a plain scalar loop
-//! that performs the same operations in the same order, across every tail
-//! length. For slices shorter than one chunk the canonical order
-//! degenerates to the plain sequential sum.
+//! The unit tests check [`dot`], and each instruction-set arm of the
+//! `matmul_transpose_right` dot loop built on it, bit for bit against a
+//! plain scalar loop that performs the same operations in the same order,
+//! across every tail length. For slices shorter than one chunk the
+//! canonical order degenerates to the plain sequential sum.
 //!
-//! Element-wise passes (`axpy`, the fused bias+activation maps) have no
+//! The element-wise passes (the fused bias+activation maps) have no
 //! cross-element reduction at all, so their unrolling only shapes codegen.
 //!
 //! The matrix products commit to one order per element too:
 //!
 //! * `matmul` and `matmul_transpose_left` add their terms `a · b` in
-//!   ascending shared index onto `+0.0`, one multiply and one add per term.
-//!   Narrow outputs run on the register-tiled micro-kernel (`kernel.rs`),
-//!   wide ones on a row-streaming [`axpy`] loop; both keep that order.
+//!   ascending shared index onto `+0.0`, one multiply and one add per term,
+//!   on the register-tiled micro-kernel (`kernel.rs`) at every width.
 //! * `matmul_transpose_right` is one [`dot`] per element. Below one
 //!   [`DOT_ACCUMULATORS`] chunk that dot is the same ascending sum, so
 //!   short products (CD's `H·Wᵀ`) run on the micro-kernel as well.
@@ -46,7 +46,7 @@
 //! No path uses a fused multiply-add: it rounds once where the order above
 //! rounds twice, so the output bits would depend on the host CPU.
 
-/// Unroll width of the element-wise building blocks (`axpy`, the fused
+/// Unroll width of the element-wise building blocks (the fused
 /// bias+activation maps): four f64 lanes fill one AVX2 register (256 bits)
 /// and two NEON/SSE2 registers, and element-wise loops carry no dependency
 /// chain, so one register's width is all the unrolling they need.
@@ -66,10 +66,13 @@ pub const DOT_ACCUMULATORS: usize = 4 * LANES;
 
 /// Dot product in the canonical [`DOT_ACCUMULATORS`]-lane order.
 ///
+/// Always inlined, so the AVX2 arm of the `matmul_transpose_right` dot loop
+/// compiles it at that arm's vector width.
+///
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
-#[inline]
+#[inline(always)]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "dot: length mismatch");
     let mut acc = [0.0; DOT_ACCUMULATORS];
@@ -90,32 +93,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
         sum += x * y;
     }
     sum
-}
-
-/// `y += alpha * x`, element-wise (the BLAS axpy primitive), unrolled
-/// [`LANES`] wide.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    let mut y_chunks = y.chunks_exact_mut(LANES);
-    let mut x_chunks = x.chunks_exact(LANES);
-    for (ya, xa) in y_chunks.by_ref().zip(x_chunks.by_ref()) {
-        ya[0] += alpha * xa[0];
-        ya[1] += alpha * xa[1];
-        ya[2] += alpha * xa[2];
-        ya[3] += alpha * xa[3];
-    }
-    for (yi, xi) in y_chunks
-        .into_remainder()
-        .iter_mut()
-        .zip(x_chunks.remainder())
-    {
-        *yi += alpha * xi;
-    }
 }
 
 /// Numerically stable logistic sigmoid `1 / (1 + e^{-x})`.
@@ -236,16 +213,65 @@ mod tests {
         sum
     }
 
+    /// The `matmul_transpose_right` dot loop's arms this CPU can run, by
+    /// name.
+    #[allow(clippy::type_complexity)]
+    fn dot_loop_arms() -> Vec<(
+        &'static str,
+        fn(&[f64], &[f64], usize, usize, std::ops::Range<usize>, &mut [f64]),
+    )> {
+        #[allow(unused_mut)]
+        let mut arms: Vec<(
+            &'static str,
+            fn(&[f64], &[f64], usize, usize, std::ops::Range<usize>, &mut [f64]),
+        )> = vec![
+            ("portable", crate::kernel::dot_rows_portable),
+            ("dispatched", crate::kernel::dot_rows),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            fn avx2(
+                a: &[f64],
+                b: &[f64],
+                k: usize,
+                tile: usize,
+                rows: std::ops::Range<usize>,
+                out: &mut [f64],
+            ) {
+                // SAFETY: only listed when the CPU supports AVX2.
+                unsafe { crate::kernel::dot_rows_avx2(a, b, k, tile, rows, out) }
+            }
+            arms.push(("avx2", avx2));
+        }
+        arms
+    }
+
     #[test]
     fn dot_arms_are_bitwise_identical_for_every_tail_length() {
-        // The unrolled dot against the scalar oracle, for lengths covering
-        // every ragged remainder 0..=15 over zero, one and two complete
-        // chunks: the tail is the classic bug site.
+        // The unrolled dot, and every arm of the dot loop over 3x5 pairs of
+        // rows in j-tiles of 2, against the scalar oracle, for lengths
+        // covering every ragged remainder 0..=15 over zero, one and two
+        // complete chunks: the tail is the classic bug site.
         for len in 0..=50 {
             let (a, b) = vecs(len, len as u64);
             let unrolled = dot(&a, &b);
             let scalar = dot_oracle(&a, &b);
             assert_eq!(unrolled.to_bits(), scalar.to_bits(), "len = {len}");
+            if len == 0 {
+                continue; // the dot loop needs at least one column
+            }
+            let (left, right) = (vecs(3 * len, 500 + len as u64).0, vecs(5 * len, 0).1);
+            let row = |m: &[f64], i: usize| m[i * len..(i + 1) * len].to_vec();
+            let expected: Vec<u64> = (0..3)
+                .flat_map(|i| (0..5).map(move |j| (i, j)))
+                .map(|(i, j)| dot_oracle(&row(&left, i), &row(&right, j)).to_bits())
+                .collect();
+            for (arm, run) in dot_loop_arms() {
+                let mut out = vec![f64::NAN; 3 * 5];
+                run(&left, &right, len, 2, 0..3, &mut out);
+                let got: Vec<u64> = out.iter().map(|x| x.to_bits()).collect();
+                assert_eq!(got, expected, "{arm} arm, len = {len}");
+            }
         }
     }
 
@@ -283,28 +309,6 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn dot_length_mismatch_panics() {
         dot(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn axpy_arms_are_bitwise_identical_for_every_tail_length() {
-        // The unrolled axpy against the plain element-wise loop.
-        for len in 0..=35 {
-            let (x, y0) = vecs(len, 200 + len as u64);
-            let mut y_unrolled = y0.clone();
-            axpy(0.37, &x, &mut y_unrolled);
-            let same = y_unrolled
-                .iter()
-                .zip(x.iter().zip(&y0))
-                .all(|(u, (xi, yi))| u.to_bits() == (yi + 0.37 * xi).to_bits());
-            assert!(same, "len = {len}");
-        }
-    }
-
-    #[test]
-    fn axpy_accumulates() {
-        let mut y = vec![1.0, 2.0, 3.0, 4.0, 5.0];
-        axpy(2.0, &[10.0, 20.0, 30.0, 40.0, 50.0], &mut y);
-        assert_eq!(y, vec![21.0, 42.0, 63.0, 84.0, 105.0]);
     }
 
     #[test]

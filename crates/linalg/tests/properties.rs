@@ -56,7 +56,7 @@ fn policy_strategy() -> impl Strategy<Value = ParallelPolicy> {
     })
 }
 
-/// Operand pairs whose *inner* (dot/axpy) dimension is `16q + tail` with
+/// Operand pairs whose *inner* (shared) dimension is `16q + tail` with
 /// `tail ∈ 0..=15`, sweeping every ragged remainder the unrolled reductions
 /// can see (16 accumulators per chunk) — the classic unrolling bug site —
 /// across the chunkless degenerate case and one complete chunk.
@@ -456,8 +456,8 @@ fn adaptive_single_row_chunks_are_bitwise_identical() {
 
 /// The shipping rule's serial/pooled decision flips at the work floor:
 /// products at one row below, at and above the first row count
-/// [`ParallelPolicy::effective_threads`] fans out, on the register tile
-/// (12 wide) and the row-streaming path (64 wide), equal serial to the bit.
+/// [`ParallelPolicy::effective_threads`] fans out, on the register tile at
+/// 12 and 64 wide, equal serial to the bit.
 #[test]
 fn cutover_boundary_keeps_results_identical() {
     let mut rng = <rand_chacha::ChaCha8Rng as rand::SeedableRng>::seed_from_u64(37);
