@@ -63,7 +63,13 @@
 //!   read of every chunk (the parse, `serial` and in pooled row bands),
 //!   one pass re-reading the spilled chunks, and one standardize pass over
 //!   the chunks (`serial` and `pool`). The pooled parse is asserted
-//!   identical to the serial one. These sections carry no gate bar.
+//!   identical to the serial one. These sections carry no gate bar;
+//! * `pairwise_distances` — the distance matrix affinity propagation and
+//!   density peaks build from the retrain's clustering sample (512x892 of
+//!   the standardized Book stand-in, 128 rows with `--quick`): `serial`
+//!   and `pool` on the tiled distance kernel, and `per_pair_ref`, one
+//!   serial `euclidean_distance` sum per pair (the loop the kernel
+//!   replaced), which both are asserted to equal bit for bit. No gate bar.
 //!
 //! `cd_epoch`, `pipeline_transform` and the three product kernels run
 //! serially and under `ParallelPolicy::new` at 2, 4, 8 threads plus the
@@ -96,7 +102,10 @@ use sls_consensus::{
 use sls_datasets::{
     generate_msra_dataset, ChunkSource, ChunkedCsvReader, CsvOptions, MsraDatasetId, SyntheticBlobs,
 };
-use sls_linalg::{simd, Matrix, MatrixRandomExt, ParallelPolicy, Standardizer, WorkerPool};
+use sls_linalg::{
+    euclidean_distance, pairwise_distances, simd, Matrix, MatrixRandomExt, ParallelPolicy,
+    Standardizer, WorkerPool,
+};
 use sls_rbm_core::{base_clusterers, CdTrainer, Rbm, SlsConfig, TrainConfig, VisibleKind};
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
@@ -394,6 +403,69 @@ fn ingest_sections(
         push(results, "standardize", threads, mode, millis);
     }
     std::fs::remove_file(&csv).map_err(|e| format!("removing {}: {e}", csv.display()))
+}
+
+/// The `pairwise_distances` section: the full distance matrix of the
+/// retrain's clustering sample (the first 512 rows of the standardized Book
+/// stand-in, 128 with `--quick`, 892 columns), `serial` and `pool`, and the
+/// bench-local per-pair loop (`per_pair_ref`), which both results are
+/// asserted to equal bit for bit.
+fn pairwise_section(
+    quick: bool,
+    reps: usize,
+    pool_threads: usize,
+    results: &mut Vec<Measurement>,
+) -> Result<(), String> {
+    let book = generate_msra_dataset(MsraDatasetId::Book, &mut ChaCha8Rng::seed_from_u64(2023));
+    let rows: Vec<usize> = (0..if quick { 128 } else { 512 }).collect();
+    let sample = book
+        .features()
+        .select_rows(&rows)
+        .map_err(|e| e.to_string())?;
+    let (_, sample) = Standardizer::fit_transform(&sample).map_err(|e| e.to_string())?;
+    let reference = per_pair_distances(&sample);
+    let section = "pairwise_distances";
+    let modes = [
+        ("serial", 1, ParallelPolicy::serial()),
+        ("pool", pool_threads, ParallelPolicy::new(pool_threads)),
+    ];
+    for (mode, threads, policy) in modes {
+        let millis = best_of(reps, || {
+            let start = Instant::now();
+            let d = pairwise_distances(&sample, &policy);
+            (start.elapsed(), d)
+        });
+        push(results, section, threads, mode, millis);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&pairwise_distances(&sample, &policy)),
+            bits(&reference),
+            "{mode} pairwise_distances diverged from the per-pair loop"
+        );
+    }
+    let millis = best_of(reps, || {
+        let start = Instant::now();
+        let d = per_pair_distances(&sample);
+        (start.elapsed(), d)
+    });
+    push(results, section, 1, "per_pair_ref", millis);
+    Ok(())
+}
+
+/// Every pair's [`euclidean_distance`] as one serial sum, the pairs `j > i`
+/// computed and mirrored: the loop `pairwise_distances` ran before it had a
+/// tiled kernel, and its bitwise reference.
+fn per_pair_distances(data: &Matrix) -> Matrix {
+    let n = data.rows();
+    let mut d = Matrix::zeros(n, n);
+    for i in 0..n {
+        for j in i + 1..n {
+            let v = euclidean_distance(data.row(i), data.row(j));
+            d[(i, j)] = v;
+            d[(j, i)] = v;
+        }
+    }
+    d
 }
 
 /// `a · bᵀ` as one [`simd::dot`] per output element, row after row with no
@@ -731,6 +803,7 @@ fn run(args: &[String]) -> Result<(), String> {
     }
 
     ingest_sections(quick, reps, small_threads, &mut results)?;
+    pairwise_section(quick, reps, small_threads, &mut results)?;
 
     // Tiled vs untiled `matmul_transpose_right` at the ROADMAP's
     // 512x256x256 shape (the one where the dot-product layout used to run

@@ -15,7 +15,7 @@
 //! cluster count, falling back to the closest achievable count.
 
 use crate::{ClusterAssignment, Clusterer, ClusteringError, Result};
-use sls_linalg::{squared_euclidean_distance, Matrix, ParallelPolicy};
+use sls_linalg::{pairwise_squared_distances, Matrix, ParallelPolicy};
 
 #[cfg(test)]
 mod reference;
@@ -103,11 +103,12 @@ impl AffinityPropagation {
         self
     }
 
-    /// Routes the similarity construction and the final exemplar
-    /// assignment through the shared row kernels under `parallel` (default:
-    /// [`ParallelPolicy::global`]). Both are independent per row and keep
-    /// their serial accumulation order, so the result is bitwise identical
-    /// to the serial run.
+    /// Routes the similarity construction
+    /// ([`sls_linalg::pairwise_squared_distances`]) and the final exemplar
+    /// assignment (a pooled row kernel) through `parallel` (default:
+    /// [`ParallelPolicy::global`]). Both keep every element's serial
+    /// accumulation order, so the result is bitwise identical to the serial
+    /// run.
     ///
     /// The message passing itself runs as plain serial row loops. Every
     /// product path calls affinity propagation from inside a consensus pool
@@ -141,20 +142,8 @@ impl AffinityPropagation {
         // deterministic jitter breaks the degenerate symmetries that make the
         // message-passing oscillate (Frey & Dueck add random noise for the
         // same reason; we keep it deterministic for reproducibility).
-        // `(x-y)²` and `(y-x)²` are the same bits, so the pooled row kernel
-        // computes only the pairs `j > i` and the lower triangle is their
-        // mirror. The diagonal stays zero until a fit writes its preference.
-        let row_cost = n * data.cols() / 2;
-        let mut similarities = data.map_rows_with(n, row_cost, &self.parallel, |i, row, out| {
-            for (j, slot) in out.iter_mut().enumerate().skip(i + 1) {
-                *slot = -squared_euclidean_distance(row, data.row(j));
-            }
-        });
-        for i in 1..n {
-            for j in 0..i {
-                similarities[(i, j)] = similarities[(j, i)];
-            }
-        }
+        // The diagonal stays zero until a fit writes its preference.
+        let mut similarities = negated_squared_distances(data, &self.parallel);
         let max_abs = similarities
             .as_slice()
             .iter()
@@ -442,6 +431,16 @@ impl Buffers {
     }
 }
 
+/// `-‖xᵢ − xⱼ‖²` for every pair of rows of `data`, with zeros on the
+/// diagonal: the similarities before jitter and preference.
+fn negated_squared_distances(data: &Matrix, policy: &ParallelPolicy) -> Matrix {
+    let mut similarities = pairwise_squared_distances(data, policy);
+    for s in similarities.as_mut_slice() {
+        *s = -*s;
+    }
+    similarities
+}
+
 /// Deterministic pseudo-random value in `(0, 1)` derived from the pair of
 /// indices, used to de-symmetrise the similarity matrix.
 fn deterministic_jitter(i: usize, j: usize) -> f64 {
@@ -642,6 +641,39 @@ mod tests {
                 "bisection must follow the same trajectory"
             );
         }
+    }
+
+    #[test]
+    fn similarities_have_the_per_pair_bits_for_every_policy() {
+        let mut rng = ChaCha8Rng::seed_from_u64(36);
+        let ds = SyntheticBlobs::new(41, 7, 3)
+            .separation(2.0)
+            .generate(&mut rng);
+        let data = ds.features();
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let serial = negated_squared_distances(data, &ParallelPolicy::serial());
+        for i in 0..data.rows() {
+            for j in (0..data.rows()).filter(|&j| j != i) {
+                let per_pair = -sls_linalg::squared_euclidean_distance(data.row(i), data.row(j));
+                assert_eq!(serial[(i, j)].to_bits(), per_pair.to_bits(), "({i}, {j})");
+            }
+        }
+        for threads in [2, 3, 8] {
+            let pooled = negated_squared_distances(data, &ParallelPolicy::eager(threads));
+            assert_eq!(bits(&serial), bits(&pooled), "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn no_columns_match_the_column_wise_reference() {
+        // Every distance is the empty sum; both collapse to one cluster.
+        let data = Matrix::zeros(4, 0);
+        let outcome = assert_matches_reference(&AffinityPropagation::default(), &data);
+        assert_eq!(outcome.exemplars, vec![0]);
+        assert_matches_reference(
+            &AffinityPropagation::default().with_target_clusters(2),
+            &data,
+        );
     }
 
     #[test]

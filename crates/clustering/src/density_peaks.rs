@@ -68,14 +68,13 @@ impl DensityPeaks {
         self
     }
 
-    /// Routes the distance matrix, density and separation scans through the
-    /// shared row kernels under `parallel` (default:
-    /// [`ParallelPolicy::global`]).
+    /// Routes the distance matrix ([`sls_linalg::pairwise_distances`]) and
+    /// the density and separation scans (pooled row kernels) through
+    /// `parallel` (default: [`ParallelPolicy::global`]).
     ///
-    /// The per-row reductions keep their serial accumulation order, so the
-    /// result is bitwise identical to the serial run. The cutoff quantile and
-    /// the density-ordered label propagation are inherently sequential and
-    /// stay serial.
+    /// Every element keeps its serial accumulation order, so the result is
+    /// bitwise identical to the serial run. The cutoff quantile and the
+    /// density-ordered label propagation stay serial.
     pub fn with_parallel(mut self, parallel: ParallelPolicy) -> Self {
         self.parallel = parallel;
         self
@@ -152,28 +151,33 @@ impl DensityPeaks {
     }
 
     /// The cutoff distance is the `neighbor_fraction` quantile of all
-    /// pairwise distances (excluding the diagonal).
+    /// pairwise distances (excluding the diagonal), found by selection
+    /// rather than a full sort. Equal distances share their bits (all are
+    /// `+0.0` or positive, or all `−0.0` with no columns), so the selected
+    /// value is the one the sorted order puts there.
     fn cutoff_distance(&self, distances: &Matrix) -> f64 {
         let n = distances.rows();
         if n <= 1 {
             return 0.0;
         }
         let mut all: Vec<f64> = Vec::with_capacity(n * (n - 1) / 2);
-        for i in 0..n {
-            for j in (i + 1)..n {
-                all.push(distances[(i, j)]);
-            }
+        for (i, row) in distances.row_iter().enumerate() {
+            all.extend_from_slice(&row[i + 1..]);
         }
-        all.sort_by(|a, b| a.partial_cmp(b).expect("distances are finite"));
         let pos = ((all.len() as f64) * self.neighbor_fraction).ceil() as usize;
         let idx = pos.clamp(1, all.len()) - 1;
+        let (_, &mut d, _) =
+            all.select_nth_unstable_by(idx, |a, b| a.partial_cmp(b).expect("distances are finite"));
         // A zero cutoff (many duplicate points) would collapse the Gaussian
         // kernel; fall back to the smallest positive distance or 1.0.
-        let d = all[idx];
         if d > 0.0 {
             d
         } else {
-            all.iter().copied().find(|&x| x > 0.0).unwrap_or(1.0)
+            all.iter()
+                .copied()
+                .filter(|&x| x > 0.0)
+                .reduce(f64::min)
+                .unwrap_or(1.0)
         }
     }
 
@@ -414,6 +418,65 @@ mod tests {
         let data = Matrix::from_rows(&vec![vec![1.0, 1.0]; 6]).unwrap();
         let outcome = DensityPeaks::new(2).fit(&data).unwrap();
         assert_eq!(outcome.assignment.labels().len(), 6);
+    }
+
+    /// The cutoff as a full sort of every pair's distance reads it.
+    fn sorted_quantile_cutoff(dp: &DensityPeaks, distances: &Matrix) -> f64 {
+        let n = distances.rows();
+        if n <= 1 {
+            return 0.0;
+        }
+        let mut all: Vec<f64> = (0..n)
+            .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+            .map(|(i, j)| distances[(i, j)])
+            .collect();
+        all.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let pos = ((all.len() as f64) * dp.neighbor_fraction).ceil() as usize;
+        let d = all[pos.clamp(1, all.len()) - 1];
+        if d > 0.0 {
+            d
+        } else {
+            all.iter().copied().find(|&x| x > 0.0).unwrap_or(1.0)
+        }
+    }
+
+    #[test]
+    fn cutoff_by_selection_matches_the_sorted_quantile() {
+        let mut rng = ChaCha8Rng::seed_from_u64(15);
+        let random = SyntheticBlobs::new(70, 5, 3)
+            .separation(2.0)
+            .generate(&mut rng)
+            .features()
+            .clone();
+        // Half the rows repeat one row, so the low quantiles are zeros and
+        // the fallback picks the smallest positive distance.
+        let duplicates = Matrix::from_fn(40, 3, |i, j| {
+            if i % 2 == 0 {
+                1.0
+            } else {
+                (i * 3 + j) as f64 * 0.5
+            }
+        });
+        let zeros = Matrix::zeros(12, 3);
+        let no_columns = Matrix::zeros(9, 0);
+        for data in [&random, &duplicates, &zeros, &no_columns] {
+            let distances = pairwise_distances(data, &ParallelPolicy::serial());
+            for fraction in [1e-9, 0.01, 0.02, 0.1, 0.3, 0.5, 0.99, 1.0] {
+                let dp = DensityPeaks::new(2).with_neighbor_fraction(fraction);
+                let got = dp.cutoff_distance(&distances);
+                let want = sorted_quantile_cutoff(&dp, &distances);
+                assert_eq!(got.to_bits(), want.to_bits(), "fraction {fraction}");
+            }
+        }
+        let dp = DensityPeaks::new(2);
+        let zero_cutoff = |data: &Matrix| {
+            dp.cutoff_distance(&pairwise_distances(data, &ParallelPolicy::serial()))
+        };
+        assert_eq!(zero_cutoff(&zeros), 1.0);
+        assert_eq!(zero_cutoff(&no_columns), 1.0);
+        // The closest distinct rows are 0 and 1.
+        let closest = sls_linalg::euclidean_distance(duplicates.row(0), duplicates.row(1));
+        assert_eq!(zero_cutoff(&duplicates), closest);
     }
 
     #[test]

@@ -42,6 +42,11 @@
 //!   build of the same body, picked at run time when the CPU has AVX2;
 //!   neither uses FMA, whose single rounding would make the bits depend on
 //!   the host.
+//! * [`pairwise_squared_distances`] (and [`pairwise_distances`], its
+//!   element-wise square root) runs the same tile with `(a − b)²` as the
+//!   term, over the upper triangle only, and mirrors it: every entry has
+//!   the bits of the per-pair [`squared_euclidean_distance`] (or
+//!   [`euclidean_distance`]).
 
 //! ## Quick example
 //!
@@ -70,7 +75,9 @@ mod stats;
 
 pub use error::LinalgError;
 pub use matrix::Matrix;
-pub use norms::{euclidean_distance, pairwise_distances, squared_euclidean_distance};
+pub use norms::{
+    euclidean_distance, pairwise_distances, pairwise_squared_distances, squared_euclidean_distance,
+};
 pub use parallel::{ParallelPolicy, ENV_THREADS};
 pub use pool::WorkerPool;
 pub use random::MatrixRandomExt;

@@ -254,7 +254,7 @@ fn chunk_rows(rows: usize, row_cost: usize, threads: usize) -> usize {
 /// chunk size and thread count. The calling thread claims chunks too, and
 /// a call from inside a pool item (a nested kernel) runs its chunks inline
 /// (see [`WorkerPool::for_each_mut`]).
-fn for_each_row_block(
+pub(crate) fn for_each_row_block(
     out: &mut [f64],
     rows: usize,
     row_width: usize,
