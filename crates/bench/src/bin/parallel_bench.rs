@@ -46,9 +46,12 @@
 //!   claimed one at a time by the caller and idle workers, which the CI
 //!   gate requires to be >= 1.5x faster on the 4-core runner;
 //! * `transpose_right_tiling` — `matmul_transpose_right` at the ROADMAP's
-//!   512x256x256 shape: untiled (a plain `simd::dot` loop, bench-local),
-//!   tiled (the shipping kernel) and a same-shape `matmul` reference — the
-//!   acceptance bar is tiled `transpose_right` within 1.4x of `matmul`;
+//!   512x256x256 shape: untiled (a bench-local 16-lane dot per element,
+//!   the loop the library ran before every product moved onto the
+//!   register tile), tiled (the shipping kernel, the `matmul` tile over a
+//!   transposed copy of the right operand) and a same-shape `matmul`
+//!   reference — the acceptance bar is tiled `transpose_right` within 1.4x
+//!   of `matmul`;
 //! * `consensus_full` / `consensus_align` / `consensus_vote` — the
 //!   supervision-construction pipeline on synthetic blobs, end to end
 //!   (DP + K-means + AP base clusterers through alignment and voting) and
@@ -79,8 +82,9 @@
 //! The report records `available_parallelism` — on a single-core box the
 //! honest speedup is ~1.0 and the multi-threaded numbers measure scheduling
 //! overhead, so read the speedup column together with that field. Outputs
-//! are bitwise identical across thread counts, and the tiled kernel equals
-//! the untiled reference (asserted here too).
+//! are bitwise identical across thread counts, and the tiled
+//! `transpose_right` equals `matmul` over the transposed operand bit for
+//! bit (asserted here too).
 //!
 //! `--gate TOL` turns the run into a regression gate: after measuring, the
 //! process exits non-zero if pooled dispatch is slower than serial on any
@@ -468,10 +472,47 @@ fn per_pair_distances(data: &Matrix) -> Matrix {
     d
 }
 
-/// `a · bᵀ` as one [`simd::dot`] per output element, row after row with no
+/// Independent accumulators of [`dot`]: 4 vector-register chains of 4 f64
+/// lanes.
+const DOT_ACCUMULATORS: usize = 16;
+
+/// The 16-lane dot product the library ran `matmul_transpose_right` on over
+/// 16 or more shared columns, before every product moved onto the register
+/// tile: element `i` of a complete chunk accumulates into lane `i % 16`,
+/// the lanes combine in ascending order from `+0.0`, and the ragged tail is
+/// added after them in order. Kept here, unchanged, as the
+/// `transpose_right_tiling` section's `simd_untiled` baseline.
+///
+/// # Panics
+///
+/// Panics if the slices have different lengths.
+#[inline(always)]
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    assert_eq!(a.len(), b.len(), "dot: length mismatch");
+    let mut acc = [0.0; DOT_ACCUMULATORS];
+    let a_chunks = a.chunks_exact(DOT_ACCUMULATORS);
+    let b_chunks = b.chunks_exact(DOT_ACCUMULATORS);
+    let a_tail = a_chunks.remainder();
+    let b_tail = b_chunks.remainder();
+    for (xa, xb) in a_chunks.zip(b_chunks) {
+        for lane in 0..DOT_ACCUMULATORS {
+            acc[lane] += xa[lane] * xb[lane];
+        }
+    }
+    let mut sum = 0.0;
+    for lane_sum in acc {
+        sum += lane_sum;
+    }
+    for (x, y) in a_tail.iter().zip(b_tail) {
+        sum += x * y;
+    }
+    sum
+}
+
+/// `a · bᵀ` as one [`dot`] per output element, row after row with no
 /// tiling: the baseline the tiled `matmul_transpose_right` is gated on.
 fn untiled_transpose_right(a: &Matrix, b: &Matrix) -> Matrix {
-    Matrix::from_fn(a.rows(), b.rows(), |i, j| simd::dot(a.row(i), b.row(j)))
+    Matrix::from_fn(a.rows(), b.rows(), |i, j| dot(a.row(i), b.row(j)))
 }
 
 fn run(args: &[String]) -> Result<(), String> {
@@ -809,10 +850,11 @@ fn run(args: &[String]) -> Result<(), String> {
     // 512x256x256 shape (the one where the dot-product layout used to run
     // ~2.3x behind `matmul`), single-threaded so the kernel itself is
     // measured rather than the fan-out. `simd_untiled` is the section
-    // baseline, one `simd::dot` per element with no tiling
-    // (`untiled_transpose_right`); `simd_tiled` is the shipping kernel;
-    // `matmul_ref` is the same-shape `matmul` whose 1.4x envelope is the
-    // acceptance bar.
+    // baseline, one bench-local 16-lane `dot` per element with no tiling
+    // (`untiled_transpose_right`); `simd_tiled` is the shipping kernel, the
+    // `matmul` tile over a transposed copy of the right operand, the copy
+    // included; `matmul_ref` is the same-shape `matmul` whose 1.4x envelope
+    // is the acceptance bar.
     let (tile_n, tile_k, tile_m) = if quick { (64, 32, 32) } else { (512, 256, 256) };
     let tr_left = Matrix::random_normal(tile_n, tile_k, 0.0, 1.0, &mut rng);
     let tr_right = Matrix::random_normal(tile_m, tile_k, 0.0, 1.0, &mut rng);
@@ -858,13 +900,24 @@ fn run(args: &[String]) -> Result<(), String> {
         pooled.as_slice(),
         "pooled result diverged from serial"
     );
+    // `A·Bᵀ` runs the `matmul` kernel on a transposed copy of `B`, so it
+    // equals `A·(Bᵀ)` to the bit; the untiled baseline sums in its own
+    // 16-lane order, so it only has to agree to rounding.
     let tiled = tr_left
         .matmul_transpose_right_with(&tr_right, &serial_policy)
         .expect("transpose_right");
+    let reference = tr_left
+        .matmul_with(&tr_right.transpose(), &serial_policy)
+        .expect("matmul");
+    let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(
-        tiled.as_slice(),
-        untiled_transpose_right(&tr_left, &tr_right).as_slice(),
-        "tiled transpose_right diverged from untiled"
+        bits(&tiled),
+        bits(&reference),
+        "tiled transpose_right diverged from matmul over the transpose"
+    );
+    assert!(
+        tiled.approx_eq(&untiled_transpose_right(&tr_left, &tr_right), 1e-9),
+        "untiled transpose_right baseline diverged from the tiled kernel"
     );
     let adaptive = skew_data.map_rows_with(skew_cols, skew_cost, &pool_policy, skew_work);
     assert_eq!(

@@ -1,13 +1,13 @@
-//! The dense kernels' three inner loops, each compiled for two instruction
+//! The dense kernels' two inner loops, each compiled for two instruction
 //! sets.
 //!
 //! * [`product`], a register-tiled micro-kernel, computes `out(i, j) = Σ_p
 //!   a(i, p) · b(p, j)` for a band of output rows, holding an `R×C`
 //!   [`Tile`] of output accumulators in registers across the `p` loop. It
-//!   runs `matmul`, `matmul_transpose_left` and the short-dot
-//!   `matmul_transpose_right` at every width. Against a row-streaming
-//!   `axpy` (which loads and stores the output row once per `p`) or one
-//!   short dot per element (one serial add chain per element), the tile
+//!   runs `matmul`, `matmul_transpose_left` and `matmul_transpose_right` at
+//!   every width. Against a row-streaming `axpy` (which loads and stores the
+//!   output row once per `p`) or one dot per element (one serial add chain
+//!   per element, or a fixed set of lanes with its own order), the tile
 //!   keeps `R·C` independent add chains in flight and touches the output
 //!   once per reduction block.
 //! * [`squared_distances`] is the same tile loop with another [`Term`]:
@@ -15,33 +15,28 @@
 //!   pairwise squared distances of the rows of `a` when `b = aᵀ`
 //!   (`pairwise_squared_distances` in `norms.rs`). Affinity propagation
 //!   and density peaks build their similarity and distance matrices on it.
-//! * [`dot_rows`] runs `matmul_transpose_right` over 16 or more shared
-//!   columns: one [`simd::dot`] per element, in `j`-tiles of right-operand
-//!   rows that stay in L1d across the band.
 //!
 //! ## Order contract
 //!
-//! Every element of the two tiled kernels accumulates its terms in
-//! ascending `p`, starting from `+0.0`, each term rounded on its own and
-//! then added: one multiply and one add per term for [`product`], one
-//! subtract, one multiply and one add for [`squared_distances`]. For
-//! [`product`] that is the order of [`simd::dot`] on vectors shorter than
-//! [`simd::DOT_ACCUMULATORS`] (its lanes all stay `+0.0` and the tail is
-//! summed in order); for [`squared_distances`] it is the order of
-//! `squared_euclidean_distance`, whose `Iterator::sum` starts from `−0.0`
-//! instead: the same bits after the first term, because every term is
-//! `≥ +0.0` or NaN (the entry point keeps the `−0.0` of no terms itself).
-//! The tile shape, the remainder tiles, the reduction blocks and the
-//! instruction set only decide which elements and terms are computed
-//! together, so the output is the same to the bit on every path.
-//! [`dot_rows`] keeps the canonical 16-lane order of [`simd::dot`]. There is
+//! Every element of both kernels accumulates its terms in ascending `p`,
+//! starting from `+0.0`, each term rounded on its own and then added: one
+//! multiply and one add per term for [`product`], one subtract, one
+//! multiply and one add for [`squared_distances`]. For [`product`] that is
+//! the plain ascending sum, whichever of the three products it runs, so
+//! `A·Bᵀ` and `A·(Bᵀ)` have the same bits. For [`squared_distances`] it is
+//! the order of `squared_euclidean_distance`, whose `Iterator::sum` starts
+//! from `−0.0` instead: the same bits after the first term, because every
+//! term is `≥ +0.0` or NaN (the entry point keeps the `−0.0` of no terms
+//! itself). The tile shape, the remainder tiles, the reduction blocks and
+//! the instruction set only decide which elements and terms are computed
+//! together, so the output is the same to the bit on every path. There is
 //! no FMA: a fused multiply-add rounds once instead of twice, so output bits
 //! would depend on the host CPU.
 //!
-//! The left operand of the tiled kernels is read through two strides
-//! ([`Strided`]), so the same body serves `A·B` (`a(i, p) = A[i][p]`),
-//! `Aᵀ·B` (`a(i, p) = A[p][i]`) and `A·Bᵀ` or the distances of `A`'s rows
-//! on a transposed copy of `B` or `A`.
+//! The left operand is read through two strides ([`Strided`]), so the same
+//! body serves `A·B` (`a(i, p) = A[i][p]`), `Aᵀ·B` (`a(i, p) = A[p][i]`)
+//! and `A·Bᵀ` or the distances of `A`'s rows on a transposed copy of `B`
+//! or `A`.
 //!
 //! ## Triangle rule
 //!
@@ -56,7 +51,7 @@
 //!
 //! ## Reduction blocks
 //!
-//! Over more than [`REDUCTION_BLOCK`] terms, the tiled kernels run the whole
+//! Over more than [`REDUCTION_BLOCK`] terms, both kernels run the whole
 //! row band once per block of shared indices, storing each tile's partial
 //! sums into the output and reloading them for the next block (Goto & van
 //! de Geijn, "Anatomy of High-Performance Matrix Multiplication", 2008). A
@@ -75,7 +70,6 @@
 //! its AVX2 arm at run time with `is_x86_feature_detected!`, once per row
 //! block; nothing else selects it.
 
-use crate::simd;
 use std::ops::Range;
 
 /// Output rows per full tile.
@@ -369,33 +363,6 @@ kernel_arms!(
     (a: Strided<'_>, b: &[f64], k: usize, m: usize, rows: Range<usize>, out: &mut [f64])
 );
 
-/// The dot loop: for each `j`-tile of `tile` right-operand rows, every
-/// output row of the band, one canonical [`simd::dot`] per element.
-#[inline(always)]
-fn dot_rows_body(a: &[f64], b: &[f64], k: usize, tile: usize, rows: Range<usize>, out: &mut [f64]) {
-    let m = b.len() / k;
-    debug_assert_eq!(out.len(), rows.len() * m);
-    for j0 in (0..m).step_by(tile) {
-        let j1 = (j0 + tile).min(m);
-        for (i, out_row) in rows.clone().zip(out.chunks_mut(m)) {
-            let a_row = &a[i * k..(i + 1) * k];
-            for (j, out_val) in (j0..j1).zip(&mut out_row[j0..j1]) {
-                *out_val = simd::dot(a_row, &b[j * k..(j + 1) * k]);
-            }
-        }
-    }
-}
-
-kernel_arms!(
-    /// `out(i, j) = simd::dot(a_i, b_j)` for `i` in `rows`, `j` in `0..m`,
-    /// where `a` and `b` are row-major with `k > 0` columns, `b` has `m` rows
-    /// and `out` holds exactly the rows in `rows` (`rows.len() x m`,
-    /// row-major), in `j`-tiles of `tile > 0` right-operand rows. Bitwise
-    /// identical on every arm and for every tile.
-    dot_rows, dot_rows_portable, dot_rows_avx2, dot_rows_body,
-    (a: &[f64], b: &[f64], k: usize, tile: usize, rows: Range<usize>, out: &mut [f64])
-);
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -552,7 +519,7 @@ mod tests {
         // Rows 0..=9 cover no tile, every row remainder (1..=3) under zero,
         // one and two full tiles; the widths cover every column remainder
         // of the 12-wide tile, the 4-wide remainder tile and single columns.
-        // k crosses 15/16/17, the `transpose_right` switch. The distance
+        // k runs 0–40, every short sum from no terms up. The distance
         // kernel runs on its own shape, `b = aᵀ`: each tile's columns start
         // at its band's first row, so its column remainders depend on n,
         // which the 14–29-row operands take through every one.

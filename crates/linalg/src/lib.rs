@@ -26,22 +26,19 @@
 //!   parallelism on never changes a reproduced number. Fanned-out kernels
 //!   run on the persistent [`WorkerPool`], so no call pays thread-spawn
 //!   latency.
-//! * The kernel inner loops run through the [`mod@simd`] layer: manually
-//!   unrolled 4-lane building blocks (autovectorisable on stable Rust) that
-//!   commit to one canonical reduction order.
-//! * `matmul` and `matmul_transpose_left` at every width, and
-//!   `matmul_transpose_right` below 16 columns, run on a private
-//!   register-tiled micro-kernel: a 4×12 block of output accumulators stays
+//! * The fused bias + activation maps run through the [`mod@simd`] layer:
+//!   manually unrolled 4-lane element-wise loops, autovectorisable on
+//!   stable Rust.
+//! * All three products, `matmul`, `matmul_transpose_left` and
+//!   `matmul_transpose_right`, run on one private register-tiled
+//!   micro-kernel at every width: a 4×12 block of output accumulators stays
 //!   in registers while it sums up to 256 terms, and longer sums carry
-//!   their partial sums from one block of 256 terms to the next. It adds
-//!   each element's terms in ascending order onto `+0.0`, as the short
-//!   canonical dot does, so it changes no bit. `matmul_transpose_right`
-//!   over 16 or more columns runs one canonical dot per element under a
-//!   fixed, L1d-sized `j`-loop cache tile (see
-//!   [`Matrix::matmul_transpose_right_with`]). Both loops have an AVX2
-//!   build of the same body, picked at run time when the CPU has AVX2;
-//!   neither uses FMA, whose single rounding would make the bits depend on
-//!   the host.
+//!   their partial sums from one block of 256 terms to the next. Every
+//!   element is one ascending sum of its terms from `+0.0`, so `A·Bᵀ`
+//!   (which runs over a transposed copy of `B`) equals `A·(Bᵀ)` bit for
+//!   bit. The kernel has an AVX2 build of the same body, picked at run time
+//!   when the CPU has AVX2; neither build uses FMA, whose single rounding
+//!   would make the bits depend on the host.
 //! * [`pairwise_squared_distances`] (and [`pairwise_distances`], its
 //!   element-wise square root) runs the same tile with `(a − b)²` as the
 //!   term, over the upper triangle only, and mirrors it: every entry has

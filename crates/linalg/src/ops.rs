@@ -4,9 +4,10 @@
 //! Contrastive divergence needs three product shapes per mini-batch:
 //! `V · W` (visible → hidden pre-activations), `H · Wᵀ` (hidden → visible
 //! reconstruction) and `Vᵀ · H` (the positive/negative statistics
-//! `<v_i h_j>`). [`Matrix::matmul_transpose_right`] and
-//! [`Matrix::matmul_transpose_left`] compute the latter two without
-//! materialising the transpose.
+//! `<v_i h_j>`). [`Matrix::matmul_transpose_left`] reads its left operand
+//! down its columns, without materialising the transpose;
+//! [`Matrix::matmul_transpose_right`] transposes its right operand once per
+//! call and runs the `matmul` kernel on the copy.
 
 use crate::{LinalgError, Matrix, ParallelPolicy, Result};
 

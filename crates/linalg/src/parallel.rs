@@ -8,12 +8,11 @@
 //!
 //! ## Bitwise reproducibility
 //!
-//! Every product element has one summation order: `matmul` and
-//! `matmul_transpose_left` add `a·b` terms in ascending shared index from
-//! `+0.0` on the register-tiled micro-kernel in `kernel.rs`, at every width,
-//! and `matmul_transpose_right` is one canonical [`simd::dot`] per element
-//! (which, below one 16-lane chunk, is that same ascending sum, so short
-//! dots run on the micro-kernel too).
+//! Every product element has one summation order: `matmul`,
+//! `matmul_transpose_left` and `matmul_transpose_right` add their `a·b`
+//! terms in ascending shared index from `+0.0` on the register-tiled
+//! micro-kernel in `kernel.rs`, at every width. `A·Bᵀ` is `A·(Bᵀ)` over a
+//! transposed copy of `B`, so the two agree to the bit.
 //!
 //! Row partitioning never splits the accumulation of a single output
 //! element across threads: each output row is produced by exactly one
@@ -44,7 +43,6 @@
 
 use crate::kernel::{self, Strided};
 use crate::pool::WorkerPool;
-use crate::simd;
 use crate::{LinalgError, Matrix, Result};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -276,14 +274,6 @@ pub(crate) fn for_each_row_block(
     });
 }
 
-/// Default `j`-tile of [`Matrix::matmul_transpose_right_with`]: as many
-/// right-operand rows (of `cols` f64 elements each) as fit in ~32 KiB — an
-/// L1d-sized working set — clamped to `[8, 512]`.
-fn transpose_right_tile_rows(cols: usize) -> usize {
-    const TILE_BYTES: usize = 32 * 1024;
-    (TILE_BYTES / (cols.max(1) * std::mem::size_of::<f64>())).clamp(8, 512)
-}
-
 /// `a · b` into `n` rows on the register-tiled [`kernel`], the rows split
 /// under `policy`: `a(i, p)` for `b.rows()` terms.
 fn tiled_product(a: Strided<'_>, b: &Matrix, n: usize, policy: &ParallelPolicy) -> Matrix {
@@ -326,21 +316,12 @@ impl Matrix {
     /// [`Matrix::matmul_transpose_right`] under an explicit
     /// [`ParallelPolicy`]; bitwise identical to serial.
     ///
-    /// The product is dot-product shaped: every output row walks *all* of
-    /// the right operand's rows, so without tiling a right operand larger
-    /// than cache is re-streamed from memory once per output row. The
-    /// kernel therefore processes output columns in tiles of as many
-    /// right-operand rows as fit in ~32 KiB (an L1d-sized working set,
-    /// clamped to 8–512 rows), keeping each group hot across the whole row
-    /// band before moving on.
-    ///
-    /// Below [`simd::DOT_ACCUMULATORS`] columns the canonical dot is the
-    /// plain ascending sum, which is the order of the register-tiled
-    /// micro-kernel (`kernel.rs`), so such products (CD's `H·Wᵀ`, `n_hidden`
-    /// columns) run on it over a transposed copy of `other`, made once per
-    /// call. Wider ones run the dot loop in `kernel.rs`, whose AVX2 arm is
-    /// picked at run time like the micro-kernel's. Either way the result is
-    /// bitwise identical to one [`simd::dot`] per element.
+    /// Runs [`Matrix::matmul_with`]'s register-tiled micro-kernel
+    /// (`kernel.rs`) over `otherᵀ`, transposed once per call, so each
+    /// element sums its terms in ascending shared index from `+0.0` and the
+    /// result is `self.matmul_with(&other.transpose(), policy)` to the bit.
+    /// Reading `other` through strides instead was measured slower than the
+    /// copy at CD's `H·Wᵀ` shape.
     ///
     /// # Errors
     ///
@@ -350,21 +331,6 @@ impl Matrix {
         other: &Matrix,
         policy: &ParallelPolicy,
     ) -> Result<Matrix> {
-        self.matmul_transpose_right_tiled(other, policy, transpose_right_tile_rows(self.cols()))
-    }
-
-    /// [`Matrix::matmul_transpose_right_with`] with an explicit `j`-tile
-    /// (`tile_rows` right-operand rows per tile; values `>= other.rows()`
-    /// disable tiling). The tile only reorders *which output elements are
-    /// computed when*; every element is still one full [`mod@crate::simd`]
-    /// dot in the canonical order, so the result is bitwise identical for
-    /// every tile size.
-    fn matmul_transpose_right_tiled(
-        &self,
-        other: &Matrix,
-        policy: &ParallelPolicy,
-        tile_rows: usize,
-    ) -> Result<Matrix> {
         if self.cols() != other.cols() {
             return Err(LinalgError::ShapeMismatch {
                 op: "matmul_transpose_right",
@@ -372,27 +338,8 @@ impl Matrix {
                 right: other.shape(),
             });
         }
-        let (n, m, k) = (self.rows(), other.rows(), self.cols());
-        if k < simd::DOT_ACCUMULATORS {
-            let a = Strided::rows(self.as_slice(), k);
-            return Ok(tiled_product(a, &other.transpose(), n, policy));
-        }
-        let mut out = Matrix::zeros(n, m);
-        if n == 0 || m == 0 {
-            return Ok(out);
-        }
-        let tile = tile_rows.clamp(1, m);
-        for_each_row_block(
-            out.as_mut_slice(),
-            n,
-            m,
-            m.saturating_mul(k),
-            policy,
-            &|range, block| {
-                kernel::dot_rows(self.as_slice(), other.as_slice(), k, tile, range, block);
-            },
-        );
-        Ok(out)
+        let a = Strided::rows(self.as_slice(), self.cols());
+        Ok(tiled_product(a, &other.transpose(), self.rows(), policy))
     }
 
     /// [`Matrix::matmul_transpose_left`] under an explicit
@@ -753,40 +700,13 @@ mod tests {
     }
 
     #[test]
-    fn transpose_right_is_bitwise_identical_for_every_tile_size() {
-        // The tile only reorders which output elements are computed when;
-        // each element is still one full canonical-order dot, so any tile —
-        // including "no tiling" (tile >= m) — must reproduce the default
-        // result bit for bit.
-        let mut r = rng();
-        let a = Matrix::random_normal(37, 21, 0.0, 1.0, &mut r);
-        let b = Matrix::random_normal(29, 21, 0.0, 1.0, &mut r);
-        let policy = ParallelPolicy::eager(4);
-        let reference = a.matmul_transpose_right_with(&b, &policy).unwrap();
-        for tile in [1, 3, 8, 28, 29, usize::MAX] {
-            let tiled = a.matmul_transpose_right_tiled(&b, &policy, tile).unwrap();
-            assert!(bitwise_eq(&reference, &tiled), "tile {tile}");
-        }
-    }
-
-    #[test]
-    fn default_tile_tracks_operand_width() {
-        // ~32 KiB working set: narrow operands get deep tiles, wide ones
-        // shallow, clamped to [8, 512].
-        assert_eq!(transpose_right_tile_rows(256), 16);
-        assert_eq!(transpose_right_tile_rows(64), 64);
-        assert_eq!(transpose_right_tile_rows(1), 512); // clamp high
-        assert_eq!(transpose_right_tile_rows(0), 512); // no div-by-0
-        assert_eq!(transpose_right_tile_rows(100_000), 8); // clamp low
-    }
-
-    #[test]
     fn reduction_blocks_agree_with_the_ascending_sum() {
-        // One term short of a reduction block, one block, one past it and
-        // two blocks and one term, for `A·B` (the left operand read along
-        // its rows) and `Aᵀ·B` (down its columns), against the ascending sum
-        // from +0.0, serial and pooled. The widths cover one full tile, every
-        // column remainder and a wide output.
+        // Short sums of 15–17 terms, one term short of a reduction block,
+        // one block, one past it and two blocks and one term, for `A·B`
+        // (the left operand read along its rows), `Aᵀ·B` (down its columns)
+        // and `A·Bᵀ` (over the transpose of `c`), against the ascending sum
+        // from +0.0, serial and pooled. The widths cover one full tile,
+        // every column remainder and a wide output.
         let ascending = |n: usize,
                          k: usize,
                          m: usize,
@@ -798,18 +718,22 @@ mod tests {
         };
         let block = kernel::REDUCTION_BLOCK;
         let mut r = rng();
-        for k in [block - 1, block, block + 1, 2 * block + 1] {
+        for k in [15, 16, 17, block - 1, block, block + 1, 2 * block + 1] {
             for m in [12, 13, 17, 256] {
                 let a = Matrix::random_normal(9, k, 0.0, 1.0, &mut r);
                 let v = Matrix::random_normal(k, 7, 0.0, 1.0, &mut r);
                 let b = Matrix::random_normal(k, m, 0.0, 1.0, &mut r);
+                let c = Matrix::random_normal(m, k, 0.0, 1.0, &mut r);
                 let rows = ascending(9, k, m, &|i, p| a[(i, p)], &|p, j| b[(p, j)]);
                 let columns = ascending(7, k, m, &|i, p| v[(p, i)], &|p, j| b[(p, j)]);
+                let transposed = ascending(9, k, m, &|i, p| a[(i, p)], &|p, j| c[(j, p)]);
                 for policy in [ParallelPolicy::serial(), ParallelPolicy::eager(3)] {
                     let out = a.matmul_with(&b, &policy).unwrap();
                     assert!(bitwise_eq(&rows, &out), "A·B, k = {k}, m = {m}");
                     let out = v.matmul_transpose_left_with(&b, &policy).unwrap();
                     assert!(bitwise_eq(&columns, &out), "Aᵀ·B, k = {k}, m = {m}");
+                    let out = a.matmul_transpose_right_with(&c, &policy).unwrap();
+                    assert!(bitwise_eq(&transposed, &out), "A·Bᵀ, k = {k}, m = {m}");
                 }
             }
         }

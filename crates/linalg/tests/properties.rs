@@ -57,9 +57,7 @@ fn policy_strategy() -> impl Strategy<Value = ParallelPolicy> {
 }
 
 /// Operand pairs whose *inner* (shared) dimension is `16q + tail` with
-/// `tail ∈ 0..=15`, sweeping every ragged remainder the unrolled reductions
-/// can see (16 accumulators per chunk) — the classic unrolling bug site —
-/// across the chunkless degenerate case and one complete chunk.
+/// `tail ∈ 0..=15`: every sum of 1 to 31 terms.
 fn tailed_matmul_pair() -> impl Strategy<Value = (Matrix, Matrix)> {
     (0..=1usize, 0..=15usize, 1..24usize, 1..10usize).prop_flat_map(|(q, tail, n, m)| {
         let k = (16 * q + tail).max(1);
@@ -95,9 +93,7 @@ fn edge_value() -> impl Strategy<Value = f64> {
 }
 
 /// Operands for all three products around the register-tiled kernel's
-/// edges: `n` and `m` cross every tile remainder and the 16-wide cut-over
-/// to row streaming, and `k` crosses the 15/16/17 switch of
-/// `matmul_transpose_right`.
+/// edges: `n` and `m` cross every tile remainder, and `k` runs 0–40.
 fn kernel_edge_operands() -> impl Strategy<Value = (Matrix, Matrix, Matrix)> {
     (0..10usize, 0..=40usize, 0..30usize).prop_flat_map(|(n, k, m)| {
         let matrix = |rows: usize, cols: usize| {
@@ -110,7 +106,7 @@ fn kernel_edge_operands() -> impl Strategy<Value = (Matrix, Matrix, Matrix)> {
 }
 
 /// `out(i, j) = Σ_p x(i, p) · y(p, j)` summed from `+0.0` in ascending `p`:
-/// the order contract of `matmul` and `matmul_transpose_left`.
+/// the order contract of all three products.
 fn ascending_sum(
     n: usize,
     k: usize,
@@ -245,10 +241,8 @@ proptest! {
         (a, b) in tailed_matmul_pair(),
     ) {
         // The acceptance grid: every kernel, serial and pooled at every
-        // thread count, with the inner dimension sweeping
-        // tails 0..=15 so every ragged remainder after the 16-accumulator
-        // dot chunks is exercised on both sides of the chunk boundary. The
-        // reference is serial.
+        // thread count, with the inner dimension sweeping 1 to 31 terms.
+        // The reference is serial.
         let reference = ParallelPolicy::serial();
         let bt = b.transpose();
         let h = Matrix::from_fn(a.rows(), b.cols(), |i, j| {
@@ -297,16 +291,14 @@ proptest! {
         (a, b, c) in kernel_edge_operands(),
     ) {
         // Each product against its order contract written as a plain loop,
-        // serial and pooled: ascending sums for `matmul` and
-        // `matmul_transpose_left`, one canonical `dot` per element for
-        // `matmul_transpose_right` (the ascending sum below 16 terms).
+        // serial and pooled: the ascending sum, for all three.
         let (n, k, m) = (a.rows(), a.cols(), b.cols());
         let mm = ascending_sum(n, k, m, |i, p| a[(i, p)], |p, j| b[(p, j)]);
         // aᵀ-shaped: the shared rows are a's rows, the output is k x m from
         // `a` (n x k) and `h` (n x m).
         let h = Matrix::from_fn(n, m, |i, j| b.as_slice().get(i * m + j).copied().unwrap_or(0.5));
         let tl = ascending_sum(k, n, m, |i, p| a[(p, i)], |p, j| h[(p, j)]);
-        let tr = Matrix::from_fn(n, m, |i, j| sls_linalg::simd::dot(a.row(i), c.row(j)));
+        let tr = ascending_sum(n, k, m, |i, p| a[(i, p)], |p, j| c[(j, p)]);
         for policy in policy_grid() {
             prop_assert!(same_bits(&mm, &a.matmul_with(&b, &policy).unwrap()), "matmul {policy:?}");
             prop_assert!(
